@@ -82,10 +82,10 @@ pub struct DdmGnnPreconditioner {
     restrictions: Vec<Restriction>,
     graphs: Vec<LocalGraph>,
     /// Per-sub-domain inference plans, built once at construction (the setup
-    /// phase): split first-layer weights, precomputed static edge terms and
-    /// destination-sorted incidence — in f64 or f32 depending on the
-    /// configured [`Precision`].  `apply` only runs the cheap
-    /// residual-dependent half of the forward pass.
+    /// phase), at the configured [`Precision`].  The f64 plans hold only the
+    /// destination-sorted graph structure and share the model's one weight
+    /// pack; the f32 / int8 plans additionally store the precomputed static
+    /// edge terms and their own rounded weights.
     plans: PlanSet,
     coarse: Option<CoarseSpace>,
     model: Arc<DssModel>,
@@ -135,6 +135,10 @@ impl DdmGnnPreconditioner {
     /// accumulation still in f32.  The residual conversion and the gluing
     /// are identical to the f32 mode; the quantised plan needs roughly half
     /// the f32 plan's memory.
+    ///
+    /// Both reduced tiers store `k̄ · e · 2d` static edge terms per
+    /// sub-domain, which the default `Precision::F64` plan does not: f64 is
+    /// the smallest plan and the cheapest to build.
     pub fn with_precision(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -343,10 +347,14 @@ impl DdmGnnPreconditioner {
         }
     }
 
-    /// Total heap footprint of the cached inference plans in bytes.
+    /// Total heap footprint of the cached inference plans in bytes.  The f64
+    /// plans share one weight pack, which is counted once.
     pub fn plan_memory_bytes(&self) -> usize {
         match &self.plans {
-            PlanSet::F64(plans) => plans.iter().map(InferencePlan::memory_bytes).sum(),
+            PlanSet::F64(plans) => {
+                plans.iter().map(InferencePlan::memory_bytes).sum::<usize>()
+                    + plans.first().map_or(0, InferencePlan::shared_weight_bytes)
+            }
             PlanSet::F32(plans) => plans.iter().map(InferencePlanF32::memory_bytes).sum(),
             PlanSet::Int8(plans) => plans.iter().map(InferencePlanQ::memory_bytes).sum(),
         }
@@ -834,12 +842,19 @@ mod tests {
         assert_eq!(p64.precision(), gnn::Precision::F64);
         assert_eq!(p32.precision(), gnn::Precision::F32);
         assert_eq!(p32.name(), "ddm-gnn-2level-f32");
-        assert!(
-            p32.plan_memory_bytes() < p64.plan_memory_bytes(),
-            "f32 plans must use less memory: {} vs {}",
-            p32.plan_memory_bytes(),
-            p64.plan_memory_bytes()
-        );
+        // f64 plans hold graph structure only (28 B per edge, 4 B per node)
+        // next to one weight pack counted once: per edge, their size does
+        // not depend on the model's depth.
+        let structure: usize =
+            p64.graphs().iter().map(|g| 28 * g.num_edges() + 4 * g.num_nodes()).sum();
+        let pack = p64.plan_memory_bytes() - structure;
+        assert!(pack > 0 && pack < 1 << 20, "one shared weight pack: {pack} bytes");
+        let shallow = gnn::DssModel::new(gnn::DssConfig::new(2, fx.model.config().latent_dim), 0);
+        let p64_shallow =
+            DdmGnnPreconditioner::new(&fx.problem, fx.subdomains.clone(), Arc::new(shallow), true)
+                .unwrap();
+        assert!(p64_shallow.plan_memory_bytes() > structure);
+        assert!(p64_shallow.plan_memory_bytes() - structure < pack);
         let r = fx.problem.rhs.clone();
         let mut z64 = vec![0.0; r.len()];
         let mut z32 = vec![0.0; r.len()];

@@ -16,6 +16,12 @@
 //! zero, or the prior `Y` entry).  Blocking only regroups *independent*
 //! output elements, so the results are bit-identical to the scalar triple
 //! loop these kernels replaced — at every tile shape and every batch size.
+//!
+//! The row-major kernels above serve every [`crate::layers::Linear`]
+//! (training, evaluation, the reference forward pass).  The inference
+//! engines use transposed-weight (`in_dim × out_dim`) kernels further down —
+//! f64 (bit-identical to the row-major ones), f32 and int8/bf16 — each with
+//! a multi-column variant for batched right-hand sides.
 
 /// Batch rows per register tile.
 const MR: usize = 4;
@@ -215,6 +221,162 @@ fn gemm_core<const ACC: bool>(
 }
 
 // ---------------------------------------------------------------------------
+// Transposed-weight f64 kernels (the f64 inference engine)
+// ---------------------------------------------------------------------------
+//
+// Same arithmetic as [`gemm_core`], different traversal: the weight comes in
+// transposed (`in_dim × out_dim`, one contiguous row of output weights per
+// input feature), so for every shared-axis step `i` a column tile of outputs
+// is one contiguous load and the inner loop is a pure axpy
+// `acc[k] += x_i · wt[i][k]` over fixed 4-lane groups — no horizontal dot
+// product per output.  Each output element still starts from its initial
+// value and adds its products strictly in ascending `i` order, one multiply
+// and one add per term (Rust never contracts them into an FMA), so the
+// results are bit-identical to `gemm_core` on the row-major weight.
+//
+// A call takes a *list* of operands accumulated one after the other into the
+// same register tile — `bias + X₀ W₀ᵀ + X₁ W₁ᵀ + …`, which is exactly the
+// `gemm_bias_into` / `gemm_acc_into` / `gemm_acc_into` chain it replaces —
+// and an [`Epilogue`] applied to the finished tile, so a sum of products, its
+// ReLU and a scaled update each cost one pass over the output instead of one
+// pass per step.
+//
+// The unbatched kernel is `#[inline(always)]`: the f64 forward pass is
+// compiled twice (baseline and AVX2, see `plan::InferencePlan`) and the
+// kernel must be instantiated inside each copy to pick up its target
+// features.
+
+/// One `X Wᵀ` term of a fused transposed-weight GEMM: `x` is the row-major
+/// `n × in_dim` activation (`n × in_dim × b` for the batched kernel), `wt`
+/// its transposed `in_dim × out_dim` weight.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    pub x: &'a [f64],
+    pub in_dim: usize,
+    pub wt: &'a [f64],
+}
+
+/// What a fused GEMM does with each finished accumulator `a`.
+#[derive(Clone, Copy)]
+pub(crate) enum Epilogue {
+    /// `y = a`
+    Store,
+    /// `y = max(a, 0)`
+    Relu,
+    /// `y += s · a`
+    AddScaled(f64),
+}
+
+impl Epilogue {
+    #[inline(always)]
+    fn apply(self, y: &mut [f64], acc: &[f64]) {
+        match self {
+            Epilogue::Store => y.copy_from_slice(acc),
+            Epilogue::Relu => {
+                for (y, a) in y.iter_mut().zip(acc) {
+                    *y = a.max(0.0);
+                }
+            }
+            Epilogue::AddScaled(s) => {
+                for (y, a) in y.iter_mut().zip(acc) {
+                    *y += s * *a;
+                }
+            }
+        }
+    }
+}
+
+/// `Y = epilogue(bias + Σₛ Xₛ Wₛᵀ)` over `n` rows with transposed f64
+/// weights; outputs start from zero when `bias` is empty.
+#[inline(always)]
+pub(crate) fn gemm_t_f64<const S: usize>(
+    ops: [Operand<'_>; S],
+    n: usize,
+    out_dim: usize,
+    bias: &[f64],
+    epilogue: Epilogue,
+    y: &mut [f64],
+) {
+    for op in &ops {
+        debug_assert_eq!(op.x.len(), n * op.in_dim);
+        debug_assert_eq!(op.wt.len(), op.in_dim * out_dim);
+    }
+    debug_assert!(bias.is_empty() || bias.len() == out_dim);
+    debug_assert_eq!(y.len(), n * out_dim);
+    let mut r = 0;
+    while r + MR <= n {
+        gemm_t_rows_f64::<MR, S>(&ops, r, out_dim, bias, epilogue, y);
+        r += MR;
+    }
+    while r < n {
+        gemm_t_rows_f64::<1, S>(&ops, r, out_dim, bias, epilogue, y);
+        r += 1;
+    }
+}
+
+/// Rows `[r, r + R)` of [`gemm_t_f64`], cut into column tiles of 8, 4, 2 and
+/// 1 outputs (`2d = 20` is 8 + 8 + 4, `d = 10` is 8 + 2).
+#[inline(always)]
+fn gemm_t_rows_f64<const R: usize, const S: usize>(
+    ops: &[Operand<'_>; S],
+    r: usize,
+    out_dim: usize,
+    bias: &[f64],
+    epilogue: Epilogue,
+    y: &mut [f64],
+) {
+    let mut o = 0;
+    while o + 8 <= out_dim {
+        gemm_t_tile_f64::<R, 8, S>(ops, r, o, out_dim, bias, epilogue, y);
+        o += 8;
+    }
+    if o + 4 <= out_dim {
+        gemm_t_tile_f64::<R, 4, S>(ops, r, o, out_dim, bias, epilogue, y);
+        o += 4;
+    }
+    if o + 2 <= out_dim {
+        gemm_t_tile_f64::<R, 2, S>(ops, r, o, out_dim, bias, epilogue, y);
+        o += 2;
+    }
+    if o < out_dim {
+        gemm_t_tile_f64::<R, 1, S>(ops, r, o, out_dim, bias, epilogue, y);
+    }
+}
+
+/// One `R`-row × `W`-column register tile of [`gemm_t_f64`].
+#[inline(always)]
+fn gemm_t_tile_f64<const R: usize, const W: usize, const S: usize>(
+    ops: &[Operand<'_>; S],
+    r: usize,
+    o: usize,
+    out_dim: usize,
+    bias: &[f64],
+    epilogue: Epilogue,
+    y: &mut [f64],
+) {
+    assert!(o + W <= out_dim);
+    let init: [f64; W] = if bias.is_empty() { [0.0; W] } else { *head(&bias[o..]) };
+    let mut acc = [init; R];
+    for op in ops {
+        // Row slices of exactly `in_dim` elements and weight rows of exactly
+        // `out_dim` keep every bounds check out of the inner loop.
+        let xs: [&[f64]; R] = std::array::from_fn(|q| &op.x[(r + q) * op.in_dim..][..op.in_dim]);
+        for (i, wrow) in (0..op.in_dim).zip(op.wt.chunks_exact(out_dim)) {
+            let w: &[f64; W] = head(&wrow[o..]);
+            for q in 0..R {
+                let s = xs[q][i];
+                for k in 0..W {
+                    acc[q][k] += s * w[k];
+                }
+            }
+        }
+    }
+    for q in 0..R {
+        epilogue.apply(&mut y[(r + q) * out_dim + o..][..W], &acc[q]);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Single-precision kernels (the f32 inference engine)
 // ---------------------------------------------------------------------------
 //
@@ -243,13 +405,6 @@ fn axpy_f32(acc: &mut [f32], w: &[f32], s: f32) {
     for (a, b) in ac.by_ref().zip(wc.by_ref()) {
         let a: &mut [f32; F32_LANES] = head_mut(a);
         let b: &[f32; F32_LANES] = head(b);
-        #[cfg(feature = "portable-simd")]
-        {
-            use std::simd::f32x8;
-            let r = f32x8::from_array(*a) + f32x8::splat(s) * f32x8::from_array(*b);
-            *a = r.to_array();
-        }
-        #[cfg(not(feature = "portable-simd"))]
         for k in 0..F32_LANES {
             a[k] += s * b[k];
         }
@@ -749,150 +904,102 @@ fn gemm_t_core_i8<E: QuantActivation, const ACC: bool>(
 /// accumulation).
 const B_CHUNK: usize = 8;
 
-/// `Y = X Wᵀ + bias` over a column-interleaved `n × in_dim × b` panel.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_bias_into_b(
-    x: &[f64],
+/// [`gemm_t_f64`] over column-interleaved panels of `b` right-hand sides:
+/// `Y = epilogue(bias + Σₛ Xₛ Wₛᵀ)` with every `Xₛ` an `n × in_dim × b` panel
+/// and `Y` an `n × out_dim × b` one, reading the same transposed weights.
+/// Column `c` is bit-identical to [`gemm_t_f64`] run on column `c` alone.
+pub(crate) fn gemm_t_f64_b<const S: usize>(
+    ops: [Operand<'_>; S],
     n: usize,
-    in_dim: usize,
     out_dim: usize,
     b: usize,
-    weight: &[f64],
     bias: &[f64],
+    epilogue: Epilogue,
     y: &mut [f64],
 ) {
-    debug_assert_eq!(bias.len(), out_dim);
-    gemm_b_core::<false>(x, n, in_dim, out_dim, b, weight, bias, y);
-}
-
-/// `Y = X Wᵀ` over a column-interleaved panel (outputs start from zero).
-pub fn gemm_into_b(
-    x: &[f64],
-    n: usize,
-    in_dim: usize,
-    out_dim: usize,
-    b: usize,
-    weight: &[f64],
-    y: &mut [f64],
-) {
-    gemm_b_core::<false>(x, n, in_dim, out_dim, b, weight, &[], y);
-}
-
-/// `Y += X Wᵀ` over a column-interleaved panel (accumulates onto `Y`).
-pub fn gemm_acc_into_b(
-    x: &[f64],
-    n: usize,
-    in_dim: usize,
-    out_dim: usize,
-    b: usize,
-    weight: &[f64],
-    y: &mut [f64],
-) {
-    gemm_b_core::<true>(x, n, in_dim, out_dim, b, weight, &[], y);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_b_core<const ACC: bool>(
-    x: &[f64],
-    n: usize,
-    in_dim: usize,
-    out_dim: usize,
-    b: usize,
-    weight: &[f64],
-    bias: &[f64],
-    y: &mut [f64],
-) {
-    debug_assert_eq!(x.len(), n * in_dim * b);
-    debug_assert_eq!(weight.len(), out_dim * in_dim);
+    for op in &ops {
+        debug_assert_eq!(op.x.len(), n * op.in_dim * b);
+        debug_assert_eq!(op.wt.len(), op.in_dim * out_dim);
+    }
+    debug_assert!(bias.is_empty() || bias.len() == out_dim);
     debug_assert_eq!(y.len(), n * out_dim * b);
     let mut c0 = 0;
     while c0 + B_CHUNK <= b {
-        gemm_b_panel::<B_CHUNK, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y);
+        gemm_tb_panel_f64::<B_CHUNK, S>(&ops, n, out_dim, b, c0, bias, epilogue, y);
         c0 += B_CHUNK;
     }
     match b - c0 {
-        1 => gemm_b_panel::<1, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y),
-        2 => gemm_b_panel::<2, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y),
-        3 => gemm_b_panel::<3, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y),
-        4 => gemm_b_panel::<4, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y),
-        5 => gemm_b_panel::<5, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y),
-        6 => gemm_b_panel::<6, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y),
-        7 => gemm_b_panel::<7, ACC>(x, n, in_dim, out_dim, b, c0, weight, bias, y),
+        1 => gemm_tb_panel_f64::<1, S>(&ops, n, out_dim, b, c0, bias, epilogue, y),
+        2 => gemm_tb_panel_f64::<2, S>(&ops, n, out_dim, b, c0, bias, epilogue, y),
+        3 => gemm_tb_panel_f64::<3, S>(&ops, n, out_dim, b, c0, bias, epilogue, y),
+        4 => gemm_tb_panel_f64::<4, S>(&ops, n, out_dim, b, c0, bias, epilogue, y),
+        5 => gemm_tb_panel_f64::<5, S>(&ops, n, out_dim, b, c0, bias, epilogue, y),
+        6 => gemm_tb_panel_f64::<6, S>(&ops, n, out_dim, b, c0, bias, epilogue, y),
+        7 => gemm_tb_panel_f64::<7, S>(&ops, n, out_dim, b, c0, bias, epilogue, y),
         _ => {}
     }
 }
 
-/// Process columns `[c0, c0 + B)` of the batched f64 GEMM: a 4-row panel
-/// whose register tile is `B` columns wide per output; the weight scalar is
-/// loaded once per `(o, i)` and broadcast over all `B` columns.
+/// Columns `[c0, c0 + B)` of the batched f64 GEMM: a 4-row panel (then
+/// single rows) whose register tile is `B` columns wide per output.
 #[allow(clippy::too_many_arguments)]
-fn gemm_b_panel<const B: usize, const ACC: bool>(
-    x: &[f64],
+fn gemm_tb_panel_f64<const B: usize, const S: usize>(
+    ops: &[Operand<'_>; S],
     n: usize,
-    in_dim: usize,
     out_dim: usize,
     b: usize,
     c0: usize,
-    weight: &[f64],
     bias: &[f64],
+    epilogue: Epilogue,
     y: &mut [f64],
 ) {
-    let init = |y: &[f64], r: usize, o: usize| -> [f64; B] {
-        let mut t = [0.0; B];
-        if ACC {
-            t.copy_from_slice(&y[(r * out_dim + o) * b + c0..][..B]);
-        } else if !bias.is_empty() {
-            t.fill(bias[o]);
-        }
-        t
-    };
-    let row_w = in_dim * b;
-    let mr_end = n - n % MR;
     let mut r = 0;
-    while r < mr_end {
-        let x0 = &x[r * row_w..][..row_w];
-        let x1 = &x[(r + 1) * row_w..][..row_w];
-        let x2 = &x[(r + 2) * row_w..][..row_w];
-        let x3 = &x[(r + 3) * row_w..][..row_w];
+    while r + MR <= n {
         for o in 0..out_dim {
-            let w = &weight[o * in_dim..][..in_dim];
-            let mut a0 = init(y, r, o);
-            let mut a1 = init(y, r + 1, o);
-            let mut a2 = init(y, r + 2, o);
-            let mut a3 = init(y, r + 3, o);
-            for (i, &q) in w.iter().enumerate() {
-                let p0: &[f64; B] = head(&x0[i * b + c0..]);
-                let p1: &[f64; B] = head(&x1[i * b + c0..]);
-                let p2: &[f64; B] = head(&x2[i * b + c0..]);
-                let p3: &[f64; B] = head(&x3[i * b + c0..]);
-                for c in 0..B {
-                    a0[c] += q * p0[c];
-                    a1[c] += q * p1[c];
-                    a2[c] += q * p2[c];
-                    a3[c] += q * p3[c];
-                }
-            }
-            y[(r * out_dim + o) * b + c0..][..B].copy_from_slice(&a0);
-            y[((r + 1) * out_dim + o) * b + c0..][..B].copy_from_slice(&a1);
-            y[((r + 2) * out_dim + o) * b + c0..][..B].copy_from_slice(&a2);
-            y[((r + 3) * out_dim + o) * b + c0..][..B].copy_from_slice(&a3);
+            gemm_tb_tile_f64::<MR, B, S>(ops, r, o, out_dim, b, c0, bias, epilogue, y);
         }
         r += MR;
     }
     while r < n {
-        let xr = &x[r * row_w..][..row_w];
         for o in 0..out_dim {
-            let w = &weight[o * in_dim..][..in_dim];
-            let mut a = init(y, r, o);
-            for (i, &q) in w.iter().enumerate() {
-                let p: &[f64; B] = head(&xr[i * b + c0..]);
-                for c in 0..B {
-                    a[c] += q * p[c];
-                }
-            }
-            y[(r * out_dim + o) * b + c0..][..B].copy_from_slice(&a);
+            gemm_tb_tile_f64::<1, B, S>(ops, r, o, out_dim, b, c0, bias, epilogue, y);
         }
         r += 1;
+    }
+}
+
+/// Output `o` of rows `[r, r + R)`, columns `[c0, c0 + B)`: the weight scalar
+/// `wt[i][o]` is loaded once and broadcast over the `R × B` register tile.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_tb_tile_f64<const R: usize, const B: usize, const S: usize>(
+    ops: &[Operand<'_>; S],
+    r: usize,
+    o: usize,
+    out_dim: usize,
+    b: usize,
+    c0: usize,
+    bias: &[f64],
+    epilogue: Epilogue,
+    y: &mut [f64],
+) {
+    let init = if bias.is_empty() { 0.0 } else { bias[o] };
+    let mut acc = [[init; B]; R];
+    for op in ops {
+        let row_w = op.in_dim * b;
+        let xs: [&[f64]; R] = std::array::from_fn(|q| &op.x[(r + q) * row_w..][..row_w]);
+        for i in 0..op.in_dim {
+            let w = op.wt[i * out_dim + o];
+            for q in 0..R {
+                let p: &[f64; B] = head(&xs[q][i * b + c0..]);
+                for c in 0..B {
+                    acc[q][c] += w * p[c];
+                }
+            }
+        }
+    }
+    for q in 0..R {
+        epilogue.apply(&mut y[((r + q) * out_dim + o) * b + c0..][..B], &acc[q]);
     }
 }
 
@@ -1290,6 +1397,69 @@ mod tests {
         assert_eq!(y, both);
     }
 
+    /// Transpose a row-major `out × in` weight into the `in × out` layout.
+    fn transposed(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
+        let mut wt = vec![0.0; w.len()];
+        for o in 0..out_dim {
+            for i in 0..in_dim {
+                wt[i * out_dim + o] = w[o * in_dim + i];
+            }
+        }
+        wt
+    }
+
+    #[test]
+    fn transposed_f64_matches_row_major_chain_bit_for_bit_across_shapes() {
+        // `bias + X₀W₀ᵀ + X₁W₁ᵀ` through the fused transposed kernel must
+        // have the bits of `gemm_bias_into` followed by `gemm_acc_into` on
+        // the row-major weights, over every row/column tile remainder; the
+        // epilogues must equal the separate passes they replace.
+        let mut rng = StdRng::seed_from_u64(43);
+        for &n in &[0usize, 1, 3, 4, 5, 8, 9, 23] {
+            for &out_dim in &[1usize, 2, 3, 4, 5, 8, 10, 13, 15, 20] {
+                for &(in_a, in_b) in &[(0usize, 1usize), (2, 10), (10, 20), (7, 3)] {
+                    let xa: Vec<f64> = (0..n * in_a).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                    let xb: Vec<f64> = (0..n * in_b).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                    let wa: Vec<f64> =
+                        (0..out_dim * in_a).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let wb: Vec<f64> =
+                        (0..out_dim * in_b).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let bias: Vec<f64> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let (wat, wbt) =
+                        (transposed(&wa, out_dim, in_a), transposed(&wb, out_dim, in_b));
+                    let ops = [
+                        Operand { x: &xa, in_dim: in_a, wt: &wat },
+                        Operand { x: &xb, in_dim: in_b, wt: &wbt },
+                    ];
+
+                    let mut expected = vec![0.0; n * out_dim];
+                    gemm_bias_into(&xa, n, in_a, out_dim, &wa, &bias, &mut expected);
+                    gemm_acc_into(&xb, n, in_b, out_dim, &wb, &mut expected);
+                    let mut y = vec![f64::NAN; n * out_dim];
+                    gemm_t_f64(ops, n, out_dim, &bias, Epilogue::Store, &mut y);
+                    assert_eq!(y, expected, "n={n} out={out_dim} in=({in_a},{in_b})");
+
+                    gemm_t_f64(ops, n, out_dim, &bias, Epilogue::Relu, &mut y);
+                    let relu: Vec<f64> = expected.iter().map(|v| v.max(0.0)).collect();
+                    assert_eq!(y, relu);
+
+                    let y0: Vec<f64> = (0..n * out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let mut y = y0.clone();
+                    gemm_t_f64(ops, n, out_dim, &bias, Epilogue::AddScaled(1e-3), &mut y);
+                    let stepped: Vec<f64> =
+                        y0.iter().zip(&expected).map(|(h, u)| h + 1e-3 * u).collect();
+                    assert_eq!(y, stepped);
+
+                    // No bias: outputs start from zero, like `gemm_into`.
+                    gemm_into(&xa, n, in_a, out_dim, &wa, &mut expected);
+                    let mut y = vec![f64::NAN; n * out_dim];
+                    gemm_t_f64([ops[0]], n, out_dim, &[], Epilogue::Store, &mut y);
+                    assert_eq!(y, expected);
+                }
+            }
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn naive_f32(
         x: &[f32],
@@ -1536,43 +1706,45 @@ mod tests {
 
     #[test]
     fn batched_f64_columns_bit_identical_to_unbatched() {
+        // Two chained operands, every epilogue: column c of the panel kernel
+        // must equal the unbatched kernel on column c alone.
         let mut rng = StdRng::seed_from_u64(91);
         for &b in &[1usize, 2, 3, 5, 8, 11] {
-            for &(n, in_dim, out_dim) in
-                &[(0usize, 3usize, 2usize), (1, 10, 10), (5, 10, 20), (9, 20, 10), (23, 7, 5)]
-            {
-                let xs: Vec<Vec<f64>> = (0..b)
-                    .map(|_| (0..n * in_dim).map(|_| rng.gen_range(-2.0..2.0)).collect())
-                    .collect();
-                let w: Vec<f64> = (0..out_dim * in_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            for &(n, in_a, in_b, out_dim) in &[
+                (0usize, 3usize, 2usize, 2usize),
+                (1, 10, 20, 10),
+                (5, 10, 2, 20),
+                (9, 20, 10, 1),
+                (23, 7, 3, 5),
+            ] {
+                let mut cols = |dim: usize| -> Vec<Vec<f64>> {
+                    (0..b)
+                        .map(|_| (0..n * dim).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                        .collect()
+                };
+                let (xa, xb, y0s) = (cols(in_a), cols(in_b), cols(out_dim));
+                let wa: Vec<f64> = (0..in_a * out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let wb: Vec<f64> = (0..in_b * out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 let bias: Vec<f64> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let y0s: Vec<Vec<f64>> = (0..b)
-                    .map(|_| (0..n * out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
-                    .collect();
-                let xp = interleave(&xs, n, in_dim);
-
-                let mut yp = vec![0.0; n * out_dim * b];
-                gemm_bias_into_b(&xp, n, in_dim, out_dim, b, &w, &bias, &mut yp);
-                for c in 0..b {
-                    let mut y = vec![0.0; n * out_dim];
-                    gemm_bias_into(&xs[c], n, in_dim, out_dim, &w, &bias, &mut y);
-                    assert_eq!(extract_column(&yp, b, c), y, "bias b={b} c={c}");
-                }
-
-                let mut yp = vec![0.0; n * out_dim * b];
-                gemm_into_b(&xp, n, in_dim, out_dim, b, &w, &mut yp);
-                for c in 0..b {
-                    let mut y = vec![0.0; n * out_dim];
-                    gemm_into(&xs[c], n, in_dim, out_dim, &w, &mut y);
-                    assert_eq!(extract_column(&yp, b, c), y, "zero-init b={b} c={c}");
-                }
-
-                let mut yp = interleave(&y0s, n, out_dim);
-                gemm_acc_into_b(&xp, n, in_dim, out_dim, b, &w, &mut yp);
-                for c in 0..b {
-                    let mut y = y0s[c].clone();
-                    gemm_acc_into(&xs[c], n, in_dim, out_dim, &w, &mut y);
-                    assert_eq!(extract_column(&yp, b, c), y, "acc b={b} c={c}");
+                let (xap, xbp) = (interleave(&xa, n, in_a), interleave(&xb, n, in_b));
+                for epilogue in [Epilogue::Store, Epilogue::Relu, Epilogue::AddScaled(0.37)] {
+                    for bias in [&bias[..], &[]] {
+                        let mut yp = interleave(&y0s, n, out_dim);
+                        let ops = [
+                            Operand { x: &xap, in_dim: in_a, wt: &wa },
+                            Operand { x: &xbp, in_dim: in_b, wt: &wb },
+                        ];
+                        gemm_t_f64_b(ops, n, out_dim, b, bias, epilogue, &mut yp);
+                        for c in 0..b {
+                            let mut y = y0s[c].clone();
+                            let ops = [
+                                Operand { x: &xa[c], in_dim: in_a, wt: &wa },
+                                Operand { x: &xb[c], in_dim: in_b, wt: &wb },
+                            ];
+                            gemm_t_f64(ops, n, out_dim, bias, epilogue, &mut y);
+                            assert_eq!(extract_column(&yp, b, c), y, "b={b} c={c} n={n}");
+                        }
+                    }
                 }
             }
         }

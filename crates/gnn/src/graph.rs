@@ -122,6 +122,26 @@ impl LocalGraph {
         self.edges.len()
     }
 
+    /// Source node of every destination-sorted edge, as the `u32` the
+    /// inference plans gather through (half the index traffic of `usize`).
+    pub(crate) fn sorted_edge_sources(&self) -> Vec<u32> {
+        self.edge_order
+            .iter()
+            .map(|&ei| {
+                u32::try_from(self.edges[ei].src).expect("sub-domain graph exceeds u32 nodes")
+            })
+            .collect()
+    }
+
+    /// In-degree of every node (the length of its run in the
+    /// destination-sorted edge list).
+    pub(crate) fn in_degrees(&self) -> Vec<u32> {
+        self.edge_ptr
+            .windows(2)
+            .map(|w| u32::try_from(w[1] - w[0]).expect("sub-domain graph exceeds u32 edges"))
+            .collect()
+    }
+
     /// Replace the right-hand side (renormalising), keeping the structure.
     ///
     /// This is the hot path during preconditioning: the sub-domain graphs are

@@ -5,17 +5,17 @@
 //! stack exists for Rust, so this crate implements the full pipeline natively:
 //!
 //! * [`gemm`] — register-blocked batch GEMM micro-kernels with a strict
-//!   per-element accumulation-order (bit-identity) contract, plus explicit
-//!   8-lane f32 kernels over transposed weights for the single-precision
-//!   inference engine (enable the `portable-simd` feature on nightly to use
-//!   `std::simd` instead of the autovectorised manual lanes), plus int8
-//!   weight kernels (per-output f32 scales, f32 accumulators) and hand-rolled
-//!   bf16 encode/decode for the quantised engine,
+//!   per-element accumulation-order (bit-identity) contract: the row-major
+//!   f64 kernel behind every [`layers::Linear`], its transposed-weight twin
+//!   for the f64 inference engine, explicit 8-lane f32 kernels for the
+//!   single-precision engine, plus int8 weight kernels (per-output f32
+//!   scales, f32 accumulators) and hand-rolled bf16 encode/decode for the
+//!   quantised engine,
 //! * [`layers`] — linear layers and two-layer MLPs with exact reverse-mode
 //!   gradients (validated against finite differences in the test-suite),
-//! * [`plan`] — per-graph inference plans: split first-layer weights,
-//!   precomputed static edge terms and destination-sorted incidence that
-//!   power the fast inference engine,
+//! * [`plan`] — per-graph inference plans and their forward passes: an
+//!   `O(e)` structure-only f64 plan next to one shared weight pack, and the
+//!   f32 / int8 plans that store precomputed static edge terms,
 //! * [`graph`] — the [`graph::LocalGraph`] representation of one sub-domain
 //!   problem: geometric edge features `(d_jl, ‖d_jl‖)`, normalised residual
 //!   input `c`, boundary mask and the local operator used by the loss,
@@ -35,8 +35,6 @@
 //! The architecture hyper-parameters reproduce the paper's weight counts
 //! exactly (e.g. `k̄ = 30, d = 10` → 37 530 weights, Table II).
 
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
-
 pub mod adam;
 pub mod dataset;
 pub mod gemm;
@@ -51,9 +49,9 @@ pub mod trainer;
 pub use adam::{Adam, AdamConfig};
 pub use dataset::{extract_local_problems, DatasetConfig, TrainingSample};
 pub use graph::LocalGraph;
-pub use model::{BatchPools, DssConfig, DssModel, InferScratch};
+pub use model::{BatchPools, DssConfig, DssModel};
 pub use plan::{
-    InferScratchF32, InferScratchQ, InferencePlan, InferencePlanF32, InferencePlanQ,
+    InferScratch, InferScratchF32, InferScratchQ, InferencePlan, InferencePlanF32, InferencePlanQ,
     InferenceTimings, Precision, ScratchPool,
 };
 pub use trainer::{evaluate, train, EvalMetrics, TrainingConfig, TrainingReport};

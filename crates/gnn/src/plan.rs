@@ -1,5 +1,4 @@
-//! Per-graph inference plans: split first-layer weights and precomputed
-//! static-feature terms.
+//! Per-graph inference plans and the forward passes that run on them.
 //!
 //! The DSS forward pass feeds every message MLP an edge-level batch of
 //! `e × (2d + 3)` rows `[h_dst | h_src | d_jl | ‖d_jl‖]`.  The first layer is
@@ -10,41 +9,64 @@
 //! ```
 //!
 //! The two `h`-dependent parts are **node-level** products `H W_dstᵀ` and
-//! `H W_srcᵀ` (`n × d` GEMMs) gathered per edge — an ~8× flop cut versus the
-//! `e × (2d + 3)` edge-level GEMM at the mesh's typical `e ≈ 7n` — while the
-//! geometric part `W_geo g_e + b₁` does not depend on the latent state *or*
-//! the right-hand side at all: it is fixed for the lifetime of a sub-domain
-//! graph and is precomputed here, per block and per message direction, when
-//! the plan is built (once per solve, at preconditioner setup).  The Ψ update
-//! splits the same way: its `W_c c` input column is constant across all
-//! blocks of one apply and is folded together with the bias into the
-//! pre-activation's initial value.
+//! `H W_srcᵀ` gathered per edge — an ~8× flop cut versus the `e × (2d + 3)`
+//! edge-level GEMM at the mesh's typical `e ≈ 7n`.  The message MLPs' second
+//! layer is linear too, so the per-node *sum* of ReLU'd hidden activations is
+//! hit once by the composed matrix `W_Ψ,msg W₂` and no per-edge message is
+//! ever materialised; the message biases contribute `deg(j) · W_Ψ,msg b₂`.
+//! All engines fuse the two message directions column-wise (`[fwd | bwd]`
+//! rows `2d` wide): one node GEMM pair, one edge sweep, one `2d × d` Ψ
+//! product whose ascending-input order equals the fwd-then-bwd pair.
+//!
+//! What is left is the geometric part `W_geo g_e + b₁`, a pure function of
+//! three numbers per edge (`d_jl`, `‖d_jl‖`) and of the model.  The three
+//! precision tiers differ in what they do with it:
+//!
+//! * **f64** ([`InferencePlan`], the bit-reproducible anchor).  Setup copies
+//!   *graph structure only*: `(dx, dy, dist)` and a `u32` source index per
+//!   destination-sorted edge, the in-degree per node — `O(e)` bytes,
+//!   independent of the model's depth and width.  Apply recomputes
+//!   `W_geo g_e + b₁` and the Ψ static term `b_Ψ + deg·q` in registers from
+//!   one weight pack ([`WeightPack`]) that is built once per model and
+//!   shared by `Arc` between all plans.  Nothing is streamed per edge and
+//!   block.
+//! * **f32 / int8** ([`InferencePlanF32`], [`InferencePlanQ`]).  Setup
+//!   additionally evaluates the geometric term for every edge, block and
+//!   direction (`k̄ · e · 2d` values, f32 or bf16) and the Ψ static term per
+//!   node and block; apply streams them.  Their plans are therefore `O(k̄ e d)`
+//!   and larger than the f64 plan.
 //!
 //! A plan is tied to the exact (model, graph) pair it was built from; the
 //! edge structure is copied in destination-sorted order (see
 //! [`LocalGraph::edge_ptr`]), so message aggregation in the planned forward
 //! pass is a contiguous per-node gather.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use sanitizer::TrackedMutex;
 
-use crate::gemm;
+use crate::gemm::{self, Epilogue, Operand};
 use crate::graph::LocalGraph;
 use crate::layers::Linear;
-use crate::model::{Block, DssModel, InferScratch};
+use crate::model::{Block, DssModel};
 
 /// Scalar precision of the inference engine.
 ///
 /// The preconditioner output only feeds a *flexible* outer Krylov method, so
 /// reduced inference precision cannot break convergence — it merely perturbs
 /// the preconditioner slightly (the observation that lets graph neural
-/// preconditioners run inference in low precision).  `F64` is the default
-/// and remains the correctness anchor; `F32` trades ~1e-6 relative output
-/// error for SIMD width and halved memory traffic on the hot path; `Int8`
-/// additionally quantises the weights to int8 (per-output f32 scales) and the
-/// large static streams to bf16, trading ~1e-3 relative output error for
-/// roughly half the f32 plan's memory footprint.
+/// preconditioners run inference in low precision).
+///
+/// `F64` is the default, the correctness anchor, and since its plan stopped
+/// storing per-edge terms also the **smallest** plan (`O(e)` bytes against
+/// `O(k̄ e d)` for the other two), the cheapest to set up and — one column at
+/// a time — the fastest to apply.  `F32` trades ~1e-6 relative output error
+/// for 8-lane kernels over stored single-precision terms; it is the fastest
+/// tier per column only on the batched panel path.  `Int8` additionally
+/// quantises the weights to int8 (per-output f32 scales) and the static
+/// streams to bf16, trading ~1e-3 relative output error for half the f32
+/// plan's footprint; it buys memory over `F32`, not speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double-precision inference (bit-reproducible engine, the default).
@@ -87,26 +109,18 @@ impl std::str::FromStr for Precision {
     }
 }
 
-/// Split weights and precomputed static terms of one message-passing block.
-///
-/// Beyond the first-layer split, the plan exploits that the message MLPs'
-/// *second* layer is linear too: summing the per-edge messages and then
-/// multiplying by `Ψ`'s message columns equals multiplying the per-node sum
-/// of ReLU'd hidden activations by the composed matrix `W_Ψ,msg W₂` — so the
-/// planned forward pass never materialises a per-edge message at all.  The
-/// message biases contribute `deg(j) · W_Ψ,msg b₂` per node, a per-graph
-/// constant folded into [`PlanBlock::psi_static`].
+/// Row-major weight splits and compositions of one message-passing block:
+/// everything the plans derive from the model alone, computed in f64.  The
+/// f64 weight pack transposes these into kernel layout; the f32 / int8 plans
+/// round them once.
 pub(crate) struct PlanBlock {
     /// `Φ→` first-layer columns acting on `h_dst` (`d × d`, row-major).
     pub w_dst_fwd: Vec<f64>,
     /// `Φ→` first-layer columns acting on `h_src`.
     pub w_src_fwd: Vec<f64>,
-    /// `Φ→` static term `W_geo g_e + b₁` per destination-sorted edge (`e × d`).
-    pub geo_fwd: Vec<f64>,
-    /// `Φ←` split, with the relative position negated in the static term.
+    /// `Φ←` split.
     pub w_dst_bwd: Vec<f64>,
     pub w_src_bwd: Vec<f64>,
-    pub geo_bwd: Vec<f64>,
     /// `Ψ` first-layer columns acting on `h` (`d × d`).
     pub psi_w_h: Vec<f64>,
     /// `Ψ` first-layer column acting on the node input `c` (length `d`).
@@ -116,9 +130,11 @@ pub(crate) struct PlanBlock {
     pub psi_m_fwd: Vec<f64>,
     /// Composed matrix `W_Ψ,← W₂←` for the backward direction.
     pub psi_m_bwd: Vec<f64>,
-    /// Per-node static `Ψ` pre-activation
-    /// `b_Ψ + deg(j) · (W_Ψ,→ b₂→ + W_Ψ,← b₂←)` (`n × d`).
-    pub psi_static: Vec<f64>,
+    /// `Ψ` first-layer bias `b_Ψ` (length `d`).
+    pub psi_bias: Vec<f64>,
+    /// Message-bias contribution per unit of in-degree,
+    /// `q = W_Ψ,→ b₂→ + W_Ψ,← b₂←` (length `d`).
+    pub psi_q: Vec<f64>,
 }
 
 /// Extract the column block `[col0, col0 + cols)` of a row-major layer weight
@@ -132,8 +148,10 @@ fn column_block(layer: &Linear, col0: usize, cols: usize) -> Vec<f64> {
     out
 }
 
-/// Precompute `W_geo g_e + b₁` for every destination-sorted edge.  `sign`
-/// flips the relative position for the backward message direction.
+/// Precompute `W_geo g_e + b₁` for every destination-sorted edge (the f32 and
+/// int8 plans store this; the f64 engine recomputes it per apply and is
+/// pinned bit-identical to this function).  `sign` flips the relative
+/// position for the backward message direction.
 fn geo_terms(layer: &Linear, graph: &LocalGraph, d: usize, sign: f64) -> Vec<f64> {
     let cols = layer.in_dim;
     debug_assert_eq!(cols, 2 * d + 3);
@@ -178,97 +196,585 @@ fn matvec_dd(a: &[f64], v: &[f64], d: usize) -> Vec<f64> {
 }
 
 impl PlanBlock {
-    fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
+    fn new(block: &Block, d: usize) -> Self {
         let psi = &block.psi.l1;
         debug_assert_eq!(psi.in_dim, 3 * d + 1);
         let psi_w_fwd = column_block(psi, d + 1, d);
         let psi_w_bwd = column_block(psi, 2 * d + 1, d);
-        // Per-node static Ψ pre-activation: bias plus the message-bias
-        // contribution, which scales with the node degree.
         let q_fwd = matvec_dd(&psi_w_fwd, &block.phi_fwd.l2.bias, d);
         let q_bwd = matvec_dd(&psi_w_bwd, &block.phi_bwd.l2.bias, d);
-        let n = graph.num_nodes();
-        let mut psi_static = vec![0.0; n * d];
-        for j in 0..n {
-            let deg = (graph.edge_ptr[j + 1] - graph.edge_ptr[j]) as f64;
-            let row = &mut psi_static[j * d..(j + 1) * d];
-            for k in 0..d {
-                row[k] = psi.bias[k] + deg * (q_fwd[k] + q_bwd[k]);
-            }
-        }
         PlanBlock {
             w_dst_fwd: column_block(&block.phi_fwd.l1, 0, d),
             w_src_fwd: column_block(&block.phi_fwd.l1, d, d),
-            geo_fwd: geo_terms(&block.phi_fwd.l1, graph, d, 1.0),
             w_dst_bwd: column_block(&block.phi_bwd.l1, 0, d),
             w_src_bwd: column_block(&block.phi_bwd.l1, d, d),
-            geo_bwd: geo_terms(&block.phi_bwd.l1, graph, d, -1.0),
             psi_w_h: column_block(psi, 0, d),
             psi_w_c: column_block(psi, d, 1),
             psi_m_fwd: matmul_dd(&psi_w_fwd, &block.phi_fwd.l2.weight, d),
             psi_m_bwd: matmul_dd(&psi_w_bwd, &block.phi_bwd.l2.weight, d),
-            psi_static,
+            psi_bias: psi.bias.clone(),
+            psi_q: q_fwd.iter().zip(&q_bwd).map(|(f, b)| f + b).collect(),
         }
+    }
+
+    /// Per-node static `Ψ` pre-activation `b_Ψ + deg(j) · q` (`n × d`), as
+    /// the f32 and int8 plans store it.
+    fn psi_static(&self, graph: &LocalGraph) -> Vec<f64> {
+        let d = self.psi_bias.len();
+        let n = graph.num_nodes();
+        let mut out = vec![0.0; n * d];
+        for j in 0..n {
+            let deg = (graph.edge_ptr[j + 1] - graph.edge_ptr[j]) as f64;
+            let row = &mut out[j * d..(j + 1) * d];
+            for k in 0..d {
+                row[k] = self.psi_bias[k] + deg * self.psi_q[k];
+            }
+        }
+        out
     }
 }
 
-/// A per-graph inference plan: the setup half of the setup/apply split.
+/// Transpose a row-major `out × in` f64 matrix into the kernels' `in × out`
+/// layout (one contiguous row of output weights per input feature).
+fn transpose_f64(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
+    debug_assert_eq!(w.len(), out_dim * in_dim);
+    let mut wt = vec![0.0f64; in_dim * out_dim];
+    for o in 0..out_dim {
+        for i in 0..in_dim {
+            wt[i * out_dim + o] = w[o * in_dim + i];
+        }
+    }
+    wt
+}
+
+/// Concatenate two row-major `d × d` f64 matrices column-wise and transpose
+/// the pair into `in × out` (`d × 2d`): row `i` holds `[a[·][i] | b[·][i]]`.
+fn cat_transpose_f64(a: &[f64], b: &[f64], d: usize) -> Vec<f64> {
+    debug_assert_eq!(a.len(), d * d);
+    debug_assert_eq!(b.len(), d * d);
+    let mut wt = vec![0.0f64; d * 2 * d];
+    for o in 0..d {
+        for i in 0..d {
+            wt[i * 2 * d + o] = a[o * d + i];
+            wt[i * 2 * d + d + o] = b[o * d + i];
+        }
+    }
+    wt
+}
+
+/// Stack two row-major `d × d` matrices as GEMM *inputs* of the transposed
+/// layout (`2d × d`): input row `i` is the `i`-th forward hidden dimension
+/// for `i < d` and the `(i − d)`-th backward one otherwise.
+fn stack_transpose_f64(a: &[f64], b: &[f64], d: usize) -> Vec<f64> {
+    let mut wt = transpose_f64(a, d, d);
+    wt.extend(transpose_f64(b, d, d));
+    wt
+}
+
+/// One block of the f64 [`WeightPack`], direction-fused and transposed.
+#[derive(Debug)]
+struct PackBlock {
+    /// `[W_dst,→ | W_dst,←]` transposed: `d × 2d`.
+    w_dst_t: Vec<f64>,
+    /// `[W_src,→ | W_src,←]` transposed: `d × 2d`.
+    w_src_t: Vec<f64>,
+    /// Geometry rows, `4 × 2d`: `b₁`, then the weights of `dx`, `dy` and
+    /// `dist`, each `[fwd | bwd]`.  The backward halves of the `dx` / `dy`
+    /// rows are stored **negated**: `Φ←` sees `−d_jl`, and `(−w)·x` has the
+    /// same bits as `w·(−x)`.
+    geo: Vec<f64>,
+    /// `Ψ` first-layer bias `b_Ψ` (length `d`).
+    psi_bias: Vec<f64>,
+    /// Transposed weight of the per-node input `[deg(j), c_j]`, `2 × d`: the
+    /// per-degree message-bias term `q`, then `Ψ`'s `c` column.  Starting
+    /// from `b_Ψ`, its two accumulation steps are `(b_Ψ + deg·q) + c·w_c` —
+    /// the static term and the `W_c c` term in the order they were always
+    /// added.
+    psi_node_t: Vec<f64>,
+    /// `Ψ` first-layer columns acting on `h`, transposed: `d × d`.
+    psi_w_h_t: Vec<f64>,
+    /// `[W_Ψ,→ W₂→ ; W_Ψ,← W₂←]` transposed: `2d × d`.
+    psi_m_t: Vec<f64>,
+    /// Ψ second layer, transposed weight + bias.
+    psi_l2_wt: Vec<f64>,
+    psi_l2_b: Vec<f64>,
+}
+
+impl PackBlock {
+    fn new(block: &Block, d: usize) -> Self {
+        let pb = PlanBlock::new(block, d);
+        let (fwd, bwd) = (&block.phi_fwd.l1, &block.phi_bwd.l1);
+        let cols = fwd.in_dim;
+        let d2 = 2 * d;
+        let mut geo = vec![0.0; 4 * d2];
+        for o in 0..d {
+            let wf = &fwd.weight[o * cols + d2..][..3];
+            let wb = &bwd.weight[o * cols + d2..][..3];
+            geo[o] = fwd.bias[o];
+            geo[d + o] = bwd.bias[o];
+            geo[d2 + o] = wf[0];
+            geo[d2 + d + o] = -wb[0];
+            geo[2 * d2 + o] = wf[1];
+            geo[2 * d2 + d + o] = -wb[1];
+            geo[3 * d2 + o] = wf[2];
+            geo[3 * d2 + d + o] = wb[2];
+        }
+        PackBlock {
+            w_dst_t: cat_transpose_f64(&pb.w_dst_fwd, &pb.w_dst_bwd, d),
+            w_src_t: cat_transpose_f64(&pb.w_src_fwd, &pb.w_src_bwd, d),
+            geo,
+            psi_bias: pb.psi_bias,
+            psi_node_t: [pb.psi_q, pb.psi_w_c].concat(),
+            psi_w_h_t: transpose_f64(&pb.psi_w_h, d, d),
+            psi_m_t: stack_transpose_f64(&pb.psi_m_fwd, &pb.psi_m_bwd, d),
+            psi_l2_wt: transpose_f64(&block.psi.l2.weight, d, d),
+            psi_l2_b: block.psi.l2.bias.clone(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.w_dst_t.len()
+            + self.w_src_t.len()
+            + self.geo.len()
+            + self.psi_bias.len()
+            + self.psi_node_t.len()
+            + self.psi_w_h_t.len()
+            + self.psi_m_t.len()
+            + self.psi_l2_wt.len()
+            + self.psi_l2_b.len()
+    }
+
+    fn geo_rows(&self) -> GeoRows<'_> {
+        let d2 = self.geo.len() / 4;
+        let (bias, rest) = self.geo.split_at(d2);
+        let (w_dx, rest) = rest.split_at(d2);
+        let (w_dy, w_dist) = rest.split_at(d2);
+        GeoRows { bias, w_dx, w_dy, w_dist }
+    }
+}
+
+/// The four `2d`-wide rows of [`PackBlock::geo`].
+#[derive(Clone, Copy)]
+struct GeoRows<'a> {
+    bias: &'a [f64],
+    w_dx: &'a [f64],
+    w_dy: &'a [f64],
+    w_dist: &'a [f64],
+}
+
+impl GeoRows<'_> {
+    /// Lane `k` of `W_geo g_e + b₁`, evaluated in exactly the expression
+    /// order of [`geo_terms`] — `((b + w₀·dx) + w₁·dy) + w₂·dist` — so the
+    /// recomputed term has the bits the stored one had.
+    #[inline(always)]
+    fn term(&self, k: usize, [dx, dy, dist]: [f64; 3]) -> f64 {
+        self.bias[k] + self.w_dx[k] * dx + self.w_dy[k] * dy + self.w_dist[k] * dist
+    }
+}
+
+/// Final-block decoder of the f64 [`WeightPack`].
+#[derive(Debug)]
+struct PackDecoder {
+    l1_wt: Vec<f64>,
+    l1_b: Vec<f64>,
+    /// Second-layer weight (`out_dim = 1`: its row is its own transpose).
+    l2_w: Vec<f64>,
+    l2_b: Vec<f64>,
+}
+
+/// The model half of the f64 engine: every weight the forward pass reads, in
+/// kernel layout (direction-fused, transposed to `in × out`).  A few KB per
+/// block; built once per model ([`DssModel::weight_pack`]) and shared by
+/// `Arc` between all plans built from it, so a preconditioner holds one
+/// copy, not one per sub-domain.
+#[derive(Debug)]
+pub(crate) struct WeightPack {
+    latent_dim: usize,
+    alpha: f64,
+    blocks: Vec<PackBlock>,
+    decoder: Option<PackDecoder>,
+}
+
+impl WeightPack {
+    pub(crate) fn new(model: &DssModel) -> Self {
+        let config = model.config();
+        let d = config.latent_dim;
+        WeightPack {
+            latent_dim: d,
+            alpha: config.alpha,
+            blocks: model.blocks().iter().map(|b| PackBlock::new(b, d)).collect(),
+            decoder: model.blocks().last().map(|b| PackDecoder {
+                l1_wt: transpose_f64(&b.decoder.l1.weight, d, d),
+                l1_b: b.decoder.l1.bias.clone(),
+                l2_w: b.decoder.l2.weight.clone(),
+                l2_b: b.decoder.l2.bias.clone(),
+            }),
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let decoder = self
+            .decoder
+            .as_ref()
+            .map_or(0, |dec| dec.l1_wt.len() + dec.l1_b.len() + dec.l2_w.len() + dec.l2_b.len());
+        std::mem::size_of::<f64>()
+            * (self.blocks.iter().map(PackBlock::len).sum::<usize>() + decoder)
+    }
+}
+
+/// Reusable buffers for the f64 inference path
+/// ([`DssModel::infer_with_plan_into`] and friends).
+///
+/// Create once (cheap, everything starts empty), pass to every inference
+/// call; buffers are sized lazily to the largest graph seen and reused
+/// afterwards.  Holding one scratch per sub-domain keeps the preconditioner's
+/// hot path allocation-free without any sharing between threads; batched
+/// inference recycles them through a [`ScratchPool`].  The direction-fused
+/// buffers (`a_dst`, `a_src`, `hsum`) are `n × 2d`.
+#[derive(Debug, Default)]
+pub struct InferScratch {
+    /// Per-node Ψ input `[deg(j), c_j]` (`n × 2`).
+    node_in: Vec<f64>,
+    /// Latent state `H` (`n × d`).
+    h: Vec<f64>,
+    /// Node-level destination terms `H [W_dst,→ | W_dst,←]ᵀ`.
+    a_dst: Vec<f64>,
+    /// Node-level source terms `H [W_src,→ | W_src,←]ᵀ`.
+    a_src: Vec<f64>,
+    /// Per-node sums of ReLU'd message hidden activations, `[fwd | bwd]`.
+    hsum: Vec<f64>,
+    /// Ψ hidden activation (`n × d`).
+    psi_hidden: Vec<f64>,
+    /// Decoder hidden-activation buffer (`n × d`).
+    hidden: Vec<f64>,
+}
+
+impl InferScratch {
+    /// Empty scratch; buffers are allocated on first use.
+    pub fn new() -> Self {
+        InferScratch::default()
+    }
+}
+
+/// A per-graph f64 inference plan: the setup half of the setup/apply split.
 ///
 /// Build once per sub-domain graph (e.g. at preconditioner construction) via
 /// [`DssModel::build_plan`], then run [`DssModel::infer_with_plan_into`] any
-/// number of times with changing node inputs.  The plan snapshots the model's
-/// first-layer weights, so it must be rebuilt if the model is retrained.
+/// number of times with changing node inputs.  The plan owns only graph
+/// structure — three doubles and a `u32` per edge, a `u32` per node — and
+/// shares the model's [`WeightPack`]; it snapshots that pack, so it must be
+/// rebuilt if the model is retrained.
 pub struct InferencePlan {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_edges: usize,
-    pub(crate) latent_dim: usize,
-    pub(crate) num_blocks: usize,
+    /// `(dx, dy, dist)` of every destination-sorted edge.
+    edge_geo: Vec<[f64; 3]>,
     /// Source node of every destination-sorted edge.
-    pub(crate) edge_src: Vec<usize>,
-    /// Destination offsets into the sorted edge list (`n + 1` entries).
-    pub(crate) edge_ptr: Vec<usize>,
-    pub(crate) blocks: Vec<PlanBlock>,
+    edge_src: Vec<u32>,
+    /// In-degree of every node: node `j`'s edges follow those of `j − 1` in
+    /// the sorted edge list.
+    in_degree: Vec<u32>,
+    weights: Arc<WeightPack>,
 }
 
 impl InferencePlan {
     /// Build a plan for `model` on `graph`.
     pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
-        let d = model.config().latent_dim;
         let n = graph.num_nodes();
         let e = graph.num_edges();
         assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
         assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src: Vec<usize> = graph.edge_order.iter().map(|&ei| graph.edges[ei].src).collect();
-        let blocks = model.blocks().iter().map(|b| PlanBlock::new(b, graph, d)).collect();
+        let edge_geo = graph
+            .edge_order
+            .iter()
+            .map(|&ei| {
+                let edge = &graph.edges[ei];
+                [edge.delta[0], edge.delta[1], edge.dist]
+            })
+            .collect();
         InferencePlan {
-            num_nodes: n,
-            num_edges: e,
-            latent_dim: d,
-            num_blocks: model.config().num_blocks,
-            edge_src,
-            edge_ptr: graph.edge_ptr.clone(),
-            blocks,
+            edge_geo,
+            edge_src: graph.sorted_edge_sources(),
+            in_degree: graph.in_degrees(),
+            weights: model.weight_pack(),
         }
     }
 
     /// Number of nodes of the graph this plan was built for.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.in_degree.len()
     }
 
     /// Number of directed edges of the graph this plan was built for.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.edge_src.len()
     }
 
-    /// Heap footprint of the precomputed data in bytes (dominated by the
-    /// per-block static edge terms, `2 k̄ e d` doubles).
+    /// Latent dimension of the model this plan was built from.
+    pub(crate) fn latent_dim(&self) -> usize {
+        self.weights.latent_dim
+    }
+
+    /// Depth of the model this plan was built from.
+    pub(crate) fn num_blocks(&self) -> usize {
+        self.weights.blocks.len()
+    }
+
+    /// Heap footprint in bytes of what this plan owns: `28 e + 4 n`, whatever
+    /// the model's depth and width.  The shared weights are counted
+    /// separately, see [`InferencePlan::shared_weight_bytes`].
     pub fn memory_bytes(&self) -> usize {
-        let d = self.latent_dim;
-        let per_block = std::mem::size_of::<f64>()
-            * (2 * self.num_edges * d + 7 * d * d + d + self.num_nodes * d);
-        self.blocks.len() * per_block
-            + std::mem::size_of::<usize>() * (self.edge_src.len() + self.edge_ptr.len())
+        std::mem::size_of::<[f64; 3]>() * self.edge_geo.len()
+            + std::mem::size_of::<u32>() * (self.edge_src.len() + self.in_degree.len())
+    }
+
+    /// Heap footprint in bytes of the weight pack this plan shares with every
+    /// other plan built from the same model (count it once per model, not
+    /// once per plan).
+    pub fn shared_weight_bytes(&self) -> usize {
+        self.weights.memory_bytes()
+    }
+
+    /// Run the f64 engine on an `n × b` column-interleaved panel of inputs
+    /// (`b = 1`: a plain vector).  The forward body is compiled twice — inlined
+    /// here for the baseline target, and into [`forward_avx2`] — and the copy
+    /// the CPU supports is chosen per call; neither copy contracts or
+    /// reassociates, so both produce the same bits.
+    pub(crate) fn infer_core(
+        &self,
+        input: &[f64],
+        b: usize,
+        scratch: &mut InferScratch,
+        out: &mut [f64],
+        timings: Option<&mut InferenceTimings>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `forward_avx2` is safe code whose only requirement is
+            // the AVX2 target feature it is compiled with, and the
+            // `is_x86_feature_detected!("avx2")` check guarding this branch
+            // has just confirmed the running CPU provides it.
+            return unsafe { forward_avx2(self, input, b, scratch, out, timings) };
+        }
+        forward(self, input, b, scratch, out, timings)
+    }
+}
+
+/// [`forward`] compiled with AVX2 enabled (no `fma`: the arithmetic must
+/// stay a separate multiply and add per term).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn forward_avx2(
+    plan: &InferencePlan,
+    input: &[f64],
+    b: usize,
+    scratch: &mut InferScratch,
+    out: &mut [f64],
+    timings: Option<&mut InferenceTimings>,
+) {
+    forward(plan, input, b, scratch, out, timings);
+}
+
+/// `Y = epilogue(bias + Σₛ Xₛ Wₛᵀ)` on column-interleaved panels of width
+/// `b`.  `b = 1` *is* the unbatched row-major layout and takes the
+/// lane-tiled kernel.
+#[inline(always)]
+fn panel_gemm<const S: usize>(
+    ops: [Operand<'_>; S],
+    n: usize,
+    out_dim: usize,
+    b: usize,
+    bias: &[f64],
+    epilogue: Epilogue,
+    y: &mut [f64],
+) {
+    if b == 1 {
+        gemm::gemm_t_f64(ops, n, out_dim, bias, epilogue, y);
+    } else {
+        gemm::gemm_t_f64_b(ops, n, out_dim, b, bias, epilogue, y);
+    }
+}
+
+/// `acc[k] += max(geo_k + adj[k] + asj[k], 0)` over one fused `[fwd | bwd]`
+/// row, the geometric term recomputed in registers.  All slices are cut to
+/// `acc.len()`, so a caller with a fixed-size accumulator gets a fully
+/// unrolled, bounds-check-free body.
+#[inline(always)]
+fn edge_row(acc: &mut [f64], geo: GeoRows<'_>, g: [f64; 3], adj: &[f64], asj: &[f64]) {
+    let w = acc.len();
+    let geo = GeoRows {
+        bias: &geo.bias[..w],
+        w_dx: &geo.w_dx[..w],
+        w_dy: &geo.w_dy[..w],
+        w_dist: &geo.w_dist[..w],
+    };
+    let (adj, asj) = (&adj[..w], &asj[..w]);
+    for k in 0..w {
+        acc[k] += (geo.term(k, g) + adj[k] + asj[k]).max(0.0);
+    }
+}
+
+/// Fused edge sweep at a compile-time row width: each node's accumulator row
+/// stays in registers across its edges and is stored once.
+#[inline(always)]
+fn edge_sweep_fixed<const D2: usize>(
+    plan: &InferencePlan,
+    geo: GeoRows<'_>,
+    a_dst: &[f64],
+    a_src: &[f64],
+    hsum: &mut [f64],
+) {
+    let mut slot = 0;
+    for (j, &deg) in plan.in_degree.iter().enumerate() {
+        let adj = &a_dst[j * D2..][..D2];
+        let mut acc = [0.0f64; D2];
+        for s in slot..slot + deg as usize {
+            let src = plan.edge_src[s] as usize;
+            edge_row(&mut acc, geo, plan.edge_geo[s], adj, &a_src[src * D2..][..D2]);
+        }
+        slot += deg as usize;
+        hsum[j * D2..][..D2].copy_from_slice(&acc);
+    }
+}
+
+/// Fused edge sweep at a run-time row width `d2` and panel width `b`, the
+/// accumulator row living in `hsum`.  With `b > 1` the geometric term is
+/// computed once per edge and lane and broadcast over the `b` columns.
+#[inline(always)]
+fn edge_sweep_dyn(
+    plan: &InferencePlan,
+    geo: GeoRows<'_>,
+    d2: usize,
+    b: usize,
+    a_dst: &[f64],
+    a_src: &[f64],
+    hsum: &mut [f64],
+) {
+    let row = d2 * b;
+    let mut slot = 0;
+    for (j, &deg) in plan.in_degree.iter().enumerate() {
+        let adj = &a_dst[j * row..][..row];
+        let acc = &mut hsum[j * row..][..row];
+        acc.fill(0.0);
+        for s in slot..slot + deg as usize {
+            let src = plan.edge_src[s] as usize;
+            let asj = &a_src[src * row..][..row];
+            let g = plan.edge_geo[s];
+            if b == 1 {
+                edge_row(acc, geo, g, adj, asj);
+                continue;
+            }
+            for k in 0..d2 {
+                let gk = geo.term(k, g);
+                let (ak, adjk, asjk) =
+                    (&mut acc[k * b..][..b], &adj[k * b..][..b], &asj[k * b..][..b]);
+                for c in 0..b {
+                    ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
+                }
+            }
+        }
+        slot += deg as usize;
+    }
+}
+
+/// Row width (`2d`) of the shipped model, for which the edge sweep keeps its
+/// accumulator in registers.
+const FIXED_D2: usize = 20;
+
+/// The f64 forward pass on one graph, written once as safe code and inlined
+/// into [`InferencePlan::infer_core`] (baseline) and [`forward_avx2`].  Every output element is
+/// produced by the same sequence of IEEE operations as the engine this
+/// replaced (per-direction row-major GEMMs, stored geometric and Ψ static
+/// terms), hence the same bits.
+///
+/// All intermediates live in `scratch` (sized on first use, reused across
+/// calls), so the steady state performs zero heap allocation.  Only the
+/// final block's decoder runs — earlier decodes are training-time artefacts
+/// that do not influence the latent state.
+#[inline(always)]
+fn forward(
+    plan: &InferencePlan,
+    input: &[f64],
+    b: usize,
+    scratch: &mut InferScratch,
+    out: &mut [f64],
+    mut timings: Option<&mut InferenceTimings>,
+) {
+    let w = &*plan.weights;
+    let d = w.latent_dim;
+    let d2 = 2 * d;
+    let n = plan.num_nodes();
+    assert_eq!(input.len(), n * b, "input length mismatch");
+    assert_eq!(out.len(), n * b, "output length mismatch");
+
+    let InferScratch { node_in, h, a_dst, a_src, hsum, psi_hidden, hidden } = scratch;
+    node_in.clear();
+    for (&deg, cin) in plan.in_degree.iter().zip(input.chunks_exact(b.max(1))) {
+        node_in.extend(std::iter::repeat_n(deg as f64, b));
+        node_in.extend_from_slice(cin);
+    }
+    h.clear();
+    h.resize(n * d * b, 0.0);
+    a_dst.resize(n * d2 * b, 0.0);
+    a_src.resize(n * d2 * b, 0.0);
+    hsum.resize(n * d2 * b, 0.0);
+    psi_hidden.resize(n * d * b, 0.0);
+    hidden.resize(n * d * b, 0.0);
+
+    let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
+    macro_rules! tick {
+        ($field:ident) => {
+            if let Some(t) = timings.as_deref_mut() {
+                let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
+                t.$field += now.duration_since(last).as_nanos() as u64;
+                last = now;
+            }
+        };
+    }
+
+    for pb in &w.blocks {
+        // Node-level GEMMs, both message directions at once (`n × 2d`): the
+        // h-dependent halves of the split first layer.
+        let on_h = |wt| [Operand { x: h, in_dim: d, wt }];
+        panel_gemm(on_h(&pb.w_dst_t), n, d2, b, &[], Epilogue::Store, a_dst);
+        panel_gemm(on_h(&pb.w_src_t), n, d2, b, &[], Epilogue::Store, a_src);
+        tick!(node_gemm_ns);
+        // Fused edge sweep: per-edge hidden pre-activation = recomputed
+        // geometric term + gathered node terms, ReLU'd and summed straight
+        // into the per-node accumulator.  The second message layer is applied
+        // once per *node* inside the Ψ stage (composed into `psi_m_t`).
+        if b == 1 && d2 == FIXED_D2 {
+            edge_sweep_fixed::<FIXED_D2>(plan, pb.geo_rows(), a_dst, a_src, hsum);
+        } else {
+            edge_sweep_dyn(plan, pb.geo_rows(), d2, b, a_dst, a_src, hsum);
+        }
+        tick!(edge_gather_ns);
+        // Ψ update.  The hidden pre-activation starts from `b_Ψ`, takes the
+        // degree-scaled message biases and the `W_c c` term, then the
+        // latent-dependent products (the message one pre-composed with the
+        // second message layer, forward inputs before backward) — one pass,
+        // ReLU on the way out; the second layer steps `H` in place.
+        let psi_in = [
+            Operand { x: node_in, in_dim: 2, wt: &pb.psi_node_t },
+            Operand { x: h, in_dim: d, wt: &pb.psi_w_h_t },
+            Operand { x: hsum, in_dim: d2, wt: &pb.psi_m_t },
+        ];
+        panel_gemm(psi_in, n, d, b, &pb.psi_bias, Epilogue::Relu, psi_hidden);
+        let psi_out = [Operand { x: psi_hidden, in_dim: d, wt: &pb.psi_l2_wt }];
+        panel_gemm(psi_out, n, d, b, &pb.psi_l2_b, Epilogue::AddScaled(w.alpha), h);
+        tick!(psi_update_ns);
+    }
+    match &w.decoder {
+        Some(dec) => {
+            let l1 = [Operand { x: h, in_dim: d, wt: &dec.l1_wt }];
+            panel_gemm(l1, n, d, b, &dec.l1_b, Epilogue::Relu, hidden);
+            let l2 = [Operand { x: hidden, in_dim: d, wt: &dec.l2_w }];
+            panel_gemm(l2, n, 1, b, &dec.l2_b, Epilogue::Store, out);
+        }
+        None => out.fill(0.0),
+    }
+    tick!(decoder_ns);
+    let _ = last; // the final tick's stamp is intentionally unused
+    if let Some(t) = timings {
+        t.calls += 1;
     }
 }
 
@@ -346,13 +852,15 @@ fn cat_transpose_cast_f32(a: &[f64], b: &[f64], d: usize) -> Vec<f32> {
 
 impl PlanBlockF32 {
     fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
-        let pb = PlanBlock::new(block, graph, d);
+        let pb = PlanBlock::new(block, d);
+        let geo_fwd = geo_terms(&block.phi_fwd.l1, graph, d, 1.0);
+        let geo_bwd = geo_terms(&block.phi_bwd.l1, graph, d, -1.0);
         let e = graph.num_edges();
         let mut geo_cat = vec![0.0f32; e * 2 * d];
         for slot in 0..e {
             for k in 0..d {
-                geo_cat[slot * 2 * d + k] = pb.geo_fwd[slot * d + k] as f32;
-                geo_cat[slot * 2 * d + d + k] = pb.geo_bwd[slot * d + k] as f32;
+                geo_cat[slot * 2 * d + k] = geo_fwd[slot * d + k] as f32;
+                geo_cat[slot * 2 * d + d + k] = geo_bwd[slot * d + k] as f32;
             }
         }
         // The composed message matrices stack as GEMM *inputs*: input row i
@@ -372,7 +880,7 @@ impl PlanBlockF32 {
             psi_w_h_t: transpose_cast_f32(&pb.psi_w_h, d, d),
             psi_w_c: cast_f32(&pb.psi_w_c),
             psi_m_cat_t,
-            psi_static: cast_f32(&pb.psi_static),
+            psi_static: cast_f32(&pb.psi_static(graph)),
             psi_l2_wt: block.psi.l2.weight_t_f32(),
             psi_l2_b: block.psi.l2.bias_f32(),
         }
@@ -490,8 +998,7 @@ impl InferencePlanF32 {
         let e = graph.num_edges();
         assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
         assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src: Vec<u32> =
-            graph.edge_order.iter().map(|&ei| graph.edges[ei].src as u32).collect();
+        let edge_src = graph.sorted_edge_sources();
         let blocks: Vec<PlanBlockF32> =
             model.blocks().iter().map(|b| PlanBlockF32::new(b, graph, d)).collect();
         let decoder = model.blocks().last().map(|b| DecoderF32 {
@@ -829,35 +1336,6 @@ fn quantise_cols_i8(wt: &[f64], in_dim: usize, out_dim: usize) -> (Vec<i8>, Vec<
     (q, scale)
 }
 
-/// Transpose a row-major `out × in` f64 matrix into the kernels' `in × out`
-/// layout, staying in f64 (quantisation happens afterwards, once).
-fn transpose_f64(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    let mut wt = vec![0.0f64; in_dim * out_dim];
-    for o in 0..out_dim {
-        for i in 0..in_dim {
-            wt[i * out_dim + o] = w[o * in_dim + i];
-        }
-    }
-    wt
-}
-
-/// Concatenate two row-major `d × d` f64 matrices column-wise and transpose
-/// the pair into `in × out` (`d × 2d`) — the f64 twin of
-/// [`cat_transpose_cast_f32`], feeding the quantiser.
-fn cat_transpose_f64(a: &[f64], b: &[f64], d: usize) -> Vec<f64> {
-    debug_assert_eq!(a.len(), d * d);
-    debug_assert_eq!(b.len(), d * d);
-    let mut wt = vec![0.0f64; d * 2 * d];
-    for o in 0..d {
-        for i in 0..d {
-            wt[i * 2 * d + o] = a[o * d + i];
-            wt[i * 2 * d + d + o] = b[o * d + i];
-        }
-    }
-    wt
-}
-
 /// Quantised counterpart of [`PlanBlockF32`]: same direction-fused layout,
 /// with the weight matrices stored as int8 + per-output f32 scales and the
 /// two dominant memory streams — the `[fwd | bwd]` static geo/bias edge
@@ -892,27 +1370,23 @@ struct PlanBlockQ {
 
 impl PlanBlockQ {
     fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
-        let pb = PlanBlock::new(block, graph, d);
+        let pb = PlanBlock::new(block, d);
+        let geo_fwd = geo_terms(&block.phi_fwd.l1, graph, d, 1.0);
+        let geo_bwd = geo_terms(&block.phi_bwd.l1, graph, d, -1.0);
         let e = graph.num_edges();
         // bf16 static edge terms, direction-fused exactly like the f32 plan.
         let mut geo_cat = vec![0u16; e * 2 * d];
         for slot in 0..e {
             for k in 0..d {
-                geo_cat[slot * 2 * d + k] = gemm::f32_to_bf16(pb.geo_fwd[slot * d + k] as f32);
-                geo_cat[slot * 2 * d + d + k] = gemm::f32_to_bf16(pb.geo_bwd[slot * d + k] as f32);
+                geo_cat[slot * 2 * d + k] = gemm::f32_to_bf16(geo_fwd[slot * d + k] as f32);
+                geo_cat[slot * 2 * d + d + k] = gemm::f32_to_bf16(geo_bwd[slot * d + k] as f32);
             }
         }
         let psi_static: Vec<u16> =
-            pb.psi_static.iter().map(|&v| gemm::f32_to_bf16(v as f32)).collect();
+            pb.psi_static(graph).iter().map(|&v| gemm::f32_to_bf16(v as f32)).collect();
         // Composed message matrices stacked as GEMM inputs (fwd rows then bwd
         // rows of the transposed layout), then quantised per output column.
-        let mut psi_m_cat_t = vec![0.0f64; 2 * d * d];
-        for i in 0..d {
-            for o in 0..d {
-                psi_m_cat_t[i * d + o] = pb.psi_m_fwd[o * d + i];
-                psi_m_cat_t[(d + i) * d + o] = pb.psi_m_bwd[o * d + i];
-            }
-        }
+        let psi_m_cat_t = stack_transpose_f64(&pb.psi_m_fwd, &pb.psi_m_bwd, d);
         let (w_dst_cat_q, w_dst_cat_scale) =
             quantise_cols_i8(&cat_transpose_f64(&pb.w_dst_fwd, &pb.w_dst_bwd, d), d, 2 * d);
         let (w_src_cat_q, w_src_cat_scale) =
@@ -1054,8 +1528,7 @@ impl InferencePlanQ {
         let e = graph.num_edges();
         assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
         assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src: Vec<u32> =
-            graph.edge_order.iter().map(|&ei| graph.edges[ei].src as u32).collect();
+        let edge_src = graph.sorted_edge_sources();
         let blocks: Vec<PlanBlockQ> =
             model.blocks().iter().map(|b| PlanBlockQ::new(b, graph, d)).collect();
         let decoder = model.blocks().last().map(|b| DecoderF32 {
@@ -1651,6 +2124,152 @@ impl<T: Default> ScratchPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::DssConfig;
+    use meshgen::Point2;
+    use proptest::prelude::*;
+    use sparse::CooMatrix;
+
+    /// A connected local graph on the given node positions: a chain backbone
+    /// plus the `extra` couplings.  Repeated positions give edges whose
+    /// deltas and length are exactly zero.
+    fn graph_on(positions: Vec<Point2>, extra: &[(usize, usize)]) -> LocalGraph {
+        let n = positions.len();
+        let mut coo = CooMatrix::new(n, n);
+        let chain = (0..n - 1).map(|i| (i, i + 1));
+        for (i, j) in chain.chain(extra.iter().map(|&(a, b)| (a % n, b % n))) {
+            if i != j {
+                coo.push(i, j, -1.0).unwrap();
+                coo.push(j, i, -1.0).unwrap();
+            }
+        }
+        for i in 0..n {
+            coo.push(i, i, 8.0).unwrap();
+        }
+        let rhs: Vec<f64> = (0..n).map(|i| ((i * 31) % 23) as f64 * 0.2 - 2.0).collect();
+        LocalGraph::new(coo.to_csr(), positions, &rhs, vec![false; n])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The geometric term the f64 engine recomputes per apply has the
+        /// bits of the one `geo_terms` precomputes (and the f32 / int8 plans
+        /// still store), in both message directions — including zero,
+        /// negative and `-0.0` deltas.
+        #[test]
+        fn recomputed_geometry_matches_geo_terms_bit_for_bit(
+            coords in proptest::collection::vec((-1i32..2, -1i32..2, 0u32..1000), 3..24),
+            extra in proptest::collection::vec((0usize..24, 0usize..24), 0..20),
+            negate_zero in proptest::collection::vec(0usize..64, 0..6),
+            model_seed in 0u64..1000,
+            latent in 2usize..12,
+        ) {
+            // A 3 × 3 lattice with a sub-lattice jitter on a quarter of the
+            // nodes: many exactly repeated coordinates (zero deltas, zero
+            // lengths) next to generic ones.
+            let positions = coords
+                .iter()
+                .map(|&(x, y, j)| {
+                    let jitter = if j % 4 == 3 { j as f64 * 1e-3 } else { 0.0 };
+                    Point2::new(x as f64 * 0.5 + jitter, y as f64 * 0.25 - jitter)
+                })
+                .collect();
+            let mut graph = graph_on(positions, &extra);
+            for &pick in &negate_zero {
+                let e = graph.num_edges();
+                let edge = &mut graph.edges[pick % e];
+                for delta in edge.delta.iter_mut().filter(|v| **v == 0.0) {
+                    *delta = -0.0;
+                }
+            }
+            let d = latent;
+            let mut model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: d, alpha: 1e-2 }, model_seed);
+            // Xavier initialisation leaves every bias at zero; perturb all
+            // parameters so the `b₁` rows take part.
+            let mut params = model.flatten();
+            for (i, p) in params.iter_mut().enumerate() {
+                *p += ((i * 37 % 101) as f64 - 50.0) * 1e-3;
+            }
+            model.load_flat(&params);
+            let plan = InferencePlan::new(&model, &graph);
+            for (block, pb) in model.blocks().iter().zip(&plan.weights.blocks) {
+                let stored_fwd = geo_terms(&block.phi_fwd.l1, &graph, d, 1.0);
+                let stored_bwd = geo_terms(&block.phi_bwd.l1, &graph, d, -1.0);
+                let rows = pb.geo_rows();
+                for (slot, &g) in plan.edge_geo.iter().enumerate() {
+                    for k in 0..d {
+                        prop_assert!(
+                            rows.term(k, g).to_bits() == stored_fwd[slot * d + k].to_bits(),
+                            "fwd slot {} lane {} geometry {:?}", slot, k, g
+                        );
+                        prop_assert!(
+                            rows.term(d + k, g).to_bits() == stored_bwd[slot * d + k].to_bits(),
+                            "bwd slot {} lane {} geometry {:?}", slot, k, g
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_and_baseline_compiled_bodies_agree_bit_for_bit() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skipped: this CPU has no AVX2, only the baseline body can run");
+            return;
+        }
+        let pretrained = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../assets/pretrained_k16_d10.dss");
+        let shipped = crate::io::load_model(&pretrained).expect("checked-in pretrained model");
+        assert_eq!(2 * shipped.config().latent_dim, FIXED_D2, "the shipped width is the fixed one");
+        let other = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 6, alpha: 1e-2 }, 5);
+        let positions = (0..37)
+            .map(|i| Point2::new((i as f64 * 0.71).sin() * 2.0, (i as f64 * 0.53).cos() * 2.0))
+            .collect();
+        let graph = graph_on(positions, &[(0, 9), (3, 30), (12, 25), (7, 19), (36, 2)]);
+        let n = graph.num_nodes();
+        for model in [&shipped, &other] {
+            let plan = InferencePlan::new(model, &graph);
+            let mut scratch = InferScratch::new();
+            for b in [1usize, 3] {
+                let input: Vec<f64> =
+                    (0..n * b).map(|i| ((i * 7 + b) % 13) as f64 * 0.1 - 0.6).collect();
+                let mut baseline = vec![0.0; n * b];
+                let mut avx2 = vec![0.0; n * b];
+                forward(&plan, &input, b, &mut scratch, &mut baseline, None);
+                // SAFETY: AVX2 was detected at the top of this test.
+                unsafe { forward_avx2(&plan, &input, b, &mut scratch, &mut avx2, None) };
+                assert!(baseline.iter().any(|&v| v != 0.0));
+                let d = model.config().latent_dim;
+                for (x, y) in baseline.iter().zip(&avx2) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "d={d} b={b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f64_plan_owns_only_graph_structure() {
+        let positions = (0..9).map(|i| Point2::new(i as f64 * 0.5, (i as f64).sin())).collect();
+        let graph = graph_on(positions, &[(0, 4), (2, 7)]);
+        let (n, e) = (graph.num_nodes(), graph.num_edges());
+        let shallow = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 4, alpha: 1e-2 }, 1);
+        let deep = DssModel::new(DssConfig { num_blocks: 9, latent_dim: 12, alpha: 1e-2 }, 1);
+        let (p_shallow, p_deep) = (shallow.build_plan(&graph), deep.build_plan(&graph));
+        assert_eq!(p_shallow.memory_bytes(), 28 * e + 4 * n);
+        assert_eq!(
+            p_deep.memory_bytes(),
+            p_shallow.memory_bytes(),
+            "depth and width are not in the plan"
+        );
+        assert!(p_deep.shared_weight_bytes() > p_shallow.shared_weight_bytes());
+        // One pack per model, shared by all of its plans; retraining drops it.
+        assert!(Arc::ptr_eq(&p_deep.weights, &deep.build_plan(&graph).weights));
+        let mut retrained = deep.clone();
+        retrained.load_flat(&deep.flatten());
+        assert!(!Arc::ptr_eq(&p_deep.weights, &retrained.build_plan(&graph).weights));
+    }
 
     #[test]
     fn precision_parses_and_displays() {
