@@ -83,8 +83,11 @@ fn bench_dss_inference(c: &mut Criterion) {
     let graph = samples.into_iter().next().expect("at least one sample");
     for &(kbar, d) in &[(5usize, 5usize), (10, 10), (16, 10)] {
         let model = DssModel::new(DssConfig { num_blocks: kbar, latent_dim: d, alpha: 1e-3 }, 0);
+        let plan = model.build_plan(&graph);
+        let mut scratch = gnn::InferScratch::new();
+        let mut out = vec![0.0; graph.num_nodes()];
         group.bench_function(format!("k{kbar}_d{d}_n{}", graph.num_nodes()), |b| {
-            b.iter(|| model.infer(&graph));
+            b.iter(|| model.infer_with_plan_into(&plan, &graph.input, &mut scratch, &mut out));
         });
     }
     group.finish();

@@ -18,11 +18,10 @@
 //! GEMM, aggregation, Ψ update and decoder, measured by
 //! [`DdmGnnPreconditioner::apply_timed`] over whole preconditioner
 //! applications.  Every GNN measurement (apply kernel, per-layer stages,
-//! plan memory, e2e solve) runs once per inference precision — the f64
-//! engine, the f32/SIMD engine and the quantised int8/bf16 engine — and the
-//! rows are tagged `precision=f64|f32|int8`; the per-layer report closes
-//! with the per-problem f32-vs-f64 and int8-vs-f32 apply speedups and the
-//! int8-vs-f32 plan-memory ratios.
+//! plan memory, e2e solve) runs once per inference precision tier — the
+//! engine's f64 and f32 instantiations and the int8 weight format of the
+//! latter — and the rows are tagged `precision=f64|f32|int8`; the per-layer
+//! report closes with the per-problem f32-vs-f64 apply speedups.
 //!
 //! Usage:
 //!   cargo run --release -p bench --bin perf_suite
@@ -219,11 +218,11 @@ fn child() {
                 let (med, min) = time_kernel(|| precond.apply(&r, &mut z), floor, 7);
                 println!("PERF kind=kernel name=gnn_apply precision={p} idx={pi} n={n} threads={threads} median_ns={med} min_ns={min}");
 
-                // Batched multi-RHS apply: the panel kernels stream the plan
-                // (weights, geo/bf16 edge terms, psi statics) once per batch
-                // instead of once per column, so ns-per-column should fall
-                // with b on the bandwidth-bound sizes.  b=4 is covered by the
-                // CI smoke leg.
+                // Batched multi-RHS apply: the b columns are b rows per node
+                // of the same kernels, the weights are read and the geometric
+                // edge terms computed once per batch instead of once per
+                // column, so ns-per-column should fall with b.  b=4 is
+                // covered by the CI smoke leg.
                 let batch_widths: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
                 let max_b = batch_widths.iter().copied().max().unwrap();
                 let rhs_panel: Vec<Vec<f64>> = (0..max_b)
@@ -486,8 +485,7 @@ fn parent() {
 /// sequential `apply_timed` runs, so they are thread-count independent; the
 /// records of the lowest measured thread count are kept.  Every row carries
 /// a `precision` tag (`"f64"` / `"f32"` / `"int8"`), and the report closes
-/// with the per-problem f32-vs-f64 and int8-vs-f32 `gnn_apply` speedups and
-/// the int8-vs-f32 plan-memory ratios.
+/// with the per-problem f32-vs-f64 `gnn_apply` speedups.
 fn render_gnn_inference_json(thread_counts: &[usize], records: &[Record]) -> String {
     let base_threads = thread_counts.iter().min().copied().unwrap_or(1).to_string();
     let precision_of = |rec: &Record| -> String {
@@ -636,66 +634,30 @@ fn render_gnn_inference_json(thread_counts: &[usize], records: &[Record]) -> Str
         );
     }
     let _ = writeln!(s, "  ],");
-    // Per-problem apply-kernel speedups between precision pairs
-    // (median / median).
+    // Per-problem apply-kernel speedup of the f32 instantiation over the f64
+    // one (median / median).  The int8 tier is the f32 engine on differently
+    // rounded weights, so it has no speed or memory ratio of its own.
     let mut medians: BTreeMap<(String, String), (String, u64)> = BTreeMap::new();
     for rec in &apply_recs {
         if let Ok(ns) = rec["median_ns"].parse::<u64>() {
             medians.insert((rec["idx"].clone(), precision_of(rec)), (rec["n"].clone(), ns));
         }
     }
-    let speedup_rows = |base: &str, fast: &str| -> Vec<(String, String, f64)> {
-        medians
-            .iter()
-            .filter(|((_, p), _)| p == base)
-            .filter_map(|((idx, _), (n, ns_base))| {
-                let (_, ns_fast) = medians.get(&(idx.clone(), fast.to_string()))?;
-                (*ns_fast > 0).then(|| (idx.clone(), n.clone(), *ns_base as f64 / *ns_fast as f64))
-            })
-            .collect()
-    };
-    let write_ratio_section =
-        |s: &mut String, key: &str, field: &str, rows: &[(String, String, f64)], last: bool| {
-            let _ = writeln!(s, "  \"{key}\": [");
-            for (i, (idx, n, ratio)) in rows.iter().enumerate() {
-                let comma = if i + 1 < rows.len() { "," } else { "" };
-                let _ = writeln!(
-                    s,
-                    "    {{ \"idx\": {idx}, \"n\": {n}, \"{field}\": {ratio:.3} }}{comma}"
-                );
-            }
-            let _ = writeln!(s, "  ]{}", if last { "" } else { "," });
-        };
-    write_ratio_section(
-        &mut s,
-        "gnn_apply_speedup_f32_vs_f64",
-        "speedup",
-        &speedup_rows("f64", "f32"),
-        false,
-    );
-    write_ratio_section(
-        &mut s,
-        "gnn_apply_speedup_q_vs_f32",
-        "speedup",
-        &speedup_rows("f32", "int8"),
-        false,
-    );
-    // Per-problem plan-memory ratio of the quantised plans vs the f32 plans.
-    let mut plan_bytes: BTreeMap<(String, String), (String, u64)> = BTreeMap::new();
-    for rec in &plan_recs {
-        if let Ok(b) = rec["plan_bytes"].parse::<u64>() {
-            plan_bytes.insert((rec["idx"].clone(), precision_of(rec)), (rec["n"].clone(), b));
-        }
-    }
-    let memory_rows: Vec<(String, String, f64)> = plan_bytes
+    let _ = writeln!(s, "  \"gnn_apply_speedup_f32_vs_f64\": [");
+    let speedups: Vec<(&String, &String, f64)> = medians
         .iter()
-        .filter(|((_, p), _)| p == "f32")
-        .filter_map(|((idx, _), (n, b32))| {
-            let (_, bq) = plan_bytes.get(&(idx.clone(), "int8".to_string()))?;
-            (*b32 > 0).then(|| (idx.clone(), n.clone(), *bq as f64 / *b32 as f64))
+        .filter(|((_, p), _)| p == "f64")
+        .filter_map(|((idx, _), (n, ns_f64))| {
+            let (_, ns_f32) = medians.get(&(idx.clone(), "f32".to_string()))?;
+            (*ns_f32 > 0).then(|| (idx, n, *ns_f64 as f64 / *ns_f32 as f64))
         })
         .collect();
-    write_ratio_section(&mut s, "plan_memory_ratio_q_vs_f32", "ratio", &memory_rows, true);
+    for (i, (idx, n, speedup)) in speedups.iter().enumerate() {
+        let comma = if i + 1 < speedups.len() { "," } else { "" };
+        let _ =
+            writeln!(s, "    {{ \"idx\": {idx}, \"n\": {n}, \"speedup\": {speedup:.3} }}{comma}");
+    }
+    let _ = writeln!(s, "  ]");
     let _ = writeln!(s, "}}");
     s
 }

@@ -17,8 +17,8 @@ use ddm::{
 };
 use fem::PoissonProblem;
 use gnn::{
-    dataset::build_local_graphs, DssModel, InferScratch, InferScratchF32, InferScratchQ,
-    InferencePlan, InferencePlanF32, InferencePlanQ, InferenceTimings, LocalGraph, Precision,
+    dataset::build_local_graphs, DssModel, InferScratch, InferencePlan, InferenceTimings,
+    LocalGraph, Precision,
 };
 use krylov::resilience::{FaultEvent, FaultKind, FaultLog};
 use krylov::Preconditioner;
@@ -29,52 +29,54 @@ use std::sync::Arc;
 
 use sanitizer::TrackedMutex;
 
-/// Reusable per-sub-domain buffers for one preconditioner application: the
-/// restricted (then normalised in place) residual, the DSS output, the norm
-/// used to undo the normalisation at gluing time, and the full GNN inference
-/// scratch (f64, f32 and quantised — only the active precision's buffers
-/// ever grow).  Pre-sizing these makes `apply` allocation-free per iteration.
+/// GNN inference scratch of the engine the configured precision runs on.
+enum EngineScratch {
+    F64(InferScratch<f64>),
+    F32(InferScratch<f32>),
+}
+
+/// Reusable per-sub-domain buffers for one preconditioner application on `b`
+/// right-hand sides (`b = 1` for a plain `apply`): the restricted residual,
+/// the row-major `num_local × b` panels of normalised residuals and DSS
+/// outputs, the norms used to undo the normalisation at gluing time, and the
+/// GNN inference scratch.  They are sized once per batch width, so `apply`
+/// is allocation-free per iteration.
 struct SubdomainScratch {
+    /// One column's restricted residual, normalised in place.
     local_r: Vec<f64>,
-    correction: Vec<f64>,
-    norm: f64,
-    /// Column-interleaved `num_local × b` residual panel of the batched
-    /// apply (batch width tracked by `norms_b.len()`).
+    /// `num_local × b` residual panel (`panel[j*b + c]`: node `j`, column `c`).
     local_rb: Vec<f64>,
-    /// Column-interleaved `num_local × b` correction panel.
+    /// `num_local × b` correction panel.
     correction_b: Vec<f64>,
-    /// Per-column restriction norms of the batched apply (`0.0` marks a
-    /// vanishing column that skips both inference output and gluing).
+    /// Per-column restriction norms (`0.0` marks a vanishing column that
+    /// skips both inference output and gluing).
     norms_b: Vec<f64>,
-    infer: InferScratch,
-    infer32: InferScratchF32,
-    inferq: InferScratchQ,
+    infer: EngineScratch,
 }
 
 impl SubdomainScratch {
-    fn new(dim: usize) -> TrackedMutex<Self> {
+    fn new(dim: usize, precision: Precision) -> TrackedMutex<Self> {
         TrackedMutex::new(
             SubdomainScratch {
                 local_r: vec![0.0; dim],
-                correction: vec![0.0; dim],
-                norm: 0.0,
-                local_rb: Vec::new(),
-                correction_b: Vec::new(),
-                norms_b: Vec::new(),
-                infer: InferScratch::new(),
-                infer32: InferScratchF32::new(),
-                inferq: InferScratchQ::new(),
+                local_rb: vec![0.0; dim],
+                correction_b: vec![0.0; dim],
+                norms_b: Vec::with_capacity(1),
+                infer: match precision {
+                    Precision::F64 => EngineScratch::F64(InferScratch::new()),
+                    Precision::F32 | Precision::Int8 => EngineScratch::F32(InferScratch::new()),
+                },
             },
             "ddm_gnn::preconditioner::SubdomainScratch",
         )
     }
 }
 
-/// Per-sub-domain inference plans at the configured precision.
+/// Per-sub-domain inference plans of the engine the configured precision
+/// runs on (`Int8` is a weight format of the f32 engine).
 enum PlanSet {
-    F64(Vec<InferencePlan>),
-    F32(Vec<InferencePlanF32>),
-    Int8(Vec<InferencePlanQ>),
+    F64(Vec<InferencePlan<f64>>),
+    F32(Vec<InferencePlan<f32>>),
 }
 
 /// The multi-level GNN preconditioner.
@@ -82,11 +84,11 @@ pub struct DdmGnnPreconditioner {
     restrictions: Vec<Restriction>,
     graphs: Vec<LocalGraph>,
     /// Per-sub-domain inference plans, built once at construction (the setup
-    /// phase), at the configured [`Precision`].  The f64 plans hold only the
-    /// destination-sorted graph structure and share the model's one weight
-    /// pack; the f32 / int8 plans additionally store the precomputed static
-    /// edge terms and their own rounded weights.
+    /// phase), at the configured [`Precision`].  They hold only the
+    /// destination-sorted graph structure and share one weight pack of the
+    /// model.
     plans: PlanSet,
+    precision: Precision,
     coarse: Option<CoarseSpace>,
     model: Arc<DssModel>,
     scratch: Vec<TrackedMutex<SubdomainScratch>>,
@@ -95,8 +97,8 @@ pub struct DdmGnnPreconditioner {
     /// same preconditioner would otherwise interleave and corrupt each other.
     apply_guard: TrackedMutex<()>,
     num_global: usize,
-    /// Reported by `Preconditioner::name` ("ddm-gnn-{1,2}level[-f32|-int8]"
-    /// or "ddm-gnn-ml<levels>[-f32|-int8]").
+    /// Reported by `Preconditioner::name`: `ddm-gnn-{1,2}level[-f32|-int8]`
+    /// or `ddm-gnn-ml<levels>[-f32|-int8]`.
     name: String,
     /// Number of `apply` calls so far (≈ the outer iteration index).
     applies: AtomicU64,
@@ -122,23 +124,22 @@ impl DdmGnnPreconditioner {
     /// [`DdmGnnPreconditioner::new`] with an explicit inference precision.
     ///
     /// `Precision::F32` runs every sub-domain DSS inference through the
-    /// single-precision SIMD engine: the restricted residual is normalised in
-    /// f64, converted to f32 on entry to the network, and the decoded output
-    /// is widened back to f64 before the (entirely double-precision) gluing
-    /// step.  Because the preconditioner only feeds a *flexible* outer
-    /// Krylov method, the ~1e-6 relative perturbation cannot break
-    /// convergence — it typically leaves iteration counts unchanged.
+    /// single-precision instantiation of the engine: the restricted residual
+    /// is normalised in f64, converted to f32 on entry to the network, and
+    /// the decoded output is widened back to f64 before the (entirely
+    /// double-precision) gluing step.  Because the preconditioner only feeds
+    /// a *flexible* outer Krylov method, the ~1e-6 relative perturbation
+    /// cannot break convergence — it typically leaves iteration counts
+    /// unchanged.
     ///
-    /// `Precision::Int8` goes one step further: the weights are quantised
-    /// **once at setup** from the f64 model (int8 with per-output f32
-    /// scales) and the static edge/bias streams are stored bf16, with every
-    /// accumulation still in f32.  The residual conversion and the gluing
-    /// are identical to the f32 mode; the quantised plan needs roughly half
-    /// the f32 plan's memory.
+    /// `Precision::Int8` is the same f32 engine on weights quantised **once
+    /// at setup** from the f64 model (int8 with per-output f32 scales,
+    /// stored dequantised).  It costs exactly what `F32` costs in time and
+    /// memory and perturbs a whole application by ~5e-3 relative on the
+    /// shipped model.
     ///
-    /// Both reduced tiers store `k̄ · e · 2d` static edge terms per
-    /// sub-domain, which the default `Precision::F64` plan does not: f64 is
-    /// the smallest plan and the cheapest to build.
+    /// At every precision a plan holds graph structure only (`28 e + 4 n`
+    /// bytes in f64, `16 e + 4 n` in f32) next to one shared weight pack.
     pub fn with_precision(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -266,15 +267,13 @@ impl DdmGnnPreconditioner {
         let scratch = decomposition
             .restrictions
             .iter()
-            .map(|r| SubdomainScratch::new(r.num_local()))
+            .map(|r| SubdomainScratch::new(r.num_local(), precision))
             .collect();
         let plans = match precision {
             Precision::F64 => PlanSet::F64(graphs.iter().map(|g| model.build_plan(g)).collect()),
-            Precision::F32 => {
-                PlanSet::F32(graphs.iter().map(|g| model.build_plan_f32(g)).collect())
-            }
-            Precision::Int8 => {
-                PlanSet::Int8(graphs.iter().map(|g| model.build_plan_q(g)).collect())
+            Precision::F32 | Precision::Int8 => {
+                let int8 = precision == Precision::Int8;
+                PlanSet::F32(graphs.iter().map(|g| model.build_plan_f32(g, int8)).collect())
             }
         };
         let suffix = match precision {
@@ -293,6 +292,7 @@ impl DdmGnnPreconditioner {
             restrictions: decomposition.restrictions,
             graphs,
             plans,
+            precision,
             coarse,
             model,
             scratch,
@@ -340,86 +340,37 @@ impl DdmGnnPreconditioner {
 
     /// The inference precision the plans were built at.
     pub fn precision(&self) -> Precision {
-        match &self.plans {
-            PlanSet::F64(_) => Precision::F64,
-            PlanSet::F32(_) => Precision::F32,
-            PlanSet::Int8(_) => Precision::Int8,
-        }
+        self.precision
     }
 
-    /// Total heap footprint of the cached inference plans in bytes.  The f64
+    /// Total heap footprint of the cached inference plans in bytes.  The
     /// plans share one weight pack, which is counted once.
     pub fn plan_memory_bytes(&self) -> usize {
+        fn total<T: gnn::Scalar>(plans: &[InferencePlan<T>]) -> usize {
+            plans.iter().map(InferencePlan::memory_bytes).sum::<usize>()
+                + plans.first().map_or(0, InferencePlan::shared_weight_bytes)
+        }
         match &self.plans {
-            PlanSet::F64(plans) => {
-                plans.iter().map(InferencePlan::memory_bytes).sum::<usize>()
-                    + plans.first().map_or(0, InferencePlan::shared_weight_bytes)
-            }
-            PlanSet::F32(plans) => plans.iter().map(InferencePlanF32::memory_bytes).sum(),
-            PlanSet::Int8(plans) => plans.iter().map(InferencePlanQ::memory_bytes).sum(),
+            PlanSet::F64(plans) => total(plans),
+            PlanSet::F32(plans) => total(plans),
         }
     }
 
-    /// Restrict, normalise and infer one sub-domain into its scratch slot,
-    /// optionally accumulating per-stage timings.
-    fn solve_local(&self, i: usize, r: &[f64], timings: Option<&mut InferenceTimings>) {
-        let mut guard = self.scratch[i].lock();
-        let SubdomainScratch { local_r, correction, norm, infer, infer32, inferq, .. } =
-            &mut *guard;
-        self.restrictions[i].restrict_into(r, local_r);
-        *norm = sparse::vector::norm2(local_r);
-        if *norm <= f64::MIN_POSITIVE {
-            *norm = 0.0;
-            return;
-        }
-        for v in local_r.iter_mut() {
-            *v /= *norm;
-        }
-        match (&self.plans, timings) {
-            (PlanSet::F64(plans), Some(t)) => {
-                self.model.infer_with_plan_timed(&plans[i], local_r, infer, correction, t)
-            }
-            (PlanSet::F64(plans), None) => {
-                self.model.infer_with_plan_into(&plans[i], local_r, infer, correction)
-            }
-            (PlanSet::F32(plans), Some(t)) => {
-                self.model.infer_with_plan_f32_timed(&plans[i], local_r, infer32, correction, t)
-            }
-            (PlanSet::F32(plans), None) => {
-                self.model.infer_with_plan_f32_into(&plans[i], local_r, infer32, correction)
-            }
-            (PlanSet::Int8(plans), Some(t)) => {
-                self.model.infer_with_plan_q_timed(&plans[i], local_r, inferq, correction, t)
-            }
-            (PlanSet::Int8(plans), None) => {
-                self.model.infer_with_plan_q_into(&plans[i], local_r, inferq, correction)
-            }
-        }
-    }
-
-    /// Batched [`DdmGnnPreconditioner::solve_local`]: restrict, normalise
-    /// and infer all `b` residuals of one sub-domain through **one** panel
-    /// inference, so the plan streams (weights, static geo terms) are read
-    /// once for the whole batch.
+    /// Restrict, normalise and infer the `b = rs.len()` residuals of one
+    /// sub-domain into its scratch slot through **one** inference on `b`
+    /// rows per node, so the weights are read, and the geometric edge terms
+    /// computed, once for the whole batch; optionally accumulating per-stage
+    /// timings.
     ///
     /// Each column is restricted and normalised through the same contiguous
-    /// buffer and operation order as the unbatched path, then scattered into
-    /// the column-interleaved panel — so together with the per-column
-    /// bit-identity of the batched inference engines, column `c`'s correction
-    /// is bit-identical to an unbatched `solve_local` on `rs[c]`.
-    fn solve_local_batch(&self, i: usize, rs: &[&[f64]], timings: Option<&mut InferenceTimings>) {
+    /// buffer and operation order whatever `b` is, then scattered into the
+    /// row-major panel — so together with the per-column bit-identity of the
+    /// inference engine, column `c`'s correction is bit-identical to a
+    /// one-column apply of `rs[c]`.
+    fn solve_local(&self, i: usize, rs: &[&[f64]], timings: Option<&mut InferenceTimings>) {
         let b = rs.len();
         let mut guard = self.scratch[i].lock();
-        let SubdomainScratch {
-            local_r,
-            local_rb,
-            correction_b,
-            norms_b,
-            infer,
-            infer32,
-            inferq,
-            ..
-        } = &mut *guard;
+        let SubdomainScratch { local_r, local_rb, correction_b, norms_b, infer } = &mut *guard;
         let nl = local_r.len();
         local_rb.resize(nl * b, 0.0);
         correction_b.resize(nl * b, 0.0);
@@ -447,105 +398,24 @@ impl DdmGnnPreconditioner {
         if !any_live {
             return;
         }
-        match (&self.plans, timings) {
-            (PlanSet::F64(plans), Some(t)) => self.model.infer_with_plan_batched_timed(
-                &plans[i],
-                local_rb,
-                b,
-                infer,
-                correction_b,
-                t,
-            ),
-            (PlanSet::F64(plans), None) => {
-                self.model.infer_with_plan_batched_into(&plans[i], local_rb, b, infer, correction_b)
+        match (&self.plans, infer) {
+            (PlanSet::F64(plans), EngineScratch::F64(scratch)) => {
+                self.model.infer_with_plan(&plans[i], local_rb, b, scratch, correction_b, timings)
             }
-            (PlanSet::F32(plans), Some(t)) => self.model.infer_with_plan_f32_batched_timed(
-                &plans[i],
-                local_rb,
-                b,
-                infer32,
-                correction_b,
-                t,
-            ),
-            (PlanSet::F32(plans), None) => self.model.infer_with_plan_f32_batched_into(
-                &plans[i],
-                local_rb,
-                b,
-                infer32,
-                correction_b,
-            ),
-            (PlanSet::Int8(plans), Some(t)) => self.model.infer_with_plan_q_batched_timed(
-                &plans[i],
-                local_rb,
-                b,
-                inferq,
-                correction_b,
-                t,
-            ),
-            (PlanSet::Int8(plans), None) => self.model.infer_with_plan_q_batched_into(
-                &plans[i],
-                local_rb,
-                b,
-                inferq,
-                correction_b,
-            ),
+            (PlanSet::F32(plans), EngineScratch::F32(scratch)) => {
+                self.model.infer_with_plan(&plans[i], local_rb, b, scratch, correction_b, timings)
+            }
+            _ => unreachable!("plans and scratch are built for the same precision"),
         }
     }
 
-    /// Gluing (Eq. 16): `z = Σ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ (+ coarse correction)`,
-    /// accumulated sequentially in sub-domain order so the result does not
-    /// depend on the thread count.
-    fn glue(&self, r: &[f64], z: &mut [f64]) {
-        for zi in z.iter_mut() {
-            *zi = 0.0;
-        }
-        for (restriction, scratch) in self.restrictions.iter().zip(self.scratch.iter()) {
-            let guard = scratch.lock();
-            if guard.norm > 0.0 {
-                restriction.extend_add_scaled(guard.norm, &guard.correction, z);
-            }
-        }
-        if let Some(coarse) = &self.coarse {
-            if let Err(e) = coarse.apply_into(r, z) {
-                // Skip the coarse contribution; the glued local corrections
-                // alone are still a valid (one-level) preconditioner.
-                self.faults.lock().record(FaultEvent::new(
-                    FaultKind::NumericalError,
-                    self.applies.load(Ordering::SeqCst).saturating_sub(1),
-                    &self.name,
-                    format!("coarse correction failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    /// [`Preconditioner::apply`] with a per-stage wall-clock breakdown of the
-    /// GNN inference accumulated into `timings`.
-    ///
-    /// The sub-domains are processed **sequentially** so the stage buckets
-    /// measure kernel time rather than scheduler contention; the result
-    /// written to `z` is bit-identical to [`Preconditioner::apply`] (which
-    /// glues in sub-domain order for exactly that reason).
-    pub fn apply_timed(&self, r: &[f64], z: &mut [f64], timings: &mut InferenceTimings) {
-        debug_assert_eq!(r.len(), self.num_global);
-        debug_assert_eq!(z.len(), self.num_global);
-        let _exclusive = self.apply_guard.lock();
-        self.applies.fetch_add(1, Ordering::SeqCst);
-        for i in 0..self.restrictions.len() {
-            self.solve_local(i, r, Some(&mut *timings));
-        }
-        self.glue(r, z);
-    }
-
-    /// Batched gluing: per column, same sub-domain order and the same
-    /// scaled scatter-add as [`DdmGnnPreconditioner::glue`], then the coarse
-    /// correction applied column by column.
-    fn glue_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+    /// Gluing (Eq. 16), per column: `z = Σ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ (+ coarse
+    /// correction)`, accumulated sequentially in sub-domain order so the
+    /// result does not depend on the thread count.
+    fn glue(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         let b = rs.len();
         for z in zs.iter_mut() {
-            for zi in z.iter_mut() {
-                *zi = 0.0;
-            }
+            z.fill(0.0);
         }
         for (restriction, scratch) in self.restrictions.iter().zip(self.scratch.iter()) {
             let guard = scratch.lock();
@@ -564,66 +434,74 @@ impl DdmGnnPreconditioner {
         if let Some(coarse) = &self.coarse {
             for (c, (r, z)) in rs.iter().zip(zs.iter_mut()).enumerate() {
                 if let Err(e) = coarse.apply_into(r, z) {
+                    // Skip the coarse contribution; the glued local
+                    // corrections alone are still a valid (one-level)
+                    // preconditioner.
                     self.faults.lock().record(FaultEvent::new(
                         FaultKind::NumericalError,
                         self.applies.load(Ordering::SeqCst).saturating_sub(1),
                         &self.name,
-                        format!("coarse correction failed in batch column {c}: {e}"),
+                        format!("coarse correction failed in column {c}: {e}"),
                     ));
                 }
             }
         }
     }
 
+    /// One application to `b = rs.len()` residuals.  Without `timings` the
+    /// sub-domains run in parallel (the batched GPU inference of Eq. 14
+    /// mapped onto rayon), each writing into its own pre-sized scratch so the
+    /// steady state allocates nothing; with `timings` they run
+    /// **sequentially**, so the stage buckets measure kernel time rather than
+    /// scheduler contention.  Both give the same bits: gluing is sequential
+    /// in sub-domain order either way.
+    fn apply_columns(
+        &self,
+        rs: &[&[f64]],
+        zs: &mut [&mut [f64]],
+        timings: Option<&mut InferenceTimings>,
+    ) {
+        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
+        debug_assert!(rs.iter().all(|r| r.len() == self.num_global));
+        debug_assert!(zs.iter().all(|z| z.len() == self.num_global));
+        let _exclusive = self.apply_guard.lock();
+        self.applies.fetch_add(1, Ordering::SeqCst);
+        let subdomains = 0..self.restrictions.len();
+        match timings {
+            Some(timings) => subdomains.for_each(|i| self.solve_local(i, rs, Some(&mut *timings))),
+            None => subdomains.into_par_iter().for_each(|i| self.solve_local(i, rs, None)),
+        }
+        self.glue(rs, zs);
+    }
+
+    /// [`Preconditioner::apply`] with a per-stage wall-clock breakdown of the
+    /// GNN inference accumulated into `timings`.  The result written to `z`
+    /// is bit-identical to [`Preconditioner::apply`].
+    pub fn apply_timed(&self, r: &[f64], z: &mut [f64], timings: &mut InferenceTimings) {
+        self.apply_columns(&[r], &mut [z], Some(timings));
+    }
+
     /// [`Preconditioner::apply_batch`] with the per-stage inference breakdown
     /// accumulated into `timings` — the batched sibling of
-    /// [`DdmGnnPreconditioner::apply_timed`], sub-domains processed
-    /// sequentially so the stage buckets measure kernel time.  Bit-identical
-    /// to the parallel batched apply.
+    /// [`DdmGnnPreconditioner::apply_timed`].  Bit-identical to the parallel
+    /// batched apply.
     pub fn apply_batch_timed(
         &self,
         rs: &[&[f64]],
         zs: &mut [&mut [f64]],
         timings: &mut InferenceTimings,
     ) {
-        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
-        let _exclusive = self.apply_guard.lock();
-        self.applies.fetch_add(1, Ordering::SeqCst);
-        for i in 0..self.restrictions.len() {
-            self.solve_local_batch(i, rs, Some(&mut *timings));
-        }
-        self.glue_batch(rs, zs);
+        self.apply_columns(rs, zs, Some(timings));
     }
 }
 
 impl Preconditioner for DdmGnnPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        debug_assert_eq!(r.len(), self.num_global);
-        debug_assert_eq!(z.len(), self.num_global);
-        let _exclusive = self.apply_guard.lock();
-        self.applies.fetch_add(1, Ordering::SeqCst);
-
-        // Local problems: restrict, normalise, infer — all sub-domains in
-        // parallel (the batched GPU inference of Eq. 14 mapped onto rayon),
-        // each writing into its own pre-sized scratch so the steady state
-        // allocates nothing.
-        (0..self.restrictions.len()).into_par_iter().for_each(|i| self.solve_local(i, r, None));
-        self.glue(r, z);
+        self.apply_columns(&[r], &mut [z], None);
     }
 
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
-        debug_assert!(rs.iter().all(|r| r.len() == self.num_global));
-        debug_assert!(zs.iter().all(|z| z.len() == self.num_global));
-        let _exclusive = self.apply_guard.lock();
-        self.applies.fetch_add(1, Ordering::SeqCst);
-        // Each sub-domain gathers its b local residuals into one panel and
-        // runs a single batched inference — the plan streams are read once
-        // per batch instead of once per column.
-        (0..self.restrictions.len())
-            .into_par_iter()
-            .for_each(|i| self.solve_local_batch(i, rs, None));
-        self.glue_batch(rs, zs);
+        self.apply_columns(rs, zs, None);
     }
 
     fn dim(&self) -> usize {
@@ -855,6 +733,11 @@ mod tests {
                 .unwrap();
         assert!(p64_shallow.plan_memory_bytes() > structure);
         assert!(p64_shallow.plan_memory_bytes() - structure < pack);
+        // The f32 plans: the same structure in single precision (16 B per
+        // edge) next to the same pack at half the width.
+        let structure32: usize =
+            p32.graphs().iter().map(|g| 16 * g.num_edges() + 4 * g.num_nodes()).sum();
+        assert_eq!(p32.plan_memory_bytes() - structure32, pack / 2);
         let r = fx.problem.rhs.clone();
         let mut z64 = vec![0.0; r.len()];
         let mut z32 = vec![0.0; r.len()];
@@ -874,6 +757,47 @@ mod tests {
         p32.apply_timed(&r, &mut z32_timed, &mut timings);
         assert_eq!(z32, z32_timed);
         assert_eq!(timings.calls as usize, p32.num_subdomains());
+    }
+
+    #[test]
+    fn reduced_tiers_meet_their_forward_error_contract() {
+        // Tier accuracy as a contract: on the pretrained model and every
+        // sub-domain graph of the fixture, the f32 engine stays within 1e-4
+        // relative forward error of the naive reference formulation (it is
+        // at 4e-6).  Its int8 weight format measures 6.2e-2 and is pinned
+        // just above, at 7e-2, so a regression of the format shows: 16 trained
+        // blocks amplify the 2⁻⁸ weight rounding far beyond the 1e-2 that
+        // random shallow models keep (`quantised_engine_matches_f64_within_1e2`),
+        // most of it a coherent shift from the composed `W_Ψ W₂` matrices
+        // acting on the all-positive hidden sums (the int8/bf16 engine this
+        // format replaced was at 8.9e-2).  Flexible PCG absorbs it
+        // (`pcg_with_int8_ddm_gnn_converges_like_f64`).
+        let fx = fixture();
+        let precond = DdmGnnPreconditioner::new(
+            &fx.problem,
+            fx.subdomains.clone(),
+            Arc::new(fx.model.clone()),
+            false,
+        )
+        .unwrap();
+        for (int8, tolerance) in [(false, 1e-4), (true, 7e-2)] {
+            let mut scratch = gnn::InferScratch::new();
+            let mut worst = 0.0f64;
+            for graph in precond.graphs() {
+                let reference = fx.model.infer_reference(graph, &graph.input);
+                let plan = fx.model.build_plan_f32(graph, int8);
+                let mut out = vec![0.0; graph.num_nodes()];
+                fx.model.infer_with_plan(&plan, &graph.input, 1, &mut scratch, &mut out, None);
+                let error: Vec<f64> = out.iter().zip(&reference).map(|(a, b)| a - b).collect();
+                let relative = sparse::vector::norm2(&error) / sparse::vector::norm2(&reference);
+                worst = worst.max(relative);
+            }
+            assert!(worst > 0.0, "a reduced tier cannot reproduce f64 exactly");
+            assert!(
+                worst <= tolerance,
+                "int8={int8}: relative forward error {worst:e} exceeds {tolerance:e}"
+            );
+        }
     }
 
     #[test]
@@ -922,11 +846,10 @@ mod tests {
         .unwrap();
         assert_eq!(pq.precision(), gnn::Precision::Int8);
         assert_eq!(pq.name(), "ddm-gnn-2level-int8");
-        assert!(
-            pq.plan_memory_bytes() < p32.plan_memory_bytes(),
-            "int8 plans must use less memory than f32: {} vs {}",
+        assert_eq!(
             pq.plan_memory_bytes(),
-            p32.plan_memory_bytes()
+            p32.plan_memory_bytes(),
+            "int8 is a weight format of the f32 engine"
         );
         let r = fx.problem.rhs.clone();
         let mut z64 = vec![0.0; r.len()];

@@ -261,8 +261,8 @@ pub fn solve_ddm_gnn(
 }
 
 /// [`solve_ddm_gnn`] with an explicit inference precision for the local DSS
-/// solves (`Precision::F32` runs the single-precision SIMD engine,
-/// `Precision::Int8` the quantised int8-weight / bf16-stream engine).
+/// solves (`Precision::F32` runs the engine's single-precision instantiation,
+/// `Precision::Int8` the same on int8-rounded weights).
 pub fn solve_ddm_gnn_with_precision(
     problem: &PoissonProblem,
     subdomains: Vec<Vec<usize>>,
@@ -291,7 +291,7 @@ pub fn solve_ddm_gnn_with_precision(
     })
 }
 
-/// Result of a multi-right-hand-side DDM-GNN solve: one [`SolveResult`] per
+/// Result of a multi-right-hand-side DDM-GNN solve: one [`krylov::SolveResult`] per
 /// column plus the shared timing breakdown (setup and preconditioner time are
 /// amortised across the whole batch, so they are reported once).
 #[derive(Debug, Clone)]
@@ -458,10 +458,10 @@ pub struct HybridSolverConfig {
     /// Seed for the partitioner.
     pub partition_seed: u64,
     /// Scalar precision of the DSS inference inside the preconditioner
-    /// (`Precision::F32` opts into the single-precision SIMD engine,
-    /// `Precision::Int8` into the quantised int8/bf16 engine — weights are
-    /// quantised once at setup from the f64 model; the flexible outer PCG
-    /// keeps its convergence guarantee in every mode).
+    /// (`Precision::F32` opts into the engine's single-precision
+    /// instantiation, `Precision::Int8` into the same on weights quantised
+    /// once at setup from the f64 model; the flexible outer PCG keeps its
+    /// convergence guarantee in every mode).
     pub precision: Precision,
     /// When set, replace the Nicolaides coarse solve with a
     /// smoothed-aggregation multi-level V-cycle built from this

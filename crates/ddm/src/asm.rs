@@ -136,8 +136,8 @@ pub struct AdditiveSchwarz {
     /// preconditioner would otherwise interleave and corrupt each other.
     apply_guard: TrackedMutex<()>,
     num_global: usize,
-    /// Reported by `Preconditioner::name` ("ddm-lu-1level", "ddm-lu-2level"
-    /// or "ddm-lu-ml<levels>").
+    /// Reported by `Preconditioner::name`: `ddm-lu-1level`, `ddm-lu-2level`
+    /// or `ddm-lu-ml<levels>`.
     name: String,
     /// Number of `apply` calls so far (≈ the outer iteration index).
     applies: AtomicU64,

@@ -57,7 +57,7 @@ pub struct Decomposition {
 impl Decomposition {
     /// Build a decomposition from the global matrix and overlapping
     /// sub-domain node sets (as produced by
-    /// [`partition::partition_mesh_with_overlap`]).
+    /// `partition::partition_mesh_with_overlap`).
     pub fn new(matrix: &CsrMatrix, subdomains: Vec<Vec<usize>>) -> Self {
         let n = matrix.nrows();
         let restrictions: Vec<Restriction> =

@@ -59,15 +59,6 @@ impl Restriction {
         }
     }
 
-    /// Apply `Rᵢᵀ` scaled by `alpha`: `global[gᵢ] += alpha * local[i]`.
-    pub fn extend_add_scaled(&self, alpha: f64, local: &[f64], global: &mut [f64]) {
-        debug_assert_eq!(global.len(), self.num_global);
-        debug_assert_eq!(local.len(), self.indices.len());
-        for (l, &g) in local.iter().zip(self.indices.iter()) {
-            global[g] += alpha * l;
-        }
-    }
-
     /// Apply `Rᵢ` into column `c` of a column-interleaved `num_local × b`
     /// panel: `panel[j*b + c] = global[gⱼ]`.
     pub fn restrict_into_strided(&self, global: &[f64], panel: &mut [f64], b: usize, c: usize) {
@@ -82,8 +73,8 @@ impl Restriction {
     /// Apply `Rᵢᵀ` scaled by `alpha` from column `c` of a column-interleaved
     /// `num_local × b` panel: `global[gⱼ] += alpha * panel[j*b + c]`.
     ///
-    /// Each accumulation is the same scalar mul+add as
-    /// [`Restriction::extend_add_scaled`] on the gathered column, so the
+    /// A plain local vector is the `b = 1, c = 0` panel, and each
+    /// accumulation is the same scalar mul+add whatever `b` is, so the
     /// batched gluing stays bit-identical to the unbatched one.
     pub fn extend_add_scaled_strided(
         &self,
@@ -143,7 +134,7 @@ mod tests {
         r1.extend_add(&[1.0, 1.0, 1.0], &mut global);
         r2.extend_add(&[1.0, 1.0, 1.0], &mut global);
         assert_eq!(global, vec![1.0, 2.0, 2.0, 1.0]);
-        r1.extend_add_scaled(2.0, &[1.0, 1.0, 1.0], &mut global);
+        r1.extend_add_scaled_strided(2.0, &[1.0, 1.0, 1.0], 1, 0, &mut global);
         assert_eq!(global, vec![3.0, 4.0, 4.0, 1.0]);
     }
 
@@ -165,7 +156,7 @@ mod tests {
         let mut out_strided = vec![0.5; 6];
         let mut out_plain = vec![0.5; 6];
         r.extend_add_scaled_strided(1.75, &panel, b, 1, &mut out_strided);
-        r.extend_add_scaled(1.75, &contiguous, &mut out_plain);
+        r.extend_add_scaled_strided(1.75, &contiguous, 1, 0, &mut out_plain);
         assert_eq!(out_strided, out_plain);
     }
 

@@ -91,7 +91,7 @@ pub fn save_model(path: &Path, model: &DssModel) -> io::Result<()> {
 /// Load a model previously written by [`save_model`].
 ///
 /// The loader is hardened against corrupted or hostile files: header
-/// dimensions are bounded ([`MAX_DIM`] each, [`MAX_PARAMS`] implied weights)
+/// dimensions are bounded (4096 each, 2²⁶ implied weights)
 /// and `alpha` must be finite and positive **before** anything is allocated,
 /// every parameter value must parse *and* be finite (Rust's float parser
 /// happily accepts `NaN` and `inf`, which would silently poison every
@@ -196,7 +196,17 @@ mod tests {
         assert_eq!(loaded.config(), model.config());
         assert_eq!(loaded.num_params(), model.num_params());
         let graph = tiny_graph();
-        assert_eq!(model.infer(&graph), loaded.infer(&graph));
+        let infer = |m: &DssModel| {
+            let mut out = vec![0.0; graph.num_nodes()];
+            m.infer_with_input_into(
+                &graph,
+                &graph.input,
+                &mut crate::InferScratch::new(),
+                &mut out,
+            );
+            out
+        };
+        assert_eq!(infer(&model), infer(&loaded));
         std::fs::remove_file(&path).ok();
     }
 

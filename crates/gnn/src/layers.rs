@@ -89,24 +89,6 @@ impl Linear {
         dx
     }
 
-    /// The weight transposed into the `in_dim × out_dim` layout consumed by
-    /// the single-precision inference kernels (one contiguous row of output
-    /// weights per input feature), cast to f32.
-    pub fn weight_t_f32(&self) -> Vec<f32> {
-        let mut wt = vec![0.0f32; self.in_dim * self.out_dim];
-        for o in 0..self.out_dim {
-            for i in 0..self.in_dim {
-                wt[i * self.out_dim + o] = self.weight[o * self.in_dim + i] as f32;
-            }
-        }
-        wt
-    }
-
-    /// The bias cast to f32.
-    pub fn bias_f32(&self) -> Vec<f32> {
-        self.bias.iter().map(|&b| b as f32).collect()
-    }
-
     /// Append all parameters to a flat vector (weights then bias).
     pub fn append_params(&self, out: &mut Vec<f64>) {
         out.extend_from_slice(&self.weight);

@@ -6,16 +6,16 @@
 //!
 //! * [`gemm`] — register-blocked batch GEMM micro-kernels with a strict
 //!   per-element accumulation-order (bit-identity) contract: the row-major
-//!   f64 kernel behind every [`layers::Linear`], its transposed-weight twin
-//!   for the f64 inference engine, explicit 8-lane f32 kernels for the
-//!   single-precision engine, plus int8 weight kernels (per-output f32
-//!   scales, f32 accumulators) and hand-rolled bf16 encode/decode for the
-//!   quantised engine,
+//!   f64 kernel behind every [`layers::Linear`], and one fused
+//!   transposed-weight kernel for the inference engine, generic over the
+//!   sealed [`Scalar`] trait (`f64`, `f32`),
 //! * [`layers`] — linear layers and two-layer MLPs with exact reverse-mode
 //!   gradients (validated against finite differences in the test-suite),
-//! * [`plan`] — per-graph inference plans and their forward passes: an
-//!   `O(e)` structure-only f64 plan next to one shared weight pack, and the
-//!   f32 / int8 plans that store precomputed static edge terms,
+//! * [`plan`] — the inference engine: an `O(e)` structure-only per-graph
+//!   plan next to one shared weight pack, and one forward pass over them,
+//!   generic over the scalar type, compiled for the baseline target and for
+//!   AVX2; the three [`Precision`] tiers are its f64 and f32 instantiations
+//!   and an int8 weight format of the latter,
 //! * [`graph`] — the [`graph::LocalGraph`] representation of one sub-domain
 //!   problem: geometric edge features `(d_jl, ‖d_jl‖)`, normalised residual
 //!   input `c`, boundary mask and the local operator used by the loss,
@@ -48,10 +48,8 @@ pub mod trainer;
 
 pub use adam::{Adam, AdamConfig};
 pub use dataset::{extract_local_problems, DatasetConfig, TrainingSample};
+pub use gemm::Scalar;
 pub use graph::LocalGraph;
-pub use model::{BatchPools, DssConfig, DssModel};
-pub use plan::{
-    InferScratch, InferScratchF32, InferScratchQ, InferencePlan, InferencePlanF32, InferencePlanQ,
-    InferenceTimings, Precision, ScratchPool,
-};
+pub use model::{DssConfig, DssModel};
+pub use plan::{InferScratch, InferencePlan, InferenceTimings, Precision, ScratchPool};
 pub use trainer::{evaluate, train, EvalMetrics, TrainingConfig, TrainingReport};

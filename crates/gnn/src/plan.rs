@@ -1,4 +1,4 @@
-//! Per-graph inference plans and the forward passes that run on them.
+//! Per-graph inference plans and the one forward pass that runs on them.
 //!
 //! The DSS forward pass feeds every message MLP an edge-level batch of
 //! `e × (2d + 3)` rows `[h_dst | h_src | d_jl | ‖d_jl‖]`.  The first layer is
@@ -14,39 +14,47 @@
 //! layer is linear too, so the per-node *sum* of ReLU'd hidden activations is
 //! hit once by the composed matrix `W_Ψ,msg W₂` and no per-edge message is
 //! ever materialised; the message biases contribute `deg(j) · W_Ψ,msg b₂`.
-//! All engines fuse the two message directions column-wise (`[fwd | bwd]`
-//! rows `2d` wide): one node GEMM pair, one edge sweep, one `2d × d` Ψ
-//! product whose ascending-input order equals the fwd-then-bwd pair.
+//! The two message directions are fused column-wise (`[fwd | bwd]` rows `2d`
+//! wide): one node GEMM pair, one edge sweep, one `2d × d` Ψ product whose
+//! ascending-input order equals the fwd-then-bwd pair.
 //!
 //! What is left is the geometric part `W_geo g_e + b₁`, a pure function of
-//! three numbers per edge (`d_jl`, `‖d_jl‖`) and of the model.  The three
-//! precision tiers differ in what they do with it:
+//! three numbers per edge (`d_jl`, `‖d_jl‖`) and of the model.  It is
+//! **recomputed in registers on every apply**, as is the Ψ static term
+//! `b_Ψ + deg·q`, so nothing is stored or streamed per edge and block.
 //!
-//! * **f64** ([`InferencePlan`], the bit-reproducible anchor).  Setup copies
-//!   *graph structure only*: `(dx, dy, dist)` and a `u32` source index per
-//!   destination-sorted edge, the in-degree per node — `O(e)` bytes,
-//!   independent of the model's depth and width.  Apply recomputes
-//!   `W_geo g_e + b₁` and the Ψ static term `b_Ψ + deg·q` in registers from
-//!   one weight pack ([`WeightPack`]) that is built once per model and
-//!   shared by `Arc` between all plans.  Nothing is streamed per edge and
-//!   block.
-//! * **f32 / int8** ([`InferencePlanF32`], [`InferencePlanQ`]).  Setup
-//!   additionally evaluates the geometric term for every edge, block and
-//!   direction (`k̄ · e · 2d` values, f32 or bf16) and the Ψ static term per
-//!   node and block; apply streams them.  Their plans are therefore `O(k̄ e d)`
-//!   and larger than the f64 plan.
+//! There is one engine, generic over the [`Scalar`] type `T`:
+//!
+//! * An [`InferencePlan<T>`] is the setup half.  It copies *graph structure
+//!   only* — `(dx, dy, dist): [T; 3]` and a `u32` source index per
+//!   destination-sorted edge, a `u32` in-degree per node: `28 e + 4 n` bytes
+//!   in f64, `16 e + 4 n` in f32, whatever the model's depth and width.
+//! * A [`WeightPack<T>`] is the model half: every weight the forward pass
+//!   reads, direction-fused and transposed.  It is built once per model and
+//!   weight format and shared by `Arc` between all plans.
+//! * `forward` is the apply half, written once as safe code and compiled
+//!   four times: for `f64` and `f32`, each for the baseline target and with
+//!   AVX2 enabled.  A batch of `b` right-hand sides is `b` consecutive rows
+//!   per node of the same kernels; `b = 1` is the unbatched layout.
+//!
+//! The three [`Precision`] tiers are two instantiations and a weight format:
+//! `F64` is `forward::<f64>` (the bit-reproducible anchor), `F32` is
+//! `forward::<f32>` on weights rounded once from f64, `Int8` is the same f32
+//! body on a pack whose latent-state GEMM matrices (the node matrix, Ψ's
+//! `W_h` and the two composed message matrices of every block) were rounded
+//! to int8 with one scale per output and stored dequantised.
 //!
 //! A plan is tied to the exact (model, graph) pair it was built from; the
-//! edge structure is copied in destination-sorted order (see
-//! [`LocalGraph::edge_ptr`]), so message aggregation in the planned forward
-//! pass is a contiguous per-node gather.
+//! edge structure is copied in destination-sorted order (the graph's stable
+//! counting sort by destination), so message aggregation in the forward pass
+//! is a contiguous per-node gather.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use sanitizer::TrackedMutex;
 
-use crate::gemm::{self, Epilogue, Operand};
+use crate::gemm::{gemm_t, Epilogue, Operand, Scalar};
 use crate::graph::LocalGraph;
 use crate::layers::Linear;
 use crate::model::{Block, DssModel};
@@ -58,24 +66,28 @@ use crate::model::{Block, DssModel};
 /// the preconditioner slightly (the observation that lets graph neural
 /// preconditioners run inference in low precision).
 ///
-/// `F64` is the default, the correctness anchor, and since its plan stopped
-/// storing per-edge terms also the **smallest** plan (`O(e)` bytes against
-/// `O(k̄ e d)` for the other two), the cheapest to set up and — one column at
-/// a time — the fastest to apply.  `F32` trades ~1e-6 relative output error
-/// for 8-lane kernels over stored single-precision terms; it is the fastest
-/// tier per column only on the batched panel path.  `Int8` additionally
-/// quantises the weights to int8 (per-output f32 scales) and the static
-/// streams to bf16, trading ~1e-3 relative output error for half the f32
-/// plan's footprint; it buys memory over `F32`, not speed.
+/// All three tiers run the same forward body on the same `O(e)` plan layout.
+/// `F64` is the default and the correctness anchor: its results are pinned
+/// bit for bit.  `F32` runs that body in single precision — half the plan
+/// bytes, twice the SIMD lanes, ~1e-6 relative output error; it is the
+/// fastest tier, alone or batched.  `Int8` is a *weight-storage format* of
+/// the f32 engine: the latent-state GEMM weight matrices of every block are
+/// rounded to int8 with one scale per output and stored dequantised.  It runs
+/// at exactly the speed and plan size of `F32` and perturbs the output far
+/// more: its relative forward error stays within 1e-2 only on random shallow
+/// models (~1e-3 there) and is ≈ 6e-2 through the 16 trained blocks of the
+/// shipped model (about 5e-3 of a whole preconditioner application), which
+/// flexible PCG absorbs within a few iterations; it exists to answer whether
+/// the model survives int8 weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double-precision inference (bit-reproducible engine, the default).
     #[default]
     F64,
-    /// Single-precision inference with explicit 8-lane SIMD kernels.
+    /// Single-precision inference: the same engine on 8-lane vectors.
     F32,
-    /// Quantised inference: int8 weights with per-output f32 scales, bf16
-    /// static edge terms and hidden sums, f32 accumulators throughout.
+    /// Single-precision inference on int8-rounded GEMM weights (per-output
+    /// f32 scales, stored dequantised).
     Int8,
 }
 
@@ -110,31 +122,28 @@ impl std::str::FromStr for Precision {
 }
 
 /// Row-major weight splits and compositions of one message-passing block:
-/// everything the plans derive from the model alone, computed in f64.  The
-/// f64 weight pack transposes these into kernel layout; the f32 / int8 plans
-/// round them once.
-pub(crate) struct PlanBlock {
+/// everything the pack derives from the model alone, computed in f64 and
+/// rounded once on the way into a [`WeightPack`].
+struct PlanBlock {
     /// `Φ→` first-layer columns acting on `h_dst` (`d × d`, row-major).
-    pub w_dst_fwd: Vec<f64>,
+    w_dst_fwd: Vec<f64>,
     /// `Φ→` first-layer columns acting on `h_src`.
-    pub w_src_fwd: Vec<f64>,
+    w_src_fwd: Vec<f64>,
     /// `Φ←` split.
-    pub w_dst_bwd: Vec<f64>,
-    pub w_src_bwd: Vec<f64>,
+    w_dst_bwd: Vec<f64>,
+    w_src_bwd: Vec<f64>,
     /// `Ψ` first-layer columns acting on `h` (`d × d`).
-    pub psi_w_h: Vec<f64>,
+    psi_w_h: Vec<f64>,
     /// `Ψ` first-layer column acting on the node input `c` (length `d`).
-    pub psi_w_c: Vec<f64>,
+    psi_w_c: Vec<f64>,
     /// Composed matrix `W_Ψ,→ W₂→` applied to the aggregated forward hidden
     /// activations (`d × d`).
-    pub psi_m_fwd: Vec<f64>,
+    psi_m_fwd: Vec<f64>,
     /// Composed matrix `W_Ψ,← W₂←` for the backward direction.
-    pub psi_m_bwd: Vec<f64>,
-    /// `Ψ` first-layer bias `b_Ψ` (length `d`).
-    pub psi_bias: Vec<f64>,
+    psi_m_bwd: Vec<f64>,
     /// Message-bias contribution per unit of in-degree,
     /// `q = W_Ψ,→ b₂→ + W_Ψ,← b₂←` (length `d`).
-    pub psi_q: Vec<f64>,
+    psi_q: Vec<f64>,
 }
 
 /// Extract the column block `[col0, col0 + cols)` of a row-major layer weight
@@ -144,29 +153,6 @@ fn column_block(layer: &Linear, col0: usize, cols: usize) -> Vec<f64> {
     for o in 0..layer.out_dim {
         let row = &layer.weight[o * layer.in_dim..(o + 1) * layer.in_dim];
         out.extend_from_slice(&row[col0..col0 + cols]);
-    }
-    out
-}
-
-/// Precompute `W_geo g_e + b₁` for every destination-sorted edge (the f32 and
-/// int8 plans store this; the f64 engine recomputes it per apply and is
-/// pinned bit-identical to this function).  `sign` flips the relative
-/// position for the backward message direction.
-fn geo_terms(layer: &Linear, graph: &LocalGraph, d: usize, sign: f64) -> Vec<f64> {
-    let cols = layer.in_dim;
-    debug_assert_eq!(cols, 2 * d + 3);
-    let mut out = Vec::with_capacity(graph.num_edges() * d);
-    for &ei in &graph.edge_order {
-        let edge = &graph.edges[ei];
-        for o in 0..d {
-            let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
-            out.push(
-                layer.bias[o]
-                    + w[0] * (sign * edge.delta[0])
-                    + w[1] * (sign * edge.delta[1])
-                    + w[2] * edge.dist,
-            );
-        }
     }
     out
 }
@@ -212,31 +198,14 @@ impl PlanBlock {
             psi_w_c: column_block(psi, d, 1),
             psi_m_fwd: matmul_dd(&psi_w_fwd, &block.phi_fwd.l2.weight, d),
             psi_m_bwd: matmul_dd(&psi_w_bwd, &block.phi_bwd.l2.weight, d),
-            psi_bias: psi.bias.clone(),
             psi_q: q_fwd.iter().zip(&q_bwd).map(|(f, b)| f + b).collect(),
         }
-    }
-
-    /// Per-node static `Ψ` pre-activation `b_Ψ + deg(j) · q` (`n × d`), as
-    /// the f32 and int8 plans store it.
-    fn psi_static(&self, graph: &LocalGraph) -> Vec<f64> {
-        let d = self.psi_bias.len();
-        let n = graph.num_nodes();
-        let mut out = vec![0.0; n * d];
-        for j in 0..n {
-            let deg = (graph.edge_ptr[j + 1] - graph.edge_ptr[j]) as f64;
-            let row = &mut out[j * d..(j + 1) * d];
-            for k in 0..d {
-                row[k] = self.psi_bias[k] + deg * self.psi_q[k];
-            }
-        }
-        out
     }
 }
 
 /// Transpose a row-major `out × in` f64 matrix into the kernels' `in × out`
 /// layout (one contiguous row of output weights per input feature).
-fn transpose_f64(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
+fn transpose(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
     debug_assert_eq!(w.len(), out_dim * in_dim);
     let mut wt = vec![0.0f64; in_dim * out_dim];
     for o in 0..out_dim {
@@ -247,64 +216,98 @@ fn transpose_f64(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
     wt
 }
 
-/// Concatenate two row-major `d × d` f64 matrices column-wise and transpose
-/// the pair into `in × out` (`d × 2d`): row `i` holds `[a[·][i] | b[·][i]]`.
-fn cat_transpose_f64(a: &[f64], b: &[f64], d: usize) -> Vec<f64> {
-    debug_assert_eq!(a.len(), d * d);
-    debug_assert_eq!(b.len(), d * d);
-    let mut wt = vec![0.0f64; d * 2 * d];
-    for o in 0..d {
-        for i in 0..d {
-            wt[i * 2 * d + o] = a[o * d + i];
-            wt[i * 2 * d + d + o] = b[o * d + i];
+/// Concatenate row-major `d × d` f64 matrices column-wise and transpose the
+/// lot into `in × out` (`d × m·d`): row `i` holds `[a₀[·][i] | a₁[·][i] | …]`.
+fn cat_transpose(parts: &[&[f64]], d: usize) -> Vec<f64> {
+    let out_dim = parts.len() * d;
+    let mut wt = vec![0.0f64; d * out_dim];
+    for (p, a) in parts.iter().enumerate() {
+        debug_assert_eq!(a.len(), d * d);
+        for o in 0..d {
+            for i in 0..d {
+                wt[i * out_dim + p * d + o] = a[o * d + i];
+            }
         }
     }
     wt
 }
 
-/// Stack two row-major `d × d` matrices as GEMM *inputs* of the transposed
-/// layout (`2d × d`): input row `i` is the `i`-th forward hidden dimension
-/// for `i < d` and the `(i − d)`-th backward one otherwise.
-fn stack_transpose_f64(a: &[f64], b: &[f64], d: usize) -> Vec<f64> {
-    let mut wt = transpose_f64(a, d, d);
-    wt.extend(transpose_f64(b, d, d));
-    wt
+/// Per-output-column int8 quantisation of a transposed (`in × out`) f64
+/// matrix: `scale[o] = max_i |wt[i][o]| / 127` (1.0 for all-zero columns, so
+/// the quantised values stay 0), `q[i][o] = round(wt[i][o] / scale[o])`.
+///
+/// One scale per *output* equals one scale per row of the original
+/// `out × in` weight — the per-output-row scheme: each output's dot product
+/// is exact up to a single rounding per weight.
+pub(crate) fn quantise_cols_i8(wt: &[f64], in_dim: usize, out_dim: usize) -> (Vec<i8>, Vec<f32>) {
+    debug_assert_eq!(wt.len(), in_dim * out_dim);
+    let mut q = vec![0i8; wt.len()];
+    let mut scale = vec![0.0f32; out_dim];
+    for o in 0..out_dim {
+        let amax = (0..in_dim).map(|i| wt[i * out_dim + o].abs()).fold(0.0f64, f64::max);
+        let s = if amax == 0.0 { 1.0 } else { amax / 127.0 };
+        scale[o] = s as f32;
+        for i in 0..in_dim {
+            q[i * out_dim + o] = (wt[i * out_dim + o] / s).round().clamp(-127.0, 127.0) as i8;
+        }
+    }
+    (q, scale)
 }
 
-/// One block of the f64 [`WeightPack`], direction-fused and transposed.
+/// Round a slice of doubles into the engine's scalar type.
+fn cast<T: Scalar>(v: &[f64]) -> Vec<T> {
+    v.iter().map(|&x| T::from_f64(x)).collect()
+}
+
+/// A transposed GEMM weight in the pack's storage: rounded to `T`, after a
+/// round trip through [`quantise_cols_i8`] (`q · scale`, evaluated in f32)
+/// when the pack stores the int8 weight format.
+fn gemm_weight<T: Scalar>(wt: &[f64], in_dim: usize, out_dim: usize, int8: bool) -> Vec<T> {
+    if !int8 {
+        return cast(wt);
+    }
+    let (q, scale) = quantise_cols_i8(wt, in_dim, out_dim);
+    q.iter()
+        .enumerate()
+        .map(|(e, &q)| T::from_f64((q as f32 * scale[e % out_dim]) as f64))
+        .collect()
+}
+
+/// One block of a [`WeightPack`], direction-fused and transposed.
 #[derive(Debug)]
-struct PackBlock {
-    /// `[W_dst,→ | W_dst,←]` transposed: `d × 2d`.
-    w_dst_t: Vec<f64>,
-    /// `[W_src,→ | W_src,←]` transposed: `d × 2d`.
-    w_src_t: Vec<f64>,
+struct PackBlock<T> {
+    /// `[W_dst,→ | W_dst,← | W_src,→ | W_src,←]` transposed: `d × 4d` — the
+    /// h-dependent halves of both directions' first layer, for the
+    /// destination and for the source role of a node, as one GEMM.
+    w_node_t: Vec<T>,
     /// Geometry rows, `4 × 2d`: `b₁`, then the weights of `dx`, `dy` and
     /// `dist`, each `[fwd | bwd]`.  The backward halves of the `dx` / `dy`
     /// rows are stored **negated**: `Φ←` sees `−d_jl`, and `(−w)·x` has the
     /// same bits as `w·(−x)`.
-    geo: Vec<f64>,
+    geo: Vec<T>,
     /// `Ψ` first-layer bias `b_Ψ` (length `d`).
-    psi_bias: Vec<f64>,
+    psi_bias: Vec<T>,
     /// Transposed weight of the per-node input `[deg(j), c_j]`, `2 × d`: the
     /// per-degree message-bias term `q`, then `Ψ`'s `c` column.  Starting
     /// from `b_Ψ`, its two accumulation steps are `(b_Ψ + deg·q) + c·w_c` —
     /// the static term and the `W_c c` term in the order they were always
     /// added.
-    psi_node_t: Vec<f64>,
+    psi_node_t: Vec<T>,
     /// `Ψ` first-layer columns acting on `h`, transposed: `d × d`.
-    psi_w_h_t: Vec<f64>,
+    psi_w_h_t: Vec<T>,
     /// `[W_Ψ,→ W₂→ ; W_Ψ,← W₂←]` transposed: `2d × d`.
-    psi_m_t: Vec<f64>,
+    psi_m_t: Vec<T>,
     /// Ψ second layer, transposed weight + bias.
-    psi_l2_wt: Vec<f64>,
-    psi_l2_b: Vec<f64>,
+    psi_l2_wt: Vec<T>,
+    psi_l2_b: Vec<T>,
 }
 
-impl PackBlock {
-    fn new(block: &Block, d: usize) -> Self {
+impl<T: Scalar> PackBlock<T> {
+    fn new(block: &Block, d: usize, int8: bool) -> Self {
         let pb = PlanBlock::new(block, d);
         let (fwd, bwd) = (&block.phi_fwd.l1, &block.phi_bwd.l1);
         let cols = fwd.in_dim;
+        debug_assert_eq!(cols, 2 * d + 3);
         let d2 = 2 * d;
         let mut geo = vec![0.0; 4 * d2];
         for o in 0..d {
@@ -320,21 +323,30 @@ impl PackBlock {
             geo[3 * d2 + d + o] = wb[2];
         }
         PackBlock {
-            w_dst_t: cat_transpose_f64(&pb.w_dst_fwd, &pb.w_dst_bwd, d),
-            w_src_t: cat_transpose_f64(&pb.w_src_fwd, &pb.w_src_bwd, d),
-            geo,
-            psi_bias: pb.psi_bias,
-            psi_node_t: [pb.psi_q, pb.psi_w_c].concat(),
-            psi_w_h_t: transpose_f64(&pb.psi_w_h, d, d),
-            psi_m_t: stack_transpose_f64(&pb.psi_m_fwd, &pb.psi_m_bwd, d),
-            psi_l2_wt: transpose_f64(&block.psi.l2.weight, d, d),
-            psi_l2_b: block.psi.l2.bias.clone(),
+            w_node_t: gemm_weight(
+                &cat_transpose(&[&pb.w_dst_fwd, &pb.w_dst_bwd, &pb.w_src_fwd, &pb.w_src_bwd], d),
+                d,
+                2 * d2,
+                int8,
+            ),
+            geo: cast(&geo),
+            psi_bias: cast(&block.psi.l1.bias),
+            psi_node_t: cast(&[pb.psi_q, pb.psi_w_c].concat()),
+            psi_w_h_t: gemm_weight(&transpose(&pb.psi_w_h, d, d), d, d, int8),
+            // Each direction's composed matrix is a weight matrix of its own
+            // (with its own per-output scales in the int8 format); stacked,
+            // they are the `2d` GEMM inputs: forward hidden sums first.
+            psi_m_t: [&pb.psi_m_fwd, &pb.psi_m_bwd]
+                .iter()
+                .flat_map(|m| gemm_weight::<T>(&transpose(m, d, d), d, d, int8))
+                .collect(),
+            psi_l2_wt: cast(&transpose(&block.psi.l2.weight, d, d)),
+            psi_l2_b: cast(&block.psi.l2.bias),
         }
     }
 
     fn len(&self) -> usize {
-        self.w_dst_t.len()
-            + self.w_src_t.len()
+        self.w_node_t.len()
             + self.geo.len()
             + self.psi_bias.len()
             + self.psi_node_t.len()
@@ -344,7 +356,7 @@ impl PackBlock {
             + self.psi_l2_b.len()
     }
 
-    fn geo_rows(&self) -> GeoRows<'_> {
+    fn geo_rows(&self) -> GeoRows<'_, T> {
         let d2 = self.geo.len() / 4;
         let (bias, rest) = self.geo.split_at(d2);
         let (w_dx, rest) = rest.split_at(d2);
@@ -355,59 +367,74 @@ impl PackBlock {
 
 /// The four `2d`-wide rows of [`PackBlock::geo`].
 #[derive(Clone, Copy)]
-struct GeoRows<'a> {
-    bias: &'a [f64],
-    w_dx: &'a [f64],
-    w_dy: &'a [f64],
-    w_dist: &'a [f64],
+struct GeoRows<'a, T> {
+    bias: &'a [T],
+    w_dx: &'a [T],
+    w_dy: &'a [T],
+    w_dist: &'a [T],
 }
 
-impl GeoRows<'_> {
-    /// Lane `k` of `W_geo g_e + b₁`, evaluated in exactly the expression
-    /// order of [`geo_terms`] — `((b + w₀·dx) + w₁·dy) + w₂·dist` — so the
-    /// recomputed term has the bits the stored one had.
+impl<T: Scalar> GeoRows<'_, T> {
+    /// Lane `k` of `W_geo g_e + b₁`, evaluated as
+    /// `((b + w₀·dx) + w₁·dy) + w₂·dist` — in f64 the expression order, and
+    /// hence the bits, of the per-edge terms the first plans stored.
     #[inline(always)]
-    fn term(&self, k: usize, [dx, dy, dist]: [f64; 3]) -> f64 {
+    fn term(&self, k: usize, [dx, dy, dist]: [T; 3]) -> T {
         self.bias[k] + self.w_dx[k] * dx + self.w_dy[k] * dy + self.w_dist[k] * dist
+    }
+
+    /// The same rows cut to `w` lanes, so loops over them carry no bounds
+    /// checks.
+    #[inline(always)]
+    fn cut(&self, w: usize) -> Self {
+        GeoRows {
+            bias: &self.bias[..w],
+            w_dx: &self.w_dx[..w],
+            w_dy: &self.w_dy[..w],
+            w_dist: &self.w_dist[..w],
+        }
     }
 }
 
-/// Final-block decoder of the f64 [`WeightPack`].
+/// Final-block decoder of a [`WeightPack`].
 #[derive(Debug)]
-struct PackDecoder {
-    l1_wt: Vec<f64>,
-    l1_b: Vec<f64>,
+struct PackDecoder<T> {
+    l1_wt: Vec<T>,
+    l1_b: Vec<T>,
     /// Second-layer weight (`out_dim = 1`: its row is its own transpose).
-    l2_w: Vec<f64>,
-    l2_b: Vec<f64>,
+    l2_w: Vec<T>,
+    l2_b: Vec<T>,
 }
 
-/// The model half of the f64 engine: every weight the forward pass reads, in
-/// kernel layout (direction-fused, transposed to `in × out`).  A few KB per
-/// block; built once per model ([`DssModel::weight_pack`]) and shared by
-/// `Arc` between all plans built from it, so a preconditioner holds one
-/// copy, not one per sub-domain.
+/// The model half of the engine: every weight the forward pass reads, in
+/// kernel layout (direction-fused, transposed to `in × out`) and in the
+/// engine's scalar type.  A few KB per block; built once per model and weight
+/// format and shared by `Arc` between all plans built from it, so a
+/// preconditioner holds one copy, not one per sub-domain.  Opaque: plans
+/// obtain theirs from the model.
 #[derive(Debug)]
-pub(crate) struct WeightPack {
+pub struct WeightPack<T> {
     latent_dim: usize,
-    alpha: f64,
-    blocks: Vec<PackBlock>,
-    decoder: Option<PackDecoder>,
+    alpha: T,
+    blocks: Vec<PackBlock<T>>,
+    decoder: Option<PackDecoder<T>>,
 }
 
-impl WeightPack {
-    pub(crate) fn new(model: &DssModel) -> Self {
+impl<T: Scalar> WeightPack<T> {
+    /// Pack `model`'s weights, rounding the latent-state GEMM matrices of
+    /// every block through int8 first when `int8` is set.
+    pub(crate) fn new(model: &DssModel, int8: bool) -> Self {
         let config = model.config();
         let d = config.latent_dim;
         WeightPack {
             latent_dim: d,
-            alpha: config.alpha,
-            blocks: model.blocks().iter().map(|b| PackBlock::new(b, d)).collect(),
+            alpha: T::from_f64(config.alpha),
+            blocks: model.blocks().iter().map(|b| PackBlock::new(b, d, int8)).collect(),
             decoder: model.blocks().last().map(|b| PackDecoder {
-                l1_wt: transpose_f64(&b.decoder.l1.weight, d, d),
-                l1_b: b.decoder.l1.bias.clone(),
-                l2_w: b.decoder.l2.weight.clone(),
-                l2_b: b.decoder.l2.bias.clone(),
+                l1_wt: cast(&transpose(&b.decoder.l1.weight, d, d)),
+                l1_b: cast(&b.decoder.l1.bias),
+                l2_w: cast(&b.decoder.l2.weight),
+                l2_b: cast(&b.decoder.l2.bias),
             }),
         }
     }
@@ -417,67 +444,77 @@ impl WeightPack {
             .decoder
             .as_ref()
             .map_or(0, |dec| dec.l1_wt.len() + dec.l1_b.len() + dec.l2_w.len() + dec.l2_b.len());
-        std::mem::size_of::<f64>()
-            * (self.blocks.iter().map(PackBlock::len).sum::<usize>() + decoder)
+        std::mem::size_of::<T>() * (self.blocks.iter().map(PackBlock::len).sum::<usize>() + decoder)
     }
 }
 
-/// Reusable buffers for the f64 inference path
-/// ([`DssModel::infer_with_plan_into`] and friends).
+/// Reusable buffers of the forward pass ([`DssModel::infer_with_plan`] and
+/// friends).
 ///
 /// Create once (cheap, everything starts empty), pass to every inference
-/// call; buffers are sized lazily to the largest graph seen and reused
-/// afterwards.  Holding one scratch per sub-domain keeps the preconditioner's
-/// hot path allocation-free without any sharing between threads; batched
-/// inference recycles them through a [`ScratchPool`].  The direction-fused
-/// buffers (`a_dst`, `a_src`, `hsum`) are `n × 2d`.
+/// call; buffers are sized lazily to the largest `nodes × batch width` seen
+/// and reused afterwards.  Holding one scratch per sub-domain keeps the
+/// preconditioner's hot path allocation-free without any sharing between
+/// threads; batched inference recycles them through a [`ScratchPool`].
+/// Every buffer has `n · b` rows; the direction-fused `hsum` is `2d` wide.
 #[derive(Debug, Default)]
-pub struct InferScratch {
-    /// Per-node Ψ input `[deg(j), c_j]` (`n × 2`).
-    node_in: Vec<f64>,
-    /// Latent state `H` (`n × d`).
-    h: Vec<f64>,
-    /// Node-level destination terms `H [W_dst,→ | W_dst,←]ᵀ`.
-    a_dst: Vec<f64>,
-    /// Node-level source terms `H [W_src,→ | W_src,←]ᵀ`.
-    a_src: Vec<f64>,
+pub struct InferScratch<T = f64> {
+    /// Per-row Ψ input `[deg(j), c_j]` (2 wide).
+    node_in: Vec<T>,
+    /// Latent state `H` (`d` wide).
+    h: Vec<T>,
+    /// Node-level terms `H [W_dst,→ | W_dst,← | W_src,→ | W_src,←]ᵀ` (`4d`
+    /// wide): what a row contributes to its own edges as their destination,
+    /// then what it contributes to its neighbours' as their source.
+    a_node: Vec<T>,
     /// Per-node sums of ReLU'd message hidden activations, `[fwd | bwd]`.
-    hsum: Vec<f64>,
-    /// Ψ hidden activation (`n × d`).
-    psi_hidden: Vec<f64>,
-    /// Decoder hidden-activation buffer (`n × d`).
-    hidden: Vec<f64>,
+    hsum: Vec<T>,
+    /// Ψ hidden activation (`d` wide).
+    psi_hidden: Vec<T>,
+    /// Decoder hidden activation (`d` wide).
+    hidden: Vec<T>,
+    /// Decoded output before it is widened into the caller's `f64` slice.
+    decoded: Vec<T>,
+    /// The geometric terms of one node's edges (`max in-degree × 2d`),
+    /// shared by the rows of that node in a batched apply.
+    geo_buf: Vec<T>,
 }
 
-impl InferScratch {
+impl<T: Default> InferScratch<T> {
     /// Empty scratch; buffers are allocated on first use.
     pub fn new() -> Self {
         InferScratch::default()
     }
 }
 
-/// A per-graph f64 inference plan: the setup half of the setup/apply split.
+/// A per-graph inference plan: the setup half of the setup/apply split.
 ///
 /// Build once per sub-domain graph (e.g. at preconditioner construction) via
-/// [`DssModel::build_plan`], then run [`DssModel::infer_with_plan_into`] any
-/// number of times with changing node inputs.  The plan owns only graph
-/// structure — three doubles and a `u32` per edge, a `u32` per node — and
-/// shares the model's [`WeightPack`]; it snapshots that pack, so it must be
-/// rebuilt if the model is retrained.
-pub struct InferencePlan {
+/// [`DssModel::build_plan`] (f64) or [`DssModel::build_plan_f32`], then run
+/// [`DssModel::infer_with_plan`] any number of times with changing node
+/// inputs.  The plan owns only graph structure — three scalars and a `u32`
+/// per edge, a `u32` per node — and shares the model's [`WeightPack`]; it
+/// snapshots that pack, so it must be rebuilt if the model is retrained.
+pub struct InferencePlan<T = f64> {
     /// `(dx, dy, dist)` of every destination-sorted edge.
-    edge_geo: Vec<[f64; 3]>,
+    edge_geo: Vec<[T; 3]>,
     /// Source node of every destination-sorted edge.
     edge_src: Vec<u32>,
     /// In-degree of every node: node `j`'s edges follow those of `j − 1` in
     /// the sorted edge list.
     in_degree: Vec<u32>,
-    weights: Arc<WeightPack>,
+    weights: Arc<WeightPack<T>>,
 }
 
-impl InferencePlan {
-    /// Build a plan for `model` on `graph`.
+impl<T: Scalar> InferencePlan<T> {
+    /// Build a plan for `model` on `graph` with the model's weights rounded
+    /// once into `T`.
     pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
+        Self::with_weights(graph, model.weight_pack(false))
+    }
+
+    /// Build a plan for `graph` that reads `weights`.
+    pub(crate) fn with_weights(graph: &LocalGraph, weights: Arc<WeightPack<T>>) -> Self {
         let n = graph.num_nodes();
         let e = graph.num_edges();
         assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
@@ -487,14 +524,14 @@ impl InferencePlan {
             .iter()
             .map(|&ei| {
                 let edge = &graph.edges[ei];
-                [edge.delta[0], edge.delta[1], edge.dist]
+                [edge.delta[0], edge.delta[1], edge.dist].map(T::from_f64)
             })
             .collect();
         InferencePlan {
             edge_geo,
             edge_src: graph.sorted_edge_sources(),
             in_degree: graph.in_degrees(),
-            weights: model.weight_pack(),
+            weights,
         }
     }
 
@@ -518,31 +555,33 @@ impl InferencePlan {
         self.weights.blocks.len()
     }
 
-    /// Heap footprint in bytes of what this plan owns: `28 e + 4 n`, whatever
-    /// the model's depth and width.  The shared weights are counted
-    /// separately, see [`InferencePlan::shared_weight_bytes`].
+    /// Heap footprint in bytes of what this plan owns: `28 e + 4 n` in f64,
+    /// `16 e + 4 n` in f32, whatever the model's depth and width.  The shared
+    /// weights are counted separately, see
+    /// [`InferencePlan::shared_weight_bytes`].
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<[f64; 3]>() * self.edge_geo.len()
+        std::mem::size_of::<[T; 3]>() * self.edge_geo.len()
             + std::mem::size_of::<u32>() * (self.edge_src.len() + self.in_degree.len())
     }
 
     /// Heap footprint in bytes of the weight pack this plan shares with every
-    /// other plan built from the same model (count it once per model, not
-    /// once per plan).
+    /// other plan built from the same model and weight format (count it once
+    /// per model, not once per plan).
     pub fn shared_weight_bytes(&self) -> usize {
         self.weights.memory_bytes()
     }
 
-    /// Run the f64 engine on an `n × b` column-interleaved panel of inputs
-    /// (`b = 1`: a plain vector).  The forward body is compiled twice — inlined
-    /// here for the baseline target, and into [`forward_avx2`] — and the copy
-    /// the CPU supports is chosen per call; neither copy contracts or
-    /// reassociates, so both produce the same bits.
-    pub(crate) fn infer_core(
+    /// Run the engine on `b` right-hand sides: `input` and `out` are
+    /// `n × b` row-major (`input[j*b + c]` is column `c`'s value at node `j`;
+    /// `b = 1`: plain vectors).  The forward body is compiled twice per
+    /// scalar type — inlined here for the baseline target, and into
+    /// [`forward_avx2`] — and the copy the CPU supports is chosen per call;
+    /// neither copy contracts or reassociates, so both produce the same bits.
+    pub(crate) fn infer(
         &self,
         input: &[f64],
         b: usize,
-        scratch: &mut InferScratch,
+        scratch: &mut InferScratch<T>,
         out: &mut [f64],
         timings: Option<&mut InferenceTimings>,
     ) {
@@ -562,113 +601,123 @@ impl InferencePlan {
 /// stay a separate multiply and add per term).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn forward_avx2(
-    plan: &InferencePlan,
+fn forward_avx2<T: Scalar>(
+    plan: &InferencePlan<T>,
     input: &[f64],
     b: usize,
-    scratch: &mut InferScratch,
+    scratch: &mut InferScratch<T>,
     out: &mut [f64],
     timings: Option<&mut InferenceTimings>,
 ) {
     forward(plan, input, b, scratch, out, timings);
 }
 
-/// `Y = epilogue(bias + Σₛ Xₛ Wₛᵀ)` on column-interleaved panels of width
-/// `b`.  `b = 1` *is* the unbatched row-major layout and takes the
-/// lane-tiled kernel.
+/// `acc[k] += max(g[k] + adj[k] + asj[k], 0)` over one fused `[fwd | bwd]`
+/// row.  All slices are cut to `acc.len()`, so the loop carries no bounds
+/// checks.
 #[inline(always)]
-fn panel_gemm<const S: usize>(
-    ops: [Operand<'_>; S],
-    n: usize,
-    out_dim: usize,
-    b: usize,
-    bias: &[f64],
-    epilogue: Epilogue,
-    y: &mut [f64],
-) {
-    if b == 1 {
-        gemm::gemm_t_f64(ops, n, out_dim, bias, epilogue, y);
-    } else {
-        gemm::gemm_t_f64_b(ops, n, out_dim, b, bias, epilogue, y);
-    }
-}
-
-/// `acc[k] += max(geo_k + adj[k] + asj[k], 0)` over one fused `[fwd | bwd]`
-/// row, the geometric term recomputed in registers.  All slices are cut to
-/// `acc.len()`, so a caller with a fixed-size accumulator gets a fully
-/// unrolled, bounds-check-free body.
-#[inline(always)]
-fn edge_row(acc: &mut [f64], geo: GeoRows<'_>, g: [f64; 3], adj: &[f64], asj: &[f64]) {
+fn relu_sum3_acc<T: Scalar>(acc: &mut [T], g: &[T], adj: &[T], asj: &[T]) {
     let w = acc.len();
-    let geo = GeoRows {
-        bias: &geo.bias[..w],
-        w_dx: &geo.w_dx[..w],
-        w_dy: &geo.w_dy[..w],
-        w_dist: &geo.w_dist[..w],
-    };
-    let (adj, asj) = (&adj[..w], &asj[..w]);
+    let (g, adj, asj) = (&g[..w], &adj[..w], &asj[..w]);
     for k in 0..w {
-        acc[k] += (geo.term(k, g) + adj[k] + asj[k]).max(0.0);
+        acc[k] += (g[k] + adj[k] + asj[k]).relu();
     }
 }
 
-/// Fused edge sweep at a compile-time row width: each node's accumulator row
-/// stays in registers across its edges and is stored once.
+/// Fused edge sweep at a compile-time row width over `b` rows per node: each
+/// accumulator row stays in registers across its node's edges and is stored
+/// once.  With `b = 1` the geometric term is recomputed in registers as well;
+/// with `b > 1` it is evaluated once per edge into `geo_buf` (one row per edge
+/// of the node) and reused for the node's `b` rows, which see exactly the
+/// values and operations of their own `b = 1` sweep.
 #[inline(always)]
-fn edge_sweep_fixed<const D2: usize>(
-    plan: &InferencePlan,
-    geo: GeoRows<'_>,
-    a_dst: &[f64],
-    a_src: &[f64],
-    hsum: &mut [f64],
+fn edge_sweep_fixed<T: Scalar, const D2: usize>(
+    plan: &InferencePlan<T>,
+    geo: GeoRows<'_, T>,
+    b: usize,
+    a_node: &[T],
+    hsum: &mut [T],
+    geo_buf: &mut [T],
 ) {
+    let geo = geo.cut(D2);
+    // A row of `a_node` is `[as destination | as source]`, `D2` each.
+    let as_dst = |row: usize| &a_node[row * 2 * D2..][..D2];
+    let as_src = |row: usize| &a_node[row * 2 * D2 + D2..][..D2];
     let mut slot = 0;
-    for (j, &deg) in plan.in_degree.iter().enumerate() {
-        let adj = &a_dst[j * D2..][..D2];
-        let mut acc = [0.0f64; D2];
-        for s in slot..slot + deg as usize {
-            let src = plan.edge_src[s] as usize;
-            edge_row(&mut acc, geo, plan.edge_geo[s], adj, &a_src[src * D2..][..D2]);
+    if b == 1 {
+        for (j, &deg) in plan.in_degree.iter().enumerate() {
+            let adj = as_dst(j);
+            let mut acc = [T::ZERO; D2];
+            for s in slot..slot + deg as usize {
+                let (g, asj) = (plan.edge_geo[s], as_src(plan.edge_src[s] as usize));
+                for k in 0..D2 {
+                    acc[k] += (geo.term(k, g) + adj[k] + asj[k]).relu();
+                }
+            }
+            slot += deg as usize;
+            hsum[j * D2..][..D2].copy_from_slice(&acc);
         }
-        slot += deg as usize;
-        hsum[j * D2..][..D2].copy_from_slice(&acc);
+        return;
+    }
+    for (j, &deg) in plan.in_degree.iter().enumerate() {
+        let edges = slot..slot + deg as usize;
+        slot = edges.end;
+        for (g, &xyz) in geo_buf.chunks_exact_mut(D2).zip(&plan.edge_geo[edges.clone()]) {
+            // Through a local row: a store into `geo_buf` could alias the
+            // weight rows for all the optimiser knows, which keeps the lanes
+            // from being evaluated as vectors.
+            let mut row = [T::ZERO; D2];
+            for k in 0..D2 {
+                row[k] = geo.term(k, xyz);
+            }
+            g.copy_from_slice(&row);
+        }
+        for c in 0..b {
+            let adj = as_dst(j * b + c);
+            let mut acc = [T::ZERO; D2];
+            for (g, &src) in geo_buf.chunks_exact(D2).zip(&plan.edge_src[edges.clone()]) {
+                let asj = as_src(src as usize * b + c);
+                for k in 0..D2 {
+                    acc[k] += (g[k] + adj[k] + asj[k]).relu();
+                }
+            }
+            hsum[(j * b + c) * D2..][..D2].copy_from_slice(&acc);
+        }
     }
 }
 
-/// Fused edge sweep at a run-time row width `d2` and panel width `b`, the
-/// accumulator row living in `hsum`.  With `b > 1` the geometric term is
-/// computed once per edge and lane and broadcast over the `b` columns.
+/// Fused edge sweep at a run-time row width `d2` over `b` rows per node, the
+/// accumulator rows living in `hsum`.  The geometric term is evaluated once
+/// per edge into the first row of `geo_buf` and reused for the node's `b`
+/// rows; per row the operations are those of [`edge_sweep_fixed`].
 #[inline(always)]
-fn edge_sweep_dyn(
-    plan: &InferencePlan,
-    geo: GeoRows<'_>,
+fn edge_sweep_dyn<T: Scalar>(
+    plan: &InferencePlan<T>,
+    geo: GeoRows<'_, T>,
     d2: usize,
     b: usize,
-    a_dst: &[f64],
-    a_src: &[f64],
-    hsum: &mut [f64],
+    a_node: &[T],
+    hsum: &mut [T],
+    geo_buf: &mut [T],
 ) {
-    let row = d2 * b;
+    let geo = geo.cut(d2);
+    let geo_row = &mut geo_buf[..d2];
     let mut slot = 0;
     for (j, &deg) in plan.in_degree.iter().enumerate() {
-        let adj = &a_dst[j * row..][..row];
-        let acc = &mut hsum[j * row..][..row];
-        acc.fill(0.0);
+        hsum[j * b * d2..][..b * d2].fill(T::ZERO);
         for s in slot..slot + deg as usize {
             let src = plan.edge_src[s] as usize;
-            let asj = &a_src[src * row..][..row];
-            let g = plan.edge_geo[s];
-            if b == 1 {
-                edge_row(acc, geo, g, adj, asj);
-                continue;
+            for (k, g) in geo_row.iter_mut().enumerate() {
+                *g = geo.term(k, plan.edge_geo[s]);
             }
-            for k in 0..d2 {
-                let gk = geo.term(k, g);
-                let (ak, adjk, asjk) =
-                    (&mut acc[k * b..][..b], &adj[k * b..][..b], &asj[k * b..][..b]);
-                for c in 0..b {
-                    ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
-                }
+            for c in 0..b {
+                let (row, src_row) = (j * b + c, src * b + c);
+                relu_sum3_acc(
+                    &mut hsum[row * d2..][..d2],
+                    geo_row,
+                    &a_node[row * 2 * d2..],
+                    &a_node[src_row * 2 * d2 + d2..],
+                );
             }
         }
         slot += deg as usize;
@@ -676,48 +725,57 @@ fn edge_sweep_dyn(
 }
 
 /// Row width (`2d`) of the shipped model, for which the edge sweep keeps its
-/// accumulator in registers.
+/// accumulator rows in registers.
 const FIXED_D2: usize = 20;
 
-/// The f64 forward pass on one graph, written once as safe code and inlined
-/// into [`InferencePlan::infer_core`] (baseline) and [`forward_avx2`].  Every output element is
-/// produced by the same sequence of IEEE operations as the engine this
-/// replaced (per-direction row-major GEMMs, stored geometric and Ψ static
-/// terms), hence the same bits.
+/// The forward pass on one graph and `b` right-hand sides, written once as
+/// safe code and inlined into [`InferencePlan::infer`] (baseline) and
+/// [`forward_avx2`], for `f64` and `f32`.
+///
+/// The `b` columns of the batch are `b` consecutive **rows per node**: row
+/// `j·b + c` of every buffer belongs to node `j`, column `c`, which is the
+/// layout `input` and `out` already have.  Every GEMM is the one lane-tiled
+/// kernel over `n · b` rows and rows never mix, so each column has exactly
+/// the bits of its own `b = 1` run.  In f64 every output element is produced
+/// by the same sequence of IEEE operations as the engines this replaced
+/// (per-direction row-major GEMMs, stored geometric and Ψ static terms),
+/// hence the same bits.
 ///
 /// All intermediates live in `scratch` (sized on first use, reused across
 /// calls), so the steady state performs zero heap allocation.  Only the
 /// final block's decoder runs — earlier decodes are training-time artefacts
 /// that do not influence the latent state.
 #[inline(always)]
-fn forward(
-    plan: &InferencePlan,
+fn forward<T: Scalar>(
+    plan: &InferencePlan<T>,
     input: &[f64],
     b: usize,
-    scratch: &mut InferScratch,
+    scratch: &mut InferScratch<T>,
     out: &mut [f64],
     mut timings: Option<&mut InferenceTimings>,
 ) {
     let w = &*plan.weights;
     let d = w.latent_dim;
     let d2 = 2 * d;
-    let n = plan.num_nodes();
-    assert_eq!(input.len(), n * b, "input length mismatch");
-    assert_eq!(out.len(), n * b, "output length mismatch");
+    let rows = plan.num_nodes() * b;
+    assert_eq!(input.len(), rows, "input length mismatch");
+    assert_eq!(out.len(), rows, "output length mismatch");
 
-    let InferScratch { node_in, h, a_dst, a_src, hsum, psi_hidden, hidden } = scratch;
+    let InferScratch { node_in, h, a_node, hsum, psi_hidden, hidden, decoded, geo_buf } = scratch;
     node_in.clear();
     for (&deg, cin) in plan.in_degree.iter().zip(input.chunks_exact(b.max(1))) {
-        node_in.extend(std::iter::repeat_n(deg as f64, b));
-        node_in.extend_from_slice(cin);
+        let deg = T::from_f64(deg as f64);
+        node_in.extend(cin.iter().flat_map(|&c| [deg, T::from_f64(c)]));
     }
     h.clear();
-    h.resize(n * d * b, 0.0);
-    a_dst.resize(n * d2 * b, 0.0);
-    a_src.resize(n * d2 * b, 0.0);
-    hsum.resize(n * d2 * b, 0.0);
-    psi_hidden.resize(n * d * b, 0.0);
-    hidden.resize(n * d * b, 0.0);
+    h.resize(rows * d, T::ZERO);
+    a_node.resize(rows * 2 * d2, T::ZERO);
+    hsum.resize(rows * d2, T::ZERO);
+    psi_hidden.resize(rows * d, T::ZERO);
+    hidden.resize(rows * d, T::ZERO);
+    decoded.resize(rows, T::ZERO);
+    let max_degree = plan.in_degree.iter().copied().max().unwrap_or(0) as usize;
+    geo_buf.resize(max_degree.max(1) * d2, T::ZERO);
 
     let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
     macro_rules! tick {
@@ -731,20 +789,21 @@ fn forward(
     }
 
     for pb in &w.blocks {
-        // Node-level GEMMs, both message directions at once (`n × 2d`): the
-        // h-dependent halves of the split first layer.
-        let on_h = |wt| [Operand { x: h, in_dim: d, wt }];
-        panel_gemm(on_h(&pb.w_dst_t), n, d2, b, &[], Epilogue::Store, a_dst);
-        panel_gemm(on_h(&pb.w_src_t), n, d2, b, &[], Epilogue::Store, a_src);
+        // Node-level GEMM: the h-dependent halves of the split first layer,
+        // both message directions and both roles of a node at once (`4d`
+        // wide).
+        let on_h = [Operand { x: &h[..], in_dim: d, wt: &pb.w_node_t[..] }];
+        gemm_t(on_h, rows, 2 * d2, &[], Epilogue::Store, a_node);
         tick!(node_gemm_ns);
         // Fused edge sweep: per-edge hidden pre-activation = recomputed
         // geometric term + gathered node terms, ReLU'd and summed straight
         // into the per-node accumulator.  The second message layer is applied
         // once per *node* inside the Ψ stage (composed into `psi_m_t`).
-        if b == 1 && d2 == FIXED_D2 {
-            edge_sweep_fixed::<FIXED_D2>(plan, pb.geo_rows(), a_dst, a_src, hsum);
+        let geo = pb.geo_rows();
+        if d2 == FIXED_D2 {
+            edge_sweep_fixed::<T, FIXED_D2>(plan, geo, b, a_node, hsum, geo_buf);
         } else {
-            edge_sweep_dyn(plan, pb.geo_rows(), d2, b, a_dst, a_src, hsum);
+            edge_sweep_dyn(plan, geo, d2, b, a_node, hsum, geo_buf);
         }
         tick!(edge_gather_ns);
         // Ψ update.  The hidden pre-activation starts from `b_Ψ`, takes the
@@ -753,21 +812,24 @@ fn forward(
         // second message layer, forward inputs before backward) — one pass,
         // ReLU on the way out; the second layer steps `H` in place.
         let psi_in = [
-            Operand { x: node_in, in_dim: 2, wt: &pb.psi_node_t },
-            Operand { x: h, in_dim: d, wt: &pb.psi_w_h_t },
-            Operand { x: hsum, in_dim: d2, wt: &pb.psi_m_t },
+            Operand { x: &node_in[..], in_dim: 2, wt: &pb.psi_node_t[..] },
+            Operand { x: &h[..], in_dim: d, wt: &pb.psi_w_h_t[..] },
+            Operand { x: &hsum[..], in_dim: d2, wt: &pb.psi_m_t[..] },
         ];
-        panel_gemm(psi_in, n, d, b, &pb.psi_bias, Epilogue::Relu, psi_hidden);
-        let psi_out = [Operand { x: psi_hidden, in_dim: d, wt: &pb.psi_l2_wt }];
-        panel_gemm(psi_out, n, d, b, &pb.psi_l2_b, Epilogue::AddScaled(w.alpha), h);
+        gemm_t(psi_in, rows, d, &pb.psi_bias, Epilogue::Relu, psi_hidden);
+        let psi_out = [Operand { x: &psi_hidden[..], in_dim: d, wt: &pb.psi_l2_wt[..] }];
+        gemm_t(psi_out, rows, d, &pb.psi_l2_b, Epilogue::AddScaled(w.alpha), h);
         tick!(psi_update_ns);
     }
     match &w.decoder {
         Some(dec) => {
-            let l1 = [Operand { x: h, in_dim: d, wt: &dec.l1_wt }];
-            panel_gemm(l1, n, d, b, &dec.l1_b, Epilogue::Relu, hidden);
-            let l2 = [Operand { x: hidden, in_dim: d, wt: &dec.l2_w }];
-            panel_gemm(l2, n, 1, b, &dec.l2_b, Epilogue::Store, out);
+            let l1 = [Operand { x: &h[..], in_dim: d, wt: &dec.l1_wt[..] }];
+            gemm_t(l1, rows, d, &dec.l1_b, Epilogue::Relu, hidden);
+            let l2 = [Operand { x: &hidden[..], in_dim: d, wt: &dec.l2_w[..] }];
+            gemm_t(l2, rows, 1, &dec.l2_b, Epilogue::Store, decoded);
+            for (o, v) in out.iter_mut().zip(decoded.iter()) {
+                *o = v.to_f64();
+            }
         }
         None => out.fill(0.0),
     }
@@ -778,1169 +840,21 @@ fn forward(
     }
 }
 
-/// Cast a slice of doubles to single precision.
-fn cast_f32(v: &[f64]) -> Vec<f32> {
-    v.iter().map(|&x| x as f32).collect()
-}
-
-/// Transpose a row-major `out_dim × in_dim` matrix into the f32 kernels'
-/// `in_dim × out_dim` layout (one contiguous row of output weights per input
-/// feature), casting to single precision.
-fn transpose_cast_f32(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f32> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    let mut wt = vec![0.0f32; in_dim * out_dim];
-    for o in 0..out_dim {
-        for i in 0..in_dim {
-            wt[i * out_dim + o] = w[o * in_dim + i] as f32;
-        }
-    }
-    wt
-}
-
-/// Single-precision counterpart of [`PlanBlock`].
-///
-/// All matrices consumed by the f32 GEMM kernels are stored transposed
-/// (`in × out`); everything is derived from the f64 [`PlanBlock`] — the
-/// splits and compositions are computed in double precision and rounded
-/// once, so the f32 plan carries no extra composition error.  Unlike the
-/// f64 plan, the f32 plan also snapshots Ψ's second layer: the f32 forward
-/// pass never reads the model at all.
-///
-/// On top of the f64 plan's splits, the f32 layout **fuses the two message
-/// directions**: the `Φ→`/`Φ←` weight splits, static edge terms and per-node
-/// hidden sums are concatenated column-wise (`[fwd | bwd]`, row width `2d`).
-/// One node GEMM then produces both directions' terms, one edge sweep
-/// aggregates both (halving the per-edge index overhead and running the
-/// SIMD lanes over `2d` contiguous floats), and the two composed Ψ message
-/// GEMMs collapse into a single `2d × d` product whose ascending-input
-/// accumulation order equals the sequential fwd-then-bwd pair.
-struct PlanBlockF32 {
-    /// `[W_dst,→ | W_dst,←]` transposed: `d × 2d`.
-    w_dst_cat_t: Vec<f32>,
-    /// `[W_src,→ | W_src,←]` transposed: `d × 2d`.
-    w_src_cat_t: Vec<f32>,
-    /// `[geo→ | geo←]` per destination-sorted edge: `e × 2d`.
-    geo_cat: Vec<f32>,
-    /// `Ψ` first-layer columns acting on `h`, transposed: `d × d`.
-    psi_w_h_t: Vec<f32>,
-    /// `Ψ` first-layer column acting on the node input `c` (length `d`).
-    psi_w_c: Vec<f32>,
-    /// `[W_Ψ,→ W₂→ ; W_Ψ,← W₂←]` transposed: `2d × d`.
-    psi_m_cat_t: Vec<f32>,
-    /// Per-node static `Ψ` pre-activation (`n × d`).
-    psi_static: Vec<f32>,
-    /// Ψ second layer, transposed weight + bias.
-    psi_l2_wt: Vec<f32>,
-    psi_l2_b: Vec<f32>,
-}
-
-/// Concatenate two row-major `d × d` matrices column-wise and transpose the
-/// pair into the f32 kernels' `in × out` layout: row `i` holds
-/// `[a[·][i] | b[·][i]]`, `2d` outputs wide.
-fn cat_transpose_cast_f32(a: &[f64], b: &[f64], d: usize) -> Vec<f32> {
-    debug_assert_eq!(a.len(), d * d);
-    debug_assert_eq!(b.len(), d * d);
-    let mut wt = vec![0.0f32; d * 2 * d];
-    for o in 0..d {
-        for i in 0..d {
-            wt[i * 2 * d + o] = a[o * d + i] as f32;
-            wt[i * 2 * d + d + o] = b[o * d + i] as f32;
-        }
-    }
-    wt
-}
-
-impl PlanBlockF32 {
-    fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
-        let pb = PlanBlock::new(block, d);
-        let geo_fwd = geo_terms(&block.phi_fwd.l1, graph, d, 1.0);
-        let geo_bwd = geo_terms(&block.phi_bwd.l1, graph, d, -1.0);
-        let e = graph.num_edges();
-        let mut geo_cat = vec![0.0f32; e * 2 * d];
-        for slot in 0..e {
-            for k in 0..d {
-                geo_cat[slot * 2 * d + k] = geo_fwd[slot * d + k] as f32;
-                geo_cat[slot * 2 * d + d + k] = geo_bwd[slot * d + k] as f32;
-            }
-        }
-        // The composed message matrices stack as GEMM *inputs*: input row i
-        // of the transposed layout is the i-th forward hidden dimension for
-        // i < d and the (i-d)-th backward one otherwise.
-        let mut psi_m_cat_t = vec![0.0f32; 2 * d * d];
-        for i in 0..d {
-            for o in 0..d {
-                psi_m_cat_t[i * d + o] = pb.psi_m_fwd[o * d + i] as f32;
-                psi_m_cat_t[(d + i) * d + o] = pb.psi_m_bwd[o * d + i] as f32;
-            }
-        }
-        PlanBlockF32 {
-            w_dst_cat_t: cat_transpose_cast_f32(&pb.w_dst_fwd, &pb.w_dst_bwd, d),
-            w_src_cat_t: cat_transpose_cast_f32(&pb.w_src_fwd, &pb.w_src_bwd, d),
-            geo_cat,
-            psi_w_h_t: transpose_cast_f32(&pb.psi_w_h, d, d),
-            psi_w_c: cast_f32(&pb.psi_w_c),
-            psi_m_cat_t,
-            psi_static: cast_f32(&pb.psi_static(graph)),
-            psi_l2_wt: block.psi.l2.weight_t_f32(),
-            psi_l2_b: block.psi.l2.bias_f32(),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<f32>()
-            * (self.w_dst_cat_t.len()
-                + self.w_src_cat_t.len()
-                + self.geo_cat.len()
-                + self.psi_w_h_t.len()
-                + self.psi_w_c.len()
-                + self.psi_m_cat_t.len()
-                + self.psi_static.len()
-                + self.psi_l2_wt.len()
-                + self.psi_l2_b.len())
-    }
-}
-
-/// Final-block decoder in single precision.
-struct DecoderF32 {
-    l1_wt: Vec<f32>,
-    l1_b: Vec<f32>,
-    /// Second-layer weight row (`out_dim = 1`).
-    l2_w: Vec<f32>,
-    l2_b: f32,
-}
-
-/// Reusable buffers for the f32 inference path ([`InferencePlanF32`]).
-///
-/// Mirrors [`InferScratch`]: create once, pass to every call; buffers are
-/// sized lazily and reused.  Contents are fully overwritten per inference.
-/// The direction-fused buffers (`a_dst`, `a_src`, `hsum`) are `n × 2d`.
-#[derive(Debug, Default)]
-pub struct InferScratchF32 {
-    input: Vec<f32>,
-    h: Vec<f32>,
-    a_dst: Vec<f32>,
-    a_src: Vec<f32>,
-    hsum: Vec<f32>,
-    psi_hidden: Vec<f32>,
-    update: Vec<f32>,
-    hidden: Vec<f32>,
-}
-
-impl InferScratchF32 {
-    /// Empty scratch; buffers are allocated on first use.
-    pub fn new() -> Self {
-        InferScratchF32::default()
-    }
-}
-
-/// `acc[k] += max(g[k] + adj[k] + asj[k], 0)` — the fused edge sweep body.
-/// Equal-length slices let LLVM fold the four bounds checks and vectorise
-/// the whole row.
-#[inline(always)]
-fn relu_sum3_acc_f32(acc: &mut [f32], g: &[f32], adj: &[f32], asj: &[f32]) {
-    let d = acc.len();
-    let (g, adj, asj) = (&g[..d], &adj[..d], &asj[..d]);
-    for k in 0..d {
-        acc[k] += (g[k] + adj[k] + asj[k]).max(0.0);
-    }
-}
-
-/// Batched fused edge-sweep body: `acc`, `adj` and `asj` are `2d × b`
-/// column-interleaved panels, `g` the shared `2d` static row — loaded once
-/// per edge and broadcast over the `b` right-hand sides.  Per column the
-/// operation sequence equals [`relu_sum3_acc_f32`] exactly.
-#[inline(always)]
-fn relu_sum3_acc_f32_b(acc: &mut [f32], g: &[f32], adj: &[f32], asj: &[f32], b: usize) {
-    let db = acc.len();
-    let (adj, asj) = (&adj[..db], &asj[..db]);
-    for (k, &gk) in g.iter().enumerate() {
-        let ak = &mut acc[k * b..(k + 1) * b];
-        let adjk = &adj[k * b..(k + 1) * b];
-        let asjk = &asj[k * b..(k + 1) * b];
-        for c in 0..b {
-            ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
-        }
-    }
-}
-
-/// A per-graph single-precision inference plan: the f32 sibling of
-/// [`InferencePlan`].
-///
-/// Built once per sub-domain graph via [`DssModel::build_plan_f32`]; the
-/// forward pass ([`InferencePlanF32::infer_into`]) runs entirely in f32 —
-/// the caller's residual is converted on entry and the decoded output is
-/// widened back to f64 on exit, so the surrounding solver stays in double
-/// precision.  The plan snapshots *all* weights it needs (including Ψ's
-/// second layer and the final decoder), making the apply independent of the
-/// model object.
-pub struct InferencePlanF32 {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_edges: usize,
-    pub(crate) latent_dim: usize,
-    pub(crate) num_blocks: usize,
-    alpha: f32,
-    /// Source node of every destination-sorted edge (u32: sub-domain graphs
-    /// are far below 2³² nodes, and the narrower index halves gather
-    /// traffic).
-    edge_src: Vec<u32>,
-    /// Destination offsets into the sorted edge list (`n + 1` entries).
-    edge_ptr: Vec<usize>,
-    blocks: Vec<PlanBlockF32>,
-    decoder: Option<DecoderF32>,
-}
-
-impl InferencePlanF32 {
-    /// Build an f32 plan for `model` on `graph`.
-    pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
-        let config = model.config();
-        let d = config.latent_dim;
-        let n = graph.num_nodes();
-        let e = graph.num_edges();
-        assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
-        assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src = graph.sorted_edge_sources();
-        let blocks: Vec<PlanBlockF32> =
-            model.blocks().iter().map(|b| PlanBlockF32::new(b, graph, d)).collect();
-        let decoder = model.blocks().last().map(|b| DecoderF32 {
-            l1_wt: b.decoder.l1.weight_t_f32(),
-            l1_b: b.decoder.l1.bias_f32(),
-            l2_w: cast_f32(&b.decoder.l2.weight),
-            l2_b: b.decoder.l2.bias[0] as f32,
-        });
-        InferencePlanF32 {
-            num_nodes: n,
-            num_edges: e,
-            latent_dim: d,
-            num_blocks: config.num_blocks,
-            alpha: config.alpha as f32,
-            edge_src,
-            edge_ptr: graph.edge_ptr.clone(),
-            blocks,
-            decoder,
-        }
-    }
-
-    /// Number of nodes of the graph this plan was built for.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of directed edges of the graph this plan was built for.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Heap footprint of the precomputed data in bytes (about half the f64
-    /// plan's: the dominant static edge terms are stored single-precision).
-    pub fn memory_bytes(&self) -> usize {
-        self.blocks.iter().map(PlanBlockF32::memory_bytes).sum::<usize>()
-            + self.decoder.as_ref().map_or(0, |dec| {
-                std::mem::size_of::<f32>() * (dec.l1_wt.len() + dec.l1_b.len() + dec.l2_w.len() + 1)
-            })
-            + std::mem::size_of::<u32>() * self.edge_src.len()
-            + std::mem::size_of::<usize>() * self.edge_ptr.len()
-    }
-
-    /// Run the single-precision engine: `input` (the normalised residual) is
-    /// converted to f32 on entry, the decoded output is widened back into
-    /// `out`.  All intermediates live in `scratch`; the steady state
-    /// allocates nothing.
-    pub fn infer_into(&self, input: &[f64], scratch: &mut InferScratchF32, out: &mut [f64]) {
-        self.infer_core(input, scratch, out, None);
-    }
-
-    /// [`InferencePlanF32::infer_into`] with a per-stage wall-clock breakdown
-    /// accumulated into `timings`.
-    pub fn infer_timed(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core(input, scratch, out, Some(timings));
-    }
-
-    fn infer_core(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
-        assert_eq!(input.len(), n, "input length mismatch");
-        assert_eq!(out.len(), n, "output length mismatch");
-
-        let InferScratchF32 { input: input32, h, a_dst, a_src, hsum, psi_hidden, update, hidden } =
-            scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
-        h.clear();
-        h.resize(n * d, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2, 0.0);
-        a_src.resize(n * d2, 0.0);
-        hsum.resize(n * d2, 0.0);
-        psi_hidden.resize(n * d, 0.0);
-        update.resize(n * d, 0.0);
-        hidden.resize(n * d, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        for pb in &self.blocks {
-            // Node-level GEMMs, both message directions at once (`n × 2d`).
-            gemm::gemm_t_into_f32(h, n, d, d2, &pb.w_dst_cat_t, a_dst);
-            gemm::gemm_t_into_f32(h, n, d, d2, &pb.w_src_cat_t, a_src);
-            tick!(node_gemm_ns);
-            // Fused edge sweep over both directions: one pass, `2d`-wide rows.
-            for j in 0..n {
-                let adj = &a_dst[j * d2..(j + 1) * d2];
-                let acc = &mut hsum[j * d2..(j + 1) * d2];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_f32(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2..(src + 1) * d2],
-                    );
-                }
-            }
-            tick!(edge_gather_ns);
-            for j in 0..n {
-                let c = input32[j];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d..(j + 1) * d];
-                for k in 0..d {
-                    row[k] = stat[k] + pb.psi_w_c[k] * c;
-                }
-            }
-            gemm::gemm_t_acc_into_f32(h, n, d, d, &pb.psi_w_h_t, psi_hidden);
-            gemm::gemm_t_acc_into_f32(hsum, n, d2, d, &pb.psi_m_cat_t, psi_hidden);
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            gemm::gemm_t_bias_into_f32(psi_hidden, n, d, d, &pb.psi_l2_wt, &pb.psi_l2_b, update);
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
-            }
-            tick!(psi_update_ns);
-        }
-        match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32(h, n, d, d, &dec.l1_wt, &dec.l1_b, hidden);
-                for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                for j in 0..n {
-                    let row = &hidden[j * d..(j + 1) * d];
-                    let mut acc = dec.l2_b;
-                    for k in 0..d {
-                        acc += dec.l2_w[k] * row[k];
-                    }
-                    out[j] = acc as f64;
-                }
-            }
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
-    }
-
-    /// Batched forward pass over `b` right-hand sides: `input` and `out` are
-    /// column-interleaved `n × b` panels (`input[j*b + c]` is column `c`'s
-    /// value at node `j`).  One sweep over the plan's static streams serves
-    /// all `b` columns; column `c` of the output matches
-    /// [`InferencePlanF32::infer_into`] run on that column alone.
-    pub fn infer_into_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-    ) {
-        self.infer_core_b(input, b, scratch, out, None);
-    }
-
-    /// [`InferencePlanF32::infer_into_b`] with a per-stage wall-clock
-    /// breakdown accumulated into `timings`.
-    pub fn infer_timed_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core_b(input, b, scratch, out, Some(timings));
-    }
-
-    fn infer_core_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchF32,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
-        assert_eq!(input.len(), n * b, "input panel length mismatch");
-        assert_eq!(out.len(), n * b, "output panel length mismatch");
-
-        let InferScratchF32 { input: input32, h, a_dst, a_src, hsum, psi_hidden, update, hidden } =
-            scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
-        h.clear();
-        h.resize(n * d * b, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2 * b, 0.0);
-        a_src.resize(n * d2 * b, 0.0);
-        hsum.resize(n * d2 * b, 0.0);
-        psi_hidden.resize(n * d * b, 0.0);
-        update.resize(n * d * b, 0.0);
-        hidden.resize(n * d * b, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        let d2b = d2 * b;
-        for pb in &self.blocks {
-            // Node-level GEMMs, both message directions at once, all b
-            // columns per weight load.
-            gemm::gemm_t_into_f32_b(h, n, d, d2, b, &pb.w_dst_cat_t, a_dst);
-            gemm::gemm_t_into_f32_b(h, n, d, d2, b, &pb.w_src_cat_t, a_src);
-            tick!(node_gemm_ns);
-            // Fused edge sweep: the static geo row is read once per edge and
-            // broadcast across the b columns.
-            for j in 0..n {
-                let adj = &a_dst[j * d2b..(j + 1) * d2b];
-                let acc = &mut hsum[j * d2b..(j + 1) * d2b];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_f32_b(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2b..(src + 1) * d2b],
-                        b,
-                    );
-                }
-            }
-            tick!(edge_gather_ns);
-            for j in 0..n {
-                let cin = &input32[j * b..(j + 1) * b];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d * b..(j + 1) * d * b];
-                for k in 0..d {
-                    let s = stat[k];
-                    let wc = pb.psi_w_c[k];
-                    let rk = &mut row[k * b..(k + 1) * b];
-                    for c in 0..b {
-                        rk[c] = s + wc * cin[c];
-                    }
-                }
-            }
-            gemm::gemm_t_acc_into_f32_b(h, n, d, d, b, &pb.psi_w_h_t, psi_hidden);
-            gemm::gemm_t_acc_into_f32_b(hsum, n, d2, d, b, &pb.psi_m_cat_t, psi_hidden);
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            gemm::gemm_t_bias_into_f32_b(
-                psi_hidden,
-                n,
-                d,
-                d,
-                b,
-                &pb.psi_l2_wt,
-                &pb.psi_l2_b,
-                update,
-            );
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
-            }
-            tick!(psi_update_ns);
-        }
-        match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32_b(h, n, d, d, b, &dec.l1_wt, &dec.l1_b, hidden);
-                for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                for j in 0..n {
-                    let row = &hidden[j * d * b..(j + 1) * d * b];
-                    for c in 0..b {
-                        let mut acc = dec.l2_b;
-                        for k in 0..d {
-                            acc += dec.l2_w[k] * row[k * b + c];
-                        }
-                        out[j * b + c] = acc as f64;
-                    }
-                }
-            }
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
-    }
-}
-
-/// Per-output-column int8 quantisation of a transposed (`in × out`) f64
-/// matrix: `scale[o] = max_i |wt[i][o]| / 127` (1.0 for all-zero columns, so
-/// the quantised values stay 0), `q[i][o] = round(wt[i][o] / scale[o])`.
-///
-/// One scale per *output* equals one scale per row of the original
-/// `out × in` weight — the per-output-row scheme: each output's dot product
-/// is exact up to a single rounding per weight, and dequantisation is one
-/// multiply per output after the shared-axis sweep.
-fn quantise_cols_i8(wt: &[f64], in_dim: usize, out_dim: usize) -> (Vec<i8>, Vec<f32>) {
-    debug_assert_eq!(wt.len(), in_dim * out_dim);
-    let mut q = vec![0i8; wt.len()];
-    let mut scale = vec![0.0f32; out_dim];
-    for o in 0..out_dim {
-        let amax = (0..in_dim).map(|i| wt[i * out_dim + o].abs()).fold(0.0f64, f64::max);
-        let s = if amax == 0.0 { 1.0 } else { amax / 127.0 };
-        scale[o] = s as f32;
-        for i in 0..in_dim {
-            q[i * out_dim + o] = (wt[i * out_dim + o] / s).round().clamp(-127.0, 127.0) as i8;
-        }
-    }
-    (q, scale)
-}
-
-/// Quantised counterpart of [`PlanBlockF32`]: same direction-fused layout,
-/// with the weight matrices stored as int8 + per-output f32 scales and the
-/// two dominant memory streams — the `[fwd | bwd]` static geo/bias edge
-/// terms (`e × 2d`) and the per-node static Ψ pre-activation (`n × d`) —
-/// stored as bf16.  The tiny Ψ `W_c` column, Ψ's second layer and the
-/// decoder stay f32: they are negligible in both memory and error budget.
-/// All splits/compositions are computed in f64 (via [`PlanBlock`]) and
-/// quantised exactly once.
-struct PlanBlockQ {
-    /// `[W_dst,→ | W_dst,←]` transposed, int8: `d × 2d` + `2d` scales.
-    w_dst_cat_q: Vec<i8>,
-    w_dst_cat_scale: Vec<f32>,
-    /// `[W_src,→ | W_src,←]` transposed, int8.
-    w_src_cat_q: Vec<i8>,
-    w_src_cat_scale: Vec<f32>,
-    /// `[geo→ | geo←]` per destination-sorted edge, bf16: `e × 2d`.
-    geo_cat: Vec<u16>,
-    /// `Ψ` first-layer columns acting on `h`, transposed int8: `d × d`.
-    psi_w_h_q: Vec<i8>,
-    psi_w_h_scale: Vec<f32>,
-    /// `Ψ` first-layer column acting on the node input `c` (length `d`, f32).
-    psi_w_c: Vec<f32>,
-    /// `[W_Ψ,→ W₂→ ; W_Ψ,← W₂←]` transposed int8: `2d × d`.
-    psi_m_cat_q: Vec<i8>,
-    psi_m_cat_scale: Vec<f32>,
-    /// Per-node static `Ψ` pre-activation, bf16 (`n × d`).
-    psi_static: Vec<u16>,
-    /// Ψ second layer, transposed weight + bias (f32).
-    psi_l2_wt: Vec<f32>,
-    psi_l2_b: Vec<f32>,
-}
-
-impl PlanBlockQ {
-    fn new(block: &Block, graph: &LocalGraph, d: usize) -> Self {
-        let pb = PlanBlock::new(block, d);
-        let geo_fwd = geo_terms(&block.phi_fwd.l1, graph, d, 1.0);
-        let geo_bwd = geo_terms(&block.phi_bwd.l1, graph, d, -1.0);
-        let e = graph.num_edges();
-        // bf16 static edge terms, direction-fused exactly like the f32 plan.
-        let mut geo_cat = vec![0u16; e * 2 * d];
-        for slot in 0..e {
-            for k in 0..d {
-                geo_cat[slot * 2 * d + k] = gemm::f32_to_bf16(geo_fwd[slot * d + k] as f32);
-                geo_cat[slot * 2 * d + d + k] = gemm::f32_to_bf16(geo_bwd[slot * d + k] as f32);
-            }
-        }
-        let psi_static: Vec<u16> =
-            pb.psi_static(graph).iter().map(|&v| gemm::f32_to_bf16(v as f32)).collect();
-        // Composed message matrices stacked as GEMM inputs (fwd rows then bwd
-        // rows of the transposed layout), then quantised per output column.
-        let psi_m_cat_t = stack_transpose_f64(&pb.psi_m_fwd, &pb.psi_m_bwd, d);
-        let (w_dst_cat_q, w_dst_cat_scale) =
-            quantise_cols_i8(&cat_transpose_f64(&pb.w_dst_fwd, &pb.w_dst_bwd, d), d, 2 * d);
-        let (w_src_cat_q, w_src_cat_scale) =
-            quantise_cols_i8(&cat_transpose_f64(&pb.w_src_fwd, &pb.w_src_bwd, d), d, 2 * d);
-        let (psi_w_h_q, psi_w_h_scale) = quantise_cols_i8(&transpose_f64(&pb.psi_w_h, d, d), d, d);
-        let (psi_m_cat_q, psi_m_cat_scale) = quantise_cols_i8(&psi_m_cat_t, 2 * d, d);
-        PlanBlockQ {
-            w_dst_cat_q,
-            w_dst_cat_scale,
-            w_src_cat_q,
-            w_src_cat_scale,
-            geo_cat,
-            psi_w_h_q,
-            psi_w_h_scale,
-            psi_w_c: cast_f32(&pb.psi_w_c),
-            psi_m_cat_q,
-            psi_m_cat_scale,
-            psi_static,
-            psi_l2_wt: block.psi.l2.weight_t_f32(),
-            psi_l2_b: block.psi.l2.bias_f32(),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.w_dst_cat_q.len()
-            + self.w_src_cat_q.len()
-            + self.psi_w_h_q.len()
-            + self.psi_m_cat_q.len()
-            + std::mem::size_of::<u16>() * (self.geo_cat.len() + self.psi_static.len())
-            + std::mem::size_of::<f32>()
-                * (self.w_dst_cat_scale.len()
-                    + self.w_src_cat_scale.len()
-                    + self.psi_w_h_scale.len()
-                    + self.psi_m_cat_scale.len()
-                    + self.psi_w_c.len()
-                    + self.psi_l2_wt.len()
-                    + self.psi_l2_b.len())
-    }
-}
-
-/// Reusable buffers for the quantised inference path ([`InferencePlanQ`]).
-///
-/// Mirrors [`InferScratchF32`], with two differences: the per-node hidden
-/// sums are *stored* bf16 (`n × 2d` `u16`s — halving the read traffic of the
-/// Ψ message GEMM) and a single `2d`-wide f32 row (`acc`) accumulates each
-/// node's edge sweep before it is rounded to bf16 once.
-#[derive(Debug, Default)]
-pub struct InferScratchQ {
-    input: Vec<f32>,
-    h: Vec<f32>,
-    a_dst: Vec<f32>,
-    a_src: Vec<f32>,
-    /// Per-node hidden sums, bf16-packed (`n × 2d`).
-    hsum: Vec<u16>,
-    /// f32 accumulator row for one node's edge sweep (`2d`).
-    acc: Vec<f32>,
-    /// Widened-weight panel of the int8 GEMM kernels (`≤ 2d × 2d`).
-    wbuf: Vec<f32>,
-    psi_hidden: Vec<f32>,
-    update: Vec<f32>,
-    hidden: Vec<f32>,
-}
-
-impl InferScratchQ {
-    /// Empty scratch; buffers are allocated on first use.
-    pub fn new() -> Self {
-        InferScratchQ::default()
-    }
-}
-
-/// `acc[k] += max(decode(g[k]) + adj[k] + asj[k], 0)` — the fused edge-sweep
-/// body with bf16 static terms decoded on the fly (a 16-bit shift per lane).
-#[inline(always)]
-fn relu_sum3_acc_bf16_geo(acc: &mut [f32], g: &[u16], adj: &[f32], asj: &[f32]) {
-    let d = acc.len();
-    let (g, adj, asj) = (&g[..d], &adj[..d], &asj[..d]);
-    for k in 0..d {
-        acc[k] += (gemm::bf16_to_f32(g[k]) + adj[k] + asj[k]).max(0.0);
-    }
-}
-
-/// Batched bf16 edge-sweep body: the static term is **decoded once per edge**
-/// and broadcast across the `b` columns (the unbatched path decodes it once
-/// per (edge, rhs)).  Per column the operation sequence equals
-/// [`relu_sum3_acc_bf16_geo`] exactly.
-#[inline(always)]
-fn relu_sum3_acc_bf16_geo_b(acc: &mut [f32], g: &[u16], adj: &[f32], asj: &[f32], b: usize) {
-    let db = acc.len();
-    let (adj, asj) = (&adj[..db], &asj[..db]);
-    for (k, &gq) in g.iter().enumerate() {
-        let gk = gemm::bf16_to_f32(gq);
-        let ak = &mut acc[k * b..(k + 1) * b];
-        let adjk = &adj[k * b..(k + 1) * b];
-        let asjk = &asj[k * b..(k + 1) * b];
-        for c in 0..b {
-            ak[c] += (gk + adjk[c] + asjk[c]).max(0.0);
-        }
-    }
-}
-
-/// A per-graph **quantised** inference plan: int8 weights (per-output f32
-/// scales), bf16 static streams, f32 accumulators — the third member of the
-/// [`InferencePlan`] / [`InferencePlanF32`] family.
-///
-/// Built once per sub-domain graph via [`DssModel::build_plan_q`]; the
-/// forward pass ([`InferencePlanQ::infer_into`]) keeps all *state* (latent
-/// `H`, node GEMM outputs, Ψ pre-activations) in f32 and dequantises weights
-/// inside the GEMM kernels, so accuracy degrades only by the weight rounding
-/// (≤ 2⁻⁸ relative per weight) and the bf16 rounding of the static streams
-/// (≤ 2⁻⁹ relative each) — in practice ~1e-3 relative on the decoded output,
-/// far below what the flexible outer Krylov method notices.  The residual is
-/// converted on entry and the decoded output widened back to f64 on exit,
-/// exactly like the f32 engine.
-///
-/// The plan's memory footprint is roughly **half the f32 plan's** (the
-/// dominant `e × 2d` static edge stream and the `n × d` static Ψ term are
-/// 2-byte, the weights 1-byte), which is what the bandwidth-bound edge sweep
-/// actually pays for.
-pub struct InferencePlanQ {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_edges: usize,
-    pub(crate) latent_dim: usize,
-    pub(crate) num_blocks: usize,
-    alpha: f32,
-    /// Source node of every destination-sorted edge (u32, like the f32 plan).
-    edge_src: Vec<u32>,
-    /// Destination offsets into the sorted edge list (`n + 1` entries).
-    edge_ptr: Vec<usize>,
-    blocks: Vec<PlanBlockQ>,
-    decoder: Option<DecoderF32>,
-}
-
-impl InferencePlanQ {
-    /// Build a quantised plan for `model` on `graph`.
-    pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
-        let config = model.config();
-        let d = config.latent_dim;
-        let n = graph.num_nodes();
-        let e = graph.num_edges();
-        assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
-        assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
-        let edge_src = graph.sorted_edge_sources();
-        let blocks: Vec<PlanBlockQ> =
-            model.blocks().iter().map(|b| PlanBlockQ::new(b, graph, d)).collect();
-        let decoder = model.blocks().last().map(|b| DecoderF32 {
-            l1_wt: b.decoder.l1.weight_t_f32(),
-            l1_b: b.decoder.l1.bias_f32(),
-            l2_w: cast_f32(&b.decoder.l2.weight),
-            l2_b: b.decoder.l2.bias[0] as f32,
-        });
-        InferencePlanQ {
-            num_nodes: n,
-            num_edges: e,
-            latent_dim: d,
-            num_blocks: config.num_blocks,
-            alpha: config.alpha as f32,
-            edge_src,
-            edge_ptr: graph.edge_ptr.clone(),
-            blocks,
-            decoder,
-        }
-    }
-
-    /// Number of nodes of the graph this plan was built for.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of directed edges of the graph this plan was built for.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Heap footprint of the precomputed data in bytes (about half the f32
-    /// plan's: the dominant static streams are 2-byte, the weights 1-byte).
-    pub fn memory_bytes(&self) -> usize {
-        self.blocks.iter().map(PlanBlockQ::memory_bytes).sum::<usize>()
-            + self.decoder.as_ref().map_or(0, |dec| {
-                std::mem::size_of::<f32>() * (dec.l1_wt.len() + dec.l1_b.len() + dec.l2_w.len() + 1)
-            })
-            + std::mem::size_of::<u32>() * self.edge_src.len()
-            + std::mem::size_of::<usize>() * self.edge_ptr.len()
-    }
-
-    /// Run the quantised engine: `input` (the normalised residual) is
-    /// converted to f32 on entry, the decoded output is widened back into
-    /// `out`.  All intermediates live in `scratch`; the steady state
-    /// allocates nothing.
-    pub fn infer_into(&self, input: &[f64], scratch: &mut InferScratchQ, out: &mut [f64]) {
-        self.infer_core(input, scratch, out, None);
-    }
-
-    /// [`InferencePlanQ::infer_into`] with a per-stage wall-clock breakdown
-    /// accumulated into `timings`.
-    pub fn infer_timed(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core(input, scratch, out, Some(timings));
-    }
-
-    fn infer_core(
-        &self,
-        input: &[f64],
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
-        assert_eq!(input.len(), n, "input length mismatch");
-        assert_eq!(out.len(), n, "output length mismatch");
-
-        let InferScratchQ {
-            input: input32,
-            h,
-            a_dst,
-            a_src,
-            hsum,
-            acc,
-            wbuf,
-            psi_hidden,
-            update,
-            hidden,
-        } = scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
-        h.clear();
-        h.resize(n * d, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2, 0.0);
-        a_src.resize(n * d2, 0.0);
-        hsum.resize(n * d2, 0);
-        acc.resize(d2, 0.0);
-        psi_hidden.resize(n * d, 0.0);
-        update.resize(n * d, 0.0);
-        hidden.resize(n * d, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        for pb in &self.blocks {
-            // Node-level int8 GEMMs, both message directions at once
-            // (`n × 2d`): the weights dequantise inside the kernel, the
-            // outputs land in f32.
-            gemm::gemm_t_into_i8(h, n, d, d2, &pb.w_dst_cat_q, &pb.w_dst_cat_scale, wbuf, a_dst);
-            gemm::gemm_t_into_i8(h, n, d, d2, &pb.w_src_cat_q, &pb.w_src_cat_scale, wbuf, a_src);
-            tick!(node_gemm_ns);
-            // Fused edge sweep: bf16 static terms decoded on the fly, f32
-            // accumulation into one row, rounded to bf16 once per node.
-            for j in 0..n {
-                let adj = &a_dst[j * d2..(j + 1) * d2];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_bf16_geo(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2..(src + 1) * d2],
-                    );
-                }
-                gemm::store_bf16(acc, &mut hsum[j * d2..(j + 1) * d2]);
-            }
-            tick!(edge_gather_ns);
-            for j in 0..n {
-                let c = input32[j];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d..(j + 1) * d];
-                gemm::gather_bf16(stat, row);
-                for k in 0..d {
-                    row[k] += pb.psi_w_c[k] * c;
-                }
-            }
-            gemm::gemm_t_acc_into_i8(
-                h,
-                n,
-                d,
-                d,
-                &pb.psi_w_h_q,
-                &pb.psi_w_h_scale,
-                wbuf,
-                psi_hidden,
-            );
-            gemm::gemm_t_acc_into_i8_bf16(
-                hsum,
-                n,
-                d2,
-                d,
-                &pb.psi_m_cat_q,
-                &pb.psi_m_cat_scale,
-                wbuf,
-                psi_hidden,
-            );
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            gemm::gemm_t_bias_into_f32(psi_hidden, n, d, d, &pb.psi_l2_wt, &pb.psi_l2_b, update);
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
-            }
-            tick!(psi_update_ns);
-        }
-        match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32(h, n, d, d, &dec.l1_wt, &dec.l1_b, hidden);
-                for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                for j in 0..n {
-                    let row = &hidden[j * d..(j + 1) * d];
-                    let mut acc = dec.l2_b;
-                    for k in 0..d {
-                        acc += dec.l2_w[k] * row[k];
-                    }
-                    out[j] = acc as f64;
-                }
-            }
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
-    }
-
-    /// Batched quantised forward pass over `b` right-hand sides: `input` and
-    /// `out` are column-interleaved `n × b` panels.  The bf16 static streams
-    /// (geo edge terms and the Ψ static rows) are decoded once per element
-    /// and broadcast across all `b` columns; column `c` of the output matches
-    /// [`InferencePlanQ::infer_into`] run on that column alone.
-    pub fn infer_into_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-    ) {
-        self.infer_core_b(input, b, scratch, out, None);
-    }
-
-    /// [`InferencePlanQ::infer_into_b`] with a per-stage wall-clock breakdown
-    /// accumulated into `timings`.
-    pub fn infer_timed_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        timings: &mut InferenceTimings,
-    ) {
-        self.infer_core_b(input, b, scratch, out, Some(timings));
-    }
-
-    fn infer_core_b(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratchQ,
-        out: &mut [f64],
-        mut timings: Option<&mut InferenceTimings>,
-    ) {
-        let d = self.latent_dim;
-        let n = self.num_nodes;
-        assert_eq!(input.len(), n * b, "input panel length mismatch");
-        assert_eq!(out.len(), n * b, "output panel length mismatch");
-
-        let InferScratchQ {
-            input: input32,
-            h,
-            a_dst,
-            a_src,
-            hsum,
-            acc,
-            wbuf,
-            psi_hidden,
-            update,
-            hidden,
-        } = scratch;
-        input32.clear();
-        input32.extend(input.iter().map(|&v| v as f32));
-        h.clear();
-        h.resize(n * d * b, 0.0);
-        let d2 = 2 * d;
-        a_dst.resize(n * d2 * b, 0.0);
-        a_src.resize(n * d2 * b, 0.0);
-        hsum.resize(n * d2 * b, 0);
-        acc.resize(d2 * b, 0.0);
-        psi_hidden.resize(n * d * b, 0.0);
-        update.resize(n * d * b, 0.0);
-        hidden.resize(n * d * b, 0.0);
-
-        let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-        macro_rules! tick {
-            ($field:ident) => {
-                if let Some(t) = timings.as_deref_mut() {
-                    let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                    t.$field += now.duration_since(last).as_nanos() as u64;
-                    last = now;
-                }
-            };
-        }
-
-        let d2b = d2 * b;
-        for pb in &self.blocks {
-            gemm::gemm_t_into_i8_b(
-                h,
-                n,
-                d,
-                d2,
-                b,
-                &pb.w_dst_cat_q,
-                &pb.w_dst_cat_scale,
-                wbuf,
-                a_dst,
-            );
-            gemm::gemm_t_into_i8_b(
-                h,
-                n,
-                d,
-                d2,
-                b,
-                &pb.w_src_cat_q,
-                &pb.w_src_cat_scale,
-                wbuf,
-                a_src,
-            );
-            tick!(node_gemm_ns);
-            // Fused edge sweep: bf16 static terms decoded once per edge for
-            // all b columns, f32 accumulation into one panel row, rounded to
-            // bf16 once per node.
-            for j in 0..n {
-                let adj = &a_dst[j * d2b..(j + 1) * d2b];
-                acc.fill(0.0);
-                for slot in self.edge_ptr[j]..self.edge_ptr[j + 1] {
-                    let src = self.edge_src[slot] as usize;
-                    relu_sum3_acc_bf16_geo_b(
-                        acc,
-                        &pb.geo_cat[slot * d2..(slot + 1) * d2],
-                        adj,
-                        &a_src[src * d2b..(src + 1) * d2b],
-                        b,
-                    );
-                }
-                gemm::store_bf16(acc, &mut hsum[j * d2b..(j + 1) * d2b]);
-            }
-            tick!(edge_gather_ns);
-            for j in 0..n {
-                let cin = &input32[j * b..(j + 1) * b];
-                let stat = &pb.psi_static[j * d..(j + 1) * d];
-                let row = &mut psi_hidden[j * d * b..(j + 1) * d * b];
-                for k in 0..d {
-                    let s = gemm::bf16_to_f32(stat[k]);
-                    let wc = pb.psi_w_c[k];
-                    let rk = &mut row[k * b..(k + 1) * b];
-                    for c in 0..b {
-                        rk[c] = s + wc * cin[c];
-                    }
-                }
-            }
-            gemm::gemm_t_acc_into_i8_b(
-                h,
-                n,
-                d,
-                d,
-                b,
-                &pb.psi_w_h_q,
-                &pb.psi_w_h_scale,
-                wbuf,
-                psi_hidden,
-            );
-            gemm::gemm_t_acc_into_i8_bf16_b(
-                hsum,
-                n,
-                d2,
-                d,
-                b,
-                &pb.psi_m_cat_q,
-                &pb.psi_m_cat_scale,
-                wbuf,
-                psi_hidden,
-            );
-            for v in psi_hidden.iter_mut() {
-                *v = v.max(0.0);
-            }
-            gemm::gemm_t_bias_into_f32_b(
-                psi_hidden,
-                n,
-                d,
-                d,
-                b,
-                &pb.psi_l2_wt,
-                &pb.psi_l2_b,
-                update,
-            );
-            for (hv, uv) in h.iter_mut().zip(update.iter()) {
-                *hv += self.alpha * *uv;
-            }
-            tick!(psi_update_ns);
-        }
-        match &self.decoder {
-            Some(dec) => {
-                gemm::gemm_t_bias_into_f32_b(h, n, d, d, b, &dec.l1_wt, &dec.l1_b, hidden);
-                for v in hidden.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                for j in 0..n {
-                    let row = &hidden[j * d * b..(j + 1) * d * b];
-                    for c in 0..b {
-                        let mut acc = dec.l2_b;
-                        for k in 0..d {
-                            acc += dec.l2_w[k] * row[k * b + c];
-                        }
-                        out[j * b + c] = acc as f64;
-                    }
-                }
-            }
-            None => out.fill(0.0),
-        }
-        tick!(decoder_ns);
-        let _ = last; // the final tick's stamp is intentionally unused
-        if let Some(t) = timings {
-            t.calls += 1;
-        }
-    }
-}
-
 /// Wall-clock breakdown of planned inference, one bucket per pipeline stage.
 ///
-/// Filled by [`DssModel::infer_with_plan_timed`]; buckets accumulate across
-/// calls so one struct can aggregate a whole preconditioner application (or
-/// several).
+/// Filled by [`DssModel::infer_with_plan`] when given one; buckets accumulate
+/// across calls so one struct can aggregate a whole preconditioner
+/// application (or several).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct InferenceTimings {
     /// Node-level GEMMs `H W_dstᵀ` / `H W_srcᵀ` for both message directions.
     pub node_gemm_ns: u64,
-    /// Fused edge sweep: static term + gathered node terms, ReLU, and the
+    /// Fused edge sweep: geometric term + gathered node terms, ReLU, and the
     /// per-node aggregation of the hidden activations (the former edge GEMM
     /// plus scatter, collapsed into one contiguous pass).
     pub edge_gather_ns: u64,
-    /// Ψ update: static + c-term init, three accumulating GEMMs, ReLU,
-    /// second layer and the latent-state step.
+    /// Ψ update: one fused three-operand GEMM with ReLU, then the second
+    /// layer stepping the latent state.
     pub psi_update_ns: u64,
     /// Final-block decoder.
     pub decoder_ns: u64,
@@ -1975,15 +889,15 @@ impl InferenceTimings {
 }
 
 /// A lock-protected pool of scratch buffers for batched inference, generic
-/// over the scratch type (`InferScratch` by default; [`InferScratchF32`] and
-/// [`InferScratchQ`] pool the same way for the reduced-precision engines).
+/// over the scratch type ([`InferScratch`] in f64 by default).
 ///
 /// `acquire` pops a warmed-up scratch (or creates an empty one when the pool
-/// is dry); `release` returns it.  Buffers grow to the largest graph they
-/// ever served and are reused across batch items *and* across calls, so a
-/// long-lived pool makes repeated [`DssModel::infer_batch_with_pool`] calls
-/// allocation-free in the steady state.  The pool never influences results —
-/// scratch contents are fully overwritten by every inference.
+/// is dry); `release` returns it.  Buffers grow to the largest graph and
+/// batch width they ever served and are reused across batch items *and*
+/// across calls, so a long-lived pool makes repeated
+/// [`DssModel::infer_batch_with_pool`] calls allocation-free in the steady
+/// state.  The pool never influences results — scratch contents are fully
+/// overwritten by every inference.
 ///
 /// Two robustness properties:
 ///
@@ -1996,16 +910,6 @@ impl InferenceTimings {
 ///   into poison-panics on every later pool operation.  The guarded state
 ///   (a list of interchangeable buffers plus counters) has no invariant a
 ///   mid-panic writer could break.
-///
-/// **Size classes.**  Borrows are keyed by a *size class* — in practice the
-/// batch width `b` of a batched inference, so an `n × 8` panel scratch and a
-/// `n × 1` scratch live in separate bins.  Without the split, one batched
-/// apply would permanently inflate every pooled buffer to `b×` the unbatched
-/// size (buffers only ever grow), and alternating widths would hand b=1
-/// borrowers panel-sized allocations while batched borrowers keep drawing
-/// cold buffers.  [`ScratchPool::acquire`]/[`ScratchPool::release`] are the
-/// width-1 shorthand used by the unbatched paths; the retention cap applies
-/// per class.
 #[derive(Debug)]
 pub struct ScratchPool<T = InferScratch> {
     state: TrackedMutex<PoolState<T>>,
@@ -2014,11 +918,11 @@ pub struct ScratchPool<T = InferScratch> {
 impl<T> Default for ScratchPool<T> {
     fn default() -> Self {
         ScratchPool {
-            // Commutative: the bins hold *interchangeable* buffers, so which
+            // Commutative: the pool holds *interchangeable* buffers, so which
             // of two same-batch borrowers pops a given buffer first cannot
             // affect any solver output (contents are overwritten on use).
             state: TrackedMutex::new_commutative(
-                PoolState::default(),
+                PoolState { idle: Vec::new(), outstanding: 0, high_water: 0 },
                 "gnn::plan::ScratchPool::state",
                 "pooled buffers are interchangeable; acquire/release order never \
                  reaches solver output",
@@ -2027,37 +931,14 @@ impl<T> Default for ScratchPool<T> {
     }
 }
 
-/// Size class of the unbatched (single right-hand-side) borrows.
-const POOL_CLASS_UNBATCHED: usize = 1;
-
 #[derive(Debug)]
 struct PoolState<T> {
-    /// Idle buffers, binned by size class (few classes — linear scan).
-    bins: Vec<(usize, Vec<T>)>,
+    /// Idle buffers.
+    idle: Vec<T>,
     /// Buffers currently borrowed (acquired and not yet released).
     outstanding: usize,
-    /// Maximum `outstanding` ever observed — the per-class idle-retention cap.
+    /// Maximum `outstanding` ever observed — the idle-retention cap.
     high_water: usize,
-}
-
-impl<T> Default for PoolState<T> {
-    fn default() -> Self {
-        PoolState { bins: Vec::new(), outstanding: 0, high_water: 0 }
-    }
-}
-
-impl<T> PoolState<T> {
-    fn bin_mut(&mut self, class: usize) -> &mut Vec<T> {
-        if let Some(pos) = self.bins.iter().position(|(c, _)| *c == class) {
-            &mut self.bins[pos].1
-        } else {
-            self.bins.push((class, Vec::new()));
-            match self.bins.last_mut() {
-                Some(last) => &mut last.1,
-                None => unreachable!("bins is non-empty: an entry was just pushed"),
-            }
-        }
-    }
 }
 
 impl<T: Default> ScratchPool<T> {
@@ -2066,48 +947,29 @@ impl<T: Default> ScratchPool<T> {
         ScratchPool::default()
     }
 
-    /// Take an unbatched (size class 1) scratch out of the pool.
+    /// Take a scratch out of the pool, or create a fresh one when it is dry.
     pub fn acquire(&self) -> T {
-        self.acquire_class(POOL_CLASS_UNBATCHED)
-    }
-
-    /// Take a scratch of the given size class (batch width) out of the pool,
-    /// or create a fresh one when that class's bin is dry.  Borrows of other
-    /// classes are never handed out.
-    pub fn acquire_class(&self, class: usize) -> T {
         let mut st = self.state.lock();
         st.outstanding += 1;
         st.high_water = st.high_water.max(st.outstanding);
-        st.bin_mut(class).pop().unwrap_or_default()
+        st.idle.pop().unwrap_or_default()
     }
 
-    /// Return an unbatched scratch to the pool for reuse.
+    /// Return a scratch to the pool for reuse.  Buffers beyond the
+    /// high-water concurrent-borrow count are dropped.
     pub fn release(&self, scratch: T) {
-        self.release_class(POOL_CLASS_UNBATCHED, scratch);
-    }
-
-    /// Return a scratch to its size class's bin.  Buffers beyond the
-    /// high-water concurrent-borrow count (per class) are dropped.
-    pub fn release_class(&self, class: usize, scratch: T) {
         let mut st = self.state.lock();
         // Saturating: a panicked worker may never have reported its release,
         // and foreign buffers can legitimately be donated to the pool.
         st.outstanding = st.outstanding.saturating_sub(1);
-        let cap = st.high_water;
-        let bin = st.bin_mut(class);
-        if bin.len() < cap {
-            bin.push(scratch);
+        if st.idle.len() < st.high_water {
+            st.idle.push(scratch);
         }
     }
 
-    /// Number of idle buffers currently pooled, across all size classes.
+    /// Number of idle buffers currently pooled.
     pub fn idle(&self) -> usize {
-        self.state.lock().bins.iter().map(|(_, bin)| bin.len()).sum()
-    }
-
-    /// Number of idle buffers pooled for one size class.
-    pub fn idle_class(&self, class: usize) -> usize {
-        self.state.lock().bins.iter().find(|(c, _)| *c == class).map_or(0, |(_, bin)| bin.len())
+        self.state.lock().idle.len()
     }
 
     /// Drop every idle buffer and reset the idle-retention cap, releasing
@@ -2116,7 +978,7 @@ impl<T: Default> ScratchPool<T> {
     /// demand.
     pub fn clear(&self) {
         let mut st = self.state.lock();
-        st.bins.clear();
+        st.idle.clear();
         st.high_water = st.outstanding;
     }
 }
@@ -2149,12 +1011,35 @@ mod tests {
         LocalGraph::new(coo.to_csr(), positions, &rhs, vec![false; n])
     }
 
+    /// Reference for the recomputed geometric term: `W_geo g_e + b₁` for
+    /// every destination-sorted edge, the way the first plans precomputed and
+    /// stored it.  `sign` flips the relative position for the backward
+    /// message direction.
+    fn geo_terms(layer: &Linear, graph: &LocalGraph, d: usize, sign: f64) -> Vec<f64> {
+        let cols = layer.in_dim;
+        assert_eq!(cols, 2 * d + 3);
+        let mut out = Vec::with_capacity(graph.num_edges() * d);
+        for &ei in &graph.edge_order {
+            let edge = &graph.edges[ei];
+            for o in 0..d {
+                let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
+                out.push(
+                    layer.bias[o]
+                        + w[0] * (sign * edge.delta[0])
+                        + w[1] * (sign * edge.delta[1])
+                        + w[2] * edge.dist,
+                );
+            }
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The geometric term the f64 engine recomputes per apply has the
-        /// bits of the one `geo_terms` precomputes (and the f32 / int8 plans
-        /// still store), in both message directions — including zero,
+        /// bits of the per-edge term `geo_terms` evaluates the way the first
+        /// plans stored it, in both message directions — including zero,
         /// negative and `-0.0` deltas.
         #[test]
         fn recomputed_geometry_matches_geo_terms_bit_for_bit(
@@ -2191,7 +1076,7 @@ mod tests {
                 *p += ((i * 37 % 101) as f64 - 50.0) * 1e-3;
             }
             model.load_flat(&params);
-            let plan = InferencePlan::new(&model, &graph);
+            let plan = model.build_plan(&graph);
             for (block, pb) in model.blocks().iter().zip(&plan.weights.blocks) {
                 let stored_fwd = geo_terms(&block.phi_fwd.l1, &graph, d, 1.0);
                 let stored_bwd = geo_terms(&block.phi_bwd.l1, &graph, d, -1.0);
@@ -2212,13 +1097,11 @@ mod tests {
         }
     }
 
-    #[test]
+    /// Both compiled copies of `forward::<T>` on the pretrained `d = 10`
+    /// model (fixed-width sweeps) and a `d = 6` one (run-time width),
+    /// unbatched and batched.
     #[cfg(target_arch = "x86_64")]
-    fn avx2_and_baseline_compiled_bodies_agree_bit_for_bit() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            println!("skipped: this CPU has no AVX2, only the baseline body can run");
-            return;
-        }
+    fn compiled_bodies_agree<T: Scalar>() {
         let pretrained = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../assets/pretrained_k16_d10.dss");
         let shipped = crate::io::load_model(&pretrained).expect("checked-in pretrained model");
@@ -2230,7 +1113,7 @@ mod tests {
         let graph = graph_on(positions, &[(0, 9), (3, 30), (12, 25), (7, 19), (36, 2)]);
         let n = graph.num_nodes();
         for model in [&shipped, &other] {
-            let plan = InferencePlan::new(model, &graph);
+            let plan = InferencePlan::<T>::new(model, &graph);
             let mut scratch = InferScratch::new();
             for b in [1usize, 3] {
                 let input: Vec<f64> =
@@ -2238,7 +1121,7 @@ mod tests {
                 let mut baseline = vec![0.0; n * b];
                 let mut avx2 = vec![0.0; n * b];
                 forward(&plan, &input, b, &mut scratch, &mut baseline, None);
-                // SAFETY: AVX2 was detected at the top of this test.
+                // SAFETY: the caller detected AVX2 before calling this helper.
                 unsafe { forward_avx2(&plan, &input, b, &mut scratch, &mut avx2, None) };
                 assert!(baseline.iter().any(|&v| v != 0.0));
                 let d = model.config().latent_dim;
@@ -2247,6 +1130,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_and_baseline_compiled_bodies_agree_bit_for_bit() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skipped: this CPU has no AVX2, only the baseline body can run");
+            return;
+        }
+        compiled_bodies_agree::<f64>();
+        compiled_bodies_agree::<f32>();
     }
 
     #[test]
@@ -2264,11 +1158,26 @@ mod tests {
             "depth and width are not in the plan"
         );
         assert!(p_deep.shared_weight_bytes() > p_shallow.shared_weight_bytes());
-        // One pack per model, shared by all of its plans; retraining drops it.
+        // The f32 engine: the same structure in single precision, for either
+        // weight format.
+        let (f_shallow, f_deep) =
+            (shallow.build_plan_f32(&graph, false), deep.build_plan_f32(&graph, false));
+        let q_deep = deep.build_plan_f32(&graph, true);
+        assert_eq!(f_shallow.memory_bytes(), 16 * e + 4 * n);
+        assert_eq!(f_deep.memory_bytes(), f_shallow.memory_bytes());
+        assert_eq!(2 * f_deep.shared_weight_bytes(), p_deep.shared_weight_bytes());
+        assert_eq!(q_deep.memory_bytes(), f_deep.memory_bytes(), "int8 == f32: a weight format");
+        assert_eq!(q_deep.shared_weight_bytes(), f_deep.shared_weight_bytes());
+        assert!(!Arc::ptr_eq(&q_deep.weights, &f_deep.weights));
+        // One pack per model and weight format, shared by all of its plans;
+        // retraining drops them.
         assert!(Arc::ptr_eq(&p_deep.weights, &deep.build_plan(&graph).weights));
+        assert!(Arc::ptr_eq(&f_deep.weights, &deep.build_plan_f32(&graph, false).weights));
+        assert!(Arc::ptr_eq(&q_deep.weights, &deep.build_plan_f32(&graph, true).weights));
         let mut retrained = deep.clone();
         retrained.load_flat(&deep.flatten());
         assert!(!Arc::ptr_eq(&p_deep.weights, &retrained.build_plan(&graph).weights));
+        assert!(!Arc::ptr_eq(&q_deep.weights, &retrained.build_plan_f32(&graph, true).weights));
     }
 
     #[test]
@@ -2294,11 +1203,16 @@ mod tests {
         assert!(q.iter().skip(1).step_by(2).all(|&v| v == 0));
         assert_eq!(q[0], 127, "the column max quantises to ±127");
         assert!((scale[0] as f64 - 2.0 / 127.0).abs() < 1e-8, "scale stored in f32");
-        // Dequantised values stay within half a quantisation step.
+        // Dequantised values stay within half a quantisation step, and they
+        // are what a pack in the int8 weight format stores.
+        let stored: Vec<f32> = gemm_weight(&wt, 3, 2, true);
         for i in 0..3 {
             let deq = q[i * 2] as f64 * scale[0] as f64;
             assert!((deq - wt[i * 2]).abs() <= scale[0] as f64 * 0.5 + 1e-12);
+            assert_eq!(stored[i * 2], q[i * 2] as f32 * scale[0]);
+            assert_eq!(stored[i * 2 + 1], 0.0);
         }
+        assert_eq!(gemm_weight::<f32>(&wt, 3, 2, false), [2.0, 0.0, -1.0, 0.0, 0.5, 0.0]);
     }
 
     #[test]
@@ -2319,6 +1233,8 @@ mod tests {
         let s = pool.acquire();
         pool.release(s);
         assert_eq!(pool.idle(), 3);
+        pool.clear();
+        assert_eq!(pool.idle(), 0);
     }
 
     #[test]
@@ -2356,42 +1272,6 @@ mod tests {
         // outstanding is 0; release must not underflow and (with no borrow
         // history) must not retain the buffer.
         pool.release(InferScratch::new());
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn pool_keeps_batched_and_unbatched_borrows_in_separate_bins() {
-        // Alternating b=1 / b=8 borrows: each width must recycle its own
-        // buffer, the b=1 bin must never be handed a panel-sized buffer and
-        // the pool must not accumulate one buffer per alternation.
-        let pool: ScratchPool<Vec<f64>> = ScratchPool::new();
-        let mut big = pool.acquire_class(8);
-        assert!(big.capacity() == 0, "first batched borrow starts cold");
-        big.resize(8 * 1024, 0.0);
-        let big_ptr = big.as_ptr();
-        pool.release_class(8, big);
-
-        let mut small = pool.acquire();
-        assert_eq!(small.capacity(), 0, "a b=1 borrow must not receive the n×8 panel buffer");
-        small.resize(1024, 0.0);
-        pool.release(small);
-
-        let big = pool.acquire_class(8);
-        assert_eq!(big.as_ptr(), big_ptr, "the batched borrow recycles the batched buffer");
-        assert!(big.capacity() >= 8 * 1024);
-        pool.release_class(8, big);
-
-        for _ in 0..16 {
-            let s = pool.acquire();
-            pool.release(s);
-            let s8 = pool.acquire_class(8);
-            pool.release_class(8, s8);
-        }
-        assert_eq!(pool.idle_class(1), 1, "sequential b=1 borrows keep one idle buffer");
-        assert_eq!(pool.idle_class(8), 1, "sequential b=8 borrows keep one idle buffer");
-        assert_eq!(pool.idle(), 2, "alternating widths must not inflate the pool");
-
-        pool.clear();
         assert_eq!(pool.idle(), 0);
     }
 }

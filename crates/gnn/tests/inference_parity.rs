@@ -9,18 +9,17 @@
 //! and verify that the training path (`backward`) still matches finite
 //! differences, i.e. that the refactor left the gradients untouched.
 //!
-//! The single-precision engine (`InferencePlanF32`) is pinned against the
-//! f64 plan path at ≤ 1e-4 relative error over the same random graph
-//! distribution — the bound the DDM-GNN preconditioner's f32 mode relies on.
+//! The single-precision instantiation of the engine (`InferencePlan<f32>`)
+//! is pinned against the f64 plan path at ≤ 1e-4 relative error over the same
+//! random graph distribution — the bound the DDM-GNN preconditioner's f32
+//! mode relies on.
 //!
-//! The quantised engine (`InferencePlanQ`: int8 weights with per-output f32
-//! scales, bf16 static streams, f32 accumulators) is pinned at ≤ 1e-2
+//! Its int8 weight format (the latent-state GEMM matrices of every block
+//! rounded to int8 with per-output f32 scales, stored dequantised) is pinned at ≤ 1e-2
 //! relative error against the f64 plan path — the documented tolerance of
 //! the `Precision::Int8` preconditioner mode.
 
-use gnn::{
-    DssConfig, DssModel, InferScratch, InferScratchF32, InferScratchQ, LocalGraph, ScratchPool,
-};
+use gnn::{DssConfig, DssModel, InferScratch, InferencePlan, LocalGraph, ScratchPool};
 use meshgen::Point2;
 use proptest::prelude::*;
 use sparse::CooMatrix;
@@ -64,6 +63,42 @@ fn random_graph(n: usize, extra: &[(usize, usize)], geo_seed: u64, rhs_seed: u64
     LocalGraph::new(coo.to_csr(), positions, &rhs, boundary)
 }
 
+/// f64 inference on `input` through a throwaway plan.
+fn infer(model: &DssModel, graph: &LocalGraph, input: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; graph.num_nodes()];
+    model.infer_with_input_into(graph, input, &mut InferScratch::new(), &mut out);
+    out
+}
+
+/// One right-hand side through the f32 engine, reusing `scratch`.
+fn infer_f32(
+    model: &DssModel,
+    plan: &InferencePlan<f32>,
+    input: &[f64],
+    scratch: &mut InferScratch<f32>,
+) -> Vec<f64> {
+    let mut out = vec![0.0; plan.num_nodes()];
+    model.infer_with_plan(plan, input, 1, scratch, &mut out, None);
+    out
+}
+
+/// An f32-engine plan reused across inputs and scratch states is bit-stable:
+/// results depend only on (plan, input), never on buffer history.
+fn assert_reuse_is_bit_stable(model: &DssModel, graph: &LocalGraph, plan: &InferencePlan<f32>) {
+    let inputs: Vec<Vec<f64>> = [1.0, -0.4]
+        .iter()
+        .map(|scale| graph.input.iter().map(|c| c * scale + 0.01).collect())
+        .collect();
+    let mut scratch = InferScratch::new();
+    let baseline: Vec<Vec<f64>> =
+        inputs.iter().map(|input| infer_f32(model, plan, input, &mut scratch)).collect();
+    // Re-run in reverse order with a fresh scratch: identical bits.
+    let mut fresh = InferScratch::new();
+    for (input, expected) in inputs.iter().zip(&baseline).rev() {
+        assert_eq!(&infer_f32(model, plan, input, &mut fresh), expected);
+    }
+}
+
 fn max_relative_deviation(a: &[f64], b: &[f64]) -> f64 {
     let scale = b.iter().map(|v| v.abs()).fold(1.0_f64, f64::max);
     a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs() / scale).fold(0.0_f64, f64::max)
@@ -90,7 +125,7 @@ proptest! {
             model_seed,
         );
         let reference = model.infer_reference(&graph, &graph.input);
-        let optimised = model.infer_with_input(&graph, &graph.input);
+        let optimised = infer(&model, &graph, &graph.input);
         prop_assert_eq!(optimised.len(), reference.len());
         let dev = max_relative_deviation(&optimised, &reference);
         prop_assert!(dev <= 1e-12, "deviation {} exceeds 1e-12", dev);
@@ -114,13 +149,13 @@ proptest! {
         for scale in [1.0, -0.4] {
             let input: Vec<f64> = graph.input.iter().map(|c| c * scale + 0.01).collect();
             model.infer_with_plan_into(&plan, &input, &mut scratch, &mut out);
-            prop_assert_eq!(&out, &model.infer_with_input(&graph, &input));
+            prop_assert_eq!(&out, &infer(&model, &graph, &input));
         }
         let graphs = vec![graph.clone(), graph.clone(), graph];
-        let pool = ScratchPool::new();
+        let pool: ScratchPool = ScratchPool::new();
         let batched = model.infer_batch_with_pool(&graphs, &pool);
         for (g, got) in graphs_outputs(&graphs, &batched) {
-            prop_assert_eq!(got, &model.infer(g));
+            prop_assert_eq!(got, &infer(&model, g, &g.input));
         }
     }
 
@@ -146,20 +181,14 @@ proptest! {
         let norm = graph.input.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
         let input: Vec<f64> = graph.input.iter().map(|v| v / norm).collect();
 
-        let plan64 = model.build_plan(&graph);
-        let plan32 = model.build_plan_f32(&graph);
-        let mut s64 = InferScratch::new();
-        let mut s32 = InferScratchF32::new();
-        let mut out64 = vec![0.0; graph.num_nodes()];
-        let mut out32 = vec![0.0; graph.num_nodes()];
-        model.infer_with_plan_into(&plan64, &input, &mut s64, &mut out64);
-        model.infer_with_plan_f32_into(&plan32, &input, &mut s32, &mut out32);
+        let plan32 = model.build_plan_f32(&graph, false);
+        let out64 = infer(&model, &graph, &input);
+        let out32 = infer_f32(&model, &plan32, &input, &mut InferScratch::new());
         let dev = max_relative_deviation(&out32, &out64);
         prop_assert!(dev <= 1e-4, "f32 deviation {} exceeds 1e-4", dev);
     }
 
-    /// An f32 plan reused across inputs and scratch states is bit-stable:
-    /// results depend only on (plan, input), never on buffer history.
+    /// See [`assert_reuse_is_bit_stable`].
     #[test]
     fn f32_plan_reuse_is_bit_stable(
         n in 4usize..24,
@@ -170,29 +199,14 @@ proptest! {
     ) {
         let graph = random_graph(n, &extra, geo_seed, rhs_seed);
         let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 6, alpha: 1e-2 }, model_seed);
-        let plan = model.build_plan_f32(&graph);
-        let mut scratch = InferScratchF32::new();
-        let mut out = vec![0.0; graph.num_nodes()];
-        let mut baseline: Vec<Vec<f64>> = Vec::new();
-        for scale in [1.0, -0.4] {
-            let input: Vec<f64> = graph.input.iter().map(|c| c * scale + 0.01).collect();
-            model.infer_with_plan_f32_into(&plan, &input, &mut scratch, &mut out);
-            baseline.push(out.clone());
-        }
-        // Re-run in reverse order with a fresh scratch: identical bits.
-        let mut fresh = InferScratchF32::new();
-        for (i, scale) in [1.0, -0.4].iter().enumerate().rev() {
-            let input: Vec<f64> = graph.input.iter().map(|c| c * scale + 0.01).collect();
-            model.infer_with_plan_f32_into(&plan, &input, &mut fresh, &mut out);
-            prop_assert_eq!(&out, &baseline[i]);
-        }
+        assert_reuse_is_bit_stable(&model, &graph, &model.build_plan_f32(&graph, false));
     }
 
-    /// The quantised int8/bf16 engine tracks the f64 plan path to ≤ 1e-2
-    /// relative error on random sub-domain graphs, random weights and
+    /// The f32 engine on int8-rounded weights tracks the f64 plan path to
+    /// ≤ 1e-2 relative error on random sub-domain graphs, random weights and
     /// unit-normalised inputs — the documented accuracy contract of
-    /// `Precision::Int8` (weight rounding ≤ 2⁻⁸ relative per weight, bf16
-    /// stream rounding ≤ 2⁻⁹, f32 accumulation).
+    /// `Precision::Int8` (weight rounding ≤ 2⁻⁸ relative per weight, f32
+    /// accumulation).
     #[test]
     fn quantised_engine_matches_f64_within_1e2(
         n in 4usize..40,
@@ -212,28 +226,17 @@ proptest! {
         let norm = graph.input.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
         let input: Vec<f64> = graph.input.iter().map(|v| v / norm).collect();
 
-        let plan64 = model.build_plan(&graph);
-        let planq = model.build_plan_q(&graph);
-        let plan32 = model.build_plan_f32(&graph);
-        prop_assert!(
-            planq.memory_bytes() < plan32.memory_bytes(),
-            "quantised plan ({}) must be smaller than the f32 plan ({})",
-            planq.memory_bytes(),
-            plan32.memory_bytes()
-        );
-        let mut s64 = InferScratch::new();
-        let mut sq = InferScratchQ::new();
-        let mut out64 = vec![0.0; graph.num_nodes()];
-        let mut outq = vec![0.0; graph.num_nodes()];
-        model.infer_with_plan_into(&plan64, &input, &mut s64, &mut out64);
-        model.infer_with_plan_q_into(&planq, &input, &mut sq, &mut outq);
+        let planq = model.build_plan_f32(&graph, true);
+        let plan32 = model.build_plan_f32(&graph, false);
+        prop_assert_eq!(planq.memory_bytes(), plan32.memory_bytes());
+        prop_assert_eq!(planq.shared_weight_bytes(), plan32.shared_weight_bytes());
+        let out64 = infer(&model, &graph, &input);
+        let outq = infer_f32(&model, &planq, &input, &mut InferScratch::new());
         let dev = max_relative_deviation(&outq, &out64);
         prop_assert!(dev <= 1e-2, "quantised deviation {} exceeds 1e-2", dev);
     }
 
-    /// A quantised plan reused across inputs and scratch states is
-    /// bit-stable: results depend only on (plan, input), never on buffer
-    /// history.
+    /// See [`assert_reuse_is_bit_stable`], on the int8 weight format.
     #[test]
     fn quantised_plan_reuse_is_bit_stable(
         n in 4usize..24,
@@ -244,22 +247,7 @@ proptest! {
     ) {
         let graph = random_graph(n, &extra, geo_seed, rhs_seed);
         let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 6, alpha: 1e-2 }, model_seed);
-        let plan = model.build_plan_q(&graph);
-        let mut scratch = InferScratchQ::new();
-        let mut out = vec![0.0; graph.num_nodes()];
-        let mut baseline: Vec<Vec<f64>> = Vec::new();
-        for scale in [1.0, -0.4] {
-            let input: Vec<f64> = graph.input.iter().map(|c| c * scale + 0.01).collect();
-            model.infer_with_plan_q_into(&plan, &input, &mut scratch, &mut out);
-            baseline.push(out.clone());
-        }
-        // Re-run in reverse order with a fresh scratch: identical bits.
-        let mut fresh = InferScratchQ::new();
-        for (i, scale) in [1.0, -0.4].iter().enumerate().rev() {
-            let input: Vec<f64> = graph.input.iter().map(|c| c * scale + 0.01).collect();
-            model.infer_with_plan_q_into(&plan, &input, &mut fresh, &mut out);
-            prop_assert_eq!(&out, &baseline[i]);
-        }
+        assert_reuse_is_bit_stable(&model, &graph, &model.build_plan_f32(&graph, true));
     }
 
     /// `backward` still matches central finite differences on random graphs —

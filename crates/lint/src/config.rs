@@ -37,8 +37,10 @@ pub struct Config {
 /// batch latch, where propagating a poison panic beats waiting forever on
 /// corrupted completion accounting); 16 when the f64 inference engine's
 /// unbatched and batched cores became one forward body (one pair of
-/// timing-telemetry clock reads instead of two).
-pub const EXPECTED_WORKSPACE_ALLOWS: usize = 16;
+/// timing-telemetry clock reads instead of two); 8 when that body became
+/// generic over the scalar type and the f32 and int8 plans' four cores, each
+/// with a pair of its own, were deleted.
+pub const EXPECTED_WORKSPACE_ALLOWS: usize = 8;
 
 impl Default for Config {
     fn default() -> Self {

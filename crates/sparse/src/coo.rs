@@ -2,7 +2,7 @@
 //!
 //! Finite-element assembly naturally produces duplicate `(row, col, value)`
 //! triplets (one contribution per element touching a pair of nodes).  The COO
-//! builder accumulates them and converts to [`CsrMatrix`](crate::CsrMatrix),
+//! builder accumulates them and converts to [`crate::CsrMatrix`],
 //! summing duplicates in the process.
 
 use crate::{CsrMatrix, Result, SparseError};

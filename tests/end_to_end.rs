@@ -327,12 +327,13 @@ fn f32_preconditioner_iteration_count_within_ten_percent_of_f64() {
     assert!(sparse::vector::relative_error(&o32.x, &o64.x) < 1e-4);
 }
 
-/// The quantised (int8-weight / bf16-stream) inference engine inside the
+/// The int8 weight format of the f32 inference engine inside the
 /// preconditioner: on a fresh ~1800-node problem the quantised hybrid solver
 /// must converge with an iteration count within +15% of the f64 baseline
-/// (the acceptance bound of the int8 mode — the ~1e-3 relative quantisation
-/// perturbation is absorbed by the flexible outer PCG), and its solution
-/// must agree with the f64 one to well below the solver tolerance.
+/// (the acceptance bound of the int8 mode — the quantisation perturbation,
+/// ~5e-3 relative on a whole application, is absorbed by the flexible outer
+/// PCG), and its solution must agree with the f64 one to well below the
+/// solver tolerance.
 #[test]
 #[cfg_attr(
     debug_assertions,
