@@ -13,6 +13,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use ddm::{AdditiveSchwarz, AsmLevel};
 use ddm_gnn::{
     build_resilience_tiers, generate_problem, load_pretrained, solve_with_ladder,
     DdmGnnPreconditioner, DegradationLadder, FaultInjectingPreconditioner, FaultKind,
@@ -161,13 +162,13 @@ fn all_fault_classes_recover_at_n9k() {
     exercise_all_fault_classes(9000, 1);
 }
 
-/// Extract the pinned `pcg-ddm-gnn-2level` hash for problem `idx` from the
-/// committed `BENCH_parallel.json` (the determinism gate guarantees the hash
-/// is identical at every recorded thread count, so the first entry suffices).
-fn pinned_hash(idx: usize) -> String {
+/// Extract the pinned hash of `solver` on problem `idx` from the committed
+/// `BENCH_parallel.json` (the determinism gate guarantees the hash is
+/// identical at every recorded thread count, so the first entry suffices).
+fn pinned_hash(solver: &str, idx: usize) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
     let json = std::fs::read_to_string(path).expect("committed BENCH_parallel.json missing");
-    let needle = format!("\"solver\": \"pcg-ddm-gnn-2level\", \"idx\": {idx},");
+    let needle = format!("\"solver\": \"{solver}\", \"idx\": {idx},");
     let at = json.find(&needle).expect("baseline entry missing from BENCH_parallel.json");
     let rest = &json[at..];
     let h = rest.find("\"hash\": \"").expect("hash field missing") + "\"hash\": \"".len();
@@ -177,8 +178,10 @@ fn pinned_hash(idx: usize) -> String {
 /// The fault-free residual-history hash must be bit-identical to the
 /// committed PR-6 baseline — both for the plain preconditioner and for the
 /// full degradation ladder (the supervisor's guards only *read* `r`/`z`, so
-/// a healthy solve must be untouched).  CI runs this at 1 and 4 rayon
-/// threads; the committed baseline was verified at 1/2/4.
+/// a healthy solve must be untouched) — and so must the exact two-level
+/// Schwarz solve, the pin of the Nicolaides coarse component on its own.  CI
+/// runs this at 1 and 4 rayon threads; the committed baseline was verified at
+/// 1/2/4.
 #[test]
 #[ignore = "heavy e2e (full PCG solves): run in release via --include-ignored"]
 fn fault_free_hash_matches_committed_baseline() {
@@ -187,11 +190,20 @@ fn fault_free_hash_matches_committed_baseline() {
         let (problem, subdomains) = problem_and_subdomains(idx, target);
         let plain = fault_free(&problem, &subdomains, &model);
         assert!(plain.stats.converged());
-        let expected = pinned_hash(idx);
+        let expected = pinned_hash("pcg-ddm-gnn-2level", idx);
         assert_eq!(
             format!("{:016x}", solve_hash(&plain)),
             expected,
             "plain DDM-GNN hash drifted from the committed baseline (idx {idx})"
+        );
+        let asm = AdditiveSchwarz::new(&problem.matrix, subdomains.clone(), AsmLevel::TwoLevel)
+            .expect("ASM setup failed");
+        let lu =
+            preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &asm, &opts());
+        assert_eq!(
+            format!("{:016x}", solve_hash(&lu)),
+            pinned_hash("pcg-ddm-lu-2level", idx),
+            "DDM-LU hash drifted from the committed baseline (idx {idx})"
         );
 
         let config = HybridSolverConfig::default();
