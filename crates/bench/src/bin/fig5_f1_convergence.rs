@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
-use bench::{env_usize, load_or_train_model, write_csv};
-use ddm_gnn::{solve_cg, solve_ddm_gnn, solve_ddm_lu};
+use bench::{env_usize, load_or_train_model, run_method, write_csv};
+use ddm_gnn::Method;
 use fem::PoissonProblem;
 use krylov::SolverOptions;
 use meshgen::{generate_mesh, FormulaOneDomain, MeshingOptions};
@@ -37,25 +37,23 @@ fn main() {
     let model = Arc::new(load_or_train_model());
     let opts = SolverOptions::with_tolerance(1e-9).max_iterations(50_000);
 
-    let gnn = solve_ddm_gnn(&problem, subdomains.clone(), model, true, &opts).expect("DDM-GNN");
-    let lu = solve_ddm_lu(&problem, subdomains, true, &opts).expect("DDM-LU");
-    let cg = solve_cg(&problem, &opts);
+    let methods = [Method::DdmGnn, Method::DdmLu, Method::Cg];
+    let outcomes = methods.map(|method| run_method(&problem, &subdomains, method, &model, &opts));
 
     println!("\nFIG. 5b — iterations to relative residual 1e-9");
-    for outcome in [&gnn, &lu, &cg] {
+    for (method, outcome) in methods.iter().zip(&outcomes) {
         println!(
             "  {:<8} {:>7} iterations  ({:.2}s, converged: {})",
-            outcome.method.name(),
-            outcome.stats.iterations,
+            method.name(),
+            outcome.stats().iterations,
             outcome.total_seconds,
-            outcome.stats.converged()
+            outcome.stats().converged()
         );
     }
 
     // Residual histories as CSV (one row per iteration, empty cells once a
     // method has converged).
-    let histories =
-        [gnn.stats.history.relative(), lu.stats.history.relative(), cg.stats.history.relative()];
+    let histories = outcomes.map(|outcome| outcome.stats().history.relative());
     let longest = histories.iter().map(|h| h.len()).max().unwrap_or(0);
     let mut rows = Vec::with_capacity(longest);
     for i in 0..longest {

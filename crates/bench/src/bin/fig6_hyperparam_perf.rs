@@ -16,8 +16,8 @@
 
 use std::sync::Arc;
 
-use bench::{env_usize, mean_std, write_csv};
-use ddm_gnn::{generate_problem, solve_ddm_gnn};
+use bench::{env_usize, mean_std, run_method, write_csv};
+use ddm_gnn::{generate_problem, Method};
 use gnn::{
     extract_local_problems, train, AdamConfig, DatasetConfig, DssConfig, DssModel, TrainingConfig,
 };
@@ -93,11 +93,10 @@ fn main() {
             let problem = generate_problem(500 + p as u64, target_nodes);
             let subdomains = partition_mesh_with_overlap(&problem.mesh, subsize, 2, 0);
             let opts = SolverOptions::with_tolerance(1e-6).max_iterations(20_000);
-            let outcome =
-                solve_ddm_gnn(&problem, subdomains, Arc::clone(&model), true, &opts).unwrap();
+            let outcome = run_method(&problem, &subdomains, Method::DdmGnn, &model, &opts);
             inference_times.push(outcome.preconditioner_seconds);
             total_times.push(outcome.total_seconds);
-            iterations.push(outcome.stats.iterations as f64);
+            iterations.push(outcome.stats().iterations as f64);
         }
         let (ti, _) = mean_std(&inference_times);
         let (tt, _) = mean_std(&total_times);

@@ -35,8 +35,10 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use ddm::{Hierarchy, MultilevelConfig};
-use ddm_gnn::{generate_problem, load_pretrained, Precision};
+use ddm::{AsmLevel, Hierarchy, MultilevelConfig};
+use ddm_gnn::{
+    build_tiers, generate_problem, load_pretrained, solve, HybridSolverConfig, Method, SolveOutcome,
+};
 use krylov::SolverOptions;
 use partition::partition_mesh_with_overlap;
 
@@ -108,27 +110,28 @@ struct E2eRow {
     hash: u64,
 }
 
-/// Run one solver twice (min wall), record iterations and the trajectory
-/// hash, and echo a `PERF` record.
+/// Run one solver (setup + solve) twice (min wall), record iterations, the
+/// trajectory hash and the setup time `solve` reports next to its outcome,
+/// and echo a `PERF` record.
 fn run_e2e(
     rows: &mut Vec<E2eRow>,
     idx: usize,
     n: usize,
     name: &str,
-    mut solve: impl FnMut() -> sparse::Result<ddm_gnn::SolveOutcome>,
+    mut solve: impl FnMut() -> (f64, SolveOutcome),
 ) {
     let mut best_ms = f64::INFINITY;
     let mut record = None;
     for _ in 0..2 {
         let start = Instant::now();
-        let outcome = solve().unwrap_or_else(|e| panic!("{name} setup failed on n={n}: {e:?}"));
+        let (setup_seconds, outcome) = solve();
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert!(outcome.stats.converged(), "{name} failed to converge on n={n}");
+        let stats = outcome.stats();
+        assert!(stats.converged(), "{name} failed to converge on n={n}");
         best_ms = best_ms.min(ms);
-        let hash = hash_f64s(
-            outcome.stats.history.norms().iter().copied().chain(outcome.x.iter().copied()),
-        );
-        record = Some((outcome.stats.iterations, hash, outcome.setup_seconds * 1e3));
+        let hash =
+            hash_f64s(stats.history.norms().iter().copied().chain(outcome.x().iter().copied()));
+        record = Some((stats.iterations, hash, setup_seconds * 1e3));
     }
     let (iterations, hash, setup_ms) = record.unwrap();
     println!(
@@ -207,35 +210,27 @@ fn main() {
 
         // End-to-end PCG: two-level baseline vs multi-level coarse path.
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(4000);
-        let ml_name = format!("pcg-ddm-lu-ml{}", hier_rows.last().unwrap().levels);
-        run_e2e(&mut e2e_rows, idx, n, "pcg-ddm-lu-2level", || {
-            ddm_gnn::solve_ddm_lu(&problem, subdomains.clone(), true, &opts)
-        });
-        run_e2e(&mut e2e_rows, idx, n, &ml_name, || {
-            ddm_gnn::solve_ddm_lu_multilevel(&problem, subdomains.clone(), &config, &opts)
-        });
-        if let Some(m) = &model {
-            let gnn_ml_name = format!("pcg-ddm-gnn-ml{}", hier_rows.last().unwrap().levels);
-            run_e2e(&mut e2e_rows, idx, n, "pcg-ddm-gnn-2level", || {
-                ddm_gnn::solve_ddm_gnn_with_precision(
-                    &problem,
-                    subdomains.clone(),
-                    std::sync::Arc::clone(m),
-                    true,
-                    Precision::F64,
-                    &opts,
-                )
-            });
-            run_e2e(&mut e2e_rows, idx, n, &gnn_ml_name, || {
-                ddm_gnn::solve_ddm_gnn_multilevel(
-                    &problem,
-                    subdomains.clone(),
-                    std::sync::Arc::clone(m),
-                    &config,
-                    Precision::F64,
-                    &opts,
-                )
-            });
+        let levels = hier_rows.last().unwrap().levels;
+        let methods: &[(Method, &str)] = match &model {
+            Some(_) => &[(Method::DdmLu, "lu"), (Method::DdmGnn, "gnn")],
+            None => &[(Method::DdmLu, "lu")],
+        };
+        for &(method, local) in methods {
+            for (level, tag) in [
+                (AsmLevel::TwoLevel, "2level".to_string()),
+                (AsmLevel::Multilevel(config), format!("ml{levels}")),
+            ] {
+                let solver_config = HybridSolverConfig { level, ..Default::default() };
+                run_e2e(&mut e2e_rows, idx, n, &format!("pcg-ddm-{local}-{tag}"), || {
+                    let setup = Instant::now();
+                    let tiers =
+                        build_tiers(&problem, &subdomains, method, model.as_ref(), &solver_config)
+                            .unwrap_or_else(|e| panic!("{local}-{tag} setup failed on n={n}: {e}"));
+                    let setup_seconds = setup.elapsed().as_secs_f64();
+                    let precond = tiers.first().map(|t| t.as_ref());
+                    (setup_seconds, solve(&problem.matrix, &[&problem.rhs], precond, &opts))
+                });
+            }
         }
     }
 

@@ -46,9 +46,9 @@ use std::time::{Duration, Instant};
 
 use ddm::{AdditiveSchwarz, AsmLevel};
 use ddm_gnn::{
-    build_resilience_tiers, generate_problem, load_pretrained, solve_with_ladder,
-    DdmGnnPreconditioner, DegradationLadder, FaultInjectingPreconditioner, HybridSolverConfig,
-    InjectedFault, Precision, ResiliencePolicy,
+    build_tiers, generate_problem, load_pretrained, solve, DdmGnnPreconditioner, DegradationLadder,
+    FaultInjectingPreconditioner, HybridSolverConfig, InjectedFault, Method, Precision,
+    ResiliencePolicy,
 };
 use gnn::InferenceTimings;
 use krylov::{preconditioned_conjugate_gradient, Preconditioner, SolverOptions};
@@ -307,10 +307,14 @@ fn child() {
             // plan set, so this is kept off the smaller problems.
             if !fault_recovery_done && !smoke && n >= 5000 {
                 fault_recovery_done = true;
-                let config = HybridSolverConfig::default();
+                let config = HybridSolverConfig {
+                    resilience: Some(ResiliencePolicy::default()),
+                    ..Default::default()
+                };
                 let run = |inject: bool| {
-                    let mut tiers = build_resilience_tiers(&problem, &subdomains, m, &config)
-                        .expect("resilience tier setup failed");
+                    let mut tiers =
+                        build_tiers(&problem, &subdomains, Method::DdmGnn, Some(m), &config)
+                            .expect("resilience tier setup failed");
                     if inject {
                         let gnn = tiers.remove(0);
                         tiers.insert(
@@ -323,22 +327,22 @@ fn child() {
                     }
                     let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
                     let start = Instant::now();
-                    let outcome = solve_with_ladder(&problem, subdomains.len(), ladder, 0.0, &opts);
+                    let outcome = solve(&problem.matrix, &[&problem.rhs], Some(&ladder), &opts);
                     (start.elapsed().as_secs_f64() * 1e3, outcome)
                 };
                 let (clean_ms, clean) = run(false);
                 let (faulted_ms, faulted) = run(true);
                 assert!(
-                    clean.stats.converged() && faulted.stats.converged(),
+                    clean.stats().converged() && faulted.stats().converged(),
                     "fault_recovery solves failed to converge on n={n}"
                 );
                 let overhead = if clean_ms > 0.0 { faulted_ms / clean_ms } else { f64::INFINITY };
                 println!(
                     "PERF kind=fault_recovery idx={pi} n={n} threads={threads} clean_ms={clean_ms:.3} faulted_ms={faulted_ms:.3} overhead={overhead:.3} clean_iterations={} faulted_iterations={} faults={} final_tier={}",
-                    clean.stats.iterations,
-                    faulted.stats.iterations,
-                    faulted.stats.faults.events().len(),
-                    faulted.stats.faults.final_tier().unwrap_or("?")
+                    clean.stats().iterations,
+                    faulted.stats().iterations,
+                    faulted.stats().faults.events().len(),
+                    faulted.stats().faults.final_tier().unwrap_or("?")
                 );
             }
         }

@@ -15,8 +15,8 @@
 
 use std::sync::Arc;
 
-use bench::{env_usize, load_or_train_model, mean_std, pm, write_csv};
-use ddm_gnn::{generate_problem, solve_cg, solve_ddm_gnn, solve_ddm_lu};
+use bench::{env_usize, load_or_train_model, mean_std, pm, run_method, write_csv};
+use ddm_gnn::{generate_problem, Method};
 use krylov::SolverOptions;
 use partition::partition_mesh_with_overlap;
 
@@ -61,15 +61,14 @@ fn main() {
                 actual_n.push(problem.num_unknowns() as f64);
                 let subdomains = partition_mesh_with_overlap(&problem.mesh, ns, overlap, seed);
                 ks.push(subdomains.len() as f64);
-                let gnn =
-                    solve_ddm_gnn(&problem, subdomains.clone(), Arc::clone(&model), true, &opts)
-                        .expect("DDM-GNN solve");
-                let lu = solve_ddm_lu(&problem, subdomains, true, &opts).expect("DDM-LU solve");
-                let cg = solve_cg(&problem, &opts);
-                assert!(gnn.stats.converged() && lu.stats.converged() && cg.stats.converged());
-                iters_gnn.push(gnn.stats.iterations as f64);
-                iters_lu.push(lu.stats.iterations as f64);
-                iters_cg.push(cg.stats.iterations as f64);
+                let [gnn, lu, cg] = [Method::DdmGnn, Method::DdmLu, Method::Cg]
+                    .map(|method| run_method(&problem, &subdomains, method, &model, &opts));
+                for (iters, outcome) in
+                    [(&mut iters_gnn, gnn), (&mut iters_lu, lu), (&mut iters_cg, cg)]
+                {
+                    assert!(outcome.stats().converged());
+                    iters.push(outcome.stats().iterations as f64);
+                }
             }
             let (ng, sg) = mean_std(&iters_gnn);
             let (nl, sl) = mean_std(&iters_lu);

@@ -14,8 +14,8 @@
 
 use std::sync::Arc;
 
-use bench::{load_or_train_model, write_csv};
-use ddm_gnn::{generate_problem, solve_ddm_gnn, solve_ddm_lu, solve_ic0};
+use bench::{load_or_train_model, run_method, write_csv};
+use ddm_gnn::{generate_problem, Method};
 use krylov::SolverOptions;
 use partition::partition_mesh_with_overlap;
 
@@ -43,34 +43,33 @@ fn main() {
     for &target_n in &sizes {
         let problem = generate_problem(3000 + target_n as u64, target_n);
         let n = problem.num_unknowns();
-        let ic0 = solve_ic0(&problem, &opts).expect("IC(0) solve");
+        let ic0 = run_method(&problem, &[], Method::Ic0, &model, &opts);
         for &ns in &subsizes {
             let subdomains = partition_mesh_with_overlap(&problem.mesh, ns, 2, 0);
             let k = subdomains.len();
-            let lu = solve_ddm_lu(&problem, subdomains.clone(), true, &opts).expect("DDM-LU");
-            let gnn = solve_ddm_gnn(&problem, subdomains, Arc::clone(&model), true, &opts)
-                .expect("DDM-GNN");
+            let lu = run_method(&problem, &subdomains, Method::DdmLu, &model, &opts);
+            let gnn = run_method(&problem, &subdomains, Method::DdmGnn, &model, &opts);
             println!(
                 "{:>8} {:>6} | {:>6} {:>9.4} | {:>6} {:>9.4} {:>9.4} | {:>6} {:>9.4} {:>9.4}",
                 n,
                 k,
-                ic0.stats.iterations,
+                ic0.stats().iterations,
                 ic0.total_seconds,
-                lu.stats.iterations,
+                lu.stats().iterations,
                 lu.total_seconds,
                 lu.preconditioner_seconds,
-                gnn.stats.iterations,
+                gnn.stats().iterations,
                 gnn.total_seconds,
                 gnn.preconditioner_seconds
             );
             csv_rows.push(format!(
                 "{n},{k},{},{:.5},{},{:.5},{:.5},{},{:.5},{:.5}",
-                ic0.stats.iterations,
+                ic0.stats().iterations,
                 ic0.total_seconds,
-                lu.stats.iterations,
+                lu.stats().iterations,
                 lu.total_seconds,
                 lu.preconditioner_seconds,
-                gnn.stats.iterations,
+                gnn.stats().iterations,
                 gnn.total_seconds,
                 gnn.preconditioner_seconds
             ));

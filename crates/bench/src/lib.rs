@@ -11,8 +11,28 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use ddm_gnn::{build_tiers, solve, HybridSolverConfig, Method, SolveOutcome};
+use fem::PoissonProblem;
 use gnn::DssModel;
+use krylov::SolverOptions;
+
+/// One column of the paper's tables: build `method`'s preconditioner (the
+/// two-level, double-precision default) on the given decomposition and drive
+/// it over the problem's own right-hand side.
+pub fn run_method(
+    problem: &PoissonProblem,
+    subdomains: &[Vec<usize>],
+    method: Method,
+    model: &Arc<DssModel>,
+    opts: &SolverOptions,
+) -> SolveOutcome {
+    let config = HybridSolverConfig::default();
+    let tiers = build_tiers(problem, subdomains, method, Some(model), &config)
+        .unwrap_or_else(|e| panic!("{} setup failed: {e}", method.name()));
+    solve(&problem.matrix, &[&problem.rhs], tiers.first().map(|t| t.as_ref()), opts)
+}
 
 /// Read an integer environment variable with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {

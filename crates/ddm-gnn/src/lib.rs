@@ -14,9 +14,13 @@
 //! yields a hybrid solver that converges to any tolerance while the
 //! preconditioner runs as batched, data-parallel GNN inference.
 //!
-//! * [`preconditioner::DdmGnnPreconditioner`] — the operator above,
-//! * [`solver`] — the [`solver::HybridSolver`] public API plus the baseline
-//!   drivers (plain CG, IC(0), DDM-LU) used throughout the paper's evaluation,
+//! * [`preconditioner::DdmGnnPreconditioner`] — the operator above, its
+//!   coarse term selected by [`AsmLevel`] (none, Nicolaides, or a
+//!   multi-level V-cycle) in one general constructor,
+//! * [`solver`] — the [`solver::HybridSolver`] public API over the two
+//!   functions the whole evaluation runs through: [`build_tiers`] builds the
+//!   preconditioner of a [`Method`] (plain CG, IC(0), DDM-LU, DDM-GNN) and
+//!   [`solve`] drives any preconditioner through one timed Krylov call,
 //! * [`pipeline`] — end-to-end helpers: problem generation, dataset
 //!   extraction, model training and evaluation with one call each.
 
@@ -29,7 +33,7 @@ pub mod pipeline;
 pub mod preconditioner;
 pub mod solver;
 
-pub use ddm::{MultilevelConfig, SmootherKind, SmootherPrecision};
+pub use ddm::{AsmLevel, MultilevelConfig, SmootherPrecision};
 pub use gnn::Precision;
 pub use krylov::{
     DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,
@@ -41,10 +45,7 @@ pub use pipeline::{
 };
 pub use preconditioner::DdmGnnPreconditioner;
 pub use solver::{
-    build_resilience_tiers, solve_cg, solve_ddm_gnn, solve_ddm_gnn_batch, solve_ddm_gnn_multilevel,
-    solve_ddm_gnn_resilient, solve_ddm_gnn_with_precision, solve_ddm_lu, solve_ddm_lu_multilevel,
-    solve_ic0, solve_with_ladder, BatchSolveOutcome, HybridSolver, HybridSolverConfig, Method,
-    SolveOutcome, TimedPreconditioner,
+    build_tiers, solve, HybridSolver, HybridSolverConfig, Method, SolveOutcome, TimedPreconditioner,
 };
 
 #[cfg(test)]

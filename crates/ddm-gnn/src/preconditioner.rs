@@ -3,7 +3,8 @@
 //! One application proceeds in the three steps of the paper:
 //!
 //! 1. **Coarse problem** — `r_c = R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r` by dense LU on the
-//!    Nicolaides coarse space (Eq. 13),
+//!    Nicolaides coarse space (Eq. 13), or one V-cycle of a
+//!    smoothed-aggregation hierarchy, as [`AsmLevel`] selects,
 //! 2. **Local problems** — every sub-domain residual is restricted,
 //!    normalised to unit norm and solved by one DSS inference; all sub-domains
 //!    are processed concurrently (Eq. 14–15).  The normalisation is the
@@ -12,7 +13,7 @@
 //! 3. **Gluing** — `z = r_c + Σᵢ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ` (Eq. 16).
 
 use ddm::{
-    CoarseSpace, Decomposition, Hierarchy, MultilevelConfig, NicolaidesCoarseSpace, Restriction,
+    check_lengths, AsmLevel, Decomposition, Hierarchy, MultilevelConfig, Restriction,
     SmootherPrecision,
 };
 use fem::PoissonProblem;
@@ -20,11 +21,8 @@ use gnn::{
     dataset::build_local_graphs, DssModel, InferScratch, InferencePlan, InferenceTimings,
     LocalGraph, Precision,
 };
-use krylov::resilience::{FaultEvent, FaultKind, FaultLog};
 use krylov::Preconditioner;
 use rayon::prelude::*;
-use sparse::CsrMatrix;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sanitizer::TrackedMutex;
@@ -89,7 +87,7 @@ pub struct DdmGnnPreconditioner {
     /// model.
     plans: PlanSet,
     precision: Precision,
-    coarse: Option<CoarseSpace>,
+    coarse: Option<Hierarchy>,
     model: Arc<DssModel>,
     scratch: Vec<TrackedMutex<SubdomainScratch>>,
     /// Serialises whole `apply` calls: the scratch buffers span the parallel
@@ -100,18 +98,11 @@ pub struct DdmGnnPreconditioner {
     /// Reported by `Preconditioner::name`: `ddm-gnn-{1,2}level[-f32|-int8]`
     /// or `ddm-gnn-ml<levels>[-f32|-int8]`.
     name: String,
-    /// Number of `apply` calls so far (≈ the outer iteration index).
-    applies: AtomicU64,
-    /// Classified coarse-solve errors, surfaced via `collect_faults`.
-    faults: TrackedMutex<FaultLog>,
 }
 
 impl DdmGnnPreconditioner {
-    /// Build the preconditioner for an assembled Poisson problem.
-    ///
-    /// `subdomains` are the overlapping node sets (e.g. from
-    /// [`partition::partition_mesh_with_overlap`]); `two_level` toggles the
-    /// Nicolaides coarse correction.
+    /// Build the double-precision preconditioner for an assembled Poisson
+    /// problem; `two_level` toggles the Nicolaides coarse correction.
     pub fn new(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -121,7 +112,34 @@ impl DdmGnnPreconditioner {
         Self::with_precision(problem, subdomains, model, two_level, Precision::F64)
     }
 
-    /// [`DdmGnnPreconditioner::new`] with an explicit inference precision.
+    /// One- or two-level ([`AsmLevel::TwoLevel`], Nicolaides) preconditioner
+    /// at an explicit inference precision.
+    pub fn with_precision(
+        problem: &PoissonProblem,
+        subdomains: Vec<Vec<usize>>,
+        model: Arc<DssModel>,
+        two_level: bool,
+        precision: Precision,
+    ) -> sparse::Result<Self> {
+        let level = if two_level { AsmLevel::TwoLevel } else { AsmLevel::OneLevel };
+        Self::build(problem, subdomains, model, level, precision)
+    }
+
+    /// [`AsmLevel::Multilevel`] preconditioner: a smoothed-aggregation
+    /// V-cycle instead of the single-shot Nicolaides solve.
+    pub fn with_multilevel_coarse(
+        problem: &PoissonProblem,
+        subdomains: Vec<Vec<usize>>,
+        model: Arc<DssModel>,
+        config: &MultilevelConfig,
+        precision: Precision,
+    ) -> sparse::Result<Self> {
+        Self::build(problem, subdomains, model, AsmLevel::Multilevel(*config), precision)
+    }
+
+    /// The one general constructor: `subdomains` are the overlapping node
+    /// sets (e.g. from [`partition::partition_mesh_with_overlap`]), `level`
+    /// selects the coarse component and `precision` the inference engine.
     ///
     /// `Precision::F32` runs every sub-domain DSS inference through the
     /// single-precision instantiation of the engine: the restricted residual
@@ -140,130 +158,32 @@ impl DdmGnnPreconditioner {
     ///
     /// At every precision a plan holds graph structure only (`28 e + 4 n`
     /// bytes in f64, `16 e + 4 n` in f32) next to one shared weight pack.
-    pub fn with_precision(
-        problem: &PoissonProblem,
-        subdomains: Vec<Vec<usize>>,
-        model: Arc<DssModel>,
-        two_level: bool,
-        precision: Precision,
-    ) -> sparse::Result<Self> {
-        let decomposition = Decomposition::new(&problem.matrix, subdomains);
-        let graphs = build_local_graphs(problem, &decomposition);
-        Self::from_parts_with_precision(
-            &problem.matrix,
-            decomposition,
-            graphs,
-            model,
-            two_level,
-            precision,
-        )
-    }
-
-    /// Build from an existing decomposition and pre-built local graphs.
-    pub fn from_parts(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        graphs: Vec<LocalGraph>,
-        model: Arc<DssModel>,
-        two_level: bool,
-    ) -> sparse::Result<Self> {
-        Self::from_parts_with_precision(
-            matrix,
-            decomposition,
-            graphs,
-            model,
-            two_level,
-            Precision::F64,
-        )
-    }
-
-    /// [`DdmGnnPreconditioner::from_parts`] with an explicit inference
-    /// precision.
-    pub fn from_parts_with_precision(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        graphs: Vec<LocalGraph>,
-        model: Arc<DssModel>,
-        two_level: bool,
-        precision: Precision,
-    ) -> sparse::Result<Self> {
-        let coarse = if two_level {
-            Some(CoarseSpace::Nicolaides(NicolaidesCoarseSpace::new(
-                matrix,
-                &decomposition.restrictions,
-            )?))
-        } else {
-            None
-        };
-        Self::assemble(matrix, decomposition, graphs, model, coarse, precision)
-    }
-
-    /// Build with a smoothed-aggregation multi-level coarse component
-    /// instead of the single-shot Nicolaides solve.
     ///
-    /// The hierarchy's smoother precision follows the inference precision
-    /// (`Precision::F64` keeps f64 sweeps; `F32` and `Int8` drop the sweeps
-    /// to the f32 engine — the V-cycle glue stays f64 either way), so
+    /// A multi-level hierarchy's smoother precision follows the inference
+    /// precision (`Precision::F64` keeps f64 sweeps; `F32` and `Int8` drop
+    /// the sweeps to f32 — the V-cycle glue stays f64 either way), so
     /// reduced-precision deployments get a matching reduced-precision coarse
     /// path without extra configuration.
-    pub fn with_multilevel_coarse(
+    pub(crate) fn build(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
         model: Arc<DssModel>,
-        config: &MultilevelConfig,
+        level: AsmLevel,
         precision: Precision,
     ) -> sparse::Result<Self> {
         let decomposition = Decomposition::new(&problem.matrix, subdomains);
         let graphs = build_local_graphs(problem, &decomposition);
-        Self::from_parts_with_multilevel(
-            &problem.matrix,
-            decomposition,
-            graphs,
-            model,
-            config,
-            precision,
-        )
-    }
-
-    /// [`DdmGnnPreconditioner::with_multilevel_coarse`] from pre-built parts.
-    pub fn from_parts_with_multilevel(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        graphs: Vec<LocalGraph>,
-        model: Arc<DssModel>,
-        config: &MultilevelConfig,
-        precision: Precision,
-    ) -> sparse::Result<Self> {
-        let config = MultilevelConfig {
-            smoother_precision: Self::smoother_precision_for(precision),
-            ..config.clone()
+        let level = match level {
+            AsmLevel::Multilevel(config) => AsmLevel::Multilevel(MultilevelConfig {
+                smoother_precision: match precision {
+                    Precision::F64 => SmootherPrecision::F64,
+                    Precision::F32 | Precision::Int8 => SmootherPrecision::F32,
+                },
+                ..config
+            }),
+            level => level,
         };
-        let hierarchy = Hierarchy::build(matrix, &config)?;
-        let coarse = Some(CoarseSpace::Multilevel(hierarchy));
-        Self::assemble(matrix, decomposition, graphs, model, coarse, precision)
-    }
-
-    /// The smoother precision matching an inference precision.
-    fn smoother_precision_for(precision: Precision) -> SmootherPrecision {
-        match precision {
-            Precision::F64 => SmootherPrecision::F64,
-            Precision::F32 | Precision::Int8 => SmootherPrecision::F32,
-        }
-    }
-
-    fn assemble(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        graphs: Vec<LocalGraph>,
-        model: Arc<DssModel>,
-        coarse: Option<CoarseSpace>,
-        precision: Precision,
-    ) -> sparse::Result<Self> {
-        assert_eq!(
-            decomposition.restrictions.len(),
-            graphs.len(),
-            "one local graph per sub-domain required"
-        );
+        let (coarse, tag) = level.build_coarse(&problem.matrix, &decomposition.restrictions)?;
         let scratch = decomposition
             .restrictions
             .iter()
@@ -281,13 +201,6 @@ impl DdmGnnPreconditioner {
             Precision::F32 => "-f32",
             Precision::Int8 => "-int8",
         };
-        let name = match &coarse {
-            None => format!("ddm-gnn-1level{suffix}"),
-            Some(CoarseSpace::Nicolaides(_)) => format!("ddm-gnn-2level{suffix}"),
-            Some(CoarseSpace::Multilevel(h)) => {
-                format!("ddm-gnn-ml{}{suffix}", h.num_levels())
-            }
-        };
         Ok(DdmGnnPreconditioner {
             restrictions: decomposition.restrictions,
             graphs,
@@ -300,16 +213,8 @@ impl DdmGnnPreconditioner {
                 (),
                 "ddm_gnn::preconditioner::DdmGnnPreconditioner::apply_guard",
             ),
-            num_global: matrix.nrows(),
-            name,
-            applies: AtomicU64::new(0),
-            // Commutative: the fault log is append-only inside parallel
-            // sections and every aggregation over it is order-insensitive.
-            faults: TrackedMutex::new_commutative(
-                FaultLog::new(),
-                "ddm_gnn::preconditioner::DdmGnnPreconditioner::faults",
-                "append-only fault log; aggregation queries are order-insensitive",
-            ),
+            num_global: problem.matrix.nrows(),
+            name: format!("ddm-gnn-{tag}{suffix}"),
         })
     }
 
@@ -324,7 +229,7 @@ impl DdmGnnPreconditioner {
     }
 
     /// The coarse component, if any.
-    pub fn coarse_space(&self) -> Option<&CoarseSpace> {
+    pub fn coarse_space(&self) -> Option<&Hierarchy> {
         self.coarse.as_ref()
     }
 
@@ -432,18 +337,8 @@ impl DdmGnnPreconditioner {
             }
         }
         if let Some(coarse) = &self.coarse {
-            for (c, (r, z)) in rs.iter().zip(zs.iter_mut()).enumerate() {
-                if let Err(e) = coarse.apply_into(r, z) {
-                    // Skip the coarse contribution; the glued local
-                    // corrections alone are still a valid (one-level)
-                    // preconditioner.
-                    self.faults.lock().record(FaultEvent::new(
-                        FaultKind::NumericalError,
-                        self.applies.load(Ordering::SeqCst).saturating_sub(1),
-                        &self.name,
-                        format!("coarse correction failed in column {c}: {e}"),
-                    ));
-                }
+            for (r, z) in rs.iter().zip(zs.iter_mut()) {
+                coarse.apply_into(r, z);
             }
         }
     }
@@ -465,7 +360,6 @@ impl DdmGnnPreconditioner {
         debug_assert!(rs.iter().all(|r| r.len() == self.num_global));
         debug_assert!(zs.iter().all(|z| z.len() == self.num_global));
         let _exclusive = self.apply_guard.lock();
-        self.applies.fetch_add(1, Ordering::SeqCst);
         let subdomains = 0..self.restrictions.len();
         match timings {
             Some(timings) => subdomains.for_each(|i| self.solve_local(i, rs, Some(&mut *timings))),
@@ -500,6 +394,12 @@ impl Preconditioner for DdmGnnPreconditioner {
         self.apply_columns(&[r], &mut [z], None);
     }
 
+    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
+        check_lengths("DDM-GNN apply", self.num_global, r, z)?;
+        self.apply(r, z);
+        Ok(())
+    }
+
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         self.apply_columns(rs, zs, None);
     }
@@ -510,10 +410,6 @@ impl Preconditioner for DdmGnnPreconditioner {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn collect_faults(&self, log: &mut FaultLog) {
-        log.merge(self.faults.lock().clone());
     }
 }
 
@@ -974,10 +870,7 @@ mod tests {
         )
         .unwrap();
         assert!(ml.has_coarse_space());
-        let levels = match ml.coarse_space().unwrap() {
-            CoarseSpace::Multilevel(h) => h.num_levels(),
-            CoarseSpace::Nicolaides(_) => panic!("expected a multilevel coarse space"),
-        };
+        let levels = ml.coarse_space().unwrap().num_levels();
         assert!(levels >= 2);
         assert_eq!(ml.name(), format!("ddm-gnn-ml{levels}"));
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(500);
@@ -992,6 +885,50 @@ mod tests {
         assert!(
             krylov::true_relative_residual(&fx.problem.matrix, &result.x, &fx.problem.rhs) < 1e-5
         );
+    }
+
+    #[test]
+    fn wrong_length_residual_is_a_classified_fault_whatever_the_coarse_kind() {
+        // A too-short residual used to index out of bounds inside a rayon
+        // worker and a too-long one tripped the V-cycle's length assert: both
+        // shells now reject either up front, so the guard classifies a
+        // numerical error (not a panic) and falls back to the identity.
+        let fx = fixture();
+        let n = fx.problem.num_unknowns();
+        let ml = MultilevelConfig { coarsest_max_size: 60, ..Default::default() };
+        for level in [AsmLevel::TwoLevel, AsmLevel::Multilevel(ml)] {
+            let model = Arc::new(fx.model.clone());
+            let shells: [Box<dyn Preconditioner>; 2] = [
+                Box::new(
+                    ddm::AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), level)
+                        .unwrap(),
+                ),
+                Box::new(
+                    DdmGnnPreconditioner::build(
+                        &fx.problem,
+                        fx.subdomains.clone(),
+                        model,
+                        level,
+                        Precision::F64,
+                    )
+                    .unwrap(),
+                ),
+            ];
+            for shell in shells {
+                let guarded = krylov::GuardedPreconditioner::new(shell, Default::default());
+                for len in [n - 7, n + 7] {
+                    let r = vec![1.0; len];
+                    let mut z = vec![0.0; len];
+                    guarded.apply(&r, &mut z);
+                    assert_eq!(z, r, "{}: identity fallback expected", guarded.name());
+                }
+                let log = guarded.fault_log();
+                assert_eq!(log.events().len(), 2, "{}: {log:?}", guarded.name());
+                for event in log.events() {
+                    assert_eq!(event.kind, krylov::FaultKind::NumericalError, "{event:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,30 @@
-//! The hybrid solver public API and the baseline drivers of the evaluation.
+//! The hybrid solver public API and the one driver of the evaluation.
 //!
 //! [`HybridSolver`] is the interface a downstream user would adopt: configure
-//! sub-domain size, overlap and tolerance once, hand it a trained DSS model,
-//! and call [`HybridSolver::solve`] on assembled Poisson problems.  The free
-//! functions ([`solve_cg`], [`solve_ic0`], [`solve_ddm_lu`], [`solve_ddm_gnn`])
-//! are the four columns of the paper's Tables I and III; all of them report
-//! wall-clock timings split into total time and time spent inside the
-//! preconditioner (the `T`, `T_lu`, `T_gnn` columns of Table III).
+//! sub-domain size, overlap, coarse level and tolerance once, hand it a
+//! trained DSS model, and call [`HybridSolver::solve`] on assembled Poisson
+//! problems.  Underneath sit the two functions every example, paper-table
+//! binary and test drives directly: [`build_tiers`] builds the
+//! preconditioner of one [`Method`] (the four columns of the paper's Tables I
+//! and III) at one [`AsmLevel`] and [`Precision`], and [`solve`] runs *any*
+//! preconditioner — or none, for plain CG — through the same timed Krylov
+//! call, reporting total time and time spent inside the preconditioner (the
+//! `T`, `T_lu`, `T_gnn` columns of Table III).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ddm::{AdditiveSchwarz, AsmLevel, MultilevelConfig};
+use ddm::{AdditiveSchwarz, AsmLevel};
 use fem::PoissonProblem;
 use gnn::{DssModel, Precision};
 use krylov::{
     conjugate_gradient, preconditioned_conjugate_gradient, DegradationLadder, FaultLog,
-    Ic0Preconditioner, JacobiPreconditioner, Preconditioner, ResiliencePolicy, SolveStats,
-    SolverOptions,
+    Ic0Preconditioner, JacobiPreconditioner, Preconditioner, ResiliencePolicy, SolveResult,
+    SolveStats, SolverOptions,
 };
 use partition::partition_mesh_with_overlap;
+use sparse::CsrMatrix;
 
 use crate::preconditioner::DdmGnnPreconditioner;
 
@@ -31,7 +35,7 @@ pub enum Method {
     Cg,
     /// PCG with zero-fill incomplete Cholesky.
     Ic0,
-    /// PCG with the two-level Additive Schwarz method and exact local solves.
+    /// PCG with the Additive Schwarz method and exact local solves.
     DdmLu,
     /// PCG with the DDM-GNN preconditioner.
     DdmGnn,
@@ -49,36 +53,42 @@ impl Method {
     }
 }
 
-/// Result of one solve, with the timing breakdown of Table III.
+/// Result of one [`solve`], with the timing breakdown of Table III.  Setup is
+/// not part of it: the driver is handed a built preconditioner, so callers
+/// that report time-to-solution time [`build_tiers`] themselves.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
-    /// Which method produced this outcome.
-    pub method: Method,
-    /// Solution vector.
-    pub x: Vec<f64>,
-    /// Iteration counts, residuals, convergence history.
-    pub stats: SolveStats,
-    /// Total wall-clock time of the solve (excluding setup/factorisation).
+    /// Solution, iteration counts, residuals and convergence history of every
+    /// right-hand side, in order.
+    pub results: Vec<SolveResult>,
+    /// Total wall-clock time of the Krylov call (all right-hand sides).
     pub total_seconds: f64,
-    /// Wall-clock time of preconditioner setup (factorisations, coarse space,
-    /// graph construction).
-    pub setup_seconds: f64,
-    /// Wall-clock time spent applying the preconditioner.
+    /// Wall-clock time spent applying the preconditioner (all columns).
     pub preconditioner_seconds: f64,
-    /// Number of sub-domains (0 for CG / IC(0)).
-    pub num_subdomains: usize,
+}
+
+impl SolveOutcome {
+    /// Solution of the first (usually the only) right-hand side.
+    pub fn x(&self) -> &[f64] {
+        &self.results[0].x
+    }
+
+    /// Statistics of the first (usually the only) right-hand side.
+    pub fn stats(&self) -> &SolveStats {
+        &self.results[0].stats
+    }
 }
 
 /// Wraps any preconditioner and accumulates the wall-clock time spent in
 /// `apply` — used to report the `T_lu` / `T_gnn` columns of Table III.
-pub struct TimedPreconditioner<P> {
-    inner: P,
+pub struct TimedPreconditioner<'a> {
+    inner: &'a dyn Preconditioner,
     nanos: AtomicU64,
 }
 
-impl<P: Preconditioner> TimedPreconditioner<P> {
+impl<'a> TimedPreconditioner<'a> {
     /// Wrap a preconditioner.
-    pub fn new(inner: P) -> Self {
+    pub fn new(inner: &'a dyn Preconditioner) -> Self {
         TimedPreconditioner { inner, nanos: AtomicU64::new(0) }
     }
 
@@ -88,29 +98,29 @@ impl<P: Preconditioner> TimedPreconditioner<P> {
     }
 
     /// Access the wrapped preconditioner.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: Preconditioner> Preconditioner for TimedPreconditioner<P> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let start = Instant::now();
-        self.inner.apply(r, z);
-        self.nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    pub fn inner(&self) -> &'a dyn Preconditioner {
+        self.inner
     }
 
-    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
+    fn timed<T>(&self, apply: impl FnOnce() -> T) -> T {
         let start = Instant::now();
-        let result = self.inner.apply_checked(r, z);
+        let result = apply();
         self.nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         result
     }
+}
+
+impl Preconditioner for TimedPreconditioner<'_> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.timed(|| self.inner.apply(r, z));
+    }
+
+    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
+        self.timed(|| self.inner.apply_checked(r, z))
+    }
 
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        let start = Instant::now();
-        self.inner.apply_batch(rs, zs);
-        self.nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.timed(|| self.inner.apply_batch(rs, zs));
     }
 
     fn dim(&self) -> usize {
@@ -126,320 +136,90 @@ impl<P: Preconditioner> Preconditioner for TimedPreconditioner<P> {
     }
 }
 
-/// Solve with unpreconditioned CG.
-pub fn solve_cg(problem: &PoissonProblem, opts: &SolverOptions) -> SolveOutcome {
-    let start = Instant::now();
-    let result = conjugate_gradient(&problem.matrix, &problem.rhs, None, opts);
-    SolveOutcome {
-        method: Method::Cg,
-        x: result.x,
-        stats: result.stats,
-        total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds: 0.0,
-        preconditioner_seconds: 0.0,
-        num_subdomains: 0,
-    }
-}
-
-/// Solve with IC(0)-preconditioned CG (the "legacy optimised preconditioner").
-pub fn solve_ic0(problem: &PoissonProblem, opts: &SolverOptions) -> sparse::Result<SolveOutcome> {
-    let setup_start = Instant::now();
-    let precond = TimedPreconditioner::new(Ic0Preconditioner::new(&problem.matrix)?);
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let result =
-        preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &precond, opts);
-    Ok(SolveOutcome {
-        method: Method::Ic0,
-        x: result.x,
-        stats: result.stats,
-        total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds,
-        preconditioner_seconds: precond.seconds(),
-        num_subdomains: 0,
-    })
-}
-
-/// Solve with PCG preconditioned by the two-level ASM with exact local solves
-/// (the paper's DDM-LU).
-pub fn solve_ddm_lu(
-    problem: &PoissonProblem,
-    subdomains: Vec<Vec<usize>>,
-    two_level: bool,
-    opts: &SolverOptions,
-) -> sparse::Result<SolveOutcome> {
-    let num_subdomains = subdomains.len();
-    let level = if two_level { AsmLevel::TwoLevel } else { AsmLevel::OneLevel };
-    let setup_start = Instant::now();
-    let precond =
-        TimedPreconditioner::new(AdditiveSchwarz::new(&problem.matrix, subdomains, level)?);
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let result =
-        preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &precond, opts);
-    Ok(SolveOutcome {
-        method: Method::DdmLu,
-        x: result.x,
-        stats: result.stats,
-        total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds,
-        preconditioner_seconds: precond.seconds(),
-        num_subdomains,
-    })
-}
-
-/// [`solve_ddm_lu`] with the smoothed-aggregation multi-level hierarchy as
-/// the coarse component instead of the Nicolaides space.
-pub fn solve_ddm_lu_multilevel(
-    problem: &PoissonProblem,
-    subdomains: Vec<Vec<usize>>,
-    config: &MultilevelConfig,
-    opts: &SolverOptions,
-) -> sparse::Result<SolveOutcome> {
-    let num_subdomains = subdomains.len();
-    let setup_start = Instant::now();
-    let precond = TimedPreconditioner::new(AdditiveSchwarz::with_multilevel(
-        &problem.matrix,
-        subdomains,
-        config,
-    )?);
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let result =
-        preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &precond, opts);
-    Ok(SolveOutcome {
-        method: Method::DdmLu,
-        x: result.x,
-        stats: result.stats,
-        total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds,
-        preconditioner_seconds: precond.seconds(),
-        num_subdomains,
-    })
-}
-
-/// [`solve_ddm_gnn_with_precision`] with the multi-level hierarchy as the
-/// coarse component (the hierarchy's smoother precision follows
-/// `precision`).
-pub fn solve_ddm_gnn_multilevel(
-    problem: &PoissonProblem,
-    subdomains: Vec<Vec<usize>>,
-    model: Arc<DssModel>,
-    config: &MultilevelConfig,
-    precision: Precision,
-    opts: &SolverOptions,
-) -> sparse::Result<SolveOutcome> {
-    let num_subdomains = subdomains.len();
-    let setup_start = Instant::now();
-    let precond = TimedPreconditioner::new(DdmGnnPreconditioner::with_multilevel_coarse(
-        problem, subdomains, model, config, precision,
-    )?);
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let result =
-        preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &precond, opts);
-    Ok(SolveOutcome {
-        method: Method::DdmGnn,
-        x: result.x,
-        stats: result.stats,
-        total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds,
-        preconditioner_seconds: precond.seconds(),
-        num_subdomains,
-    })
-}
-
-/// Solve with PCG preconditioned by DDM-GNN (double-precision inference).
-pub fn solve_ddm_gnn(
-    problem: &PoissonProblem,
-    subdomains: Vec<Vec<usize>>,
-    model: Arc<DssModel>,
-    two_level: bool,
-    opts: &SolverOptions,
-) -> sparse::Result<SolveOutcome> {
-    solve_ddm_gnn_with_precision(problem, subdomains, model, two_level, Precision::F64, opts)
-}
-
-/// [`solve_ddm_gnn`] with an explicit inference precision for the local DSS
-/// solves (`Precision::F32` runs the engine's single-precision instantiation,
-/// `Precision::Int8` the same on int8-rounded weights).
-pub fn solve_ddm_gnn_with_precision(
-    problem: &PoissonProblem,
-    subdomains: Vec<Vec<usize>>,
-    model: Arc<DssModel>,
-    two_level: bool,
-    precision: Precision,
-    opts: &SolverOptions,
-) -> sparse::Result<SolveOutcome> {
-    let num_subdomains = subdomains.len();
-    let setup_start = Instant::now();
-    let precond = TimedPreconditioner::new(DdmGnnPreconditioner::with_precision(
-        problem, subdomains, model, two_level, precision,
-    )?);
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let result =
-        preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &precond, opts);
-    Ok(SolveOutcome {
-        method: Method::DdmGnn,
-        x: result.x,
-        stats: result.stats,
-        total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds,
-        preconditioner_seconds: precond.seconds(),
-        num_subdomains,
-    })
-}
-
-/// Result of a multi-right-hand-side DDM-GNN solve: one [`krylov::SolveResult`] per
-/// column plus the shared timing breakdown (setup and preconditioner time are
-/// amortised across the whole batch, so they are reported once).
-#[derive(Debug, Clone)]
-pub struct BatchSolveOutcome {
-    /// Per-column solutions and statistics, in right-hand-side order.
-    pub results: Vec<krylov::SolveResult>,
-    /// Total wall-clock time of the batched solve (excluding setup).
-    pub total_seconds: f64,
-    /// Wall-clock time of preconditioner setup.
-    pub setup_seconds: f64,
-    /// Wall-clock time spent applying the preconditioner (all columns).
-    pub preconditioner_seconds: f64,
-    /// Number of sub-domains.
-    pub num_subdomains: usize,
-}
-
-/// Solve the same operator against `bs.len()` right-hand sides with the
-/// DDM-GNN preconditioner, batching the preconditioner application across
-/// all still-active columns each outer iteration (one blocked GNN inference
-/// per sub-domain instead of one per column).
+/// Build the preconditioner of `method` over the given sub-domains: nothing
+/// for CG, IC(0), or the Schwarz preconditioner with exact (`DdmLu`) or DSS
+/// (`DdmGnn`, which needs `model`) local solves at `config.level` and
+/// `config.precision`.
 ///
-/// Column `c` of the result is bit-identical to a [`solve_ddm_gnn_with_precision`]
-/// run on `bs[c]` alone: the batched engines accumulate each column in the
-/// same order as the unbatched ones.
-pub fn solve_ddm_gnn_batch(
-    problem: &PoissonProblem,
-    subdomains: Vec<Vec<usize>>,
-    model: Arc<DssModel>,
-    two_level: bool,
-    precision: Precision,
-    bs: &[&[f64]],
-    opts: &SolverOptions,
-) -> sparse::Result<BatchSolveOutcome> {
-    let num_subdomains = subdomains.len();
-    let setup_start = Instant::now();
-    let precond = TimedPreconditioner::new(DdmGnnPreconditioner::with_precision(
-        problem, subdomains, model, two_level, precision,
-    )?);
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let results = krylov::solve_batch(&problem.matrix, bs, None, &precond, opts);
-    Ok(BatchSolveOutcome {
-        results,
-        total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds,
-        preconditioner_seconds: precond.seconds(),
-        num_subdomains,
-    })
-}
-
-/// Build the ordered tier stack for a fault-tolerant DDM-GNN solve: the GNN
-/// preconditioner at the configured precision, then every *higher*-precision
-/// GNN engine it can fall back to (int8 → f32 → f64), then the exact Schwarz
-/// method (two-level or multi-level, following `config`), then diagonal
-/// Jacobi as the most conservative tier.
-///
-/// Exposed so tests and the benchmark harness can wrap individual tiers
-/// (e.g. in a [`krylov::FaultInjectingPreconditioner`]) before assembling
-/// the [`DegradationLadder`] themselves.
-pub fn build_resilience_tiers(
+/// With `config.resilience` set, `DdmGnn` yields the whole ordered tier stack
+/// of a fault-tolerant solve instead of its one tier: the GNN preconditioner
+/// at the configured precision, then every *higher*-precision GNN engine it
+/// can fall back to (int8 → f32 → f64), then the exact Schwarz method at the
+/// same level, then diagonal Jacobi as the most conservative tier.  The tiers
+/// are returned unassembled so tests and harnesses can wrap individual ones
+/// (e.g. in a [`krylov::FaultInjectingPreconditioner`]) before handing them
+/// to [`DegradationLadder::new`].
+pub fn build_tiers(
     problem: &PoissonProblem,
     subdomains: &[Vec<usize>],
-    model: &Arc<DssModel>,
+    method: Method,
+    model: Option<&Arc<DssModel>>,
     config: &HybridSolverConfig,
 ) -> sparse::Result<Vec<Box<dyn Preconditioner>>> {
-    let chain: &[Precision] = match config.precision {
-        Precision::Int8 => &[Precision::Int8, Precision::F32, Precision::F64],
-        Precision::F32 => &[Precision::F32, Precision::F64],
-        Precision::F64 => &[Precision::F64],
-    };
-    let mut tiers: Vec<Box<dyn Preconditioner>> = Vec::with_capacity(chain.len() + 2);
-    for &precision in chain {
-        let tier = if let Some(ml) = &config.multilevel {
-            DdmGnnPreconditioner::with_multilevel_coarse(
-                problem,
-                subdomains.to_vec(),
-                Arc::clone(model),
-                ml,
-                precision,
-            )?
-        } else {
-            DdmGnnPreconditioner::with_precision(
-                problem,
-                subdomains.to_vec(),
-                Arc::clone(model),
-                config.two_level,
-                precision,
-            )?
-        };
-        tiers.push(Box::new(tier));
+    let asm = || AdditiveSchwarz::new(&problem.matrix, subdomains.to_vec(), config.level);
+    let mut tiers: Vec<Box<dyn Preconditioner>> = Vec::new();
+    match method {
+        Method::Cg => {}
+        Method::Ic0 => tiers.push(Box::new(Ic0Preconditioner::new(&problem.matrix)?)),
+        Method::DdmLu => tiers.push(Box::new(asm()?)),
+        Method::DdmGnn => {
+            let model = model.expect("Method::DdmGnn needs a trained model");
+            let ladder = config.resilience.is_some();
+            let fallbacks: &[Precision] = match config.precision {
+                Precision::Int8 if ladder => &[Precision::F32, Precision::F64],
+                Precision::F32 if ladder => &[Precision::F64],
+                _ => &[],
+            };
+            for &precision in std::iter::once(&config.precision).chain(fallbacks) {
+                tiers.push(Box::new(DdmGnnPreconditioner::build(
+                    problem,
+                    subdomains.to_vec(),
+                    Arc::clone(model),
+                    config.level,
+                    precision,
+                )?));
+            }
+            if ladder {
+                tiers.push(Box::new(asm()?));
+                tiers.push(Box::new(JacobiPreconditioner::new(&problem.matrix)));
+            }
+        }
     }
-    let asm = if let Some(ml) = &config.multilevel {
-        AdditiveSchwarz::with_multilevel(&problem.matrix, subdomains.to_vec(), ml)?
-    } else {
-        let level = if config.two_level { AsmLevel::TwoLevel } else { AsmLevel::OneLevel };
-        AdditiveSchwarz::new(&problem.matrix, subdomains.to_vec(), level)?
-    };
-    tiers.push(Box::new(asm));
-    tiers.push(Box::new(JacobiPreconditioner::new(&problem.matrix)));
     Ok(tiers)
 }
 
-/// Run the supervised PCG over an already-assembled [`DegradationLadder`]
-/// (whose tiers the caller may have wrapped, e.g. with fault injectors).
+/// The one timed Krylov driver: solve `a x = b` for every `b` in `bs` with
+/// plain CG (`precond` is `None`) or PCG under any preconditioner — a single
+/// tier, a [`DegradationLadder`], a fault injector.
 ///
-/// Contained faults, downgrades, and the final active tier end up on
-/// `SolveOutcome::stats.faults`; the flexible (Polak–Ribière) PCG tolerates
-/// the preconditioner changing mid-solve, so a downgrade never restarts the
-/// outer iteration.
-pub fn solve_with_ladder(
-    problem: &PoissonProblem,
-    num_subdomains: usize,
-    ladder: DegradationLadder,
-    setup_seconds: f64,
+/// Several right-hand sides under a preconditioner go through
+/// [`krylov::solve_batch`], which batches the preconditioner application
+/// across all still-active columns each outer iteration (one blocked GNN
+/// inference per sub-domain instead of one per column); column `c` of the
+/// result is bit-identical to a solve of `bs[c]` alone.
+///
+/// Contained faults, downgrades and the final active tier of a ladder end up
+/// on `stats.faults`; the flexible (Polak–Ribière) PCG tolerates the
+/// preconditioner changing mid-solve, so a downgrade never restarts the outer
+/// iteration.
+pub fn solve(
+    a: &CsrMatrix,
+    bs: &[&[f64]],
+    precond: Option<&dyn Preconditioner>,
     opts: &SolverOptions,
 ) -> SolveOutcome {
-    let precond = TimedPreconditioner::new(ladder);
+    let timed = precond.map(TimedPreconditioner::new);
     let start = Instant::now();
-    let result =
-        preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &precond, opts);
+    let results = match (&timed, bs) {
+        (None, _) => bs.iter().map(|b| conjugate_gradient(a, b, None, opts)).collect(),
+        (Some(p), [b]) => vec![preconditioned_conjugate_gradient(a, b, None, p, opts)],
+        (Some(p), _) => krylov::solve_batch(a, bs, None, p, opts),
+    };
     SolveOutcome {
-        method: Method::DdmGnn,
-        x: result.x,
-        stats: result.stats,
+        results,
         total_seconds: start.elapsed().as_secs_f64(),
-        setup_seconds,
-        preconditioner_seconds: precond.seconds(),
-        num_subdomains,
+        preconditioner_seconds: timed.map_or(0.0, |p| p.seconds()),
     }
-}
-
-/// [`solve_ddm_gnn`] under the fault-tolerant supervisor: the preconditioner
-/// is the full degradation ladder of [`build_resilience_tiers`] and faults
-/// are contained, classified and reported instead of aborting the process.
-pub fn solve_ddm_gnn_resilient(
-    problem: &PoissonProblem,
-    subdomains: Vec<Vec<usize>>,
-    model: Arc<DssModel>,
-    config: &HybridSolverConfig,
-    policy: ResiliencePolicy,
-    opts: &SolverOptions,
-) -> sparse::Result<SolveOutcome> {
-    let num_subdomains = subdomains.len();
-    let setup_start = Instant::now();
-    let tiers = build_resilience_tiers(problem, &subdomains, &model, config)?;
-    let ladder = DegradationLadder::new(tiers, policy);
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    Ok(solve_with_ladder(problem, num_subdomains, ladder, setup_seconds, opts))
 }
 
 /// Configuration of the high-level [`HybridSolver`].
@@ -449,8 +229,10 @@ pub struct HybridSolverConfig {
     pub subdomain_size: usize,
     /// Overlap layers.
     pub overlap: usize,
-    /// Use the two-level method (Nicolaides coarse correction).
-    pub two_level: bool,
+    /// The coarse component: none, the Nicolaides correction, or a
+    /// smoothed-aggregation multi-level V-cycle (whose smoother precision
+    /// follows `precision`).
+    pub level: AsmLevel,
     /// Relative residual tolerance.
     pub tolerance: f64,
     /// Iteration cap.
@@ -463,18 +245,11 @@ pub struct HybridSolverConfig {
     /// once at setup from the f64 model; the flexible outer PCG keeps its
     /// convergence guarantee in every mode).
     pub precision: Precision,
-    /// When set, replace the Nicolaides coarse solve with a
-    /// smoothed-aggregation multi-level V-cycle built from this
-    /// configuration (overrides `two_level`; the hierarchy's smoother
-    /// precision follows `precision`).
-    pub multilevel: Option<MultilevelConfig>,
     /// When set, run the solve under the fault-tolerant supervisor: the
-    /// preconditioner becomes a [`DegradationLadder`] (GNN at the configured
-    /// precision, then progressively higher-precision GNN tiers, then the
-    /// exact two-level/multi-level Schwarz method, then diagonal Jacobi)
-    /// that contains panics, scans for non-finite output, and downgrades in
-    /// place on a classified fault without restarting the outer PCG.  Faults
-    /// and downgrades are reported on `SolveOutcome::stats.faults`.
+    /// preconditioner becomes a [`DegradationLadder`] over the tier stack of
+    /// [`build_tiers`] that contains panics, scans for non-finite output, and
+    /// downgrades in place on a classified fault without restarting the outer
+    /// PCG.  Faults and downgrades are reported on `stats.faults`.
     pub resilience: Option<ResiliencePolicy>,
 }
 
@@ -483,12 +258,11 @@ impl Default for HybridSolverConfig {
         HybridSolverConfig {
             subdomain_size: 1000,
             overlap: 2,
-            two_level: true,
+            level: AsmLevel::TwoLevel,
             tolerance: 1e-6,
             max_iterations: 5000,
             partition_seed: 0,
             precision: Precision::F64,
-            multilevel: None,
             resilience: None,
         }
     }
@@ -503,7 +277,7 @@ pub struct HybridSolver {
 impl HybridSolver {
     /// Create a solver from a trained model and a configuration.
     pub fn new(model: DssModel, config: HybridSolverConfig) -> Self {
-        HybridSolver { config: config.clone(), model: Arc::new(model) }
+        HybridSolver { config, model: Arc::new(model) }
     }
 
     /// The solver configuration.
@@ -518,42 +292,7 @@ impl HybridSolver {
 
     /// Solve an assembled Poisson problem with the DDM-GNN preconditioned CG.
     pub fn solve(&self, problem: &PoissonProblem) -> sparse::Result<SolveOutcome> {
-        let subdomains = partition_mesh_with_overlap(
-            &problem.mesh,
-            self.config.subdomain_size,
-            self.config.overlap,
-            self.config.partition_seed,
-        );
-        let opts = SolverOptions::with_tolerance(self.config.tolerance)
-            .max_iterations(self.config.max_iterations);
-        if let Some(policy) = &self.config.resilience {
-            return solve_ddm_gnn_resilient(
-                problem,
-                subdomains,
-                Arc::clone(&self.model),
-                &self.config,
-                policy.clone(),
-                &opts,
-            );
-        }
-        if let Some(ml) = &self.config.multilevel {
-            return solve_ddm_gnn_multilevel(
-                problem,
-                subdomains,
-                Arc::clone(&self.model),
-                ml,
-                self.config.precision,
-                &opts,
-            );
-        }
-        solve_ddm_gnn_with_precision(
-            problem,
-            subdomains,
-            Arc::clone(&self.model),
-            self.config.two_level,
-            self.config.precision,
-            &opts,
-        )
+        self.run(problem, Method::DdmGnn)
     }
 
     /// Solve the same problem with the exact (DDM-LU) preconditioner — handy
@@ -562,56 +301,71 @@ impl HybridSolver {
         &self,
         problem: &PoissonProblem,
     ) -> sparse::Result<SolveOutcome> {
+        self.run(problem, Method::DdmLu)
+    }
+
+    fn run(&self, problem: &PoissonProblem, method: Method) -> sparse::Result<SolveOutcome> {
+        let config = &self.config;
         let subdomains = partition_mesh_with_overlap(
             &problem.mesh,
-            self.config.subdomain_size,
-            self.config.overlap,
-            self.config.partition_seed,
+            config.subdomain_size,
+            config.overlap,
+            config.partition_seed,
         );
-        let opts = SolverOptions::with_tolerance(self.config.tolerance)
-            .max_iterations(self.config.max_iterations);
-        if let Some(ml) = &self.config.multilevel {
-            return solve_ddm_lu_multilevel(problem, subdomains, ml, &opts);
-        }
-        solve_ddm_lu(problem, subdomains, self.config.two_level, &opts)
+        let opts =
+            SolverOptions::with_tolerance(config.tolerance).max_iterations(config.max_iterations);
+        let mut tiers = build_tiers(problem, &subdomains, method, Some(&self.model), config)?;
+        // Only the DDM-GNN stack has tiers to fall back through.
+        let precond: Box<dyn Preconditioner> = match (&config.resilience, method) {
+            (Some(policy), Method::DdmGnn) => {
+                Box::new(DegradationLadder::new(tiers, policy.clone()))
+            }
+            _ => tiers.remove(0),
+        };
+        Ok(solve(&problem.matrix, &[&problem.rhs], Some(&*precond), &opts))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::fixture;
+    use crate::test_support::{fixture, Fixture};
+    use ddm::MultilevelConfig;
+
+    /// Build `method` at `config` on the fixture and drive it over `bs`.
+    fn run(
+        fx: &Fixture,
+        method: Method,
+        config: &HybridSolverConfig,
+        bs: &[&[f64]],
+    ) -> SolveOutcome {
+        let opts = SolverOptions::with_tolerance(1e-6).max_iterations(3000);
+        let model = Arc::new(fx.model.clone());
+        let tiers = build_tiers(&fx.problem, &fx.subdomains, method, Some(&model), config).unwrap();
+        solve(&fx.problem.matrix, bs, tiers.first().map(|t| t.as_ref()), &opts)
+    }
 
     #[test]
     fn all_methods_converge_and_agree() {
         let fx = fixture();
-        let opts = SolverOptions::with_tolerance(1e-6).max_iterations(3000);
-        let cg = solve_cg(&fx.problem, &opts);
-        let ic0 = solve_ic0(&fx.problem, &opts).unwrap();
-        let lu = solve_ddm_lu(&fx.problem, fx.subdomains.clone(), true, &opts).unwrap();
-        let gnn = solve_ddm_gnn(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-            &opts,
-        )
-        .unwrap();
-        for outcome in [&cg, &ic0, &lu, &gnn] {
-            assert!(outcome.stats.converged(), "{:?} did not converge", outcome.method);
+        let config = HybridSolverConfig::default();
+        let [cg, ic0, lu, gnn] = [Method::Cg, Method::Ic0, Method::DdmLu, Method::DdmGnn]
+            .map(|method| run(fx, method, &config, &[&fx.problem.rhs]));
+        for (outcome, method) in [(&cg, "CG"), (&ic0, "IC(0)"), (&lu, "DDM-LU"), (&gnn, "DDM-GNN")]
+        {
+            assert!(outcome.stats().converged(), "{method} did not converge");
             assert!(outcome.total_seconds >= 0.0);
         }
         // All methods solve the same system: solutions agree.
-        assert!(sparse::vector::relative_error(&gnn.x, &lu.x) < 1e-4);
-        assert!(sparse::vector::relative_error(&ic0.x, &lu.x) < 1e-4);
+        assert!(sparse::vector::relative_error(gnn.x(), lu.x()) < 1e-4);
+        assert!(sparse::vector::relative_error(ic0.x(), lu.x()) < 1e-4);
         // Iteration ordering of Table I: DDM-LU <= DDM-GNN < CG.
-        assert!(lu.stats.iterations <= gnn.stats.iterations);
-        assert!(gnn.stats.iterations < cg.stats.iterations);
+        assert!(lu.stats().iterations <= gnn.stats().iterations);
+        assert!(gnn.stats().iterations < cg.stats().iterations);
         // Timing bookkeeping is self-consistent.
         assert!(gnn.preconditioner_seconds <= gnn.total_seconds + 1e-9);
         assert!(lu.preconditioner_seconds <= lu.total_seconds + 1e-9);
-        assert_eq!(cg.num_subdomains, 0);
-        assert_eq!(gnn.num_subdomains, fx.subdomains.len());
+        assert_eq!(cg.preconditioner_seconds, 0.0);
         assert_eq!(Method::DdmGnn.name(), "DDM-GNN");
     }
 
@@ -630,12 +384,12 @@ mod tests {
         assert_eq!(solver.config().overlap, 2);
         assert_eq!(solver.model().config().latent_dim, fx.model.config().latent_dim);
         let outcome = solver.solve(&fx.problem).unwrap();
-        assert!(outcome.stats.converged());
+        assert!(outcome.stats().converged());
         let exact = solver.solve_with_exact_local_solver(&fx.problem).unwrap();
-        assert!(exact.stats.converged());
-        assert!(exact.stats.iterations <= outcome.stats.iterations);
+        assert!(exact.stats().converged());
+        assert!(exact.stats().iterations <= outcome.stats().iterations);
         assert!(
-            krylov::true_relative_residual(&fx.problem.matrix, &outcome.x, &fx.problem.rhs) < 1e-5
+            krylov::true_relative_residual(&fx.problem.matrix, outcome.x(), &fx.problem.rhs) < 1e-5
         );
     }
 
@@ -655,14 +409,14 @@ mod tests {
         );
         let o64 = f64_solver.solve(&fx.problem).unwrap();
         let o32 = f32_solver.solve(&fx.problem).unwrap();
-        assert!(o64.stats.converged() && o32.stats.converged());
-        assert!(sparse::vector::relative_error(&o32.x, &o64.x) < 1e-4);
-        let cap = o64.stats.iterations + o64.stats.iterations.div_ceil(10);
+        assert!(o64.stats().converged() && o32.stats().converged());
+        assert!(sparse::vector::relative_error(o32.x(), o64.x()) < 1e-4);
+        let cap = o64.stats().iterations + o64.stats().iterations.div_ceil(10);
         assert!(
-            o32.stats.iterations <= cap,
+            o32.stats().iterations <= cap,
             "f32 iterations {} exceed f64 {} + 10%",
-            o32.stats.iterations,
-            o64.stats.iterations
+            o32.stats().iterations,
+            o64.stats().iterations
         );
     }
 
@@ -682,55 +436,44 @@ mod tests {
         );
         let o64 = f64_solver.solve(&fx.problem).unwrap();
         let oq = q_solver.solve(&fx.problem).unwrap();
-        assert!(o64.stats.converged() && oq.stats.converged());
-        assert!(sparse::vector::relative_error(&oq.x, &o64.x) < 1e-4);
-        let cap = o64.stats.iterations + (15 * o64.stats.iterations).div_ceil(100);
+        assert!(o64.stats().converged() && oq.stats().converged());
+        assert!(sparse::vector::relative_error(oq.x(), o64.x()) < 1e-4);
+        let cap = o64.stats().iterations + (15 * o64.stats().iterations).div_ceil(100);
         assert!(
-            oq.stats.iterations <= cap,
+            oq.stats().iterations <= cap,
             "int8 iterations {} exceed f64 {} + 15%",
-            oq.stats.iterations,
-            o64.stats.iterations
+            oq.stats().iterations,
+            o64.stats().iterations
         );
     }
 
     #[test]
     fn hybrid_solver_multilevel_config_end_to_end() {
         let fx = fixture();
-        let ml_config = MultilevelConfig { coarsest_max_size: 60, ..Default::default() };
-        let solver = HybridSolver::new(
-            fx.model.clone(),
-            HybridSolverConfig {
-                subdomain_size: 250,
-                overlap: 2,
-                tolerance: 1e-6,
-                multilevel: Some(ml_config.clone()),
+        let config = HybridSolverConfig {
+            subdomain_size: 250,
+            overlap: 2,
+            tolerance: 1e-6,
+            level: AsmLevel::Multilevel(MultilevelConfig {
+                coarsest_max_size: 60,
                 ..Default::default()
-            },
-        );
+            }),
+            ..Default::default()
+        };
+        let solver = HybridSolver::new(fx.model.clone(), config.clone());
         let outcome = solver.solve(&fx.problem).unwrap();
-        assert!(outcome.stats.converged());
+        assert!(outcome.stats().converged());
         assert!(
-            krylov::true_relative_residual(&fx.problem.matrix, &outcome.x, &fx.problem.rhs) < 1e-5
+            krylov::true_relative_residual(&fx.problem.matrix, outcome.x(), &fx.problem.rhs) < 1e-5
         );
         let exact = solver.solve_with_exact_local_solver(&fx.problem).unwrap();
-        assert!(exact.stats.converged());
-        assert!(sparse::vector::relative_error(&exact.x, &outcome.x) < 1e-4);
-        // The free functions drive the same multilevel paths.
-        let opts = SolverOptions::with_tolerance(1e-6).max_iterations(500);
-        let subdomains = partition_mesh_with_overlap(&fx.problem.mesh, 250, 2, 0);
-        let lu_ml =
-            solve_ddm_lu_multilevel(&fx.problem, subdomains.clone(), &ml_config, &opts).unwrap();
-        let gnn_ml = solve_ddm_gnn_multilevel(
-            &fx.problem,
-            subdomains,
-            Arc::new(fx.model.clone()),
-            &ml_config,
-            Precision::F64,
-            &opts,
-        )
-        .unwrap();
-        assert!(lu_ml.stats.converged() && gnn_ml.stats.converged());
-        assert!(lu_ml.stats.iterations <= gnn_ml.stats.iterations);
+        assert!(exact.stats().converged());
+        assert!(sparse::vector::relative_error(exact.x(), outcome.x()) < 1e-4);
+        // The two functions underneath drive the same multilevel paths.
+        let lu_ml = run(fx, Method::DdmLu, &config, &[&fx.problem.rhs]);
+        let gnn_ml = run(fx, Method::DdmGnn, &config, &[&fx.problem.rhs]);
+        assert!(lu_ml.stats().converged() && gnn_ml.stats().converged());
+        assert!(lu_ml.stats().iterations <= gnn_ml.stats().iterations);
     }
 
     #[test]
@@ -749,20 +492,20 @@ mod tests {
         );
         let p = plain.solve(&fx.problem).unwrap();
         let r = resilient.solve(&fx.problem).unwrap();
-        assert!(p.stats.converged() && r.stats.converged());
+        assert!(p.stats().converged() && r.stats().converged());
         // The guards only read r/z, so a fault-free supervised solve is
         // bit-identical to the unsupervised one.
-        assert_eq!(p.x, r.x);
-        assert_eq!(p.stats.iterations, r.stats.iterations);
-        assert!(!r.stats.degraded(), "fault-free solve reported faults: {:?}", r.stats.faults);
-        assert_eq!(r.stats.faults.final_tier(), Some("ddm-gnn-2level"));
+        assert_eq!(p.x(), r.x());
+        assert_eq!(p.stats().iterations, r.stats().iterations);
+        assert!(!r.stats().degraded(), "fault-free solve reported faults: {:?}", r.stats().faults);
+        assert_eq!(r.stats().faults.final_tier(), Some("ddm-gnn-2level"));
     }
 
     #[test]
     fn timed_preconditioner_accumulates() {
         let fx = fixture();
         let inner = krylov::JacobiPreconditioner::new(&fx.problem.matrix);
-        let timed = TimedPreconditioner::new(inner);
+        let timed = TimedPreconditioner::new(&inner);
         let r = fx.problem.rhs.clone();
         let mut z = vec![0.0; r.len()];
         assert_eq!(timed.seconds(), 0.0);
@@ -788,37 +531,22 @@ mod tests {
     fn batched_solve_matches_sequential_solves_bitwise() {
         let fx = fixture();
         let n = fx.problem.rhs.len();
-        let opts = SolverOptions::with_tolerance(1e-6).max_iterations(500);
-        let model = Arc::new(fx.model.clone());
+        let config = HybridSolverConfig::default();
         // Three distinct right-hand sides: the assembled one and two shifts.
         let b0 = fx.problem.rhs.clone();
         let b1: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let b2: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
-        let bs: Vec<&[f64]> = vec![&b0, &b1, &b2];
-        let batch = solve_ddm_gnn_batch(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::clone(&model),
-            true,
-            Precision::F64,
-            &bs,
-            &opts,
-        )
-        .unwrap();
+        let batch = run(fx, Method::DdmGnn, &config, &[&b0, &b1, &b2]);
         assert_eq!(batch.results.len(), 3);
-        assert_eq!(batch.num_subdomains, fx.subdomains.len());
         assert!(batch.preconditioner_seconds > 0.0);
         for (c, b) in [&b0, &b1, &b2].into_iter().enumerate() {
-            let problem = fem::PoissonProblem { rhs: b.clone(), ..fx.problem.clone() };
-            let single =
-                solve_ddm_gnn(&problem, fx.subdomains.clone(), Arc::clone(&model), true, &opts)
-                    .unwrap();
-            assert!(single.stats.converged());
-            assert_eq!(batch.results[c].x, single.x, "column {c} solution differs");
-            assert_eq!(batch.results[c].stats.iterations, single.stats.iterations);
+            let single = run(fx, Method::DdmGnn, &config, &[b]);
+            assert!(single.stats().converged());
+            assert_eq!(batch.results[c].x, single.x(), "column {c} solution differs");
+            assert_eq!(batch.results[c].stats.iterations, single.stats().iterations);
             assert_eq!(
                 batch.results[c].stats.history.norms(),
-                single.stats.history.norms(),
+                single.stats().history.norms(),
                 "column {c} residual history differs"
             );
         }

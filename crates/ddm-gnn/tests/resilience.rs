@@ -15,9 +15,9 @@ use std::time::Duration;
 
 use ddm::{AdditiveSchwarz, AsmLevel};
 use ddm_gnn::{
-    build_resilience_tiers, generate_problem, load_pretrained, solve_with_ladder,
-    DdmGnnPreconditioner, DegradationLadder, FaultInjectingPreconditioner, FaultKind,
-    HybridSolverConfig, InjectedFault, Precision, ResiliencePolicy,
+    build_tiers, generate_problem, load_pretrained, solve, DdmGnnPreconditioner, DegradationLadder,
+    FaultInjectingPreconditioner, FaultKind, HybridSolverConfig, InjectedFault, Method, Precision,
+    ResiliencePolicy,
 };
 use fem::PoissonProblem;
 use gnn::DssModel;
@@ -60,6 +60,19 @@ fn opts() -> SolverOptions {
     SolverOptions::with_tolerance(1e-6).max_iterations(4000)
 }
 
+/// The full degradation-ladder tier stack of the default (two-level, f64)
+/// DDM-GNN solve.
+fn ladder_tiers(
+    problem: &PoissonProblem,
+    subdomains: &[Vec<usize>],
+    model: &Arc<DssModel>,
+) -> Vec<Box<dyn Preconditioner>> {
+    let config =
+        HybridSolverConfig { resilience: Some(ResiliencePolicy::default()), ..Default::default() };
+    build_tiers(problem, subdomains, Method::DdmGnn, Some(model), &config)
+        .expect("tier setup failed")
+}
+
 /// Fault-free reference: plain (unsupervised) DDM-GNN PCG, f64 inference.
 fn fault_free(
     problem: &PoissonProblem,
@@ -97,10 +110,8 @@ fn exercise_all_fault_classes(target: usize, idx: usize) {
         (InjectedFault::ZeroOutput, FaultKind::ZeroOutput),
         (InjectedFault::Stall(stall), FaultKind::TimeBudget),
     ];
-    let config = HybridSolverConfig::default();
     for (fault, expected_kind) in cases {
-        let mut tiers = build_resilience_tiers(&problem, &subdomains, &model, &config)
-            .expect("tier setup failed");
+        let mut tiers = ladder_tiers(&problem, &subdomains, &model);
         // Wrap the preferred (GNN) tier in the deterministic injector.
         let gnn = tiers.remove(0);
         let faulted_tier_name = format!("inject({})", gnn.name());
@@ -112,21 +123,22 @@ fn exercise_all_fault_classes(target: usize, idx: usize) {
             policy.apply_time_budget = Some(Duration::from_millis(250));
         }
         let ladder = DegradationLadder::new(tiers, policy);
-        let outcome = solve_with_ladder(&problem, subdomains.len(), ladder, 0.0, &opts());
+        let outcome = solve(&problem.matrix, &[&problem.rhs], Some(&ladder), &opts());
+        let stats = outcome.stats();
 
         assert!(
-            outcome.stats.converged(),
+            stats.converged(),
             "{fault:?} at n={}: solve did not converge",
             problem.num_unknowns()
         );
         assert!(
-            outcome.stats.iterations <= budget,
+            stats.iterations <= budget,
             "{fault:?} at n={}: {} iterations exceed 2x fault-free ({})",
             problem.num_unknowns(),
-            outcome.stats.iterations,
+            stats.iterations,
             budget
         );
-        let faults = &outcome.stats.faults;
+        let faults = &stats.faults;
         assert!(
             faults.has_kind(expected_kind),
             "{fault:?}: expected {expected_kind:?} in the log, got {faults:?}"
@@ -144,7 +156,7 @@ fn exercise_all_fault_classes(target: usize, idx: usize) {
         assert_eq!(faults.final_tier(), Some("ddm-lu-2level"), "{fault:?}: unexpected final tier");
         // The solution still solves the system.
         assert!(
-            krylov::true_relative_residual(&problem.matrix, &outcome.x, &problem.rhs) < 1e-5,
+            krylov::true_relative_residual(&problem.matrix, outcome.x(), &problem.rhs) < 1e-5,
             "{fault:?}: true residual too large"
         );
     }
@@ -206,26 +218,13 @@ fn fault_free_hash_matches_committed_baseline() {
             "DDM-LU hash drifted from the committed baseline (idx {idx})"
         );
 
-        let config = HybridSolverConfig::default();
-        let tiers = build_resilience_tiers(&problem, &subdomains, &model, &config)
-            .expect("tier setup failed");
+        let tiers = ladder_tiers(&problem, &subdomains, &model);
         let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
-        let supervised = solve_with_ladder(&problem, subdomains.len(), ladder, 0.0, &opts());
-        assert!(supervised.stats.converged());
-        assert!(!supervised.stats.degraded(), "fault-free supervised solve logged faults");
+        let supervised = solve(&problem.matrix, &[&problem.rhs], Some(&ladder), &opts());
+        assert!(supervised.stats().converged());
+        assert!(!supervised.stats().degraded(), "fault-free supervised solve logged faults");
         assert_eq!(
-            format!(
-                "{:016x}",
-                hash_f64s(
-                    supervised
-                        .stats
-                        .history
-                        .norms()
-                        .iter()
-                        .copied()
-                        .chain(supervised.x.iter().copied())
-                )
-            ),
+            format!("{:016x}", solve_hash(&supervised.results[0])),
             expected,
             "supervised fault-free hash drifted from the committed baseline (idx {idx})"
         );
@@ -239,24 +238,22 @@ fn fault_free_hash_matches_committed_baseline() {
 fn seeded_random_fault_schedule_reproduces() {
     let (problem, subdomains) = problem_and_subdomains(0, 3000);
     let model = model();
-    let config = HybridSolverConfig::default();
     let menu = [InjectedFault::Panic, InjectedFault::NanOutput, InjectedFault::ZeroOutput];
     let run = || {
-        let mut tiers = build_resilience_tiers(&problem, &subdomains, &model, &config)
-            .expect("tier setup failed");
+        let mut tiers = ladder_tiers(&problem, &subdomains, &model);
         let gnn = tiers.remove(0);
         let injector = FaultInjectingPreconditioner::random(gnn, 42, 2, 30, &menu);
         let schedule: Vec<_> = injector.schedule().iter().map(|(k, v)| (*k, *v)).collect();
         tiers.insert(0, Box::new(injector));
         let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
-        let outcome = solve_with_ladder(&problem, subdomains.len(), ladder, 0.0, &opts());
+        let outcome = solve(&problem.matrix, &[&problem.rhs], Some(&ladder), &opts());
         (schedule, outcome)
     };
     let (schedule_a, a) = run();
     let (schedule_b, b) = run();
     assert_eq!(schedule_a, schedule_b, "seeded schedule is not reproducible");
-    assert!(a.stats.converged() && b.stats.converged());
-    assert_eq!(a.x, b.x, "seeded faulted solves diverged");
-    assert_eq!(a.stats.iterations, b.stats.iterations);
-    assert_eq!(a.stats.faults.events().len(), b.stats.faults.events().len());
+    assert!(a.stats().converged() && b.stats().converged());
+    assert_eq!(a.x(), b.x(), "seeded faulted solves diverged");
+    assert_eq!(a.stats().iterations, b.stats().iterations);
+    assert_eq!(a.stats().faults.events().len(), b.stats().faults.events().len());
 }

@@ -1,9 +1,10 @@
-//! The one- and two-level Additive Schwarz preconditioner (DDM-LU).
+//! The Additive Schwarz preconditioner with exact local solves (DDM-LU).
 //!
 //! `apply` implements Eq. (6) / (7) of the paper:
 //!
 //! ```text
-//! z = [R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r]   (two-level only)
+//! z = [R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r]   (the coarse term [`AsmLevel`] selects:
+//!                                none, this Nicolaides solve, or a V-cycle)
 //!   + Σᵢ Rᵢᵀ (Rᵢ A Rᵢᵀ)⁻¹ Rᵢ r
 //! ```
 //!
@@ -25,65 +26,10 @@ use krylov::Preconditioner;
 use rayon::prelude::*;
 use sparse::CsrMatrix;
 
-use crate::coarse::NicolaidesCoarseSpace;
-use crate::local::{factor_all_cholesky, CholeskyLocalSolver, LocalSolver};
+use crate::local::{factor_all_cholesky, CholeskyLocalSolver};
 use crate::multilevel::{Hierarchy, MultilevelConfig};
 use crate::restriction::Restriction;
-use crate::Decomposition;
-
-/// The coarse component of a two-or-more-level Schwarz preconditioner:
-/// either the classical single-shot Nicolaides solve or a recursive
-/// smoothed-aggregation V-cycle.
-pub enum CoarseSpace {
-    /// One coarse degree of freedom per sub-domain, dense LU solve.
-    Nicolaides(NicolaidesCoarseSpace),
-    /// Smoothed-aggregation multi-level V-cycle over the global operator.
-    Multilevel(Hierarchy),
-}
-
-impl CoarseSpace {
-    /// Accumulate the coarse correction for residual `r` into `out`.
-    ///
-    /// The Nicolaides path reports mismatched dimensions as a classified
-    /// error; the multilevel V-cycle is infallible once built.
-    pub fn apply_into(&self, r: &[f64], out: &mut [f64]) -> sparse::Result<()> {
-        match self {
-            CoarseSpace::Nicolaides(c) => c.apply_into(r, out),
-            CoarseSpace::Multilevel(h) => {
-                h.apply_into(r, out);
-                Ok(())
-            }
-        }
-    }
-
-    /// Accumulate the coarse correction for a batch of residuals into the
-    /// matching outputs.
-    ///
-    /// The Nicolaides path runs its restriction/prolongation as blocked SpMM
-    /// (one sweep over `R₀` per batch); the multilevel V-cycle has no panel
-    /// form and falls back to a column loop.  Per-column results are
-    /// bit-identical to [`CoarseSpace::apply_into`].
-    pub fn apply_batch_into(&self, rs: &[&[f64]], outs: &mut [&mut [f64]]) -> sparse::Result<()> {
-        match self {
-            CoarseSpace::Nicolaides(c) => c.apply_batch_into(rs, outs),
-            CoarseSpace::Multilevel(h) => {
-                for (r, out) in rs.iter().zip(outs.iter_mut()) {
-                    h.apply_into(r, out);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Number of levels the coarse component itself spans (1 for the
-    /// Nicolaides direct solve).
-    pub fn num_levels(&self) -> usize {
-        match self {
-            CoarseSpace::Nicolaides(_) => 1,
-            CoarseSpace::Multilevel(h) => h.num_levels(),
-        }
-    }
-}
+use crate::{check_lengths, Decomposition};
 
 /// Reusable per-sub-domain buffers for one preconditioner application.
 struct LocalScratch {
@@ -112,24 +58,46 @@ impl LocalScratch {
     }
 }
 
-/// Whether the preconditioner includes the coarse-space correction.
+/// What varies between the Schwarz preconditioners of the paper: the coarse
+/// component added to the sum of local corrections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsmLevel {
     /// One-level method: local solves only.
     OneLevel,
     /// Two-level method: local solves plus the Nicolaides coarse correction.
     TwoLevel,
-    /// Local solves plus a smoothed-aggregation multi-level V-cycle (with
-    /// the default [`MultilevelConfig`]; use
-    /// [`AdditiveSchwarz::with_multilevel`] for a custom one).
-    Multilevel,
+    /// Local solves plus a smoothed-aggregation multi-level V-cycle.
+    Multilevel(MultilevelConfig),
+}
+
+impl AsmLevel {
+    /// Build the coarse component this level names over `matrix`, together
+    /// with the tag (`1level`, `2level`, `ml<levels>`) both Schwarz shells
+    /// report in their tier name.
+    pub fn build_coarse(
+        &self,
+        matrix: &CsrMatrix,
+        restrictions: &[Restriction],
+    ) -> sparse::Result<(Option<Hierarchy>, String)> {
+        Ok(match self {
+            AsmLevel::OneLevel => (None, "1level".to_string()),
+            AsmLevel::TwoLevel => {
+                (Some(Hierarchy::nicolaides(matrix, restrictions)?), "2level".to_string())
+            }
+            AsmLevel::Multilevel(config) => {
+                let hierarchy = Hierarchy::build(matrix, config)?;
+                let tag = format!("ml{}", hierarchy.num_levels());
+                (Some(hierarchy), tag)
+            }
+        })
+    }
 }
 
 /// The Additive Schwarz preconditioner with exact local solvers.
 pub struct AdditiveSchwarz {
     restrictions: Vec<Restriction>,
     local_solvers: Vec<CholeskyLocalSolver>,
-    coarse: Option<CoarseSpace>,
+    coarse: Option<Hierarchy>,
     scratch: Vec<TrackedMutex<LocalScratch>>,
     /// Serialises whole `apply` calls: the scratch buffers span the parallel
     /// fill and the sequential glue, so two concurrent `apply`s on the same
@@ -141,90 +109,23 @@ pub struct AdditiveSchwarz {
     name: String,
     /// Number of `apply` calls so far (≈ the outer iteration index).
     applies: AtomicU64,
-    /// Classified local-/coarse-solve errors, surfaced via `collect_faults`.
+    /// Classified local-solve errors, surfaced via `collect_faults`.
     faults: TrackedMutex<FaultLog>,
 }
 
 impl AdditiveSchwarz {
-    /// Build the preconditioner from a global matrix and overlapping
-    /// sub-domain index sets.
+    /// Build the preconditioner from a global matrix, overlapping sub-domain
+    /// index sets and the coarse component `level` selects.
     pub fn new(
         matrix: &CsrMatrix,
         subdomains: Vec<Vec<usize>>,
         level: AsmLevel,
     ) -> sparse::Result<Self> {
-        let decomp = Decomposition::new(matrix, subdomains);
-        Self::from_decomposition(matrix, decomp, level)
-    }
-
-    /// Build with a smoothed-aggregation multi-level coarse component using
-    /// an explicit [`MultilevelConfig`].
-    pub fn with_multilevel(
-        matrix: &CsrMatrix,
-        subdomains: Vec<Vec<usize>>,
-        config: &MultilevelConfig,
-    ) -> sparse::Result<Self> {
-        let decomp = Decomposition::new(matrix, subdomains);
-        Self::from_decomposition_multilevel(matrix, decomp, config)
-    }
-
-    /// [`AdditiveSchwarz::from_decomposition`] with a multi-level coarse
-    /// component built from `config`.
-    pub fn from_decomposition_multilevel(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        config: &MultilevelConfig,
-    ) -> sparse::Result<Self> {
-        let hierarchy = Hierarchy::build(matrix, config)?;
-        Self::assemble(matrix, decomposition, Some(CoarseSpace::Multilevel(hierarchy)))
-    }
-
-    /// Build from an existing decomposition with an explicitly constructed
-    /// coarse component (or none).  This is the injection point for custom
-    /// hierarchies — e.g. the bit-exact
-    /// [`Hierarchy::two_level_nicolaides`] pinning configuration.
-    pub fn from_decomposition_with_coarse(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        coarse: Option<CoarseSpace>,
-    ) -> sparse::Result<Self> {
-        Self::assemble(matrix, decomposition, coarse)
-    }
-
-    /// Build from an existing decomposition (lets callers reuse the local
-    /// matrices, e.g. to also train a GNN on them).
-    pub fn from_decomposition(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        level: AsmLevel,
-    ) -> sparse::Result<Self> {
-        let coarse = match level {
-            AsmLevel::OneLevel => None,
-            AsmLevel::TwoLevel => Some(CoarseSpace::Nicolaides(NicolaidesCoarseSpace::new(
-                matrix,
-                &decomposition.restrictions,
-            )?)),
-            AsmLevel::Multilevel => Some(CoarseSpace::Multilevel(Hierarchy::build(
-                matrix,
-                &MultilevelConfig::default(),
-            )?)),
-        };
-        Self::assemble(matrix, decomposition, coarse)
-    }
-
-    fn assemble(
-        matrix: &CsrMatrix,
-        decomposition: Decomposition,
-        coarse: Option<CoarseSpace>,
-    ) -> sparse::Result<Self> {
-        let Decomposition { restrictions, local_matrices, .. } = decomposition;
+        let Decomposition { restrictions, local_matrices, .. } =
+            Decomposition::new(matrix, subdomains);
+        let (coarse, tag) = level.build_coarse(matrix, &restrictions)?;
         let local_solvers = factor_all_cholesky(&local_matrices)?;
         let scratch = restrictions.iter().map(|r| LocalScratch::new(r.num_local())).collect();
-        let name = match &coarse {
-            None => "ddm-lu-1level".to_string(),
-            Some(CoarseSpace::Nicolaides(_)) => "ddm-lu-2level".to_string(),
-            Some(CoarseSpace::Multilevel(h)) => format!("ddm-lu-ml{}", h.num_levels()),
-        };
         Ok(AdditiveSchwarz {
             restrictions,
             local_solvers,
@@ -232,7 +133,7 @@ impl AdditiveSchwarz {
             scratch,
             apply_guard: TrackedMutex::new((), "ddm::asm::AdditiveSchwarz::apply_guard"),
             num_global: matrix.nrows(),
-            name,
+            name: format!("ddm-lu-{tag}"),
             applies: AtomicU64::new(0),
             // Commutative: the fault log is append-only inside parallel
             // sections and every aggregation over it is order-insensitive.
@@ -242,6 +143,15 @@ impl AdditiveSchwarz {
                 "append-only fault log; aggregation queries are order-insensitive",
             ),
         })
+    }
+
+    /// [`AdditiveSchwarz::new`] at [`AsmLevel::Multilevel`].
+    pub fn with_multilevel(
+        matrix: &CsrMatrix,
+        subdomains: Vec<Vec<usize>>,
+        config: &MultilevelConfig,
+    ) -> sparse::Result<Self> {
+        Self::new(matrix, subdomains, AsmLevel::Multilevel(*config))
     }
 
     /// Number of sub-domains.
@@ -255,7 +165,7 @@ impl AdditiveSchwarz {
     }
 
     /// The coarse component, if any.
-    pub fn coarse_space(&self) -> Option<&CoarseSpace> {
+    pub fn coarse_space(&self) -> Option<&Hierarchy> {
         self.coarse.as_ref()
     }
 }
@@ -299,17 +209,14 @@ impl Preconditioner for AdditiveSchwarz {
             restriction.extend_add(&scratch.lock().sol, z);
         }
         if let Some(coarse) = &self.coarse {
-            if let Err(e) = coarse.apply_into(r, z) {
-                // Skip the coarse contribution; the local corrections alone
-                // are still a valid (one-level) preconditioner.
-                self.faults.lock().record(FaultEvent::new(
-                    FaultKind::NumericalError,
-                    apply_index,
-                    &self.name,
-                    format!("coarse correction failed: {e}"),
-                ));
-            }
+            coarse.apply_into(r, z);
         }
+    }
+
+    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
+        check_lengths("additive Schwarz apply", self.num_global, r, z)?;
+        self.apply(r, z);
+        Ok(())
     }
 
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
@@ -350,7 +257,7 @@ impl Preconditioner for AdditiveSchwarz {
         });
 
         // Per-column gluing in sub-domain order (thread-count independent),
-        // then the coarse correction as one blocked SpMM over the batch.
+        // then the coarse correction column by column.
         for z in zs.iter_mut() {
             for zi in z.iter_mut() {
                 *zi = 0.0;
@@ -363,13 +270,8 @@ impl Preconditioner for AdditiveSchwarz {
             }
         }
         if let Some(coarse) = &self.coarse {
-            if let Err(e) = coarse.apply_batch_into(rs, zs) {
-                self.faults.lock().record(FaultEvent::new(
-                    FaultKind::NumericalError,
-                    apply_index,
-                    &self.name,
-                    format!("batched coarse correction failed: {e}"),
-                ));
+            for (r, z) in rs.iter().zip(zs.iter_mut()) {
+                coarse.apply_into(r, z);
             }
         }
     }
@@ -395,7 +297,7 @@ mod tests {
 
     #[test]
     fn batched_apply_is_bit_identical_per_column() {
-        // Exercises the batched local solves and the blocked-SpMM Nicolaides
+        // Exercises the batched local solves and the per-column Nicolaides
         // coarse path against the unbatched apply, column by column.
         let fx = fixture(900, 250, 2);
         let n = fx.problem.num_unknowns();
@@ -613,9 +515,8 @@ mod tests {
     #[test]
     fn asm_level_multilevel_uses_default_config() {
         let fx = fixture(1200, 300, 2);
-        let ml =
-            AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), AsmLevel::Multilevel)
-                .unwrap();
+        let level = AsmLevel::Multilevel(MultilevelConfig::default());
+        let ml = AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), level).unwrap();
         assert!(ml.has_coarse_space());
         assert!(ml.name().starts_with("ddm-lu-ml"));
         let opts = SolverOptions::with_tolerance(1e-6);

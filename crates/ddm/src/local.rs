@@ -3,43 +3,17 @@
 //! The paper's DDM-LU baseline solves every local problem `Rᵢ A Rᵢᵀ vᵢ = Rᵢ r`
 //! with a sparse direct factorisation (Eigen's sparse LU in the original C++
 //! implementation).  The sub-domain matrices here are SPD Dirichlet
-//! Laplacians, so the default exact solver is the RCM + skyline Cholesky from
-//! the `sparse` crate, with a dense-LU variant kept for testing and for
-//! matrices that are not numerically SPD.
+//! Laplacians, so the exact solver is the RCM + skyline Cholesky from the
+//! `sparse` crate.
 
-use sparse::{CsrMatrix, LuFactor, SkylineCholesky, SparseError};
+use sparse::{CsrMatrix, SkylineCholesky};
 
-/// A factorised local operator that can solve `A_local x = rhs` repeatedly.
+/// A factorised local SPD operator that can solve `A_local x = rhs`
+/// repeatedly.
 ///
 /// Both entry points return `sparse::Result` so a mismatched right-hand side
 /// is a classified error the Schwarz glue can route into fault
 /// classification — not a panic that takes the whole solve down.
-pub trait LocalSolver: Send + Sync {
-    /// Solve for one right-hand side.
-    fn solve(&self, rhs: &[f64]) -> sparse::Result<Vec<f64>>;
-
-    /// Allocation-free solve: `work` is a caller-owned scratch buffer that is
-    /// resized on first use and reused across calls, `out` receives the
-    /// solution.  The default implementation falls back to [`Self::solve`].
-    fn solve_into(&self, rhs: &[f64], work: &mut Vec<f64>, out: &mut [f64]) -> sparse::Result<()> {
-        let _ = work;
-        let sol = self.solve(rhs)?;
-        if sol.len() != out.len() {
-            return Err(SparseError::DimensionMismatch {
-                op: "local solve output",
-                expected: (out.len(), 1),
-                found: (sol.len(), 1),
-            });
-        }
-        out.copy_from_slice(&sol);
-        Ok(())
-    }
-
-    /// Dimension of the local problem.
-    fn dim(&self) -> usize;
-}
-
-/// Sparse Cholesky local solver (the default exact solver).
 pub struct CholeskyLocalSolver {
     factor: SkylineCholesky,
 }
@@ -49,40 +23,26 @@ impl CholeskyLocalSolver {
     pub fn new(matrix: &CsrMatrix) -> sparse::Result<Self> {
         Ok(CholeskyLocalSolver { factor: SkylineCholesky::factor(matrix)? })
     }
-}
 
-impl LocalSolver for CholeskyLocalSolver {
-    fn solve(&self, rhs: &[f64]) -> sparse::Result<Vec<f64>> {
+    /// Solve for one right-hand side.
+    pub fn solve(&self, rhs: &[f64]) -> sparse::Result<Vec<f64>> {
         self.factor.solve(rhs)
     }
 
-    fn solve_into(&self, rhs: &[f64], work: &mut Vec<f64>, out: &mut [f64]) -> sparse::Result<()> {
+    /// Allocation-free solve: `work` is a caller-owned scratch buffer that is
+    /// resized on first use and reused across calls, `out` receives the
+    /// solution.
+    pub fn solve_into(
+        &self,
+        rhs: &[f64],
+        work: &mut Vec<f64>,
+        out: &mut [f64],
+    ) -> sparse::Result<()> {
         self.factor.solve_scratch(rhs, work, out)
     }
 
-    fn dim(&self) -> usize {
-        self.factor.dim()
-    }
-}
-
-/// Dense LU local solver (fallback / reference).
-pub struct DenseLuLocalSolver {
-    factor: LuFactor,
-}
-
-impl DenseLuLocalSolver {
-    /// Factor a local matrix by densifying it.
-    pub fn new(matrix: &CsrMatrix) -> sparse::Result<Self> {
-        Ok(DenseLuLocalSolver { factor: LuFactor::factor_csr(matrix)? })
-    }
-}
-
-impl LocalSolver for DenseLuLocalSolver {
-    fn solve(&self, rhs: &[f64]) -> sparse::Result<Vec<f64>> {
-        self.factor.solve(rhs)
-    }
-
-    fn dim(&self) -> usize {
+    /// Dimension of the local problem.
+    pub fn dim(&self) -> usize {
         self.factor.dim()
     }
 }
@@ -98,7 +58,7 @@ pub fn factor_all_cholesky(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse::CooMatrix;
+    use sparse::{CooMatrix, LuFactor};
 
     fn small_spd(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -117,13 +77,13 @@ mod tests {
         let a = small_spd(30);
         let rhs: Vec<f64> = (0..30).map(|i| ((i * 11) % 7) as f64 - 3.0).collect();
         let chol = CholeskyLocalSolver::new(&a).unwrap();
-        let lu = DenseLuLocalSolver::new(&a).unwrap();
+        let lu = LuFactor::factor_csr(&a).unwrap();
         let mut work = Vec::new();
         let mut out = vec![0.0; 30];
         chol.solve_into(&rhs, &mut work, &mut out).unwrap();
         assert_eq!(out, chol.solve(&rhs).unwrap());
-        // The default trait implementation (dense LU) also matches.
-        lu.solve_into(&rhs, &mut work, &mut out).unwrap();
+        // The dense-LU reference agrees with itself the same way.
+        lu.solve_into(&rhs, &mut out).unwrap();
         assert_eq!(out, lu.solve(&rhs).unwrap());
     }
 
@@ -131,21 +91,18 @@ mod tests {
     fn mismatched_rhs_is_a_classified_error_not_a_panic() {
         let a = small_spd(10);
         let chol = CholeskyLocalSolver::new(&a).unwrap();
-        let lu = DenseLuLocalSolver::new(&a).unwrap();
         let bad = vec![1.0; 7];
         assert!(chol.solve(&bad).is_err());
-        assert!(lu.solve(&bad).is_err());
         let mut work = Vec::new();
         let mut out = vec![0.0; 10];
         assert!(chol.solve_into(&bad, &mut work, &mut out).is_err());
-        assert!(lu.solve_into(&bad, &mut work, &mut out).is_err());
     }
 
     #[test]
     fn cholesky_and_lu_agree() {
         let a = small_spd(25);
         let chol = CholeskyLocalSolver::new(&a).unwrap();
-        let lu = DenseLuLocalSolver::new(&a).unwrap();
+        let lu = LuFactor::factor_csr(&a).unwrap();
         assert_eq!(chol.dim(), 25);
         assert_eq!(lu.dim(), 25);
         let rhs: Vec<f64> = (0..25).map(|i| (i as f64 * 0.3).sin()).collect();
@@ -177,8 +134,8 @@ mod tests {
         coo.push(1, 1, -1.0).unwrap();
         let a = coo.to_csr();
         assert!(CholeskyLocalSolver::new(&a).is_err());
-        // ...but the dense LU fallback handles it.
-        let lu = DenseLuLocalSolver::new(&a).unwrap();
+        // ...but dense LU handles it.
+        let lu = LuFactor::factor_csr(&a).unwrap();
         let x = lu.solve(&[2.0, 3.0]).unwrap();
         assert_eq!(x, vec![2.0, -3.0]);
     }

@@ -1,10 +1,22 @@
-//! Recursive algebraic multi-level hierarchy (smoothed aggregation).
+//! The coarse component of the Schwarz preconditioners: one [`Hierarchy`]
+//! type, built either as the Nicolaides coarse space or as a recursive
+//! smoothed-aggregation AMG hierarchy.
 //!
-//! The two-level Schwarz method caps out once the Nicolaides coarse problem
-//! itself grows with the sub-domain count: its dense LU is `O(K³)` and its
-//! one-constant-per-sub-domain space is too weak to keep PCG iteration counts
-//! flat as `n` grows.  This module replaces that single coarse solve with a
-//! classical smoothed-aggregation AMG hierarchy:
+//! **Nicolaides** ([`Hierarchy::nicolaides`], Eq. 7 and 13 of the paper) has
+//! one degree of freedom per sub-domain.  Its basis vectors are the
+//! partition-of-unity weighted indicator vectors of the sub-domains: node `v`
+//! contributes `1 / multiplicity(v)` to every sub-domain that contains it, so
+//! the basis sums to the constant vector — the kernel direction the one-level
+//! method struggles with.  `R₀` is a sparse `K × N` CSR matrix, the coarse
+//! operator `R₀ A R₀ᵀ` a small dense matrix factored with LU once per setup,
+//! and the correction `R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r` is scattered straight into the
+//! output (an intermediate accumulator would re-round the additions the
+//! committed two-level hashes pin).
+//!
+//! That single coarse solve caps out once it grows with the sub-domain
+//! count: the dense LU is `O(K³)` and one constant per sub-domain is too weak
+//! to keep PCG iteration counts flat as `n` grows.  **Smoothed aggregation**
+//! ([`Hierarchy::build`]) replaces it with a classical AMG hierarchy:
 //!
 //! 1. **Strength of connection** — `j` is a strong neighbour of `i` when
 //!    `|a_ij| ≥ θ √(a_ii a_jj)`.
@@ -21,19 +33,14 @@
 //!    ([`CsrMatrix::galerkin_rap`]), repeated until the coarsest operator is
 //!    small enough for the existing skyline-Cholesky direct solve.
 //!
-//! The [`Hierarchy::apply_into`] V-cycle (weighted-Jacobi or symmetric
-//! Gauss–Seidel smoothing per level, zero initial guess) is symmetric
-//! positive definite, so it slots in additively as the coarse component of
+//! Its [`Hierarchy::apply_into`] V-cycle (one weighted-Jacobi sweep before
+//! and after each level, zero initial guess) is symmetric positive definite,
+//! so either construction slots in additively as the coarse component of
 //! `AdditiveSchwarz` and `DdmGnnPreconditioner` without breaking PCG theory.
 //!
 //! **Determinism contract.** Everything here is sequential or runs through
 //! the fixed-chunk SpMV kernels, so results are bit-identical at every thread
-//! count.  The degenerate [`Hierarchy::two_level_nicolaides`] configuration
-//! reproduces the existing `NicolaidesCoarseSpace` *bit for bit*: it uses the
-//! identical `R₀`, the identical dense-LU coarse factorisation, and an apply
-//! path with the identical operation sequence (restrict, solve, scatter
-//! straight into `out` — no intermediate accumulator, which would re-round
-//! the additions).
+//! count.
 
 use sanitizer::TrackedMutex;
 
@@ -41,16 +48,19 @@ use sparse::{CsrMatrix, DenseMatrix, LuFactor, SkylineCholesky};
 
 use crate::restriction::{node_multiplicity, Restriction};
 
-/// Which stationary smoother runs at each level of the V-cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmootherKind {
-    /// Damped Jacobi `x ← x + w D⁻¹ (b − A x)` — symmetric by construction.
-    WeightedJacobi,
-    /// Gauss–Seidel: forward sweeps before coarsening, backward sweeps after,
-    /// so the V-cycle stays a symmetric operator when `pre_sweeps ==
-    /// post_sweeps`.
-    GaussSeidel,
-}
+/// Strength-of-connection threshold `θ` in `|a_ij| ≥ θ √(a_ii a_jj)`, applied
+/// at the finest level and **halved at each coarser level**: the Galerkin
+/// operators grow denser stencils whose individual couplings are
+/// proportionally smaller, so a fixed threshold eventually classifies every
+/// coupling as weak and stalls coarsening.
+const THETA: f64 = 0.08;
+/// Prolongator damping numerator: `ω = OMEGA_FACTOR / λ_max(D⁻¹A)` (the
+/// classical smoothed-aggregation choice).
+const OMEGA_FACTOR: f64 = 4.0 / 3.0;
+/// Damping weight of the Jacobi smoother sweeps.
+const JACOBI_WEIGHT: f64 = 2.0 / 3.0;
+/// Hard cap on the number of levels (including fine and coarsest).
+const MAX_LEVELS: usize = 12;
 
 /// Scalar precision of the smoother sweeps (the V-cycle glue — restriction,
 /// prolongation, coarse solve — always stays f64).
@@ -66,66 +76,26 @@ pub enum SmootherPrecision {
 }
 
 /// Configuration of [`Hierarchy::build`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultilevelConfig {
-    /// Strength-of-connection threshold `θ` in `|a_ij| ≥ θ √(a_ii a_jj)`,
-    /// applied at the finest level and **halved at each coarser level**: the
-    /// Galerkin operators grow denser stencils whose individual couplings
-    /// are proportionally smaller, so a fixed threshold eventually classifies
-    /// every coupling as weak and stalls coarsening.
-    pub theta: f64,
-    /// Prolongator damping numerator: `ω = omega_factor / λ_max(D⁻¹A)`.
-    /// The classical smoothed-aggregation choice is `4/3`.
-    pub omega_factor: f64,
-    /// Damping weight of the Jacobi smoother sweeps.
-    pub jacobi_weight: f64,
-    /// Per-level smoother.
-    pub smoother: SmootherKind,
     /// Smoother sweep precision.
     pub smoother_precision: SmootherPrecision,
-    /// Smoothing sweeps before restricting (per level).
-    pub pre_sweeps: usize,
-    /// Smoothing sweeps after prolongating (per level).
-    pub post_sweeps: usize,
-    /// Hard cap on the number of levels (including fine and coarsest).
-    pub max_levels: usize,
     /// Coarsening stops once the operator has at most this many rows.
     pub coarsest_max_size: usize,
 }
 
 impl Default for MultilevelConfig {
     fn default() -> Self {
-        MultilevelConfig {
-            theta: 0.08,
-            omega_factor: 4.0 / 3.0,
-            jacobi_weight: 2.0 / 3.0,
-            smoother: SmootherKind::WeightedJacobi,
-            smoother_precision: SmootherPrecision::F64,
-            pre_sweeps: 1,
-            post_sweeps: 1,
-            max_levels: 12,
-            coarsest_max_size: 400,
-        }
+        MultilevelConfig { smoother_precision: SmootherPrecision::F64, coarsest_max_size: 400 }
     }
 }
 
-/// Per-level smoother data.  The matrix structure is shared with the level's
-/// operator; only value copies at reduced precision are stored here.
+/// Per-level weighted-Jacobi smoother data.  The matrix structure is shared
+/// with the level's operator; only value copies at reduced precision are
+/// stored here.
 enum LevelSmoother {
-    /// No sweeps at this level (degenerate two-level configuration).
-    None,
-    Jacobi {
-        inv_diag: Vec<f64>,
-        weight: f64,
-    },
-    JacobiF32 {
-        values: Vec<f32>,
-        inv_diag: Vec<f32>,
-        weight: f32,
-    },
-    GaussSeidel {
-        inv_diag: Vec<f64>,
-    },
+    Jacobi { inv_diag: Vec<f64> },
+    JacobiF32 { values: Vec<f32>, inv_diag: Vec<f32> },
 }
 
 /// One non-coarsest level: its operator, the restriction to the next level
@@ -141,8 +111,8 @@ struct Level {
 enum CoarseSolve {
     /// RCM + skyline Cholesky (the default for the SPD Galerkin operators).
     Cholesky(SkylineCholesky),
-    /// Dense LU fallback (also the exact factorisation the degenerate
-    /// Nicolaides configuration pins itself to).
+    /// Dense LU: the Nicolaides factorisation, and the fallback for Galerkin
+    /// operators that defeat the Cholesky.
     DenseLu(LuFactor),
 }
 
@@ -176,7 +146,7 @@ impl CoarseSolve {
 
 /// Reusable per-apply buffers: one `(x, b, tmp)` triple per non-coarsest
 /// level, an `(x, b)` pair for the coarsest, and the Cholesky work vector.
-struct HierarchyScratch {
+pub(crate) struct HierarchyScratch {
     /// Iterate per level (index `ℓ < L-1`), plus the coarsest solution last.
     xs: Vec<Vec<f64>>,
     /// Right-hand side per level, plus the coarsest rhs last.
@@ -187,88 +157,68 @@ struct HierarchyScratch {
     work: Vec<f64>,
 }
 
-/// The assembled multi-level hierarchy: per-level `(A_ℓ, R_ℓ, smoother_ℓ)`
-/// plus the coarsest direct factorisation.
+/// The assembled coarse component: per-level `(A_ℓ, R_ℓ, smoother_ℓ)` plus
+/// the coarsest direct factorisation, or the Nicolaides `R₀` and its LU.
 pub struct Hierarchy {
+    /// Smoothed V-cycle levels, fine to coarse (none for Nicolaides).
     levels: Vec<Level>,
+    /// The Nicolaides restriction `R₀` straight onto the coarsest space: set
+    /// by [`Hierarchy::nicolaides`], whose apply never forms a fine-level
+    /// residual and so stores neither the fine operator nor `n`-long buffers.
+    pub(crate) r0: Option<CsrMatrix>,
     coarse: CoarseSolve,
-    scratch: TrackedMutex<HierarchyScratch>,
+    pub(crate) scratch: TrackedMutex<HierarchyScratch>,
     /// Row counts per level, fine to coarse (length = number of levels).
     level_dims: Vec<usize>,
     /// `Σ_ℓ nnz(A_ℓ) / nnz(A_0)` — the classical AMG operator complexity.
     operator_complexity: f64,
-    /// Smoothing sweeps before restriction / after prolongation.
-    pre_sweeps: usize,
-    post_sweeps: usize,
-    /// True for [`Hierarchy::two_level_nicolaides`]: `apply_into` takes the
-    /// bit-exact Nicolaides path (scatter straight into `out`).
-    degenerate_two_level: bool,
 }
 
 impl Hierarchy {
     /// Build a smoothed-aggregation hierarchy over `matrix`.
     ///
-    /// Coarsening stops at `config.coarsest_max_size` rows, at
-    /// `config.max_levels` levels, or as soon as an aggregation pass fails to
-    /// shrink the operator (whichever comes first); the final operator is
-    /// factored directly.
+    /// Coarsening stops at `config.coarsest_max_size` rows, at `MAX_LEVELS`
+    /// levels, or as soon as an aggregation pass fails to shrink the operator
+    /// (whichever comes first); the final operator is factored directly.
     pub fn build(matrix: &CsrMatrix, config: &MultilevelConfig) -> sparse::Result<Self> {
         assert_eq!(matrix.nrows(), matrix.ncols(), "hierarchy needs a square operator");
-        assert!(config.max_levels >= 2, "a hierarchy has at least two levels");
-        let fine_nnz = matrix.nnz().max(1);
         let mut total_nnz = matrix.nnz();
         let mut level_dims = vec![matrix.nrows()];
         let mut levels: Vec<Level> = Vec::new();
         let mut a = matrix.clone();
-        while a.nrows() > config.coarsest_max_size && level_dims.len() < config.max_levels {
-            // Halve the strength threshold at each coarser level (see the
-            // `theta` field docs): RAP stencils get denser while individual
-            // couplings shrink, so the finest-level threshold is too strict.
-            let theta = config.theta * 0.5f64.powi(levels.len() as i32);
+        while a.nrows() > config.coarsest_max_size && level_dims.len() < MAX_LEVELS {
+            // Halve the strength threshold at each coarser level (see
+            // `THETA`): RAP stencils get denser while individual couplings
+            // shrink, so the finest-level threshold is too strict.
+            let theta = THETA * 0.5f64.powi(levels.len() as i32);
             let (agg, num_agg) = aggregate(&a, theta);
             if num_agg >= a.nrows() {
                 // Aggregation made no progress (e.g. a diagonal operator):
                 // stop coarsening and factor what we have.
                 break;
             }
-            let r = smoothed_restriction(&a, &agg, num_agg, config.omega_factor);
+            let r = smoothed_restriction(&a, &agg, num_agg);
             let a_coarse = a.galerkin_rap(&r);
             total_nnz += a_coarse.nnz();
-            let smoother = build_smoother(&a, config);
+            let smoother = build_smoother(&a, config.smoother_precision);
             levels.push(Level { a, r, smoother });
             level_dims.push(a_coarse.nrows());
             a = a_coarse;
         }
         let coarse = CoarseSolve::factor(&a)?;
-        let scratch = TrackedMutex::new(
-            make_scratch(&levels, a.nrows()),
-            "ddm::multilevel::SmoothedAggregationHierarchy::scratch",
-        );
-        Ok(Hierarchy {
-            levels,
-            coarse,
-            scratch,
-            level_dims,
-            operator_complexity: total_nnz as f64 / fine_nnz as f64,
-            pre_sweeps: config.pre_sweeps,
-            post_sweeps: config.post_sweeps,
-            degenerate_two_level: false,
-        })
+        Ok(Self::assemble(levels, None, coarse, level_dims, total_nnz, matrix.nnz()))
     }
 
-    /// The degenerate two-level configuration: the partition-of-unity
-    /// Nicolaides restriction, dense-LU coarse solve, and **zero** smoothing
-    /// sweeps.  Produces bit-identical corrections to
-    /// [`crate::NicolaidesCoarseSpace`] — the pinning contract the existing
-    /// two-level benchmarks rely on.
-    pub fn two_level_nicolaides(
-        matrix: &CsrMatrix,
-        restrictions: &[Restriction],
-    ) -> sparse::Result<Self> {
+    /// The Nicolaides coarse space over the sub-domain `restrictions`: the
+    /// partition-of-unity restriction `R₀`, a dense-LU solve of `R₀ A R₀ᵀ`,
+    /// and no smoothing.
+    pub fn nicolaides(matrix: &CsrMatrix, restrictions: &[Restriction]) -> sparse::Result<Self> {
         let n = matrix.nrows();
         let k = restrictions.len();
         assert!(k > 0, "coarse space needs at least one sub-domain");
         let mult = node_multiplicity(restrictions, n);
+        // Restriction indices are sorted and unique, so the rows can be
+        // emitted directly in CSR order.
         let mut row_ptr = Vec::with_capacity(k + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
@@ -281,27 +231,45 @@ impl Hierarchy {
             row_ptr.push(col_idx.len());
         }
         let r0 = CsrMatrix::from_raw_parts(k, n, row_ptr, col_idx, values)?;
-        // Identical coarse operator assembly and factorisation to
-        // NicolaidesCoarseSpace::new — same kernel, same rounding.
+        // Coarse operator A0 = R0 A R0ᵀ (dense K × K).
         let a0 = matrix.galerkin_product_csr(&r0);
         let dense = DenseMatrix::from_row_major(k, k, a0)?;
-        let factor = LuFactor::factor_dense(&dense)?;
-        let total_nnz = matrix.nnz() + k * k;
-        let levels = vec![Level { a: matrix.clone(), r: r0, smoother: LevelSmoother::None }];
-        let scratch = TrackedMutex::new(
-            make_scratch(&levels, k),
-            "ddm::multilevel::SmoothedAggregationHierarchy::scratch",
-        );
-        Ok(Hierarchy {
+        let coarse = CoarseSolve::DenseLu(LuFactor::factor_dense(&dense)?);
+        Ok(Self::assemble(
+            Vec::new(),
+            Some(r0),
+            coarse,
+            vec![n, k],
+            matrix.nnz() + k * k,
+            matrix.nnz(),
+        ))
+    }
+
+    fn assemble(
+        levels: Vec<Level>,
+        r0: Option<CsrMatrix>,
+        coarse: CoarseSolve,
+        level_dims: Vec<usize>,
+        total_nnz: usize,
+        fine_nnz: usize,
+    ) -> Self {
+        let coarsest = level_dims[level_dims.len() - 1];
+        let mut xs: Vec<Vec<f64>> = levels.iter().map(|l| vec![0.0; l.a.nrows()]).collect();
+        let mut bs = xs.clone();
+        let tmps = xs.clone();
+        xs.push(vec![0.0; coarsest]);
+        bs.push(vec![0.0; coarsest]);
+        Hierarchy {
             levels,
-            coarse: CoarseSolve::DenseLu(factor),
-            scratch,
-            level_dims: vec![n, k],
-            operator_complexity: total_nnz as f64 / matrix.nnz().max(1) as f64,
-            pre_sweeps: 0,
-            post_sweeps: 0,
-            degenerate_two_level: true,
-        })
+            r0,
+            coarse,
+            scratch: TrackedMutex::new(
+                HierarchyScratch { xs, bs, tmps, work: Vec::new() },
+                "ddm::multilevel::Hierarchy::scratch",
+            ),
+            level_dims,
+            operator_complexity: total_nnz as f64 / fine_nnz.max(1) as f64,
+        }
     }
 
     /// Number of levels, fine and coarsest included.
@@ -324,33 +292,31 @@ impl Hierarchy {
         self.level_dims[0]
     }
 
-    /// Whether this is the bit-exact Nicolaides two-level configuration.
-    pub fn is_degenerate_two_level(&self) -> bool {
-        self.degenerate_two_level
-    }
-
-    /// One V-cycle on `A x = r` from a zero initial guess, **accumulated**
-    /// into `out` (`out += M⁻¹ r`), matching the additive-Schwarz coarse
-    /// component contract of `NicolaidesCoarseSpace::apply_into`.
+    /// The coarse correction for `r` — one V-cycle on `A x = r` from a zero
+    /// initial guess, or the Nicolaides solve — **accumulated** into `out`
+    /// (`out += M⁻¹ r`), the additive-Schwarz coarse component contract.
+    ///
+    /// Panics on a wrong-length `r` or `out`; the Schwarz shells check the
+    /// lengths once in `apply_checked` and classify a mismatch there.
     pub fn apply_into(&self, r: &[f64], out: &mut [f64]) {
         assert_eq!(r.len(), self.dim(), "apply_into: residual length mismatch");
         assert_eq!(out.len(), self.dim(), "apply_into: output length mismatch");
-        // Recover from poisoning exactly as the coarse space does: every
-        // buffer is fully overwritten before it is read, so a panicking
-        // holder cannot leave a broken invariant behind.
+        // A panic elsewhere while the lock was held poisons the mutex, but the
+        // guarded state has no invariant that a panic could break: every
+        // buffer is fully overwritten before it is read, so recovering the
+        // guard is always safe.  Without this, one panicked worker would
+        // permanently disable the coarse solve for every subsequent apply.
         let mut guard = self.scratch.lock();
         let HierarchyScratch { xs, bs, tmps, work } = &mut *guard;
 
-        if self.degenerate_two_level {
-            // Bit-exact Nicolaides path: restrict, dense solve, scatter
-            // straight into `out`.  Routing through the V-cycle's fine-level
-            // iterate would re-round the scatter additions (x = 0 + c₁ + c₂
-            // then out += x is not out += c₁ += c₂ in floating point).
-            let lvl = &self.levels[0];
-            let k = lvl.r.nrows();
-            lvl.r.spmv_into(r, &mut bs[1][..k]);
-            self.coarse.solve_into(&bs[1][..k], work, &mut xs[1][..k]);
-            lvl.r.spmv_transpose_add_into(&xs[1][..k], out);
+        if let Some(r0) = &self.r0 {
+            // Restrict, dense solve, scatter straight into `out`.  Routing
+            // through a fine-level iterate would re-round the scatter
+            // additions (x = 0 + c₁ + c₂ then out += x is not
+            // out += c₁ += c₂ in floating point).
+            r0.spmv_into(r, &mut bs[0]);
+            self.coarse.solve_into(&bs[0], work, &mut xs[0]);
+            r0.spmv_transpose_add_into(&xs[0], out);
             return;
         }
 
@@ -360,9 +326,7 @@ impl Hierarchy {
         for l in 0..num {
             let lvl = &self.levels[l];
             xs[l].fill(0.0);
-            for _ in 0..self.pre_sweeps {
-                smooth_pre(&lvl.a, &lvl.smoother, &bs[l], &mut xs[l], &mut tmps[l]);
-            }
+            smooth(&lvl.a, &lvl.smoother, &bs[l], &mut xs[l], &mut tmps[l]);
             lvl.a.residual_into(&bs[l], &xs[l], &mut tmps[l]);
             let (_, bs_coarser) = bs.split_at_mut(l + 1);
             lvl.r.spmv_into(&tmps[l], &mut bs_coarser[0]);
@@ -374,9 +338,7 @@ impl Hierarchy {
             let lvl = &self.levels[l];
             let (xs_fine, xs_coarser) = xs.split_at_mut(l + 1);
             lvl.r.spmv_transpose_add_into(&xs_coarser[0], &mut xs_fine[l]);
-            for _ in 0..self.post_sweeps {
-                smooth_post(&lvl.a, &lvl.smoother, &bs[l], &mut xs_fine[l], &mut tmps[l]);
-            }
+            smooth(&lvl.a, &lvl.smoother, &bs[l], &mut xs_fine[l], &mut tmps[l]);
         }
         for (o, &x) in out.iter_mut().zip(xs[0].iter()) {
             *o += x;
@@ -384,40 +346,13 @@ impl Hierarchy {
     }
 }
 
-fn make_scratch(levels: &[Level], coarse_dim: usize) -> HierarchyScratch {
-    let mut xs: Vec<Vec<f64>> = levels.iter().map(|l| vec![0.0; l.a.nrows()]).collect();
-    let mut bs = xs.clone();
-    xs.push(vec![0.0; coarse_dim]);
-    bs.push(vec![0.0; coarse_dim]);
-    let tmps = levels.iter().map(|l| vec![0.0; l.a.nrows()]).collect();
-    HierarchyScratch { xs, bs, tmps, work: Vec::new() }
-}
-
-/// One pre-smoothing sweep (forward direction for Gauss–Seidel).
-fn smooth_pre(a: &CsrMatrix, s: &LevelSmoother, b: &[f64], x: &mut [f64], tmp: &mut [f64]) {
-    match s {
-        LevelSmoother::None => {}
-        LevelSmoother::Jacobi { inv_diag, weight } => jacobi_sweep(a, inv_diag, *weight, b, x, tmp),
-        LevelSmoother::JacobiF32 { values, inv_diag, weight } => {
-            jacobi_sweep_f32(a, values, inv_diag, *weight, b, x, tmp)
-        }
-        LevelSmoother::GaussSeidel { inv_diag } => {
-            gs_sweep(a, inv_diag, b, x, /*forward=*/ true)
-        }
-    }
-}
-
-/// One post-smoothing sweep (backward direction for Gauss–Seidel, so the
+/// One weighted-Jacobi sweep (the same before and after coarsening, so the
 /// whole V-cycle is a symmetric operator).
-fn smooth_post(a: &CsrMatrix, s: &LevelSmoother, b: &[f64], x: &mut [f64], tmp: &mut [f64]) {
+fn smooth(a: &CsrMatrix, s: &LevelSmoother, b: &[f64], x: &mut [f64], tmp: &mut [f64]) {
     match s {
-        LevelSmoother::None => {}
-        LevelSmoother::Jacobi { inv_diag, weight } => jacobi_sweep(a, inv_diag, *weight, b, x, tmp),
-        LevelSmoother::JacobiF32 { values, inv_diag, weight } => {
-            jacobi_sweep_f32(a, values, inv_diag, *weight, b, x, tmp)
-        }
-        LevelSmoother::GaussSeidel { inv_diag } => {
-            gs_sweep(a, inv_diag, b, x, /*forward=*/ false)
+        LevelSmoother::Jacobi { inv_diag } => jacobi_sweep(a, inv_diag, JACOBI_WEIGHT, b, x, tmp),
+        LevelSmoother::JacobiF32 { values, inv_diag } => {
+            jacobi_sweep_f32(a, values, inv_diag, JACOBI_WEIGHT as f32, b, x, tmp)
         }
     }
 }
@@ -464,47 +399,15 @@ fn jacobi_sweep_f32(
     }
 }
 
-/// One Gauss–Seidel sweep in the given direction.
-fn gs_sweep(a: &CsrMatrix, inv_diag: &[f64], b: &[f64], x: &mut [f64], forward: bool) {
-    let n = x.len();
-    let row = |i: usize, x: &mut [f64]| {
-        let (cols, vals) = a.row(i);
-        let mut acc = 0.0;
-        for (&c, &v) in cols.iter().zip(vals.iter()) {
-            if c != i {
-                acc += v * x[c];
-            }
-        }
-        x[i] = inv_diag[i] * (b[i] - acc);
-    };
-    if forward {
-        for i in 0..n {
-            row(i, x);
-        }
-    } else {
-        for i in (0..n).rev() {
-            row(i, x);
-        }
-    }
-}
-
-fn build_smoother(a: &CsrMatrix, config: &MultilevelConfig) -> LevelSmoother {
-    if config.pre_sweeps == 0 && config.post_sweeps == 0 {
-        return LevelSmoother::None;
-    }
+fn build_smoother(a: &CsrMatrix, precision: SmootherPrecision) -> LevelSmoother {
     let diag = a.diagonal();
-    match (config.smoother, config.smoother_precision) {
-        (SmootherKind::WeightedJacobi, SmootherPrecision::F64) => LevelSmoother::Jacobi {
+    match precision {
+        SmootherPrecision::F64 => LevelSmoother::Jacobi {
             inv_diag: diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 0.0 }).collect(),
-            weight: config.jacobi_weight,
         },
-        (SmootherKind::WeightedJacobi, SmootherPrecision::F32) => LevelSmoother::JacobiF32 {
+        SmootherPrecision::F32 => LevelSmoother::JacobiF32 {
             values: a.values().iter().map(|&v| v as f32).collect(),
             inv_diag: diag.iter().map(|&d| if d != 0.0 { (1.0 / d) as f32 } else { 0.0 }).collect(),
-            weight: config.jacobi_weight as f32,
-        },
-        (SmootherKind::GaussSeidel, _) => LevelSmoother::GaussSeidel {
-            inv_diag: diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 0.0 }).collect(),
         },
     }
 }
@@ -639,17 +542,12 @@ fn aggregate(a: &CsrMatrix, theta: f64) -> (Vec<usize>, usize) {
 /// `P = (I − ω D⁻¹A) P_tent`, assembled row-by-row directly over the
 /// aggregate ids (no explicit `P_tent`, no general CSR subtraction):
 /// `P[i, c] = δ_{c, agg(i)} − (ω/d_i) Σ_{j: agg(j)=c} a_ij`.
-fn smoothed_restriction(
-    a: &CsrMatrix,
-    agg: &[usize],
-    num_agg: usize,
-    omega_factor: f64,
-) -> CsrMatrix {
+fn smoothed_restriction(a: &CsrMatrix, agg: &[usize], num_agg: usize) -> CsrMatrix {
     let n = a.nrows();
     let diag = a.diagonal();
     // Gershgorin bound on λ_max(D⁻¹A): max_i Σ_j |a_ij| / d_i.  Deterministic
     // and iteration-free; for the M-matrices produced by the FEM assembly it
-    // overestimates by at most ~2×, which the ω_f numerator absorbs.
+    // overestimates by at most ~2×, which the `OMEGA_FACTOR` numerator absorbs.
     let mut lam_max = 0.0f64;
     for i in 0..n {
         let (_, vals) = a.row(i);
@@ -658,7 +556,7 @@ fn smoothed_restriction(
             lam_max = lam_max.max(s / diag[i].abs());
         }
     }
-    let omega = if lam_max > 0.0 { omega_factor / lam_max } else { 0.0 };
+    let omega = if lam_max > 0.0 { OMEGA_FACTOR / lam_max } else { 0.0 };
 
     // Assemble P row-by-row with the shared row-merge accumulator, then
     // transpose once to get the stored restriction.
@@ -706,9 +604,6 @@ fn smoothed_restriction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::NicolaidesCoarseSpace;
-    use crate::test_support::fixture;
-    use crate::Decomposition;
     use sparse::CooMatrix;
 
     /// One V-cycle on `r`, accumulated into a zero vector.
@@ -764,7 +659,6 @@ mod tests {
         let config = MultilevelConfig { coarsest_max_size: 120, ..MultilevelConfig::default() };
         let h = Hierarchy::build(&a, &config).unwrap();
         assert!(h.num_levels() >= 3, "expected 3+ levels, got dims {:?}", h.level_dims());
-        assert!(!h.is_degenerate_two_level());
         assert_eq!(h.dim(), a.nrows());
         // Dims strictly decrease.
         for w in h.level_dims().windows(2) {
@@ -812,29 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn gauss_seidel_smoothing_also_converges_symmetrically() {
-        let a = laplacian_2d(24, 24);
-        let config = MultilevelConfig {
-            smoother: SmootherKind::GaussSeidel,
-            coarsest_max_size: 60,
-            ..MultilevelConfig::default()
-        };
-        let h = Hierarchy::build(&a, &config).unwrap();
-        assert!(h.num_levels() >= 2);
-        let n = a.nrows();
-        let y: Vec<f64> = (0..n).map(|i| ((i * 5 % 19) as f64) - 9.0).collect();
-        let w: Vec<f64> = (0..n).map(|i| ((i * 11 % 7) as f64) * 0.3).collect();
-        let my = apply(&h, &y);
-        let mw = apply(&h, &w);
-        let lhs = sparse::vector::dot(&w, &my);
-        let rhs = sparse::vector::dot(&y, &mw);
-        assert!(
-            (lhs - rhs).abs() < 1e-8 * lhs.abs().max(1.0),
-            "forward-pre/backward-post GS V-cycle must be symmetric"
-        );
-    }
-
-    #[test]
     fn f32_smoothing_stays_close_to_f64() {
         let a = laplacian_2d(24, 24);
         let base = MultilevelConfig { coarsest_max_size: 60, ..MultilevelConfig::default() };
@@ -855,30 +726,6 @@ mod tests {
         }
         assert!(diff / scale < 1e-4, "f32 smoothing deviates too much: {}", diff / scale);
         assert!(sparse::vector::dot(&z32, &r) > 0.0);
-    }
-
-    #[test]
-    fn degenerate_two_level_is_bit_identical_to_nicolaides() {
-        let fx = fixture(800, 200, 2);
-        let decomp = Decomposition::new(&fx.problem.matrix, fx.subdomains.clone());
-        let nico = NicolaidesCoarseSpace::new(&fx.problem.matrix, &decomp.restrictions).unwrap();
-        let h = Hierarchy::two_level_nicolaides(&fx.problem.matrix, &decomp.restrictions).unwrap();
-        assert!(h.is_degenerate_two_level());
-        assert_eq!(h.num_levels(), 2);
-        assert_eq!(h.level_dims(), &[fx.problem.num_unknowns(), decomp.num_subdomains()]);
-        let n = fx.problem.num_unknowns();
-        let r: Vec<f64> = (0..n).map(|i| ((i * 5 % 17) as f64) * 0.3 - 2.0).collect();
-        // Applies into a zero vector agree bit for bit.
-        let mut fresh_n = vec![0.0; n];
-        nico.apply_into(&r, &mut fresh_n).unwrap();
-        assert_eq!(fresh_n, apply(&h, &r));
-        // Accumulating applies starting from identical nonzero outputs agree
-        // bit for bit (this is the exact call pattern inside ASM's glue).
-        let mut out_n: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) * 0.7 - 4.0).collect();
-        let mut out_h = out_n.clone();
-        nico.apply_into(&r, &mut out_n).unwrap();
-        h.apply_into(&r, &mut out_h);
-        assert_eq!(out_n, out_h, "degenerate hierarchy must reproduce Nicolaides bit for bit");
     }
 
     #[test]

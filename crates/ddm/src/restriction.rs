@@ -59,17 +59,6 @@ impl Restriction {
         }
     }
 
-    /// Apply `Rᵢ` into column `c` of a column-interleaved `num_local × b`
-    /// panel: `panel[j*b + c] = global[gⱼ]`.
-    pub fn restrict_into_strided(&self, global: &[f64], panel: &mut [f64], b: usize, c: usize) {
-        debug_assert_eq!(global.len(), self.num_global);
-        debug_assert_eq!(panel.len(), self.indices.len() * b);
-        debug_assert!(c < b);
-        for (j, &g) in self.indices.iter().enumerate() {
-            panel[j * b + c] = global[g];
-        }
-    }
-
     /// Apply `Rᵢᵀ` scaled by `alpha` from column `c` of a column-interleaved
     /// `num_local × b` panel: `global[gⱼ] += alpha * panel[j*b + c]`.
     ///
@@ -143,16 +132,9 @@ mod tests {
         let r = Restriction::new(vec![1, 3, 4], 6);
         let global = vec![10.0, 11.0, 12.0, 13.0, 14.0, 15.0];
         let b = 3;
-        let mut panel = vec![0.0; r.num_local() * b];
-        for c in 0..b {
-            r.restrict_into_strided(&global, &mut panel, b, c);
-        }
         let contiguous = r.restrict(&global);
-        for c in 0..b {
-            for j in 0..r.num_local() {
-                assert_eq!(panel[j * b + c], contiguous[j]);
-            }
-        }
+        // Column-interleaved panel whose every column is the restriction.
+        let panel: Vec<f64> = contiguous.iter().flat_map(|&v| std::iter::repeat_n(v, b)).collect();
         let mut out_strided = vec![0.5; 6];
         let mut out_plain = vec![0.5; 6];
         r.extend_add_scaled_strided(1.75, &panel, b, 1, &mut out_strided);

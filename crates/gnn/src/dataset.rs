@@ -118,9 +118,9 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
         let problem = PoissonProblem::with_random_data(mesh, problem_seed.wrapping_add(7));
         let decomposition = Decomposition::new(&problem.matrix, subdomains);
         let templates = build_local_graphs(&problem, &decomposition);
-        let asm = match AdditiveSchwarz::from_decomposition(
+        let asm = match AdditiveSchwarz::new(
             &problem.matrix,
-            decomposition.clone(),
+            decomposition.subdomains.clone(),
             AsmLevel::TwoLevel,
         ) {
             Ok(asm) => asm,

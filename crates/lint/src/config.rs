@@ -59,7 +59,6 @@ impl Default for Config {
                 "crates/gnn/src/gemm.rs",
                 "crates/ddm-gnn/src/preconditioner.rs",
                 "crates/ddm/src/asm.rs",
-                "crates/ddm/src/coarse.rs",
                 "crates/ddm/src/local.rs",
                 "crates/ddm/src/multilevel.rs",
                 // The sanitizer must never panic out of an instrumented lock

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use ddm_gnn::{load_pretrained, solve_cg, solve_ddm_gnn, solve_ddm_lu, PipelineConfig};
+use ddm_gnn::{build_tiers, load_pretrained, solve, HybridSolverConfig, Method, PipelineConfig};
 use fem::PoissonProblem;
 use krylov::SolverOptions;
 use meshgen::{generate_mesh, FormulaOneDomain, MeshingOptions};
@@ -39,33 +39,36 @@ fn main() {
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 200, 2, 0);
     println!("decomposition into {} sub-domains of ~200 nodes", subdomains.len());
 
-    let model = load_pretrained().unwrap_or_else(|| {
+    let model = Arc::new(load_pretrained().unwrap_or_else(|| {
         println!("no pre-trained model found — training a small one...");
         ddm_gnn::train_model(&PipelineConfig::default()).model
-    });
+    }));
 
     // The paper drives this experiment to a relative residual of 1e-9 —
     // far below the training regime of the GNN.
     let opts = SolverOptions::with_tolerance(1e-9).max_iterations(20_000);
-    let gnn = solve_ddm_gnn(&problem, subdomains.clone(), Arc::new(model), true, &opts)
-        .expect("DDM-GNN solve");
-    let lu = solve_ddm_lu(&problem, subdomains, true, &opts).expect("DDM-LU solve");
-    let cg = solve_cg(&problem, &opts);
+    let config = HybridSolverConfig::default();
+    let run = |method| {
+        let tiers = build_tiers(&problem, &subdomains, method, Some(&model), &config)
+            .expect("preconditioner setup");
+        solve(&problem.matrix, &[&problem.rhs], tiers.first().map(|t| t.as_ref()), &opts)
+    };
+    let methods = [Method::DdmGnn, Method::DdmLu, Method::Cg];
+    let [gnn, lu, cg] = methods.map(run);
 
     println!("\n{:<10} {:>12} {:>12}", "method", "iterations", "time [s]");
-    for outcome in [&gnn, &lu, &cg] {
+    for (method, outcome) in methods.iter().zip([&gnn, &lu, &cg]) {
         println!(
             "{:<10} {:>12} {:>12.3}",
-            outcome.method.name(),
-            outcome.stats.iterations,
+            method.name(),
+            outcome.stats().iterations,
             outcome.total_seconds
         );
     }
 
     // Convergence traces (relative residual per iteration), the data of Fig. 5b.
     println!("\nrelative residual every 5 iterations (DDM-GNN / DDM-LU / CG):");
-    let traces =
-        [gnn.stats.history.relative(), lu.stats.history.relative(), cg.stats.history.relative()];
+    let traces = [&gnn, &lu, &cg].map(|outcome| outcome.stats().history.relative());
     let longest = traces.iter().map(|t| t.len()).max().unwrap_or(0);
     for i in (0..longest).step_by(5) {
         let cell = |t: &Vec<f64>| {

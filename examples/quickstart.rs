@@ -12,7 +12,8 @@
 //!    the exact-local-solver baseline (DDM-LU) and plain CG.
 
 use ddm_gnn::{
-    generate_problem, load_pretrained, solve_cg, HybridSolver, HybridSolverConfig, PipelineConfig,
+    generate_problem, load_pretrained, solve, HybridSolver, HybridSolverConfig, Method,
+    PipelineConfig,
 };
 use krylov::SolverOptions;
 
@@ -51,21 +52,19 @@ fn main() {
     );
     let gnn = solver.solve(&problem).expect("DDM-GNN solve");
     let lu = solver.solve_with_exact_local_solver(&problem).expect("DDM-LU solve");
-    let cg = solve_cg(&problem, &SolverOptions::with_tolerance(1e-6).max_iterations(10_000));
+    let cg_opts = SolverOptions::with_tolerance(1e-6).max_iterations(10_000);
+    let cg = solve(&problem.matrix, &[&problem.rhs], None, &cg_opts);
 
     println!("\n{:<10} {:>12} {:>12} {:>14}", "method", "iterations", "time [s]", "rel. residual");
-    for outcome in [&gnn, &lu, &cg] {
-        let rel = krylov::true_relative_residual(&problem.matrix, &outcome.x, &problem.rhs);
+    for (method, outcome) in [(Method::DdmGnn, &gnn), (Method::DdmLu, &lu), (Method::Cg, &cg)] {
+        let rel = krylov::true_relative_residual(&problem.matrix, outcome.x(), &problem.rhs);
         println!(
             "{:<10} {:>12} {:>12.4} {:>14.3e}",
-            outcome.method.name(),
-            outcome.stats.iterations,
+            method.name(),
+            outcome.stats().iterations,
             outcome.total_seconds,
             rel
         );
     }
-    println!(
-        "\nDDM-GNN used {} sub-domains and spent {:.4}s inside the preconditioner.",
-        gnn.num_subdomains, gnn.preconditioner_seconds
-    );
+    println!("\nDDM-GNN spent {:.4}s inside the preconditioner.", gnn.preconditioner_seconds);
 }

@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ddm_gnn::{generate_problem, solve_cg, solve_ddm_gnn, solve_ddm_lu, PipelineConfig};
+use ddm_gnn::{build_tiers, generate_problem, solve, HybridSolverConfig, Method, PipelineConfig};
 use gnn::{AdamConfig, DatasetConfig, DssConfig, TrainingConfig};
 use krylov::SolverOptions;
 use partition::partition_mesh_with_overlap;
@@ -101,18 +101,26 @@ fn main() {
         subdomains.len()
     );
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(3000);
-    let cg = solve_cg(&problem, &opts);
-    let lu = solve_ddm_lu(&problem, subdomains.clone(), true, &opts).expect("DDM-LU setup");
-    let gnn = solve_ddm_gnn(&problem, subdomains, Arc::new(trained.model.clone()), true, &opts)
-        .expect("DDM-GNN setup");
-    println!("  CG      : {:>4} iterations, {:.3}s", cg.stats.iterations, cg.total_seconds);
+    let model = Arc::new(trained.model.clone());
+    let config = HybridSolverConfig::default();
+    let run = |method| {
+        let tiers = build_tiers(&problem, &subdomains, method, Some(&model), &config)
+            .expect("preconditioner setup");
+        solve(&problem.matrix, &[&problem.rhs], tiers.first().map(|t| t.as_ref()), &opts)
+    };
+    let [cg, lu, gnn] = [Method::Cg, Method::DdmLu, Method::DdmGnn].map(run);
+    println!("  CG      : {:>4} iterations, {:.3}s", cg.stats().iterations, cg.total_seconds);
     println!(
         "  DDM-LU  : {:>4} iterations, {:.3}s (T_lu  = {:.3}s)",
-        lu.stats.iterations, lu.total_seconds, lu.preconditioner_seconds
+        lu.stats().iterations,
+        lu.total_seconds,
+        lu.preconditioner_seconds
     );
     println!(
         "  DDM-GNN : {:>4} iterations, {:.3}s (T_gnn = {:.3}s)",
-        gnn.stats.iterations, gnn.total_seconds, gnn.preconditioner_seconds
+        gnn.stats().iterations,
+        gnn.total_seconds,
+        gnn.preconditioner_seconds
     );
 
     if let Ok(path) = std::env::var("DSS_MODEL_OUT") {

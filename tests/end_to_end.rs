@@ -7,10 +7,28 @@ use std::sync::Arc;
 use ddm_gnn_suite::*;
 
 use ddm::{AdditiveSchwarz, AsmLevel};
+use ddm_gnn::{HybridSolverConfig, Method, SolveOutcome};
 use fem::PoissonProblem;
+use gnn::DssModel;
 use krylov::{preconditioned_conjugate_gradient, SolverOptions};
 use meshgen::{generate_mesh, FormulaOneDomain, MeshingOptions, RandomBlobDomain};
 use partition::partition_mesh_with_overlap;
+
+/// Build `method`'s preconditioner at `config` on the given decomposition and
+/// drive it over `bs` — the two calls every solver variant goes through.
+fn run(
+    problem: &PoissonProblem,
+    subdomains: &[Vec<usize>],
+    method: Method,
+    model: Option<&Arc<DssModel>>,
+    config: &HybridSolverConfig,
+    bs: &[&[f64]],
+    opts: &SolverOptions,
+) -> SolveOutcome {
+    let tiers = ddm_gnn::build_tiers(problem, subdomains, method, model, config)
+        .expect("preconditioner setup");
+    ddm_gnn::solve(&problem.matrix, bs, tiers.first().map(|t| t.as_ref()), opts)
+}
 
 /// The full numerical pipeline without any learned component: mesh a random
 /// domain, assemble, partition, precondition with two-level ASM and solve.
@@ -65,11 +83,11 @@ fn hybrid_solver_end_to_end_on_unseen_problem() {
     );
     let gnn = solver.solve(&problem).expect("DDM-GNN solve");
     let lu = solver.solve_with_exact_local_solver(&problem).expect("DDM-LU solve");
-    assert!(gnn.stats.converged(), "hybrid solver must converge on unseen problems");
-    assert!(lu.stats.converged());
-    assert!(sparse::vector::relative_error(&gnn.x, &lu.x) < 1e-3);
+    assert!(gnn.stats().converged(), "hybrid solver must converge on unseen problems");
+    assert!(lu.stats().converged());
+    assert!(sparse::vector::relative_error(gnn.x(), lu.x()) < 1e-3);
     // The exact preconditioner is at least as good in iteration count.
-    assert!(lu.stats.iterations <= gnn.stats.iterations);
+    assert!(lu.stats().iterations <= gnn.stats().iterations);
 }
 
 /// Out-of-distribution geometry: the hybrid pipeline handles a domain with
@@ -112,17 +130,18 @@ fn gnn_preconditioner_generalises_across_subdomain_sizes() {
     );
     let problem = ddm_gnn::generate_problem(777, 1500);
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(20_000);
-    let cg = ddm_gnn::solve_cg(&problem, &opts);
+    let config = HybridSolverConfig::default();
+    let rhs: &[&[f64]] = &[&problem.rhs];
+    let cg = run(&problem, &[], Method::Cg, None, &config, rhs, &opts);
     for subdomain_size in [120usize, 200, 350] {
         let subdomains = partition_mesh_with_overlap(&problem.mesh, subdomain_size, 2, 0);
-        let outcome = ddm_gnn::solve_ddm_gnn(&problem, subdomains, Arc::clone(&model), true, &opts)
-            .expect("DDM-GNN solve");
-        assert!(outcome.stats.converged(), "must converge with sub-domain size {subdomain_size}");
+        let outcome = run(&problem, &subdomains, Method::DdmGnn, Some(&model), &config, rhs, &opts);
+        assert!(outcome.stats().converged(), "must converge with sub-domain size {subdomain_size}");
         assert!(
-            outcome.stats.iterations < cg.stats.iterations,
+            outcome.stats().iterations < cg.stats().iterations,
             "DDM-GNN ({}) should beat plain CG ({}) at sub-domain size {subdomain_size}",
-            outcome.stats.iterations,
-            cg.stats.iterations
+            outcome.stats().iterations,
+            cg.stats().iterations
         );
     }
 }
@@ -139,10 +158,11 @@ fn larger_overlap_does_not_degrade_ddm_lu() {
     let opts = SolverOptions::with_tolerance(1e-6);
     let sd2 = partition_mesh_with_overlap(&problem.mesh, 250, 2, 0);
     let sd4 = partition_mesh_with_overlap(&problem.mesh, 250, 4, 0);
-    let r2 = ddm_gnn::solve_ddm_lu(&problem, sd2, true, &opts).unwrap();
-    let r4 = ddm_gnn::solve_ddm_lu(&problem, sd4, true, &opts).unwrap();
-    assert!(r2.stats.converged() && r4.stats.converged());
-    assert!(r4.stats.iterations <= r2.stats.iterations + 1);
+    let config = HybridSolverConfig::default();
+    let [r2, r4] = [sd2, sd4]
+        .map(|sd| run(&problem, &sd, Method::DdmLu, None, &config, &[&problem.rhs], &opts));
+    assert!(r2.stats().converged() && r4.stats().converged());
+    assert!(r4.stats().iterations <= r2.stats().iterations + 1);
 }
 
 /// The dataset → training → preconditioning loop is exercised end to end with
@@ -176,17 +196,18 @@ fn small_training_pipeline_produces_working_preconditioner() {
     let trained = ddm_gnn::train_model(&config);
     let problem = ddm_gnn::generate_problem(404, 700);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
-    let outcome = ddm_gnn::solve_ddm_gnn(
+    let outcome = run(
         &problem,
-        subdomains,
-        Arc::new(trained.model),
-        true,
+        &subdomains,
+        Method::DdmGnn,
+        Some(&Arc::new(trained.model)),
+        &HybridSolverConfig::default(),
+        &[&problem.rhs],
         &SolverOptions::with_tolerance(1e-6).max_iterations(20_000),
-    )
-    .unwrap();
+    );
     // Even a lightly trained model must preserve the convergence guarantee of
     // the outer Krylov method (the central claim of the hybrid approach).
-    assert!(outcome.stats.converged());
+    assert!(outcome.stats().converged());
 }
 
 /// A fast, always-on smoke test of the exact-solver pipeline: small mesh,
@@ -240,9 +261,9 @@ fn singleton_partition_flows_through_decomposition_and_coarse_space() {
         .expect("two-level ASM must accept singleton sub-domains");
     // …including the Nicolaides coarse space built directly from it.
     let decomp = ddm::Decomposition::new(&problem.matrix, subdomains);
-    let coarse = ddm::NicolaidesCoarseSpace::new(&problem.matrix, &decomp.restrictions)
+    let coarse = ddm::Hierarchy::nicolaides(&problem.matrix, &decomp.restrictions)
         .expect("coarse space must accept singleton sub-domains");
-    assert_eq!(coarse.dim(), decomp.num_subdomains());
+    assert_eq!(coarse.level_dims(), &[problem.num_unknowns(), decomp.num_subdomains()]);
     let result = preconditioned_conjugate_gradient(
         &problem.matrix,
         &problem.rhs,
@@ -266,15 +287,16 @@ fn small_gnn_smoke_with_pretrained_model() {
     };
     let problem = ddm_gnn::generate_problem(42, 500);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
-    let outcome = ddm_gnn::solve_ddm_gnn(
+    let outcome = run(
         &problem,
-        subdomains,
-        Arc::new(model),
-        true,
+        &subdomains,
+        Method::DdmGnn,
+        Some(&Arc::new(model)),
+        &HybridSolverConfig::default(),
+        &[&problem.rhs],
         &SolverOptions::with_tolerance(1e-6).max_iterations(5_000),
-    )
-    .expect("DDM-GNN solve");
-    assert!(outcome.stats.converged());
+    );
+    assert!(outcome.stats().converged());
 }
 
 /// The f32 inference engine inside the preconditioner: on a fresh ~1800-node
@@ -296,35 +318,21 @@ fn f32_preconditioner_iteration_count_within_ten_percent_of_f64() {
     let problem = ddm_gnn::generate_problem(991, 1800);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 200, 2, 0);
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(20_000);
-    let o64 = ddm_gnn::solve_ddm_gnn_with_precision(
-        &problem,
-        subdomains.clone(),
-        Arc::clone(&model),
-        true,
-        ddm_gnn::Precision::F64,
-        &opts,
-    )
-    .expect("f64 DDM-GNN solve");
-    let o32 = ddm_gnn::solve_ddm_gnn_with_precision(
-        &problem,
-        subdomains,
-        Arc::clone(&model),
-        true,
-        ddm_gnn::Precision::F32,
-        &opts,
-    )
-    .expect("f32 DDM-GNN solve");
-    assert!(o64.stats.converged() && o32.stats.converged());
-    let cap = o64.stats.iterations + o64.stats.iterations.div_ceil(10);
+    let [o64, o32] = [ddm_gnn::Precision::F64, ddm_gnn::Precision::F32].map(|precision| {
+        let config = HybridSolverConfig { precision, ..Default::default() };
+        run(&problem, &subdomains, Method::DdmGnn, Some(&model), &config, &[&problem.rhs], &opts)
+    });
+    assert!(o64.stats().converged() && o32.stats().converged());
+    let cap = o64.stats().iterations + o64.stats().iterations.div_ceil(10);
     assert!(
-        o32.stats.iterations <= cap,
+        o32.stats().iterations <= cap,
         "f32 preconditioner took {} iterations vs f64 {} (+10% cap {})",
-        o32.stats.iterations,
-        o64.stats.iterations,
+        o32.stats().iterations,
+        o64.stats().iterations,
         cap
     );
-    assert!(krylov::true_relative_residual(&problem.matrix, &o32.x, &problem.rhs) < 1e-5);
-    assert!(sparse::vector::relative_error(&o32.x, &o64.x) < 1e-4);
+    assert!(krylov::true_relative_residual(&problem.matrix, o32.x(), &problem.rhs) < 1e-5);
+    assert!(sparse::vector::relative_error(o32.x(), o64.x()) < 1e-4);
 }
 
 /// The int8 weight format of the f32 inference engine inside the
@@ -347,41 +355,27 @@ fn int8_preconditioner_iteration_count_within_fifteen_percent_of_f64() {
     let problem = ddm_gnn::generate_problem(991, 1800);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 200, 2, 0);
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(20_000);
-    let o64 = ddm_gnn::solve_ddm_gnn_with_precision(
-        &problem,
-        subdomains.clone(),
-        Arc::clone(&model),
-        true,
-        ddm_gnn::Precision::F64,
-        &opts,
-    )
-    .expect("f64 DDM-GNN solve");
-    let oq = ddm_gnn::solve_ddm_gnn_with_precision(
-        &problem,
-        subdomains,
-        Arc::clone(&model),
-        true,
-        ddm_gnn::Precision::Int8,
-        &opts,
-    )
-    .expect("int8 DDM-GNN solve");
-    assert!(o64.stats.converged() && oq.stats.converged());
-    let cap = o64.stats.iterations + (15 * o64.stats.iterations).div_ceil(100);
+    let [o64, oq] = [ddm_gnn::Precision::F64, ddm_gnn::Precision::Int8].map(|precision| {
+        let config = HybridSolverConfig { precision, ..Default::default() };
+        run(&problem, &subdomains, Method::DdmGnn, Some(&model), &config, &[&problem.rhs], &opts)
+    });
+    assert!(o64.stats().converged() && oq.stats().converged());
+    let cap = o64.stats().iterations + (15 * o64.stats().iterations).div_ceil(100);
     assert!(
-        oq.stats.iterations <= cap,
+        oq.stats().iterations <= cap,
         "int8 preconditioner took {} iterations vs f64 {} (+15% cap {})",
-        oq.stats.iterations,
-        o64.stats.iterations,
+        oq.stats().iterations,
+        o64.stats().iterations,
         cap
     );
-    assert!(krylov::true_relative_residual(&problem.matrix, &oq.x, &problem.rhs) < 1e-5);
-    assert!(sparse::vector::relative_error(&oq.x, &o64.x) < 1e-4);
+    assert!(krylov::true_relative_residual(&problem.matrix, oq.x(), &problem.rhs) < 1e-5);
+    assert!(sparse::vector::relative_error(oq.x(), o64.x()) < 1e-4);
 }
 
-/// Multi-right-hand-side batched solve at n ≈ 9k: `solve_ddm_gnn_batch` with
+/// Multi-right-hand-side batched solve at n ≈ 9k: one `ddm_gnn::solve` over
 /// b = 4 distinct right-hand sides must produce per-column `SolveStats`
 /// (iterations, residual history) and solutions **bit-identical** to four
-/// independent `solve_ddm_gnn` runs — and the whole comparison must hold at
+/// independent single-column solves — and the whole comparison must hold at
 /// 1 and 4 rayon threads (the batched panel kernels keep each column's
 /// ascending accumulation order, so neither batching nor the thread count may
 /// move a single bit).  Like the determinism suite, each thread count runs in
@@ -415,29 +409,16 @@ fn batched_solve_matches_independent_solves_at_1_and_4_threads() {
             rhss.push((0..n).map(|i| ((i * c) as f64 * 0.13 + c as f64).sin()).collect());
         }
         let rs: Vec<&[f64]> = rhss.iter().map(|r| r.as_slice()).collect();
-        let batch = ddm_gnn::solve_ddm_gnn_batch(
-            &problem,
-            subdomains.clone(),
-            Arc::clone(&model),
-            true,
-            ddm_gnn::Precision::F64,
-            &rs,
-            &opts,
-        )
-        .expect("batched DDM-GNN solve");
+        let config = HybridSolverConfig::default();
+        let solve = |bs: &[&[f64]]| {
+            run(&problem, &subdomains, Method::DdmGnn, Some(&model), &config, bs, &opts)
+        };
+        let batch = solve(&rs);
         assert_eq!(batch.results.len(), 4);
 
         let mut signature = String::new();
         for (c, rhs) in rhss.iter().enumerate() {
-            let single_problem = PoissonProblem { rhs: rhs.clone(), ..problem.clone() };
-            let single = ddm_gnn::solve_ddm_gnn(
-                &single_problem,
-                subdomains.clone(),
-                Arc::clone(&model),
-                true,
-                &opts,
-            )
-            .expect("independent DDM-GNN solve");
+            let single = &solve(&[rhs]).results[0];
             let col = &batch.results[c];
             assert!(single.stats.converged(), "column {c} must converge independently");
             assert!(col.stats.converged(), "column {c} must converge in the batch");
@@ -535,19 +516,19 @@ fn multilevel_hierarchy_at_scale() {
     // Full solves: two-level Nicolaides baseline vs multilevel coarse path.
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 400, 2, 0);
     let opts = SolverOptions::with_tolerance(1e-8);
-    let two_level = ddm_gnn::solve_ddm_lu(&problem, subdomains.clone(), true, &opts)
-        .expect("two-level DDM-LU solve");
-    let multi = ddm_gnn::solve_ddm_lu_multilevel(&problem, subdomains, &config, &opts)
-        .expect("multilevel DDM-LU solve");
-    assert!(two_level.stats.converged() && multi.stats.converged());
-    assert!(krylov::true_relative_residual(&problem.matrix, &multi.x, &problem.rhs) < 1e-7);
-    assert!(sparse::vector::relative_error(&multi.x, &two_level.x) < 1e-5);
+    let [two_level, multi] = [AsmLevel::TwoLevel, AsmLevel::Multilevel(config)].map(|level| {
+        let config = HybridSolverConfig { level, ..Default::default() };
+        run(&problem, &subdomains, Method::DdmLu, None, &config, &[&problem.rhs], &opts)
+    });
+    assert!(two_level.stats().converged() && multi.stats().converged());
+    assert!(krylov::true_relative_residual(&problem.matrix, multi.x(), &problem.rhs) < 1e-7);
+    assert!(sparse::vector::relative_error(multi.x(), two_level.x()) < 1e-5);
     // The hierarchy's V-cycle must be a genuinely useful coarse component:
     // iteration counts stay in the same ballpark as the Nicolaides baseline.
     assert!(
-        multi.stats.iterations <= two_level.stats.iterations * 2,
+        multi.stats().iterations <= two_level.stats().iterations * 2,
         "multilevel took {} iterations vs two-level {}",
-        multi.stats.iterations,
-        two_level.stats.iterations
+        multi.stats().iterations,
+        two_level.stats().iterations
     );
 }

@@ -214,52 +214,6 @@ proptest! {
         }
     }
 
-    /// The degenerate two-level `Hierarchy` configuration is **bit-identical**
-    /// to the Nicolaides coarse space through a full ASM + PCG solve:
-    /// identical iteration counts and identical residual histories, bit for
-    /// bit, on random problems.
-    #[test]
-    fn two_level_hierarchy_pins_to_nicolaides_through_pcg(seed in 0u64..12) {
-        let problem = ddm_gnn::generate_problem(seed, 500);
-        let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, seed);
-        let opts = krylov::SolverOptions::with_tolerance(1e-8);
-
-        let asm_nico = ddm::AdditiveSchwarz::new(
-            &problem.matrix,
-            subdomains.clone(),
-            ddm::AsmLevel::TwoLevel,
-        ).unwrap();
-        let decomp = ddm::Decomposition::new(&problem.matrix, subdomains);
-        let hierarchy = ddm::Hierarchy::two_level_nicolaides(
-            &problem.matrix,
-            &decomp.restrictions,
-        ).unwrap();
-        let asm_degen = ddm::AdditiveSchwarz::from_decomposition_with_coarse(
-            &problem.matrix,
-            decomp,
-            Some(ddm::CoarseSpace::Multilevel(hierarchy)),
-        ).unwrap();
-
-        let r_nico = krylov::preconditioned_conjugate_gradient(
-            &problem.matrix, &problem.rhs, None, &asm_nico, &opts,
-        );
-        let r_degen = krylov::preconditioned_conjugate_gradient(
-            &problem.matrix, &problem.rhs, None, &asm_degen, &opts,
-        );
-        prop_assert!(r_nico.stats.converged() && r_degen.stats.converged());
-        prop_assert_eq!(r_nico.stats.iterations, r_degen.stats.iterations);
-        let h_nico = r_nico.stats.history.norms();
-        let h_degen = r_degen.stats.history.norms();
-        prop_assert_eq!(h_nico.len(), h_degen.len());
-        for (a, b) in h_nico.iter().zip(h_degen.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The solutions are bit-identical too.
-        for (a, b) in r_nico.x.iter().zip(r_degen.x.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
     /// The batched preconditioner apply extends the standing bit-determinism
     /// result: for every batch width b ∈ {1..8} and random residual panel,
     /// column `c` of `apply_batch` is **bit-identical** to a sequential
