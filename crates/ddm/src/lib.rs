@@ -79,8 +79,7 @@ impl Decomposition {
         let n = matrix.nrows();
         let restrictions: Vec<Restriction> =
             subdomains.iter().map(|sd| Restriction::new(sd.clone(), n)).collect();
-        let local_matrices: Vec<CsrMatrix> =
-            subdomains.iter().map(|sd| matrix.principal_submatrix(sd)).collect();
+        let local_matrices = matrix.principal_submatrices(&subdomains);
         Decomposition { subdomains, restrictions, local_matrices }
     }
 

@@ -13,23 +13,62 @@ impl Graph {
     /// Build from explicit adjacency lists (they are sorted/deduplicated
     /// internally; self-loops are dropped).
     pub fn from_adjacency(adjacency: &[Vec<usize>]) -> Self {
-        let n = adjacency.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbours = Vec::new();
+        let mut offsets = Vec::with_capacity(adjacency.len() + 1);
         offsets.push(0);
-        for (v, list) in adjacency.iter().enumerate() {
-            let mut sorted: Vec<usize> = list.iter().copied().filter(|&u| u != v).collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            neighbours.extend_from_slice(&sorted);
-            offsets.push(neighbours.len());
-        }
-        Graph { offsets, neighbours }
+        offsets.extend(adjacency.iter().scan(0, |end, list| {
+            *end += list.len();
+            Some(*end)
+        }));
+        Self::from_raw_rows(offsets, adjacency.concat())
     }
 
     /// Build the node graph of a mesh (nodes connected by mesh edges).
     pub fn from_mesh(mesh: &Mesh) -> Self {
-        Self::from_adjacency(&mesh.node_adjacency())
+        // Every triangle holds two sides at each of its corners: count, place,
+        // and let `from_raw_rows` merge the copies of the interior edges.
+        let n = mesh.num_nodes();
+        let mut offsets = vec![0usize; n + 1];
+        for t in &mesh.triangles {
+            for &a in t {
+                offsets[a + 1] += 2;
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets.clone();
+        let mut neighbours = vec![0usize; offsets[n]];
+        for t in &mesh.triangles {
+            for k in 0..3 {
+                let (a, b) = (t[k], t[(k + 1) % 3]);
+                neighbours[cursor[a]] = b;
+                cursor[a] += 1;
+                neighbours[cursor[b]] = a;
+                cursor[b] += 1;
+            }
+        }
+        Self::from_raw_rows(offsets, neighbours)
+    }
+
+    /// Sort every row `neighbours[offsets[v]..offsets[v + 1]]`, drop its
+    /// duplicates and self-loops, and close the gaps — all in place.
+    fn from_raw_rows(mut offsets: Vec<usize>, mut neighbours: Vec<usize>) -> Self {
+        let mut len = 0;
+        for v in 0..offsets.len() - 1 {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            neighbours[start..end].sort_unstable();
+            offsets[v] = len;
+            for i in start..end {
+                let u = neighbours[i];
+                if u != v && (len == offsets[v] || neighbours[len - 1] != u) {
+                    neighbours[len] = u;
+                    len += 1;
+                }
+            }
+        }
+        *offsets.last_mut().expect("offsets hold n + 1 entries") = len;
+        neighbours.truncate(len);
+        Graph { offsets, neighbours }
     }
 
     /// Number of vertices.
@@ -55,18 +94,40 @@ impl Graph {
     /// Breadth-first distances from a source (usize::MAX for unreachable).
     pub fn bfs_distances(&self, source: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.num_vertices()];
-        let mut queue = std::collections::VecDeque::new();
+        self.relax_distances(source, &mut dist, &mut Vec::new());
+        dist
+    }
+
+    /// Lower `dist` to `min(dist, bfs_distances(source))` in place.  `queue`
+    /// is overwritten with the vertices whose entry fell, in BFS order from
+    /// `source` itself; its length is the number of queue pops.
+    ///
+    /// `dist` must be `usize::MAX` everywhere or a minimum of BFS distance
+    /// fields of this graph.  Such a field changes by at most 1 along an edge
+    /// (an unreachable vertex has only unreachable neighbours), so every
+    /// vertex on a shortest path from `source` to a vertex it improves is
+    /// improved as well: the search may stop at each vertex it does not bring
+    /// closer and still finds the exact minimum.
+    pub(crate) fn relax_distances(
+        &self,
+        source: usize,
+        dist: &mut [usize],
+        queue: &mut Vec<usize>,
+    ) {
+        queue.clear();
         dist[source] = 0;
-        queue.push_back(source);
-        while let Some(v) = queue.pop_front() {
+        queue.push(source);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let d = dist[v] + 1;
             for &u in self.neighbours(v) {
-                if dist[u] == usize::MAX {
-                    dist[u] = dist[v] + 1;
-                    queue.push_back(u);
+                if d < dist[u] {
+                    dist[u] = d;
+                    queue.push(u);
                 }
             }
         }
-        dist
     }
 
     /// Whether the graph is connected (true for the empty graph).

@@ -29,17 +29,23 @@ pub type Partition = Vec<usize>;
 /// grow each part by `overlap` layers.  Convenience wrapper used by the
 /// higher-level crates: returns the overlapping node sets (sorted, one per
 /// sub-domain).
+///
+/// Never panics: an empty mesh has no sub-domains, and a `target_size` of 0
+/// is treated as 1 (one node per part).
 pub fn partition_mesh_with_overlap(
     mesh: &meshgen::Mesh,
     target_size: usize,
     overlap: usize,
     seed: u64,
 ) -> Vec<Vec<usize>> {
+    if mesh.num_nodes() == 0 {
+        return Vec::new();
+    }
     let graph = Graph::from_mesh(mesh);
-    let k = (mesh.num_nodes() + target_size - 1) / target_size.max(1);
-    let opts = PartitionOptions { num_parts: k.max(1), seed, ..Default::default() };
+    let k = mesh.num_nodes().div_ceil(target_size.max(1));
+    let opts = PartitionOptions { num_parts: k, seed, ..Default::default() };
     let parts = partition_graph(&graph, &opts);
-    grow_overlap(&graph, &parts, opts.num_parts, overlap)
+    grow_overlap(&graph, &parts, k, overlap)
 }
 
 #[cfg(test)]
@@ -69,5 +75,25 @@ mod tests {
         for sd in &subdomains {
             assert!(sd.len() > 100 && sd.len() < 900, "sub-domain size {}", sd.len());
         }
+    }
+
+    #[test]
+    fn empty_mesh_has_no_subdomains() {
+        // `(0 + target - 1) / target` used to underflow at target 0: an
+        // overflow panic in debug, `usize::MAX` parts in release.
+        let empty = meshgen::Mesh::new(Vec::new(), Vec::new());
+        for target_size in [0, 1, 300] {
+            assert!(partition_mesh_with_overlap(&empty, target_size, 2, 0).is_empty());
+        }
+    }
+
+    #[test]
+    fn zero_target_size_means_one_node_per_part() {
+        // Target 0 used to ask for n − 1 parts where target 1 asks for n.
+        let d = meshgen::RectangleDomain::new(0.0, 0.0, 1.0, 1.0);
+        let mesh = generate_mesh(&d, &MeshingOptions::with_element_size(0.25));
+        let subdomains = partition_mesh_with_overlap(&mesh, 0, 1, 0);
+        assert_eq!(subdomains.len(), mesh.num_nodes());
+        assert_eq!(subdomains, partition_mesh_with_overlap(&mesh, 1, 1, 0));
     }
 }

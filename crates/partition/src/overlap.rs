@@ -5,16 +5,15 @@
 //! sub-domain is the set of nodes of its part plus all nodes at graph distance
 //! ≤ overlap from that part.
 
-use rayon::prelude::*;
-use std::collections::VecDeque;
-
 use crate::graph::Graph;
 use crate::Partition;
 
 /// Expand every part of `partition` by `overlap` BFS layers.
 ///
 /// Returns one sorted node list per part.  With `overlap == 0` the lists are
-/// exactly the parts themselves.
+/// exactly the parts themselves.  The cost is `O(n + Σ|sub-domain|·degree)`:
+/// one BFS level array serves every part and is reset only where a part
+/// touched it.
 pub fn grow_overlap(
     graph: &Graph,
     partition: &Partition,
@@ -25,44 +24,39 @@ pub fn grow_overlap(
     assert_eq!(partition.len(), n, "partition length mismatch");
 
     // Collect the core node lists.
-    let mut cores: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
+    let mut subdomains: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
     for (v, &p) in partition.iter().enumerate() {
         assert!(p < num_parts, "partition index {p} out of range");
-        cores[p].push(v);
+        subdomains[p].push(v);
     }
 
-    // Expand each part independently (embarrassingly parallel).
-    cores
-        .par_iter()
-        .map(|core| {
-            if overlap == 0 {
-                let mut out = core.clone();
-                out.sort_unstable();
-                return out;
+    // Expand each part in turn.  The member list is its own BFS queue: it
+    // holds the core, then every discovered node in discovery order.
+    let mut level = vec![usize::MAX; n];
+    for members in &mut subdomains {
+        for &v in members.iter() {
+            level[v] = 0;
+        }
+        let mut head = 0;
+        while head < members.len() {
+            let v = members[head];
+            head += 1;
+            if level[v] >= overlap {
+                continue;
             }
-            let mut level = vec![usize::MAX; n];
-            let mut queue = VecDeque::new();
-            for &v in core {
-                level[v] = 0;
-                queue.push_back(v);
-            }
-            let mut members = core.clone();
-            while let Some(v) = queue.pop_front() {
-                if level[v] >= overlap {
-                    continue;
-                }
-                for &u in graph.neighbours(v) {
-                    if level[u] == usize::MAX {
-                        level[u] = level[v] + 1;
-                        members.push(u);
-                        queue.push_back(u);
-                    }
+            for &u in graph.neighbours(v) {
+                if level[u] == usize::MAX {
+                    level[u] = level[v] + 1;
+                    members.push(u);
                 }
             }
-            members.sort_unstable();
-            members
-        })
-        .collect()
+        }
+        for &v in members.iter() {
+            level[v] = usize::MAX;
+        }
+        members.sort_unstable();
+    }
+    subdomains
 }
 
 /// For each sub-domain, the number of nodes shared with at least one other

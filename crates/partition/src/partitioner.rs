@@ -10,10 +10,36 @@
 //!    neighbouring part,
 //! 4. run a boundary-refinement pass that moves nodes from oversized parts to
 //!    adjacent undersized parts when doing so does not disconnect coverage.
+//!
+//! # Cost
+//!
+//! `O((n + e)·log n)` on a graph of bounded degree, `n·(2 + log₂ K)` BFS
+//! queue pops for the seeds on a mesh graph (counted by a unit test, not
+//! timed): no step does `Θ(n)` work per seed or per part.  Two terms are
+//! outside that bound and negligible on meshes: growth rescans the adjacency
+//! of a frontier vertex once per neighbour it hands out (`Σ degree²`), and a
+//! straggler with no assigned neighbour scans all `K` part sizes.
+//!
+//! # Tie-breaks
+//!
+//! The output is a pure function of the graph and [`PartitionOptions`], and
+//! every downstream hash depends on it, so the rules that settle ties are
+//! part of the contract (`tests/partition_pins.rs` pins them):
+//!
+//! * **seeds** — a vertex no seed reaches counts as farther than any finite
+//!   distance (`usize::MAX`, clamped to `usize::MAX − 1`), and among equally
+//!   far vertices the **highest index** is taken;
+//! * **growth** — among the smallest parts that still have a frontier the
+//!   **lowest part index** expands, by the first unassigned neighbour (in
+//!   adjacency order) of its oldest frontier vertex that has one;
+//! * **stragglers** — the smallest neighbouring part, the first in adjacency
+//!   order among equals; without an assigned neighbour the smallest part
+//!   overall, the lowest index among equals.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::graph::Graph;
 use crate::Partition;
@@ -72,58 +98,8 @@ pub fn partition_graph(graph: &Graph, opts: &PartitionOptions) -> Partition {
         return (0..n).collect();
     }
 
-    let seeds = select_seeds(graph, k, opts.seed);
-
-    // Multi-source BFS growth, always expanding the smallest part.
-    let mut assignment = vec![usize::MAX; n];
-    let mut frontiers: Vec<VecDeque<usize>> = vec![VecDeque::new(); k];
-    let mut sizes = vec![0usize; k];
-    for (p, &s) in seeds.iter().enumerate() {
-        assignment[s] = p;
-        sizes[p] = 1;
-        frontiers[p].push_back(s);
-    }
-    let mut assigned = k;
-    while assigned < n {
-        // Pick the smallest part that still has a frontier.
-        let mut best_part = usize::MAX;
-        let mut best_size = usize::MAX;
-        for p in 0..k {
-            if !frontiers[p].is_empty() && sizes[p] < best_size {
-                best_size = sizes[p];
-                best_part = p;
-            }
-        }
-        if best_part == usize::MAX {
-            break; // all frontiers exhausted (disconnected leftovers remain)
-        }
-        let p = best_part;
-        // Expand one node from this part's frontier.
-        let mut grew = false;
-        while let Some(v) = frontiers[p].pop_front() {
-            let mut next_unassigned = None;
-            for &u in graph.neighbours(v) {
-                if assignment[u] == usize::MAX {
-                    next_unassigned = Some(u);
-                    break;
-                }
-            }
-            if let Some(u) = next_unassigned {
-                assignment[u] = p;
-                sizes[p] += 1;
-                assigned += 1;
-                frontiers[p].push_back(u);
-                // v may still have other unassigned neighbours.
-                frontiers[p].push_front(v);
-                grew = true;
-                break;
-            }
-            // v exhausted: drop it from the frontier.
-        }
-        if !grew && frontiers[p].is_empty() {
-            continue;
-        }
-    }
+    let (seeds, _) = select_seeds(graph, k, opts.seed);
+    let (mut assignment, mut sizes, _) = grow_parts(graph, &seeds);
 
     // Stragglers: nodes in components not reached by any seed.  Attach each to
     // the smallest part among its neighbours, or the globally smallest part.
@@ -145,29 +121,103 @@ pub fn partition_graph(graph: &Graph, opts: &PartitionOptions) -> Partition {
     assignment
 }
 
-/// Farthest-point sampling of `k` seed vertices.
-fn select_seeds(graph: &Graph, k: usize, seed: u64) -> Vec<usize> {
+/// Farthest-point sampling of `k < n` seed vertices: the first is the one
+/// ChaCha8 draw, each next one the vertex farthest (BFS metric) from all
+/// seeds so far.  Unreachable vertices keep `usize::MAX`, clamped to
+/// `usize::MAX − 1`, and so win — that spreads seeds across disconnected
+/// components — and among equally far vertices the **highest index** wins.
+///
+/// Returns the seeds and the number of BFS queue pops spent: `O(n·log k)` on
+/// a mesh graph instead of `k·n`, because each new seed only
+/// [relaxes](Graph::relax_distances) the vertices it is nearest to.
+///
+/// The arg-max is a bucket queue.  Bucket `d` lists the vertices whose
+/// distance is or once was `d`, bucket `n` the unreachable ones, and `top` is
+/// the highest bucket that can still hold a vertex at its current distance.
+/// Distances only fall and always to below `top`, so a bucket is complete
+/// when `top` arrives at it: it is sorted once and popped from the back —
+/// highest index first — skipping the entries that have moved on since.
+fn select_seeds(graph: &Graph, k: usize, seed: u64) -> (Vec<usize>, usize) {
     let n = graph.num_vertices();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let first = rng.gen_range(0..n);
     let mut seeds = vec![first];
-    // Track the distance of every vertex to its nearest selected seed.
-    let mut min_dist = graph.bfs_distances(first);
+    // Distance of every vertex to its nearest selected seed, and the vertices
+    // the latest seed lowered it for (that seed first).
+    let mut min_dist = vec![usize::MAX; n];
+    let mut nearer = Vec::new();
+    graph.relax_distances(first, &mut min_dist, &mut nearer);
+    let mut pops = nearer.len();
+    let bucket = |d: usize| d.min(n);
+    let mut buckets = vec![Vec::new(); n + 1];
+    for v in (0..n).filter(|&v| v != first) {
+        buckets[bucket(min_dist[v])].push(v);
+    }
+    let mut top = n;
     while seeds.len() < k {
-        // The next seed is the vertex farthest from all current seeds
-        // (ignoring unreachable vertices, which keep usize::MAX and win ties —
-        // that conveniently spreads seeds across disconnected components).
-        let next = (0..n)
-            .filter(|v| !seeds.contains(v))
-            .max_by_key(|&v| min_dist[v].min(usize::MAX - 1))
-            .unwrap_or(first);
-        seeds.push(next);
-        let d = graph.bfs_distances(next);
-        for v in 0..n {
-            min_dist[v] = min_dist[v].min(d[v]);
+        let Some(v) = buckets[top].pop() else {
+            // k < n, so a non-seed vertex is always left in a lower bucket.
+            let Some(lower) = top.checked_sub(1) else { break };
+            top = lower;
+            buckets[top].sort_unstable();
+            continue;
+        };
+        if bucket(min_dist[v]) == top {
+            seeds.push(v);
+            graph.relax_distances(v, &mut min_dist, &mut nearer);
+            pops += nearer.len();
+            for &u in &nearer[1..] {
+                buckets[min_dist[u]].push(u);
+            }
         }
     }
-    seeds
+    (seeds, pops)
+}
+
+/// Multi-source BFS growth from distinct `seeds`, always expanding the
+/// smallest part that still has a frontier — the **lowest part index** on
+/// equal sizes — by one vertex: the first unassigned neighbour, in adjacency
+/// order, of the oldest frontier vertex that has one.
+///
+/// A step changes only the size and frontier of the part it expands and an
+/// emptied frontier never refills, so a min-heap on `(size, part)` that
+/// re-pushes the popped part while its frontier is non-empty visits the
+/// parts in exactly the order a scan over all of them would.  Returns the
+/// assignment (`usize::MAX` where no frontier reached), the part sizes and
+/// the number of heap pushes (≤ n: one per seed or assigned vertex).
+fn grow_parts(graph: &Graph, seeds: &[usize]) -> (Partition, Vec<usize>, usize) {
+    let (n, k) = (graph.num_vertices(), seeds.len());
+    let mut assignment = vec![usize::MAX; n];
+    let mut frontiers: Vec<VecDeque<usize>> = vec![VecDeque::new(); k];
+    let mut sizes = vec![1usize; k];
+    for (p, &s) in seeds.iter().enumerate() {
+        assignment[s] = p;
+        frontiers[p].push_back(s);
+    }
+    let mut smallest: BinaryHeap<_> = (0..k).map(|p| Reverse((1, p))).collect();
+    let mut pushes = k;
+    let mut assigned = k;
+    while assigned < n {
+        // All frontiers exhausted: disconnected leftovers remain.
+        let Some(Reverse((_, p))) = smallest.pop() else { break };
+        while let Some(v) = frontiers[p].pop_front() {
+            if let Some(&u) = graph.neighbours(v).iter().find(|&&u| assignment[u] == usize::MAX) {
+                assignment[u] = p;
+                sizes[p] += 1;
+                assigned += 1;
+                frontiers[p].push_back(u);
+                // v may still have other unassigned neighbours.
+                frontiers[p].push_front(v);
+                break;
+            }
+            // v exhausted: drop it from the frontier.
+        }
+        if !frontiers[p].is_empty() {
+            smallest.push(Reverse((sizes[p], p)));
+            pushes += 1;
+        }
+    }
+    (assignment, sizes, pushes)
 }
 
 /// Boundary refinement: move nodes from oversized parts to adjacent
@@ -352,6 +402,114 @@ mod tests {
         let opts = PartitionOptions { num_parts: 2, ..Default::default() };
         let parts = partition_graph(&g, &opts);
         assert!(parts.iter().all(|&p| p < 2));
+    }
+
+    fn blob_mesh_graph(target_nodes: usize) -> Graph {
+        let domain = RandomBlobDomain::generate(4, 20, 1.0);
+        let h = meshgen::generator::element_size_for_target_nodes(&domain, target_nodes);
+        Graph::from_mesh(&generate_mesh(&domain, &MeshingOptions::with_element_size(h)))
+    }
+
+    /// The complexity contract, counted rather than timed: the seed scan
+    /// this replaced popped `k·n` vertices and compared `n·k²/2` indices.
+    #[test]
+    fn seed_and_growth_work_is_near_linear() {
+        for (target_nodes, target_size) in [(2_000, 300), (24_000, 300)] {
+            let g = blob_mesh_graph(target_nodes);
+            let n = g.num_vertices();
+            let k = n.div_ceil(target_size);
+            let (seeds, pops) = select_seeds(&g, k, 0);
+            assert_eq!(seeds.len(), k);
+            let bound = n as f64 * (2.0 + (k as f64).log2());
+            assert!(pops >= n && (pops as f64) <= bound, "n = {n}, k = {k}: {pops} BFS pops");
+            let (assignment, sizes, pushes) = grow_parts(&g, &seeds);
+            assert!(assignment.iter().all(|&p| p < k), "a connected mesh leaves no straggler");
+            assert_eq!(sizes.iter().sum::<usize>(), n);
+            assert!(pushes <= 2 * n, "n = {n}, k = {k}: {pushes} heap pushes");
+        }
+    }
+
+    /// The farthest-point sampling as first written: a full BFS per seed and
+    /// a scan of all vertices for the arg-max.
+    fn reference_seeds(graph: &Graph, k: usize, seed: u64) -> Vec<usize> {
+        let n = graph.num_vertices();
+        let first = ChaCha8Rng::seed_from_u64(seed).gen_range(0..n);
+        let mut seeds = vec![first];
+        let mut min_dist = graph.bfs_distances(first);
+        while seeds.len() < k {
+            let next = (0..n)
+                .filter(|v| !seeds.contains(v))
+                .max_by_key(|&v| min_dist[v].min(usize::MAX - 1))
+                .unwrap();
+            seeds.push(next);
+            for (m, d) in min_dist.iter_mut().zip(graph.bfs_distances(next)) {
+                *m = (*m).min(d);
+            }
+        }
+        seeds
+    }
+
+    /// The growth loop as first written: a scan over all parts per step.
+    fn reference_growth(graph: &Graph, seeds: &[usize]) -> (Partition, Vec<usize>) {
+        let mut assignment = vec![usize::MAX; graph.num_vertices()];
+        let mut frontiers = vec![VecDeque::new(); seeds.len()];
+        for (p, &s) in seeds.iter().enumerate() {
+            assignment[s] = p;
+            frontiers[p].push_back(s);
+        }
+        let mut sizes = vec![1usize; seeds.len()];
+        loop {
+            let candidates = (0..seeds.len()).filter(|&p| !frontiers[p].is_empty());
+            let Some(p) = candidates.min_by_key(|&p| sizes[p]) else { break };
+            while let Some(v) = frontiers[p].pop_front() {
+                let free = graph.neighbours(v).iter().find(|&&u| assignment[u] == usize::MAX);
+                if let Some(&u) = free {
+                    assignment[u] = p;
+                    sizes[p] += 1;
+                    frontiers[p].push_back(u);
+                    frontiers[p].push_front(v);
+                    break;
+                }
+            }
+        }
+        (assignment, sizes)
+    }
+
+    /// Sparse random graphs: several components, isolated vertices, ties.
+    fn random_graph(n: usize, edges: usize, rng: &mut ChaCha8Rng) -> Graph {
+        let mut adjacency = vec![Vec::new(); n];
+        for _ in 0..edges {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            adjacency[a].push(b);
+            adjacency[b].push(a);
+        }
+        Graph::from_adjacency(&adjacency)
+    }
+
+    #[test]
+    fn seeds_and_growth_match_the_quadratic_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut graphs = vec![grid_graph(9, 7), grid_graph(30, 1), blob_mesh_graph(400)];
+        for _ in 0..40 {
+            let n = rng.gen_range(2..60);
+            let edges = rng.gen_range(0..2 * n);
+            graphs.push(random_graph(n, edges, &mut rng));
+        }
+        for g in &graphs {
+            let n = g.num_vertices();
+            for k in [2, 3, n / 4, n / 2, n - 1] {
+                if !(2..n).contains(&k) {
+                    continue;
+                }
+                for seed in [0, 7] {
+                    let (seeds, _) = select_seeds(g, k, seed);
+                    assert_eq!(seeds, reference_seeds(g, k, seed), "n = {n}, k = {k}");
+                    let (assignment, sizes, _) = grow_parts(g, &seeds);
+                    let grown = (assignment, sizes);
+                    assert_eq!(grown, reference_growth(g, &seeds), "n = {n}, k = {k}");
+                }
+            }
+        }
     }
 
     #[test]

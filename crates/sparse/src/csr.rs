@@ -301,9 +301,23 @@ impl CsrMatrix {
     /// follows `idx`.  This is exactly the `Rᵢ A Rᵢᵀ` operator of the Schwarz
     /// method when `idx` enumerates the nodes of sub-domain `i`.
     pub fn principal_submatrix(&self, idx: &[usize]) -> CsrMatrix {
-        let n = idx.len();
-        // Global → local map, usize::MAX marks "not in the sub-domain".
+        self.extract_principal(idx, &mut vec![usize::MAX; self.ncols])
+    }
+
+    /// [`CsrMatrix::principal_submatrix`] of every index set, in order.
+    ///
+    /// All extractions share one global → local map that is reset only where
+    /// a set touched it, so the cost is the size of what is extracted plus
+    /// `O(ncols)` once — not `O(ncols)` per set.
+    pub fn principal_submatrices(&self, index_sets: &[Vec<usize>]) -> Vec<CsrMatrix> {
         let mut glob_to_loc = vec![usize::MAX; self.ncols];
+        index_sets.iter().map(|idx| self.extract_principal(idx, &mut glob_to_loc)).collect()
+    }
+
+    /// `A[idx, idx]` through a global → local map the caller provides filled
+    /// with `usize::MAX` ("not in the sub-domain") and gets back that way.
+    fn extract_principal(&self, idx: &[usize], glob_to_loc: &mut [usize]) -> CsrMatrix {
+        let n = idx.len();
         for (loc, &g) in idx.iter().enumerate() {
             debug_assert!(g < self.nrows, "principal_submatrix: index out of bounds");
             glob_to_loc[g] = loc;
@@ -328,6 +342,9 @@ impl CsrMatrix {
                 values.push(v);
             }
             row_ptr.push(col_idx.len());
+        }
+        for &g in idx {
+            glob_to_loc[g] = usize::MAX;
         }
         CsrMatrix { nrows: n, ncols: n, row_ptr, col_idx, values }
     }
@@ -627,6 +644,23 @@ mod tests {
         assert_eq!(sub.get(0, 1), -1.0);
         assert_eq!(sub.get(1, 0), -1.0);
         assert_eq!(sub.get(1, 1), 4.0);
+    }
+
+    #[test]
+    fn principal_submatrices_share_one_map_without_leaking_between_sets() {
+        // Overlapping, unsorted, empty and repeated sets: each result must be
+        // what a fresh map gives, so no entry of an earlier set may survive
+        // in the shared global → local map.
+        let a = sample_matrix();
+        let sets = vec![vec![2, 1], vec![0, 1, 2], vec![], vec![0], vec![1, 0], vec![2, 1]];
+        let subs = a.principal_submatrices(&sets);
+        assert_eq!(subs.len(), sets.len());
+        for (sub, set) in subs.iter().zip(&sets) {
+            assert_eq!(sub, &a.principal_submatrix(set), "set {set:?}");
+        }
+        // [0] after [0, 1, 2]: a leaked entry for global 1 would add a column.
+        assert_eq!((subs[3].nrows(), subs[3].nnz()), (1, 1));
+        assert!(a.principal_submatrices(&[]).is_empty());
     }
 
     #[test]
