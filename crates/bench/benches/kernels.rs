@@ -47,6 +47,14 @@ fn bench_partitioning(c: &mut Criterion) {
             b.iter(|| partition_mesh_with_overlap(&problem.mesh, ns, 2, 0));
         });
     }
+    // The mesh and sub-domain size of the benchmark's `lu-ml-8rhs-100k`
+    // (n = 100 892, 337 sub-domains): the size at which a superlinear term
+    // in the partitioner shows.  Per node this row should stay within ~3× of
+    // the rows above.
+    let large = generate_problem(5, 100_000);
+    group.bench_function("n=100k/300", |b| {
+        b.iter(|| partition_mesh_with_overlap(&large.mesh, 300, 2, 0));
+    });
     group.finish();
 }
 

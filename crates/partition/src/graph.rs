@@ -13,12 +13,10 @@ impl Graph {
     /// Build from explicit adjacency lists (they are sorted/deduplicated
     /// internally; self-loops are dropped).
     pub fn from_adjacency(adjacency: &[Vec<usize>]) -> Self {
-        let mut offsets = Vec::with_capacity(adjacency.len() + 1);
-        offsets.push(0);
-        offsets.extend(adjacency.iter().scan(0, |end, list| {
-            *end += list.len();
-            Some(*end)
-        }));
+        let mut offsets = vec![0];
+        for list in adjacency {
+            offsets.push(offsets[offsets.len() - 1] + list.len());
+        }
         Self::from_raw_rows(offsets, adjacency.concat())
     }
 
@@ -53,8 +51,9 @@ impl Graph {
     /// Sort every row `neighbours[offsets[v]..offsets[v + 1]]`, drop its
     /// duplicates and self-loops, and close the gaps — all in place.
     fn from_raw_rows(mut offsets: Vec<usize>, mut neighbours: Vec<usize>) -> Self {
+        let n = offsets.len() - 1;
         let mut len = 0;
-        for v in 0..offsets.len() - 1 {
+        for v in 0..n {
             let (start, end) = (offsets[v], offsets[v + 1]);
             neighbours[start..end].sort_unstable();
             offsets[v] = len;
@@ -66,7 +65,7 @@ impl Graph {
                 }
             }
         }
-        *offsets.last_mut().expect("offsets hold n + 1 entries") = len;
+        offsets[n] = len;
         neighbours.truncate(len);
         Graph { offsets, neighbours }
     }
@@ -98,25 +97,20 @@ impl Graph {
         dist
     }
 
-    /// Lower `dist` to `min(dist, bfs_distances(source))` in place.  `queue`
-    /// is overwritten with the vertices whose entry fell, in BFS order from
-    /// `source` itself; its length is the number of queue pops.
+    /// Lower `dist` to `min(dist, bfs_distances(from))` in place.  `queue` is
+    /// overwritten with the vertices whose entry fell, in BFS order starting
+    /// with `from` itself; its length is the number of queue pops.
     ///
     /// `dist` must be `usize::MAX` everywhere or a minimum of BFS distance
     /// fields of this graph.  Such a field changes by at most 1 along an edge
     /// (an unreachable vertex has only unreachable neighbours), so every
-    /// vertex on a shortest path from `source` to a vertex it improves is
+    /// vertex on a shortest path from `from` to a vertex it improves is
     /// improved as well: the search may stop at each vertex it does not bring
     /// closer and still finds the exact minimum.
-    pub(crate) fn relax_distances(
-        &self,
-        source: usize,
-        dist: &mut [usize],
-        queue: &mut Vec<usize>,
-    ) {
+    pub(crate) fn relax_distances(&self, from: usize, dist: &mut [usize], queue: &mut Vec<usize>) {
         queue.clear();
-        dist[source] = 0;
-        queue.push(source);
+        dist[from] = 0;
+        queue.push(from);
         let mut head = 0;
         while let Some(&v) = queue.get(head) {
             head += 1;

@@ -11,6 +11,17 @@
 //!   layers, producing the overlapping sub-domain node sets that the Schwarz
 //!   restriction operators consume,
 //! * [`quality`] — edge cut and balance metrics used by tests and benches.
+//!
+//! Setup is part of time-to-solution, so the whole pipeline is near-linear:
+//! `O((n + e)·log n)` for a mesh of `n` nodes and `e` edges, with no `O(n)`
+//! work or allocation per seed, part or sub-domain (see [`partitioner`] for
+//! the two degenerate-graph terms outside that bound).  It is also a pure
+//! function of its inputs, and every solver hash downstream depends on the
+//! exact node lists, so the three tie-break rules of [`partitioner`] —
+//! unreachable vertices are farthest and the highest index wins among the
+//! farthest; the lowest part index wins among the smallest parts; stragglers
+//! join the first smallest neighbouring part — are contract, pinned list by
+//! list in the umbrella crate's `tests/partition_pins.rs`.
 
 pub mod graph;
 pub mod overlap;

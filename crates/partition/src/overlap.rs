@@ -42,7 +42,7 @@ pub fn grow_overlap(
             let v = members[head];
             head += 1;
             if level[v] >= overlap {
-                continue;
+                break; // levels never decrease along the queue
             }
             for &u in graph.neighbours(v) {
                 if level[u] == usize::MAX {

@@ -66,7 +66,10 @@ impl Default for PartitionOptions {
 
 /// Partition the graph into `opts.num_parts` parts of roughly equal size.
 ///
-/// Returns the part index of every vertex (`result[v] ∈ 0..num_parts`).
+/// Returns the part index of every vertex (`result[v] ∈ 0..num_parts`), a
+/// pure function of the graph and `opts` computed in `O((n + e)·log n)`; the
+/// [module docs](self) give the exact cost and the tie-break rules that make
+/// the result reproducible index for index.
 /// This function **never panics**; the degenerate shapes are defined as:
 ///
 /// * an **empty graph** returns an empty assignment (regardless of
