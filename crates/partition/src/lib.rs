@@ -12,16 +12,12 @@
 //!   restriction operators consume,
 //! * [`quality`] — edge cut and balance metrics used by tests and benches.
 //!
-//! Setup is part of time-to-solution, so the whole pipeline is near-linear:
-//! `O((n + e)·log n)` for a mesh of `n` nodes and `e` edges, with no `O(n)`
-//! work or allocation per seed, part or sub-domain (see [`partitioner`] for
-//! the two degenerate-graph terms outside that bound).  It is also a pure
-//! function of its inputs, and every solver hash downstream depends on the
-//! exact node lists, so the three tie-break rules of [`partitioner`] —
-//! unreachable vertices are farthest and the highest index wins among the
-//! farthest; the lowest part index wins among the smallest parts; stragglers
-//! join the first smallest neighbouring part — are contract, pinned list by
-//! list in the umbrella crate's `tests/partition_pins.rs`.
+//! Setup is part of time-to-solution, so the whole pipeline is near-linear —
+//! `O((n + e)·log n)` for `n` nodes and `e` edges, no `O(n)` work or
+//! allocation per seed, part or sub-domain — and a pure function of its
+//! inputs.  Every solver hash downstream depends on the exact node lists, so
+//! the tie-break rules documented in [`partitioner`] are contract, pinned
+//! list by list in the umbrella crate's `tests/partition_pins.rs`.
 
 pub mod graph;
 pub mod overlap;
@@ -41,8 +37,8 @@ pub type Partition = Vec<usize>;
 /// higher-level crates: returns the overlapping node sets (sorted, one per
 /// sub-domain).
 ///
-/// Never panics: an empty mesh has no sub-domains, and a `target_size` of 0
-/// is treated as 1 (one node per part).
+/// An empty mesh has no sub-domains, and a `target_size` of 0 is treated as 1
+/// (one node per part).
 pub fn partition_mesh_with_overlap(
     mesh: &meshgen::Mesh,
     target_size: usize,

@@ -13,28 +13,28 @@
 //!
 //! # Cost
 //!
-//! `O((n + e)·log n)` on a graph of bounded degree, `n·(2 + log₂ K)` BFS
-//! queue pops for the seeds on a mesh graph (counted by a unit test, not
-//! timed): no step does `Θ(n)` work per seed or per part.  Two terms are
-//! outside that bound and negligible on meshes: growth rescans the adjacency
-//! of a frontier vertex once per neighbour it hands out (`Σ degree²`), and a
-//! straggler with no assigned neighbour scans all `K` part sizes.
+//! `O((n + e)·log n)` on a graph of bounded degree, with at most
+//! `n·(2 + log₂ K)` BFS queue pops for the seeds of a mesh graph (a unit test
+//! counts them): no step does `Θ(n)` work per seed or per part.  Outside that
+//! bound, and negligible on meshes: growth rescans the adjacency of a
+//! frontier vertex once per neighbour it hands out (`Σ degree²`), and a
+//! straggler without an assigned neighbour scans all `K` part sizes.
 //!
 //! # Tie-breaks
 //!
-//! The output is a pure function of the graph and [`PartitionOptions`], and
+//! The output is a pure function of the graph and [`PartitionOptions`] and
 //! every downstream hash depends on it, so the rules that settle ties are
-//! part of the contract (`tests/partition_pins.rs` pins them):
+//! contract (`tests/partition_pins.rs` pins them):
 //!
-//! * **seeds** — a vertex no seed reaches counts as farther than any finite
-//!   distance (`usize::MAX`, clamped to `usize::MAX − 1`), and among equally
-//!   far vertices the **highest index** is taken;
+//! * **seeds** — a vertex no seed reaches is farther than any finite distance
+//!   (`usize::MAX`, clamped to `usize::MAX − 1`), and among equally far
+//!   vertices the **highest index** is taken;
 //! * **growth** — among the smallest parts that still have a frontier the
 //!   **lowest part index** expands, by the first unassigned neighbour (in
 //!   adjacency order) of its oldest frontier vertex that has one;
 //! * **stragglers** — the smallest neighbouring part, the first in adjacency
-//!   order among equals; without an assigned neighbour the smallest part
-//!   overall, the lowest index among equals.
+//!   order among equals; failing that the smallest part overall, the lowest
+//!   index among equals.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
