@@ -45,9 +45,6 @@ pub fn partition_mesh_with_overlap(
     overlap: usize,
     seed: u64,
 ) -> Vec<Vec<usize>> {
-    if mesh.num_nodes() == 0 {
-        return Vec::new();
-    }
     let graph = Graph::from_mesh(mesh);
     let k = mesh.num_nodes().div_ceil(target_size.max(1));
     let opts = PartitionOptions { num_parts: k, seed, ..Default::default() };

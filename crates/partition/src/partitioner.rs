@@ -413,8 +413,9 @@ mod tests {
         Graph::from_mesh(&generate_mesh(&domain, &MeshingOptions::with_element_size(h)))
     }
 
-    /// The complexity contract, counted rather than timed: the seed scan
-    /// this replaced popped `k·n` vertices and compared `n·k²/2` indices.
+    /// The complexity contract, counted rather than timed (a count repeats
+    /// exactly): one full BFS per seed would pop `k·n` vertices, one scan of
+    /// the parts per assigned vertex would be `k·n` comparisons.
     #[test]
     fn seed_and_growth_work_is_near_linear() {
         for (target_nodes, target_size) in [(2_000, 300), (24_000, 300)] {
