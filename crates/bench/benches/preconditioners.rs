@@ -34,7 +34,9 @@ fn bench_preconditioner_apply(c: &mut Criterion) {
     // An untrained model has the same computational cost as a trained one, so
     // the benchmark does not depend on the shipped weights.
     let model = ddm_gnn::load_pretrained().unwrap_or_else(|| {
-        DssModel::new(DssConfig { num_blocks: 16, latent_dim: 10, alpha: 1e-3 }, 0)
+        let config =
+            DssConfig { num_blocks: ddm_gnn::PRETRAINED_DEPTH, latent_dim: 10, alpha: 1e-3 };
+        DssModel::new(config, 0)
     });
     let gnn_precond =
         DdmGnnPreconditioner::new(&problem, subdomains.clone(), Arc::new(model), true).unwrap();

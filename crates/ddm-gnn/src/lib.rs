@@ -22,7 +22,9 @@
 //!   preconditioner of a [`Method`] (plain CG, IC(0), DDM-LU, DDM-GNN) and
 //!   [`solve`] drives any preconditioner through one timed Krylov call,
 //! * [`pipeline`] — end-to-end helpers: problem generation, dataset
-//!   extraction, model training and evaluation with one call each.
+//!   extraction, model training and evaluation with one call each, and
+//!   [`load_pretrained`]: the shipped 16-block model run at its first
+//!   [`PRETRAINED_DEPTH`] blocks.
 
 // Library code must not panic via unwrap — the apply path runs under
 // `catch_unwind` containment whose soundness argument assumes poison-free
@@ -41,7 +43,7 @@ pub use krylov::{
 };
 pub use pipeline::{
     generate_problem, load_pretrained, train_model, train_model_multi_size, train_model_on_samples,
-    PipelineConfig, TrainedModel,
+    PipelineConfig, TrainedModel, PRETRAINED_DEPTH,
 };
 pub use preconditioner::DdmGnnPreconditioner;
 pub use solver::{

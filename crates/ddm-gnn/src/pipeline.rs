@@ -5,6 +5,8 @@
 //! so that "reproduce Table I" is a short script rather than a page of glue
 //! code.
 
+use std::path::{Path, PathBuf};
+
 use fem::PoissonProblem;
 use gnn::{
     extract_local_problems, train, DatasetConfig, DssConfig, DssModel, EvalMetrics, TrainingConfig,
@@ -77,32 +79,48 @@ pub struct TrainedModel {
     pub num_samples: usize,
 }
 
-/// Locate and load the pre-trained DSS model shipped with the repository.
+/// Number of blocks of the shipped `k̄ = 16` model that [`load_pretrained`]
+/// keeps: the smallest depth whose PCG iteration count is no higher than the
+/// full model's on every multi-level problem of the Fig. 6 depth sweep and
+/// within 10 % of it on every two-level one (`fig6_hyperparam_perf`).
+/// Inference cost is linear in depth, so this halves the apply.
+pub const PRETRAINED_DEPTH: usize = 8;
+
+/// The shipped model file: 16 trained blocks, `d = 10`, `α = 1/16`.  Loaded
+/// whole it is the bit-pinned anchor of the f64 solver hashes.
+const PRETRAINED_FILE: &str = "assets/pretrained_k16_d10.dss";
+
+/// Locate and load the pre-trained DSS model shipped with the repository,
+/// cut to its first [`PRETRAINED_DEPTH`] blocks ([`DssModel::truncate`]).
 ///
-/// The search order is: the `DDM_GNN_MODEL` environment variable, then the
-/// workspace-level `assets/pretrained_k16_d10.dss` (produced by
+/// When the `DDM_GNN_MODEL` environment variable is set (and not empty),
+/// that file is loaded instead, at the depth it was saved with, and nothing
+/// else is tried: an unreadable path gives `None` rather than a different
+/// model.  `DDM_GNN_MODEL=assets/pretrained_k16_d10.dss` therefore runs the
+/// full 16-block anchor.  Otherwise the workspace-level
+/// `assets/pretrained_k16_d10.dss` is used (produced by
 /// `cargo run --release --example train_dss` with `DSS_MODEL_OUT` set).
 /// Returns `None` when no model file can be found or parsed, in which case
 /// callers typically fall back to training a small model on the fly.
 pub fn load_pretrained() -> Option<DssModel> {
-    let candidates: Vec<std::path::PathBuf> = {
-        let mut paths = Vec::new();
-        if let Ok(p) = std::env::var("DDM_GNN_MODEL") {
-            paths.push(std::path::PathBuf::from(p));
-        }
-        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-        paths.push(manifest.join("../../assets/pretrained_k16_d10.dss"));
-        paths.push(std::path::PathBuf::from("assets/pretrained_k16_d10.dss"));
-        paths
-    };
-    for path in candidates {
-        if path.exists() {
-            if let Ok(model) = gnn::io::load_model(&path) {
-                return Some(model);
-            }
-        }
+    let explicit = std::env::var_os("DDM_GNN_MODEL").filter(|p| !p.is_empty());
+    load_pretrained_from(explicit.as_deref().map(Path::new))
+}
+
+/// [`load_pretrained`] with the `DDM_GNN_MODEL` value passed in.
+fn load_pretrained_from(explicit: Option<&Path>) -> Option<DssModel> {
+    if let Some(path) = explicit {
+        return gnn::io::load_model(path).ok();
     }
-    None
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut model = [manifest.join("../..").join(PRETRAINED_FILE), PathBuf::from(PRETRAINED_FILE)]
+        .iter()
+        .find_map(|path| gnn::io::load_model(path).ok())?;
+    if model.config().num_blocks < PRETRAINED_DEPTH {
+        return None;
+    }
+    model.truncate(PRETRAINED_DEPTH);
+    Some(model)
 }
 
 /// Run the full pipeline: extract a dataset, train a DSS model, evaluate it.
@@ -182,6 +200,34 @@ mod tests {
         let ratio = large.num_unknowns() as f64 / small.num_unknowns() as f64;
         assert!(ratio > 2.5 && ratio < 6.0, "ratio {ratio}");
         assert!(small.matrix.is_symmetric(1e-9));
+    }
+
+    fn anchor_path() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(PRETRAINED_FILE)
+    }
+
+    #[test]
+    fn default_model_is_the_anchor_cut_to_the_pretrained_depth() {
+        let anchor = gnn::io::load_model(&anchor_path()).expect("checked-in model");
+        assert_eq!(anchor.config(), DssConfig { num_blocks: 16, latent_dim: 10, alpha: 0.0625 });
+        let model = load_pretrained_from(None).expect("checked-in model");
+        assert_eq!(
+            model.config(),
+            DssConfig { num_blocks: PRETRAINED_DEPTH, latent_dim: 10, alpha: 0.0625 }
+        );
+        let per_block = anchor.num_params() / 16;
+        assert_eq!(per_block, 1251);
+        assert_eq!(model.flatten()[..], anchor.flatten()[..PRETRAINED_DEPTH * per_block]);
+    }
+
+    #[test]
+    fn explicit_model_path_loads_that_file_at_its_depth_or_nothing() {
+        let anchor = load_pretrained_from(Some(&anchor_path())).expect("checked-in model");
+        assert_eq!(anchor.config().num_blocks, 16, "an explicit file keeps its saved depth");
+        // The bug this pins: a set but unreadable path silently loaded the
+        // shipped model instead.
+        let missing = std::env::temp_dir().join("ddm-gnn-no-such-model.dss");
+        assert!(load_pretrained_from(Some(&missing)).is_none());
     }
 
     #[test]

@@ -657,17 +657,18 @@ mod tests {
 
     #[test]
     fn reduced_tiers_meet_their_forward_error_contract() {
-        // Tier accuracy as a contract: on the pretrained model and every
-        // sub-domain graph of the fixture, the f32 engine stays within 1e-4
-        // relative forward error of the naive reference formulation (it is
-        // at 4e-6).  Its int8 weight format measures 6.2e-2 and is pinned
-        // just above, at 7e-2, so a regression of the format shows: 16 trained
-        // blocks amplify the 2⁻⁸ weight rounding far beyond the 1e-2 that
-        // random shallow models keep (`quantised_engine_matches_f64_within_1e2`),
-        // most of it a coherent shift from the composed `W_Ψ W₂` matrices
-        // acting on the all-positive hidden sums (the int8/bf16 engine this
-        // format replaced was at 8.9e-2).  Flexible PCG absorbs it
-        // (`pcg_with_int8_ddm_gnn_converges_like_f64`).
+        // Tier accuracy as a contract: on the pretrained model at its default
+        // depth (`PRETRAINED_DEPTH` = 8 blocks) and every sub-domain graph of
+        // the fixture, the f32 engine stays within 1e-4 relative forward
+        // error of the naive reference formulation (it is at 4.6e-6).  Its
+        // int8 weight format measures 1.9e-2 and is pinned just above, at
+        // 2.5e-2, so a regression of the format shows: trained blocks
+        // amplify the 2⁻⁸ weight rounding beyond the 1e-2 that random
+        // shallow models keep (`quantised_engine_matches_f64_within_1e2`),
+        // and more with depth — all 16 blocks of the shipped file reach
+        // 6.2e-2 — most of it a coherent shift from the composed `W_Ψ W₂`
+        // matrices acting on the all-positive hidden sums.  Flexible PCG
+        // absorbs it (`pcg_with_int8_ddm_gnn_converges_like_f64`).
         let fx = fixture();
         let precond = DdmGnnPreconditioner::new(
             &fx.problem,
@@ -676,7 +677,7 @@ mod tests {
             false,
         )
         .unwrap();
-        for (int8, tolerance) in [(false, 1e-4), (true, 7e-2)] {
+        for (int8, tolerance) in [(false, 1e-4), (true, 2.5e-2)] {
             let mut scratch = gnn::InferScratch::new();
             let mut worst = 0.0f64;
             for graph in precond.graphs() {

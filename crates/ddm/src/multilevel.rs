@@ -325,8 +325,7 @@ impl Hierarchy {
         // Downward sweep: pre-smooth from zero, restrict the residual.
         for l in 0..num {
             let lvl = &self.levels[l];
-            xs[l].fill(0.0);
-            smooth(&lvl.a, &lvl.smoother, &bs[l], &mut xs[l], &mut tmps[l]);
+            smooth_from_zero(&lvl.smoother, &bs[l], &mut xs[l]);
             lvl.a.residual_into(&bs[l], &xs[l], &mut tmps[l]);
             let (_, bs_coarser) = bs.split_at_mut(l + 1);
             lvl.r.spmv_into(&tmps[l], &mut bs_coarser[0]);
@@ -353,6 +352,27 @@ fn smooth(a: &CsrMatrix, s: &LevelSmoother, b: &[f64], x: &mut [f64], tmp: &mut 
         LevelSmoother::Jacobi { inv_diag } => jacobi_sweep(a, inv_diag, JACOBI_WEIGHT, b, x, tmp),
         LevelSmoother::JacobiF32 { values, inv_diag } => {
             jacobi_sweep_f32(a, values, inv_diag, JACOBI_WEIGHT as f32, b, x, tmp)
+        }
+    }
+}
+
+/// [`smooth`] from a zero iterate, without the product `A · 0`: the sweep's
+/// own arithmetic on the residual `b − A·0`, which is exactly `b` for a
+/// finite `A`, so the result has the bits of `x.fill(0.0)` plus [`smooth`]
+/// at one SpMV less.  The `0.0 +` is the sweep's `x += …` onto the zero
+/// iterate, and it is not a no-op: it turns a −0 update into +0.
+fn smooth_from_zero(s: &LevelSmoother, b: &[f64], x: &mut [f64]) {
+    match s {
+        LevelSmoother::Jacobi { inv_diag } => {
+            for i in 0..x.len() {
+                x[i] = 0.0 + JACOBI_WEIGHT * inv_diag[i] * b[i];
+            }
+        }
+        LevelSmoother::JacobiF32 { inv_diag, .. } => {
+            let weight = JACOBI_WEIGHT as f32;
+            for i in 0..x.len() {
+                x[i] = 0.0 + (weight * inv_diag[i] * (b[i] as f32)) as f64;
+            }
         }
     }
 }
@@ -726,6 +746,31 @@ mod tests {
         }
         assert!(diff / scale < 1e-4, "f32 smoothing deviates too much: {}", diff / scale);
         assert!(sparse::vector::dot(&z32, &r) > 0.0);
+    }
+
+    #[test]
+    fn sweep_from_zero_has_the_bits_of_a_full_sweep_on_a_zero_iterate() {
+        let a = laplacian_2d(9, 7);
+        let n = a.nrows();
+        // Signed zeros included: the full sweep maps a −0 right-hand side to
+        // a +0 iterate, and so must the shortcut.
+        let b: Vec<f64> = (0..n)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => ((i * 7 % 19) as f64 - 9.0) * 0.37,
+            })
+            .collect();
+        for precision in [SmootherPrecision::F64, SmootherPrecision::F32] {
+            let s = build_smoother(&a, precision);
+            let (mut full, mut tmp) = (vec![0.0; n], vec![0.0; n]);
+            smooth(&a, &s, &b, &mut full, &mut tmp);
+            let mut short = vec![f64::NAN; n];
+            smooth_from_zero(&s, &b, &mut short);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&short), bits(&full), "{precision:?}");
+            assert!(short.iter().all(|x| x.to_bits() != (-0.0f64).to_bits()));
+        }
     }
 
     #[test]

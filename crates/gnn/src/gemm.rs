@@ -261,7 +261,8 @@ pub trait Scalar:
 {
     /// Additive identity.
     const ZERO: Self;
-    /// Widest column tile of the fused GEMM in elements: two 256-bit vectors.
+    /// Column tile of the fused GEMM in elements, two 256-bit vectors, used
+    /// while at least 16 outputs remain (narrower rests are one exact tile).
     const TILE: usize;
     /// Round a double to this type (the identity for `f64`).
     fn from_f64(v: f64) -> Self;
@@ -372,13 +373,14 @@ pub(crate) fn gemm_t<T: Scalar, const S: usize>(
     }
 }
 
-/// Rows `[r, r + R)` of [`gemm_t`]: column tiles of [`Scalar::TILE`] outputs,
-/// then the rest of the row as **one** tile of its exact width (f64:
-/// `4d = 40` is 5 × 8, `d = 10` is 8 + 2; f32: 16 + 16 + 8 and one tile of
-/// 10).  A tile's accumulators are its independent add chains, and a chain
-/// advances once per add latency: cutting a 10-wide f32 tail into 8 + 2 would
-/// run two passes of four chains each, both waiting on the adder, where the
-/// single pass keeps eight in flight.
+/// Rows `[r, r + R)` of [`gemm_t`]: column tiles of [`Scalar::TILE`] outputs
+/// while at least 16 outputs remain, then the rest of the row — 0 to 15
+/// outputs — as **one** tile of its exact width (f64: `4d = 40` is 5 × 8,
+/// `2d = 20` is 8 + 12, `d = 10` one tile of 10; f32: 16 + 16 + 8, 16 + 4
+/// and one tile of 10).  A tile's accumulators are its independent add
+/// chains, and a chain advances once per add latency: cutting a 10-wide tail
+/// into 8 + 2 would run a second pass of too few chains to cover the adder's
+/// latency, where the single pass keeps all ten in flight.
 #[inline(always)]
 fn gemm_t_rows<T: Scalar, const R: usize, const S: usize>(
     ops: &[Operand<'_, T>; S],
@@ -389,31 +391,24 @@ fn gemm_t_rows<T: Scalar, const R: usize, const S: usize>(
     y: &mut [T],
 ) {
     let mut o = 0;
-    if T::TILE == 16 {
-        while o + 16 <= out_dim {
+    while o + 16 <= out_dim {
+        if T::TILE == 16 {
             gemm_t_tile::<T, R, 16, S>(ops, r, o, out_dim, bias, epilogue, y);
-            o += 16;
-        }
-    } else {
-        while o + 8 <= out_dim {
+        } else {
             gemm_t_tile::<T, R, 8, S>(ops, r, o, out_dim, bias, epilogue, y);
-            o += 8;
         }
+        o += T::TILE;
     }
     macro_rules! tail {
         ($($w:literal)+) => {
             match out_dim - o {
                 0 => {}
                 $($w => gemm_t_tile::<T, R, $w, S>(ops, r, o, out_dim, bias, epilogue, y),)+
-                _ => unreachable!("the tail is narrower than a full tile"),
+                _ => unreachable!("the tail is narrower than 16"),
             }
         };
     }
-    if T::TILE == 16 {
-        tail!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
-    } else {
-        tail!(1 2 3 4 5 6 7);
-    }
+    tail!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
 }
 
 /// One `R`-row × `W`-column register tile of [`gemm_t`].
@@ -554,7 +549,7 @@ mod tests {
         // epilogues must equal the separate passes they replace.
         let mut rng = StdRng::seed_from_u64(43);
         for &n in &[0usize, 1, 3, 4, 5, 8, 9, 23] {
-            for &out_dim in &[1usize, 2, 3, 4, 5, 8, 10, 13, 15, 20] {
+            for &out_dim in &[1usize, 2, 3, 4, 5, 8, 10, 13, 15, 16, 20, 23, 24, 40] {
                 for &(in_a, in_b) in &[(0usize, 1usize), (2, 10), (10, 20), (7, 3)] {
                     let xa: Vec<f64> = (0..n * in_a).map(|_| rng.gen_range(-2.0..2.0)).collect();
                     let xb: Vec<f64> = (0..n * in_b).map(|_| rng.gen_range(-2.0..2.0)).collect();

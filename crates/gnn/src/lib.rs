@@ -21,7 +21,8 @@
 //!   input `c`, boundary mask and the local operator used by the loss,
 //! * [`model`] — the DSS architecture: `k̄` distinct message-passing blocks
 //!   (Eq. 18–21), per-iteration decoders (Eq. 22), ResNet-style latent update
-//!   with step `α`,
+//!   with step `α`; every prefix of a trained model is a trained model
+//!   ([`DssModel::truncate`]),
 //! * [`loss`] — the physics-informed mean-squared residual loss (Eq. 11) and
 //!   its gradient,
 //! * [`adam`] — Adam with gradient clipping and a reduce-on-plateau schedule,

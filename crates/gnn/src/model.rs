@@ -17,6 +17,12 @@
 //! decoded state (Eq. 23).  Gradients are exact reverse-mode derivatives with
 //! per-block activation recomputation so the memory footprint stays at one
 //! latent state per block.
+//!
+//! Because every block's decoded state is trained, every prefix of a trained
+//! model is a trained solver too, and depth is the inference cost: the apply
+//! is linear in `k̄`.  [`DssModel::truncate`] cuts a model to its first blocks
+//! — how the shipped `k̄ = 16` model runs at the depth time-to-solution picks
+//! (`ddm_gnn::PRETRAINED_DEPTH`).
 
 use std::sync::{Arc, OnceLock};
 
@@ -250,8 +256,32 @@ impl DssModel {
         &self.blocks
     }
 
-    /// Mutable access to the parameters — the only one — which drops the
-    /// cached weight packs: they no longer match what the caller writes.
+    /// Keep the first `num_blocks` blocks, each with its own decoder, and
+    /// drop the rest.
+    ///
+    /// Training sums the residual loss of the decoded state after *every*
+    /// block (Eq. 23), so every prefix of a trained model is itself a trained
+    /// solver: the cut model decodes block `num_blocks`' latent state with
+    /// block `num_blocks`' decoder.  The step `α` the blocks were trained
+    /// with is kept — a model rebuilt through [`DssConfig::new`] at the new
+    /// depth would not have it.  Weight packs built before the cut are
+    /// dropped, so plans built afterwards run the cut model.
+    ///
+    /// Panics unless `1 ≤ num_blocks ≤` the current depth.
+    pub fn truncate(&mut self, num_blocks: usize) {
+        assert!(
+            (1..=self.blocks.len()).contains(&num_blocks),
+            "truncate: depth {num_blocks} is outside 1..={}",
+            self.blocks.len()
+        );
+        self.packs = PackCache::default();
+        self.blocks.truncate(num_blocks);
+        self.config.num_blocks = num_blocks;
+    }
+
+    /// Mutable access to the parameters — the only one besides
+    /// [`DssModel::truncate`] — which drops the cached weight packs: they no
+    /// longer match what the caller writes.
     fn blocks_mut(&mut self) -> &mut [Block] {
         self.packs = PackCache::default();
         &mut self.blocks
@@ -1123,6 +1153,50 @@ mod tests {
         for (g, out) in graphs.iter().zip(first.iter()) {
             assert_eq!(out, &infer(&model, g));
         }
+    }
+
+    #[test]
+    fn truncate_keeps_a_prefix_with_its_own_decoder_and_step() {
+        let graph = tiny_graph();
+        let config = DssConfig { num_blocks: 5, latent_dim: 4, alpha: 0.2 };
+        let mut model = DssModel::new(config, 31);
+        let full_flat = model.flatten();
+        // Populate the pack cache, so a stale pack would be picked up below.
+        let full = infer(&model, &graph);
+        let _ = model.build_plan_f32(&graph, false);
+
+        model.truncate(3);
+        assert_eq!(model.config(), DssConfig { num_blocks: 3, ..config });
+        let flat = model.flatten();
+        assert_eq!(flat[..], full_flat[..3 * full_flat.len() / 5]);
+        // A plan built after the cut runs the cut model: the reference
+        // forward pass of three blocks decoded by the third decoder.
+        let cut = infer(&model, &graph);
+        assert_ne!(cut, full);
+        let reference = model.infer_reference(&graph, &graph.input);
+        let norm = reference.iter().map(|v| v * v).sum::<f64>().sqrt().max(1.0);
+        for (a, b) in cut.iter().zip(&reference) {
+            assert!((a - b).abs() <= 1e-12 * norm, "plan {a} vs reference {b}");
+        }
+        // …and has the bits of a model built at that depth from the prefix.
+        let mut rebuilt = DssModel::new(DssConfig { num_blocks: 3, ..config }, 0);
+        rebuilt.load_flat(&flat);
+        assert_eq!(cut, infer(&rebuilt, &graph));
+        let (plan32, rebuilt32) =
+            (model.build_plan_f32(&graph, false), rebuilt.build_plan_f32(&graph, false));
+        assert_eq!(run(&model, &plan32, &graph.input), run(&rebuilt, &rebuilt32, &graph.input));
+    }
+
+    #[test]
+    #[should_panic(expected = "depth 0 is outside 1..=3")]
+    fn truncate_rejects_zero_blocks() {
+        DssModel::new(DssConfig::new(3, 4), 1).truncate(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth 4 is outside 1..=3")]
+    fn truncate_rejects_more_blocks_than_the_model_has() {
+        DssModel::new(DssConfig::new(3, 4), 1).truncate(4);
     }
 
     #[test]

@@ -75,10 +75,11 @@ use crate::model::{Block, DssModel};
 /// rounded to int8 with one scale per output and stored dequantised.  It runs
 /// at exactly the speed and plan size of `F32` and perturbs the output far
 /// more: its relative forward error stays within 1e-2 only on random shallow
-/// models (~1e-3 there) and is ≈ 6e-2 through the 16 trained blocks of the
-/// shipped model (about 5e-3 of a whole preconditioner application), which
-/// flexible PCG absorbs within a few iterations; it exists to answer whether
-/// the model survives int8 weights.
+/// models (~1e-3 there) and grows with trained depth: ≈ 2e-2 through the 8
+/// blocks the shipped model runs by default, ≈ 6e-2 through all 16 (about
+/// 5e-3 of a whole preconditioner application there), which flexible PCG
+/// absorbs within a few iterations; it exists to answer whether the model
+/// survives int8 weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double-precision inference (bit-reproducible engine, the default).
