@@ -15,9 +15,9 @@
 //!
 //! Besides the end-to-end report the suite writes a per-layer breakdown of
 //! the GNN inference engine (`BENCH_gnn_inference.json`): node GEMMs, edge
-//! GEMM, aggregation, Ψ update and decoder, measured by
-//! [`DdmGnnPreconditioner::apply_timed`] over whole preconditioner
-//! applications.  Every GNN measurement (apply kernel, per-layer stages,
+//! GEMM, aggregation, Ψ update and decoder, measured by timing
+//! [`gnn::DssModel::infer_with_plan`] sequentially over every sub-domain
+//! graph of the preconditioner.  Every GNN measurement (apply kernel, per-layer stages,
 //! plan memory, e2e solve) runs once per inference precision tier — the
 //! engine's f64 and f32 instantiations and the int8 weight format of the
 //! latter — and the rows are tagged `precision=f64|f32|int8`; the per-layer
@@ -50,7 +50,7 @@ use ddm_gnn::{
     FaultInjectingPreconditioner, HybridSolverConfig, InjectedFault, Method, Precision,
     ResiliencePolicy,
 };
-use gnn::InferenceTimings;
+use gnn::{DssModel, InferScratch, InferencePlan, InferenceTimings, LocalGraph};
 use krylov::{preconditioned_conjugate_gradient, Preconditioner, SolverOptions};
 use partition::partition_mesh_with_overlap;
 
@@ -249,36 +249,29 @@ fn child() {
                     println!("PERF kind=kernel name=gnn_apply_batched precision={p} b={bw} idx={pi} n={n} threads={threads} median_ns={med} min_ns={min}");
                 }
 
-                // Per-layer breakdown of the inference engine, accumulated
-                // over whole (sequential) preconditioner applications.  The
-                // stage split is thread-independent, so the parent asks only
-                // the base-thread-count child to measure it (standalone child
-                // runs default to measuring).
+                // Per-layer breakdown of the inference engine: one
+                // sequential sweep over the sub-domain graphs per rep, with
+                // plans at this tier's precision.  Stage times do not depend
+                // on the input values, so each graph's stored input stands in
+                // for the residual.  The stage split is thread-independent,
+                // so the parent asks only the base-thread-count child to
+                // measure it (standalone child runs default to measuring).
                 let measure_layers =
                     std::env::var("PERF_SUITE_LAYER_CHILD").map_or(true, |v| v != "0");
                 if measure_layers {
                     let reps = if smoke { 1 } else { 3 };
-                    let mut timings = InferenceTimings::default();
-                    for _ in 0..reps {
-                        precond.apply_timed(&r, &mut z, &mut timings);
-                    }
+                    let [timings, batched_timings] =
+                        [1, max_b].map(|b| stage_timings(m, precond.graphs(), precision, b, reps));
                     for (stage, ns) in timings.stages() {
                         println!(
                             "PERF kind=gnn_layer precision={p} stage={stage} idx={pi} n={n} threads={threads} total_ns={ns} applies={reps} inferences={}",
                             timings.calls
                         );
                     }
-                    // The same stage split over the widest batched apply:
-                    // shows where the amortisation lands per stage (the
-                    // node GEMMs and edge gather touch the plan once per
-                    // batch, the psi/decoder work scales with b).
-                    let rs: Vec<&[f64]> = rhs_panel[..max_b].iter().map(|v| v.as_slice()).collect();
-                    let mut batched_timings = InferenceTimings::default();
-                    for _ in 0..reps {
-                        let mut zs: Vec<&mut [f64]> =
-                            z_panel.iter_mut().map(|z| z.as_mut_slice()).collect();
-                        precond.apply_batch_timed(&rs, &mut zs, &mut batched_timings);
-                    }
+                    // The same stage split at the widest batch: shows where
+                    // the amortisation lands per stage (the node GEMMs and
+                    // edge gather touch the plan once per batch, the
+                    // psi/decoder work scales with b).
                     for (stage, ns) in batched_timings.stages() {
                         println!(
                             "PERF kind=gnn_layer_batched precision={p} b={max_b} stage={stage} idx={pi} n={n} threads={threads} total_ns={ns} applies={reps} inferences={}",
@@ -347,6 +340,44 @@ fn child() {
             }
         }
     }
+}
+
+/// Per-stage inference time of `reps` sequential sweeps over `graphs`, one
+/// `b`-column inference per graph on plans built at `precision` (`calls` =
+/// graphs × reps).
+fn stage_timings(
+    model: &DssModel,
+    graphs: &[LocalGraph],
+    precision: Precision,
+    b: usize,
+    reps: usize,
+) -> InferenceTimings {
+    fn sweep<T: gnn::Scalar>(
+        model: &DssModel,
+        plan: &InferencePlan<T>,
+        input: &[f64],
+        b: usize,
+        reps: usize,
+        timings: &mut InferenceTimings,
+    ) {
+        let mut scratch = InferScratch::new();
+        let mut out = vec![0.0; input.len()];
+        for _ in 0..reps {
+            model.infer_with_plan(plan, input, b, &mut scratch, &mut out, Some(&mut *timings));
+        }
+    }
+    let mut timings = InferenceTimings::default();
+    for graph in graphs {
+        let input: Vec<f64> = graph.input.iter().flat_map(|&v| std::iter::repeat_n(v, b)).collect();
+        match precision {
+            Precision::F64 => sweep(model, &model.build_plan(graph), &input, b, reps, &mut timings),
+            Precision::F32 | Precision::Int8 => {
+                let plan = model.build_plan_f32(graph, precision == Precision::Int8);
+                sweep(model, &plan, &input, b, reps, &mut timings)
+            }
+        }
+    }
+    timings
 }
 
 // ---------------------------------------------------------------------------
@@ -486,7 +517,7 @@ fn parent() {
 }
 
 /// Render the per-layer GNN inference report.  Stage timings come from
-/// sequential `apply_timed` runs, so they are thread-count independent; the
+/// sequential per-graph inference sweeps, so they are thread-count independent; the
 /// records of the lowest measured thread count are kept.  Every row carries
 /// a `precision` tag (`"f64"` / `"f32"` / `"int8"`), and the report closes
 /// with the per-problem f32-vs-f64 `gnn_apply` speedups.
@@ -514,7 +545,7 @@ fn render_gnn_inference_json(thread_counts: &[usize], records: &[Record]) -> Str
     let _ = writeln!(s, "  \"command\": \"cargo run --release -p bench --bin perf_suite\",");
     let _ = writeln!(
         s,
-        "  \"stage_timer\": \"DdmGnnPreconditioner::apply_timed (sequential sub-domain sweep)\","
+        "  \"stage_timer\": \"DssModel::infer_with_plan (sequential sub-domain sweep)\","
     );
     let _ = writeln!(
         s,

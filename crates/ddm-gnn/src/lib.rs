@@ -14,9 +14,11 @@
 //! yields a hybrid solver that converges to any tolerance while the
 //! preconditioner runs as batched, data-parallel GNN inference.
 //!
-//! * [`preconditioner::DdmGnnPreconditioner`] — the operator above, its
-//!   coarse term selected by [`AsmLevel`] (none, Nicolaides, or a
-//!   multi-level V-cycle) in one general constructor,
+//! * [`preconditioner::DdmGnnPreconditioner`] — the operator above: the
+//!   `ddm` crate's one Schwarz shell ([`ddm::Schwarz`]) over the DSS local
+//!   solve ([`preconditioner::DssLocalSolver`]), its coarse term selected by
+//!   [`AsmLevel`] (none, Nicolaides, or a multi-level V-cycle) in one general
+//!   constructor,
 //! * [`solver`] — the [`solver::HybridSolver`] public API over the two
 //!   functions the whole evaluation runs through: [`build_tiers`] builds the
 //!   preconditioner of a [`Method`] (plain CG, IC(0), DDM-LU, DDM-GNN) and

@@ -1,103 +1,143 @@
-//! The DDM-GNN preconditioner (Section III-A of the paper).
+//! The DDM-GNN preconditioner (Section III-A of the paper): the Schwarz shell
+//! of the `ddm` crate over the DSS local solve.
 //!
 //! One application proceeds in the three steps of the paper:
 //!
 //! 1. **Coarse problem** — `r_c = R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r` by dense LU on the
 //!    Nicolaides coarse space (Eq. 13), or one V-cycle of a
 //!    smoothed-aggregation hierarchy, as [`AsmLevel`] selects,
-//! 2. **Local problems** — every sub-domain residual is restricted,
-//!    normalised to unit norm and solved by one DSS inference; all sub-domains
-//!    are processed concurrently (Eq. 14–15).  The normalisation is the
+//! 2. **Local problems** — [`DssLocalSolver`]: every sub-domain residual is
+//!    restricted, normalised to unit norm and solved by one DSS inference,
+//!    and the output is scaled back by the norm; the shell processes all
+//!    sub-domains concurrently (Eq. 14–15).  The normalisation is the
 //!    paper's answer to vanishing residual magnitudes late in the PCG
 //!    iteration: the network always sees unit-norm inputs,
-//! 3. **Gluing** — `z = r_c + Σᵢ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ` (Eq. 16).
+//! 3. **Gluing** — `z = r_c + Σᵢ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ` (Eq. 16), the shell's
+//!    sub-domain-ordered sum of the pre-scaled local panels.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use ddm::{
-    check_lengths, AsmLevel, Decomposition, Hierarchy, MultilevelConfig, Restriction,
-    SmootherPrecision,
+    AsmLevel, Decomposition, LocalSolve, MultilevelConfig, Restriction, Schwarz, SmootherPrecision,
 };
 use fem::PoissonProblem;
 use gnn::{
-    dataset::build_local_graphs, DssModel, InferScratch, InferencePlan, InferenceTimings,
-    LocalGraph, Precision,
+    dataset::build_local_graphs, DssModel, InferScratch, InferencePlan, LocalGraph, Precision,
 };
-use krylov::Preconditioner;
-use rayon::prelude::*;
-use std::sync::Arc;
+use krylov::{FaultLog, Preconditioner};
 
-use sanitizer::TrackedMutex;
-
-/// GNN inference scratch of the engine the configured precision runs on.
-enum EngineScratch {
-    F64(InferScratch<f64>),
-    F32(InferScratch<f32>),
+/// The inference plan of one sub-domain, in the engine the configured
+/// precision runs on (`Int8` is a weight format of the f32 engine).
+enum Plan {
+    F64(InferencePlan<f64>),
+    F32(InferencePlan<f32>),
 }
 
-/// Reusable per-sub-domain buffers for one preconditioner application on `b`
-/// right-hand sides (`b = 1` for a plain `apply`): the restricted residual,
-/// the row-major `num_local × b` panels of normalised residuals and DSS
-/// outputs, the norms used to undo the normalisation at gluing time, and the
-/// GNN inference scratch.  They are sized once per batch width, so `apply`
-/// is allocation-free per iteration.
-struct SubdomainScratch {
-    /// One column's restricted residual, normalised in place.
+/// The DSS local solve of one sub-domain (Eq. 14–15).
+pub struct DssLocalSolver {
+    model: Arc<DssModel>,
+    /// Built once at construction (the setup phase).  It holds only the
+    /// destination-sorted graph structure and shares one weight pack of the
+    /// model with the plans of the other sub-domains.
+    plan: Plan,
+}
+
+/// Work buffers of a [`DssLocalSolver`], sized on first use per batch width.
+#[derive(Default)]
+pub struct DssScratch {
+    /// One column's restricted residual.
     local_r: Vec<f64>,
-    /// `num_local × b` residual panel (`panel[j*b + c]`: node `j`, column `c`).
-    local_rb: Vec<f64>,
-    /// `num_local × b` correction panel.
-    correction_b: Vec<f64>,
-    /// Per-column restriction norms (`0.0` marks a vanishing column that
-    /// skips both inference output and gluing).
-    norms_b: Vec<f64>,
-    infer: EngineScratch,
+    /// Row-major `num_local × b` panel of normalised residuals.
+    input: Vec<f64>,
+    /// Per-column restriction norms (`0.0` marks a vanishing column).
+    norms: Vec<f64>,
+    /// Inference scratch of the f64 engine.
+    engine_f64: InferScratch<f64>,
+    /// Inference scratch of the f32 engine (the `F32` and `Int8` tiers).
+    engine_f32: InferScratch<f32>,
 }
 
-impl SubdomainScratch {
-    fn new(dim: usize, precision: Precision) -> TrackedMutex<Self> {
-        TrackedMutex::new(
-            SubdomainScratch {
-                local_r: vec![0.0; dim],
-                local_rb: vec![0.0; dim],
-                correction_b: vec![0.0; dim],
-                norms_b: Vec::with_capacity(1),
-                infer: match precision {
-                    Precision::F64 => EngineScratch::F64(InferScratch::new()),
-                    Precision::F32 | Precision::Int8 => EngineScratch::F32(InferScratch::new()),
-                },
-            },
-            "ddm_gnn::preconditioner::SubdomainScratch",
-        )
+impl DssLocalSolver {
+    fn new(model: &Arc<DssModel>, graph: &LocalGraph, precision: Precision) -> Self {
+        let plan = match precision {
+            Precision::F64 => Plan::F64(model.build_plan(graph)),
+            Precision::F32 => Plan::F32(model.build_plan_f32(graph, false)),
+            Precision::Int8 => Plan::F32(model.build_plan_f32(graph, true)),
+        };
+        DssLocalSolver { model: Arc::clone(model), plan }
+    }
+
+    /// Heap bytes of the plan's own structure and of the weight pack it
+    /// shares.
+    fn plan_bytes(&self) -> (usize, usize) {
+        match &self.plan {
+            Plan::F64(plan) => (plan.memory_bytes(), plan.shared_weight_bytes()),
+            Plan::F32(plan) => (plan.memory_bytes(), plan.shared_weight_bytes()),
+        }
     }
 }
 
-/// Per-sub-domain inference plans of the engine the configured precision
-/// runs on (`Int8` is a weight format of the f32 engine).
-enum PlanSet {
-    F64(Vec<InferencePlan<f64>>),
-    F32(Vec<InferencePlan<f32>>),
+impl LocalSolve for DssLocalSolver {
+    type Scratch = DssScratch;
+
+    /// Restrict and normalise each column through the same contiguous buffer
+    /// whatever `b` is, run **one** inference on `b` rows per node — the
+    /// weights are read, and the geometric edge terms computed, once for the
+    /// whole batch — and write `‖Rᵢ r‖ · DSS(Rᵢ r / ‖Rᵢ r‖)` into the panel,
+    /// or zeros for a vanishing column.  With the per-column bit-identity of
+    /// the inference engine, column `c` is bit-identical to a one-column
+    /// solve of `rs[c]`.
+    fn solve(
+        &self,
+        restriction: &Restriction,
+        rs: &[&[f64]],
+        scratch: &mut DssScratch,
+        panel: &mut [f64],
+    ) -> sparse::Result<()> {
+        let DssScratch { local_r, input, norms, engine_f64, engine_f32 } = scratch;
+        let b = rs.len();
+        let nl = restriction.num_local();
+        local_r.resize(nl, 0.0);
+        input.resize(nl * b, 0.0);
+        norms.clear();
+        for (c, r) in rs.iter().enumerate() {
+            restriction.restrict_into(r, local_r);
+            let norm = sparse::vector::norm2(local_r);
+            let norm = if norm > f64::MIN_POSITIVE { norm } else { 0.0 };
+            for (j, &v) in local_r.iter().enumerate() {
+                input[j * b + c] = if norm > 0.0 { v / norm } else { 0.0 };
+            }
+            norms.push(norm);
+        }
+        if norms.iter().all(|&norm| norm == 0.0) {
+            panel.fill(0.0);
+            return Ok(());
+        }
+        match &self.plan {
+            Plan::F64(plan) => self.model.infer_with_plan(plan, input, b, engine_f64, panel, None),
+            Plan::F32(plan) => self.model.infer_with_plan(plan, input, b, engine_f32, panel, None),
+        }
+        for row in panel.chunks_exact_mut(b) {
+            for (v, &norm) in row.iter_mut().zip(norms.iter()) {
+                *v = if norm > 0.0 { norm * *v } else { 0.0 };
+            }
+        }
+        Ok(())
+    }
 }
 
-/// The multi-level GNN preconditioner.
+/// The multi-level GNN preconditioner: the Schwarz shell over DSS local
+/// solves, together with the local graphs their plans were built from.
+///
+/// A named type rather than an alias so it can carry the constructors (the
+/// shell is foreign to this crate); it dereferences to the shell for the
+/// shared accessors (`num_subdomains`, `coarse_space`, `local_solves`).
 pub struct DdmGnnPreconditioner {
-    restrictions: Vec<Restriction>,
+    shell: Schwarz<DssLocalSolver>,
     graphs: Vec<LocalGraph>,
-    /// Per-sub-domain inference plans, built once at construction (the setup
-    /// phase), at the configured [`Precision`].  They hold only the
-    /// destination-sorted graph structure and share one weight pack of the
-    /// model.
-    plans: PlanSet,
-    precision: Precision,
-    coarse: Option<Hierarchy>,
     model: Arc<DssModel>,
-    scratch: Vec<TrackedMutex<SubdomainScratch>>,
-    /// Serialises whole `apply` calls: the scratch buffers span the parallel
-    /// inference and the sequential gluing, so two concurrent `apply`s on the
-    /// same preconditioner would otherwise interleave and corrupt each other.
-    apply_guard: TrackedMutex<()>,
-    num_global: usize,
-    /// Reported by `Preconditioner::name`: `ddm-gnn-{1,2}level[-f32|-int8]`
-    /// or `ddm-gnn-ml<levels>[-f32|-int8]`.
-    name: String,
+    precision: Precision,
 }
 
 impl DdmGnnPreconditioner {
@@ -140,6 +180,8 @@ impl DdmGnnPreconditioner {
     /// The one general constructor: `subdomains` are the overlapping node
     /// sets (e.g. from [`partition::partition_mesh_with_overlap`]), `level`
     /// selects the coarse component and `precision` the inference engine.
+    /// The name is `ddm-gnn-{1,2}level[-f32|-int8]` or
+    /// `ddm-gnn-ml<levels>[-f32|-int8]`.
     ///
     /// `Precision::F32` runs every sub-domain DSS inference through the
     /// single-precision instantiation of the engine: the restricted residual
@@ -183,54 +225,19 @@ impl DdmGnnPreconditioner {
             }),
             level => level,
         };
-        let (coarse, tag) = level.build_coarse(&problem.matrix, &decomposition.restrictions)?;
-        let scratch = decomposition
-            .restrictions
-            .iter()
-            .map(|r| SubdomainScratch::new(r.num_local(), precision))
-            .collect();
-        let plans = match precision {
-            Precision::F64 => PlanSet::F64(graphs.iter().map(|g| model.build_plan(g)).collect()),
-            Precision::F32 | Precision::Int8 => {
-                let int8 = precision == Precision::Int8;
-                PlanSet::F32(graphs.iter().map(|g| model.build_plan_f32(g, int8)).collect())
-            }
-        };
         let suffix = match precision {
             Precision::F64 => "",
             Precision::F32 => "-f32",
             Precision::Int8 => "-int8",
         };
-        Ok(DdmGnnPreconditioner {
-            restrictions: decomposition.restrictions,
-            graphs,
-            plans,
-            precision,
-            coarse,
-            model,
-            scratch,
-            apply_guard: TrackedMutex::new(
-                (),
-                "ddm_gnn::preconditioner::DdmGnnPreconditioner::apply_guard",
-            ),
-            num_global: problem.matrix.nrows(),
-            name: format!("ddm-gnn-{tag}{suffix}"),
-        })
-    }
-
-    /// Number of sub-domains handled by the preconditioner.
-    pub fn num_subdomains(&self) -> usize {
-        self.restrictions.len()
-    }
-
-    /// Whether the coarse-space correction is active.
-    pub fn has_coarse_space(&self) -> bool {
-        self.coarse.is_some()
-    }
-
-    /// The coarse component, if any.
-    pub fn coarse_space(&self) -> Option<&Hierarchy> {
-        self.coarse.as_ref()
+        let shell = Schwarz::build(
+            &problem.matrix,
+            decomposition.restrictions,
+            level,
+            || Ok(graphs.iter().map(|g| DssLocalSolver::new(&model, g, precision)).collect()),
+            |tag| format!("ddm-gnn-{tag}{suffix}"),
+        )?;
+        Ok(DdmGnnPreconditioner { shell, graphs, model, precision })
     }
 
     /// The underlying DSS model.
@@ -251,165 +258,43 @@ impl DdmGnnPreconditioner {
     /// Total heap footprint of the cached inference plans in bytes.  The
     /// plans share one weight pack, which is counted once.
     pub fn plan_memory_bytes(&self) -> usize {
-        fn total<T: gnn::Scalar>(plans: &[InferencePlan<T>]) -> usize {
-            plans.iter().map(InferencePlan::memory_bytes).sum::<usize>()
-                + plans.first().map_or(0, InferencePlan::shared_weight_bytes)
-        }
-        match &self.plans {
-            PlanSet::F64(plans) => total(plans),
-            PlanSet::F32(plans) => total(plans),
-        }
+        let solves = self.local_solves();
+        solves.iter().map(|s| s.plan_bytes().0).sum::<usize>()
+            + solves.first().map_or(0, |s| s.plan_bytes().1)
     }
+}
 
-    /// Restrict, normalise and infer the `b = rs.len()` residuals of one
-    /// sub-domain into its scratch slot through **one** inference on `b`
-    /// rows per node, so the weights are read, and the geometric edge terms
-    /// computed, once for the whole batch; optionally accumulating per-stage
-    /// timings.
-    ///
-    /// Each column is restricted and normalised through the same contiguous
-    /// buffer and operation order whatever `b` is, then scattered into the
-    /// row-major panel — so together with the per-column bit-identity of the
-    /// inference engine, column `c`'s correction is bit-identical to a
-    /// one-column apply of `rs[c]`.
-    fn solve_local(&self, i: usize, rs: &[&[f64]], timings: Option<&mut InferenceTimings>) {
-        let b = rs.len();
-        let mut guard = self.scratch[i].lock();
-        let SubdomainScratch { local_r, local_rb, correction_b, norms_b, infer } = &mut *guard;
-        let nl = local_r.len();
-        local_rb.resize(nl * b, 0.0);
-        correction_b.resize(nl * b, 0.0);
-        norms_b.clear();
-        let mut any_live = false;
-        for (c, r) in rs.iter().enumerate() {
-            self.restrictions[i].restrict_into(r, local_r);
-            let mut norm = sparse::vector::norm2(local_r);
-            if norm <= f64::MIN_POSITIVE {
-                norm = 0.0;
-                for j in 0..nl {
-                    local_rb[j * b + c] = 0.0;
-                }
-            } else {
-                for v in local_r.iter_mut() {
-                    *v /= norm;
-                }
-                for (j, &v) in local_r.iter().enumerate() {
-                    local_rb[j * b + c] = v;
-                }
-                any_live = true;
-            }
-            norms_b.push(norm);
-        }
-        if !any_live {
-            return;
-        }
-        match (&self.plans, infer) {
-            (PlanSet::F64(plans), EngineScratch::F64(scratch)) => {
-                self.model.infer_with_plan(&plans[i], local_rb, b, scratch, correction_b, timings)
-            }
-            (PlanSet::F32(plans), EngineScratch::F32(scratch)) => {
-                self.model.infer_with_plan(&plans[i], local_rb, b, scratch, correction_b, timings)
-            }
-            _ => unreachable!("plans and scratch are built for the same precision"),
-        }
-    }
+impl Deref for DdmGnnPreconditioner {
+    type Target = Schwarz<DssLocalSolver>;
 
-    /// Gluing (Eq. 16), per column: `z = Σ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ (+ coarse
-    /// correction)`, accumulated sequentially in sub-domain order so the
-    /// result does not depend on the thread count.
-    fn glue(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        let b = rs.len();
-        for z in zs.iter_mut() {
-            z.fill(0.0);
-        }
-        for (restriction, scratch) in self.restrictions.iter().zip(self.scratch.iter()) {
-            let guard = scratch.lock();
-            for (c, z) in zs.iter_mut().enumerate() {
-                if guard.norms_b[c] > 0.0 {
-                    restriction.extend_add_scaled_strided(
-                        guard.norms_b[c],
-                        &guard.correction_b,
-                        b,
-                        c,
-                        z,
-                    );
-                }
-            }
-        }
-        if let Some(coarse) = &self.coarse {
-            for (r, z) in rs.iter().zip(zs.iter_mut()) {
-                coarse.apply_into(r, z);
-            }
-        }
-    }
-
-    /// One application to `b = rs.len()` residuals.  Without `timings` the
-    /// sub-domains run in parallel (the batched GPU inference of Eq. 14
-    /// mapped onto rayon), each writing into its own pre-sized scratch so the
-    /// steady state allocates nothing; with `timings` they run
-    /// **sequentially**, so the stage buckets measure kernel time rather than
-    /// scheduler contention.  Both give the same bits: gluing is sequential
-    /// in sub-domain order either way.
-    fn apply_columns(
-        &self,
-        rs: &[&[f64]],
-        zs: &mut [&mut [f64]],
-        timings: Option<&mut InferenceTimings>,
-    ) {
-        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
-        debug_assert!(rs.iter().all(|r| r.len() == self.num_global));
-        debug_assert!(zs.iter().all(|z| z.len() == self.num_global));
-        let _exclusive = self.apply_guard.lock();
-        let subdomains = 0..self.restrictions.len();
-        match timings {
-            Some(timings) => subdomains.for_each(|i| self.solve_local(i, rs, Some(&mut *timings))),
-            None => subdomains.into_par_iter().for_each(|i| self.solve_local(i, rs, None)),
-        }
-        self.glue(rs, zs);
-    }
-
-    /// [`Preconditioner::apply`] with a per-stage wall-clock breakdown of the
-    /// GNN inference accumulated into `timings`.  The result written to `z`
-    /// is bit-identical to [`Preconditioner::apply`].
-    pub fn apply_timed(&self, r: &[f64], z: &mut [f64], timings: &mut InferenceTimings) {
-        self.apply_columns(&[r], &mut [z], Some(timings));
-    }
-
-    /// [`Preconditioner::apply_batch`] with the per-stage inference breakdown
-    /// accumulated into `timings` — the batched sibling of
-    /// [`DdmGnnPreconditioner::apply_timed`].  Bit-identical to the parallel
-    /// batched apply.
-    pub fn apply_batch_timed(
-        &self,
-        rs: &[&[f64]],
-        zs: &mut [&mut [f64]],
-        timings: &mut InferenceTimings,
-    ) {
-        self.apply_columns(rs, zs, Some(timings));
+    fn deref(&self) -> &Self::Target {
+        &self.shell
     }
 }
 
 impl Preconditioner for DdmGnnPreconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.apply_columns(&[r], &mut [z], None);
+        self.shell.apply(r, z);
     }
 
     fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
-        check_lengths("DDM-GNN apply", self.num_global, r, z)?;
-        self.apply(r, z);
-        Ok(())
+        self.shell.apply_checked(r, z)
     }
 
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        self.apply_columns(rs, zs, None);
+        self.shell.apply_batch(rs, zs);
     }
 
     fn dim(&self) -> usize {
-        self.num_global
+        self.shell.dim()
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.shell.name()
+    }
+
+    fn collect_faults(&self, into: &mut FaultLog) {
+        self.shell.collect_faults(into);
     }
 }
 
@@ -430,7 +315,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(precond.num_subdomains(), fx.subdomains.len());
-        assert!(precond.has_coarse_space());
+        assert_eq!(precond.graphs().len(), precond.num_subdomains());
+        assert!(precond.plan_memory_bytes() > 0);
+        assert!(precond.coarse_space().is_some());
         assert_eq!(precond.dim(), fx.problem.num_unknowns());
         assert_eq!(precond.name(), "ddm-gnn-2level");
         assert_eq!(precond.model().config().latent_dim, fx.model.config().latent_dim);
@@ -441,7 +328,7 @@ mod tests {
             false,
         )
         .unwrap();
-        assert!(!one_level.has_coarse_space());
+        assert!(one_level.coarse_space().is_none());
         assert_eq!(one_level.name(), "ddm-gnn-1level");
     }
 
@@ -462,137 +349,6 @@ mod tests {
         precond.apply(&r, &mut z);
         assert!(sparse::vector::norm2(&z) > 0.0);
         assert!(sparse::vector::dot(&z, &r) > 0.0, "preconditioner must stay positive");
-    }
-
-    #[test]
-    fn zero_residual_maps_to_coarse_only_correction() {
-        let fx = fixture();
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            false,
-        )
-        .unwrap();
-        let r = vec![0.0; fx.problem.num_unknowns()];
-        let mut z = vec![1.0; r.len()];
-        precond.apply(&r, &mut z);
-        assert!(z.iter().all(|&v| v == 0.0), "zero residual must give zero correction");
-    }
-
-    #[test]
-    fn timed_apply_is_bit_identical_to_apply() {
-        let fx = fixture();
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
-        assert!(precond.plan_memory_bytes() > 0);
-        assert_eq!(precond.graphs().len(), precond.num_subdomains());
-        let r = fx.problem.rhs.clone();
-        let mut z = vec![0.0; r.len()];
-        let mut z_timed = vec![0.0; r.len()];
-        precond.apply(&r, &mut z);
-        let mut timings = gnn::InferenceTimings::default();
-        precond.apply_timed(&r, &mut z_timed, &mut timings);
-        assert_eq!(z, z_timed, "timed apply must not change the correction");
-        assert_eq!(timings.calls as usize, precond.num_subdomains());
-    }
-
-    #[test]
-    fn apply_survives_poisoned_scratch_bit_identically() {
-        // A worker panic while holding a scratch (or the batch serialisation)
-        // mutex poisons it.  The preconditioner must recover on the next
-        // apply — same guarantee `GuardedPreconditioner` relies on — and the
-        // recovered correction must be bit-identical, since every reachable
-        // scratch state is valid (scratch is fully overwritten per apply).
-        let fx = fixture();
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
-        let r = fx.problem.rhs.clone();
-        let mut baseline = vec![0.0; r.len()];
-        precond.apply(&r, &mut baseline);
-
-        fn poison<T>(mutex: &TrackedMutex<T>) {
-            let p = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = mutex.lock();
-                panic!("injected worker panic while holding the lock");
-            }));
-            assert!(p.is_err());
-            assert!(mutex.is_poisoned(), "test setup failed to poison the mutex");
-        }
-        poison(&precond.scratch[0]);
-        poison(&precond.apply_guard);
-
-        let mut recovered = vec![1.0; r.len()];
-        precond.apply(&r, &mut recovered);
-        assert_eq!(baseline, recovered, "poison recovery changed the correction");
-
-        let mut batch_out = vec![0.0; r.len()];
-        precond.apply_batch(&[r.as_slice()], &mut [batch_out.as_mut_slice()]);
-        assert_eq!(baseline, batch_out, "batched apply must also recover bit-identically");
-    }
-
-    #[test]
-    fn batched_apply_is_bit_identical_per_column_for_all_precisions() {
-        let fx = fixture();
-        let n = fx.problem.num_unknowns();
-        for precision in [gnn::Precision::F64, gnn::Precision::F32, gnn::Precision::Int8] {
-            let precond = DdmGnnPreconditioner::with_precision(
-                &fx.problem,
-                fx.subdomains.clone(),
-                Arc::new(fx.model.clone()),
-                true,
-                precision,
-            )
-            .unwrap();
-            for b in [1usize, 3, 4] {
-                let rhs: Vec<Vec<f64>> = (0..b)
-                    .map(|c| {
-                        fx.problem
-                            .rhs
-                            .iter()
-                            .enumerate()
-                            .map(|(i, v)| v * (1.0 - 0.21 * c as f64) + 0.01 * ((i + c) % 7) as f64)
-                            .collect()
-                    })
-                    .collect();
-                let r_refs: Vec<&[f64]> = rhs.iter().map(|r| r.as_slice()).collect();
-                let mut zs: Vec<Vec<f64>> = vec![vec![0.0; n]; b];
-                {
-                    let mut z_refs: Vec<&mut [f64]> =
-                        zs.iter_mut().map(|z| z.as_mut_slice()).collect();
-                    precond.apply_batch(&r_refs, &mut z_refs);
-                }
-                let mut expected = vec![0.0; n];
-                for (c, r) in rhs.iter().enumerate() {
-                    precond.apply(r, &mut expected);
-                    assert_eq!(
-                        zs[c], expected,
-                        "{precision:?} b={b} column {c}: batched apply diverged"
-                    );
-                }
-                // The timed batched apply is bit-identical too and counts one
-                // inference call per (sub-domain, batch).
-                let mut timings = gnn::InferenceTimings::default();
-                let mut zs_timed: Vec<Vec<f64>> = vec![vec![0.0; n]; b];
-                {
-                    let mut z_refs: Vec<&mut [f64]> =
-                        zs_timed.iter_mut().map(|z| z.as_mut_slice()).collect();
-                    precond.apply_batch_timed(&r_refs, &mut z_refs, &mut timings);
-                }
-                assert_eq!(zs, zs_timed, "{precision:?} b={b}: timed batched apply diverged");
-                assert_eq!(timings.calls as usize, precond.num_subdomains());
-            }
-        }
     }
 
     #[test]
@@ -647,12 +403,6 @@ mod tests {
         }
         assert!(diff / scale < 1e-4, "f32 apply deviates too much: {}", diff / scale);
         assert!(sparse::vector::dot(&z32, &r) > 0.0, "f32 preconditioner must stay positive");
-        // Timed apply matches the parallel apply bit-for-bit in f32 mode too.
-        let mut z32_timed = vec![0.0; r.len()];
-        let mut timings = gnn::InferenceTimings::default();
-        p32.apply_timed(&r, &mut z32_timed, &mut timings);
-        assert_eq!(z32, z32_timed);
-        assert_eq!(timings.calls as usize, p32.num_subdomains());
     }
 
     #[test]
@@ -761,12 +511,6 @@ mod tests {
         }
         assert!(diff / scale < 5e-2, "int8 apply deviates too much: {}", diff / scale);
         assert!(sparse::vector::dot(&zq, &r) > 0.0, "int8 preconditioner must stay positive");
-        // Timed apply matches the parallel apply bit-for-bit in int8 mode too.
-        let mut zq_timed = vec![0.0; r.len()];
-        let mut timings = gnn::InferenceTimings::default();
-        pq.apply_timed(&r, &mut zq_timed, &mut timings);
-        assert_eq!(zq, zq_timed);
-        assert_eq!(timings.calls as usize, pq.num_subdomains());
     }
 
     #[test]
@@ -870,7 +614,6 @@ mod tests {
             gnn::Precision::F64,
         )
         .unwrap();
-        assert!(ml.has_coarse_space());
         let levels = ml.coarse_space().unwrap().num_levels();
         assert!(levels >= 2);
         assert_eq!(ml.name(), format!("ddm-gnn-ml{levels}"));
@@ -888,12 +631,188 @@ mod tests {
         );
     }
 
+    /// What a [`Masked`] local solve does on its sub-domain.
+    #[derive(Clone, Copy)]
+    enum Role {
+        /// Run the wrapped solve.
+        Solve,
+        /// Scribble NaN over the panel and report an error.
+        Fail,
+        /// Contribute nothing: an all-zero panel.
+        Drop,
+    }
+
+    /// A test-only local solve around a real one.
+    struct Masked<L> {
+        inner: L,
+        role: Role,
+    }
+
+    impl<L: LocalSolve> LocalSolve for Masked<L> {
+        type Scratch = L::Scratch;
+
+        fn solve(
+            &self,
+            restriction: &Restriction,
+            rs: &[&[f64]],
+            scratch: &mut L::Scratch,
+            panel: &mut [f64],
+        ) -> sparse::Result<()> {
+            match self.role {
+                Role::Solve => self.inner.solve(restriction, rs, scratch, panel),
+                Role::Fail => {
+                    panel.fill(f64::NAN);
+                    Err(sparse::SparseError::SingularMatrix { pivot: 0, value: 0.0 })
+                }
+                Role::Drop => {
+                    panel.fill(0.0);
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// Batched-vs-unbatched bit-identity, poison recovery and the zero
+    /// residual on one built shell.
+    fn check_shell(shell: &dyn Preconditioner, level: AsmLevel, columns: &[Vec<f64>]) {
+        let name = shell.name();
+        let n = shell.dim();
+        let apply = |r: &[f64]| {
+            let mut z = vec![0.0; n];
+            shell.apply(r, &mut z);
+            z
+        };
+        for b in [1usize, 3, 4] {
+            let rs: Vec<&[f64]> = columns[..b].iter().map(Vec::as_slice).collect();
+            let mut zs = vec![vec![0.0; n]; b];
+            let mut z_refs: Vec<&mut [f64]> = zs.iter_mut().map(Vec::as_mut_slice).collect();
+            shell.apply_batch(&rs, &mut z_refs);
+            for (c, r) in rs.iter().enumerate() {
+                assert_eq!(zs[c], apply(r), "{name} b={b} column {c}: batched apply diverged");
+            }
+        }
+
+        // A too-short output handed to the unchecked apply panics in the
+        // glue, while the caller holds a scratch slot and the apply guard:
+        // both end up poisoned, as after a worker panic.  Every slot is
+        // overwritten per apply, so recovery must be bit-identical.
+        let r = &columns[0];
+        let baseline = apply(r);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shell.apply(r, &mut vec![0.0; n - 7]);
+        }));
+        assert!(panicked.is_err(), "{name}: a short output must panic the unchecked apply");
+        assert_eq!(apply(r), baseline, "{name}: poison recovery changed the correction");
+        let mut z = vec![0.0; n];
+        shell.apply_batch(&[r.as_slice()], &mut [z.as_mut_slice()]);
+        assert_eq!(z, baseline, "{name}: batched apply must also recover bit-identically");
+
+        if level == AsmLevel::OneLevel {
+            let mut z = vec![1.0; n];
+            shell.apply(&vec![0.0; n], &mut z);
+            assert!(z.iter().all(|&v| v == 0.0), "{name}: zero residual, nonzero correction");
+        }
+    }
+
+    /// The local-fault branch: a shell whose middle sub-domain fails glues
+    /// exactly what one that drops the sub-domain glues, and logs one
+    /// classified fault per apply (plain or batched).
+    fn check_fault_path<L: LocalSolve>(
+        matrix: &sparse::CsrMatrix,
+        restrictions: &[Restriction],
+        level: AsmLevel,
+        columns: &[Vec<f64>],
+        solves: impl Fn() -> Vec<L>,
+    ) {
+        let k = restrictions.len() / 2;
+        let shell = |role| {
+            let masked = || {
+                let roles = (0..).map(|i| if i == k { role } else { Role::Solve });
+                Ok(solves()
+                    .into_iter()
+                    .zip(roles)
+                    .map(|(inner, role)| Masked { inner, role })
+                    .collect())
+            };
+            Schwarz::build(matrix, restrictions.to_vec(), level, masked, |tag| {
+                format!("masked-{tag}")
+            })
+            .unwrap()
+        };
+        let (failing, dropped) = (shell(Role::Fail), shell(Role::Drop));
+        let n = matrix.nrows();
+        let rs: Vec<&[f64]> = columns[..3].iter().map(Vec::as_slice).collect();
+        let corrections = |p: &Schwarz<Masked<L>>| {
+            let mut z = vec![0.0; n];
+            p.apply(rs[0], &mut z);
+            let mut zs = vec![vec![0.0; n]; rs.len()];
+            p.apply_batch(&rs, &mut zs.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+            (z, zs)
+        };
+        assert_eq!(corrections(&failing), corrections(&dropped), "{level:?}");
+        let mut log = FaultLog::new();
+        failing.collect_faults(&mut log);
+        assert_eq!(log.events().len(), 2, "{level:?}: {log:?}");
+        for (apply_index, event) in log.events().iter().enumerate() {
+            assert_eq!(event.kind, krylov::FaultKind::NumericalError, "{event:?}");
+            assert_eq!(event.apply_index, apply_index as u64, "{event:?}");
+        }
+        let mut clean = FaultLog::new();
+        dropped.collect_faults(&mut clean);
+        assert!(clean.events().is_empty(), "{clean:?}");
+    }
+
+    #[test]
+    fn schwarz_contract_holds_for_every_local_solve_and_level() {
+        // One table over both local solves (Cholesky; DSS at every
+        // precision) and every coarse kind.
+        let fx = fixture();
+        let matrix = &fx.problem.matrix;
+        let model = Arc::new(fx.model.clone());
+        let decomposition = Decomposition::new(matrix, fx.subdomains.clone());
+        let graphs = build_local_graphs(&fx.problem, &decomposition);
+        let columns: Vec<Vec<f64>> = (0..4)
+            .map(|c| {
+                fx.problem
+                    .rhs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| v * (1.0 - 0.21 * c as f64) + 0.01 * ((i + c) % 7) as f64)
+                    .collect()
+            })
+            .collect();
+        let ml = MultilevelConfig { coarsest_max_size: 60, ..Default::default() };
+        for level in [AsmLevel::OneLevel, AsmLevel::TwoLevel, AsmLevel::Multilevel(ml)] {
+            let lu = ddm::AdditiveSchwarz::new(matrix, fx.subdomains.clone(), level).unwrap();
+            check_shell(&lu, level, &columns);
+            check_fault_path(matrix, &decomposition.restrictions, level, &columns, || {
+                let factor = |a| ddm::CholeskyLocalSolver::new(a).unwrap();
+                decomposition.local_matrices.iter().map(factor).collect()
+            });
+            for precision in [Precision::F64, Precision::F32, Precision::Int8] {
+                let gnn = DdmGnnPreconditioner::build(
+                    &fx.problem,
+                    fx.subdomains.clone(),
+                    Arc::clone(&model),
+                    level,
+                    precision,
+                )
+                .unwrap();
+                check_shell(&gnn, level, &columns);
+                check_fault_path(matrix, &decomposition.restrictions, level, &columns, || {
+                    graphs.iter().map(|g| DssLocalSolver::new(&model, g, precision)).collect()
+                });
+            }
+        }
+    }
+
     #[test]
     fn wrong_length_residual_is_a_classified_fault_whatever_the_coarse_kind() {
         // A too-short residual used to index out of bounds inside a rayon
-        // worker and a too-long one tripped the V-cycle's length assert: both
-        // shells now reject either up front, so the guard classifies a
-        // numerical error (not a panic) and falls back to the identity.
+        // worker and a too-long one tripped the V-cycle's length assert: the
+        // shell now rejects either up front, whatever its local solve, so the
+        // guard classifies a numerical error (not a panic) and falls back to
+        // the identity.
         let fx = fixture();
         let n = fx.problem.num_unknowns();
         let ml = MultilevelConfig { coarsest_max_size: 60, ..Default::default() };

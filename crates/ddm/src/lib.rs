@@ -7,25 +7,27 @@
 //! ```
 //!
 //! where the `Rᵢ` are boolean restrictions onto overlapping sub-domains and
-//! `R₀` spans the Nicolaides coarse space.  Only the coarse term varies, and
-//! one enum names the choice: [`AsmLevel`] is `OneLevel` (no coarse term),
-//! `TwoLevel` (Nicolaides) or `Multilevel(config)` (a V-cycle).  This crate
-//! provides:
+//! `R₀` spans the Nicolaides coarse space.  Two things vary: the local solve
+//! (a [`LocalSolve`]) and the coarse term, which one enum names:
+//! [`AsmLevel`] is `OneLevel` (no coarse term), `TwoLevel` (Nicolaides) or
+//! `Multilevel(config)` (a V-cycle).  This crate provides:
 //!
 //! * [`restriction::Restriction`] — the `Rᵢ` operators (index lists),
-//! * [`local::CholeskyLocalSolver`] — the exact sub-domain solver (sparse
-//!   Cholesky; this is the "LU" of the paper's DDM-LU baseline),
 //! * [`multilevel::Hierarchy`] — the one coarse component: the
 //!   partition-of-unity Nicolaides space with its dense LU
 //!   ([`Hierarchy::nicolaides`]) or the recursive smoothed-aggregation AMG
 //!   hierarchy whose V-cycle is a stronger (3+ level) coarse solve
 //!   ([`Hierarchy::build`]),
-//! * [`asm::AdditiveSchwarz`] — the preconditioner, built by the one
-//!   constructor `AdditiveSchwarz::new(matrix, subdomains, level)` and
-//!   implementing [`krylov::Preconditioner`] so it plugs straight into PCG.
+//! * [`asm::Schwarz`] — the one Schwarz preconditioner, generic over a
+//!   [`LocalSolve`] and implementing [`krylov::Preconditioner`] so it plugs
+//!   straight into PCG,
+//! * [`local::CholeskyLocalSolver`] — the exact local solve (sparse
+//!   Cholesky; this is the "LU" of the paper's DDM-LU baseline), and
+//!   [`AdditiveSchwarz`], the shell over it, built by
+//!   `AdditiveSchwarz::new(matrix, subdomains, level)`.
 //!
-//! The GNN preconditioner of the paper (`ddm-gnn` crate) reuses everything
-//! here except the local solver, which it replaces with DSS inference.
+//! The GNN preconditioner of the paper (`ddm-gnn` crate) is the same shell
+//! over a second local solve, DSS inference.
 
 // Library code must not panic via unwrap — `GuardedPreconditioner` treats
 // every Schwarz/coarse apply as panic-free (detlint enforces the wider
@@ -37,27 +39,12 @@ pub mod local;
 pub mod multilevel;
 pub mod restriction;
 
-pub use asm::{AdditiveSchwarz, AsmLevel};
-pub use local::CholeskyLocalSolver;
+pub use asm::{AsmLevel, LocalSolve, Schwarz};
+pub use local::{AdditiveSchwarz, CholeskyLocalSolver};
 pub use multilevel::{Hierarchy, MultilevelConfig, SmootherPrecision};
 pub use restriction::Restriction;
 
-use sparse::{CsrMatrix, SparseError};
-
-/// The one up-front check of a Schwarz `apply_checked`: residual and output
-/// must both have the global dimension `n`.  Past it no gather, scatter or
-/// coarse apply can index out of bounds, so a wrong-length vector is a
-/// classified error whatever the coarse component is.
-pub fn check_lengths(op: &'static str, n: usize, r: &[f64], z: &[f64]) -> sparse::Result<()> {
-    if r.len() != n || z.len() != n {
-        return Err(SparseError::DimensionMismatch {
-            op,
-            expected: (n, n),
-            found: (r.len(), z.len()),
-        });
-    }
-    Ok(())
-}
+use sparse::CsrMatrix;
 
 /// The decomposition of a global problem: overlapping sub-domain index sets
 /// plus the restriction operators and local matrices derived from them.

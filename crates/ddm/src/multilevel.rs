@@ -36,7 +36,8 @@
 //! Its [`Hierarchy::apply_into`] V-cycle (one weighted-Jacobi sweep before
 //! and after each level, zero initial guess) is symmetric positive definite,
 //! so either construction slots in additively as the coarse component of
-//! `AdditiveSchwarz` and `DdmGnnPreconditioner` without breaking PCG theory.
+//! the Schwarz shell ([`crate::Schwarz`]), whatever its local solve, without
+//! breaking PCG theory.
 //!
 //! **Determinism contract.** Everything here is sequential or runs through
 //! the fixed-chunk SpMV kernels, so results are bit-identical at every thread
@@ -296,8 +297,8 @@ impl Hierarchy {
     /// initial guess, or the Nicolaides solve — **accumulated** into `out`
     /// (`out += M⁻¹ r`), the additive-Schwarz coarse component contract.
     ///
-    /// Panics on a wrong-length `r` or `out`; the Schwarz shells check the
-    /// lengths once in `apply_checked` and classify a mismatch there.
+    /// Panics on a wrong-length `r` or `out`; the Schwarz shell checks the
+    /// lengths once in `apply_checked` and classifies a mismatch there.
     pub fn apply_into(&self, r: &[f64], out: &mut [f64]) {
         assert_eq!(r.len(), self.dim(), "apply_into: residual length mismatch");
         assert_eq!(out.len(), self.dim(), "apply_into: output length mismatch");

@@ -59,25 +59,18 @@ impl Restriction {
         }
     }
 
-    /// Apply `Rᵢᵀ` scaled by `alpha` from column `c` of a column-interleaved
-    /// `num_local × b` panel: `global[gⱼ] += alpha * panel[j*b + c]`.
+    /// Apply `Rᵢᵀ` to column `c` of a column-interleaved `num_local × b`
+    /// panel and accumulate: `global[gⱼ] += panel[j*b + c]`.
     ///
     /// A plain local vector is the `b = 1, c = 0` panel, and each
-    /// accumulation is the same scalar mul+add whatever `b` is, so the
-    /// batched gluing stays bit-identical to the unbatched one.
-    pub fn extend_add_scaled_strided(
-        &self,
-        alpha: f64,
-        panel: &[f64],
-        b: usize,
-        c: usize,
-        global: &mut [f64],
-    ) {
+    /// accumulation is the same scalar add whatever `b` is, so the batched
+    /// gluing stays bit-identical to the unbatched one.
+    pub fn extend_add_strided(&self, panel: &[f64], b: usize, c: usize, global: &mut [f64]) {
         debug_assert_eq!(global.len(), self.num_global);
         debug_assert_eq!(panel.len(), self.indices.len() * b);
         debug_assert!(c < b);
         for (j, &g) in self.indices.iter().enumerate() {
-            global[g] += alpha * panel[j * b + c];
+            global[g] += panel[j * b + c];
         }
     }
 }
@@ -123,7 +116,7 @@ mod tests {
         r1.extend_add(&[1.0, 1.0, 1.0], &mut global);
         r2.extend_add(&[1.0, 1.0, 1.0], &mut global);
         assert_eq!(global, vec![1.0, 2.0, 2.0, 1.0]);
-        r1.extend_add_scaled_strided(2.0, &[1.0, 1.0, 1.0], 1, 0, &mut global);
+        r1.extend_add_strided(&[2.0, 2.0, 2.0], 1, 0, &mut global);
         assert_eq!(global, vec![3.0, 4.0, 4.0, 1.0]);
     }
 
@@ -137,8 +130,8 @@ mod tests {
         let panel: Vec<f64> = contiguous.iter().flat_map(|&v| std::iter::repeat_n(v, b)).collect();
         let mut out_strided = vec![0.5; 6];
         let mut out_plain = vec![0.5; 6];
-        r.extend_add_scaled_strided(1.75, &panel, b, 1, &mut out_strided);
-        r.extend_add_scaled_strided(1.75, &contiguous, 1, 0, &mut out_plain);
+        r.extend_add_strided(&panel, b, 1, &mut out_strided);
+        r.extend_add(&contiguous, &mut out_plain);
         assert_eq!(out_strided, out_plain);
     }
 

@@ -57,9 +57,10 @@ impl Default for Config {
                 "crates/krylov/src/history.rs",
                 "crates/gnn/src/plan.rs",
                 "crates/gnn/src/gemm.rs",
-                "crates/ddm-gnn/src/preconditioner.rs",
+                // The Schwarz shell and its two local solves (Cholesky, DSS).
                 "crates/ddm/src/asm.rs",
                 "crates/ddm/src/local.rs",
+                "crates/ddm-gnn/src/preconditioner.rs",
                 "crates/ddm/src/multilevel.rs",
                 // The sanitizer must never panic out of an instrumented lock
                 // path: a detsan-only abort would make failures observable

@@ -67,11 +67,8 @@ struct SiteInfo {
 /// An unknown commutative label is itself a finding
 /// (`unreviewed-commutative`) — annotations are auditable, like
 /// `detlint::allow`.  The `test::` prefix is reserved for test fixtures.
-pub const REVIEWED_COMMUTATIVE: &[&str] = &[
-    "ddm::asm::AdditiveSchwarz::faults",
-    "ddm_gnn::preconditioner::DdmGnnPreconditioner::faults",
-    "gnn::plan::ScratchPool::state",
-];
+pub const REVIEWED_COMMUTATIVE: &[&str] =
+    &["ddm::asm::Schwarz::faults", "gnn::plan::ScratchPool::state"];
 
 fn sites() -> &'static Mutex<Vec<SiteInfo>> {
     static SITES: OnceLock<Mutex<Vec<SiteInfo>>> = OnceLock::new();
@@ -621,6 +618,37 @@ mod tests {
         // A test:: label is exempt.
         register_site("test::reviewed-enough", "ok.rs", 8, Some("fixture"));
         assert!(by_label(&findings(), "test::reviewed-enough").is_empty());
+    }
+
+    #[test]
+    fn every_reviewed_commutative_label_is_constructed_somewhere() {
+        // A reviewed label no `new_commutative` call passes any more is a
+        // standing exemption waiting for an unreviewed mutex to claim it.
+        fn labels_in(dir: &std::path::Path, found: &mut Vec<String>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() && !path.ends_with("target") {
+                    labels_in(&path, found);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    // The label is the first string literal of the call.
+                    for call in text.split("new_commutative(").skip(1) {
+                        found.extend(call.split('"').nth(1).map(str::to_string));
+                    }
+                }
+            }
+        }
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut constructed = Vec::new();
+        for dir in ["crates", "shims"] {
+            labels_in(&root.join(dir), &mut constructed);
+        }
+        for label in REVIEWED_COMMUTATIVE {
+            assert!(
+                constructed.iter().any(|c| c == label),
+                "`{label}` is reviewed but no new_commutative call passes it"
+            );
+        }
     }
 
     #[test]
