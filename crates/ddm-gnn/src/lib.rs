@@ -41,7 +41,7 @@ pub use ddm::{AsmLevel, MultilevelConfig, SmootherPrecision};
 pub use gnn::Precision;
 pub use krylov::{
     DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,
-    GuardedPreconditioner, InjectedFault, ResiliencePolicy,
+    InjectedFault, ResiliencePolicy,
 };
 pub use pipeline::{
     generate_problem, load_pretrained, train_model, train_model_multi_size, train_model_on_samples,

@@ -277,10 +277,6 @@ impl Preconditioner for DdmGnnPreconditioner {
         self.shell.apply(r, z);
     }
 
-    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
-        self.shell.apply_checked(r, z)
-    }
-
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         self.shell.apply_batch(rs, zs);
     }
@@ -692,7 +688,7 @@ mod tests {
             }
         }
 
-        // A too-short output handed to the unchecked apply panics in the
+        // A too-short output handed to an unguarded apply panics in the
         // glue, while the caller holds a scratch slot and the apply guard:
         // both end up poisoned, as after a worker panic.  Every slot is
         // overwritten per apply, so recovery must be bit-identical.
@@ -701,7 +697,7 @@ mod tests {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shell.apply(r, &mut vec![0.0; n - 7]);
         }));
-        assert!(panicked.is_err(), "{name}: a short output must panic the unchecked apply");
+        assert!(panicked.is_err(), "{name}: a short output must panic an unguarded apply");
         assert_eq!(apply(r), baseline, "{name}: poison recovery changed the correction");
         let mut z = vec![0.0; n];
         shell.apply_batch(&[r.as_slice()], &mut [z.as_mut_slice()]);
@@ -810,9 +806,9 @@ mod tests {
     fn wrong_length_residual_is_a_classified_fault_whatever_the_coarse_kind() {
         // A too-short residual used to index out of bounds inside a rayon
         // worker and a too-long one tripped the V-cycle's length assert: the
-        // shell now rejects either up front, whatever its local solve, so the
-        // guard classifies a numerical error (not a panic) and falls back to
-        // the identity.
+        // guard of a one-tier ladder rejects either before the shell sees
+        // it, whatever its local solve, so it classifies a numerical error
+        // (not a panic) and falls back to the identity.
         let fx = fixture();
         let n = fx.problem.num_unknowns();
         let ml = MultilevelConfig { coarsest_max_size: 60, ..Default::default() };
@@ -835,7 +831,7 @@ mod tests {
                 ),
             ];
             for shell in shells {
-                let guarded = krylov::GuardedPreconditioner::new(shell, Default::default());
+                let guarded = krylov::DegradationLadder::new(vec![shell], Default::default());
                 for len in [n - 7, n + 7] {
                     let r = vec![1.0; len];
                     let mut z = vec![0.0; len];

@@ -19,9 +19,8 @@ use ddm::{AdditiveSchwarz, AsmLevel};
 use fem::PoissonProblem;
 use gnn::{DssModel, Precision};
 use krylov::{
-    conjugate_gradient, preconditioned_conjugate_gradient, DegradationLadder, FaultLog,
-    Ic0Preconditioner, JacobiPreconditioner, Preconditioner, ResiliencePolicy, SolveResult,
-    SolveStats, SolverOptions,
+    conjugate_gradient, solve_batch, DegradationLadder, FaultLog, Ic0Preconditioner,
+    JacobiPreconditioner, Preconditioner, ResiliencePolicy, SolveResult, SolveStats, SolverOptions,
 };
 use partition::partition_mesh_with_overlap;
 use sparse::CsrMatrix;
@@ -115,10 +114,6 @@ impl Preconditioner for TimedPreconditioner<'_> {
         self.timed(|| self.inner.apply(r, z));
     }
 
-    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
-        self.timed(|| self.inner.apply_checked(r, z))
-    }
-
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         self.timed(|| self.inner.apply_batch(rs, zs));
     }
@@ -192,7 +187,7 @@ pub fn build_tiers(
 /// plain CG (`precond` is `None`) or PCG under any preconditioner — a single
 /// tier, a [`DegradationLadder`], a fault injector.
 ///
-/// Several right-hand sides under a preconditioner go through
+/// Under a preconditioner every right-hand side goes through one
 /// [`krylov::solve_batch`], which batches the preconditioner application
 /// across all still-active columns each outer iteration (one blocked GNN
 /// inference per sub-domain instead of one per column); column `c` of the
@@ -210,10 +205,9 @@ pub fn solve(
 ) -> SolveOutcome {
     let timed = precond.map(TimedPreconditioner::new);
     let start = Instant::now();
-    let results = match (&timed, bs) {
-        (None, _) => bs.iter().map(|b| conjugate_gradient(a, b, None, opts)).collect(),
-        (Some(p), [b]) => vec![preconditioned_conjugate_gradient(a, b, None, p, opts)],
-        (Some(p), _) => krylov::solve_batch(a, bs, None, p, opts),
+    let results = match &timed {
+        None => bs.iter().map(|b| conjugate_gradient(a, b, None, opts)).collect(),
+        Some(p) => solve_batch(a, bs, None, p, opts),
     };
     SolveOutcome {
         results,

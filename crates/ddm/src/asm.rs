@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use krylov::resilience::{FaultEvent, FaultKind, FaultLog};
 use krylov::Preconditioner;
 use rayon::prelude::*;
-use sparse::{CsrMatrix, SparseError};
+use sparse::CsrMatrix;
 
 use crate::multilevel::{Hierarchy, MultilevelConfig};
 use crate::restriction::Restriction;
@@ -178,22 +178,6 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
         self.apply_batch(&[r], &mut [z]);
     }
 
-    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
-        // The one up-front check: past it no gather, scatter or coarse apply
-        // can index out of bounds, so a wrong-length vector is a classified
-        // error whatever the coarse component is.
-        let n = self.num_global;
-        if r.len() != n || z.len() != n {
-            return Err(SparseError::DimensionMismatch {
-                op: "Schwarz apply",
-                expected: (n, n),
-                found: (r.len(), z.len()),
-            });
-        }
-        self.apply(r, z);
-        Ok(())
-    }
-
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
         let b = rs.len();
@@ -259,7 +243,8 @@ mod tests {
     use crate::test_support::fixture;
     use crate::{AdditiveSchwarz, AsmLevel, MultilevelConfig};
     use krylov::{
-        conjugate_gradient, preconditioned_conjugate_gradient, Preconditioner, SolverOptions,
+        conjugate_gradient, preconditioned_conjugate_gradient, DegradationLadder, FaultKind,
+        Preconditioner, ResiliencePolicy, SolverOptions,
     };
 
     #[test]
@@ -473,5 +458,29 @@ mod tests {
         assert_eq!(two.name(), "ddm-lu-2level");
         assert_eq!(one.dim(), fx.problem.num_unknowns());
         assert!(one.num_subdomains() >= 2);
+    }
+
+    #[test]
+    fn wrong_length_column_in_a_batched_ladder_apply_is_a_numerical_error() {
+        // The ladder checks every column's length before the shell sees the
+        // batch, so a short column is a classified error (not a panic inside
+        // a rayon worker) and the whole batch falls back to the identity.
+        let fx = fixture(700, 250, 2);
+        let n = fx.problem.num_unknowns();
+        let asm =
+            AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), AsmLevel::TwoLevel)
+                .unwrap();
+        let ladder = DegradationLadder::new(vec![Box::new(asm)], ResiliencePolicy::default());
+        let (good, short) = (vec![1.0; n], vec![1.0; n - 7]);
+        let (mut z0, mut z1) = (vec![0.0; n], vec![0.0; n - 7]);
+        ladder.apply_batch(
+            &[good.as_slice(), short.as_slice()],
+            &mut [z0.as_mut_slice(), z1.as_mut_slice()],
+        );
+        assert_eq!((z0, z1), (good, short), "identity fallback expected");
+        let log = ladder.fault_log();
+        assert_eq!(log.events().len(), 1, "{log:?}");
+        assert_eq!(log.events()[0].kind, FaultKind::NumericalError);
+        assert!(log.events()[0].detail.starts_with("column 1:"), "{log:?}");
     }
 }

@@ -29,8 +29,8 @@
 //! The GNN preconditioner of the paper (`ddm-gnn` crate) is the same shell
 //! over a second local solve, DSS inference.
 
-// Library code must not panic via unwrap — `GuardedPreconditioner` treats
-// every Schwarz/coarse apply as panic-free (detlint enforces the wider
+// Library code must not panic via unwrap — the `DegradationLadder` guard
+// treats every Schwarz/coarse apply as panic-free (detlint enforces the wider
 // contract; clippy carries this slice).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

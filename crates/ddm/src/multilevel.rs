@@ -297,8 +297,9 @@ impl Hierarchy {
     /// initial guess, or the Nicolaides solve — **accumulated** into `out`
     /// (`out += M⁻¹ r`), the additive-Schwarz coarse component contract.
     ///
-    /// Panics on a wrong-length `r` or `out`; the Schwarz shell checks the
-    /// lengths once in `apply_checked` and classifies a mismatch there.
+    /// Panics on a wrong-length `r` or `out`; the `DegradationLadder` guard
+    /// checks every column's length before a tier sees it and classifies a
+    /// mismatch there.
     pub fn apply_into(&self, r: &[f64], out: &mut [f64]) {
         assert_eq!(r.len(), self.dim(), "apply_into: residual length mismatch");
         assert_eq!(out.len(), self.dim(), "apply_into: output length mismatch");

@@ -38,9 +38,7 @@ pub fn conjugate_gradient(
     let mut r = vec![0.0; n];
     a.residual_into(b, &x, &mut r);
     let mut rnorm = norm2(&r);
-    if opts.record_history {
-        history.push(rnorm);
-    }
+    history.push(rnorm);
     if rnorm <= threshold {
         return SolveResult {
             x,
@@ -79,9 +77,7 @@ pub fn conjugate_gradient(
         axpy(alpha, &p, &mut x);
         axpy(-alpha, &q, &mut r);
         rnorm = norm2(&r);
-        if opts.record_history {
-            history.push(rnorm);
-        }
+        history.push(rnorm);
         if !rnorm.is_finite() {
             stop = StopReason::Diverged;
             faults.record(FaultEvent::new(

@@ -38,8 +38,8 @@ pub enum StopReason {
     Diverged,
 }
 
-/// Residual-norm trace of a solve, one entry per iteration (including the
-/// initial residual at index 0 when recording is enabled).
+/// Residual-norm trace of a solve: the initial residual at index 0, then one
+/// entry per iteration.
 #[derive(Debug, Clone, Default)]
 pub struct ConvergenceHistory {
     residual_norms: Vec<f64>,
@@ -135,7 +135,7 @@ pub struct SolveStats {
     pub final_relative_residual: f64,
     /// Why the solver stopped.
     pub stop_reason: StopReason,
-    /// Optional residual trace.
+    /// Residual trace.
     pub history: ConvergenceHistory,
     /// Classified faults contained during the solve — breakdowns observed by
     /// the driver plus anything the preconditioner recorded internally

@@ -1,46 +1,42 @@
-//! Krylov iterative solvers for sparse symmetric and nonsymmetric systems.
+//! Krylov iterative solvers for sparse symmetric positive definite systems.
 //!
-//! The paper's hybrid solver is a Preconditioned Conjugate Gradient
+//! The paper's hybrid solver is a flexible Preconditioned Conjugate Gradient
 //! (Algorithm 1) whose preconditioner is the DDM-GNN operator.  This crate
-//! provides that PCG driver together with the unpreconditioned CG baseline of
-//! Table I, plus BiCGStab and restarted GMRES which the paper cites as the
-//! standard Krylov family (Section II) — useful for ablation experiments with
-//! non-symmetric perturbations of the operator.
+//! provides that PCG driver — one lockstep body for one or several
+//! right-hand sides, [`solve_batch`], of which
+//! [`preconditioned_conjugate_gradient`] is the one-column case — together
+//! with the unpreconditioned CG baseline of Table I.
 //!
 //! Preconditioners plug in through the [`Preconditioner`] trait; the identity,
 //! Jacobi and IC(0) wrappers live here, the Schwarz and GNN preconditioners in
-//! the `ddm` and `ddm-gnn` crates.
+//! the `ddm` and `ddm-gnn` crates.  [`resilience`] supervises a stack of them
+//! against faults.
 
 // Library code must not panic via unwrap — the resilience supervisor relies
 // on it (detlint enforces the wider contract; clippy carries this slice).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod batch;
-pub mod bicgstab;
 pub mod cg;
-pub mod gmres;
 pub mod history;
 pub mod pcg;
 pub mod preconditioner;
 pub mod resilience;
 
-pub use batch::solve_batch;
-pub use bicgstab::bicgstab;
 pub use cg::conjugate_gradient;
-pub use gmres::gmres;
 pub use history::{relative_residual_norm, ConvergenceHistory, SolveStats, StopReason};
-pub use pcg::preconditioned_conjugate_gradient;
+pub use pcg::{preconditioned_conjugate_gradient, solve_batch};
 pub use preconditioner::{
     Ic0Preconditioner, IdentityPreconditioner, JacobiPreconditioner, Preconditioner,
 };
 pub use resilience::{
     Degradation, DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,
-    GuardedPreconditioner, InjectedFault, ResiliencePolicy,
+    InjectedFault, ResiliencePolicy,
 };
 
 use sparse::CsrMatrix;
 
-/// Options shared by every Krylov driver in this crate.
+/// Options shared by both Krylov drivers in this crate.  Both record the
+/// residual norm of every iteration in the returned history.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
     /// Relative residual tolerance `‖rₖ‖ / ‖b‖` at which to declare convergence.
@@ -49,18 +45,11 @@ pub struct SolverOptions {
     pub abs_tolerance: f64,
     /// Hard cap on the number of iterations.
     pub max_iterations: usize,
-    /// Record the residual norm at every iteration in the returned history.
-    pub record_history: bool,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        SolverOptions {
-            rel_tolerance: 1e-6,
-            abs_tolerance: 1e-14,
-            max_iterations: 10_000,
-            record_history: true,
-        }
+        SolverOptions { rel_tolerance: 1e-6, abs_tolerance: 1e-14, max_iterations: 10_000 }
     }
 }
 
@@ -126,21 +115,6 @@ pub(crate) mod test_matrices {
                 if j + 1 < ny {
                     coo.push(me, idx(i, j + 1), -1.0).unwrap();
                 }
-            }
-        }
-        coo.to_csr()
-    }
-
-    /// A nonsymmetric convection–diffusion style matrix (diagonally dominant).
-    pub fn convection_diffusion_1d(n: usize, wind: f64) -> CsrMatrix {
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0 + wind.abs()).unwrap();
-            if i > 0 {
-                coo.push(i, i - 1, -1.0 - wind).unwrap();
-            }
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0 + wind).unwrap();
             }
         }
         coo.to_csr()

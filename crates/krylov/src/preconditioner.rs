@@ -22,20 +22,6 @@ pub trait Preconditioner: Send + Sync {
     /// `z` and `r` always have the same length (the system dimension).
     fn apply(&self, r: &[f64], z: &mut [f64]);
 
-    /// Fallible application: like [`Preconditioner::apply`] but classified
-    /// numerical errors (dimension mismatches, singular local factors, ...)
-    /// are returned instead of panicking or being silently absorbed.
-    ///
-    /// The default forwards to `apply`; the resilience guards in
-    /// [`crate::resilience`] call this entry point so implementations that
-    /// *can* fail get their errors classified as
-    /// [`crate::resilience::FaultKind::NumericalError`] rather than
-    /// [`crate::resilience::FaultKind::Panic`].
-    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
-        self.apply(r, z);
-        Ok(())
-    }
-
     /// Apply the preconditioner to a batch of residuals at once: write
     /// `zs[c] = M⁻¹ rs[c]` for every column `c`.
     ///
@@ -73,10 +59,6 @@ pub trait Preconditioner: Send + Sync {
 impl Preconditioner for Box<dyn Preconditioner> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z);
-    }
-
-    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
-        (**self).apply_checked(r, z)
     }
 
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
@@ -203,11 +185,6 @@ impl Preconditioner for Ic0Preconditioner {
         }
     }
 
-    fn apply_checked(&self, r: &[f64], z: &mut [f64]) -> sparse::Result<()> {
-        self.applies.fetch_add(1, Ordering::SeqCst);
-        self.factor.apply_into(r, z)
-    }
-
     fn dim(&self) -> usize {
         self.factor.dim()
     }
@@ -264,12 +241,10 @@ mod tests {
     fn ic0_dimension_mismatch_is_classified_not_a_panic() {
         let a = laplacian_2d(4, 4);
         let p = Ic0Preconditioner::new(&a).unwrap();
-        // Wrong-length vectors: apply_checked reports the error...
+        // Wrong-length vectors: apply survives with the identity fallback
+        // plus a recorded fault instead of the old `.expect` panic.
         let r_bad = vec![1.0; 7];
         let mut z_bad = vec![0.0; 7];
-        assert!(p.apply_checked(&r_bad, &mut z_bad).is_err());
-        // ...and apply survives with the identity fallback plus a recorded
-        // fault instead of the old `.expect` panic.
         p.apply(&r_bad, &mut z_bad);
         assert_eq!(z_bad, r_bad);
         let mut log = FaultLog::new();

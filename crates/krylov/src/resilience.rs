@@ -4,16 +4,18 @@
 //! The flexible-PCG safeguard in [`crate::pcg`] already tolerates a
 //! *numerically wrong* preconditioner; this module extends the guarantee to a
 //! preconditioner that panics, emits NaN/inf, returns identically zero
-//! corrections, stalls, or stops making progress.  Three cooperating pieces:
+//! corrections, stalls, or stops making progress.  Two pieces:
 //!
-//! * [`GuardedPreconditioner`] — wraps a single preconditioner, contains
-//!   panics (`catch_unwind`), scans outputs for non-finite values, tracks
-//!   stagnation and per-apply wall-clock budgets, and classifies every event
-//!   into a [`FaultKind`] recorded on a [`FaultLog`];
 //! * [`DegradationLadder`] — a stack of tiers (e.g. GNN-int8 → GNN-f32 →
-//!   GNN-f64 → ASM → Jacobi) that downgrades *in place* on a classified
-//!   fault, without restarting the outer solve — the flexible PCG update
-//!   tolerates a preconditioner that changes between iterations;
+//!   GNN-f64 → ASM → Jacobi) that runs every apply under guards — it rejects
+//!   wrong-length vectors, contains panics (`catch_unwind`), scans outputs
+//!   for non-finite and identically-zero values, tracks stagnation and
+//!   per-apply wall-clock budgets, and classifies every event into a
+//!   [`FaultKind`] recorded on a [`FaultLog`] — and downgrades *in place* on
+//!   a classified fault, without restarting the outer solve (the flexible
+//!   PCG update tolerates a preconditioner that changes between
+//!   iterations).  A one-tier ladder is a plain guard with the identity
+//!   fallback;
 //! * [`FaultInjectingPreconditioner`] — a deterministic test double whose
 //!   faults are scheduled by apply-count (optionally drawn from a seeded
 //!   ChaCha8 stream), so fault-injection runs are bit-reproducible at every
@@ -33,7 +35,8 @@ use std::time::{Duration, Instant};
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sparse::vector::norm2;
+use sparse::vector::dot;
+use sparse::SparseError;
 
 use crate::preconditioner::Preconditioner;
 
@@ -177,18 +180,14 @@ impl FaultLog {
     }
 }
 
-/// Knobs for the guards in [`GuardedPreconditioner`] and
-/// [`DegradationLadder`].
+/// Knobs for the guards in [`DegradationLadder`].  The non-finite and
+/// zero-output scans always run.
 ///
 /// Every guard only *reads* the residual and output vectors, so no setting
 /// here can perturb healthy-path numerics — the hash-pin test in the
 /// end-to-end resilience suite holds for any policy.
 #[derive(Debug, Clone)]
 pub struct ResiliencePolicy {
-    /// Scan outputs for NaN/inf components.
-    pub nonfinite_guard: bool,
-    /// Flag identically-zero outputs for a nonzero residual.
-    pub zero_output_guard: bool,
     /// Number of consecutive applies without residual-norm improvement
     /// before a [`FaultKind::Stagnation`] fires.  `0` disables the check.
     pub stagnation_window: usize,
@@ -201,12 +200,7 @@ pub struct ResiliencePolicy {
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
-        ResiliencePolicy {
-            nonfinite_guard: true,
-            zero_output_guard: true,
-            stagnation_window: 64,
-            apply_time_budget: None,
-        }
+        ResiliencePolicy { stagnation_window: 64, apply_time_budget: None }
     }
 }
 
@@ -222,16 +216,14 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Scan the output of an apply and classify it, if faulty.
-fn classify_output(r: &[f64], z: &[f64], policy: &ResiliencePolicy) -> Option<(FaultKind, String)> {
-    if policy.nonfinite_guard {
-        if let Some(i) = z.iter().position(|v| !v.is_finite()) {
-            return Some((
-                FaultKind::NonFinite,
-                format!("output component {i} is {} after apply", z[i]),
-            ));
-        }
+fn classify_output(r: &[f64], z: &[f64]) -> Option<(FaultKind, String)> {
+    if let Some(i) = z.iter().position(|v| !v.is_finite()) {
+        return Some((
+            FaultKind::NonFinite,
+            format!("output component {i} is {} after apply", z[i]),
+        ));
     }
-    if policy.zero_output_guard && z.iter().all(|&v| v == 0.0) && r.iter().any(|&v| v != 0.0) {
+    if z.iter().all(|&v| v == 0.0) && r.iter().any(|&v| v != 0.0) {
         return Some((
             FaultKind::ZeroOutput,
             "identically zero output for a nonzero residual".to_string(),
@@ -240,65 +232,46 @@ fn classify_output(r: &[f64], z: &[f64], policy: &ResiliencePolicy) -> Option<(F
     None
 }
 
-/// Run one apply under the panic/error/output guards.
+/// Run one apply of `p` over the `b = rs.len()` columns under the guards.
 ///
-/// Returns the wall-clock time of a healthy apply, or the classified fault.
-/// `AssertUnwindSafe` is sound here: the scratch buffers the wrapped
-/// preconditioners share across threads sit behind mutexes that already
-/// recover from poisoning, and `z` is overwritten by any fallback.
+/// The columns are one guarded unit: a column whose `r` or `z` is not `dim`
+/// long, a panic anywhere, or a classified output in any column fails the
+/// whole apply.  Returns the wall-clock time of a healthy apply, or the
+/// classified fault.  `AssertUnwindSafe` is sound here: the scratch buffers
+/// the wrapped preconditioners share across threads sit behind mutexes that
+/// already recover from poisoning, and `zs` is overwritten by any fallback.
 fn run_guarded(
     p: &dyn Preconditioner,
-    r: &[f64],
-    z: &mut [f64],
-    policy: &ResiliencePolicy,
-) -> Result<Duration, (FaultKind, String)> {
-    let start = Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| p.apply_checked(r, z))) {
-        Err(payload) => return Err((FaultKind::Panic, panic_message(payload.as_ref()))),
-        Ok(Err(e)) => return Err((FaultKind::NumericalError, e.to_string())),
-        Ok(Ok(())) => {}
-    }
-    if let Some(fault) = classify_output(r, z, policy) {
-        return Err(fault);
-    }
-    Ok(start.elapsed())
-}
-
-/// Run one *batched* apply under the panic/output guards.
-///
-/// The whole batch is treated as one guarded unit: a panic anywhere, or a
-/// classified output in any column, fails the batch (and, under
-/// [`DegradationLadder`], degrades the tier for every column — consistent
-/// with the single-vector semantics, where the faulty tier is abandoned for
-/// all subsequent work).
-fn run_guarded_batch(
-    p: &dyn Preconditioner,
+    dim: usize,
     rs: &[&[f64]],
     zs: &mut [&mut [f64]],
-    policy: &ResiliencePolicy,
 ) -> Result<Duration, (FaultKind, String)> {
+    for (c, (r, z)) in rs.iter().zip(zs.iter()).enumerate() {
+        if r.len() != dim || z.len() != dim {
+            let e = SparseError::DimensionMismatch {
+                op: "guarded apply",
+                expected: (dim, dim),
+                found: (r.len(), z.len()),
+            };
+            return Err((FaultKind::NumericalError, format!("column {c}: {e}")));
+        }
+    }
     let start = Instant::now();
     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| p.apply_batch(rs, zs))) {
         return Err((FaultKind::Panic, panic_message(payload.as_ref())));
     }
     for (c, (r, z)) in rs.iter().zip(zs.iter()).enumerate() {
-        if let Some((kind, detail)) = classify_output(r, z, policy) {
+        if let Some((kind, detail)) = classify_output(r, z) {
             return Err((kind, format!("column {c}: {detail}")));
         }
     }
     Ok(start.elapsed())
 }
 
-/// Root-sum-square of the per-column residual norms — the batch analogue of
-/// the scalar residual norm fed to the stagnation tracker.
+/// `sqrt(Σ_c r_c·r_c)`, the residual norm fed to the stagnation tracker: at
+/// `b = 1` it is `norm2(r)` bit for bit.
 fn panel_norm(rs: &[&[f64]]) -> f64 {
-    rs.iter()
-        .map(|r| {
-            let n = norm2(r);
-            n * n
-        })
-        .sum::<f64>()
-        .sqrt()
+    rs.iter().map(|r| dot(r, r)).sum::<f64>().sqrt()
 }
 
 /// Detects "no residual reduction over a window of applies".
@@ -331,157 +304,6 @@ impl StagnationTracker {
     }
 }
 
-/// A single-tier fault guard: contains panics, classifies bad outputs, and
-/// falls back to the identity correction `z = r` so the outer (flexible)
-/// Krylov iteration stays well-defined.
-///
-/// For a multi-tier fallback chain use [`DegradationLadder`] instead.
-pub struct GuardedPreconditioner<P> {
-    inner: P,
-    policy: ResiliencePolicy,
-    applies: AtomicU64,
-    log: TrackedMutex<FaultLog>,
-    stagnation: TrackedMutex<StagnationTracker>,
-    name: String,
-}
-
-impl<P: Preconditioner> GuardedPreconditioner<P> {
-    /// Wrap `inner` under the given policy.
-    pub fn new(inner: P, policy: ResiliencePolicy) -> Self {
-        let name = format!("guarded({})", inner.name());
-        GuardedPreconditioner {
-            inner,
-            policy,
-            applies: AtomicU64::new(0),
-            log: TrackedMutex::new(
-                FaultLog::new(),
-                "krylov::resilience::GuardedPreconditioner::log",
-            ),
-            stagnation: TrackedMutex::new(
-                StagnationTracker::new(),
-                "krylov::resilience::GuardedPreconditioner::stagnation",
-            ),
-            name,
-        }
-    }
-
-    /// Snapshot of the faults recorded so far.
-    pub fn fault_log(&self) -> FaultLog {
-        self.log.lock().clone()
-    }
-
-    /// The wrapped preconditioner.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: Preconditioner> Preconditioner for GuardedPreconditioner<P> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let idx = self.applies.fetch_add(1, Ordering::SeqCst);
-        if self.policy.stagnation_window > 0 {
-            let rnorm = norm2(r);
-            let fired = self.stagnation.lock().observe(rnorm, self.policy.stagnation_window);
-            if fired {
-                self.log.lock().record(FaultEvent::new(
-                    FaultKind::Stagnation,
-                    idx,
-                    self.inner.name(),
-                    format!(
-                        "no residual reduction over {} applies (‖r‖ = {rnorm:.3e})",
-                        self.policy.stagnation_window
-                    ),
-                ));
-            }
-        }
-        match run_guarded(&self.inner, r, z, &self.policy) {
-            Ok(elapsed) => {
-                if let Some(budget) = self.policy.apply_time_budget {
-                    if elapsed > budget {
-                        self.log.lock().record(FaultEvent::new(
-                            FaultKind::TimeBudget,
-                            idx,
-                            self.inner.name(),
-                            format!("apply took {elapsed:?} against a budget of {budget:?}"),
-                        ));
-                    }
-                }
-            }
-            Err((kind, detail)) => {
-                self.log.lock().record(FaultEvent::new(
-                    kind,
-                    idx,
-                    self.inner.name(),
-                    format!("{detail}; identity fallback engaged"),
-                ));
-                z.copy_from_slice(r);
-            }
-        }
-    }
-
-    fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
-        let idx = self.applies.fetch_add(1, Ordering::SeqCst);
-        if self.policy.stagnation_window > 0 {
-            let rnorm = panel_norm(rs);
-            let fired = self.stagnation.lock().observe(rnorm, self.policy.stagnation_window);
-            if fired {
-                self.log.lock().record(FaultEvent::new(
-                    FaultKind::Stagnation,
-                    idx,
-                    self.inner.name(),
-                    format!(
-                        "no residual reduction over {} batched applies (‖R‖ = {rnorm:.3e})",
-                        self.policy.stagnation_window
-                    ),
-                ));
-            }
-        }
-        match run_guarded_batch(&self.inner, rs, zs, &self.policy) {
-            Ok(elapsed) => {
-                if let Some(budget) = self.policy.apply_time_budget {
-                    if elapsed > budget {
-                        self.log.lock().record(FaultEvent::new(
-                            FaultKind::TimeBudget,
-                            idx,
-                            self.inner.name(),
-                            format!(
-                                "batched apply took {elapsed:?} against a budget of {budget:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-            Err((kind, detail)) => {
-                self.log.lock().record(FaultEvent::new(
-                    kind,
-                    idx,
-                    self.inner.name(),
-                    format!("{detail}; identity fallback engaged for the whole batch"),
-                ));
-                // The faulty batch may be partially written: fall back to the
-                // identity correction in every column.
-                for (r, z) in rs.iter().zip(zs.iter_mut()) {
-                    z.copy_from_slice(r);
-                }
-            }
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn collect_faults(&self, into: &mut FaultLog) {
-        self.inner.collect_faults(into);
-        into.merge(self.fault_log());
-    }
-}
-
 /// A supervisor over a stack of preconditioner tiers that downgrades in
 /// place on a classified fault, without restarting the outer solve.
 ///
@@ -491,6 +313,10 @@ impl<P: Preconditioner> Preconditioner for GuardedPreconditioner<P> {
 /// output always comes from a healthy tier, or from the identity fallback
 /// `z = r` when even the last tier faults.  Downgrades are monotone and
 /// permanent for the lifetime of the ladder.
+///
+/// `apply` is `apply_batch` at `b = 1`.  A batch is one guarded unit: a
+/// fault in any column retries the *entire* batch one rung down, and the
+/// identity fallback covers every column.
 pub struct DegradationLadder {
     tiers: Vec<Box<dyn Preconditioner>>,
     policy: ResiliencePolicy,
@@ -575,10 +401,15 @@ impl DegradationLadder {
 
 impl Preconditioner for DegradationLadder {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_batch(&[r], &mut [z]);
+    }
+
+    fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
         let idx = self.applies.fetch_add(1, Ordering::SeqCst);
         let mut tier = self.active_tier();
         if self.policy.stagnation_window > 0 && tier + 1 < self.tiers.len() {
-            let rnorm = norm2(r);
+            let rnorm = panel_norm(rs);
             let fired = self.stagnation.lock().observe(rnorm, self.policy.stagnation_window);
             if fired {
                 if let Some(next) = self.downgrade(
@@ -595,7 +426,7 @@ impl Preconditioner for DegradationLadder {
             }
         }
         loop {
-            match run_guarded(self.tiers[tier].as_ref(), r, z, &self.policy) {
+            match run_guarded(self.tiers[tier].as_ref(), self.dim, rs, zs) {
                 Ok(elapsed) => {
                     if let Some(budget) = self.policy.apply_time_budget {
                         if elapsed > budget && tier + 1 < self.tiers.len() {
@@ -616,59 +447,6 @@ impl Preconditioner for DegradationLadder {
                     None => {
                         // Even the most conservative tier faulted: identity
                         // fallback keeps the flexible outer iteration alive.
-                        z.copy_from_slice(r);
-                        return;
-                    }
-                },
-            }
-        }
-    }
-
-    fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
-        let idx = self.applies.fetch_add(1, Ordering::SeqCst);
-        let mut tier = self.active_tier();
-        if self.policy.stagnation_window > 0 && tier + 1 < self.tiers.len() {
-            let rnorm = panel_norm(rs);
-            let fired = self.stagnation.lock().observe(rnorm, self.policy.stagnation_window);
-            if fired {
-                if let Some(next) = self.downgrade(
-                    tier,
-                    FaultKind::Stagnation,
-                    idx,
-                    format!(
-                        "no residual reduction over {} batched applies (‖R‖ = {rnorm:.3e})",
-                        self.policy.stagnation_window
-                    ),
-                ) {
-                    tier = next;
-                }
-            }
-        }
-        loop {
-            match run_guarded_batch(self.tiers[tier].as_ref(), rs, zs, &self.policy) {
-                Ok(elapsed) => {
-                    if let Some(budget) = self.policy.apply_time_budget {
-                        if elapsed > budget && tier + 1 < self.tiers.len() {
-                            self.downgrade(
-                                tier,
-                                FaultKind::TimeBudget,
-                                idx,
-                                format!(
-                                    "batched apply took {elapsed:?} against a budget of {budget:?}"
-                                ),
-                            );
-                        }
-                    }
-                    return;
-                }
-                // A fault in any column degrades the tier for the whole
-                // batch: the faulty tier retries the *entire* batch one rung
-                // down, exactly as the single-vector path abandons it for all
-                // subsequent applies.
-                Err((kind, detail)) => match self.downgrade(tier, kind, idx, detail) {
-                    Some(next) => tier = next,
-                    None => {
                         for (r, z) in rs.iter().zip(zs.iter_mut()) {
                             z.copy_from_slice(r);
                         }
@@ -712,9 +490,10 @@ pub enum InjectedFault {
 
 /// Deterministic fault-injection wrapper for resilience tests.
 ///
-/// Faults are keyed by the apply count, which the outer Krylov drivers
-/// advance sequentially — so a given schedule reproduces bit-identically at
-/// every thread count.  The random constructor draws the schedule from a
+/// Faults are keyed by the apply count — one per `apply` or `apply_batch`
+/// call, which the outer Krylov driver makes sequentially — so a given
+/// schedule reproduces bit-identically at every thread count and batch
+/// width.  The random constructor draws the schedule from a
 /// seeded ChaCha8 stream *at construction time*; the apply path itself is
 /// deterministic.
 pub struct FaultInjectingPreconditioner<P> {
@@ -766,32 +545,40 @@ impl<P: Preconditioner> FaultInjectingPreconditioner<P> {
 
 impl<P: Preconditioner> Preconditioner for FaultInjectingPreconditioner<P> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_batch(&[r], &mut [z]);
+    }
+
+    /// One scheduled apply per call, whatever the batch width: `Panic`,
+    /// `ZeroOutput` and `Stall` hit the whole batch, `NanOutput` and
+    /// `InfOutput` corrupt column 0.
+    fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         let idx = self.applies.fetch_add(1, Ordering::SeqCst);
+        let corrupt = |zs: &mut [&mut [f64]], value: f64| {
+            if let Some(v) = zs.first_mut().and_then(|z| z.first_mut()) {
+                *v = value;
+            }
+        };
         match self.schedule.get(&idx) {
             // detlint::allow(panic-in-guarded): deliberate fault injection — this panic IS the feature under test
             Some(InjectedFault::Panic) => panic!("injected panic at apply {idx}"),
             Some(InjectedFault::NanOutput) => {
-                self.inner.apply(r, z);
-                if let Some(v) = z.first_mut() {
-                    *v = f64::NAN;
-                }
+                self.inner.apply_batch(rs, zs);
+                corrupt(zs, f64::NAN);
             }
             Some(InjectedFault::InfOutput) => {
-                self.inner.apply(r, z);
-                if let Some(v) = z.first_mut() {
-                    *v = f64::INFINITY;
-                }
+                self.inner.apply_batch(rs, zs);
+                corrupt(zs, f64::INFINITY);
             }
             Some(InjectedFault::ZeroOutput) => {
-                for v in z.iter_mut() {
-                    *v = 0.0;
+                for z in zs.iter_mut() {
+                    z.fill(0.0);
                 }
             }
             Some(InjectedFault::Stall(d)) => {
-                self.inner.apply(r, z);
+                self.inner.apply_batch(rs, zs);
                 std::thread::sleep(*d);
             }
-            None => self.inner.apply(r, z),
+            None => self.inner.apply_batch(rs, zs),
         }
     }
 
@@ -845,24 +632,30 @@ mod tests {
         }
     }
 
+    /// A one-tier ladder: a plain guard with the identity fallback.
+    fn guard(tier: impl Preconditioner + 'static) -> DegradationLadder {
+        DegradationLadder::new(vec![Box::new(tier)], ResiliencePolicy::default())
+    }
+
     #[test]
     fn guard_is_bit_transparent_when_healthy() {
         let a = laplacian_2d(8, 8);
         let jacobi = JacobiPreconditioner::new(&a);
-        let guarded =
-            GuardedPreconditioner::new(JacobiPreconditioner::new(&a), ResiliencePolicy::default());
+        let guarded = guard(JacobiPreconditioner::new(&a));
         let r: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut z_plain = vec![0.0; 64];
         let mut z_guarded = vec![0.0; 64];
         jacobi.apply(&r, &mut z_plain);
         guarded.apply(&r, &mut z_guarded);
         assert_eq!(z_plain, z_guarded, "guard must not perturb a healthy apply");
-        assert!(guarded.fault_log().is_empty());
+        let log = guarded.fault_log();
+        assert!(log.is_empty());
+        assert_eq!(log.final_tier(), Some("jacobi"));
     }
 
     #[test]
     fn guard_contains_panics_with_identity_fallback() {
-        let guarded = GuardedPreconditioner::new(AlwaysPanics(4), ResiliencePolicy::default());
+        let guarded = guard(AlwaysPanics(4));
         let r = [1.0, -2.0, 3.0, -4.0];
         let mut z = [9.0; 4];
         guarded.apply(&r, &mut z);
@@ -871,11 +664,12 @@ mod tests {
         assert!(log.has_kind(FaultKind::Panic));
         assert_eq!(log.events()[0].tier, "always-panics");
         assert_eq!(log.events()[0].apply_index, 0);
+        assert!(log.degradations().is_empty(), "a one-tier ladder has nowhere to go");
     }
 
     #[test]
     fn guard_classifies_nonfinite_output() {
-        let guarded = GuardedPreconditioner::new(AlwaysNan(3), ResiliencePolicy::default());
+        let guarded = guard(AlwaysNan(3));
         let r = [1.0, 2.0, 3.0];
         let mut z = [0.0; 3];
         guarded.apply(&r, &mut z);
@@ -889,7 +683,9 @@ mod tests {
         impl Preconditioner for Slow {
             fn apply(&self, r: &[f64], z: &mut [f64]) {
                 std::thread::sleep(Duration::from_millis(20));
-                z.copy_from_slice(r);
+                for (z, r) in z.iter_mut().zip(r) {
+                    *z = 2.0 * r;
+                }
             }
             fn dim(&self) -> usize {
                 self.0
@@ -902,12 +698,21 @@ mod tests {
             apply_time_budget: Some(Duration::from_millis(1)),
             ..Default::default()
         };
-        let guarded = GuardedPreconditioner::new(Slow(2), policy);
+        let tiers: Vec<Box<dyn Preconditioner>> =
+            vec![Box::new(Slow(2)), Box::new(IdentityPreconditioner::new(2))];
+        let ladder = DegradationLadder::new(tiers, policy);
         let r = [1.0, 2.0];
         let mut z = [0.0; 2];
-        guarded.apply(&r, &mut z);
-        assert_eq!(z, r, "a slow but valid output must be kept");
-        assert!(guarded.fault_log().has_kind(FaultKind::TimeBudget));
+        ladder.apply(&r, &mut z);
+        assert_eq!(z, [2.0, 4.0], "a slow but valid output must be kept");
+        let log = ladder.fault_log();
+        assert!(log.has_kind(FaultKind::TimeBudget));
+        assert_eq!(log.degradations().len(), 1);
+        assert_eq!(ladder.active_tier(), 1);
+        // The next apply runs on the identity tier and downgrades no further.
+        ladder.apply(&r, &mut z);
+        assert_eq!(z, r);
+        assert_eq!(ladder.fault_log().degradations().len(), 1);
     }
 
     #[test]
@@ -1040,6 +845,34 @@ mod tests {
         assert!(faulted.stats.faults.has_kind(FaultKind::Panic));
         assert_eq!(faulted.stats.faults.final_tier(), Some("jacobi"));
         assert_eq!(faulted.stats.faults.degradations().len(), 1);
+    }
+
+    /// The injector counts one apply per call, batched or not: key 5 fires
+    /// during ladder apply 5 of a 3-column lockstep solve.
+    #[test]
+    fn injector_keys_count_batched_applies_once() {
+        let a = laplacian_2d(12, 12);
+        let n = a.nrows();
+        let rhs: Vec<Vec<f64>> =
+            (0..3).map(|c| (0..n).map(|i| ((i * (c + 2)) % 7) as f64 - 3.0).collect()).collect();
+        let bs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
+        let tiers: Vec<Box<dyn Preconditioner>> = vec![
+            Box::new(FaultInjectingPreconditioner::scheduled(
+                JacobiPreconditioner::new(&a),
+                [(5, InjectedFault::Panic)],
+            )),
+            Box::new(JacobiPreconditioner::new(&a)),
+        ];
+        let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
+        let opts = SolverOptions::with_tolerance(1e-8);
+        for result in crate::solve_batch(&a, &bs, None, &ladder, &opts) {
+            assert!(result.stats.converged());
+            let events = result.stats.faults.events();
+            assert_eq!(events.len(), 1, "{events:?}");
+            assert_eq!(events[0].kind, FaultKind::Panic);
+            assert_eq!(events[0].tier, "inject(jacobi)");
+            assert_eq!(events[0].apply_index, 5);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Integration tests: every Krylov driver solves a fixed 2D Laplacian to
-//! tolerance, and CG's recorded residual history is monotonically
-//! non-increasing.
+//! Integration tests: both Krylov drivers — CG and PCG, one column or a
+//! lockstep batch — solve a fixed 2D Laplacian to tolerance, and CG's
+//! recorded residual history is monotonically non-increasing.
 
 use krylov::{
-    bicgstab, conjugate_gradient, gmres, preconditioned_conjugate_gradient, FaultKind,
-    IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SolverOptions, StopReason,
+    conjugate_gradient, preconditioned_conjugate_gradient, solve_batch, FaultKind,
+    IdentityPreconditioner, JacobiPreconditioner, SolveStats, SolverOptions, StopReason,
 };
 use sparse::{CooMatrix, CsrMatrix};
 
@@ -65,47 +65,40 @@ fn pcg_with_jacobi_solves_laplacian_to_tolerance() {
     assert!(krylov::true_relative_residual(&a, &result.x, &b) < 10.0 * TOL);
 }
 
-#[test]
-fn bicgstab_solves_laplacian_to_tolerance() {
-    let a = laplacian_2d(12, 12);
-    let b = fixed_rhs(a.nrows());
-    let result = bicgstab(
-        &a,
-        &b,
-        None,
-        &IdentityPreconditioner::new(a.nrows()),
-        &SolverOptions::with_tolerance(TOL),
-    );
-    assert!(result.stats.converged(), "BiCGStab failed: {:?}", result.stats);
-    assert!(krylov::true_relative_residual(&a, &result.x, &b) < 10.0 * TOL);
-}
-
-#[test]
-fn gmres_solves_laplacian_to_tolerance() {
-    let a = laplacian_2d(12, 12);
-    let b = fixed_rhs(a.nrows());
-    let result = gmres(
-        &a,
-        &b,
-        None,
-        &IdentityPreconditioner::new(a.nrows()),
-        40,
-        &SolverOptions::with_tolerance(TOL),
-    );
-    assert!(result.stats.converged(), "GMRES failed: {:?}", result.stats);
-    assert!(krylov::true_relative_residual(&a, &result.x, &b) < 10.0 * TOL);
+/// PCG with a 2-column `solve_batch` of the same right-hand side twice: both
+/// columns of the batch must be the one-column solve bit for bit.
+fn pcg_and_batch(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    opts: &SolverOptions,
+) -> [SolveStats; 3] {
+    let id = IdentityPreconditioner::new(a.nrows());
+    let single = preconditioned_conjugate_gradient(a, b, x0, &id, opts);
+    let x0s = x0.map(|x0| [x0, x0]);
+    let batch = solve_batch(a, &[b, b], x0s.as_ref().map(|x0s| &x0s[..]), &id, opts);
+    for column in &batch {
+        assert_eq!(column.x, single.x);
+        assert_eq!(column.stats.history.norms(), single.stats.history.norms());
+    }
+    let mut columns = batch.into_iter().map(|column| column.stats);
+    [single.stats, columns.next().unwrap(), columns.next().unwrap()]
 }
 
 #[test]
 fn all_drivers_agree_on_the_solution() {
     let a = laplacian_2d(8, 8);
     let b = fixed_rhs(a.nrows());
+    let b2: Vec<f64> = b.iter().map(|v| 0.5 * v + 1.0).collect();
     let opts = SolverOptions::with_tolerance(1e-11);
+    let id = IdentityPreconditioner::new(a.nrows());
     let cg = conjugate_gradient(&a, &b, None, &opts);
-    let bi = bicgstab(&a, &b, None, &IdentityPreconditioner::new(a.nrows()), &opts);
-    let gm = gmres(&a, &b, None, &IdentityPreconditioner::new(a.nrows()), 64, &opts);
-    assert!(sparse::vector::relative_error(&cg.x, &bi.x) < 1e-7);
-    assert!(sparse::vector::relative_error(&cg.x, &gm.x) < 1e-7);
+    let pcg = preconditioned_conjugate_gradient(&a, &b, None, &id, &opts);
+    let batch = solve_batch(&a, &[&b, &b2], None, &id, &opts);
+    assert!(sparse::vector::relative_error(&cg.x, &pcg.x) < 1e-7);
+    assert!(sparse::vector::relative_error(&cg.x, &batch[0].x) < 1e-7);
+    let cg2 = conjugate_gradient(&a, &b2, None, &opts);
+    assert!(sparse::vector::relative_error(&cg2.x, &batch[1].x) < 1e-7);
 }
 
 #[test]
@@ -114,11 +107,7 @@ fn cg_history_records_monotone_residual_norms() {
     let b = fixed_rhs(a.nrows());
     let result = conjugate_gradient(&a, &b, None, &SolverOptions::with_tolerance(TOL));
     let norms = result.stats.history.norms();
-    assert!(
-        norms.len() >= 2,
-        "history must be recorded when record_history is on (got {} entries)",
-        norms.len()
-    );
+    assert!(norms.len() >= 2, "history must be recorded (got {} entries)", norms.len());
     // CG on an SPD, diagonally dominant Laplacian contracts the residual at
     // every step; allow a tiny tolerance for floating-point wiggle.
     for w in norms.windows(2) {
@@ -142,28 +131,22 @@ fn zero_rhs_yields_zero_solution_immediately() {
     assert!(result.x.iter().all(|&v| v.abs() < 1e-14));
 }
 
-/// Zero-rhs semantics regression (all four solvers): `final_relative_residual`
-/// must follow the documented convention — `0.0` for an exactly-zero final
-/// residual, `f64::INFINITY` for a nonzero one — never the silent absolute
-/// residual it used to report.
+/// Zero-rhs semantics regression (CG, PCG and a 2-column `solve_batch`):
+/// `final_relative_residual` must follow the documented convention — `0.0`
+/// for an exactly-zero final residual, `f64::INFINITY` for a nonzero one —
+/// never the silent absolute residual it used to report.
 #[test]
 fn zero_rhs_relative_residual_semantics_across_all_solvers() {
     let a = laplacian_2d(5, 5);
     let n = a.nrows();
     let b = vec![0.0; n];
-    let id = IdentityPreconditioner::new(n);
     let opts = SolverOptions::default();
 
     // From the zero initial guess every solver converges immediately with an
     // exactly-zero residual: the relative residual must be 0.0, not NaN and
     // not "the absolute residual" by accident.
-    let stats = [
-        conjugate_gradient(&a, &b, None, &opts).stats,
-        preconditioned_conjugate_gradient(&a, &b, None, &id, &opts).stats,
-        bicgstab(&a, &b, None, &id, &opts).stats,
-        gmres(&a, &b, None, &id, 20, &opts).stats,
-    ];
-    for s in &stats {
+    let [pcg, c0, c1] = pcg_and_batch(&a, &b, None, &opts);
+    for s in [conjugate_gradient(&a, &b, None, &opts).stats, pcg, c0, c1] {
         assert!(s.converged());
         assert_eq!(s.iterations, 0);
         assert_eq!(s.final_residual, 0.0);
@@ -175,13 +158,8 @@ fn zero_rhs_relative_residual_semantics_across_all_solvers() {
     // relative residual must be 0.0 (exact) or +∞ (nonzero) — and must agree
     // with the final absolute residual, not shadow it.
     let x0: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) * 0.25 - 0.75).collect();
-    let stats = [
-        conjugate_gradient(&a, &b, Some(&x0), &opts).stats,
-        preconditioned_conjugate_gradient(&a, &b, Some(&x0), &id, &opts).stats,
-        bicgstab(&a, &b, Some(&x0), &id, &opts).stats,
-        gmres(&a, &b, Some(&x0), &id, 25, &opts).stats,
-    ];
-    for s in &stats {
+    let [pcg, c0, c1] = pcg_and_batch(&a, &b, Some(&x0), &opts);
+    for s in [conjugate_gradient(&a, &b, Some(&x0), &opts).stats, pcg, c0, c1] {
         assert!(s.converged(), "zero-rhs solve from nonzero guess must converge: {:?}", s);
         assert!(s.final_residual <= opts.abs_tolerance);
         if s.final_residual == 0.0 {
@@ -251,68 +229,4 @@ fn pcg_zero_curvature_breakdown_is_classified() {
     assert!(result.stats.faults.has_kind(FaultKind::Breakdown));
     assert_eq!(result.stats.faults.events()[0].tier, "pcg");
     assert!(result.stats.degraded());
-}
-
-/// BiCGStab with a zero-output preconditioner: `v = A M⁻¹ p = 0` makes the
-/// denominator `r̂·v` vanish.  The classified breakdown must surface on
-/// `SolveStats::faults`, naming the solver stage.
-#[test]
-fn bicgstab_zero_denominator_breakdown_is_classified() {
-    struct ZeroPreconditioner(usize);
-    impl Preconditioner for ZeroPreconditioner {
-        fn apply(&self, _r: &[f64], z: &mut [f64]) {
-            for v in z.iter_mut() {
-                *v = 0.0;
-            }
-        }
-        fn dim(&self) -> usize {
-            self.0
-        }
-        fn name(&self) -> &str {
-            "zero"
-        }
-    }
-    let a = laplacian_2d(6, 6);
-    let b = fixed_rhs(a.nrows());
-    let zero = ZeroPreconditioner(a.nrows());
-    let result = bicgstab(&a, &b, None, &zero, &SolverOptions::default());
-    assert_eq!(result.stats.stop_reason, StopReason::Breakdown);
-    assert!(result.stats.faults.has_kind(FaultKind::Breakdown));
-    assert_eq!(result.stats.faults.events()[0].tier, "bicgstab");
-    assert!(result.stats.faults.events()[0].detail.contains("r̂·v"));
-}
-
-/// Happy breakdown: when the Krylov space becomes invariant (`h_{j+1,j} = 0`)
-/// GMRES must solve in the current subspace and exit the inner loop as
-/// `Converged` immediately — not keep orthogonalising against a zero basis
-/// vector for the rest of the restart cycle.
-#[test]
-fn gmres_happy_breakdown_exits_immediately_with_converged() {
-    // A x = b with A = I: the first Arnoldi step gives w = v0, which
-    // orthogonalises to exactly zero — a guaranteed happy breakdown at j = 0.
-    let n = 12;
-    let mut coo = CooMatrix::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, 1.0).unwrap();
-    }
-    let a = coo.to_csr();
-    let b: Vec<f64> = (0..n).map(|i| (i as f64) - 4.5).collect();
-    let id = IdentityPreconditioner::new(n);
-    let result = gmres(&a, &b, None, &id, 10, &SolverOptions::with_tolerance(1e-12));
-    assert!(result.stats.converged());
-    assert_eq!(result.stats.iterations, 1, "identity system must solve in one inner step");
-    assert!(sparse::vector::relative_error(&result.x, &b) < 1e-14);
-
-    // A matrix with exactly two distinct eigenvalues: the Krylov space is
-    // invariant after two steps, so the breakdown fires at j = 1 well before
-    // the restart length is exhausted.
-    let mut coo = CooMatrix::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, if i % 2 == 0 { 2.0 } else { 5.0 }).unwrap();
-    }
-    let a2 = coo.to_csr();
-    let result = gmres(&a2, &b, None, &id, 10, &SolverOptions::with_tolerance(1e-12));
-    assert!(result.stats.converged());
-    assert_eq!(result.stats.iterations, 2, "two-eigenvalue system must solve in two inner steps");
-    assert!(krylov::true_relative_residual(&a2, &result.x, &b) < 1e-13);
 }

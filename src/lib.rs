@@ -5,7 +5,7 @@
 //! of the stack through one dependency.  The actual functionality lives in:
 //!
 //! * [`sparse`] — sparse/dense linear algebra,
-//! * [`krylov`] — CG / PCG / BiCGStab / GMRES,
+//! * [`krylov`] — CG and flexible PCG (one or many right-hand sides),
 //! * [`meshgen`] — unstructured mesh generation,
 //! * [`fem`] — P1 Poisson assembly,
 //! * [`partition`] — graph partitioning and overlap,
