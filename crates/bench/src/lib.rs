@@ -39,21 +39,12 @@ pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// Read a float environment variable with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Directory where the harness drops its CSV outputs.
-pub fn experiments_dir() -> PathBuf {
+/// Write a CSV file into `target/experiments/`, where the harness drops its
+/// outputs.
+pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     fs::create_dir_all(&dir).expect("creating target/experiments");
-    dir
-}
-
-/// Write a CSV file into [`experiments_dir`].
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
-    let path = experiments_dir().join(name);
+    let path = dir.join(name);
     let mut content = String::with_capacity(rows.len() * 64 + header.len() + 1);
     content.push_str(header);
     content.push('\n');
@@ -109,7 +100,6 @@ mod tests {
     #[test]
     fn env_helpers_fall_back_to_defaults() {
         assert_eq!(env_usize("DDM_GNN_BENCH_UNSET_VAR", 7), 7);
-        assert_eq!(env_f64("DDM_GNN_BENCH_UNSET_VAR", 2.5), 2.5);
     }
 
     #[test]

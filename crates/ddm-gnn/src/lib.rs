@@ -16,7 +16,7 @@
 //!
 //! * [`preconditioner::DdmGnnPreconditioner`] — the operator above: the
 //!   `ddm` crate's one Schwarz shell ([`ddm::Schwarz`]) over the DSS local
-//!   solve ([`preconditioner::DssLocalSolver`]), its coarse term selected by
+//!   solve, its coarse term selected by
 //!   [`AsmLevel`] (none, Nicolaides, or a multi-level V-cycle) in one general
 //!   constructor,
 //! * [`solver`] — the [`solver::HybridSolver`] public API over the two
@@ -44,13 +44,11 @@ pub use krylov::{
     InjectedFault, ResiliencePolicy,
 };
 pub use pipeline::{
-    generate_problem, load_pretrained, train_model, train_model_multi_size, train_model_on_samples,
-    PipelineConfig, TrainedModel, PRETRAINED_DEPTH,
+    generate_problem, load_pretrained, train_model, train_model_multi_size, PipelineConfig,
+    TrainedModel, PRETRAINED_DEPTH,
 };
 pub use preconditioner::DdmGnnPreconditioner;
-pub use solver::{
-    build_tiers, solve, HybridSolver, HybridSolverConfig, Method, SolveOutcome, TimedPreconditioner,
-};
+pub use solver::{build_tiers, solve, HybridSolver, HybridSolverConfig, Method, SolveOutcome};
 
 #[cfg(test)]
 pub(crate) mod test_support {

@@ -6,7 +6,7 @@
 //! 1. **Coarse problem** — `r_c = R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r` by dense LU on the
 //!    Nicolaides coarse space (Eq. 13), or one V-cycle of a
 //!    smoothed-aggregation hierarchy, as [`AsmLevel`] selects,
-//! 2. **Local problems** — [`DssLocalSolver`]: every sub-domain residual is
+//! 2. **Local problems** — the DSS local solve: every sub-domain residual is
 //!    restricted, normalised to unit norm and solved by one DSS inference,
 //!    and the output is scaled back by the norm; the shell processes all
 //!    sub-domains concurrently (Eq. 14–15).  The normalisation is the
@@ -15,7 +15,6 @@
 //! 3. **Gluing** — `z = r_c + Σᵢ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ` (Eq. 16), the shell's
 //!    sub-domain-ordered sum of the pre-scaled local panels.
 
-use std::ops::Deref;
 use std::sync::Arc;
 
 use ddm::{
@@ -35,7 +34,7 @@ enum Plan {
 }
 
 /// The DSS local solve of one sub-domain (Eq. 14–15).
-pub struct DssLocalSolver {
+pub(crate) struct DssLocalSolver {
     model: Arc<DssModel>,
     /// Built once at construction (the setup phase).  It holds only the
     /// destination-sorted graph structure and shares one weight pack of the
@@ -45,7 +44,7 @@ pub struct DssLocalSolver {
 
 /// Work buffers of a [`DssLocalSolver`], sized on first use per batch width.
 #[derive(Default)]
-pub struct DssScratch {
+pub(crate) struct DssScratch {
     /// One column's restricted residual.
     local_r: Vec<f64>,
     /// Row-major `num_local × b` panel of normalised residuals.
@@ -131,8 +130,7 @@ impl LocalSolve for DssLocalSolver {
 /// solves, together with the local graphs their plans were built from.
 ///
 /// A named type rather than an alias so it can carry the constructors (the
-/// shell is foreign to this crate); it dereferences to the shell for the
-/// shared accessors (`num_subdomains`, `coarse_space`, `local_solves`).
+/// shell is foreign to this crate).
 pub struct DdmGnnPreconditioner {
     shell: Schwarz<DssLocalSolver>,
     graphs: Vec<LocalGraph>,
@@ -258,17 +256,9 @@ impl DdmGnnPreconditioner {
     /// Total heap footprint of the cached inference plans in bytes.  The
     /// plans share one weight pack, which is counted once.
     pub fn plan_memory_bytes(&self) -> usize {
-        let solves = self.local_solves();
+        let solves = self.shell.local_solves();
         solves.iter().map(|s| s.plan_bytes().0).sum::<usize>()
             + solves.first().map_or(0, |s| s.plan_bytes().1)
-    }
-}
-
-impl Deref for DdmGnnPreconditioner {
-    type Target = Schwarz<DssLocalSolver>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.shell
     }
 }
 
@@ -310,10 +300,9 @@ mod tests {
             true,
         )
         .unwrap();
-        assert_eq!(precond.num_subdomains(), fx.subdomains.len());
-        assert_eq!(precond.graphs().len(), precond.num_subdomains());
+        assert_eq!(precond.shell.local_solves().len(), fx.subdomains.len());
+        assert_eq!(precond.graphs().len(), fx.subdomains.len());
         assert!(precond.plan_memory_bytes() > 0);
-        assert!(precond.coarse_space().is_some());
         assert_eq!(precond.dim(), fx.problem.num_unknowns());
         assert_eq!(precond.name(), "ddm-gnn-2level");
         assert_eq!(precond.model().config().latent_dim, fx.model.config().latent_dim);
@@ -324,7 +313,6 @@ mod tests {
             false,
         )
         .unwrap();
-        assert!(one_level.coarse_space().is_none());
         assert_eq!(one_level.name(), "ddm-gnn-1level");
     }
 
@@ -370,9 +358,10 @@ mod tests {
         assert_eq!(p32.name(), "ddm-gnn-2level-f32");
         // f64 plans hold graph structure only (28 B per edge, 4 B per node)
         // next to one weight pack counted once: per edge, their size does
-        // not depend on the model's depth.
-        let structure: usize =
-            p64.graphs().iter().map(|g| 28 * g.num_edges() + 4 * g.num_nodes()).sum();
+        // not depend on the model's depth.  A graph's directed edges are its
+        // operator's off-diagonal entries.
+        let edges = |g: &gnn::LocalGraph| g.matrix.nnz() - g.num_nodes();
+        let structure: usize = p64.graphs().iter().map(|g| 28 * edges(g) + 4 * g.num_nodes()).sum();
         let pack = p64.plan_memory_bytes() - structure;
         assert!(pack > 0 && pack < 1 << 20, "one shared weight pack: {pack} bytes");
         let shallow = gnn::DssModel::new(gnn::DssConfig::new(2, fx.model.config().latent_dim), 0);
@@ -384,7 +373,7 @@ mod tests {
         // The f32 plans: the same structure in single precision (16 B per
         // edge) next to the same pack at half the width.
         let structure32: usize =
-            p32.graphs().iter().map(|g| 16 * g.num_edges() + 4 * g.num_nodes()).sum();
+            p32.graphs().iter().map(|g| 16 * edges(g) + 4 * g.num_nodes()).sum();
         assert_eq!(p32.plan_memory_bytes() - structure32, pack / 2);
         let r = fx.problem.rhs.clone();
         let mut z64 = vec![0.0; r.len()];
@@ -610,9 +599,8 @@ mod tests {
             gnn::Precision::F64,
         )
         .unwrap();
-        let levels = ml.coarse_space().unwrap().num_levels();
+        let levels: usize = ml.name().strip_prefix("ddm-gnn-ml").unwrap().parse().unwrap();
         assert!(levels >= 2);
-        assert_eq!(ml.name(), format!("ddm-gnn-ml{levels}"));
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(500);
         let result = preconditioned_conjugate_gradient(
             &fx.problem.matrix,
@@ -838,7 +826,8 @@ mod tests {
                     guarded.apply(&r, &mut z);
                     assert_eq!(z, r, "{}: identity fallback expected", guarded.name());
                 }
-                let log = guarded.fault_log();
+                let mut log = FaultLog::new();
+                guarded.collect_faults(&mut log);
                 assert_eq!(log.events().len(), 2, "{}: {log:?}", guarded.name());
                 for event in log.events() {
                     assert_eq!(event.kind, krylov::FaultKind::NumericalError, "{event:?}");

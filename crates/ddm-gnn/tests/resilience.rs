@@ -146,20 +146,15 @@ fn exercise_all_fault_classes(target: usize, idx: usize) {
             budget
         );
         let faults = &stats.faults;
-        assert!(
-            faults.has_kind(expected_kind),
-            "{fault:?}: expected {expected_kind:?} in the log, got {faults:?}"
-        );
         let event = faults
             .events()
             .iter()
             .find(|e| e.kind == expected_kind)
-            .expect("event present per has_kind");
+            .unwrap_or_else(|| panic!("{fault:?}: expected {expected_kind:?} in {faults:?}"));
         assert_eq!(event.tier, faulted_tier_name, "fault attributed to the wrong tier");
         assert_eq!(event.apply_index, 10, "fault attributed to the wrong apply");
         // Every class downgrades off the GNN tier (the stall keeps its valid
         // output but degrades subsequent applies).
-        assert!(!faults.degradations().is_empty(), "{fault:?}: no downgrade recorded");
         assert_eq!(faults.final_tier(), Some("ddm-lu-2level"), "{fault:?}: unexpected final tier");
         // The solution still solves the system.
         assert!(
@@ -234,7 +229,7 @@ fn fault_free_hash_matches_committed_baseline() {
         let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
         let supervised = solve(&problem.matrix, &[&problem.rhs], Some(&ladder), &opts());
         assert!(supervised.stats().converged());
-        assert!(!supervised.stats().degraded(), "fault-free supervised solve logged faults");
+        assert!(supervised.stats().faults.is_empty(), "fault-free supervised solve logged faults");
         assert_eq!(
             format!("{:016x}", solve_hash(&supervised.results[0])),
             expected,

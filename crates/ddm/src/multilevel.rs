@@ -2,7 +2,7 @@
 //! type, built either as the Nicolaides coarse space or as a recursive
 //! smoothed-aggregation AMG hierarchy.
 //!
-//! **Nicolaides** ([`Hierarchy::nicolaides`], Eq. 7 and 13 of the paper) has
+//! **Nicolaides** (`Hierarchy::nicolaides`, Eq. 7 and 13 of the paper) has
 //! one degree of freedom per sub-domain.  Its basis vectors are the
 //! partition-of-unity weighted indicator vectors of the sub-domains: node `v`
 //! contributes `1 / multiplicity(v)` to every sub-domain that contains it, so
@@ -125,8 +125,7 @@ impl CoarseSolve {
                 // Galerkin RAP of an SPD fine operator is SPD whenever P has
                 // full column rank; keep a dense-LU fallback for inputs that
                 // defeat the Cholesky (e.g. near-singular coarse operators).
-                let dense = DenseMatrix::from_row_major(a.nrows(), a.ncols(), a.to_dense())?;
-                Ok(CoarseSolve::DenseLu(LuFactor::factor_dense(&dense)?))
+                Ok(CoarseSolve::DenseLu(LuFactor::factor_csr(a)?))
             }
         }
     }
@@ -213,7 +212,10 @@ impl Hierarchy {
     /// The Nicolaides coarse space over the sub-domain `restrictions`: the
     /// partition-of-unity restriction `R₀`, a dense-LU solve of `R₀ A R₀ᵀ`,
     /// and no smoothing.
-    pub fn nicolaides(matrix: &CsrMatrix, restrictions: &[Restriction]) -> sparse::Result<Self> {
+    pub(crate) fn nicolaides(
+        matrix: &CsrMatrix,
+        restrictions: &[Restriction],
+    ) -> sparse::Result<Self> {
         let n = matrix.nrows();
         let k = restrictions.len();
         assert!(k > 0, "coarse space needs at least one sub-domain");
@@ -791,7 +793,6 @@ mod tests {
             panic!("deliberate poison");
         }));
         assert!(poison.is_err());
-        assert!(h.scratch.is_poisoned());
         assert_eq!(before, apply(&h, &r), "poison recovery changed the V-cycle result");
     }
 

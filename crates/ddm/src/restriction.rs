@@ -50,22 +50,13 @@ impl Restriction {
         }
     }
 
-    /// Apply `Rᵢᵀ` and accumulate: `global[gᵢ] += local[i]`.
-    pub fn extend_add(&self, local: &[f64], global: &mut [f64]) {
-        debug_assert_eq!(global.len(), self.num_global);
-        debug_assert_eq!(local.len(), self.indices.len());
-        for (l, &g) in local.iter().zip(self.indices.iter()) {
-            global[g] += l;
-        }
-    }
-
     /// Apply `Rᵢᵀ` to column `c` of a column-interleaved `num_local × b`
     /// panel and accumulate: `global[gⱼ] += panel[j*b + c]`.
     ///
     /// A plain local vector is the `b = 1, c = 0` panel, and each
     /// accumulation is the same scalar add whatever `b` is, so the batched
     /// gluing stays bit-identical to the unbatched one.
-    pub fn extend_add_strided(&self, panel: &[f64], b: usize, c: usize, global: &mut [f64]) {
+    pub(crate) fn extend_add_strided(&self, panel: &[f64], b: usize, c: usize, global: &mut [f64]) {
         debug_assert_eq!(global.len(), self.num_global);
         debug_assert_eq!(panel.len(), self.indices.len() * b);
         debug_assert!(c < b);
@@ -78,7 +69,7 @@ impl Restriction {
 /// Multiplicity of every global node across a set of restrictions (how many
 /// sub-domains contain it).  Used to build partition-of-unity weights for the
 /// coarse space.
-pub fn node_multiplicity(restrictions: &[Restriction], num_global: usize) -> Vec<usize> {
+pub(crate) fn node_multiplicity(restrictions: &[Restriction], num_global: usize) -> Vec<usize> {
     let mut mult = vec![0usize; num_global];
     for r in restrictions {
         for &g in r.indices() {
@@ -101,7 +92,7 @@ mod tests {
         let local = r.restrict(&global);
         assert_eq!(local, vec![11.0, 13.0, 14.0]);
         let mut out = vec![0.0; 6];
-        r.extend_add(&local, &mut out);
+        r.extend_add_strided(&local, 1, 0, &mut out);
         assert_eq!(out, vec![0.0, 11.0, 0.0, 13.0, 14.0, 0.0]);
         let mut buffer = vec![0.0; 3];
         r.restrict_into(&global, &mut buffer);
@@ -113,8 +104,8 @@ mod tests {
         let r1 = Restriction::new(vec![0, 1, 2], 4);
         let r2 = Restriction::new(vec![1, 2, 3], 4);
         let mut global = vec![0.0; 4];
-        r1.extend_add(&[1.0, 1.0, 1.0], &mut global);
-        r2.extend_add(&[1.0, 1.0, 1.0], &mut global);
+        r1.extend_add_strided(&[1.0, 1.0, 1.0], 1, 0, &mut global);
+        r2.extend_add_strided(&[1.0, 1.0, 1.0], 1, 0, &mut global);
         assert_eq!(global, vec![1.0, 2.0, 2.0, 1.0]);
         r1.extend_add_strided(&[2.0, 2.0, 2.0], 1, 0, &mut global);
         assert_eq!(global, vec![3.0, 4.0, 4.0, 1.0]);
@@ -131,7 +122,7 @@ mod tests {
         let mut out_strided = vec![0.5; 6];
         let mut out_plain = vec![0.5; 6];
         r.extend_add_strided(&panel, b, 1, &mut out_strided);
-        r.extend_add(&contiguous, &mut out_plain);
+        r.extend_add_strided(&contiguous, 1, 0, &mut out_plain);
         assert_eq!(out_strided, out_plain);
     }
 
@@ -163,7 +154,7 @@ mod tests {
         // For any local x: a_local x == R A Rᵀ x
         let x_local = vec![1.0, -2.0];
         let mut x_global = vec![0.0; 4];
-        r.extend_add(&x_local, &mut x_global);
+        r.extend_add_strided(&x_local, 1, 0, &mut x_global);
         let ax = a.spmv(&x_global);
         let expected = r.restrict(&ax);
         // expected includes couplings to nodes outside the sub-domain, which are

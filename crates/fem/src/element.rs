@@ -17,7 +17,7 @@ use meshgen::Point2;
 /// Local 3×3 stiffness matrix (row-major) and the triangle area.
 ///
 /// Returns `None` for degenerate (zero-area) triangles.
-pub fn local_stiffness(p0: &Point2, p1: &Point2, p2: &Point2) -> Option<([f64; 9], f64)> {
+pub(crate) fn local_stiffness(p0: &Point2, p1: &Point2, p2: &Point2) -> Option<([f64; 9], f64)> {
     let area2 = (p1.x - p0.x) * (p2.y - p0.y) - (p2.x - p0.x) * (p1.y - p0.y);
     let area = 0.5 * area2.abs();
     if area <= 0.0 {
@@ -38,25 +38,9 @@ pub fn local_stiffness(p0: &Point2, p1: &Point2, p2: &Point2) -> Option<([f64; 9
 
 /// Local load vector for nodal source values `f = (f0, f1, f2)` on a triangle
 /// of area `area`, using the exact integration of the linear interpolant.
-pub fn local_load(f: &[f64; 3], area: f64) -> [f64; 3] {
+pub(crate) fn local_load(f: &[f64; 3], area: f64) -> [f64; 3] {
     let c = area / 12.0;
     [c * (2.0 * f[0] + f[1] + f[2]), c * (f[0] + 2.0 * f[1] + f[2]), c * (f[0] + f[1] + 2.0 * f[2])]
-}
-
-/// Local mass matrix (consistent), useful for L² norms in tests.
-pub fn local_mass(area: f64) -> [f64; 9] {
-    let c = area / 12.0;
-    [
-        2.0 * c,
-        c,
-        c, //
-        c,
-        2.0 * c,
-        c, //
-        c,
-        c,
-        2.0 * c,
-    ]
 }
 
 #[cfg(test)]
@@ -132,13 +116,5 @@ mod tests {
         let total: f64 = load.iter().sum();
         let integral = area * (f[0] + f[1] + f[2]) / 3.0;
         assert!((total - integral).abs() < 1e-14);
-    }
-
-    #[test]
-    fn mass_matrix_sums_to_area() {
-        let area = 0.42;
-        let m = local_mass(area);
-        let total: f64 = m.iter().sum();
-        assert!((total - area).abs() < 1e-14);
     }
 }

@@ -5,7 +5,7 @@
 //! live on the mesh nodes (Section II).  This crate assembles the sparse
 //! linear system `A u = b` from a [`meshgen::Mesh`]:
 //!
-//! * [`element`] — per-triangle stiffness matrices and load vectors,
+//! * `element` — per-triangle stiffness matrices and load vectors,
 //! * [`assembly`] — parallel global assembly and symmetric elimination of the
 //!   Dirichlet boundary conditions (so `A` stays SPD and CG applies),
 //! * [`problem`] — the [`PoissonProblem`] bundle (mesh + matrix + rhs) and the
@@ -13,8 +13,8 @@
 //!   (Eq. 24–25), plus manufactured solutions for verification.
 
 pub mod assembly;
-pub mod element;
+mod element;
 pub mod problem;
 
 pub use assembly::{assemble_poisson, AssembledSystem};
-pub use problem::{PoissonProblem, QuadraticPolynomial, SourceTerm};
+pub use problem::{PoissonProblem, SourceTerm};

@@ -17,7 +17,7 @@ use crate::assembly::{assemble_poisson, AssembledSystem};
 
 /// A quadratic polynomial `a x² + b y² + c xy + d x + e y + f`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuadraticPolynomial {
+pub(crate) struct QuadraticPolynomial {
     /// Coefficient of `x²`.
     pub a: f64,
     /// Coefficient of `y²`.
@@ -34,7 +34,7 @@ pub struct QuadraticPolynomial {
 
 impl QuadraticPolynomial {
     /// Evaluate at a point.
-    pub fn eval(&self, p: &Point2) -> f64 {
+    pub(crate) fn eval(&self, p: &Point2) -> f64 {
         self.a * p.x * p.x
             + self.b * p.y * p.y
             + self.c * p.x * p.y
@@ -42,20 +42,15 @@ impl QuadraticPolynomial {
             + self.e * p.y
             + self.f
     }
-
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        QuadraticPolynomial { a: 0.0, b: 0.0, c: 0.0, d: 0.0, e: 0.0, f: 0.0 }
-    }
 }
 
 /// The random forcing/boundary pair of the paper's dataset (Eq. 24–25).
 #[derive(Debug, Clone, Copy)]
 pub struct SourceTerm {
     /// Forcing `f(x,y) = r1 (x-1)² + r2 y² + r3`.
-    pub forcing: QuadraticPolynomial,
+    pub(crate) forcing: QuadraticPolynomial,
     /// Boundary data `g` (full quadratic).
-    pub boundary: QuadraticPolynomial,
+    pub(crate) boundary: QuadraticPolynomial,
 }
 
 impl SourceTerm {
@@ -127,7 +122,8 @@ impl PoissonProblem {
     }
 
     /// Relative residual norm `‖b - A x‖ / ‖b‖`.
-    pub fn relative_residual(&self, x: &[f64]) -> f64 {
+    #[cfg(test)]
+    fn relative_residual(&self, x: &[f64]) -> f64 {
         let r = self.residual(x);
         let bnorm = sparse::vector::norm2(&self.rhs);
         let rnorm = sparse::vector::norm2(&r);
@@ -157,7 +153,6 @@ mod tests {
         let v = p.eval(&Point2::new(1.0, 2.0));
         // 1 + 8 + 6 + 4 + 10 + 6 = 35
         assert!((v - 35.0).abs() < 1e-12);
-        assert_eq!(QuadraticPolynomial::zero().eval(&Point2::new(3.0, -2.0)), 0.0);
     }
 
     #[test]

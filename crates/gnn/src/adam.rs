@@ -53,7 +53,7 @@ impl Adam {
     }
 
     /// Scale the learning rate (used by the plateau scheduler).
-    pub fn scale_learning_rate(&mut self, factor: f64) {
+    pub(crate) fn scale_learning_rate(&mut self, factor: f64) {
         self.config.learning_rate *= factor;
     }
 
@@ -92,7 +92,7 @@ impl Adam {
 
 /// Reduce-on-plateau learning-rate scheduler.
 #[derive(Debug, Clone)]
-pub struct PlateauScheduler {
+pub(crate) struct PlateauScheduler {
     best: f64,
     patience: usize,
     factor: f64,

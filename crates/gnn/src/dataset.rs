@@ -62,7 +62,7 @@ impl Default for DatasetConfig {
 /// nodes plus nodes coupled to the exterior of the sub-domain (the artificial
 /// interface on which the Schwarz local problems impose homogeneous Dirichlet
 /// conditions).
-pub fn local_boundary_mask(
+pub(crate) fn local_boundary_mask(
     matrix: &CsrMatrix,
     subdomain: &[usize],
     global_dirichlet: &[bool],
@@ -84,8 +84,8 @@ pub fn local_boundary_mask(
 }
 
 /// Build the per-sub-domain graph templates (geometry, operator, boundary) of
-/// a decomposed problem.  The right-hand sides start at zero and are filled by
-/// [`LocalGraph::set_rhs`] during extraction or preconditioning.
+/// a decomposed problem.  The right-hand sides start at zero; dataset
+/// extraction fills them in.
 pub fn build_local_graphs(
     problem: &PoissonProblem,
     decomposition: &Decomposition,

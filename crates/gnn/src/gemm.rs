@@ -17,11 +17,11 @@
 //! output elements, so the results are bit-identical to the scalar triple
 //! loop these kernels replaced — at every tile shape and every batch size.
 //!
-//! The row-major kernels serve every [`crate::layers::Linear`] (training,
-//! evaluation, the reference forward pass).  The inference engine uses one
-//! fused transposed-weight (`in_dim × out_dim`) kernel further down, generic
-//! over the [`Scalar`] type: its f64 instantiation is bit-identical to the
-//! row-major kernels, its f32 instantiation runs twice the lanes.  A batch
+//! The row-major kernel serves every `Linear` layer (training, evaluation,
+//! the reference forward pass).  The inference engine uses one fused
+//! transposed-weight (`in_dim × out_dim`) kernel further down, generic over
+//! the [`Scalar`] type: its f64 instantiation is bit-identical to the
+//! row-major kernel, its f32 instantiation runs twice the lanes.  A batch
 //! of right-hand sides is just more rows of that kernel.
 
 /// Batch rows per register tile.
@@ -44,46 +44,7 @@ fn head<T, const N: usize>(s: &[T]) -> &[T; N] {
 }
 
 /// `Y = X Wᵀ + bias` (each output element starts from its bias).
-pub fn gemm_bias_into(
-    x: &[f64],
-    n: usize,
-    in_dim: usize,
-    out_dim: usize,
-    weight: &[f64],
-    bias: &[f64],
-    y: &mut [f64],
-) {
-    debug_assert_eq!(bias.len(), out_dim);
-    gemm_core::<false>(x, n, in_dim, out_dim, weight, bias, y);
-}
-
-/// `Y = X Wᵀ` (outputs start from zero).
-pub fn gemm_into(
-    x: &[f64],
-    n: usize,
-    in_dim: usize,
-    out_dim: usize,
-    weight: &[f64],
-    y: &mut [f64],
-) {
-    gemm_core::<false>(x, n, in_dim, out_dim, weight, &[], y);
-}
-
-/// `Y += X Wᵀ` (outputs accumulate onto the existing `Y`).
-pub fn gemm_acc_into(
-    x: &[f64],
-    n: usize,
-    in_dim: usize,
-    out_dim: usize,
-    weight: &[f64],
-    y: &mut [f64],
-) {
-    gemm_core::<true>(x, n, in_dim, out_dim, weight, &[], y);
-}
-
-/// Shared blocked kernel.  `ACC = true` reads the initial accumulator from
-/// `y`; otherwise it comes from `bias` (or zero when `bias` is empty).
-fn gemm_core<const ACC: bool>(
+pub(crate) fn gemm_bias_into(
     x: &[f64],
     n: usize,
     in_dim: usize,
@@ -94,17 +55,8 @@ fn gemm_core<const ACC: bool>(
 ) {
     debug_assert_eq!(x.len(), n * in_dim);
     debug_assert_eq!(weight.len(), out_dim * in_dim);
+    debug_assert_eq!(bias.len(), out_dim);
     debug_assert_eq!(y.len(), n * out_dim);
-    let init = |y: &[f64], r: usize, o: usize| -> f64 {
-        if ACC {
-            y[r * out_dim + o]
-        } else if bias.is_empty() {
-            0.0
-        } else {
-            bias[o]
-        }
-    };
-
     let mr_end = n - n % MR;
     let nr_end = out_dim - out_dim % NR;
     let mut r = 0;
@@ -121,22 +73,22 @@ fn gemm_core<const ACC: bool>(
             let w1 = &weight[(o + 1) * in_dim..][..in_dim];
             let w2 = &weight[(o + 2) * in_dim..][..in_dim];
             let w3 = &weight[(o + 3) * in_dim..][..in_dim];
-            let mut a00 = init(y, r, o);
-            let mut a01 = init(y, r, o + 1);
-            let mut a02 = init(y, r, o + 2);
-            let mut a03 = init(y, r, o + 3);
-            let mut a10 = init(y, r + 1, o);
-            let mut a11 = init(y, r + 1, o + 1);
-            let mut a12 = init(y, r + 1, o + 2);
-            let mut a13 = init(y, r + 1, o + 3);
-            let mut a20 = init(y, r + 2, o);
-            let mut a21 = init(y, r + 2, o + 1);
-            let mut a22 = init(y, r + 2, o + 2);
-            let mut a23 = init(y, r + 2, o + 3);
-            let mut a30 = init(y, r + 3, o);
-            let mut a31 = init(y, r + 3, o + 1);
-            let mut a32 = init(y, r + 3, o + 2);
-            let mut a33 = init(y, r + 3, o + 3);
+            let mut a00 = bias[o];
+            let mut a01 = bias[o + 1];
+            let mut a02 = bias[o + 2];
+            let mut a03 = bias[o + 3];
+            let mut a10 = bias[o];
+            let mut a11 = bias[o + 1];
+            let mut a12 = bias[o + 2];
+            let mut a13 = bias[o + 3];
+            let mut a20 = bias[o];
+            let mut a21 = bias[o + 1];
+            let mut a22 = bias[o + 2];
+            let mut a23 = bias[o + 3];
+            let mut a30 = bias[o];
+            let mut a31 = bias[o + 1];
+            let mut a32 = bias[o + 2];
+            let mut a33 = bias[o + 3];
             for i in 0..in_dim {
                 let (p0, p1, p2, p3) = (x0[i], x1[i], x2[i], x3[i]);
                 let (q0, q1, q2, q3) = (w0[i], w1[i], w2[i], w3[i]);
@@ -178,10 +130,10 @@ fn gemm_core<const ACC: bool>(
         // Remainder outputs: one column across the MR-row panel.
         while o < out_dim {
             let w = &weight[o * in_dim..][..in_dim];
-            let mut a0 = init(y, r, o);
-            let mut a1 = init(y, r + 1, o);
-            let mut a2 = init(y, r + 2, o);
-            let mut a3 = init(y, r + 3, o);
+            let mut a0 = bias[o];
+            let mut a1 = bias[o];
+            let mut a2 = bias[o];
+            let mut a3 = bias[o];
             for i in 0..in_dim {
                 let q = w[i];
                 a0 += q * x0[i];
@@ -202,7 +154,7 @@ fn gemm_core<const ACC: bool>(
         let xr = &x[r * in_dim..][..in_dim];
         for o in 0..out_dim {
             let w = &weight[o * in_dim..][..in_dim];
-            let mut acc = init(y, r, o);
+            let mut acc = bias[o];
             for i in 0..in_dim {
                 acc += w[i] * xr[i];
             }
@@ -216,7 +168,7 @@ fn gemm_core<const ACC: bool>(
 // Transposed-weight kernel (the inference engine, f64 and f32)
 // ---------------------------------------------------------------------------
 //
-// Same arithmetic as [`gemm_core`], different traversal: the weight comes in
+// Same arithmetic as [`gemm_bias_into`], different traversal: the weight comes in
 // transposed (`in_dim × out_dim`, one contiguous row of output weights per
 // input feature), so for every shared-axis step `i` a column tile of outputs
 // is one contiguous load and the inner loop is a pure axpy
@@ -224,13 +176,12 @@ fn gemm_core<const ACC: bool>(
 // product per output.  Each output element still starts from its initial
 // value and adds its products strictly in ascending `i` order, one multiply
 // and one add per term (Rust never contracts them into an FMA), so the f64
-// results are bit-identical to `gemm_core` on the row-major weight, and the
+// results are bit-identical to the row-major kernel's, and the
 // f32 results differ from them by rounding only.
 //
 // A call takes a *list* of operands accumulated one after the other into the
-// same register tile — `bias + X₀ W₀ᵀ + X₁ W₁ᵀ + …`, which is exactly the
-// `gemm_bias_into` / `gemm_acc_into` / `gemm_acc_into` chain it replaces —
-// and an [`Epilogue`] applied to the finished tile, so a sum of products, its
+// same register tile — `bias + X₀ W₀ᵀ + X₁ W₁ᵀ + …`, each term added in
+// turn — and an [`Epilogue`] applied to the finished tile, so a sum of products, its
 // ReLU and a scaled update each cost one pass over the output instead of one
 // pass per step.
 //
@@ -496,15 +447,6 @@ mod tests {
                     let mut y = vec![0.0; n * out_dim];
                     gemm_bias_into(&x, n, in_dim, out_dim, &w, &b, &mut y);
                     assert_eq!(y, naive(&x, n, in_dim, out_dim, &w, &b, &[], false));
-
-                    let mut y = vec![0.0; n * out_dim];
-                    gemm_into(&x, n, in_dim, out_dim, &w, &mut y);
-                    assert_eq!(y, naive(&x, n, in_dim, out_dim, &w, &[], &[], false));
-
-                    let y0: Vec<f64> = (0..n * out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                    let mut y = y0.clone();
-                    gemm_acc_into(&x, n, in_dim, out_dim, &w, &mut y);
-                    assert_eq!(y, naive(&x, n, in_dim, out_dim, &w, &[], &y0, true));
                 }
             }
         }
@@ -512,8 +454,8 @@ mod tests {
 
     #[test]
     fn accumulate_composes_with_bias_init() {
-        // bias-init followed by two accumulations equals the fused sum the
-        // plan path relies on: Ψ pre-activation = c-term + Σ GEMM terms.
+        // The fused two-operand sum the plan path relies on (Ψ pre-activation
+        // = c-term + Σ GEMM terms) equals bias-init followed by accumulation.
         let n = 6;
         let (din, dout) = (5, 4);
         let mut rng = StdRng::seed_from_u64(7);
@@ -522,9 +464,11 @@ mod tests {
         let wa: Vec<f64> = (0..dout * din).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let wb: Vec<f64> = (0..dout * din).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let bias: Vec<f64> = (0..dout).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (wat, wbt) = (transposed(&wa, dout, din), transposed(&wb, dout, din));
+        let ops =
+            [Operand { x: &xa, in_dim: din, wt: &wat }, Operand { x: &xb, in_dim: din, wt: &wbt }];
         let mut y = vec![0.0; n * dout];
-        gemm_bias_into(&xa, n, din, dout, &wa, &bias, &mut y);
-        gemm_acc_into(&xb, n, din, dout, &wb, &mut y);
+        gemm_t(ops, n, dout, &bias, Epilogue::Store, &mut y);
         let first = naive(&xa, n, din, dout, &wa, &bias, &[], false);
         let both = naive(&xb, n, din, dout, &wb, &[], &first, true);
         assert_eq!(y, both);
@@ -544,9 +488,9 @@ mod tests {
     #[test]
     fn transposed_f64_matches_row_major_chain_bit_for_bit_across_shapes() {
         // `bias + X₀W₀ᵀ + X₁W₁ᵀ` through the fused transposed kernel must
-        // have the bits of `gemm_bias_into` followed by `gemm_acc_into` on
-        // the row-major weights, over every row/column tile remainder; the
-        // epilogues must equal the separate passes they replace.
+        // have the bits of the row-major scalar loop, bias-initialised then
+        // accumulating, over every row/column tile remainder; the epilogues
+        // must equal the separate passes they replace.
         let mut rng = StdRng::seed_from_u64(43);
         for &n in &[0usize, 1, 3, 4, 5, 8, 9, 23] {
             for &out_dim in &[1usize, 2, 3, 4, 5, 8, 10, 13, 15, 16, 20, 23, 24, 40] {
@@ -565,9 +509,8 @@ mod tests {
                         Operand { x: &xb, in_dim: in_b, wt: &wbt },
                     ];
 
-                    let mut expected = vec![0.0; n * out_dim];
-                    gemm_bias_into(&xa, n, in_a, out_dim, &wa, &bias, &mut expected);
-                    gemm_acc_into(&xb, n, in_b, out_dim, &wb, &mut expected);
+                    let first = naive(&xa, n, in_a, out_dim, &wa, &bias, &[], false);
+                    let expected = naive(&xb, n, in_b, out_dim, &wb, &[], &first, true);
                     let mut y = vec![f64::NAN; n * out_dim];
                     gemm_t(ops, n, out_dim, &bias, Epilogue::Store, &mut y);
                     assert_eq!(y, expected, "n={n} out={out_dim} in=({in_a},{in_b})");
@@ -583,8 +526,8 @@ mod tests {
                         y0.iter().zip(&expected).map(|(h, u)| h + 1e-3 * u).collect();
                     assert_eq!(y, stepped);
 
-                    // No bias: outputs start from zero, like `gemm_into`.
-                    gemm_into(&xa, n, in_a, out_dim, &wa, &mut expected);
+                    // No bias: outputs start from zero.
+                    let expected = naive(&xa, n, in_a, out_dim, &wa, &[], &[], false);
                     let mut y = vec![f64::NAN; n * out_dim];
                     gemm_t([ops[0]], n, out_dim, &[], Epilogue::Store, &mut y);
                     assert_eq!(y, expected);

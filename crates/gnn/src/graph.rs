@@ -21,15 +21,15 @@ use sparse::CsrMatrix;
 
 /// A directed edge of the message-passing graph.
 #[derive(Debug, Clone, Copy)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// Destination node (the node whose message sum this edge feeds).
-    pub dst: usize,
+    pub(crate) dst: usize,
     /// Source node (the neighbour the message comes from).
-    pub src: usize,
+    pub(crate) src: usize,
     /// Relative position `pos[src] - pos[dst]`.
-    pub delta: [f64; 2],
+    pub(crate) delta: [f64; 2],
     /// Euclidean length of `delta`.
-    pub dist: f64,
+    pub(crate) dist: f64,
 }
 
 /// One local Poisson problem expressed as a graph.
@@ -38,16 +38,14 @@ pub struct LocalGraph {
     /// Node coordinates.
     pub positions: Vec<Point2>,
     /// Directed edges (dst receives from src).
-    pub edges: Vec<Edge>,
+    pub(crate) edges: Vec<Edge>,
     /// CSR-style destination-sorted edge incidence: node `j` aggregates the
     /// messages of edges `edge_order[edge_ptr[j]..edge_ptr[j+1]]`.  Built by
     /// a *stable* counting sort, so each node's edges keep their relative
     /// order from `edges` — summing along `edge_order` is bit-identical to
     /// the per-edge scatter it replaces, while turning the aggregation into
-    /// a contiguous per-node gather.  Crate-private because it is cached
-    /// state derived from `edges`: it is kept in sync by [`LocalGraph::new`],
-    /// and external code that mutates `edges` must call
-    /// [`LocalGraph::rebuild_incidence`].
+    /// a contiguous per-node gather.  Cached state derived from `edges`,
+    /// which only [`LocalGraph::new`] writes.
     pub(crate) edge_ptr: Vec<usize>,
     /// Permutation from destination-sorted edge slots to indices in `edges`.
     pub(crate) edge_order: Vec<usize>,
@@ -105,20 +103,13 @@ impl LocalGraph {
         LocalGraph { positions, edges, edge_ptr, edge_order, input, rhs_norm, boundary, matrix }
     }
 
-    /// Recompute the destination-sorted incidence after `edges` changed.
-    pub fn rebuild_incidence(&mut self) {
-        let (ptr, order) = build_incidence(self.num_nodes(), &self.edges);
-        self.edge_ptr = ptr;
-        self.edge_order = order;
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.positions.len()
     }
 
     /// Number of directed edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
@@ -142,12 +133,9 @@ impl LocalGraph {
             .collect()
     }
 
-    /// Replace the right-hand side (renormalising), keeping the structure.
-    ///
-    /// This is the hot path during preconditioning: the sub-domain graphs are
-    /// built once per solve and only the residual changes between PCG
-    /// iterations.
-    pub fn set_rhs(&mut self, rhs: &[f64]) {
+    /// Replace the right-hand side (renormalising), keeping the structure:
+    /// how dataset extraction turns one graph template into many samples.
+    pub(crate) fn set_rhs(&mut self, rhs: &[f64]) {
         assert_eq!(rhs.len(), self.num_nodes());
         self.rhs_norm = sparse::vector::norm2(rhs);
         if self.rhs_norm > 0.0 {
@@ -159,12 +147,6 @@ impl LocalGraph {
                 *c = 0.0;
             }
         }
-    }
-
-    /// The physics-informed residual loss (Eq. 11) of a candidate state `u`
-    /// against this graph's normalised right-hand side.
-    pub fn residual_loss(&self, u: &[f64]) -> f64 {
-        crate::loss::residual_loss(&self.matrix, &self.input, u)
     }
 }
 
@@ -260,8 +242,9 @@ mod tests {
         let g = chain_graph(8);
         let lu = sparse::LuFactor::factor_csr(&g.matrix).unwrap();
         let u = lu.solve(&g.input).unwrap();
-        assert!(g.residual_loss(&u) < 1e-20);
-        assert!(g.residual_loss(&[0.0; 8]) > 0.0);
+        let loss = |u: &[f64]| crate::loss::residual_loss(&g.matrix, &g.input, u);
+        assert!(loss(&u) < 1e-20);
+        assert!(loss(&[0.0; 8]) > 0.0);
     }
 
     #[test]
@@ -298,7 +281,7 @@ mod tests {
         // Reversing the edge list still groups per destination while keeping
         // each node's edges in (new) relative order.
         g.edges.reverse();
-        g.rebuild_incidence();
+        (g.edge_ptr, g.edge_order) = build_incidence(g.num_nodes(), &g.edges);
         for j in 0..g.num_nodes() {
             let slots = &g.edge_order[g.edge_ptr[j]..g.edge_ptr[j + 1]];
             assert!(slots.windows(2).all(|w| w[0] < w[1]), "stable order violated for node {j}");

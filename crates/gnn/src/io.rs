@@ -7,7 +7,7 @@
 //! harness reuse models trained by `examples/train_dss.rs`.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 
 use crate::model::{DssConfig, DssModel};
@@ -26,6 +26,10 @@ const MAX_DIM: usize = 4096;
 /// parameters is ~512 MB of `f64` — far above any real model, far below an
 /// allocation that could take the process down.
 const MAX_PARAMS: u128 = 1 << 26;
+
+/// Longest line [`load_model`] reads: the header, or one `{:e}`-formatted
+/// parameter (at most 24 bytes).  A longer line is not part of a model file.
+const MAX_LINE: u64 = 128;
 
 /// Number of parameters of a DSS model with `num_blocks` blocks of latent
 /// dimension `d`, computed in `u128` so hostile headers cannot overflow.
@@ -88,31 +92,43 @@ pub fn save_model(path: &Path, model: &DssModel) -> io::Result<()> {
     file.write_all(out.as_bytes())
 }
 
-/// Load a model previously written by [`save_model`].
-///
-/// The loader is hardened against corrupted or hostile files: header
-/// dimensions are bounded (4096 each, 2²⁶ implied weights)
-/// and `alpha` must be finite and positive **before** anything is allocated,
-/// every parameter value must parse *and* be finite (Rust's float parser
-/// happily accepts `NaN` and `inf`, which would silently poison every
-/// inference downstream), and a file with more lines than the header
-/// promises is rejected as soon as the excess is seen rather than buffered
-/// to the end.
-pub fn load_model(path: &Path) -> io::Result<DssModel> {
-    let text = fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty model file"))?;
-    let mut fields = header.split_whitespace();
-    let magic = fields.next().unwrap_or("");
-    if magic != MAGIC {
+/// Read one line of at most [`MAX_LINE`] bytes into `line` (cleared
+/// first); `Ok(false)` at the end of the input.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<bool> {
+    line.clear();
+    let n = reader.by_ref().take(MAX_LINE + 1).read_line(line)?;
+    if n as u64 > MAX_LINE {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("unexpected model file magic: {magic}"),
+            format!("line longer than {MAX_LINE} bytes"),
         ));
     }
+    Ok(n > 0)
+}
+
+/// Load a model previously written by [`save_model`].
+///
+/// The loader is hardened against corrupted or hostile files.  It reads
+/// through a buffer, never the whole file: the header and every parameter
+/// line are capped at 128 bytes, and the input as a whole at what the
+/// validated header allows.  Header dimensions are bounded (4096 each,
+/// 2²⁶ implied weights) and `alpha` must be finite and positive **before**
+/// anything is allocated, every parameter value must parse *and* be finite
+/// (Rust's float parser happily accepts `NaN` and `inf`, which would
+/// silently poison every inference downstream), and a file with more lines
+/// than the header promises is rejected as soon as the excess is seen.
+pub fn load_model(path: &Path) -> io::Result<DssModel> {
     let parse_err = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    let mut reader = io::BufReader::new(fs::File::open(path)?);
+    let mut line = String::new();
+    if !read_bounded_line(&mut reader, &mut line)? {
+        return Err(parse_err("empty model file".into()));
+    }
+    let mut fields = line.split_whitespace();
+    let magic = fields.next().unwrap_or("");
+    if magic != MAGIC {
+        return Err(parse_err(format!("unexpected model file magic: {magic}")));
+    }
     let num_blocks: usize = fields
         .next()
         .and_then(|s| s.parse().ok())
@@ -131,18 +147,19 @@ pub fn load_model(path: &Path) -> io::Result<DssModel> {
     // zero, which as a preconditioner silently breaks down PCG (z = 0 ⇒
     // ρ = rᵀz = 0) — exactly the poisoned-model class this guard exists for.
     let expected = validate_config(num_blocks, latent_dim, alpha).map_err(parse_err)?;
+    let mut body = reader.take(MAX_LINE * (expected as u64 + 1));
     let mut params = Vec::with_capacity(expected);
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
+    while read_bounded_line(&mut body, &mut line)? {
+        let value = line.trim();
+        if value.is_empty() {
             continue;
         }
         if params.len() == expected {
             return Err(parse_err(format!(
-                "trailing garbage after {expected} parameters: {line:?}"
+                "trailing garbage after {expected} parameters: {value:?}"
             )));
         }
-        let value: f64 = line.parse().map_err(|_| parse_err("bad parameter value".into()))?;
+        let value: f64 = value.parse().map_err(|_| parse_err("bad parameter value".into()))?;
         if !value.is_finite() {
             return Err(parse_err(format!("non-finite parameter value: {value}")));
         }
@@ -198,12 +215,8 @@ mod tests {
         let graph = tiny_graph();
         let infer = |m: &DssModel| {
             let mut out = vec![0.0; graph.num_nodes()];
-            m.infer_with_input_into(
-                &graph,
-                &graph.input,
-                &mut crate::InferScratch::new(),
-                &mut out,
-            );
+            let plan = m.build_plan(&graph);
+            m.infer_with_plan_into(&plan, &graph.input, &mut crate::InferScratch::new(), &mut out);
             out
         };
         assert_eq!(infer(&model), infer(&loaded));
@@ -295,6 +308,33 @@ mod tests {
         // The untouched file still loads.
         std::fs::write(&path, valid_file_text()).unwrap();
         assert!(load_model(&path).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn an_endless_input_is_rejected_without_reading_it_all() {
+        // `/dev/zero` never ends and has no newline: a loader that buffers
+        // the whole file first reads until memory runs out.
+        let err = load_model(Path::new("/dev/zero")).expect_err("not a model file");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn overlong_and_endless_blank_lines_are_rejected() {
+        let path = tmp_path("overlong.txt");
+        // One parameter line longer than any formatted f64.
+        let mut text = valid_file_text();
+        let header_end = text.find('\n').unwrap() + 1;
+        text.insert_str(header_end, &" ".repeat(200));
+        std::fs::write(&path, &text).unwrap();
+        let err = load_model(&path).expect_err("overlong line must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // Blank lines past what the header allows end the read.
+        let text = format!("dss-model-v1 2 3 1e-3\n{}", "\n".repeat(1 << 20));
+        std::fs::write(&path, &text).unwrap();
+        let err = load_model(&path).expect_err("a file of blank lines is not a model");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

@@ -12,20 +12,20 @@ use rand::prelude::*;
 
 /// A dense affine layer `y = W x + b`.
 #[derive(Debug, Clone)]
-pub struct Linear {
+pub(crate) struct Linear {
     /// Input dimension.
-    pub in_dim: usize,
+    pub(crate) in_dim: usize,
     /// Output dimension.
-    pub out_dim: usize,
+    pub(crate) out_dim: usize,
     /// Weights, row-major `out_dim × in_dim`.
-    pub weight: Vec<f64>,
+    pub(crate) weight: Vec<f64>,
     /// Bias, length `out_dim`.
-    pub bias: Vec<f64>,
+    pub(crate) bias: Vec<f64>,
 }
 
 impl Linear {
     /// Xavier/Glorot-uniform initialised layer (the paper's initialisation).
-    pub fn xavier(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn xavier(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         let limit = (6.0 / (in_dim + out_dim) as f64).sqrt();
         let weight = (0..in_dim * out_dim).map(|_| rng.gen_range(-limit..limit)).collect();
         let bias = vec![0.0; out_dim];
@@ -33,17 +33,17 @@ impl Linear {
     }
 
     /// Zero-initialised layer (used as a gradient container).
-    pub fn zeros(in_dim: usize, out_dim: usize) -> Self {
+    pub(crate) fn zeros(in_dim: usize, out_dim: usize) -> Self {
         Linear { in_dim, out_dim, weight: vec![0.0; in_dim * out_dim], bias: vec![0.0; out_dim] }
     }
 
     /// Number of trainable parameters.
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.weight.len() + self.bias.len()
     }
 
     /// Forward pass on a batch of `n` rows.
-    pub fn forward(&self, x: &[f64], n: usize) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f64], n: usize) -> Vec<f64> {
         let mut y = vec![0.0; n * self.out_dim];
         self.forward_into(x, n, &mut y);
         y
@@ -54,7 +54,7 @@ impl Linear {
     /// Runs as a register-blocked batch GEMM (see [`crate::gemm`]); the
     /// per-element accumulation order is unchanged, so the results are
     /// bit-identical to the scalar triple loop this replaced.
-    pub fn forward_into(&self, x: &[f64], n: usize, y: &mut [f64]) {
+    pub(crate) fn forward_into(&self, x: &[f64], n: usize, y: &mut [f64]) {
         debug_assert_eq!(x.len(), n * self.in_dim);
         debug_assert_eq!(y.len(), n * self.out_dim);
         crate::gemm::gemm_bias_into(x, n, self.in_dim, self.out_dim, &self.weight, &self.bias, y);
@@ -62,7 +62,7 @@ impl Linear {
 
     /// Backward pass: given the forward input `x` and `dL/dy`, accumulate
     /// parameter gradients into `grad` and return `dL/dx`.
-    pub fn backward(&self, x: &[f64], dy: &[f64], n: usize, grad: &mut Linear) -> Vec<f64> {
+    pub(crate) fn backward(&self, x: &[f64], dy: &[f64], n: usize, grad: &mut Linear) -> Vec<f64> {
         debug_assert_eq!(x.len(), n * self.in_dim);
         debug_assert_eq!(dy.len(), n * self.out_dim);
         debug_assert_eq!(grad.in_dim, self.in_dim);
@@ -90,13 +90,13 @@ impl Linear {
     }
 
     /// Append all parameters to a flat vector (weights then bias).
-    pub fn append_params(&self, out: &mut Vec<f64>) {
+    pub(crate) fn append_params(&self, out: &mut Vec<f64>) {
         out.extend_from_slice(&self.weight);
         out.extend_from_slice(&self.bias);
     }
 
     /// Read parameters back from a flat vector starting at `*offset`.
-    pub fn read_params(&mut self, data: &[f64], offset: &mut usize) {
+    pub(crate) fn read_params(&mut self, data: &[f64], offset: &mut usize) {
         let w = self.weight.len();
         self.weight.copy_from_slice(&data[*offset..*offset + w]);
         *offset += w;
@@ -107,82 +107,57 @@ impl Linear {
 }
 
 /// Element-wise ReLU forward.
-pub fn relu(x: &[f64]) -> Vec<f64> {
+pub(crate) fn relu(x: &[f64]) -> Vec<f64> {
     x.iter().map(|&v| v.max(0.0)).collect()
 }
 
 /// ReLU backward: `dL/dx = dL/dy ⊙ 1[x > 0]`.
-pub fn relu_backward(x_pre: &[f64], dy: &[f64]) -> Vec<f64> {
+pub(crate) fn relu_backward(x_pre: &[f64], dy: &[f64]) -> Vec<f64> {
     x_pre.iter().zip(dy.iter()).map(|(&x, &g)| if x > 0.0 { g } else { 0.0 }).collect()
 }
 
 /// A two-layer perceptron `y = W₂ relu(W₁ x + b₁) + b₂`.
 #[derive(Debug, Clone)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     /// First (hidden) layer.
-    pub l1: Linear,
+    pub(crate) l1: Linear,
     /// Output layer.
-    pub l2: Linear,
+    pub(crate) l2: Linear,
 }
 
 /// Forward cache of an MLP: the hidden pre-activation batch.
-pub struct MlpCache {
+pub(crate) struct MlpCache {
     hidden_pre: Vec<f64>,
 }
 
 impl Mlp {
     /// Xavier-initialised MLP with one hidden layer of width `hidden`.
-    pub fn xavier(in_dim: usize, hidden: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn xavier(in_dim: usize, hidden: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Mlp { l1: Linear::xavier(in_dim, hidden, rng), l2: Linear::xavier(hidden, out_dim, rng) }
     }
 
     /// Zero MLP with the same shape as `other` (gradient container).
-    pub fn zeros_like(other: &Mlp) -> Self {
+    pub(crate) fn zeros_like(other: &Mlp) -> Self {
         Mlp {
             l1: Linear::zeros(other.l1.in_dim, other.l1.out_dim),
             l2: Linear::zeros(other.l2.in_dim, other.l2.out_dim),
         }
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.l1.in_dim
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.l2.out_dim
-    }
-
     /// Number of trainable parameters.
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.l1.num_params() + self.l2.num_params()
     }
 
     /// Forward pass on `n` rows.
-    pub fn forward(&self, x: &[f64], n: usize) -> Vec<f64> {
+    pub(crate) fn forward(&self, x: &[f64], n: usize) -> Vec<f64> {
         let hidden_pre = self.l1.forward(x, n);
         let hidden = relu(&hidden_pre);
         self.l2.forward(&hidden, n)
     }
 
-    /// Allocation-free forward pass: `hidden` is a caller-owned scratch that
-    /// is resized to `n * hidden_dim` on first use and reused across calls,
-    /// `y` receives the `n * out_dim` output.
-    ///
-    /// The hidden activation is computed in place (affine, then ReLU applied
-    /// destructively), which yields bit-identical results to [`Mlp::forward`].
-    pub fn forward_into(&self, x: &[f64], n: usize, hidden: &mut Vec<f64>, y: &mut [f64]) {
-        hidden.resize(n * self.l1.out_dim, 0.0);
-        self.l1.forward_into(x, n, hidden);
-        for h in hidden.iter_mut() {
-            *h = h.max(0.0);
-        }
-        self.l2.forward_into(hidden, n, y);
-    }
-
     /// Forward pass that also returns the cache needed for backprop.
-    pub fn forward_cached(&self, x: &[f64], n: usize) -> (Vec<f64>, MlpCache) {
+    pub(crate) fn forward_cached(&self, x: &[f64], n: usize) -> (Vec<f64>, MlpCache) {
         let hidden_pre = self.l1.forward(x, n);
         let hidden = relu(&hidden_pre);
         let y = self.l2.forward(&hidden, n);
@@ -191,7 +166,7 @@ impl Mlp {
 
     /// Backward pass: accumulate parameter gradients into `grad` and return
     /// `dL/dx`.
-    pub fn backward(
+    pub(crate) fn backward(
         &self,
         x: &[f64],
         cache: &MlpCache,
@@ -206,13 +181,13 @@ impl Mlp {
     }
 
     /// Append parameters (l1 then l2) to a flat vector.
-    pub fn append_params(&self, out: &mut Vec<f64>) {
+    pub(crate) fn append_params(&self, out: &mut Vec<f64>) {
         self.l1.append_params(out);
         self.l2.append_params(out);
     }
 
     /// Read parameters back from a flat vector.
-    pub fn read_params(&mut self, data: &[f64], offset: &mut usize) {
+    pub(crate) fn read_params(&mut self, data: &[f64], offset: &mut usize) {
         self.l1.read_params(data, offset);
         self.l2.read_params(data, offset);
     }
@@ -309,8 +284,8 @@ mod tests {
     fn mlp_gradient_matches_finite_differences() {
         let mut rng = StdRng::seed_from_u64(3);
         let mlp = Mlp::xavier(4, 5, 3, &mut rng);
-        assert_eq!(mlp.in_dim(), 4);
-        assert_eq!(mlp.out_dim(), 3);
+        assert_eq!(mlp.l1.in_dim, 4);
+        assert_eq!(mlp.l2.out_dim, 3);
         assert_eq!(mlp.num_params(), 4 * 5 + 5 + 5 * 3 + 3);
         let x: Vec<f64> = (0..8).map(|i| ((i * 7 % 5) as f64) * 0.2 - 0.4).collect(); // 2 rows
         let loss_for = |params: &[f64]| {
@@ -341,14 +316,13 @@ mod tests {
     #[test]
     fn forward_into_matches_forward_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mlp = Mlp::xavier(5, 4, 3, &mut rng);
-        let mut hidden = Vec::new();
-        let mut out = [0.0; 3 * 3];
-        // Reuse the same scratch across calls with different batch sizes.
+        let layer = Linear::xavier(5, 3, &mut rng);
+        let mut out = [f64::NAN; 3 * 3];
+        // Reuse the same output buffer across calls with different batch sizes.
         for n in [3usize, 1, 2] {
             let x: Vec<f64> = (0..n * 5).map(|i| ((i * 3 % 11) as f64) * 0.2 - 1.0).collect();
-            let expected = mlp.forward(&x, n);
-            mlp.forward_into(&x, n, &mut hidden, &mut out[..n * 3]);
+            let expected = layer.forward(&x, n);
+            layer.forward_into(&x, n, &mut out[..n * 3]);
             assert_eq!(&out[..n * 3], expected.as_slice());
         }
     }

@@ -6,10 +6,10 @@
 //!
 //! * [`gemm`] — register-blocked batch GEMM micro-kernels with a strict
 //!   per-element accumulation-order (bit-identity) contract: the row-major
-//!   f64 kernel behind every [`layers::Linear`], and one fused
+//!   f64 kernel behind every linear layer, and one fused
 //!   transposed-weight kernel for the inference engine, generic over the
 //!   sealed [`Scalar`] trait (`f64`, `f32`),
-//! * [`layers`] — linear layers and two-layer MLPs with exact reverse-mode
+//! * `layers` — linear layers and two-layer MLPs with exact reverse-mode
 //!   gradients (validated against finite differences in the test-suite),
 //! * [`plan`] — the inference engine: an `O(e)` structure-only per-graph
 //!   plan next to one shared weight pack, and one forward pass over them,
@@ -41,7 +41,7 @@ pub mod dataset;
 pub mod gemm;
 pub mod graph;
 pub mod io;
-pub mod layers;
+mod layers;
 pub mod loss;
 pub mod model;
 pub mod plan;
@@ -52,5 +52,5 @@ pub use dataset::{extract_local_problems, DatasetConfig, TrainingSample};
 pub use gemm::Scalar;
 pub use graph::LocalGraph;
 pub use model::{DssConfig, DssModel};
-pub use plan::{InferScratch, InferencePlan, InferenceTimings, Precision, ScratchPool};
+pub use plan::{InferScratch, InferencePlan, InferenceTimings, Precision};
 pub use trainer::{evaluate, train, EvalMetrics, TrainingConfig, TrainingReport};

@@ -15,6 +15,7 @@
 use sparse::CsrMatrix;
 
 /// Loss value.
+// detlint::allow(unreferenced-pub): Eq. 11, which the cross-crate property suite checks at exact solves
 pub fn residual_loss(a: &CsrMatrix, b: &[f64], u: &[f64]) -> f64 {
     let n = a.nrows();
     assert_eq!(b.len(), n);
@@ -29,7 +30,7 @@ pub fn residual_loss(a: &CsrMatrix, b: &[f64], u: &[f64]) -> f64 {
 }
 
 /// Loss value and gradient with respect to `u`.
-pub fn residual_loss_and_grad(a: &CsrMatrix, b: &[f64], u: &[f64]) -> (f64, Vec<f64>) {
+pub(crate) fn residual_loss_and_grad(a: &CsrMatrix, b: &[f64], u: &[f64]) -> (f64, Vec<f64>) {
     let n = a.nrows();
     assert_eq!(b.len(), n);
     assert_eq!(u.len(), n);

@@ -29,7 +29,7 @@
 //!   only* — `(dx, dy, dist): [T; 3]` and a `u32` source index per
 //!   destination-sorted edge, a `u32` in-degree per node: `28 e + 4 n` bytes
 //!   in f64, `16 e + 4 n` in f32, whatever the model's depth and width.
-//! * A [`WeightPack<T>`] is the model half: every weight the forward pass
+//! * A `WeightPack<T>` is the model half: every weight the forward pass
 //!   reads, direction-fused and transposed.  It is built once per model and
 //!   weight format and shared by `Arc` between all plans.
 //! * `forward` is the apply half, written once as safe code and compiled
@@ -51,8 +51,6 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-
-use sanitizer::TrackedMutex;
 
 use crate::gemm::{gemm_t, Epilogue, Operand, Scalar};
 use crate::graph::LocalGraph;
@@ -414,7 +412,7 @@ struct PackDecoder<T> {
 /// preconditioner holds one copy, not one per sub-domain.  Opaque: plans
 /// obtain theirs from the model.
 #[derive(Debug)]
-pub struct WeightPack<T> {
+pub(crate) struct WeightPack<T> {
     latent_dim: usize,
     alpha: T,
     blocks: Vec<PackBlock<T>>,
@@ -456,7 +454,7 @@ impl<T: Scalar> WeightPack<T> {
 /// call; buffers are sized lazily to the largest `nodes × batch width` seen
 /// and reused afterwards.  Holding one scratch per sub-domain keeps the
 /// preconditioner's hot path allocation-free without any sharing between
-/// threads; batched inference recycles them through a [`ScratchPool`].
+/// threads.
 /// Every buffer has `n · b` rows; the direction-fused `hsum` is `2d` wide.
 #[derive(Debug, Default)]
 pub struct InferScratch<T = f64> {
@@ -494,7 +492,7 @@ impl<T: Default> InferScratch<T> {
 /// [`DssModel::build_plan`] (f64) or [`DssModel::build_plan_f32`], then run
 /// [`DssModel::infer_with_plan`] any number of times with changing node
 /// inputs.  The plan owns only graph structure — three scalars and a `u32`
-/// per edge, a `u32` per node — and shares the model's [`WeightPack`]; it
+/// per edge, a `u32` per node — and shares the model's weight pack; it
 /// snapshots that pack, so it must be rebuilt if the model is retrained.
 pub struct InferencePlan<T = f64> {
     /// `(dx, dy, dist)` of every destination-sorted edge.
@@ -510,7 +508,7 @@ pub struct InferencePlan<T = f64> {
 impl<T: Scalar> InferencePlan<T> {
     /// Build a plan for `model` on `graph` with the model's weights rounded
     /// once into `T`.
-    pub fn new(model: &DssModel, graph: &LocalGraph) -> Self {
+    pub(crate) fn new(model: &DssModel, graph: &LocalGraph) -> Self {
         Self::with_weights(graph, model.weight_pack(false))
     }
 
@@ -518,8 +516,8 @@ impl<T: Scalar> InferencePlan<T> {
     pub(crate) fn with_weights(graph: &LocalGraph, weights: Arc<WeightPack<T>>) -> Self {
         let n = graph.num_nodes();
         let e = graph.num_edges();
-        assert_eq!(graph.edge_ptr.len(), n + 1, "stale incidence: run rebuild_incidence");
-        assert_eq!(graph.edge_order.len(), e, "stale incidence: run rebuild_incidence");
+        assert_eq!(graph.edge_ptr.len(), n + 1, "incidence out of sync with the edges");
+        assert_eq!(graph.edge_order.len(), e, "incidence out of sync with the edges");
         let edge_geo = graph
             .edge_order
             .iter()
@@ -542,7 +540,8 @@ impl<T: Scalar> InferencePlan<T> {
     }
 
     /// Number of directed edges of the graph this plan was built for.
-    pub fn num_edges(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_edges(&self) -> usize {
         self.edge_src.len()
     }
 
@@ -882,110 +881,10 @@ impl InferenceTimings {
             ("decoder", self.decoder_ns),
         ]
     }
-
-    /// Total time across all stages.
-    pub fn total_ns(&self) -> u64 {
-        self.stages().iter().map(|&(_, ns)| ns).sum()
-    }
-}
-
-/// A lock-protected pool of scratch buffers for batched inference, generic
-/// over the scratch type ([`InferScratch`] in f64 by default).
-///
-/// `acquire` pops a warmed-up scratch (or creates an empty one when the pool
-/// is dry); `release` returns it.  Buffers grow to the largest graph and
-/// batch width they ever served and are reused across batch items *and*
-/// across calls, so a long-lived pool makes repeated
-/// [`DssModel::infer_batch_with_pool`] calls allocation-free in the steady
-/// state.  The pool never influences results — scratch contents are fully
-/// overwritten by every inference.
-///
-/// Two robustness properties:
-///
-/// * **Bounded retention.**  Idle buffers are capped at the high-water mark
-///   of *concurrent* borrows ever observed — more idle buffers than peak
-///   concurrency can never be useful, so buffers released beyond that cap
-///   are dropped instead of retained forever.
-/// * **Panic tolerance.**  The internal mutex recovers from poisoning: a
-///   worker that panics between `acquire` and `release` must not cascade
-///   into poison-panics on every later pool operation.  The guarded state
-///   (a list of interchangeable buffers plus counters) has no invariant a
-///   mid-panic writer could break.
-#[derive(Debug)]
-pub struct ScratchPool<T = InferScratch> {
-    state: TrackedMutex<PoolState<T>>,
-}
-
-impl<T> Default for ScratchPool<T> {
-    fn default() -> Self {
-        ScratchPool {
-            // Commutative: the pool holds *interchangeable* buffers, so which
-            // of two same-batch borrowers pops a given buffer first cannot
-            // affect any solver output (contents are overwritten on use).
-            state: TrackedMutex::new_commutative(
-                PoolState { idle: Vec::new(), outstanding: 0, high_water: 0 },
-                "gnn::plan::ScratchPool::state",
-                "pooled buffers are interchangeable; acquire/release order never \
-                 reaches solver output",
-            ),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PoolState<T> {
-    /// Idle buffers.
-    idle: Vec<T>,
-    /// Buffers currently borrowed (acquired and not yet released).
-    outstanding: usize,
-    /// Maximum `outstanding` ever observed — the idle-retention cap.
-    high_water: usize,
-}
-
-impl<T: Default> ScratchPool<T> {
-    /// An empty pool; buffers are created on demand.
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    /// Take a scratch out of the pool, or create a fresh one when it is dry.
-    pub fn acquire(&self) -> T {
-        let mut st = self.state.lock();
-        st.outstanding += 1;
-        st.high_water = st.high_water.max(st.outstanding);
-        st.idle.pop().unwrap_or_default()
-    }
-
-    /// Return a scratch to the pool for reuse.  Buffers beyond the
-    /// high-water concurrent-borrow count are dropped.
-    pub fn release(&self, scratch: T) {
-        let mut st = self.state.lock();
-        // Saturating: a panicked worker may never have reported its release,
-        // and foreign buffers can legitimately be donated to the pool.
-        st.outstanding = st.outstanding.saturating_sub(1);
-        if st.idle.len() < st.high_water {
-            st.idle.push(scratch);
-        }
-    }
-
-    /// Number of idle buffers currently pooled.
-    pub fn idle(&self) -> usize {
-        self.state.lock().idle.len()
-    }
-
-    /// Drop every idle buffer and reset the idle-retention cap, releasing
-    /// the memory a past high-concurrency (or large-graph) burst grew the
-    /// pool to.  Outstanding borrows are unaffected; the pool refills on
-    /// demand.
-    pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.idle.clear();
-        st.high_water = st.outstanding;
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::DssConfig;
     use meshgen::Point2;
@@ -995,7 +894,7 @@ mod tests {
     /// A connected local graph on the given node positions: a chain backbone
     /// plus the `extra` couplings.  Repeated positions give edges whose
     /// deltas and length are exactly zero.
-    fn graph_on(positions: Vec<Point2>, extra: &[(usize, usize)]) -> LocalGraph {
+    pub(crate) fn graph_on(positions: Vec<Point2>, extra: &[(usize, usize)]) -> LocalGraph {
         let n = positions.len();
         let mut coo = CooMatrix::new(n, n);
         let chain = (0..n - 1).map(|i| (i, i + 1));
@@ -1214,65 +1113,5 @@ mod tests {
             assert_eq!(stored[i * 2 + 1], 0.0);
         }
         assert_eq!(gemm_weight::<f32>(&wt, 3, 2, false), [2.0, 0.0, -1.0, 0.0, 0.5, 0.0]);
-    }
-
-    #[test]
-    fn pool_caps_idle_buffers_at_high_water_borrows() {
-        let pool: ScratchPool = ScratchPool::new();
-        // Peak of three concurrent borrows.
-        let (a, b, c) = (pool.acquire(), pool.acquire(), pool.acquire());
-        pool.release(a);
-        pool.release(b);
-        pool.release(c);
-        assert_eq!(pool.idle(), 3);
-        // Donating extra buffers must not grow the pool past the high-water
-        // mark of 3.
-        pool.release(InferScratch::new());
-        pool.release(InferScratch::new());
-        assert_eq!(pool.idle(), 3, "idle buffers must stay capped at peak concurrency");
-        // Steady-state reuse keeps the count stable.
-        let s = pool.acquire();
-        pool.release(s);
-        assert_eq!(pool.idle(), 3);
-        pool.clear();
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn pool_sequential_use_retains_a_single_buffer() {
-        let pool: ScratchPool = ScratchPool::new();
-        for _ in 0..5 {
-            let s = pool.acquire();
-            pool.release(s);
-        }
-        assert_eq!(pool.idle(), 1, "sequential borrows never need more than one idle buffer");
-    }
-
-    #[test]
-    fn pool_survives_mutex_poisoning() {
-        let pool: ScratchPool = ScratchPool::new();
-        let s = pool.acquire();
-        pool.release(s);
-        // Poison the mutex: panic while holding the guard.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = pool.state.lock();
-            panic!("worker panic while holding the pool lock");
-        }));
-        assert!(result.is_err());
-        assert!(pool.state.is_poisoned(), "mutex must actually be poisoned");
-        // Every pool operation must keep working.
-        assert_eq!(pool.idle(), 1);
-        let s = pool.acquire();
-        pool.release(s);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn pool_release_of_unacquired_buffer_is_safe() {
-        let pool: ScratchPool = ScratchPool::new();
-        // outstanding is 0; release must not underflow and (with no borrow
-        // history) must not retain the buffer.
-        pool.release(InferScratch::new());
-        assert_eq!(pool.idle(), 0);
     }
 }

@@ -13,6 +13,7 @@ use rayon::prelude::*;
 use crate::adam::{Adam, AdamConfig, PlateauScheduler};
 use crate::graph::LocalGraph;
 use crate::model::DssModel;
+use crate::plan::InferScratch;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -59,13 +60,6 @@ pub struct TrainingReport {
     pub validation_losses: Vec<f64>,
     /// Learning rate at the end of training.
     pub final_learning_rate: f64,
-}
-
-impl TrainingReport {
-    /// Final training loss.
-    pub fn final_train_loss(&self) -> f64 {
-        *self.train_losses.last().unwrap_or(&f64::NAN)
-    }
 }
 
 /// Evaluation metrics in the format of the paper's Table II.
@@ -174,20 +168,16 @@ pub fn train(
 /// Evaluate the model: residual norms and relative errors against exact local
 /// solutions (the metrics of Table II).
 ///
-/// Inference goes through the planned fast path with a shared
-/// [`crate::plan::ScratchPool`], so the per-sample intermediate buffers are
-/// recycled across the whole evaluation sweep.
+/// Inference goes through the planned fast path, one plan per sample.
 pub fn evaluate(model: &DssModel, samples: &[LocalGraph]) -> EvalMetrics {
     assert!(!samples.is_empty(), "cannot evaluate on an empty dataset");
-    let pool = crate::plan::ScratchPool::new();
     let per_sample: Vec<(f64, f64)> = samples
         .par_iter()
         .map(|graph| {
             let plan = model.build_plan(graph);
-            let mut scratch = pool.acquire();
             let mut prediction = vec![0.0; graph.num_nodes()];
+            let mut scratch = InferScratch::new();
             model.infer_with_plan_into(&plan, &graph.input, &mut scratch, &mut prediction);
-            pool.release(scratch);
             // Residual norm of the normalised system.
             let au = graph.matrix.spmv(&prediction);
             let res: Vec<f64> = au.iter().zip(graph.input.iter()).map(|(a, c)| c - a).collect();
@@ -257,7 +247,7 @@ mod tests {
         assert_eq!(report.train_losses.len(), 12);
         let after = evaluate(&model, &samples);
         assert!(
-            report.final_train_loss() < report.train_losses[0],
+            report.train_losses.last().unwrap() < &report.train_losses[0],
             "training loss must decrease: {:?}",
             report.train_losses
         );

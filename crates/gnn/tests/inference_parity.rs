@@ -5,9 +5,7 @@
 //! through it) reassociates the first-layer sums — split node-level GEMMs
 //! plus precomputed static edge terms instead of one edge-level GEMM — so it
 //! is *not* bit-identical to the reference formulation.  These tests pin the
-//! agreement to ≤ 1e-12 relative error on random graphs and random weights,
-//! and verify that the training path (`backward`) still matches finite
-//! differences, i.e. that the refactor left the gradients untouched.
+//! agreement to ≤ 1e-12 relative error on random graphs and random weights.
 //!
 //! The single-precision instantiation of the engine (`InferencePlan<f32>`)
 //! is pinned against the f64 plan path at ≤ 1e-4 relative error over the same
@@ -19,7 +17,7 @@
 //! relative error against the f64 plan path — the documented tolerance of
 //! the `Precision::Int8` preconditioner mode.
 
-use gnn::{DssConfig, DssModel, InferScratch, InferencePlan, LocalGraph, ScratchPool};
+use gnn::{DssConfig, DssModel, InferScratch, InferencePlan, LocalGraph};
 use meshgen::Point2;
 use proptest::prelude::*;
 use sparse::CooMatrix;
@@ -66,7 +64,8 @@ fn random_graph(n: usize, extra: &[(usize, usize)], geo_seed: u64, rhs_seed: u64
 /// f64 inference on `input` through a throwaway plan.
 fn infer(model: &DssModel, graph: &LocalGraph, input: &[f64]) -> Vec<f64> {
     let mut out = vec![0.0; graph.num_nodes()];
-    model.infer_with_input_into(graph, input, &mut InferScratch::new(), &mut out);
+    let plan = model.build_plan(graph);
+    model.infer_with_plan_into(&plan, input, &mut InferScratch::new(), &mut out);
     out
 }
 
@@ -131,8 +130,8 @@ proptest! {
         prop_assert!(dev <= 1e-12, "deviation {} exceeds 1e-12", dev);
     }
 
-    /// A prebuilt plan reused across inputs gives bit-identical results to a
-    /// throwaway plan, and the batched pool path matches per-graph inference.
+    /// A prebuilt plan reused across inputs and scratch states gives
+    /// bit-identical results to a throwaway plan with a fresh scratch.
     #[test]
     fn plan_reuse_and_batching_are_bit_stable(
         n in 4usize..24,
@@ -150,12 +149,6 @@ proptest! {
             let input: Vec<f64> = graph.input.iter().map(|c| c * scale + 0.01).collect();
             model.infer_with_plan_into(&plan, &input, &mut scratch, &mut out);
             prop_assert_eq!(&out, &infer(&model, &graph, &input));
-        }
-        let graphs = vec![graph.clone(), graph.clone(), graph];
-        let pool: ScratchPool = ScratchPool::new();
-        let batched = model.infer_batch_with_pool(&graphs, &pool);
-        for (g, got) in graphs_outputs(&graphs, &batched) {
-            prop_assert_eq!(got, &infer(&model, g, &g.input));
         }
     }
 
@@ -249,49 +242,4 @@ proptest! {
         let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 6, alpha: 1e-2 }, model_seed);
         assert_reuse_is_bit_stable(&model, &graph, &model.build_plan_f32(&graph, true));
     }
-
-    /// `backward` still matches central finite differences on random graphs —
-    /// the inference refactor must leave training gradients unchanged.
-    #[test]
-    fn backward_gradients_match_finite_differences(
-        n in 4usize..12,
-        extra in proptest::collection::vec((0usize..12, 0usize..12), 0..6),
-        geo_seed in 0u64..1000,
-        rhs_seed in 0u64..1000,
-        model_seed in 0u64..1000,
-    ) {
-        let graph = random_graph(n, &extra, geo_seed, rhs_seed);
-        let model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 3, alpha: 0.05 }, model_seed);
-        let mut grad = model.zeros_like();
-        let loss = model.backward(&graph, &mut grad);
-        prop_assert!((loss - model.loss(&graph)).abs() <= 1e-12 * loss.abs().max(1.0));
-        let params = model.flatten();
-        let analytic = grad.flatten();
-        let eps = 1e-6;
-        // Spot-check a spread of parameters per case.
-        for t in 0..8 {
-            let i = t * params.len() / 8;
-            let mut plus = params.clone();
-            plus[i] += eps;
-            let mut minus = params.clone();
-            minus[i] -= eps;
-            let mut mp = model.clone();
-            mp.load_flat(&plus);
-            let mut mm = model.clone();
-            mm.load_flat(&minus);
-            let numeric = (mp.loss(&graph) - mm.loss(&graph)) / (2.0 * eps);
-            let diff = (numeric - analytic[i]).abs();
-            let scale = numeric.abs().max(analytic[i].abs()).max(1e-3);
-            prop_assert!(diff / scale < 1e-3, "param {}: numeric {:e} vs analytic {:e}", i, numeric, analytic[i]);
-        }
-    }
-}
-
-/// Zip graphs with their batched outputs (helper keeping the proptest body
-/// tidy).
-fn graphs_outputs<'a>(
-    graphs: &'a [LocalGraph],
-    outs: &'a [Vec<f64>],
-) -> impl Iterator<Item = (&'a LocalGraph, &'a Vec<f64>)> {
-    graphs.iter().zip(outs.iter())
 }

@@ -15,7 +15,7 @@ use crate::resilience::FaultLog;
 /// * `bnorm == 0`, `rnorm > 0` → [`f64::INFINITY`] (no nonzero residual is
 ///   "relatively small" against a zero right-hand side — judge such solves
 ///   by the absolute residual and the absolute tolerance instead).
-pub fn relative_residual_norm(rnorm: f64, bnorm: f64) -> f64 {
+pub(crate) fn relative_residual_norm(rnorm: f64, bnorm: f64) -> f64 {
     if bnorm > 0.0 {
         rnorm / bnorm
     } else if rnorm == 0.0 {
@@ -78,46 +78,6 @@ impl ConvergenceHistory {
     pub fn is_empty(&self) -> bool {
         self.residual_norms.is_empty()
     }
-
-    /// Average residual reduction factor per iteration (geometric mean),
-    /// with explicit semantics for the degenerate endpoints (mirroring the
-    /// zero-rhs contract of [`relative_residual_norm`]):
-    ///
-    /// * fewer than two entries, or a non-finite or negative endpoint →
-    ///   `None` (no reduction is defined);
-    /// * `first == 0` and `last == 0` → `Some(0.0)` (the solve started —
-    ///   and stayed — at the exact solution; every step "reduced" an
-    ///   already-zero residual);
-    /// * `first == 0` and `last > 0` → `None` (the residual grew from
-    ///   exact zero; no finite per-step factor describes that);
-    /// * `first > 0` and `last == 0` → `Some(0.0)` (exact convergence);
-    /// * otherwise → `(last / first)^(1 / steps)`.
-    ///
-    /// The old behaviour divided by `first` unconditionally for positive
-    /// endpoints and let NaN/∞ endpoints fall through the `<= 0.0` guards,
-    /// propagating non-finite factors to callers.
-    pub fn mean_reduction_factor(&self) -> Option<f64> {
-        let (Some(&first), Some(&last)) = (self.residual_norms.first(), self.residual_norms.last())
-        else {
-            return None;
-        };
-        if self.residual_norms.len() < 2 {
-            return None;
-        }
-        if !first.is_finite() || !last.is_finite() || first < 0.0 || last < 0.0 {
-            return None;
-        }
-        if last == 0.0 {
-            // Covers first == 0 (already converged at entry) and first > 0
-            // (exact convergence) alike.
-            return Some(0.0);
-        }
-        if first == 0.0 {
-            return None;
-        }
-        let steps = (self.residual_norms.len() - 1) as f64;
-        Some((last / first).powf(1.0 / steps))
-    }
 }
 
 /// Summary statistics for a completed solve.
@@ -128,7 +88,7 @@ pub struct SolveStats {
     /// Final (preconditioned-solver reported) residual norm.
     pub final_residual: f64,
     /// Final residual norm relative to the right-hand side norm, with the
-    /// zero-rhs semantics of [`relative_residual_norm`]: for `‖b‖ = 0` this
+    /// zero-rhs semantics of `relative_residual_norm`: for `‖b‖ = 0` this
     /// is `0.0` when the final residual is exactly zero and
     /// [`f64::INFINITY`] otherwise (a zero-rhs solve should be judged by
     /// [`SolveStats::final_residual`] against the absolute tolerance).
@@ -149,11 +109,6 @@ impl SolveStats {
     pub fn converged(&self) -> bool {
         self.stop_reason == StopReason::Converged
     }
-
-    /// True when any fault was contained or any ladder downgrade fired.
-    pub fn degraded(&self) -> bool {
-        !self.faults.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -172,42 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_reduction_factor_geometric() {
-        let mut h = ConvergenceHistory::new();
-        h.push(1.0);
-        h.push(0.1);
-        h.push(0.01);
-        let f = h.mean_reduction_factor().unwrap();
-        assert!((f - 0.1).abs() < 1e-12);
-        assert!(ConvergenceHistory::new().mean_reduction_factor().is_none());
-    }
-
-    #[test]
-    fn mean_reduction_factor_degenerate_endpoints() {
-        let push_all = |norms: &[f64]| {
-            let mut h = ConvergenceHistory::new();
-            for &v in norms {
-                h.push(v);
-            }
-            h
-        };
-        // Single entry: no step, no factor.
-        assert_eq!(push_all(&[0.0]).mean_reduction_factor(), None);
-        // Zero-rhs solve converged at entry and stayed there: Some(0.0),
-        // mirroring relative_residual_norm(0, 0) == 0.
-        assert_eq!(push_all(&[0.0, 0.0]).mean_reduction_factor(), Some(0.0));
-        assert_eq!(push_all(&[0.0, 0.0, 0.0]).mean_reduction_factor(), Some(0.0));
-        // Exact convergence from a positive start.
-        assert_eq!(push_all(&[1.0, 0.0]).mean_reduction_factor(), Some(0.0));
-        // Residual grew from exact zero: undefined.
-        assert_eq!(push_all(&[0.0, 1.0]).mean_reduction_factor(), None);
-        // Non-finite endpoints (the old guards let these through as NaN/inf).
-        assert_eq!(push_all(&[f64::NAN, 1.0]).mean_reduction_factor(), None);
-        assert_eq!(push_all(&[f64::INFINITY, 1.0]).mean_reduction_factor(), None);
-        assert_eq!(push_all(&[1.0, f64::NAN]).mean_reduction_factor(), None);
-        assert_eq!(push_all(&[1.0, f64::INFINITY]).mean_reduction_factor(), None);
-        // Negative norms are malformed input, not a reduction.
-        assert_eq!(push_all(&[-1.0, 0.5]).mean_reduction_factor(), None);
+    fn relative_residual_norm_zero_rhs_semantics() {
+        assert_eq!(relative_residual_norm(1e-3, 2.0), 5e-4);
+        assert_eq!(relative_residual_norm(0.0, 0.0), 0.0);
+        assert!(relative_residual_norm(1e-300, 0.0).is_infinite());
     }
 
     #[test]
@@ -221,7 +144,6 @@ mod tests {
             faults: FaultLog::default(),
         };
         assert!(stats.converged());
-        assert!(!stats.degraded());
         let stats = SolveStats { stop_reason: StopReason::MaxIterations, ..stats };
         assert!(!stats.converged());
     }

@@ -23,16 +23,15 @@ pub mod preconditioner;
 pub mod resilience;
 
 pub use cg::conjugate_gradient;
-pub use history::{relative_residual_norm, ConvergenceHistory, SolveStats, StopReason};
+pub use history::{ConvergenceHistory, SolveStats, StopReason};
 pub use pcg::{preconditioned_conjugate_gradient, solve_batch};
-pub use preconditioner::{
-    Ic0Preconditioner, IdentityPreconditioner, JacobiPreconditioner, Preconditioner,
-};
+pub use preconditioner::{Ic0Preconditioner, JacobiPreconditioner, Preconditioner};
 pub use resilience::{
-    Degradation, DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,
+    DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,
     InjectedFault, ResiliencePolicy,
 };
 
+use history::relative_residual_norm;
 use sparse::CsrMatrix;
 
 /// Options shared by both Krylov drivers in this crate.  Both record the
@@ -81,8 +80,8 @@ pub struct SolveResult {
 }
 
 /// Compute the true relative residual `‖b - A x‖ / ‖b‖`, with the zero-rhs
-/// semantics of [`relative_residual_norm`] (0 for a zero residual, infinite
-/// otherwise).
+/// semantics of [`SolveStats::final_relative_residual`] (0 for a zero
+/// residual, infinite otherwise).
 pub fn true_relative_residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
     let mut r = vec![0.0; b.len()];
     a.residual_into(b, x, &mut r);

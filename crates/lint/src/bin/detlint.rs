@@ -11,19 +11,25 @@
 //!   `--include-shims` is the default, `--exclude-shims` restores the
 //!   pre-PR-10 scope),
 //! * `--json`: machine-readable report on stdout,
-//! * `--self-check`: additionally lint `crates/lint` itself and assert the
-//!   workspace-wide `detlint::allow` count matches the committed
+//! * `--self-check`: additionally fail on any live finding — so also on
+//!   any `pub` item that `unreferenced-pub` finds dead or too wide — and
+//!   assert the workspace-wide `detlint::allow` count matches the committed
 //!   `EXPECTED_WORKSPACE_ALLOWS` constant, so suppressions cannot
 //!   accumulate silently.
+//!
+//! `unreferenced-pub` judges every `pub` item against the files of the
+//! walk, so it is meaningful on the whole workspace (no `PATH`).
 //!
 //! Exit codes: `0` clean, `1` live violations (or self-check mismatch),
 //! `2` usage / IO error.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lint::{count_allow_comments, lint_file, Config, Report, EXPECTED_WORKSPACE_ALLOWS};
+use lint::{
+    count_allow_comments, lint_workspace, read_sources, workspace_root, Config, Report,
+    EXPECTED_WORKSPACE_ALLOWS,
+};
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -58,7 +64,7 @@ fn main() -> ExitCode {
     if !include_shims {
         cfg.exclude_shims();
     }
-    let root = match workspace_root() {
+    let root = match std::env::current_dir().ok().and_then(|d| workspace_root(&d)) {
         Some(r) => r,
         None => {
             eprintln!("detlint: could not locate the workspace root (no [workspace] Cargo.toml)");
@@ -69,45 +75,24 @@ fn main() -> ExitCode {
         paths.push(root.clone());
     }
 
-    let mut files: Vec<PathBuf> = Vec::new();
-    for p in &paths {
-        if let Err(e) = collect_rs_files(p, &root, &cfg, &mut files) {
-            eprintln!("detlint: {}: {e}", p.display());
+    let files = match read_sources(&paths, &root, &cfg) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("detlint: {e}");
             return ExitCode::from(2);
         }
-    }
-    files.sort();
-    files.dedup();
-
-    let mut report = Report::default();
-    let mut allow_total = 0usize;
-    for f in &files {
-        let src = match fs::read_to_string(f) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("detlint: {}: {e}", f.display());
-                return ExitCode::from(2);
-            }
-        };
-        let rel = rel_path(f, &root);
-        allow_total += count_allow_comments(&src);
-        report.findings.extend(lint_file(&rel, &src, &cfg));
-        report.files_scanned += 1;
-    }
+    };
+    let allow_total: usize = files.iter().map(|(_, src)| count_allow_comments(src)).sum();
+    let mut report = Report { files_scanned: files.len(), findings: lint_workspace(&files, &cfg) };
     report.findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
 
     let mut self_check_failures: Vec<String> = Vec::new();
     if self_check {
-        // 1. crates/lint must itself be clean (it is not in the default walk
-        //    scope's guarded lists, but all always-on rules apply).
-        let lint_live = report
-            .findings
-            .iter()
-            .filter(|v| v.is_live() && v.file.starts_with("crates/lint/"))
-            .count();
-        if lint_live > 0 {
-            self_check_failures
-                .push(format!("crates/lint has {lint_live} live violation(s) of its own rules"));
+        // 1. No live finding anywhere, the lint crate and dead or too-wide
+        //    public surface included.
+        let live = report.live().count();
+        if live > 0 {
+            self_check_failures.push(format!("{live} live violation(s)"));
         }
         // 2. The workspace-wide suppression count is pinned.
         if allow_total != EXPECTED_WORKSPACE_ALLOWS {
@@ -138,69 +123,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(1)
     }
-}
-
-/// Walk up from the current directory to the `Cargo.toml` declaring
-/// `[workspace]`.
-fn workspace_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return Some(dir);
-                }
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-/// Recursively collect `.rs` files under `path`, skipping excluded
-/// directories.  Directory entries are visited in sorted order so output is
-/// deterministic.
-fn collect_rs_files(
-    path: &Path,
-    root: &Path,
-    cfg: &Config,
-    out: &mut Vec<PathBuf>,
-) -> std::io::Result<()> {
-    let rel = rel_path(path, root);
-    if cfg.is_excluded(&format!("{rel}/")) {
-        return Ok(());
-    }
-    if path.is_file() {
-        if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path.to_path_buf());
-        }
-        return Ok(());
-    }
-    let mut entries: Vec<PathBuf> =
-        fs::read_dir(path)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    entries.sort();
-    for entry in entries {
-        if entry.is_dir() {
-            let name = entry.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with('.') {
-                continue;
-            }
-            collect_rs_files(&entry, root, cfg, out)?;
-        } else if entry.extension().is_some_and(|e| e == "rs") {
-            let rel = rel_path(&entry, root);
-            if !cfg.is_excluded(&rel) {
-                out.push(entry);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Workspace-relative, forward-slash path for reporting and scoping.
-fn rel_path(p: &Path, root: &Path) -> String {
-    let canon = p.canonicalize().unwrap_or_else(|_| p.to_path_buf());
-    let rel = canon.strip_prefix(root).unwrap_or(&canon);
-    rel.to_string_lossy().replace('\\', "/")
 }

@@ -4,7 +4,6 @@
 //!
 //! * whether it sits inside **test code** — a `#[cfg(test)]` / `#[test]`
 //!   item, or a file under `tests/`, `benches/` or `examples/`,
-//! * the current **module path** within the file (`mod a { mod b { … } }`),
 //! * the name of the enclosing **function**, if any.
 //!
 //! The tracker is heuristic by design (it does not parse Rust), but its
@@ -17,18 +16,16 @@ use crate::lexer::{TokKind, Token};
 
 /// Per-token context, index-aligned with the lexed token stream.
 #[derive(Clone, Debug)]
-pub struct TokenContext {
+pub(crate) struct TokenContext {
     /// Token is inside `#[cfg(test)]` / `#[test]` code or a test-only file.
-    pub test: bool,
-    /// `mod` path within the file, outermost first.
-    pub module_path: Vec<String>,
+    pub(crate) test: bool,
     /// Name of the innermost enclosing `fn`, if any.
-    pub fn_name: Option<String>,
+    pub(crate) fn_name: Option<String>,
 }
 
 /// How a file's location classifies all of its contents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FileClass {
+pub(crate) enum FileClass {
     /// Ordinary library / binary source: all rules apply.
     Library,
     /// `tests/`, `benches/` or `examples/`: test context throughout.
@@ -36,7 +33,7 @@ pub enum FileClass {
 }
 
 /// Classify a workspace-relative path (forward slashes).
-pub fn classify_path(rel_path: &str) -> FileClass {
+pub(crate) fn classify_path(rel_path: &str) -> FileClass {
     let p = rel_path.replace('\\', "/");
     let in_dir = |d: &str| p.starts_with(&format!("{d}/")) || p.contains(&format!("/{d}/"));
     if in_dir("tests") || in_dir("benches") || in_dir("examples") {
@@ -48,7 +45,6 @@ pub fn classify_path(rel_path: &str) -> FileClass {
 
 #[derive(Clone, Debug)]
 enum ScopeKind {
-    Module(String),
     Fn(String),
     Other,
 }
@@ -60,27 +56,20 @@ struct Scope {
 }
 
 /// Compute the per-token context for a lexed file.
-pub fn contexts(tokens: &[Token<'_>], class: FileClass) -> Vec<TokenContext> {
+pub(crate) fn contexts(tokens: &[Token<'_>], class: FileClass) -> Vec<TokenContext> {
     let file_test = class == FileClass::Test;
     let mut scopes: Vec<Scope> = Vec::new();
     let mut out = Vec::with_capacity(tokens.len());
 
     // Attribute / item bookkeeping between braces.
     let mut pending_test = false; // saw #[cfg(test)] / #[test] awaiting its item
-    let mut pending_name: Option<ScopeKind> = None; // saw `mod x` / `fn x` awaiting `{`
+    let mut pending_name: Option<ScopeKind> = None; // saw `fn x` awaiting `{`
     let mut i = 0usize;
 
     while i < tokens.len() {
         let cur_test = file_test || scopes.last().is_some_and(|s| s.test);
         out.push(TokenContext {
             test: cur_test,
-            module_path: scopes
-                .iter()
-                .filter_map(|s| match &s.kind {
-                    ScopeKind::Module(name) => Some(name.clone()),
-                    _ => None,
-                })
-                .collect(),
             fn_name: scopes.iter().rev().find_map(|s| match &s.kind {
                 ScopeKind::Fn(name) => Some(name.clone()),
                 _ => None,
@@ -97,19 +86,10 @@ pub fn contexts(tokens: &[Token<'_>], class: FileClass) -> Vec<TokenContext> {
                         pending_test = true;
                     }
                     for _ in i + 1..=end {
-                        out.push(TokenContext {
-                            test: cur_test,
-                            module_path: Vec::new(),
-                            fn_name: None,
-                        });
+                        out.push(TokenContext { test: cur_test, fn_name: None });
                     }
                     i = end + 1;
                     continue;
-                }
-            }
-            TokKind::Ident if tok.text == "mod" => {
-                if let Some(name) = next_ident(tokens, i + 1) {
-                    pending_name = Some(ScopeKind::Module(name));
                 }
             }
             TokKind::Ident if tok.text == "fn" => {
@@ -118,7 +98,7 @@ pub fn contexts(tokens: &[Token<'_>], class: FileClass) -> Vec<TokenContext> {
                 }
             }
             TokKind::Punct if tok.text == ";" => {
-                // `mod name;`, `#[cfg(test)] use …;` and friends: the pending
+                // `fn f();`, `#[cfg(test)] use …;` and friends: the pending
                 // attribute/name attached to a braceless item — drop it.
                 pending_test = false;
                 pending_name = None;
@@ -225,7 +205,6 @@ mod tests {
     fn nested_modules_and_fn_names_tracked() {
         let src = "mod outer { mod inner { fn work() { f(); } } }";
         let ctx = ctx_at(src, "f");
-        assert_eq!(ctx.module_path, vec!["outer", "inner"]);
         assert_eq!(ctx.fn_name.as_deref(), Some("work"));
     }
 

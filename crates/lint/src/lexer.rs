@@ -52,13 +52,13 @@ pub enum TokKind {
 
 impl TokKind {
     /// Whether the token is a comment (the only place suppressions live).
-    pub fn is_comment(self) -> bool {
+    pub(crate) fn is_comment(self) -> bool {
         matches!(self, TokKind::LineComment | TokKind::BlockComment)
     }
 
     /// Whether rules should skip the token when matching code patterns
     /// (whitespace and comments are transparent; literal contents opaque).
-    pub fn is_trivia(self) -> bool {
+    pub(crate) fn is_trivia(self) -> bool {
         matches!(self, TokKind::Whitespace | TokKind::LineComment | TokKind::BlockComment)
     }
 }
@@ -126,6 +126,7 @@ fn is_ident_continue(c: char) -> bool {
 }
 
 /// Tokenize `src` losslessly.
+// detlint::allow(unreferenced-pub): the entry point tests/lexer_roundtrip.rs holds to losslessness
 pub fn lex(src: &str) -> Vec<Token<'_>> {
     let mut cur = Cursor { src, pos: 0, line: 1 };
     let mut out = Vec::new();

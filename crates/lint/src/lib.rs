@@ -7,17 +7,22 @@
 //! mutexes, no wall clocks in solver math, no hash-order iteration, no
 //! ad-hoc float reductions inside parallel closures.  This crate machine-
 //! checks them with a hand-rolled lossless lexer (no external parser
-//! dependencies) and a small token-pattern rule engine.
+//! dependencies) and a small token-pattern rule engine, plus one
+//! workspace-level rule that keeps the public surface to what other crates
+//! use.
 //!
 //! See the README "Static analysis" section for the rule catalogue and the
 //! `detlint::allow` suppression syntax.
 
 pub mod config;
-pub mod context;
+mod context;
 pub mod lexer;
 pub mod report;
 pub mod rules;
+mod surface;
+mod walk;
 
 pub use config::{Config, EXPECTED_WORKSPACE_ALLOWS};
 pub use report::Report;
-pub use rules::{count_allow_comments, lint_file, Violation, RULE_IDS};
+pub use rules::{count_allow_comments, lint_workspace, Violation};
+pub use walk::{read_sources, workspace_root};

@@ -125,7 +125,7 @@ fn violation_json(v: &Violation) -> String {
 }
 
 /// Escape a string for JSON output.
-pub fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

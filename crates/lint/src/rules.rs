@@ -1,5 +1,6 @@
-//! The rule engine: six determinism/resilience contract checks plus the
-//! suppression (`detlint::allow`) machinery.
+//! The rule engine: six per-file determinism/resilience contract checks,
+//! one workspace-level surface check, and the suppression
+//! (`detlint::allow`) machinery.
 //!
 //! | id                 | contract                                                        |
 //! |--------------------|-----------------------------------------------------------------|
@@ -9,6 +10,7 @@
 //! | `nondet-iteration` | no hash-order iteration in the deterministic solver pipeline    |
 //! | `float-reduce`     | no ad-hoc float reductions inside `par_iter` closures           |
 //! | `unsafe-justified` | every `unsafe` carries an anchored `// SAFETY:` argument        |
+//! | `unreferenced-pub` | every `pub` item is named by another crate (workspace-level)   |
 //!
 //! Suppression is explicit and reasoned:
 //!
@@ -24,15 +26,17 @@
 use crate::config::Config;
 use crate::context::{classify_path, contexts, TokenContext};
 use crate::lexer::{lex, TokKind, Token};
+use crate::surface::unreferenced_pub;
 
 /// Every valid rule id.
-pub const RULE_IDS: [&str; 6] = [
+pub(crate) const RULE_IDS: [&str; 7] = [
     "mutex-poison",
     "panic-in-guarded",
     "nondet-clock",
     "nondet-iteration",
     "float-reduce",
     "unsafe-justified",
+    "unreferenced-pub",
 ];
 
 /// One finding (possibly suppressed).
@@ -55,7 +59,7 @@ pub struct Violation {
 
 impl Violation {
     /// Whether this finding still fails the build.
-    pub fn is_live(&self) -> bool {
+    pub(crate) fn is_live(&self) -> bool {
         self.allow_reason.is_none()
     }
 }
@@ -69,30 +73,57 @@ struct Allow {
     used: std::cell::Cell<bool>,
 }
 
-/// Lint one file; returns all findings (live and suppressed).
-pub fn lint_file(rel_path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
-    let tokens = lex(src);
-    let ctxs = contexts(&tokens, classify_path(rel_path));
+/// Lint a set of `(workspace-relative path, source)` files as one
+/// workspace: the per-file rules on each file, then `unreferenced-pub` over
+/// all of them.  Returns every finding, live and suppressed, file by file.
+pub fn lint_workspace(files: &[(String, String)], cfg: &Config) -> Vec<Violation> {
+    let lexed: Vec<Vec<Token<'_>>> = files.iter().map(|(_, src)| lex(src)).collect();
+    let surface_input: Vec<(&str, &[Token<'_>])> =
+        files.iter().zip(&lexed).map(|((rel, _), t)| (rel.as_str(), t.as_slice())).collect();
+    let mut surface = unreferenced_pub(&surface_input).into_iter().peekable();
+    let mut out = Vec::new();
+    for (k, ((rel, src), tokens)) in files.iter().zip(&lexed).enumerate() {
+        let mut findings = file_findings(rel, tokens, cfg);
+        while let Some((_, line, message)) = surface.next_if(|f| f.0 == k) {
+            findings.push(("unreferenced-pub".to_string(), line, message));
+        }
+        out.extend(suppress(rel, src, tokens, findings));
+    }
+    out
+}
+
+/// The per-file rules that apply to `rel_path`: `(rule, line, message)`.
+fn file_findings(rel_path: &str, tokens: &[Token<'_>], cfg: &Config) -> Vec<(String, u32, String)> {
+    let ctxs = contexts(tokens, classify_path(rel_path));
+    let mut findings = Vec::new();
+    rule_mutex_poison(tokens, &ctxs, &mut findings);
+    rule_unsafe_justified(tokens, &ctxs, &mut findings);
+    if cfg.is_guarded(rel_path) {
+        rule_panic_in_guarded(tokens, &ctxs, &mut findings);
+    }
+    if !cfg.clock_is_allowed(rel_path) {
+        rule_nondet_clock(tokens, &ctxs, &mut findings);
+    }
+    if cfg.is_deterministic(rel_path) {
+        rule_nondet_iteration(tokens, &ctxs, &mut findings);
+        rule_float_reduce(tokens, &ctxs, &mut findings);
+    }
+    findings
+}
+
+/// Match one file's findings against its `detlint::allow` comments.
+fn suppress(
+    rel_path: &str,
+    src: &str,
+    tokens: &[Token<'_>],
+    findings: Vec<(String, u32, String)>,
+) -> Vec<Violation> {
     let lines: Vec<&str> = src.lines().collect();
     let snippet = |line: u32| -> String {
         lines.get(line as usize - 1).map(|l| l.trim().to_string()).unwrap_or_default()
     };
 
-    let (allows, mut out) = parse_allows(rel_path, &tokens, &snippet);
-
-    let mut findings: Vec<(String, u32, String)> = Vec::new();
-    rule_mutex_poison(&tokens, &ctxs, &mut findings);
-    rule_unsafe_justified(&tokens, &ctxs, &mut findings);
-    if cfg.is_guarded(rel_path) {
-        rule_panic_in_guarded(&tokens, &ctxs, &mut findings);
-    }
-    if !cfg.clock_is_allowed(rel_path) {
-        rule_nondet_clock(&tokens, &ctxs, &mut findings);
-    }
-    if cfg.is_deterministic(rel_path) {
-        rule_nondet_iteration(&tokens, &ctxs, &mut findings);
-        rule_float_reduce(&tokens, &ctxs, &mut findings);
-    }
+    let (allows, mut out) = parse_allows(rel_path, tokens, &snippet);
 
     for (rule, line, message) in findings {
         let allow_reason = allows
@@ -218,7 +249,7 @@ fn parse_allows(
 }
 
 /// Next non-trivia token index strictly after `i`.
-fn next_code(tokens: &[Token<'_>], i: usize) -> Option<usize> {
+pub(crate) fn next_code(tokens: &[Token<'_>], i: usize) -> Option<usize> {
     tokens.iter().enumerate().skip(i + 1).find(|(_, t)| !t.kind.is_trivia()).map(|(j, _)| j)
 }
 
@@ -627,7 +658,7 @@ mod tests {
     use super::*;
 
     fn lint_at(path: &str, src: &str) -> Vec<Violation> {
-        lint_file(path, src, &Config::default())
+        lint_workspace(&[(path.to_string(), src.to_string())], &Config::default())
     }
 
     fn live_rules(vs: &[Violation]) -> Vec<&str> {
@@ -873,5 +904,73 @@ mod tests {
                    let s = \"detlint::allow(mutex-poison): not me\";\n\
                    /* detlint::allow(nondet-clock): b */";
         assert_eq!(count_allow_comments(src), 2);
+    }
+
+    /// Every rule still catches what it exists to catch: each row appends
+    /// one violation to a real workspace file in that rule's scope — in
+    /// memory, nothing is written — and the whole-workspace run must report
+    /// exactly one more live finding, of that rule.
+    #[test]
+    fn every_rule_catches_a_seeded_violation() {
+        let seeds = [
+            (
+                "mutex-poison",
+                "crates/ddm/src/local.rs",
+                "fn seeded(m: &std::sync::Mutex<u8>) -> u8 { *m.lock().unwrap() }",
+            ),
+            ("panic-in-guarded", "crates/krylov/src/pcg.rs", "fn seeded(x: Option<u8>) -> u8 { x.unwrap() }"),
+            (
+                "nondet-clock",
+                "crates/ddm/src/asm.rs",
+                "fn seeded() -> std::time::Instant { std::time::Instant::now() }",
+            ),
+            (
+                "nondet-iteration",
+                "crates/partition/src/graph.rs",
+                "fn seeded() { let seeded_set: std::collections::HashSet<u8> = Default::default(); \
+                 for x in &seeded_set { drop(x); } }",
+            ),
+            (
+                "float-reduce",
+                "crates/sparse/src/vector.rs",
+                "fn seeded(xs: &[Vec<f64>]) { xs.par_iter().for_each(|r| drop(r.iter().sum::<f64>())); }",
+            ),
+            ("unsafe-justified", "crates/gnn/src/gemm.rs", "fn seeded(p: *const u8) -> u8 { unsafe { *p } }"),
+            ("unreferenced-pub", "crates/sparse/src/vector.rs", "pub fn seeded_unreferenced() {}"),
+        ];
+        let mut rules: Vec<&str> = seeds.iter().map(|s| s.0).collect();
+        rules.sort_unstable();
+        let mut all = RULE_IDS.to_vec();
+        all.sort_unstable();
+        assert_eq!(rules, all, "one seed per rule");
+
+        let cfg = Config::default();
+        let root = crate::workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("workspace root");
+        let files = crate::read_sources(std::slice::from_ref(&root), &root, &cfg)
+            .expect("workspace sources");
+        let live = |files: &[(String, String)]| -> Vec<(String, String)> {
+            let mut live: Vec<_> = lint_workspace(files, &cfg)
+                .into_iter()
+                .filter(Violation::is_live)
+                .map(|v| (v.rule, v.file))
+                .collect();
+            live.sort();
+            live
+        };
+        let baseline = live(&files);
+        for (rule, file, seed) in seeds {
+            let mut seeded = files.clone();
+            let target =
+                seeded.iter_mut().find(|(rel, _)| rel == file).expect("seeded file exists");
+            target.1.push_str(&format!("\n{seed}\n"));
+            let mut found = live(&seeded);
+            for known in &baseline {
+                let at =
+                    found.iter().position(|f| f == known).expect("a baseline finding vanished");
+                found.remove(at);
+            }
+            assert_eq!(found, [(rule.to_string(), file.to_string())], "seeding {rule}");
+        }
     }
 }

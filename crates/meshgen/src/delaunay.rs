@@ -25,7 +25,7 @@ const NONE: usize = usize::MAX;
 /// counter-clockwise.  Duplicate points are tolerated (the duplicate is simply
 /// skipped), collinear degenerate inputs with fewer than 3 distinct points
 /// return an empty triangulation.
-pub fn triangulate(points: &[Point2]) -> Vec<[usize; 3]> {
+pub(crate) fn triangulate(points: &[Point2]) -> Vec<[usize; 3]> {
     let n = points.len();
     if n < 3 {
         return Vec::new();

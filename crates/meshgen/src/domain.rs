@@ -80,6 +80,7 @@ pub trait Domain {
 
 /// A circular domain.
 #[derive(Debug, Clone)]
+// detlint::allow(unreferenced-pub): a mesh fixture the fem assembly tests share
 pub struct CircleDomain {
     /// Center of the circle.
     pub center: Point2,
@@ -121,6 +122,7 @@ impl Domain for CircleDomain {
 
 /// An axis-aligned rectangle.
 #[derive(Debug, Clone)]
+// detlint::allow(unreferenced-pub): the unit-square mesh fixture the fem and partition tests share
 pub struct RectangleDomain {
     /// Lower-left corner.
     pub min: Point2,
@@ -147,26 +149,6 @@ impl Domain for RectangleDomain {
 
     fn contains(&self, p: &Point2) -> bool {
         p.x > self.min.x && p.x < self.max.x && p.y > self.min.y && p.y < self.max.y
-    }
-}
-
-/// A general polygon-with-holes domain.
-#[derive(Debug, Clone)]
-pub struct PolygonDomain {
-    loops: Vec<Vec<Point2>>,
-}
-
-impl PolygonDomain {
-    /// Build from explicit loops (outer boundary first, then holes).
-    pub fn new(loops: Vec<Vec<Point2>>) -> Self {
-        assert!(!loops.is_empty(), "polygon domain needs at least an outer loop");
-        PolygonDomain { loops }
-    }
-}
-
-impl Domain for PolygonDomain {
-    fn boundary_loops(&self) -> Vec<Vec<Point2>> {
-        self.loops.clone()
     }
 }
 
@@ -213,7 +195,8 @@ impl RandomBlobDomain {
     }
 
     /// The underlying boundary polygon.
-    pub fn polygon(&self) -> &[Point2] {
+    #[cfg(test)]
+    fn polygon(&self) -> &[Point2] {
         &self.polygon
     }
 }
@@ -336,27 +319,6 @@ mod tests {
         assert!(r.contains(&Point2::new(1.0, 0.5)));
         assert!(!r.contains(&Point2::new(3.0, 0.5)));
         assert!((r.area() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn polygon_domain_with_hole() {
-        let outer = vec![
-            Point2::new(0.0, 0.0),
-            Point2::new(4.0, 0.0),
-            Point2::new(4.0, 4.0),
-            Point2::new(0.0, 4.0),
-        ];
-        let hole = vec![
-            Point2::new(1.5, 1.5),
-            Point2::new(2.5, 1.5),
-            Point2::new(2.5, 2.5),
-            Point2::new(1.5, 2.5),
-        ];
-        let d = PolygonDomain::new(vec![outer, hole]);
-        assert!(d.contains(&Point2::new(0.5, 0.5)));
-        assert!(!d.contains(&Point2::new(2.0, 2.0)), "point inside the hole");
-        assert!(!d.contains(&Point2::new(5.0, 5.0)));
-        assert!((d.area() - 15.0).abs() < 1e-12);
     }
 
     #[test]

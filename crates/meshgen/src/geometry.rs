@@ -16,23 +16,18 @@ impl Point2 {
     }
 
     /// Euclidean distance to another point.
-    pub fn distance(&self, other: &Point2) -> f64 {
+    pub(crate) fn distance(&self, other: &Point2) -> f64 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 
     /// Squared distance (avoids the square root in hot loops).
-    pub fn distance_sq(&self, other: &Point2) -> f64 {
+    pub(crate) fn distance_sq(&self, other: &Point2) -> f64 {
         (self.x - other.x).powi(2) + (self.y - other.y).powi(2)
     }
 
     /// Vector difference `self - other`.
-    pub fn sub(&self, other: &Point2) -> Point2 {
+    pub(crate) fn sub(&self, other: &Point2) -> Point2 {
         Point2::new(self.x - other.x, self.y - other.y)
-    }
-
-    /// Vector sum.
-    pub fn add(&self, other: &Point2) -> Point2 {
-        Point2::new(self.x + other.x, self.y + other.y)
     }
 
     /// Scale by a scalar.
@@ -44,18 +39,13 @@ impl Point2 {
     pub fn norm(&self) -> f64 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
-
-    /// Midpoint of two points.
-    pub fn midpoint(&self, other: &Point2) -> Point2 {
-        Point2::new(0.5 * (self.x + other.x), 0.5 * (self.y + other.y))
-    }
 }
 
 /// Twice the signed area of triangle `(a, b, c)`.
 ///
 /// Positive when the vertices are in counter-clockwise order.
 #[inline]
-pub fn orient2d(a: &Point2, b: &Point2, c: &Point2) -> f64 {
+pub(crate) fn orient2d(a: &Point2, b: &Point2, c: &Point2) -> f64 {
     (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 }
 
@@ -66,7 +56,7 @@ pub fn orient2d(a: &Point2, b: &Point2, c: &Point2) -> f64 {
 /// floating point; the mesh generator protects it by jittering lattice points
 /// so near-degenerate configurations are rare.
 #[inline]
-pub fn in_circumcircle(a: &Point2, b: &Point2, c: &Point2, d: &Point2) -> bool {
+pub(crate) fn in_circumcircle(a: &Point2, b: &Point2, c: &Point2, d: &Point2) -> bool {
     let adx = a.x - d.x;
     let ady = a.y - d.y;
     let bdx = b.x - d.x;
@@ -85,7 +75,8 @@ pub fn in_circumcircle(a: &Point2, b: &Point2, c: &Point2, d: &Point2) -> bool {
 
 /// Circumcenter and squared circumradius of a triangle.  Returns `None` for
 /// (numerically) degenerate triangles.
-pub fn circumcircle(a: &Point2, b: &Point2, c: &Point2) -> Option<(Point2, f64)> {
+#[cfg(test)]
+pub(crate) fn circumcircle(a: &Point2, b: &Point2, c: &Point2) -> Option<(Point2, f64)> {
     let d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y));
     if d.abs() < 1e-300 {
         return None;
@@ -101,12 +92,13 @@ pub fn circumcircle(a: &Point2, b: &Point2, c: &Point2) -> Option<(Point2, f64)>
 }
 
 /// Area of a triangle (always non-negative).
-pub fn triangle_area(a: &Point2, b: &Point2, c: &Point2) -> f64 {
+pub(crate) fn triangle_area(a: &Point2, b: &Point2, c: &Point2) -> f64 {
     0.5 * orient2d(a, b, c).abs()
 }
 
 /// Smallest interior angle of a triangle, in radians.
-pub fn min_angle(a: &Point2, b: &Point2, c: &Point2) -> f64 {
+#[cfg(test)]
+pub(crate) fn min_angle(a: &Point2, b: &Point2, c: &Point2) -> f64 {
     let la = b.distance(c);
     let lb = a.distance(c);
     let lc = a.distance(b);
@@ -123,7 +115,7 @@ pub fn min_angle(a: &Point2, b: &Point2, c: &Point2) -> f64 {
 ///
 /// The polygon is given as an ordered list of vertices without repetition of
 /// the first vertex at the end.
-pub fn point_in_polygon(p: &Point2, polygon: &[Point2]) -> bool {
+pub(crate) fn point_in_polygon(p: &Point2, polygon: &[Point2]) -> bool {
     let n = polygon.len();
     if n < 3 {
         return false;
@@ -146,7 +138,7 @@ pub fn point_in_polygon(p: &Point2, polygon: &[Point2]) -> bool {
 }
 
 /// Signed area of a simple polygon (positive when counter-clockwise).
-pub fn polygon_area(polygon: &[Point2]) -> f64 {
+pub(crate) fn polygon_area(polygon: &[Point2]) -> f64 {
     let n = polygon.len();
     let mut acc = 0.0;
     for i in 0..n {
@@ -157,7 +149,7 @@ pub fn polygon_area(polygon: &[Point2]) -> f64 {
 }
 
 /// Distance from a point to a segment `[a, b]`.
-pub fn distance_to_segment(p: &Point2, a: &Point2, b: &Point2) -> f64 {
+pub(crate) fn distance_to_segment(p: &Point2, a: &Point2, b: &Point2) -> f64 {
     let ab = b.sub(a);
     let ap = p.sub(a);
     let len2 = ab.x * ab.x + ab.y * ab.y;
@@ -170,7 +162,7 @@ pub fn distance_to_segment(p: &Point2, a: &Point2, b: &Point2) -> f64 {
 }
 
 /// Minimum distance from a point to a closed polygon boundary.
-pub fn distance_to_polygon(p: &Point2, polygon: &[Point2]) -> f64 {
+pub(crate) fn distance_to_polygon(p: &Point2, polygon: &[Point2]) -> f64 {
     let n = polygon.len();
     let mut best = f64::INFINITY;
     for i in 0..n {
@@ -183,7 +175,7 @@ pub fn distance_to_polygon(p: &Point2, polygon: &[Point2]) -> f64 {
 /// Closed Catmull–Rom spline through `control` points, sampled with
 /// `samples_per_segment` points per control segment.  Used to turn the
 /// paper's "20 points connected with Bezier curves" into a smooth polygon.
-pub fn catmull_rom_closed(control: &[Point2], samples_per_segment: usize) -> Vec<Point2> {
+pub(crate) fn catmull_rom_closed(control: &[Point2], samples_per_segment: usize) -> Vec<Point2> {
     let n = control.len();
     assert!(n >= 3, "need at least 3 control points");
     assert!(samples_per_segment >= 1);
@@ -215,7 +207,7 @@ pub fn catmull_rom_closed(control: &[Point2], samples_per_segment: usize) -> Vec
 
 /// Resample a closed polygon so consecutive vertices are approximately
 /// `target_spacing` apart.
-pub fn resample_closed_polyline(polygon: &[Point2], target_spacing: f64) -> Vec<Point2> {
+pub(crate) fn resample_closed_polyline(polygon: &[Point2], target_spacing: f64) -> Vec<Point2> {
     assert!(target_spacing > 0.0);
     let n = polygon.len();
     if n < 3 {
@@ -267,10 +259,8 @@ mod tests {
         assert_eq!(a.distance(&b), 5.0);
         assert_eq!(a.distance_sq(&b), 25.0);
         assert_eq!(b.sub(&a), Point2::new(3.0, 4.0));
-        assert_eq!(a.add(&b), Point2::new(5.0, 8.0));
         assert_eq!(a.scale(2.0), Point2::new(2.0, 4.0));
         assert_eq!(b.sub(&a).norm(), 5.0);
-        assert_eq!(a.midpoint(&b), Point2::new(2.5, 4.0));
     }
 
     #[test]

@@ -11,22 +11,20 @@
 //! * [`domain`] — the [`domain::Domain`] trait and concrete domains (random
 //!   smooth blobs, circles, rectangles, and the Formula-1 caricature with
 //!   holes),
-//! * [`delaunay`] — Bowyer–Watson Delaunay triangulation with walking point
+//! * `delaunay` — Bowyer–Watson Delaunay triangulation with walking point
 //!   location, suitable for hundreds of thousands of points,
 //! * [`mesh`] — the [`mesh::Mesh`] data structure (nodes, triangles, boundary
 //!   markers, adjacency, quality metrics),
 //! * [`generator`] — boundary sampling + interior seeding + triangulation +
 //!   clipping, the GMSH substitute used by every experiment.
 
-pub mod delaunay;
+mod delaunay;
 pub mod domain;
 pub mod generator;
 pub mod geometry;
 pub mod mesh;
 
-pub use domain::{
-    CircleDomain, Domain, FormulaOneDomain, PolygonDomain, RandomBlobDomain, RectangleDomain,
-};
+pub use domain::{CircleDomain, Domain, FormulaOneDomain, RandomBlobDomain, RectangleDomain};
 pub use generator::{generate_mesh, MeshingOptions};
 pub use geometry::Point2;
 pub use mesh::Mesh;

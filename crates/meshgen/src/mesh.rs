@@ -1,12 +1,10 @@
 //! The unstructured triangular mesh data structure.
 //!
 //! A [`Mesh`] stores node coordinates, triangles (counter-clockwise vertex
-//! triples), and a boundary marker per node.  It also provides the derived
-//! quantities the rest of the pipeline needs: the node adjacency graph (for
-//! partitioning and for the GNN edge lists), boundary detection, quality
-//! metrics and a graph-diameter estimate.
+//! triples), and a boundary marker per node, detected from the triangle
+//! topology.
 
-use crate::geometry::{min_angle, triangle_area, Point2};
+use crate::geometry::{triangle_area, Point2};
 
 /// An unstructured triangular mesh.
 #[derive(Debug, Clone)]
@@ -43,14 +41,10 @@ impl Mesh {
         self.boundary.iter().filter(|&&b| b).count()
     }
 
-    /// Indices of interior (non-boundary) nodes.
-    pub fn interior_nodes(&self) -> Vec<usize> {
-        (0..self.num_nodes()).filter(|&i| !self.boundary[i]).collect()
-    }
-
     /// Node-to-node adjacency through mesh edges, as a vector of sorted
     /// neighbour lists (self-loops excluded).
-    pub fn node_adjacency(&self) -> Vec<Vec<usize>> {
+    #[cfg(test)]
+    fn node_adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.num_nodes()];
         for t in &self.triangles {
             for k in 0..3 {
@@ -77,15 +71,23 @@ impl Mesh {
 
     /// Smallest triangle angle over the whole mesh, in radians (π/2 for an
     /// empty mesh).
-    pub fn min_angle(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min_angle(&self) -> f64 {
         self.triangles
             .iter()
-            .map(|t| min_angle(&self.points[t[0]], &self.points[t[1]], &self.points[t[2]]))
+            .map(|t| {
+                crate::geometry::min_angle(
+                    &self.points[t[0]],
+                    &self.points[t[1]],
+                    &self.points[t[2]],
+                )
+            })
             .fold(std::f64::consts::FRAC_PI_2, f64::min)
     }
 
     /// Average edge length (a proxy for the element size `h`).
-    pub fn mean_edge_length(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_edge_length(&self) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
         for t in &self.triangles {
@@ -103,20 +105,9 @@ impl Mesh {
         }
     }
 
-    /// Estimate of the graph diameter (longest shortest path in edge count),
-    /// via a double BFS sweep.  The DSS consistency argument ties the number
-    /// of message-passing layers to this quantity.
-    pub fn diameter_estimate(&self) -> usize {
-        if self.num_nodes() == 0 {
-            return 0;
-        }
-        let adj = self.node_adjacency();
-        let far = bfs_farthest(&adj, 0).0;
-        bfs_farthest(&adj, far).1
-    }
-
     /// Whether the node graph is connected.
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
         if self.num_nodes() == 0 {
             return true;
         }
@@ -138,7 +129,7 @@ impl Mesh {
     }
 
     /// Remove nodes not referenced by any triangle and re-index.
-    pub fn compact(&self) -> Mesh {
+    pub(crate) fn compact(&self) -> Mesh {
         let mut used = vec![false; self.num_nodes()];
         for t in &self.triangles {
             for &v in t {
@@ -156,26 +147,6 @@ impl Mesh {
         let triangles: Vec<[usize; 3]> =
             self.triangles.iter().map(|t| [remap[t[0]], remap[t[1]], remap[t[2]]]).collect();
         Mesh::new(points, triangles)
-    }
-
-    /// Extract the sub-mesh induced by a set of node indices: triangles whose
-    /// three vertices all belong to `nodes`.  Returns the sub-mesh and the
-    /// local→global node map.
-    pub fn submesh(&self, nodes: &[usize]) -> (Mesh, Vec<usize>) {
-        let mut in_set = vec![false; self.num_nodes()];
-        let mut remap = vec![usize::MAX; self.num_nodes()];
-        for (loc, &g) in nodes.iter().enumerate() {
-            in_set[g] = true;
-            remap[g] = loc;
-        }
-        let points: Vec<Point2> = nodes.iter().map(|&g| self.points[g]).collect();
-        let triangles: Vec<[usize; 3]> = self
-            .triangles
-            .iter()
-            .filter(|t| t.iter().all(|&v| in_set[v]))
-            .map(|t| [remap[t[0]], remap[t[1]], remap[t[2]]])
-            .collect();
-        (Mesh::new(points, triangles), nodes.to_vec())
     }
 }
 
@@ -204,27 +175,6 @@ fn detect_boundary(points: &[Point2], triangles: &[[usize; 3]]) -> Vec<bool> {
         }
     }
     boundary
-}
-
-/// BFS from `start`; returns (farthest node, eccentricity).
-fn bfs_farthest(adj: &[Vec<usize>], start: usize) -> (usize, usize) {
-    let mut dist = vec![usize::MAX; adj.len()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[start] = 0;
-    queue.push_back(start);
-    let mut far = start;
-    while let Some(v) = queue.pop_front() {
-        if dist[v] > dist[far] {
-            far = v;
-        }
-        for &u in &adj[v] {
-            if dist[u] == usize::MAX {
-                dist[u] = dist[v] + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    (far, dist[far])
 }
 
 #[cfg(test)]
@@ -271,7 +221,6 @@ mod tests {
         assert!(m.is_connected());
         // All four nodes of a single square are boundary nodes.
         assert_eq!(m.num_boundary_nodes(), 4);
-        assert!(m.interior_nodes().is_empty());
     }
 
     #[test]
@@ -279,7 +228,7 @@ mod tests {
         let m = grid_mesh(4); // 25 nodes, 16 boundary, 9 interior
         assert_eq!(m.num_nodes(), 25);
         assert_eq!(m.num_boundary_nodes(), 16);
-        assert_eq!(m.interior_nodes().len(), 9);
+        assert_eq!(m.num_nodes() - m.num_boundary_nodes(), 9);
         assert!((m.area() - 1.0).abs() < 1e-12);
         assert!(m.is_connected());
     }
@@ -300,14 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn diameter_grows_with_grid_size() {
-        let d1 = grid_mesh(4).diameter_estimate();
-        let d2 = grid_mesh(8).diameter_estimate();
-        assert!(d2 > d1);
-        assert!(d1 >= 4);
-    }
-
-    #[test]
     fn min_angle_of_structured_grid() {
         let m = grid_mesh(4);
         // Right isoceles triangles: min angle = 45 degrees.
@@ -324,18 +265,6 @@ mod tests {
         assert_eq!(c.num_nodes(), 4);
         assert_eq!(c.num_triangles(), 2);
         assert!((c.area() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn submesh_extraction() {
-        let m = grid_mesh(4);
-        // take the left half nodes (j <= 2 columns i arbitrary)... use first 15 nodes
-        let nodes: Vec<usize> = (0..15).collect();
-        let (sub, map) = m.submesh(&nodes);
-        assert_eq!(sub.num_nodes(), 15);
-        assert_eq!(map, nodes);
-        assert!(sub.num_triangles() > 0);
-        assert!(sub.num_triangles() < m.num_triangles());
     }
 
     #[test]

@@ -12,6 +12,7 @@ pub struct Graph {
 impl Graph {
     /// Build from explicit adjacency lists (they are sorted/deduplicated
     /// internally; self-loops are dropped).
+    // detlint::allow(unreferenced-pub): builds the graphs no mesh produces that tests/partition_pins.rs pins
     pub fn from_adjacency(adjacency: &[Vec<usize>]) -> Self {
         let mut offsets = vec![0];
         for list in adjacency {
@@ -21,7 +22,7 @@ impl Graph {
     }
 
     /// Build the node graph of a mesh (nodes connected by mesh edges).
-    pub fn from_mesh(mesh: &Mesh) -> Self {
+    pub(crate) fn from_mesh(mesh: &Mesh) -> Self {
         // Every triangle holds two sides at each of its corners: count, place,
         // and let `from_raw_rows` merge the copies of the interior edges.
         let n = mesh.num_nodes();
@@ -71,7 +72,7 @@ impl Graph {
     }
 
     /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -91,7 +92,8 @@ impl Graph {
     }
 
     /// Breadth-first distances from a source (usize::MAX for unreachable).
-    pub fn bfs_distances(&self, source: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn bfs_distances(&self, source: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.num_vertices()];
         self.relax_distances(source, &mut dist, &mut Vec::new());
         dist
@@ -125,7 +127,8 @@ impl Graph {
     }
 
     /// Whether the graph is connected (true for the empty graph).
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    fn is_connected(&self) -> bool {
         let n = self.num_vertices();
         if n == 0 {
             return true;
@@ -198,9 +201,19 @@ mod tests {
         let g = Graph::from_mesh(&mesh);
         assert_eq!(g.num_vertices(), mesh.num_nodes());
         assert!(g.is_connected());
-        let adj = mesh.node_adjacency();
-        for v in 0..mesh.num_nodes() {
-            assert_eq!(g.neighbours(v), &adj[v][..]);
+        // Every triangle side, both ways, sorted and deduplicated per node.
+        let mut adj = vec![Vec::new(); mesh.num_nodes()];
+        for t in &mesh.triangles {
+            for k in 0..3 {
+                let (a, b) = (t[k], t[(k + 1) % 3]);
+                adj[a].push(b);
+                adj[b].push(a);
+            }
+        }
+        for (v, list) in adj.iter_mut().enumerate() {
+            list.sort_unstable();
+            list.dedup();
+            assert_eq!(g.neighbours(v), &list[..]);
         }
     }
 }

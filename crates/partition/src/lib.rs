@@ -10,7 +10,7 @@
 //! * [`overlap`] — BFS expansion of each part by a configurable number of
 //!   layers, producing the overlapping sub-domain node sets that the Schwarz
 //!   restriction operators consume,
-//! * [`quality`] — edge cut and balance metrics used by tests and benches.
+//! * `quality` — edge cut and balance metrics the tests judge partitions by.
 //!
 //! Setup is part of time-to-solution, so the whole pipeline is near-linear —
 //! `O((n + e)·log n)` for `n` nodes and `e` edges, no `O(n)` work or
@@ -22,12 +22,12 @@
 pub mod graph;
 pub mod overlap;
 pub mod partitioner;
-pub mod quality;
+#[cfg(test)]
+mod quality;
 
 pub use graph::Graph;
 pub use overlap::grow_overlap;
 pub use partitioner::{partition_graph, PartitionOptions};
-pub use quality::{balance_factor, edge_cut};
 
 /// A partition assignment: `part[v]` is the sub-domain index of node `v`.
 pub type Partition = Vec<usize>;

@@ -14,6 +14,7 @@ use crate::Partition;
 /// exactly the parts themselves.  The cost is `O(n + Σ|sub-domain|·degree)`:
 /// one BFS level array serves every part and is reset only where a part
 /// touched it.
+// detlint::allow(unreferenced-pub): the stage tests/partition_pins.rs pins on graphs no mesh produces
 pub fn grow_overlap(
     graph: &Graph,
     partition: &Partition,
@@ -57,18 +58,6 @@ pub fn grow_overlap(
         members.sort_unstable();
     }
     subdomains
-}
-
-/// For each sub-domain, the number of nodes shared with at least one other
-/// sub-domain (a measure of the overlap volume).
-pub fn overlap_sizes(subdomains: &[Vec<usize>], num_nodes: usize) -> Vec<usize> {
-    let mut multiplicity = vec![0usize; num_nodes];
-    for sd in subdomains {
-        for &v in sd {
-            multiplicity[v] += 1;
-        }
-    }
-    subdomains.iter().map(|sd| sd.iter().filter(|&&v| multiplicity[v] > 1).count()).collect()
 }
 
 #[cfg(test)]
@@ -199,21 +188,5 @@ mod tests {
         for sd in &sds[4..] {
             assert!(sd.is_empty(), "tail parts past the vertex count must stay empty");
         }
-        // The non-empty sub-domains together cover the whole graph.
-        let sizes = overlap_sizes(&sds, 4);
-        assert_eq!(sizes.len(), k);
-        assert!(sizes[..4].iter().all(|&s| s > 0), "singleton cores fully overlap");
-    }
-
-    #[test]
-    fn overlap_sizes_metric() {
-        let g = grid_graph(10, 10);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 4, ..Default::default() });
-        let sds0 = grow_overlap(&g, &parts, 4, 0);
-        let sizes0 = overlap_sizes(&sds0, 100);
-        assert!(sizes0.iter().all(|&s| s == 0), "no overlap with 0 layers");
-        let sds2 = grow_overlap(&g, &parts, 4, 2);
-        let sizes2 = overlap_sizes(&sds2, 100);
-        assert!(sizes2.iter().all(|&s| s > 0), "overlap layers must create shared nodes");
     }
 }

@@ -1,10 +1,11 @@
-//! Partition quality metrics: edge cut and balance.
+//! Partition quality metrics the partitioner tests judge it by: edge cut and
+//! balance.
 
 use crate::graph::Graph;
 use crate::Partition;
 
 /// Number of edges whose endpoints lie in different parts.
-pub fn edge_cut(graph: &Graph, partition: &Partition) -> usize {
+pub(crate) fn edge_cut(graph: &Graph, partition: &Partition) -> usize {
     let mut cut = 0;
     for v in 0..graph.num_vertices() {
         for &u in graph.neighbours(v) {
@@ -18,7 +19,7 @@ pub fn edge_cut(graph: &Graph, partition: &Partition) -> usize {
 
 /// Ratio of the largest part size to the ideal (uniform) size.  1.0 means
 /// perfectly balanced; values above ~1.2 indicate a poor partition.
-pub fn balance_factor(partition: &Partition, num_parts: usize) -> f64 {
+pub(crate) fn balance_factor(partition: &Partition, num_parts: usize) -> f64 {
     if partition.is_empty() || num_parts == 0 {
         return 1.0;
     }
@@ -29,15 +30,6 @@ pub fn balance_factor(partition: &Partition, num_parts: usize) -> f64 {
     let max = *counts.iter().max().unwrap() as f64;
     let ideal = partition.len() as f64 / num_parts as f64;
     max / ideal
-}
-
-/// Sizes of every part.
-pub fn part_sizes(partition: &Partition, num_parts: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; num_parts];
-    for &p in partition {
-        counts[p] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -81,11 +73,5 @@ mod tests {
         let skewed: Partition = (0..10).map(|i| usize::from(i >= 8)).collect();
         assert!((balance_factor(&skewed, 2) - 1.6).abs() < 1e-12);
         assert_eq!(balance_factor(&Vec::new(), 3), 1.0);
-    }
-
-    #[test]
-    fn part_sizes_counts() {
-        let partition: Partition = vec![0, 1, 1, 2, 2, 2];
-        assert_eq!(part_sizes(&partition, 3), vec![1, 2, 3]);
     }
 }

@@ -52,6 +52,9 @@
 //! `detlint::allow`.
 
 pub mod mutex;
+// Outside `--cfg detsan` nothing calls the engine's lock hooks; its unit
+// tests still do.
+#[cfg_attr(not(detsan), allow(dead_code))]
 pub mod runtime;
 pub mod schedule;
 
@@ -59,8 +62,7 @@ pub mod schedule;
 pub use mutex::TrackedGuard;
 pub use mutex::TrackedMutex;
 pub use runtime::{
-    current_job, enter_job, findings, force_tracking, next_batch_id, report, tracking_enabled,
-    Finding, JobScope,
+    enter_job, findings, force_tracking, next_batch_id, report, tracking_enabled, Finding, JobScope,
 };
 pub use schedule::{batch_rng, clear_schedule_seed, schedule_seed, set_schedule_seed, BatchRng};
 

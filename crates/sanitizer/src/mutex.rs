@@ -2,7 +2,7 @@
 //! shared-scratch sites use.
 //!
 //! Both builds expose the identical API (`new` / `new_commutative` /
-//! `lock` / `is_poisoned`), so call sites carry no `cfg` noise:
+//! `lock`), so call sites carry no `cfg` noise:
 //!
 //! * **Without `--cfg detsan`** it is a `#[repr(transparent)]` newtype over
 //!   [`std::sync::Mutex`] whose `lock()` is exactly the
@@ -47,7 +47,7 @@ pub struct TrackedMutex<T> {
 #[cfg(not(detsan))]
 impl<T> TrackedMutex<T> {
     /// Wrap `value`; `label` documents the site (e.g.
-    /// `"gnn::plan::ScratchPool::state"`) and is only consumed by detsan
+    /// `"ddm::asm::Schwarz::faults"`) and is only consumed by detsan
     /// builds.
     #[inline]
     #[track_caller]
@@ -70,12 +70,6 @@ impl<T> TrackedMutex<T> {
     #[inline]
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether a holder panicked while holding the lock.
-    #[inline]
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
     }
 }
 
@@ -149,11 +143,6 @@ impl<T> TrackedMutex<T> {
         }
         TrackedGuard { guard, site: self.site, instance: self.instance, tracked }
     }
-
-    /// Whether a holder panicked while holding the lock.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.is_poisoned()
-    }
 }
 
 #[cfg(detsan)]
@@ -219,7 +208,7 @@ mod tests {
         })
         .join();
         assert!(joined.is_err());
-        assert!(m.is_poisoned());
+        assert!(m.inner.is_poisoned());
         assert_eq!(m.lock().len(), 3, "recovered access still sees the data");
     }
 

@@ -36,9 +36,9 @@ pub fn tracking_enabled() -> bool {
         || FORCE_TRACKING.load(Ordering::Relaxed)
 }
 
-/// Programmatic override of the `DETSAN` env switch (for tests and the
-/// detsan suite binary).  `force_tracking(false)` only clears the override,
-/// not the env switch.
+/// Programmatic override of the `DETSAN` env switch (for tests).
+/// `force_tracking(false)` only clears the override, not the env switch.
+// detlint::allow(unreferenced-pub): the switch the sanitizer and pool contention tests turn tracking on with
 pub fn force_tracking(on: bool) {
     FORCE_TRACKING.store(on, Ordering::Relaxed);
 }
@@ -52,7 +52,7 @@ pub fn force_tracking(on: bool) {
 /// `Vec<TrackedMutex<Scratch>>` — share a `SiteId`; lock ordering is a
 /// property of site classes, while contention is tracked per instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SiteId(u32);
+pub(crate) struct SiteId(u32);
 
 #[derive(Clone, Debug)]
 struct SiteInfo {
@@ -67,8 +67,7 @@ struct SiteInfo {
 /// An unknown commutative label is itself a finding
 /// (`unreviewed-commutative`) — annotations are auditable, like
 /// `detlint::allow`.  The `test::` prefix is reserved for test fixtures.
-pub const REVIEWED_COMMUTATIVE: &[&str] =
-    &["ddm::asm::Schwarz::faults", "gnn::plan::ScratchPool::state"];
+pub(crate) const REVIEWED_COMMUTATIVE: &[&str] = &["ddm::asm::Schwarz::faults"];
 
 fn sites() -> &'static Mutex<Vec<SiteInfo>> {
     static SITES: OnceLock<Mutex<Vec<SiteInfo>>> = OnceLock::new();
@@ -78,7 +77,7 @@ fn sites() -> &'static Mutex<Vec<SiteInfo>> {
 /// Register (or look up) the lock site for a construction point.  Sites are
 /// deduplicated by `(label, file, line)` so a loop constructing many
 /// instances yields one site.
-pub fn register_site(
+pub(crate) fn register_site(
     label: &'static str,
     file: &'static str,
     line: u32,
@@ -167,7 +166,7 @@ pub fn enter_job(batch: u64, job: u32) -> JobScope {
 }
 
 /// The (batch, job) identity the current thread is executing, if any.
-pub fn current_job() -> Option<(u64, u32)> {
+pub(crate) fn current_job() -> Option<(u64, u32)> {
     JOBS.with(|j| j.borrow().last().copied())
 }
 
@@ -193,7 +192,7 @@ fn graph() -> &'static Mutex<Graph> {
 /// Record an acquisition of `site` (instance `instance`) on this thread:
 /// adds a lock-order edge from the currently held top lock (if any), runs
 /// cycle detection, then pushes onto the held stack.
-pub fn on_acquire(site: SiteId, instance: u64) {
+pub(crate) fn on_acquire(site: SiteId, instance: u64) {
     let held: Vec<(SiteId, u64)> = HELD.with(|h| h.borrow().clone());
     if let Some(&(top, _)) = held.last() {
         record_edge(top, site, &held);
@@ -203,7 +202,7 @@ pub fn on_acquire(site: SiteId, instance: u64) {
 
 /// Record the release of `site` / `instance` (called from the guard's
 /// `Drop`; tolerates out-of-LIFO release orders).
-pub fn on_release(site: SiteId, instance: u64) {
+pub(crate) fn on_release(site: SiteId, instance: u64) {
     HELD.with(|h| {
         let mut h = h.borrow_mut();
         if let Some(pos) = h.iter().rposition(|&(s, i)| s == site && i == instance) {
@@ -305,7 +304,7 @@ fn record_edge(from: SiteId, to: SiteId, held: &[(SiteId, u64)]) {
 /// Per-`TrackedMutex`-instance contention state.  Accesses are serialized
 /// by the tracked mutex itself (the owner records *while holding it*), so
 /// relaxed atomics suffice.
-pub struct ContentionState {
+pub(crate) struct ContentionState {
     batch: AtomicU64,
     first_job: AtomicU32,
     flagged_batch: AtomicBool,
@@ -313,7 +312,7 @@ pub struct ContentionState {
 }
 
 impl ContentionState {
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         ContentionState {
             batch: AtomicU64::new(0),
             first_job: AtomicU32::new(0),
@@ -335,7 +334,7 @@ impl Default for ContentionState {
 /// job gets the lock first is schedule-dependent.  The check is
 /// acquisition-set based (not blocking-based), so it is deterministic and
 /// fires even on a single-thread pool.
-pub fn note_contention(site: SiteId, st: &ContentionState) {
+pub(crate) fn note_contention(site: SiteId, st: &ContentionState) {
     let Some((batch, job)) = current_job() else { return };
     if st.batch.load(Ordering::Relaxed) != batch {
         st.batch.store(batch, Ordering::Relaxed);

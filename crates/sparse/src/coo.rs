@@ -78,25 +78,15 @@ impl CooMatrix {
         self.values.push(value);
     }
 
-    /// Iterate over the stored triplets.
-    pub fn triplets(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.rows
-            .iter()
-            .zip(self.cols.iter())
-            .zip(self.values.iter())
-            .map(|((&r, &c), &v)| (r, c, v))
-    }
-
-    /// Convert to CSR, summing duplicate entries and dropping explicit zeros
-    /// produced by cancellation only if `drop_zeros` is requested by the
-    /// caller through [`CooMatrix::to_csr_dropping`].
+    /// Convert to CSR, summing duplicate entries; an entry whose duplicates
+    /// cancel to zero stays stored.
     pub fn to_csr(&self) -> CsrMatrix {
         self.to_csr_dropping(false)
     }
 
     /// Convert to CSR.  When `drop_zeros` is true, entries that sum exactly to
     /// zero are removed from the sparsity pattern.
-    pub fn to_csr_dropping(&self, drop_zeros: bool) -> CsrMatrix {
+    fn to_csr_dropping(&self, drop_zeros: bool) -> CsrMatrix {
         // Counting sort by row, then sort each row's column indices.
         let nnz = self.values.len();
         let mut row_counts = vec![0usize; self.nrows + 1];
@@ -144,16 +134,6 @@ impl CooMatrix {
         CsrMatrix::from_raw_parts(self.nrows, self.ncols, row_ptr, col_idx, values)
             .expect("COO→CSR conversion produced an invalid matrix; this is a bug")
     }
-
-    /// Build an identity-like COO matrix with the given diagonal values.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut coo = CooMatrix::with_capacity(n, n, n);
-        for (i, &v) in diag.iter().enumerate() {
-            coo.push_unchecked(i, i, v);
-        }
-        coo
-    }
 }
 
 #[cfg(test)]
@@ -195,15 +175,6 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         assert_eq!(coo.to_csr().nnz(), 2);
         assert_eq!(coo.to_csr_dropping(true).nnz(), 1);
-    }
-
-    #[test]
-    fn triplets_roundtrip_and_diagonal() {
-        let coo = CooMatrix::from_diagonal(&[1.0, 2.0, 3.0]);
-        let trips: Vec<_> = coo.triplets().collect();
-        assert_eq!(trips, vec![(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)]);
-        let csr = coo.to_csr();
-        assert_eq!(csr.diagonal(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

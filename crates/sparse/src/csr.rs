@@ -85,27 +85,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Build a CSR matrix from a dense row-major slice, keeping entries with
-    /// absolute value larger than `tol`.
-    pub fn from_dense(data: &[f64], nrows: usize, ncols: usize, tol: f64) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "from_dense: data length mismatch");
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for r in 0..nrows {
-            for c in 0..ncols {
-                let v = data[r * ncols + c];
-                if v.abs() > tol {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix { nrows, ncols, row_ptr, col_idx, values }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -140,12 +119,6 @@ impl CsrMatrix {
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Mutable access to the value array (pattern is immutable).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// The column indices and values of row `r`.
@@ -210,7 +183,7 @@ impl CsrMatrix {
     /// Transposed matrix–vector product `y = Aᵀ x` into a preallocated
     /// output.  Works directly on the CSR arrays (scatter along rows) — no
     /// explicit transpose and no temporary is ever built.
-    pub fn spmv_transpose_into(&self, x: &[f64], y: &mut [f64]) {
+    fn spmv_transpose_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(y.len(), self.ncols, "spmv_transpose: y length mismatch");
         y.fill(0.0);
         self.spmv_transpose_add_into(x, y);
@@ -279,6 +252,7 @@ impl CsrMatrix {
     }
 
     /// Check numerical symmetry up to absolute tolerance `tol`.
+    // detlint::allow(unreferenced-pub): the symmetry oracle the fem, ddm and ddm-gnn tests share
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.nrows != self.ncols {
             return false;
@@ -349,34 +323,6 @@ impl CsrMatrix {
         CsrMatrix { nrows: n, ncols: n, row_ptr, col_idx, values }
     }
 
-    /// Galerkin triple product `R A Rᵀ` where `R` is a dense `k × n` matrix
-    /// given row-wise as `k` dense vectors.  Returns a dense row-major `k × k`
-    /// array.  Used for the Nicolaides coarse operator (small `k`).
-    ///
-    /// Internally the rows are sparsified and routed through
-    /// [`CsrMatrix::galerkin_product_csr`], so the old `k` dense `n`-vector
-    /// temporaries (`A R_jᵀ` for every coarse dof) are never materialised.
-    pub fn galerkin_product(&self, r_rows: &[Vec<f64>]) -> Vec<f64> {
-        let k = r_rows.len();
-        let n = self.nrows;
-        let mut row_ptr = Vec::with_capacity(k + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for row in r_rows {
-            assert_eq!(row.len(), n, "galerkin_product: R row length mismatch");
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    col_idx.push(c);
-                    values.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let r = CsrMatrix { nrows: k, ncols: n, row_ptr, col_idx, values };
-        self.galerkin_product_csr(&r)
-    }
-
     /// Galerkin triple product `R A Rᵀ` with a sparse `k × n` restriction
     /// matrix, returning a dense row-major `k × k` array.
     ///
@@ -391,9 +337,7 @@ impl CsrMatrix {
     /// **Explicit zeros:** entries of `R` stored with value exactly `0.0` are
     /// skipped, both in the merge and in the dots, so this method computes
     /// the same floating-point operation sequence whether `R` carries
-    /// explicitly-stored zeros or not.  In particular it agrees **bit for
-    /// bit** with [`CsrMatrix::galerkin_product`] on the densified rows of
-    /// `R` (the wrapper drops zeros when sparsifying).
+    /// explicitly-stored zeros or not.
     pub fn galerkin_product_csr(&self, r: &CsrMatrix) -> Vec<f64> {
         assert_eq!(r.ncols(), self.nrows, "galerkin_product: R column count mismatch");
         assert_eq!(self.nrows, self.ncols, "galerkin_product: A must be square");
@@ -446,7 +390,7 @@ impl CsrMatrix {
     /// is a fixed function of the inputs (deterministic, thread-free).
     /// Explicitly-stored zeros in `self` are skipped; zeros *produced* by
     /// cancellation are kept, preserving the Galerkin sparsity pattern.
-    pub fn matmul(&self, other: &CsrMatrix) -> CsrMatrix {
+    fn matmul(&self, other: &CsrMatrix) -> CsrMatrix {
         assert_eq!(self.ncols, other.nrows, "matmul: inner dimension mismatch");
         let n_out = other.ncols;
         let mut acc = vec![0.0; n_out];
@@ -497,11 +441,6 @@ impl CsrMatrix {
         r.matmul(self).matmul(&r.transpose())
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Scale all stored values by `alpha`.
     pub fn scale(&mut self, alpha: f64) {
         for v in &mut self.values {
@@ -510,7 +449,7 @@ impl CsrMatrix {
     }
 
     /// Convert to a dense row-major vector (for small matrices / testing).
-    pub fn to_dense(&self) -> Vec<f64> {
+    pub(crate) fn to_dense(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.nrows * self.ncols];
         for r in 0..self.nrows {
             let (cols, vals) = self.row(r);
@@ -520,22 +459,23 @@ impl CsrMatrix {
         }
         out
     }
-
-    /// Number of stored entries in the strictly lower triangle.
-    pub fn lower_nnz(&self) -> usize {
-        let mut count = 0;
-        for r in 0..self.nrows {
-            let (cols, _) = self.row(r);
-            count += cols.iter().filter(|&&c| c < r).count();
-        }
-        count
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CooMatrix;
+
+    /// `rows` (each of length `n`) as a sparse matrix, zeros dropped.
+    fn sparse_rows(rows: &[Vec<f64>], n: usize) -> CsrMatrix {
+        let mut coo = CooMatrix::new(rows.len(), n);
+        for (i, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate().filter(|(_, v)| **v != 0.0) {
+                coo.push(i, c, v).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
 
     fn sample_matrix() -> CsrMatrix {
         // [ 4 -1  0]
@@ -668,7 +608,7 @@ mod tests {
         let a = sample_matrix();
         // R = [1 1 0; 0 0 1]
         let r = vec![vec![1.0, 1.0, 0.0], vec![0.0, 0.0, 1.0]];
-        let g = a.galerkin_product(&r);
+        let g = a.galerkin_product_csr(&sparse_rows(&r, 3));
         // R A Rᵀ = [[6, -1], [-1, 4]]
         assert_eq!(g, vec![6.0, -1.0, -1.0, 4.0]);
     }
@@ -706,7 +646,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let fast = a.galerkin_product(&r_rows);
+        let fast = a.galerkin_product_csr(&sparse_rows(&r_rows, n));
         // Naive reference.
         let mut slow = vec![0.0; k * k];
         for i in 0..k {
@@ -806,22 +746,11 @@ mod tests {
     }
 
     #[test]
-    fn dense_roundtrip_and_norm() {
-        let a = sample_matrix();
-        let d = a.to_dense();
-        let b = CsrMatrix::from_dense(&d, 3, 3, 0.0);
-        assert_eq!(a, b);
-        assert!((a.frobenius_norm() - (3.0 * 16.0 + 4.0_f64).sqrt()).abs() < 1e-12);
-        assert_eq!(a.lower_nnz(), 2);
-    }
-
-    #[test]
     fn scale_and_values_mut() {
         let mut a = sample_matrix();
         a.scale(2.0);
         assert_eq!(a.get(0, 0), 8.0);
-        a.values_mut()[0] = 1.0;
-        assert_eq!(a.values()[0], 1.0);
+        assert_eq!(a.values()[1], -2.0);
     }
 
     #[test]

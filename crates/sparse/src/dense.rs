@@ -1,10 +1,9 @@
 //! Dense row-major matrix with the handful of kernels the workspace needs.
 //!
-//! Dense matrices show up in three places: the coarse operator
-//! `R₀ A R₀ᵀ` of the two-level Schwarz method (K × K with K the number of
-//! sub-domains), the weights of the GNN layers, and reference LU solves in
-//! tests.  The implementation is deliberately simple — cache-friendly
-//! row-major storage, `matmul` with the k-loop innermost hoisted, no blocking.
+//! Dense matrices show up where [`crate::LuFactor`] needs one: the coarse
+//! operator `R₀ A R₀ᵀ` of the two-level Schwarz method (K × K with K the
+//! number of sub-domains) and reference LU solves in tests.  The
+//! implementation is deliberately simple — row-major storage, no blocking.
 
 use crate::{Result, SparseError};
 
@@ -60,12 +59,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutable access to the row-major data.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
@@ -86,62 +79,6 @@ impl DenseMatrix {
         &self.data[r * self.ncols..(r + 1) * self.ncols]
     }
 
-    /// Mutable view of row `r`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.ncols..(r + 1) * self.ncols]
-    }
-
-    /// Matrix–vector product `y = A x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols, "matvec: dimension mismatch");
-        let mut y = vec![0.0; self.nrows];
-        for r in 0..self.nrows {
-            y[r] = crate::vector::dot(self.row(r), x);
-        }
-        y
-    }
-
-    /// Transposed matrix–vector product `y = Aᵀ x`.
-    pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nrows, "matvec_transpose: dimension mismatch");
-        let mut y = vec![0.0; self.ncols];
-        for r in 0..self.nrows {
-            let xr = x[r];
-            let row = self.row(r);
-            for c in 0..self.ncols {
-                y[c] += row[c] * xr;
-            }
-        }
-        y
-    }
-
-    /// Matrix–matrix product `C = A B`.
-    pub fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.ncols != other.nrows {
-            return Err(SparseError::DimensionMismatch {
-                op: "matmul",
-                expected: (self.ncols, other.nrows),
-                found: (other.nrows, other.ncols),
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.nrows, other.ncols);
-        for i in 0..self.nrows {
-            for k in 0..self.ncols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let orow = out.row_mut(i);
-                for j in 0..other.ncols {
-                    orow[j] += aik * brow[j];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.ncols, self.nrows);
@@ -151,26 +88,6 @@ impl DenseMatrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// In-place scaled addition `self ← self + alpha * other`.
-    pub fn add_scaled(&mut self, alpha: f64, other: &DenseMatrix) -> Result<()> {
-        if self.nrows != other.nrows || self.ncols != other.ncols {
-            return Err(SparseError::DimensionMismatch {
-                op: "add_scaled",
-                expected: (self.nrows, self.ncols),
-                found: (other.nrows, other.ncols),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
     }
 
     /// Fill with a constant.
@@ -200,40 +117,15 @@ mod tests {
     #[test]
     fn matvec_and_transpose() {
         let m = DenseMatrix::from_row_major(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
-        assert_eq!(m.matvec_transpose(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
         let t = m.transpose();
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.get(2, 1), 6.0);
     }
 
     #[test]
-    fn matmul_identity_and_mismatch() {
-        let m = DenseMatrix::from_row_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let id = DenseMatrix::identity(2);
-        assert_eq!(m.matmul(&id).unwrap(), m);
-        assert_eq!(id.matmul(&m).unwrap(), m);
-        let bad = DenseMatrix::zeros(3, 3);
-        assert!(m.matmul(&bad).is_err());
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = DenseMatrix::from_row_major(2, 3, vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0]).unwrap();
-        let b = DenseMatrix::from_row_major(3, 2, vec![3.0, 1.0, 2.0, 1.0, 1.0, 0.0]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.data(), &[5.0, 1.0, 4.0, 2.0]);
-    }
-
-    #[test]
     fn add_scaled_and_norm_and_fill() {
         let mut a = DenseMatrix::identity(2);
-        let b = DenseMatrix::identity(2);
-        a.add_scaled(2.0, &b).unwrap();
-        assert_eq!(a.get(0, 0), 3.0);
-        assert!((a.frobenius_norm() - (18.0_f64).sqrt()).abs() < 1e-12);
         a.fill(0.5);
         assert_eq!(a.data(), &[0.5; 4]);
-        assert!(a.add_scaled(1.0, &DenseMatrix::zeros(3, 3)).is_err());
     }
 }

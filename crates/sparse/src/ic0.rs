@@ -113,11 +113,6 @@ impl IncompleteCholesky {
         self.n
     }
 
-    /// The lower-triangular factor.
-    pub fn factor_matrix(&self) -> &CsrMatrix {
-        &self.l
-    }
-
     /// Apply the preconditioner: solve `L Lᵀ z = r`.
     pub fn apply(&self, r: &[f64]) -> Result<Vec<f64>> {
         if r.len() != self.n {
@@ -202,7 +197,7 @@ mod tests {
     fn factor_matrix_is_lower_triangular() {
         let a = laplacian_1d(10);
         let ic = IncompleteCholesky::factor(&a).unwrap();
-        let l = ic.factor_matrix();
+        let l = &ic.l;
         for r in 0..l.nrows() {
             let (cols, _) = l.row(r);
             assert!(cols.iter().all(|&c| c <= r));

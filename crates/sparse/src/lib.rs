@@ -9,7 +9,7 @@
 //! * [`DenseMatrix`] / [`LuFactor`] — dense kernels and LU with partial
 //!   pivoting used for the coarse problem of the two-level Schwarz method,
 //! * [`SkylineCholesky`] — envelope (skyline) Cholesky factorisation
-//!   combined with [`rcm`] reordering, used as the exact sub-domain solver of
+//!   combined with reverse Cuthill–McKee reordering, used as the exact sub-domain solver of
 //!   the DDM-LU baseline,
 //! * [`IncompleteCholesky`] — zero-fill incomplete Cholesky, the IC(0)
 //!   baseline preconditioner of the paper's Table III,
@@ -27,7 +27,7 @@ pub mod dense;
 pub mod error;
 pub mod ic0;
 pub mod lu;
-pub mod rcm;
+mod rcm;
 pub mod vector;
 
 pub use cholesky::SkylineCholesky;

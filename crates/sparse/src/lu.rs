@@ -173,9 +173,9 @@ mod tests {
         for i in 0..n {
             data[i * n + i] += n as f64;
         }
-        let a = DenseMatrix::from_row_major(n, n, data).unwrap();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let b = a.matvec(&x_true);
+        let b: Vec<f64> = data.chunks(n).map(|row| crate::vector::dot(row, &x_true)).collect();
+        let a = DenseMatrix::from_row_major(n, n, data).unwrap();
         let lu = LuFactor::factor_dense(&a).unwrap();
         let x = lu.solve(&b).unwrap();
         let err = crate::vector::relative_error(&x, &x_true);

@@ -16,7 +16,7 @@ use crate::CsrMatrix;
 /// matrix holds original row/column `perm[new]`.  Disconnected components are
 /// each ordered separately (the mesh sub-domains produced by the partitioner
 /// are connected, but the ordering must not rely on it).
-pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Vec<usize> {
+pub(crate) fn reverse_cuthill_mckee(a: &CsrMatrix) -> Vec<usize> {
     let n = a.nrows();
     let mut visited = vec![false; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
@@ -103,7 +103,7 @@ fn pseudo_peripheral(a: &CsrMatrix, mut start: usize) -> usize {
 
 /// Apply a symmetric permutation to a square CSR matrix: returns
 /// `B = P A Pᵀ` where `perm[new] = old`.
-pub fn permute_symmetric(a: &CsrMatrix, perm: &[usize]) -> CsrMatrix {
+pub(crate) fn permute_symmetric(a: &CsrMatrix, perm: &[usize]) -> CsrMatrix {
     let n = a.nrows();
     assert_eq!(perm.len(), n, "permutation length mismatch");
     // inverse permutation: old -> new
@@ -134,22 +134,22 @@ pub fn permute_symmetric(a: &CsrMatrix, perm: &[usize]) -> CsrMatrix {
         .expect("symmetric permutation produced an invalid matrix; this is a bug")
 }
 
-/// Bandwidth of a symmetric sparsity pattern: `max |i - j|` over stored entries.
-pub fn bandwidth(a: &CsrMatrix) -> usize {
-    let mut bw = 0;
-    for r in 0..a.nrows() {
-        let (cols, _) = a.row(r);
-        for &c in cols {
-            bw = bw.max(r.abs_diff(c));
-        }
-    }
-    bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CooMatrix;
+
+    /// Bandwidth of a symmetric sparsity pattern: `max |i - j|` over stored entries.
+    fn bandwidth(a: &CsrMatrix) -> usize {
+        let mut bw = 0;
+        for r in 0..a.nrows() {
+            let (cols, _) = a.row(r);
+            for &c in cols {
+                bw = bw.max(r.abs_diff(c));
+            }
+        }
+        bw
+    }
 
     /// 1D Laplacian (tridiagonal) on `n` nodes but with a scrambled node order,
     /// so RCM has something to improve.

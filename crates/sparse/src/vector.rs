@@ -2,13 +2,13 @@
 //!
 //! The Krylov solvers and the GNN training loop only need a handful of dense
 //! vector operations; they are collected here so every crate shares a single,
-//! tested implementation.  The parallel variants switch to rayon only above a
+//! tested implementation.  The in-place updates switch to rayon only above a
 //! length threshold — for the short vectors that appear in sub-domain solves
 //! the sequential loop is faster than the fork/join overhead.
 
 use rayon::prelude::*;
 
-/// Length above which the `par_*` kernels actually use rayon.
+/// Length above which the in-place updates actually use rayon.
 const PAR_THRESHOLD: usize = 16_384;
 
 /// Dot product `xᵀ y`.
@@ -21,33 +21,10 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
 }
 
-/// Parallel dot product, falling back to the sequential kernel for short
-/// vectors.
-#[inline]
-pub fn par_dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "par_dot: length mismatch");
-    if x.len() < PAR_THRESHOLD {
-        return dot(x, y);
-    }
-    x.par_iter().zip(y.par_iter()).map(|(a, b)| a * b).sum()
-}
-
 /// Euclidean norm `‖x‖₂`.
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// Parallel Euclidean norm.
-#[inline]
-pub fn par_norm2(x: &[f64]) -> f64 {
-    par_dot(x, x).sqrt()
-}
-
-/// Infinity norm `max |x_i|` (0 for the empty vector).
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
 /// `y ← a·x + y`.
@@ -88,23 +65,6 @@ pub fn scale(a: f64, x: &mut [f64]) {
     }
 }
 
-/// Element-wise copy `y ← x`.
-#[inline]
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "copy: length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// `z ← x - y` writing into a preallocated output.
-#[inline]
-pub fn sub_into(x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "sub_into: length mismatch");
-    assert_eq!(x.len(), z.len(), "sub_into: output length mismatch");
-    for i in 0..x.len() {
-        z[i] = x[i] - y[i];
-    }
-}
-
 /// Fill a vector with a constant.
 #[inline]
 pub fn fill(x: &mut [f64], value: f64) {
@@ -141,16 +101,13 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let y = [4.0, 5.0, 6.0];
         assert_eq!(dot(&x, &y), 32.0);
-        assert_eq!(par_dot(&x, &y), 32.0);
     }
 
     #[test]
     fn norms() {
         let x = [3.0, -4.0];
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(par_norm2(&x), 5.0);
-        assert_eq!(norm_inf(&x), 4.0);
-        assert_eq!(norm_inf(&[]), 0.0);
+        assert_eq!(norm2(&[]), 0.0);
     }
 
     #[test]
@@ -167,15 +124,9 @@ mod tests {
 
     #[test]
     fn sub_and_fill_and_copy() {
-        let x = [5.0, 7.0];
-        let y = [1.0, 2.0];
-        let mut z = [0.0; 2];
-        sub_into(&x, &y, &mut z);
-        assert_eq!(z, [4.0, 5.0]);
+        let mut z = [5.0, 7.0];
         fill(&mut z, 1.5);
         assert_eq!(z, [1.5, 1.5]);
-        copy(&x, &mut z);
-        assert_eq!(z, x);
     }
 
     #[test]
@@ -194,10 +145,6 @@ mod tests {
         let n = 50_000;
         let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.5).collect();
         let y: Vec<f64> = (0..n).map(|i| (i % 11) as f64 - 3.0).collect();
-        let seq = dot(&x, &y);
-        let par = par_dot(&x, &y);
-        assert!((seq - par).abs() / seq.abs().max(1.0) < 1e-12);
-
         let mut y1 = y.clone();
         let mut y2 = y.clone();
         axpy(1.25, &x, &mut y1);

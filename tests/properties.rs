@@ -130,7 +130,9 @@ proptest! {
         let r = ddm::Restriction::new(indices.clone(), 50);
         let local: Vec<f64> = values.iter().take(indices.len()).copied().collect();
         let mut global = vec![0.0; 50];
-        r.extend_add(&local, &mut global);
+        for (&l, &g) in local.iter().zip(r.indices()) {
+            global[g] += l;
+        }
         let back = r.restrict(&global);
         prop_assert_eq!(back, local);
     }
@@ -171,10 +173,10 @@ proptest! {
         prop_assert!(covered.into_iter().all(|c| c));
     }
 
-    /// The dense-rows Galerkin wrapper and the CSR kernel agree **exactly**
-    /// on restrictions containing explicitly stored zeros: the wrapper drops
-    /// them when building the CSR and the kernel skips them during the merge,
-    /// so both sides reduce to the same nonzero stream in the same order.
+    /// The Galerkin kernel gives the same bits on a restriction with
+    /// explicitly stored zeros as on the same rows with the zeros dropped:
+    /// it skips them during the merge, so both reduce to the same nonzero
+    /// stream in the same order.
     #[test]
     fn galerkin_wrapper_matches_csr_on_explicit_zeros(
         entries in proptest::collection::vec((0usize..20, 0usize..20, 0.1f64..2.0), 10..40),
@@ -189,27 +191,29 @@ proptest! {
         for (idx, &(i, j, v)) in r_entries.iter().enumerate() {
             rows[i % k][j % n] = if idx % zero_every == 0 { 0.0 } else { v };
         }
-        // The same rows as an explicit CSR that *keeps* stored zeros.
-        let mut row_ptr = vec![0usize];
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for row in &rows {
-            for (j, &v) in row.iter().enumerate() {
-                // Store every column touched by r_entries, zero or not, plus
-                // a guaranteed explicit zero per row.
-                if v != 0.0 || j % 7 == 0 {
-                    col_idx.push(j);
-                    values.push(v);
+        // The rows as CSR, with every nonzero stored, plus (`keep_zeros`) a
+        // guaranteed explicit zero per row.
+        let to_csr = |keep_zeros: bool| {
+            let mut row_ptr = vec![0usize];
+            let mut col_idx = Vec::new();
+            let mut values = Vec::new();
+            for row in &rows {
+                for (j, &v) in row.iter().enumerate() {
+                    if v != 0.0 || (keep_zeros && j % 7 == 0) {
+                        col_idx.push(j);
+                        values.push(v);
+                    }
                 }
+                row_ptr.push(col_idx.len());
             }
-            row_ptr.push(col_idx.len());
-        }
-        let r_csr = CsrMatrix::from_raw_parts(k, n, row_ptr, col_idx, values).unwrap();
+            CsrMatrix::from_raw_parts(k, n, row_ptr, col_idx, values).unwrap()
+        };
+        let r_csr = to_csr(true);
         prop_assert!(r_csr.values().contains(&0.0), "fixture must contain explicit zeros");
-        let dense_result = a.galerkin_product(&rows);
-        let csr_result = a.galerkin_product_csr(&r_csr);
-        prop_assert_eq!(dense_result.len(), csr_result.len());
-        for (x, y) in dense_result.iter().zip(csr_result.iter()) {
+        let dropped = a.galerkin_product_csr(&to_csr(false));
+        let kept = a.galerkin_product_csr(&r_csr);
+        prop_assert_eq!(dropped.len(), kept.len());
+        for (x, y) in dropped.iter().zip(kept.iter()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
