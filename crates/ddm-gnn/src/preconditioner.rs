@@ -25,6 +25,7 @@ use gnn::{
     dataset::build_local_graphs, DssModel, InferScratch, InferencePlan, LocalGraph, Precision,
 };
 use krylov::{FaultLog, Preconditioner};
+use rayon::prelude::*;
 
 /// The inference plan of one sub-domain, in the engine the configured
 /// precision runs on (`Int8` is a weight format of the f32 engine).
@@ -36,13 +37,16 @@ enum Plan {
 /// The DSS local solve of one sub-domain (Eq. 14–15).
 pub(crate) struct DssLocalSolver {
     model: Arc<DssModel>,
-    /// Built once at construction (the setup phase).  It holds only the
-    /// destination-sorted graph structure and shares one weight pack of the
-    /// model with the plans of the other sub-domains.
+    /// Built once at construction (the setup phase).  It holds the
+    /// destination-grouped graph structure and block 1's edge sums, and
+    /// shares one weight pack of the model with the plans of the other
+    /// sub-domains.
     plan: Plan,
 }
 
 /// Work buffers of a [`DssLocalSolver`], sized on first use per batch width.
+/// The shell pools them across sub-domains; `solve` writes each buffer
+/// before reading it.
 #[derive(Default)]
 pub(crate) struct DssScratch {
     /// One column's restricted residual.
@@ -196,8 +200,9 @@ impl DdmGnnPreconditioner {
     /// memory and perturbs a whole application by ~5e-3 relative on the
     /// shipped model.
     ///
-    /// At every precision a plan holds graph structure only (`28 e + 4 n`
-    /// bytes in f64, `16 e + 4 n` in f32) next to one shared weight pack.
+    /// At every precision a plan holds graph structure and block 1's edge
+    /// sums (`28 e + (4 + 16 d) n` bytes in f64, `16 e + (4 + 8 d) n` in
+    /// f32) next to one shared weight pack.
     ///
     /// A multi-level hierarchy's smoother precision follows the inference
     /// precision (`Precision::F64` keeps f64 sweeps; `F32` and `Int8` drop
@@ -232,7 +237,7 @@ impl DdmGnnPreconditioner {
             &problem.matrix,
             decomposition.restrictions,
             level,
-            || Ok(graphs.iter().map(|g| DssLocalSolver::new(&model, g, precision)).collect()),
+            || Ok(graphs.par_iter().map(|g| DssLocalSolver::new(&model, g, precision)).collect()),
             |tag| format!("ddm-gnn-{tag}{suffix}"),
         )?;
         Ok(DdmGnnPreconditioner { shell, graphs, model, precision })
@@ -356,12 +361,14 @@ mod tests {
         assert_eq!(p64.precision(), gnn::Precision::F64);
         assert_eq!(p32.precision(), gnn::Precision::F32);
         assert_eq!(p32.name(), "ddm-gnn-2level-f32");
-        // f64 plans hold graph structure only (28 B per edge, 4 B per node)
-        // next to one weight pack counted once: per edge, their size does
-        // not depend on the model's depth.  A graph's directed edges are its
-        // operator's off-diagonal entries.
+        // f64 plans hold graph structure (28 B per edge, 4 B per node) and
+        // block 1's `2d` edge sums (16d B per node) next to one weight pack
+        // counted once: their size does not depend on the model's depth.  A
+        // graph's directed edges are its operator's off-diagonal entries.
+        let d = fx.model.config().latent_dim;
         let edges = |g: &gnn::LocalGraph| g.matrix.nnz() - g.num_nodes();
-        let structure: usize = p64.graphs().iter().map(|g| 28 * edges(g) + 4 * g.num_nodes()).sum();
+        let structure: usize =
+            p64.graphs().iter().map(|g| 28 * edges(g) + (4 + 16 * d) * g.num_nodes()).sum();
         let pack = p64.plan_memory_bytes() - structure;
         assert!(pack > 0 && pack < 1 << 20, "one shared weight pack: {pack} bytes");
         let shallow = gnn::DssModel::new(gnn::DssConfig::new(2, fx.model.config().latent_dim), 0);
@@ -370,10 +377,10 @@ mod tests {
                 .unwrap();
         assert!(p64_shallow.plan_memory_bytes() > structure);
         assert!(p64_shallow.plan_memory_bytes() - structure < pack);
-        // The f32 plans: the same structure in single precision (16 B per
-        // edge) next to the same pack at half the width.
+        // The f32 plans: the same in single precision (16 B per edge, 8d B
+        // of sums per node) next to the same pack at half the width.
         let structure32: usize =
-            p32.graphs().iter().map(|g| 16 * edges(g) + 4 * g.num_nodes()).sum();
+            p32.graphs().iter().map(|g| 16 * edges(g) + (4 + 8 * d) * g.num_nodes()).sum();
         assert_eq!(p32.plan_memory_bytes() - structure32, pack / 2);
         let r = fx.problem.rhs.clone();
         let mut z64 = vec![0.0; r.len()];
@@ -656,8 +663,8 @@ mod tests {
         }
     }
 
-    /// Batched-vs-unbatched bit-identity, poison recovery and the zero
-    /// residual on one built shell.
+    /// Batched-vs-unbatched bit-identity, scratches without history, poison
+    /// recovery and the zero residual on one freshly built shell.
     fn check_shell(shell: &dyn Preconditioner, level: AsmLevel, columns: &[Vec<f64>]) {
         let name = shell.name();
         let n = shell.dim();
@@ -666,6 +673,8 @@ mod tests {
             shell.apply(r, &mut z);
             z
         };
+        let r = &columns[0];
+        let baseline = apply(r);
         for b in [1usize, 3, 4] {
             let rs: Vec<&[f64]> = columns[..b].iter().map(Vec::as_slice).collect();
             let mut zs = vec![vec![0.0; n]; b];
@@ -676,12 +685,14 @@ mod tests {
             }
         }
 
+        // The pooled scratches served sub-domains of every size, at every
+        // batch width, in between: none carries history.
+        assert_eq!(apply(r), baseline, "{name}: a reused scratch changed the correction");
+
         // A too-short output handed to an unguarded apply panics in the
-        // glue, while the caller holds a scratch slot and the apply guard:
-        // both end up poisoned, as after a worker panic.  Every slot is
-        // overwritten per apply, so recovery must be bit-identical.
-        let r = &columns[0];
-        let baseline = apply(r);
+        // glue, while the caller holds a panel and the apply guard: both end
+        // up poisoned, as after a worker panic.  Every panel is overwritten
+        // per apply, so recovery must be bit-identical.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shell.apply(r, &mut vec![0.0; n - 7]);
         }));

@@ -14,9 +14,10 @@
 //! inference (Eq. 14–16).  Everything but the local solve lives here, once.
 //!
 //! The local solves are independent and run in parallel with rayon — the CPU
-//! analogue of the paper's batched GPU inference.  Every sub-domain owns a
-//! scratch slot (the local solve's buffers and its correction panel) behind
-//! an uncontended `Mutex`, sized once per batch width, so the
+//! analogue of the paper's batched GPU inference.  Every sub-domain owns its
+//! correction panel behind an uncontended `Mutex`; the local solve's work
+//! buffers live in a small pool instead, one per job running at once, since
+//! a scratch carries no history.  Both are sized once per batch width, so the
 //! per-Krylov-iteration path performs no heap allocation.  The glue
 //! (`Σ Rᵢᵀ vᵢ`) accumulates sequentially in sub-domain order so the result is
 //! bit-identical at every thread count.
@@ -70,8 +71,10 @@ impl AsmLevel {
 /// The local solve of one sub-domain — the one thing that differs between
 /// DDM-LU (exact Cholesky) and DDM-GNN (DSS inference).
 pub trait LocalSolve: Send + Sync {
-    /// Work buffers of the solve, kept in the sub-domain's scratch slot and
-    /// reused across applies (sized on first use).
+    /// Work buffers of the solve, sized on first use and reused.  The shell
+    /// pools them across sub-domains and applies: a scratch may last have
+    /// served any sub-domain, of any size, at any batch width.  So it must
+    /// carry no history — `solve` writes every element it reads first.
     type Scratch: Default + Send;
 
     /// Write the local corrections of the `b = rs.len()` global residuals
@@ -91,21 +94,19 @@ pub trait LocalSolve: Send + Sync {
     ) -> sparse::Result<()>;
 }
 
-/// The scratch slot of one sub-domain: the local solve's buffers and its
-/// `nₗ × b` correction panel.
-#[derive(Default)]
-struct Slot<S> {
-    scratch: S,
-    panel: Vec<f64>,
-}
-
 /// The Additive Schwarz preconditioner over any [`LocalSolve`].
 pub struct Schwarz<L: LocalSolve> {
     restrictions: Vec<Restriction>,
     local_solves: Vec<L>,
-    slots: Vec<TrackedMutex<Slot<L::Scratch>>>,
+    /// The `nᵢ × b` correction panel of every sub-domain: the ordered glue
+    /// reads them all.
+    panels: Vec<TrackedMutex<Vec<f64>>>,
+    /// Local-solve scratches not in use.  A local-phase job takes one (or
+    /// makes one), solves and returns it, so there are never more than the
+    /// jobs that ran at once: at most the pool threads, plus one.
+    scratch_pool: TrackedMutex<Vec<L::Scratch>>,
     coarse: Option<Hierarchy>,
-    /// Serialises whole applies: the slots span the parallel local phase
+    /// Serialises whole applies: the panels span the parallel local phase
     /// and the sequential glue, so two concurrent applies on the same
     /// preconditioner would otherwise interleave and corrupt each other.
     apply_guard: TrackedMutex<()>,
@@ -134,14 +135,19 @@ impl<L: LocalSolve> Schwarz<L> {
         let (coarse, tag) = level.build_coarse(matrix, &restrictions)?;
         let local_solves = local_solves()?;
         assert_eq!(local_solves.len(), restrictions.len(), "one local solve per sub-domain");
-        let slots = local_solves
-            .iter()
-            .map(|_| TrackedMutex::new(Slot::default(), "ddm::asm::Slot"))
-            .collect();
+        let panels =
+            local_solves.iter().map(|_| TrackedMutex::new(Vec::new(), "ddm::asm::panel")).collect();
         Ok(Schwarz {
             restrictions,
             local_solves,
-            slots,
+            panels,
+            // Commutative: which pooled scratch a job takes depends on the
+            // schedule, but a scratch carries no history.
+            scratch_pool: TrackedMutex::new_commutative(
+                Vec::new(),
+                "ddm::asm::Schwarz::scratch_pool",
+                "a scratch carries no history: every solve writes each buffer before reading it",
+            ),
             coarse,
             apply_guard: TrackedMutex::new((), "ddm::asm::Schwarz::apply_guard"),
             num_global: matrix.nrows(),
@@ -161,6 +167,13 @@ impl<L: LocalSolve> Schwarz<L> {
     pub fn local_solves(&self) -> &[L] {
         &self.local_solves
     }
+
+    /// Number of local-solve scratches made so far (all are back in the
+    /// pool between applies).
+    #[cfg(test)]
+    pub(crate) fn scratch_count(&self) -> usize {
+        self.scratch_pool.lock().len()
+    }
 }
 
 impl<L: LocalSolve> Preconditioner for Schwarz<L> {
@@ -175,17 +188,17 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
         let apply_index = self.applies.fetch_add(1, Ordering::SeqCst);
 
         // Local corrections, computed in parallel into the per-sub-domain
-        // slots (never contended: each index is touched by exactly one
-        // chunk, the Mutex only satisfies `&self`).  A failed local solve
-        // glues as zeros and is recorded as a classified fault instead of
-        // panicking the worker — the remaining sub-domains (and the coarse
-        // correction) still produce a usable preconditioner.
-        (0..self.slots.len()).into_par_iter().for_each(|i| {
-            let mut slot = self.slots[i].lock();
-            let Slot { scratch, panel } = &mut *slot;
+        // panels (never contended: each index is touched by exactly one
+        // chunk, the Mutex only satisfies `&self`) with a pooled scratch.  A
+        // failed local solve glues as zeros and is recorded as a classified
+        // fault instead of panicking the worker — the remaining sub-domains
+        // (and the coarse correction) still produce a usable preconditioner.
+        (0..self.panels.len()).into_par_iter().for_each(|i| {
+            let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
+            let mut panel = self.panels[i].lock();
             let restriction = &self.restrictions[i];
             panel.resize(restriction.num_local() * b, 0.0);
-            if let Err(e) = self.local_solves[i].solve(restriction, rs, scratch, panel) {
+            if let Err(e) = self.local_solves[i].solve(restriction, rs, &mut scratch, &mut panel) {
                 panel.fill(0.0);
                 self.faults.lock().record(FaultEvent::new(
                     FaultKind::NumericalError,
@@ -194,6 +207,7 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
                     format!("local solve on sub-domain {i} failed: {e}"),
                 ));
             }
+            self.scratch_pool.lock().push(scratch);
         });
 
         // Glue: z = Σ Rᵢᵀ panelᵢ (+ coarse correction) per column,
@@ -202,10 +216,10 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
         for z in zs.iter_mut() {
             z.fill(0.0);
         }
-        for (restriction, slot) in self.restrictions.iter().zip(&self.slots) {
-            let slot = slot.lock();
+        for (restriction, panel) in self.restrictions.iter().zip(&self.panels) {
+            let panel = panel.lock();
             for (c, z) in zs.iter_mut().enumerate() {
-                restriction.extend_add_strided(&slot.panel, b, c, z);
+                restriction.extend_add_strided(&panel, b, c, z);
             }
         }
         if let Some(coarse) = &self.coarse {
@@ -448,6 +462,24 @@ mod tests {
         assert_eq!(two.name(), "ddm-lu-2level");
         assert_eq!(one.dim(), fx.problem.num_unknowns());
         assert!(one.local_solves().len() >= 2);
+    }
+
+    #[test]
+    fn pooled_scratches_stay_bounded() {
+        // One scratch per job running at once, not one per sub-domain.  (That
+        // a scratch carries no history is checked by ddm-gnn's shell contract.)
+        let fx = fixture(1500, 150, 2);
+        let asm =
+            AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), AsmLevel::OneLevel)
+                .unwrap();
+        let r = fx.problem.rhs.as_slice();
+        let mut zs = vec![vec![0.0; r.len()]; 3];
+        for b in [1, 3, 1] {
+            let mut z_refs: Vec<&mut [f64]> = zs[..b].iter_mut().map(Vec::as_mut_slice).collect();
+            asm.apply_batch(&vec![r; b], &mut z_refs);
+        }
+        let made = asm.scratch_count();
+        assert!((1..=rayon::current_num_threads() + 1).contains(&made), "{made} scratches");
     }
 
     #[test]

@@ -191,9 +191,10 @@ pub(crate) fn gemm_bias_into(
 // batch out as `b` consecutive rows per node and calls this same kernel on
 // `n · b` rows, so every column has the bits of its own unbatched run.
 //
-// The kernel is `#[inline(always)]`: the forward pass is compiled twice per
-// scalar type (baseline and AVX2, see `plan::InferencePlan`) and the kernel
-// must be instantiated inside each copy to pick up its target features.
+// The kernel is `#[inline(always)]`: the forward pass is compiled once per
+// scalar type and target (baseline, AVX2, and AVX-512F for f64; see
+// `plan::run_widest`) and the kernel must be instantiated inside each copy to
+// pick up its target features.
 
 /// Scalar type of the inference engine: `f64`, the bit-reproducible anchor,
 /// or `f32`.  Sealed — the engine is compiled for exactly these two.
@@ -215,6 +216,10 @@ pub trait Scalar:
     /// Column tile of the fused GEMM in elements, two 256-bit vectors, used
     /// while at least 16 outputs remain (narrower rests are one exact tile).
     const TILE: usize;
+    /// Whether the forward pass runs its AVX-512F copy on a CPU that has
+    /// it: f64 only, as the batched f32 edge sweep measured slower there
+    /// than on AVX2.
+    const AVX512: bool;
     /// Round a double to this type (the identity for `f64`).
     fn from_f64(v: f64) -> Self;
     /// Widen to a double (exact).
@@ -226,6 +231,7 @@ pub trait Scalar:
 impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const TILE: usize = 8;
+    const AVX512: bool = true;
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
         v
@@ -243,6 +249,7 @@ impl Scalar for f64 {
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const TILE: usize = 16;
+    const AVX512: bool = false;
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
         v as f32

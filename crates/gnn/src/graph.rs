@@ -39,16 +39,13 @@ pub struct LocalGraph {
     pub positions: Vec<Point2>,
     /// Directed edges (dst receives from src).
     pub(crate) edges: Vec<Edge>,
-    /// CSR-style destination-sorted edge incidence: node `j` aggregates the
-    /// messages of edges `edge_order[edge_ptr[j]..edge_ptr[j+1]]`.  Built by
-    /// a *stable* counting sort, so each node's edges keep their relative
-    /// order from `edges` — summing along `edge_order` is bit-identical to
-    /// the per-edge scatter it replaces, while turning the aggregation into
-    /// a contiguous per-node gather.  Cached state derived from `edges`,
-    /// which only [`LocalGraph::new`] writes.
+    /// CSR-style destination incidence: node `j` aggregates the messages of
+    /// edges `edges[edge_ptr[j]..edge_ptr[j+1]]`.  [`LocalGraph::new`] emits
+    /// the edges grouped by destination, so summing a node's run is
+    /// bit-identical to a per-edge scatter while being a contiguous per-node
+    /// gather.  Cached state derived from `edges`, which only
+    /// [`LocalGraph::new`] writes.
     pub(crate) edge_ptr: Vec<usize>,
-    /// Permutation from destination-sorted edge slots to indices in `edges`.
-    pub(crate) edge_order: Vec<usize>,
     /// Normalised node input `c` (the DSS input).
     pub input: Vec<f64>,
     /// Norm of the un-normalised right-hand side (`‖Rᵢ r‖`), needed to rescale
@@ -84,8 +81,10 @@ impl LocalGraph {
             if rhs_norm > 0.0 { rhs.iter().map(|v| v / rhs_norm).collect() } else { vec![0.0; n] };
 
         // Directed edges from the sparsity pattern of the operator (both
-        // directions of every coupling).
+        // directions of every coupling), grouped by destination.
         let mut edges = Vec::with_capacity(matrix.nnz());
+        let mut edge_ptr = Vec::with_capacity(n + 1);
+        edge_ptr.push(0);
         for dst in 0..n {
             let (cols, _) = matrix.row(dst);
             for &src in cols {
@@ -97,10 +96,10 @@ impl LocalGraph {
                 let dist = (delta[0] * delta[0] + delta[1] * delta[1]).sqrt();
                 edges.push(Edge { dst, src, delta, dist });
             }
+            edge_ptr.push(edges.len());
         }
 
-        let (edge_ptr, edge_order) = build_incidence(n, &edges);
-        LocalGraph { positions, edges, edge_ptr, edge_order, input, rhs_norm, boundary, matrix }
+        LocalGraph { positions, edges, edge_ptr, input, rhs_norm, boundary, matrix }
     }
 
     /// Number of nodes.
@@ -113,19 +112,16 @@ impl LocalGraph {
         self.edges.len()
     }
 
-    /// Source node of every destination-sorted edge, as the `u32` the
-    /// inference plans gather through (half the index traffic of `usize`).
-    pub(crate) fn sorted_edge_sources(&self) -> Vec<u32> {
-        self.edge_order
+    /// Source node of every edge, as the `u32` the inference plans gather
+    /// through (half the index traffic of `usize`).
+    pub(crate) fn edge_sources(&self) -> Vec<u32> {
+        self.edges
             .iter()
-            .map(|&ei| {
-                u32::try_from(self.edges[ei].src).expect("sub-domain graph exceeds u32 nodes")
-            })
+            .map(|e| u32::try_from(e.src).expect("sub-domain graph exceeds u32 nodes"))
             .collect()
     }
 
-    /// In-degree of every node (the length of its run in the
-    /// destination-sorted edge list).
+    /// In-degree of every node (the length of its run in the edge list).
     pub(crate) fn in_degrees(&self) -> Vec<u32> {
         self.edge_ptr
             .windows(2)
@@ -148,24 +144,6 @@ impl LocalGraph {
             }
         }
     }
-}
-
-/// Stable counting sort of the edges by destination node.
-fn build_incidence(num_nodes: usize, edges: &[Edge]) -> (Vec<usize>, Vec<usize>) {
-    let mut edge_ptr = vec![0usize; num_nodes + 1];
-    for edge in edges {
-        edge_ptr[edge.dst + 1] += 1;
-    }
-    for j in 0..num_nodes {
-        edge_ptr[j + 1] += edge_ptr[j];
-    }
-    let mut next = edge_ptr.clone();
-    let mut edge_order = vec![0usize; edges.len()];
-    for (ei, edge) in edges.iter().enumerate() {
-        edge_order[next[edge.dst]] = ei;
-        next[edge.dst] += 1;
-    }
-    (edge_ptr, edge_order)
 }
 
 #[cfg(test)]
@@ -261,31 +239,11 @@ mod tests {
         assert_eq!(g.edge_ptr.len(), g.num_nodes() + 1);
         assert_eq!(g.edge_ptr[0], 0);
         assert_eq!(*g.edge_ptr.last().unwrap(), g.num_edges());
-        let mut seen = vec![false; g.num_edges()];
+        // Consecutive runs that cover `0..e` list every edge exactly once.
+        assert!(g.edge_ptr.windows(2).all(|w| w[0] <= w[1]));
         for j in 0..g.num_nodes() {
-            for &ei in &g.edge_order[g.edge_ptr[j]..g.edge_ptr[j + 1]] {
-                assert_eq!(g.edges[ei].dst, j, "edge {ei} listed under the wrong node");
-                assert!(!seen[ei], "edge {ei} listed twice");
-                seen[ei] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every edge appears exactly once");
-    }
-
-    #[test]
-    fn incidence_is_stable_and_rebuildable() {
-        let mut g = chain_graph(6);
-        // LocalGraph::new emits edges already grouped by destination, so the
-        // stable sort must be the identity permutation.
-        assert_eq!(g.edge_order, (0..g.num_edges()).collect::<Vec<_>>());
-        // Reversing the edge list still groups per destination while keeping
-        // each node's edges in (new) relative order.
-        g.edges.reverse();
-        (g.edge_ptr, g.edge_order) = build_incidence(g.num_nodes(), &g.edges);
-        for j in 0..g.num_nodes() {
-            let slots = &g.edge_order[g.edge_ptr[j]..g.edge_ptr[j + 1]];
-            assert!(slots.windows(2).all(|w| w[0] < w[1]), "stable order violated for node {j}");
-            assert!(slots.iter().all(|&ei| g.edges[ei].dst == j));
+            let run = &g.edges[g.edge_ptr[j]..g.edge_ptr[j + 1]];
+            assert!(run.iter().all(|e| e.dst == j), "node {j}'s run holds a foreign edge");
         }
     }
 }

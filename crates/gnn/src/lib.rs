@@ -11,11 +11,12 @@
 //!   sealed [`Scalar`] trait (`f64`, `f32`),
 //! * `layers` — linear layers and two-layer MLPs with exact reverse-mode
 //!   gradients (validated against finite differences in the test-suite),
-//! * [`plan`] — the inference engine: an `O(e)` structure-only per-graph
-//!   plan next to one shared weight pack, and one forward pass over them,
-//!   generic over the scalar type, compiled for the baseline target and for
-//!   AVX2; the three [`Precision`] tiers are its f64 and f32 instantiations
-//!   and an int8 weight format of the latter,
+//! * [`plan`] — the inference engine: an `O(e)` per-graph plan (structure
+//!   and block 1's edge sums) next to one shared weight pack, and one forward
+//!   pass over them, generic over the scalar type, compiled for the baseline
+//!   target, for AVX2 and, in f64, for AVX-512F; the three [`Precision`]
+//!   tiers are its f64 and f32 instantiations and an int8 weight format of
+//!   the latter,
 //! * [`graph`] — the [`graph::LocalGraph`] representation of one sub-domain
 //!   problem: geometric edge features `(d_jl, ‖d_jl‖)`, normalised residual
 //!   input `c`, boundary mask and the local operator used by the loss,

@@ -230,10 +230,10 @@ impl DssModel {
 
     /// Compute the two aggregated message fields for a block.
     ///
-    /// Aggregation walks the graph's destination-sorted incidence
-    /// ([`LocalGraph::edge_ptr`]), a contiguous per-node gather.  The stable
-    /// sort keeps each node's edges in their original relative order, so the
-    /// sums are bit-identical to the per-edge scatter this replaced.
+    /// Aggregation walks the graph's destination incidence
+    /// ([`LocalGraph::edge_ptr`]), a contiguous per-node gather over edges
+    /// kept in their original order, so the sums are bit-identical to the
+    /// per-edge scatter this replaced.
     fn messages(&self, block: &Block, graph: &LocalGraph, h: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let d = self.config.latent_dim;
         let n = graph.num_nodes();
@@ -495,16 +495,16 @@ impl DssModel {
     }
 }
 
-/// Aggregate per-edge messages (indexed in original edge order) into per-node
-/// sums along the destination-sorted incidence.  Stable sorting preserves
-/// each node's relative edge order, so the result is bit-identical to the
-/// per-edge scatter while the output is written node-contiguously.
+/// Aggregate per-edge messages into per-node sums along the destination
+/// incidence.  Each node's edges are one run in edge order, so the result is
+/// bit-identical to the per-edge scatter while the output is written
+/// node-contiguously.
 fn gather_messages(graph: &LocalGraph, m: &[f64], d: usize, msg: &mut [f64]) {
     debug_assert_eq!(m.len(), graph.num_edges() * d);
     debug_assert_eq!(msg.len(), graph.num_nodes() * d);
     for j in 0..graph.num_nodes() {
         let dst_row = &mut msg[j * d..(j + 1) * d];
-        for &ei in &graph.edge_order[graph.edge_ptr[j]..graph.edge_ptr[j + 1]] {
+        for ei in graph.edge_ptr[j]..graph.edge_ptr[j + 1] {
             let row = &m[ei * d..(ei + 1) * d];
             for k in 0..d {
                 dst_row[k] += row[k];

@@ -23,19 +23,26 @@
 //! **recomputed in registers on every apply**, as is the Ψ static term
 //! `b_Ψ + deg·q`, so nothing is stored or streamed per edge and block.
 //!
+//! The one exception is block 1.  The latent state enters it as `H⁰ = 0`,
+//! so its node GEMM is exactly `+0` and its edge sums `Σ relu(W_geo g_e +
+//! b₁)` depend on the plan only: the plan computes them once, with the same
+//! sweep, and every apply copies them instead of sweeping.
+//!
 //! There is one engine, generic over the [`Scalar`] type `T`:
 //!
-//! * An [`InferencePlan<T>`] is the setup half.  It copies *graph structure
-//!   only* — `(dx, dy, dist): [T; 3]` and a `u32` source index per
-//!   destination-sorted edge, a `u32` in-degree per node: `28 e + 4 n` bytes
-//!   in f64, `16 e + 4 n` in f32, whatever the model's depth and width.
+//! * An [`InferencePlan<T>`] is the setup half.  It copies the graph
+//!   structure — `(dx, dy, dist): [T; 3]` and a `u32` source index per
+//!   destination-grouped edge, a `u32` in-degree per node — and stores block
+//!   1's `2d`-wide edge sums per node: `28 e + (4 + 16 d) n` bytes in f64,
+//!   `16 e + (4 + 8 d) n` in f32, whatever the model's depth.
 //! * A `WeightPack<T>` is the model half: every weight the forward pass
 //!   reads, direction-fused and transposed.  It is built once per model and
 //!   weight format and shared by `Arc` between all plans.
-//! * `forward` is the apply half, written once as safe code and compiled
-//!   four times: for `f64` and `f32`, each for the baseline target and with
-//!   AVX2 enabled.  A batch of `b` right-hand sides is `b` consecutive rows
-//!   per node of the same kernels; `b = 1` is the unbatched layout.
+//! * `forward` is the apply half, written once as safe code and compiled for
+//!   `f64` and `f32`, each for the baseline target and with AVX2 enabled,
+//!   and for `f64` once more with AVX-512F.  A batch of `b` right-hand sides
+//!   is `b` consecutive rows per node of the same kernels; `b = 1` is the
+//!   unbatched layout.
 //!
 //! The three [`Precision`] tiers are two instantiations and a weight format:
 //! `F64` is `forward::<f64>` (the bit-reproducible anchor), `F32` is
@@ -45,9 +52,8 @@
 //! to int8 with one scale per output and stored dequantised.
 //!
 //! A plan is tied to the exact (model, graph) pair it was built from; the
-//! edge structure is copied in destination-sorted order (the graph's stable
-//! counting sort by destination), so message aggregation in the forward pass
-//! is a contiguous per-node gather.
+//! edge structure is copied in the graph's destination-grouped order, so
+//! message aggregation in the forward pass is a contiguous per-node gather.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -452,9 +458,10 @@ impl<T: Scalar> WeightPack<T> {
 ///
 /// Create once (cheap, everything starts empty), pass to every inference
 /// call; buffers are sized lazily to the largest `nodes × batch width` seen
-/// and reused afterwards.  Holding one scratch per sub-domain keeps the
-/// preconditioner's hot path allocation-free without any sharing between
-/// threads.
+/// and reused afterwards.  A scratch carries no history: the forward pass
+/// writes every element of a buffer before reading it, so one scratch may
+/// serve any plan next — the preconditioner keeps one per running worker,
+/// not one per sub-domain.
 /// Every buffer has `n · b` rows; the direction-fused `hsum` is `2d` wide.
 #[derive(Debug, Default)]
 pub struct InferScratch<T = f64> {
@@ -491,17 +498,24 @@ impl<T: Default> InferScratch<T> {
 /// Build once per sub-domain graph (e.g. at preconditioner construction) via
 /// [`DssModel::build_plan`] (f64) or [`DssModel::build_plan_f32`], then run
 /// [`DssModel::infer_with_plan`] any number of times with changing node
-/// inputs.  The plan owns only graph structure — three scalars and a `u32`
-/// per edge, a `u32` per node — and shares the model's weight pack; it
-/// snapshots that pack, so it must be rebuilt if the model is retrained.
+/// inputs.  The plan owns graph structure — three scalars and a `u32` per
+/// edge, a `u32` per node — and block 1's `2d` edge sums per node, and
+/// shares the model's weight pack; it snapshots that pack, so it must be
+/// rebuilt if the model is retrained.
 pub struct InferencePlan<T = f64> {
-    /// `(dx, dy, dist)` of every destination-sorted edge.
+    /// `(dx, dy, dist)` of every destination-grouped edge.
     edge_geo: Vec<[T; 3]>,
-    /// Source node of every destination-sorted edge.
+    /// Source node of every destination-grouped edge.
     edge_src: Vec<u32>,
     /// In-degree of every node: node `j`'s edges follow those of `j − 1` in
-    /// the sorted edge list.
+    /// the edge list.
     in_degree: Vec<u32>,
+    /// Largest in-degree: the rows of the batched sweep's `geo_buf`.
+    max_degree: usize,
+    /// Block 1's per-node edge sums `[fwd | bwd]` (`n × 2d`), which every
+    /// forward pass copies instead of sweeping.  Empty only where a test
+    /// runs block 1 live against them.
+    block1_hsum: Vec<T>,
     weights: Arc<WeightPack<T>>,
 }
 
@@ -512,26 +526,39 @@ impl<T: Scalar> InferencePlan<T> {
         Self::with_weights(graph, model.weight_pack(false))
     }
 
-    /// Build a plan for `graph` that reads `weights`.
+    /// Build a plan for `graph` that reads `weights`, and sweep block 1's
+    /// edges once.
     pub(crate) fn with_weights(graph: &LocalGraph, weights: Arc<WeightPack<T>>) -> Self {
-        let n = graph.num_nodes();
-        let e = graph.num_edges();
-        assert_eq!(graph.edge_ptr.len(), n + 1, "incidence out of sync with the edges");
-        assert_eq!(graph.edge_order.len(), e, "incidence out of sync with the edges");
-        let edge_geo = graph
-            .edge_order
-            .iter()
-            .map(|&ei| {
-                let edge = &graph.edges[ei];
-                [edge.delta[0], edge.delta[1], edge.dist].map(T::from_f64)
-            })
-            .collect();
-        InferencePlan {
-            edge_geo,
-            edge_src: graph.sorted_edge_sources(),
-            in_degree: graph.in_degrees(),
+        assert_eq!(graph.edge_ptr.len(), graph.num_nodes() + 1, "incidence out of sync");
+        let in_degree = graph.in_degrees();
+        let mut plan = InferencePlan {
+            edge_geo: graph
+                .edges
+                .iter()
+                .map(|edge| [edge.delta[0], edge.delta[1], edge.dist].map(T::from_f64))
+                .collect(),
+            edge_src: graph.edge_sources(),
+            max_degree: in_degree.iter().copied().max().unwrap_or(0) as usize,
+            in_degree,
+            block1_hsum: Vec::new(),
             weights,
-        }
+        };
+        plan.block1_hsum = plan.block1_sums();
+        plan
+    }
+
+    /// Block 1's edge sums: the forward pass's own sweep on the `+0` node
+    /// terms of `H⁰ = 0`, so they have the bits of the live sweep.
+    fn block1_sums(&self) -> Vec<T> {
+        let Some(pb) = self.weights.blocks.first() else { return Vec::new() };
+        let d2 = 2 * self.latent_dim();
+        let mut sums = vec![T::ZERO; self.num_nodes() * d2];
+        let a_node = vec![T::ZERO; self.num_nodes() * 2 * d2];
+        run_widest::<T>(
+            #[inline(always)]
+            || edge_sweep(self, pb.geo_rows(), d2, 1, &a_node, &mut sums, &mut vec![T::ZERO; d2]),
+        );
+        sums
     }
 
     /// Number of nodes of the graph this plan was built for.
@@ -555,13 +582,14 @@ impl<T: Scalar> InferencePlan<T> {
         self.weights.blocks.len()
     }
 
-    /// Heap footprint in bytes of what this plan owns: `28 e + 4 n` in f64,
-    /// `16 e + 4 n` in f32, whatever the model's depth and width.  The shared
-    /// weights are counted separately, see
+    /// Heap footprint in bytes of what this plan owns: `28 e + (4 + 16 d) n`
+    /// in f64, `16 e + (4 + 8 d) n` in f32, whatever the model's depth.  The
+    /// shared weights are counted separately, see
     /// [`InferencePlan::shared_weight_bytes`].
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<[T; 3]>() * self.edge_geo.len()
             + std::mem::size_of::<u32>() * (self.edge_src.len() + self.in_degree.len())
+            + std::mem::size_of::<T>() * self.block1_hsum.len()
     }
 
     /// Heap footprint in bytes of the weight pack this plan shares with every
@@ -573,10 +601,8 @@ impl<T: Scalar> InferencePlan<T> {
 
     /// Run the engine on `b` right-hand sides: `input` and `out` are
     /// `n × b` row-major (`input[j*b + c]` is column `c`'s value at node `j`;
-    /// `b = 1`: plain vectors).  The forward body is compiled twice per
-    /// scalar type — inlined here for the baseline target, and into
-    /// [`forward_avx2`] — and the copy the CPU supports is chosen per call;
-    /// neither copy contracts or reassociates, so both produce the same bits.
+    /// `b = 1`: plain vectors), in the widest compiled copy of [`forward`]
+    /// the CPU supports (see [`run_widest`]).
     pub(crate) fn infer(
         &self,
         input: &[f64],
@@ -585,31 +611,51 @@ impl<T: Scalar> InferencePlan<T> {
         out: &mut [f64],
         timings: Option<&mut InferenceTimings>,
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `forward_avx2` is safe code whose only requirement is
-            // the AVX2 target feature it is compiled with, and the
-            // `is_x86_feature_detected!("avx2")` check guarding this branch
-            // has just confirmed the running CPU provides it.
-            return unsafe { forward_avx2(self, input, b, scratch, out, timings) };
-        }
-        forward(self, input, b, scratch, out, timings)
+        run_widest::<T>(
+            #[inline(always)]
+            || forward(self, input, b, scratch, out, timings),
+        );
     }
 }
 
-/// [`forward`] compiled with AVX2 enabled (no `fma`: the arithmetic must
-/// stay a separate multiply and add per term).
+/// Run `pass`, an `#[inline(always)]` closure over the engine, in the widest
+/// copy the running CPU supports: AVX-512F for the scalar types
+/// [`Scalar::AVX512`] selects, else AVX2, else the baseline target.  Each
+/// copy inlines the closure under its own target features; none contracts
+/// or reassociates, so all produce the same bits.
+#[inline(always)]
+fn run_widest<T: Scalar>(pass: impl FnOnce()) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if T::AVX512 && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `on_avx512` is safe code whose only requirement is the
+            // AVX-512F target feature it is compiled with, which the check
+            // guarding this branch has just confirmed the running CPU
+            // provides.
+            return unsafe { on_avx512(pass) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: as above, for `on_avx2` and AVX2.
+            return unsafe { on_avx2(pass) };
+        }
+    }
+    pass();
+}
+
+/// `pass` compiled with AVX-512F enabled.  The feature implies FMA, but the
+/// code has no explicit one and Rust never contracts a multiply and an add.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn on_avx512(pass: impl FnOnce()) {
+    pass();
+}
+
+/// `pass` compiled with AVX2 enabled (no `fma`: the arithmetic must stay a
+/// separate multiply and add per term).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn forward_avx2<T: Scalar>(
-    plan: &InferencePlan<T>,
-    input: &[f64],
-    b: usize,
-    scratch: &mut InferScratch<T>,
-    out: &mut [f64],
-    timings: Option<&mut InferenceTimings>,
-) {
-    forward(plan, input, b, scratch, out, timings);
+fn on_avx2(pass: impl FnOnce()) {
+    pass();
 }
 
 /// `acc[k] += max(g[k] + adj[k] + asj[k], 0)` over one fused `[fwd | bwd]`
@@ -728,9 +774,27 @@ fn edge_sweep_dyn<T: Scalar>(
 /// accumulator rows in registers.
 const FIXED_D2: usize = 20;
 
+/// The fused edge sweep at row width `d2`: [`edge_sweep_fixed`] at the
+/// shipped width, [`edge_sweep_dyn`] at any other.
+#[inline(always)]
+fn edge_sweep<T: Scalar>(
+    plan: &InferencePlan<T>,
+    geo: GeoRows<'_, T>,
+    d2: usize,
+    b: usize,
+    a_node: &[T],
+    hsum: &mut [T],
+    geo_buf: &mut [T],
+) {
+    if d2 == FIXED_D2 {
+        edge_sweep_fixed::<T, FIXED_D2>(plan, geo, b, a_node, hsum, geo_buf);
+    } else {
+        edge_sweep_dyn(plan, geo, d2, b, a_node, hsum, geo_buf);
+    }
+}
+
 /// The forward pass on one graph and `b` right-hand sides, written once as
-/// safe code and inlined into [`InferencePlan::infer`] (baseline) and
-/// [`forward_avx2`], for `f64` and `f32`.
+/// safe code and inlined into every copy [`run_widest`] picks from.
 ///
 /// The `b` columns of the batch are `b` consecutive **rows per node**: row
 /// `j·b + c` of every buffer belongs to node `j`, column `c`, which is the
@@ -774,8 +838,7 @@ fn forward<T: Scalar>(
     psi_hidden.resize(rows * d, T::ZERO);
     hidden.resize(rows * d, T::ZERO);
     decoded.resize(rows, T::ZERO);
-    let max_degree = plan.in_degree.iter().copied().max().unwrap_or(0) as usize;
-    geo_buf.resize(max_degree.max(1) * d2, T::ZERO);
+    geo_buf.resize(plan.max_degree.max(1) * d2, T::ZERO);
 
     let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
     macro_rules! tick {
@@ -788,29 +851,36 @@ fn forward<T: Scalar>(
         };
     }
 
-    for pb in &w.blocks {
-        // Node-level GEMM: the h-dependent halves of the split first layer,
-        // both message directions and both roles of a node at once (`4d`
-        // wide).
-        let on_h = [Operand { x: &h[..], in_dim: d, wt: &pb.w_node_t[..] }];
-        gemm_t(on_h, rows, 2 * d2, &[], Epilogue::Store, a_node);
-        tick!(node_gemm_ns);
-        // Fused edge sweep: per-edge hidden pre-activation = recomputed
-        // geometric term + gathered node terms, ReLU'd and summed straight
-        // into the per-node accumulator.  The second message layer is applied
-        // once per *node* inside the Ψ stage (composed into `psi_m_t`).
-        let geo = pb.geo_rows();
-        if d2 == FIXED_D2 {
-            edge_sweep_fixed::<T, FIXED_D2>(plan, geo, b, a_node, hsum, geo_buf);
+    for (k, pb) in w.blocks.iter().enumerate() {
+        if k == 0 && !plan.block1_hsum.is_empty() {
+            // `H⁰ = 0`: block 1's node terms are `+0` and its edge sums are
+            // the plan's, the same for each of a node's `b` rows.
+            let sums = plan.block1_hsum.chunks_exact(d2).flat_map(|s| std::iter::repeat_n(s, b));
+            for (row, sum) in hsum.chunks_exact_mut(d2).zip(sums) {
+                row.copy_from_slice(sum);
+            }
         } else {
-            edge_sweep_dyn(plan, geo, d2, b, a_node, hsum, geo_buf);
+            // Node-level GEMM: the h-dependent halves of the split first
+            // layer, both message directions and both roles of a node at
+            // once (`4d` wide).
+            let on_h = [Operand { x: &h[..], in_dim: d, wt: &pb.w_node_t[..] }];
+            gemm_t(on_h, rows, 2 * d2, &[], Epilogue::Store, a_node);
+            tick!(node_gemm_ns);
+            // Fused edge sweep: per-edge hidden pre-activation = recomputed
+            // geometric term + gathered node terms, ReLU'd and summed
+            // straight into the per-node accumulator.  The second message
+            // layer is applied once per *node* inside the Ψ stage (composed
+            // into `psi_m_t`).
+            edge_sweep(plan, pb.geo_rows(), d2, b, a_node, hsum, geo_buf);
         }
         tick!(edge_gather_ns);
-        // Ψ update.  The hidden pre-activation starts from `b_Ψ`, takes the
-        // degree-scaled message biases and the `W_c c` term, then the
-        // latent-dependent products (the message one pre-composed with the
-        // second message layer, forward inputs before backward) — one pass,
-        // ReLU on the way out; the second layer steps `H` in place.
+        // Ψ update, in full in block 1 too.  The hidden pre-activation starts
+        // from `b_Ψ`, takes the degree-scaled message biases and the `W_c c`
+        // term, then the latent-dependent products (the message one
+        // pre-composed with the second message layer, forward inputs before
+        // backward) — one pass, ReLU on the way out; the second layer steps
+        // `H` in place.  Block 1's `c` term comes before its message sums, so
+        // the sums cannot fold into a static term.
         let psi_in = [
             Operand { x: &node_in[..], in_dim: 2, wt: &pb.psi_node_t[..] },
             Operand { x: &h[..], in_dim: d, wt: &pb.psi_w_h_t[..] },
@@ -912,15 +982,14 @@ pub(crate) mod tests {
     }
 
     /// Reference for the recomputed geometric term: `W_geo g_e + b₁` for
-    /// every destination-sorted edge, the way the first plans precomputed and
-    /// stored it.  `sign` flips the relative position for the backward
+    /// every destination-grouped edge, the way the first plans precomputed
+    /// and stored it.  `sign` flips the relative position for the backward
     /// message direction.
     fn geo_terms(layer: &Linear, graph: &LocalGraph, d: usize, sign: f64) -> Vec<f64> {
         let cols = layer.in_dim;
         assert_eq!(cols, 2 * d + 3);
         let mut out = Vec::with_capacity(graph.num_edges() * d);
-        for &ei in &graph.edge_order {
-            let edge = &graph.edges[ei];
+        for edge in &graph.edges {
             for o in 0..d {
                 let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
                 out.push(
@@ -934,13 +1003,34 @@ pub(crate) mod tests {
         out
     }
 
+    /// A forward pass that copies block 1's sums from the plan has the bits
+    /// of the same forward pass running block 1 live, at `b ∈ {1, 3}`.
+    fn block1_cache_matches_live<T: Scalar>(model: &DssModel, graph: &LocalGraph) {
+        let cached = InferencePlan::<T>::new(model, graph);
+        let mut live = InferencePlan::<T>::new(model, graph);
+        live.block1_hsum.clear();
+        let n = graph.num_nodes();
+        let mut scratch = InferScratch::new();
+        for b in [1usize, 3] {
+            let input: Vec<f64> =
+                (0..n * b).map(|i| ((i * 5 + b) % 11) as f64 * 0.2 - 1.0).collect();
+            let (mut from_plan, mut swept) = (vec![0.0; n * b], vec![0.0; n * b]);
+            cached.infer(&input, b, &mut scratch, &mut from_plan, None);
+            live.infer(&input, b, &mut scratch, &mut swept, None);
+            assert!(swept.iter().any(|&v| v != 0.0));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&from_plan), bits(&swept), "d={} b={b}", model.config().latent_dim);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The geometric term the f64 engine recomputes per apply has the
         /// bits of the per-edge term `geo_terms` evaluates the way the first
         /// plans stored it, in both message directions — including zero,
-        /// negative and `-0.0` deltas.
+        /// negative and `-0.0` deltas — and block 1's sums from the plan
+        /// have the bits of the live sweep on these graphs.
         #[test]
         fn recomputed_geometry_matches_geo_terms_bit_for_bit(
             coords in proptest::collection::vec((-1i32..2, -1i32..2, 0u32..1000), 3..24),
@@ -994,14 +1084,15 @@ pub(crate) mod tests {
                     }
                 }
             }
+            block1_cache_matches_live::<f64>(&model, &graph);
+            block1_cache_matches_live::<f32>(&model, &graph);
         }
     }
 
-    /// Both compiled copies of `forward::<T>` on the pretrained `d = 10`
-    /// model (fixed-width sweeps) and a `d = 6` one (run-time width),
-    /// unbatched and batched.
-    #[cfg(target_arch = "x86_64")]
-    fn compiled_bodies_agree<T: Scalar>() {
+    /// The models of the fixed-width and the run-time-width tests: the
+    /// shipped `d = 10` model, whose `2d` is [`FIXED_D2`], and a `d = 6` one,
+    /// on a 37-node graph.
+    fn shipped_and_d6_models() -> ([DssModel; 2], LocalGraph) {
         let pretrained = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../assets/pretrained_k16_d10.dss");
         let shipped = crate::io::load_model(&pretrained).expect("checked-in pretrained model");
@@ -1011,22 +1102,60 @@ pub(crate) mod tests {
             .map(|i| Point2::new((i as f64 * 0.71).sin() * 2.0, (i as f64 * 0.53).cos() * 2.0))
             .collect();
         let graph = graph_on(positions, &[(0, 9), (3, 30), (12, 25), (7, 19), (36, 2)]);
+        ([shipped, other], graph)
+    }
+
+    #[test]
+    fn block1_sums_from_the_plan_have_the_bits_of_the_live_sweep() {
+        let (models, graph) = shipped_and_d6_models();
+        for model in &models {
+            block1_cache_matches_live::<f64>(model, &graph);
+            block1_cache_matches_live::<f32>(model, &graph);
+        }
+    }
+
+    /// The compiled copies of `forward::<T>` — baseline, AVX2 and, with
+    /// `avx512`, AVX-512F — on the fixed-width and the run-time-width model,
+    /// unbatched and batched.
+    #[cfg(target_arch = "x86_64")]
+    fn compiled_bodies_agree<T: Scalar>(avx512: bool) {
+        let (models, graph) = shipped_and_d6_models();
         let n = graph.num_nodes();
-        for model in [&shipped, &other] {
+        for model in &models {
             let plan = InferencePlan::<T>::new(model, &graph);
             let mut scratch = InferScratch::new();
             for b in [1usize, 3] {
                 let input: Vec<f64> =
                     (0..n * b).map(|i| ((i * 7 + b) % 13) as f64 * 0.1 - 0.6).collect();
-                let mut baseline = vec![0.0; n * b];
-                let mut avx2 = vec![0.0; n * b];
-                forward(&plan, &input, b, &mut scratch, &mut baseline, None);
-                // SAFETY: the caller detected AVX2 before calling this helper.
-                unsafe { forward_avx2(&plan, &input, b, &mut scratch, &mut avx2, None) };
-                assert!(baseline.iter().any(|&v| v != 0.0));
+                let mut outs = vec![vec![0.0; n * b]; if avx512 { 3 } else { 2 }];
+                for (body, out) in outs.iter_mut().enumerate() {
+                    let (plan, input, scratch) = (&plan, &input[..], &mut scratch);
+                    match body {
+                        0 => forward(plan, input, b, scratch, out, None),
+                        // SAFETY: the caller detected AVX2 before calling
+                        // this helper.
+                        1 => unsafe {
+                            on_avx2(
+                                #[inline(always)]
+                                || forward(plan, input, b, scratch, out, None),
+                            )
+                        },
+                        // SAFETY: the caller sets `avx512` only after
+                        // detecting AVX-512F.
+                        _ => unsafe {
+                            on_avx512(
+                                #[inline(always)]
+                                || forward(plan, input, b, scratch, out, None),
+                            )
+                        },
+                    }
+                }
+                assert!(outs[0].iter().any(|&v| v != 0.0));
                 let d = model.config().latent_dim;
-                for (x, y) in baseline.iter().zip(&avx2) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "d={d} b={b}");
+                for (body, out) in outs.iter().enumerate().skip(1) {
+                    for (x, y) in outs[0].iter().zip(out) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "body {body} d={d} b={b}");
+                    }
                 }
             }
         }
@@ -1034,13 +1163,17 @@ pub(crate) mod tests {
 
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn avx2_and_baseline_compiled_bodies_agree_bit_for_bit() {
+    fn compiled_bodies_agree_bit_for_bit() {
         if !std::arch::is_x86_feature_detected!("avx2") {
             println!("skipped: this CPU has no AVX2, only the baseline body can run");
             return;
         }
-        compiled_bodies_agree::<f64>();
-        compiled_bodies_agree::<f32>();
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+        if !avx512 {
+            println!("AVX-512 body skipped: this CPU has no avx512f");
+        }
+        compiled_bodies_agree::<f64>(avx512);
+        compiled_bodies_agree::<f32>(false);
     }
 
     #[test]
@@ -1048,22 +1181,22 @@ pub(crate) mod tests {
         let positions = (0..9).map(|i| Point2::new(i as f64 * 0.5, (i as f64).sin())).collect();
         let graph = graph_on(positions, &[(0, 4), (2, 7)]);
         let (n, e) = (graph.num_nodes(), graph.num_edges());
-        let shallow = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 4, alpha: 1e-2 }, 1);
-        let deep = DssModel::new(DssConfig { num_blocks: 9, latent_dim: 12, alpha: 1e-2 }, 1);
+        let model = |num_blocks, latent_dim| {
+            DssModel::new(DssConfig { num_blocks, latent_dim, alpha: 1e-2 }, 1)
+        };
+        let (shallow, deep) = (model(2, 12), model(9, 12));
         let (p_shallow, p_deep) = (shallow.build_plan(&graph), deep.build_plan(&graph));
-        assert_eq!(p_shallow.memory_bytes(), 28 * e + 4 * n);
-        assert_eq!(
-            p_deep.memory_bytes(),
-            p_shallow.memory_bytes(),
-            "depth and width are not in the plan"
-        );
+        // Graph structure, then block 1's `2d` edge sums per node.
+        assert_eq!(p_shallow.memory_bytes(), 28 * e + (4 + 16 * 12) * n);
+        assert_eq!(p_deep.memory_bytes(), p_shallow.memory_bytes(), "depth is not in the plan");
+        assert_eq!(model(9, 4).build_plan(&graph).memory_bytes(), 28 * e + (4 + 16 * 4) * n);
         assert!(p_deep.shared_weight_bytes() > p_shallow.shared_weight_bytes());
-        // The f32 engine: the same structure in single precision, for either
-        // weight format.
+        // The f32 engine: the same in single precision, for either weight
+        // format.
         let (f_shallow, f_deep) =
             (shallow.build_plan_f32(&graph, false), deep.build_plan_f32(&graph, false));
         let q_deep = deep.build_plan_f32(&graph, true);
-        assert_eq!(f_shallow.memory_bytes(), 16 * e + 4 * n);
+        assert_eq!(f_shallow.memory_bytes(), 16 * e + (4 + 8 * 12) * n);
         assert_eq!(f_deep.memory_bytes(), f_shallow.memory_bytes());
         assert_eq!(2 * f_deep.shared_weight_bytes(), p_deep.shared_weight_bytes());
         assert_eq!(q_deep.memory_bytes(), f_deep.memory_bytes(), "int8 == f32: a weight format");
