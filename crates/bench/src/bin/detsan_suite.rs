@@ -15,13 +15,13 @@
 //!    DDM-LU two-level otherwise,
 //! 2. solves once under the FIFO baseline schedule and once per fuzzed
 //!    schedule seed, hashing the residual history chained with the solution
-//!    vector exactly as `perf_suite` does,
+//!    vector (FNV-1a over the bit patterns),
 //! 3. prints its live/suppressed sanitizer finding counts and, when asked,
 //!    writes `sanitizer::report().render_json()` to the report path.
 //!
 //! The parent asserts that every hash — all thread counts, all seeds — is
-//! bit-identical, that the hash matches the committed `BENCH_parallel.json`
-//! pin (when running the default problem size), and that the tracked run
+//! bit-identical, that the hash matches the pin committed below (when running
+//! the default problem size), and that the tracked run
 //! produced **zero** live sanitizer findings.
 //!
 //! Usage:
@@ -65,8 +65,9 @@ mod detsan {
     use krylov::{preconditioned_conjugate_gradient, Preconditioner, SolverOptions};
     use partition::partition_mesh_with_overlap;
 
-    /// Committed residual-history/solution hashes from `BENCH_parallel.json`
-    /// (problem idx 0, n = 3090, target size 3000).  Bit-identical across
+    /// Pinned residual-history/solution hashes of the n = 3090 problem
+    /// (target size 3000), recorded on the 16-block anchor model when the
+    /// determinism pins were first taken.  Bit-identical across
     /// thread counts by the pool shim's determinism contract; the suite
     /// extends that pin to every fuzzed schedule.
     const PINNED_HASHES: &[(&str, &str)] =
@@ -90,8 +91,8 @@ mod detsan {
             .unwrap_or_else(|| default.to_vec())
     }
 
-    /// FNV-1a over the bit patterns of a float sequence — the same
-    /// determinism witness `perf_suite` committed to `BENCH_parallel.json`.
+    /// FNV-1a over the bit patterns of a float sequence — the determinism
+    /// witness the pins above were recorded with.
     fn hash_f64s(values: impl IntoIterator<Item = f64>) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for v in values {
@@ -107,7 +108,7 @@ mod detsan {
     // Child: solve under the baseline and fuzzed schedules at one thread count
     // -----------------------------------------------------------------------
 
-    pub fn child() {
+    pub(super) fn child() {
         let threads = rayon::current_num_threads();
         let seeds = env_usize("DETSAN_SUITE_SEEDS", 64);
         let target = env_usize("DETSAN_SUITE_SIZE", PINNED_SIZE);
@@ -208,7 +209,7 @@ mod detsan {
             .collect()
     }
 
-    pub fn parent() {
+    pub(super) fn parent() {
         let thread_counts = env_list("DETSAN_SUITE_THREADS", &[1, 2, 4]);
         let seeds = env_usize("DETSAN_SUITE_SEEDS", 64);
         let target = env_usize("DETSAN_SUITE_SIZE", PINNED_SIZE);
@@ -274,11 +275,7 @@ mod detsan {
                         rec["threads"],
                         rec["seed"],
                         rec["hash"],
-                        if expected.is_some() {
-                            " (committed BENCH_parallel.json pin)"
-                        } else {
-                            ""
-                        }
+                        if expected.is_some() { " (pinned hash)" } else { "" }
                     ));
                 }
             }

@@ -1,9 +1,12 @@
-//! Shared plumbing for the benchmark harness.
+//! Shared plumbing for the paper's table and figure binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation section (see DESIGN.md for the index).  They all print the same
-//! row/series structure as the paper and additionally write a CSV under
-//! `target/experiments/` for post-processing.
+//! Five binaries in `src/bin/` regenerate one table or figure each of the
+//! paper's evaluation section: `table1_numerical_behavior`,
+//! `table2_dss_metrics`, `table3_legacy_benchmark`, `fig5_f1_convergence` and
+//! `fig6_hyperparam_perf`.  They print the same row/series structure as the
+//! paper and additionally write a CSV under `target/experiments/` for
+//! post-processing.  The sixth, `detsan_suite`, is the concurrency
+//! sanitizer's schedule-fuzz acceptance run.
 //!
 //! The default problem sizes are scaled down from the paper so a full run
 //! finishes in minutes on a laptop CPU; every binary documents the

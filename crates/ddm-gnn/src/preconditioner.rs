@@ -118,8 +118,8 @@ impl LocalSolve for DssLocalSolver {
             return Ok(());
         }
         match &self.plan {
-            Plan::F64(plan) => self.model.infer_with_plan(plan, input, b, engine_f64, panel, None),
-            Plan::F32(plan) => self.model.infer_with_plan(plan, input, b, engine_f32, panel, None),
+            Plan::F64(plan) => self.model.infer_with_plan(plan, input, b, engine_f64, panel),
+            Plan::F32(plan) => self.model.infer_with_plan(plan, input, b, engine_f32, panel),
         }
         for row in panel.chunks_exact_mut(b) {
             for (v, &norm) in row.iter_mut().zip(norms.iter()) {
@@ -426,7 +426,7 @@ mod tests {
                 let reference = fx.model.infer_reference(graph, &graph.input);
                 let plan = fx.model.build_plan_f32(graph, int8);
                 let mut out = vec![0.0; graph.num_nodes()];
-                fx.model.infer_with_plan(&plan, &graph.input, 1, &mut scratch, &mut out, None);
+                fx.model.infer_with_plan(&plan, &graph.input, 1, &mut scratch, &mut out);
                 let error: Vec<f64> = out.iter().zip(&reference).map(|(a, b)| a - b).collect();
                 let relative = sparse::vector::norm2(&error) / sparse::vector::norm2(&reference);
                 worst = worst.max(relative);

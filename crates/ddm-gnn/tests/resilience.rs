@@ -1,12 +1,10 @@
 //! End-to-end fault-injection suite for the fault-tolerant solve supervisor.
 //!
-//! Every test here uses the *same* problem recipe as the `perf_suite`
-//! benchmark harness (`generate_problem(1 + idx, target)`, sub-domains of
-//! ~300 nodes with overlap 2, tolerance 1e-6) so the fault-free
-//! residual-history hash can be pinned against the hashes that harness
-//! recorded since PR 6 (kept below as constants, not read back from the
-//! `BENCH_parallel.json` it rewrites) — the proof that the resilience layer
-//! is bit-transparent when nothing goes wrong.  Those pins, and the fault
+//! Every test here uses one problem recipe (`generate_problem(1 + idx,
+//! target)`, sub-domains of ~300 nodes with overlap 2, tolerance 1e-6), so
+//! the fault-free residual-history hash can be pinned against constants
+//! recorded when the determinism pins were first taken — the proof that the
+//! resilience layer is bit-transparent when nothing goes wrong.  Those pins, and the fault
 //! tests, run the 16-block anchor model file; the default model of
 //! `load_pretrained()` (its first 8 blocks) has pins of its own.
 //!
@@ -28,9 +26,8 @@ use gnn::DssModel;
 use krylov::{preconditioned_conjugate_gradient, Preconditioner, SolveResult, SolverOptions};
 use partition::partition_mesh_with_overlap;
 
-/// FNV-1a over the bit patterns of a float sequence — identical to the
-/// determinism witness in `perf_suite`, so hashes are comparable with the
-/// committed `BENCH_parallel.json`.
+/// FNV-1a over the bit patterns of a float sequence — the determinism
+/// witness `detsan_suite` hashes with too, so the pins are comparable.
 fn hash_f64s(values: impl IntoIterator<Item = f64>) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for v in values {
@@ -56,7 +53,7 @@ fn model() -> Arc<DssModel> {
     )
 }
 
-/// The perf_suite problem recipe: `idx` 0 is n≈3k, `idx` 1 is n≈9k.
+/// The pinned problem recipe: `idx` 0 is n≈3k, `idx` 1 is n≈9k.
 fn problem_and_subdomains(idx: usize, target: usize) -> (PoissonProblem, Vec<Vec<usize>>) {
     let problem = generate_problem(1 + idx as u64, target);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 300, 2, 0);
@@ -177,9 +174,9 @@ fn all_fault_classes_recover_at_n9k() {
 }
 
 /// Residual-history/solution hashes of the fault-free solves on problems
-/// idx 0 (n = 3090) and idx 1 (n≈9k), as `perf_suite` first recorded them
-/// (PR 6, at 1/2/4 threads): `pcg-ddm-gnn-2level` on the 16-block anchor,
-/// and the exact `pcg-ddm-lu-2level`.
+/// idx 0 (n = 3090) and idx 1 (n≈9k), as first recorded at 1/2/4 threads:
+/// `pcg-ddm-gnn-2level` on the 16-block anchor, and the exact
+/// `pcg-ddm-lu-2level`.
 const PINNED_HASHES: &[(&str, [&str; 2])] = &[
     ("pcg-ddm-gnn-2level", ["3b4db8001002d99e", "28f579a265eedd52"]),
     ("pcg-ddm-lu-2level", ["7c60b364b117b10a", "1d09d2e7bd959eea"]),
@@ -195,7 +192,7 @@ fn pinned_hash(solver: &str, idx: usize) -> &'static str {
 }
 
 /// The fault-free residual-history hash must be bit-identical to the
-/// committed PR-6 baseline — both for the plain preconditioner and for the
+/// pinned baseline — both for the plain preconditioner and for the
 /// full degradation ladder (the supervisor's guards only *read* `r`/`z`, so
 /// a healthy solve must be untouched) — and so must the exact two-level
 /// Schwarz solve, the pin of the Nicolaides coarse component on its own.  CI

@@ -45,7 +45,7 @@
 
 use sanitizer::TrackedMutex;
 
-use sparse::{CsrMatrix, DenseMatrix, LuFactor, SkylineCholesky};
+use sparse::{CsrMatrix, LuFactor, SkylineCholesky};
 
 use crate::restriction::{node_multiplicity, Restriction};
 
@@ -234,10 +234,8 @@ impl Hierarchy {
             row_ptr.push(col_idx.len());
         }
         let r0 = CsrMatrix::from_raw_parts(k, n, row_ptr, col_idx, values)?;
-        // Coarse operator A0 = R0 A R0ᵀ (dense K × K).
-        let a0 = matrix.galerkin_product_csr(&r0);
-        let dense = DenseMatrix::from_row_major(k, k, a0)?;
-        let coarse = CoarseSolve::DenseLu(LuFactor::factor_dense(&dense)?);
+        // Coarse operator A0 = R0 A R0ᵀ, factored densely (K × K).
+        let coarse = CoarseSolve::DenseLu(LuFactor::factor_csr(&matrix.galerkin_rap(&r0))?);
         Ok(Self::assemble(
             Vec::new(),
             Some(r0),
@@ -281,7 +279,8 @@ impl Hierarchy {
     }
 
     /// Row counts per level, fine to coarse.
-    pub fn level_dims(&self) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn level_dims(&self) -> &[usize] {
         &self.level_dims
     }
 
@@ -688,6 +687,7 @@ mod tests {
         for w in h.level_dims().windows(2) {
             assert!(w[1] < w[0], "level dims must shrink: {:?}", h.level_dims());
         }
+        assert!(*h.level_dims().last().unwrap() <= config.coarsest_max_size);
         assert!(h.operator_complexity() >= 1.0 && h.operator_complexity() < 3.0);
 
         // Symmetry of the V-cycle operator (required by PCG).

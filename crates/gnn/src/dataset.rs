@@ -13,7 +13,6 @@ use fem::PoissonProblem;
 use krylov::Preconditioner;
 use meshgen::{generate_mesh, MeshingOptions, RandomBlobDomain};
 use partition::partition_mesh_with_overlap;
-use sparse::CsrMatrix;
 
 use crate::graph::LocalGraph;
 
@@ -58,32 +57,7 @@ impl Default for DatasetConfig {
     }
 }
 
-/// Compute the local Dirichlet-boundary mask of a sub-domain: global Dirichlet
-/// nodes plus nodes coupled to the exterior of the sub-domain (the artificial
-/// interface on which the Schwarz local problems impose homogeneous Dirichlet
-/// conditions).
-pub(crate) fn local_boundary_mask(
-    matrix: &CsrMatrix,
-    subdomain: &[usize],
-    global_dirichlet: &[bool],
-) -> Vec<bool> {
-    let mut in_subdomain = vec![false; matrix.nrows()];
-    for &g in subdomain {
-        in_subdomain[g] = true;
-    }
-    subdomain
-        .iter()
-        .map(|&g| {
-            if global_dirichlet[g] {
-                return true;
-            }
-            let (cols, _) = matrix.row(g);
-            cols.iter().any(|&c| !in_subdomain[c])
-        })
-        .collect()
-}
-
-/// Build the per-sub-domain graph templates (geometry, operator, boundary) of
+/// Build the per-sub-domain graph templates (geometry and operator) of
 /// a decomposed problem.  The right-hand sides start at zero; dataset
 /// extraction fills them in.
 pub fn build_local_graphs(
@@ -96,9 +70,8 @@ pub fn build_local_graphs(
         .zip(decomposition.local_matrices.iter())
         .map(|(subdomain, local_matrix)| {
             let positions = subdomain.iter().map(|&g| problem.mesh.points[g]).collect();
-            let boundary = local_boundary_mask(&problem.matrix, subdomain, &problem.dirichlet);
             let zero_rhs = vec![0.0; subdomain.len()];
-            LocalGraph::new(local_matrix.clone(), positions, &zero_rhs, boundary)
+            LocalGraph::new(local_matrix.clone(), positions, &zero_rhs)
         })
         .collect()
 }
@@ -217,7 +190,6 @@ mod tests {
             // Inputs are normalised (‖c‖ = 1) and sizes are consistent.
             let norm = sparse::vector::norm2(&s.input);
             assert!((norm - 1.0).abs() < 1e-10, "input norm {norm}");
-            assert!(s.rhs_norm > 0.0);
             assert_eq!(s.matrix.nrows(), s.num_nodes());
             assert_eq!(s.positions.len(), s.num_nodes());
             assert!(s.num_edges() > 0);
@@ -238,31 +210,6 @@ mod tests {
             "expected more than {k_estimate} samples, got {}",
             samples.len()
         );
-    }
-
-    #[test]
-    fn local_boundary_mask_flags_interface_nodes() {
-        use sparse::CooMatrix;
-        // 1D chain of 6 nodes; sub-domain = nodes 1..=3; node 1 and 3 touch the
-        // exterior, node 2 is interior; node 0 is a global Dirichlet node.
-        let n = 6;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0).unwrap();
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0).unwrap();
-                coo.push(i + 1, i, -1.0).unwrap();
-            }
-        }
-        let a = coo.to_csr();
-        let mut dirichlet = vec![false; n];
-        dirichlet[0] = true;
-        let mask = local_boundary_mask(&a, &[1, 2, 3], &dirichlet);
-        assert_eq!(mask, vec![true, false, true]);
-        // If the whole domain is one sub-domain, only the Dirichlet node is
-        // boundary.
-        let mask_all = local_boundary_mask(&a, &[0, 1, 2, 3, 4, 5], &dirichlet);
-        assert_eq!(mask_all, vec![true, false, false, false, false, false]);
     }
 
     #[test]

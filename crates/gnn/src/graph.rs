@@ -13,8 +13,7 @@
 //! additionally orients the edges of boundary nodes towards the interior; in
 //! this reproduction the sub-domain operators are the plain principal
 //! sub-matrices `Rᵢ A Rᵢᵀ`, whose interface nodes carry genuine unknowns, so
-//! the symmetric graph is the faithful choice (see DESIGN.md).  The boundary
-//! mask is still recorded and exposed for ablations.
+//! the symmetric graph is the faithful choice and no boundary mask is kept.
 
 use meshgen::Point2;
 use sparse::CsrMatrix;
@@ -48,33 +47,21 @@ pub struct LocalGraph {
     pub(crate) edge_ptr: Vec<usize>,
     /// Normalised node input `c` (the DSS input).
     pub input: Vec<f64>,
-    /// Norm of the un-normalised right-hand side (`‖Rᵢ r‖`), needed to rescale
-    /// the network output when gluing sub-domain corrections.
-    pub rhs_norm: f64,
-    /// Whether a node lies on the local Dirichlet boundary.
-    pub boundary: Vec<bool>,
     /// The local operator (used by the training loss).
     pub matrix: CsrMatrix,
 }
 
 impl LocalGraph {
-    /// Build a local graph from the sub-domain operator, node positions,
-    /// right-hand side and boundary mask.
+    /// Build a local graph from the sub-domain operator, node positions and
+    /// right-hand side.
     ///
-    /// The right-hand side is normalised internally; `rhs_norm` records the
-    /// original norm (graphs built from a zero rhs keep `rhs_norm = 0` and an
+    /// The right-hand side is normalised internally (a zero rhs gives an
     /// all-zero input).
-    pub fn new(
-        matrix: CsrMatrix,
-        positions: Vec<Point2>,
-        rhs: &[f64],
-        boundary: Vec<bool>,
-    ) -> Self {
+    pub fn new(matrix: CsrMatrix, positions: Vec<Point2>, rhs: &[f64]) -> Self {
         let n = matrix.nrows();
         assert_eq!(matrix.ncols(), n, "local operator must be square");
         assert_eq!(positions.len(), n, "positions length mismatch");
         assert_eq!(rhs.len(), n, "rhs length mismatch");
-        assert_eq!(boundary.len(), n, "boundary mask length mismatch");
 
         let rhs_norm = sparse::vector::norm2(rhs);
         let input: Vec<f64> =
@@ -99,7 +86,7 @@ impl LocalGraph {
             edge_ptr.push(edges.len());
         }
 
-        LocalGraph { positions, edges, edge_ptr, input, rhs_norm, boundary, matrix }
+        LocalGraph { positions, edges, edge_ptr, input, matrix }
     }
 
     /// Number of nodes.
@@ -133,10 +120,10 @@ impl LocalGraph {
     /// how dataset extraction turns one graph template into many samples.
     pub(crate) fn set_rhs(&mut self, rhs: &[f64]) {
         assert_eq!(rhs.len(), self.num_nodes());
-        self.rhs_norm = sparse::vector::norm2(rhs);
-        if self.rhs_norm > 0.0 {
+        let rhs_norm = sparse::vector::norm2(rhs);
+        if rhs_norm > 0.0 {
             for (c, &r) in self.input.iter_mut().zip(rhs.iter()) {
-                *c = r / self.rhs_norm;
+                *c = r / rhs_norm;
             }
         } else {
             for c in self.input.iter_mut() {
@@ -162,10 +149,7 @@ mod tests {
         }
         let positions: Vec<Point2> = (0..n).map(|i| Point2::new(i as f64, 0.0)).collect();
         let rhs: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-        let mut boundary = vec![false; n];
-        boundary[0] = true;
-        boundary[n - 1] = true;
-        LocalGraph::new(coo.to_csr(), positions, &rhs, boundary)
+        LocalGraph::new(coo.to_csr(), positions, &rhs)
     }
 
     #[test]
@@ -173,8 +157,8 @@ mod tests {
         let g = chain_graph(5);
         let norm = sparse::vector::norm2(&g.input);
         assert!((norm - 1.0).abs() < 1e-12);
-        let expected_norm = (1.0 + 4.0 + 9.0 + 16.0 + 25.0_f64).sqrt();
-        assert!((g.rhs_norm - expected_norm).abs() < 1e-12);
+        let rhs_norm = (1.0 + 4.0 + 9.0 + 16.0 + 25.0_f64).sqrt();
+        assert!((g.input[4] - 5.0 / rhs_norm).abs() < 1e-12);
     }
 
     #[test]
@@ -207,12 +191,11 @@ mod tests {
     fn zero_rhs_keeps_zero_input() {
         let mut g = chain_graph(4);
         g.set_rhs(&[0.0; 4]);
-        assert_eq!(g.rhs_norm, 0.0);
         assert!(g.input.iter().all(|&c| c == 0.0));
         // And set back to something non-trivial.
         g.set_rhs(&[3.0, 0.0, 4.0, 0.0]);
-        assert!((g.rhs_norm - 5.0).abs() < 1e-12);
         assert!((g.input[0] - 0.6).abs() < 1e-12);
+        assert!((g.input[2] - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -266,8 +249,7 @@ mod tests {
         g.set_rhs(&[1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
         assert_eq!(g.edge_sources(), sources);
         assert_eq!(g.edge_ptr, ptr);
-        let rebuilt =
-            LocalGraph::new(g.matrix.clone(), g.positions.clone(), &[1.0; 6], g.boundary.clone());
+        let rebuilt = LocalGraph::new(g.matrix.clone(), g.positions.clone(), &[1.0; 6]);
         assert_eq!(rebuilt.edge_sources(), sources);
         assert_eq!(rebuilt.edge_ptr, ptr);
         assert!(rebuilt

@@ -196,12 +196,7 @@ mod tests {
             }
         }
         let positions = (0..n).map(|i| Point2::new(i as f64, 0.0)).collect();
-        LocalGraph::new(
-            coo.to_csr(),
-            positions,
-            &[1.0, 2.0, 3.0, 4.0],
-            vec![true, false, false, true],
-        )
+        LocalGraph::new(coo.to_csr(), positions, &[1.0, 2.0, 3.0, 4.0])
     }
 
     #[test]

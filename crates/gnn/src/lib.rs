@@ -53,5 +53,5 @@ pub use dataset::{extract_local_problems, DatasetConfig, TrainingSample};
 pub use gemm::Scalar;
 pub use graph::LocalGraph;
 pub use model::{DssConfig, DssModel};
-pub use plan::{InferScratch, InferencePlan, InferenceTimings, Precision};
+pub use plan::{InferScratch, InferencePlan, Precision};
 pub use trainer::{evaluate, train, EvalMetrics, TrainingConfig, TrainingReport};

@@ -33,7 +33,7 @@ use crate::gemm::Scalar;
 use crate::graph::LocalGraph;
 use crate::layers::Mlp;
 use crate::loss::residual_loss_and_grad;
-use crate::plan::{InferScratch, InferencePlan, InferenceTimings, WeightPack};
+use crate::plan::{InferScratch, InferencePlan, WeightPack};
 
 /// Hyper-parameters of the DSS model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -330,7 +330,7 @@ impl DssModel {
     }
 
     /// The optimised f64 inference engine on one right-hand side:
-    /// [`DssModel::infer_with_plan`] with `b = 1` and no timings.
+    /// [`DssModel::infer_with_plan`] with `b = 1`.
     pub fn infer_with_plan_into(
         &self,
         plan: &InferencePlan,
@@ -338,7 +338,7 @@ impl DssModel {
         scratch: &mut InferScratch,
         out: &mut [f64],
     ) {
-        self.infer_with_plan(plan, input, 1, scratch, out, None);
+        self.infer_with_plan(plan, input, 1, scratch, out);
     }
 
     /// The inference engine, in the plan's scalar type, on `b` right-hand
@@ -351,8 +351,7 @@ impl DssModel {
     /// edge structure are read, and the geometric edge terms computed, once
     /// per batch instead of once per right-hand side; column `c` of the
     /// output is **bit-identical** to a `b = 1` call on that column alone,
-    /// for every batch width.  With `timings`, a per-stage wall-clock
-    /// breakdown is accumulated into it; the output does not depend on it.
+    /// for every batch width.
     ///
     /// All intermediates live in `scratch` (sized on first use, reused across
     /// calls), so the steady state performs zero heap allocation.  Only the
@@ -365,7 +364,6 @@ impl DssModel {
         b: usize,
         scratch: &mut InferScratch<T>,
         out: &mut [f64],
-        timings: Option<&mut InferenceTimings>,
     ) {
         assert_eq!(
             plan.latent_dim(),
@@ -373,7 +371,7 @@ impl DssModel {
             "plan built for a different latent dimension"
         );
         assert_eq!(plan.num_blocks(), self.blocks.len(), "plan built for a different model depth");
-        plan.infer(input, b, scratch, out, timings);
+        plan.infer(input, b, scratch, out);
     }
 
     /// Total training loss (sum of per-block residual losses, Eq. 23).
@@ -626,10 +624,7 @@ mod tests {
         let positions: Vec<Point2> =
             (0..n).map(|i| Point2::new(i as f64 * 0.5, (i as f64 * 0.3).sin())).collect();
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) * 0.7 - 1.5).collect();
-        let mut boundary = vec![false; n];
-        boundary[0] = true;
-        boundary[n - 1] = true;
-        LocalGraph::new(coo.to_csr(), positions, &rhs, boundary)
+        LocalGraph::new(coo.to_csr(), positions, &rhs)
     }
 
     #[test]
@@ -847,10 +842,10 @@ mod tests {
         }
     }
 
-    /// Run `plan` on one right-hand side, untimed.
+    /// Run `plan` on one right-hand side.
     fn run<T: Scalar>(model: &DssModel, plan: &InferencePlan<T>, input: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; plan.num_nodes()];
-        model.infer_with_plan(plan, input, 1, &mut InferScratch::new(), &mut out, None);
+        model.infer_with_plan(plan, input, 1, &mut InferScratch::new(), &mut out);
         out
     }
 
@@ -905,49 +900,6 @@ mod tests {
         assert_tracks_f64(&model, &graph, &planq, 1e-2);
     }
 
-    /// Timings never change the output and count one call per inference.
-    fn assert_timed_is_identical<T: Scalar>(model: &DssModel, plan: &InferencePlan<T>) {
-        let input: Vec<f64> = (0..plan.num_nodes()).map(|j| 0.3 - 0.1 * j as f64).collect();
-        let mut scratch = InferScratch::new();
-        let mut timed_out = vec![0.0; plan.num_nodes()];
-        let mut timings = InferenceTimings::default();
-        model.infer_with_plan(plan, &input, 1, &mut scratch, &mut timed_out, Some(&mut timings));
-        assert_eq!(run(model, plan, &input), timed_out);
-        assert_eq!(timings.calls, 1);
-    }
-
-    #[test]
-    fn f32_timed_inference_is_identical_and_counts_calls() {
-        let graph = tiny_graph();
-        let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 5, alpha: 1e-2 }, 29);
-        assert_timed_is_identical(&model, &model.build_plan_f32(&graph, false));
-    }
-
-    #[test]
-    fn quantised_timed_inference_is_identical_and_counts_calls() {
-        let graph = tiny_graph();
-        let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 5, alpha: 1e-2 }, 29);
-        assert_timed_is_identical(&model, &model.build_plan_f32(&graph, true));
-    }
-
-    #[test]
-    fn timed_inference_is_bit_identical_and_counts_calls() {
-        let graph = tiny_graph();
-        let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-2 }, 23);
-        let plan = model.build_plan(&graph);
-        assert_timed_is_identical(&model, &plan);
-        let mut out = vec![0.0; graph.num_nodes()];
-        let mut timings = InferenceTimings::default();
-        let mut scratch = InferScratch::new();
-        model.infer_with_plan(&plan, &graph.input, 1, &mut scratch, &mut out, Some(&mut timings));
-        let mut merged = timings;
-        merged.merge(&timings);
-        assert_eq!(merged.calls, 2);
-        let total = |t: &InferenceTimings| t.stages().iter().map(|&(_, ns)| ns).sum::<u64>();
-        assert_eq!(total(&merged), 2 * total(&timings));
-        assert_eq!(timings.stages().len(), 4);
-    }
-
     /// A 7-node graph: a 6-node chain with one chord, and node 6 coupled to
     /// nothing (in-degree 0).
     fn graph_with_isolated_node() -> LocalGraph {
@@ -963,13 +915,13 @@ mod tests {
         let positions: Vec<Point2> =
             (0..n).map(|i| Point2::new((i as f64 * 0.9).cos(), i as f64 * 0.4)).collect();
         let rhs: Vec<f64> = (0..n).map(|i| 0.5 - 0.3 * i as f64).collect();
-        let graph = LocalGraph::new(coo.to_csr(), positions, &rhs, vec![false; n]);
+        let graph = LocalGraph::new(coo.to_csr(), positions, &rhs);
         assert_eq!(graph.in_degrees()[6], 0);
         graph
     }
 
     /// Column `c` of an `n × b` batched run has the bits of the `b = 1` run
-    /// on that column alone, timed or not.
+    /// on that column alone.
     fn assert_columns_match_unbatched<T: Scalar>(
         model: &DssModel,
         plan: &InferencePlan<T>,
@@ -992,19 +944,7 @@ mod tests {
                 }
             }
             let mut out_panel = vec![0.0; n * b];
-            let mut timed_panel = vec![0.0; n * b];
-            let mut timings = InferenceTimings::default();
-            model.infer_with_plan(plan, &panel, b, &mut scratch, &mut out_panel, None);
-            model.infer_with_plan(
-                plan,
-                &panel,
-                b,
-                &mut scratch,
-                &mut timed_panel,
-                Some(&mut timings),
-            );
-            assert_eq!(out_panel, timed_panel, "{what} b={b}: timed batched path diverged");
-            assert_eq!(timings.calls, 1);
+            model.infer_with_plan(plan, &panel, b, &mut scratch, &mut out_panel);
             for (c, col) in columns.iter().enumerate() {
                 let expected = run(model, plan, col);
                 assert!(expected.iter().any(|&v| v != 0.0));

@@ -56,7 +56,6 @@
 //! message aggregation in the forward pass is a contiguous per-node gather.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::gemm::{gemm_t, Epilogue, Operand, Scalar};
 use crate::graph::LocalGraph;
@@ -97,7 +96,7 @@ pub enum Precision {
 }
 
 impl Precision {
-    /// Lower-case name used in benchmark reports and env configuration.
+    /// Lower-case name used in benchmark reports.
     pub fn as_str(&self) -> &'static str {
         match self {
             Precision::F64 => "f64",
@@ -110,19 +109,6 @@ impl Precision {
 impl std::fmt::Display for Precision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "f64" | "double" => Ok(Precision::F64),
-            "f32" | "single" => Ok(Precision::F32),
-            "int8" | "i8" | "quantised" | "quantized" => Ok(Precision::Int8),
-            other => Err(format!("unknown precision '{other}' (expected f64, f32 or int8)")),
-        }
     }
 }
 
@@ -609,11 +595,10 @@ impl<T: Scalar> InferencePlan<T> {
         b: usize,
         scratch: &mut InferScratch<T>,
         out: &mut [f64],
-        timings: Option<&mut InferenceTimings>,
     ) {
         run_widest::<T>(
             #[inline(always)]
-            || forward(self, input, b, scratch, out, timings),
+            || forward(self, input, b, scratch, out),
         );
     }
 }
@@ -816,7 +801,6 @@ fn forward<T: Scalar>(
     b: usize,
     scratch: &mut InferScratch<T>,
     out: &mut [f64],
-    mut timings: Option<&mut InferenceTimings>,
 ) {
     let w = &*plan.weights;
     let d = w.latent_dim;
@@ -840,17 +824,6 @@ fn forward<T: Scalar>(
     decoded.resize(rows, T::ZERO);
     geo_buf.resize(plan.max_degree.max(1) * d2, T::ZERO);
 
-    let mut last = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-    macro_rules! tick {
-        ($field:ident) => {
-            if let Some(t) = timings.as_deref_mut() {
-                let now = Instant::now(); // detlint::allow(nondet-clock): timing telemetry only
-                t.$field += now.duration_since(last).as_nanos() as u64;
-                last = now;
-            }
-        };
-    }
-
     for (k, pb) in w.blocks.iter().enumerate() {
         if k == 0 && !plan.block1_hsum.is_empty() {
             // `H⁰ = 0`: block 1's node terms are `+0` and its edge sums are
@@ -865,7 +838,6 @@ fn forward<T: Scalar>(
             // once (`4d` wide).
             let on_h = [Operand { x: &h[..], in_dim: d, wt: &pb.w_node_t[..] }];
             gemm_t(on_h, rows, 2 * d2, &[], Epilogue::Store, a_node);
-            tick!(node_gemm_ns);
             // Fused edge sweep: per-edge hidden pre-activation = recomputed
             // geometric term + gathered node terms, ReLU'd and summed
             // straight into the per-node accumulator.  The second message
@@ -873,7 +845,6 @@ fn forward<T: Scalar>(
             // into `psi_m_t`).
             edge_sweep(plan, pb.geo_rows(), d2, b, a_node, hsum, geo_buf);
         }
-        tick!(edge_gather_ns);
         // Ψ update, in full in block 1 too.  The hidden pre-activation starts
         // from `b_Ψ`, takes the degree-scaled message biases and the `W_c c`
         // term, then the latent-dependent products (the message one
@@ -889,7 +860,6 @@ fn forward<T: Scalar>(
         gemm_t(psi_in, rows, d, &pb.psi_bias, Epilogue::Relu, psi_hidden);
         let psi_out = [Operand { x: &psi_hidden[..], in_dim: d, wt: &pb.psi_l2_wt[..] }];
         gemm_t(psi_out, rows, d, &pb.psi_l2_b, Epilogue::AddScaled(w.alpha), h);
-        tick!(psi_update_ns);
     }
     match &w.decoder {
         Some(dec) => {
@@ -902,54 +872,6 @@ fn forward<T: Scalar>(
             }
         }
         None => out.fill(0.0),
-    }
-    tick!(decoder_ns);
-    let _ = last; // the final tick's stamp is intentionally unused
-    if let Some(t) = timings {
-        t.calls += 1;
-    }
-}
-
-/// Wall-clock breakdown of planned inference, one bucket per pipeline stage.
-///
-/// Filled by [`DssModel::infer_with_plan`] when given one; buckets accumulate
-/// across calls so one struct can aggregate a whole preconditioner
-/// application (or several).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct InferenceTimings {
-    /// Node-level GEMMs `H W_dstᵀ` / `H W_srcᵀ` for both message directions.
-    pub node_gemm_ns: u64,
-    /// Fused edge sweep: geometric term + gathered node terms, ReLU, and the
-    /// per-node aggregation of the hidden activations (the former edge GEMM
-    /// plus scatter, collapsed into one contiguous pass).
-    pub edge_gather_ns: u64,
-    /// Ψ update: one fused three-operand GEMM with ReLU, then the second
-    /// layer stepping the latent state.
-    pub psi_update_ns: u64,
-    /// Final-block decoder.
-    pub decoder_ns: u64,
-    /// Number of inference calls folded into the buckets.
-    pub calls: u64,
-}
-
-impl InferenceTimings {
-    /// Add another timing record into this one.
-    pub fn merge(&mut self, other: &InferenceTimings) {
-        self.node_gemm_ns += other.node_gemm_ns;
-        self.edge_gather_ns += other.edge_gather_ns;
-        self.psi_update_ns += other.psi_update_ns;
-        self.decoder_ns += other.decoder_ns;
-        self.calls += other.calls;
-    }
-
-    /// Stage name / nanosecond pairs, in pipeline order.
-    pub fn stages(&self) -> [(&'static str, u64); 4] {
-        [
-            ("node_gemm", self.node_gemm_ns),
-            ("edge_gather", self.edge_gather_ns),
-            ("psi_update", self.psi_update_ns),
-            ("decoder", self.decoder_ns),
-        ]
     }
 }
 
@@ -978,7 +900,7 @@ pub(crate) mod tests {
             coo.push(i, i, 8.0).unwrap();
         }
         let rhs: Vec<f64> = (0..n).map(|i| ((i * 31) % 23) as f64 * 0.2 - 2.0).collect();
-        LocalGraph::new(coo.to_csr(), positions, &rhs, vec![false; n])
+        LocalGraph::new(coo.to_csr(), positions, &rhs)
     }
 
     /// Reference for the recomputed geometric term: `W_geo g_e + b₁` for
@@ -1015,8 +937,8 @@ pub(crate) mod tests {
             let input: Vec<f64> =
                 (0..n * b).map(|i| ((i * 5 + b) % 11) as f64 * 0.2 - 1.0).collect();
             let (mut from_plan, mut swept) = (vec![0.0; n * b], vec![0.0; n * b]);
-            cached.infer(&input, b, &mut scratch, &mut from_plan, None);
-            live.infer(&input, b, &mut scratch, &mut swept, None);
+            cached.infer(&input, b, &mut scratch, &mut from_plan);
+            live.infer(&input, b, &mut scratch, &mut swept);
             assert!(swept.iter().any(|&v| v != 0.0));
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&from_plan), bits(&swept), "d={} b={b}", model.config().latent_dim);
@@ -1131,13 +1053,13 @@ pub(crate) mod tests {
                 for (body, out) in outs.iter_mut().enumerate() {
                     let (plan, input, scratch) = (&plan, &input[..], &mut scratch);
                     match body {
-                        0 => forward(plan, input, b, scratch, out, None),
+                        0 => forward(plan, input, b, scratch, out),
                         // SAFETY: the caller detected AVX2 before calling
                         // this helper.
                         1 => unsafe {
                             on_avx2(
                                 #[inline(always)]
-                                || forward(plan, input, b, scratch, out, None),
+                                || forward(plan, input, b, scratch, out),
                             )
                         },
                         // SAFETY: the caller sets `avx512` only after
@@ -1145,7 +1067,7 @@ pub(crate) mod tests {
                         _ => unsafe {
                             on_avx512(
                                 #[inline(always)]
-                                || forward(plan, input, b, scratch, out, None),
+                                || forward(plan, input, b, scratch, out),
                             )
                         },
                     }
@@ -1215,13 +1137,6 @@ pub(crate) mod tests {
 
     #[test]
     fn precision_parses_and_displays() {
-        assert_eq!("f32".parse::<Precision>().unwrap(), Precision::F32);
-        assert_eq!("F64".parse::<Precision>().unwrap(), Precision::F64);
-        assert_eq!("single".parse::<Precision>().unwrap(), Precision::F32);
-        assert_eq!("int8".parse::<Precision>().unwrap(), Precision::Int8);
-        assert_eq!("I8".parse::<Precision>().unwrap(), Precision::Int8);
-        assert_eq!("quantised".parse::<Precision>().unwrap(), Precision::Int8);
-        assert!("f16".parse::<Precision>().is_err());
         assert_eq!(Precision::F32.to_string(), "f32");
         assert_eq!(Precision::Int8.to_string(), "int8");
         assert_eq!(Precision::default(), Precision::F64);

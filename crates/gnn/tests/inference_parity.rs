@@ -55,10 +55,7 @@ fn random_graph(n: usize, extra: &[(usize, usize)], geo_seed: u64, rhs_seed: u64
         .collect();
     let rhs: Vec<f64> =
         (0..n).map(|i| ((i as u64 * 31 + rhs_seed * 17) % 23) as f64 * 0.2 - 2.0).collect();
-    let mut boundary = vec![false; n];
-    boundary[0] = true;
-    boundary[n - 1] = true;
-    LocalGraph::new(coo.to_csr(), positions, &rhs, boundary)
+    LocalGraph::new(coo.to_csr(), positions, &rhs)
 }
 
 /// f64 inference on `input` through a throwaway plan.
@@ -77,7 +74,7 @@ fn infer_f32(
     scratch: &mut InferScratch<f32>,
 ) -> Vec<f64> {
     let mut out = vec![0.0; plan.num_nodes()];
-    model.infer_with_plan(plan, input, 1, scratch, &mut out, None);
+    model.infer_with_plan(plan, input, 1, scratch, &mut out);
     out
 }
 

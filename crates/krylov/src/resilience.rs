@@ -125,6 +125,7 @@ impl FaultLog {
     }
 
     /// The tier that finished the solve, when a supervisor reported one.
+    // detlint::allow(unreferenced-pub): the ddm-gnn ladder tests read which tier finished a faulted solve
     pub fn final_tier(&self) -> Option<&str> {
         self.final_tier.as_deref()
     }
@@ -469,6 +470,7 @@ pub struct FaultInjectingPreconditioner<P> {
 
 impl<P: Preconditioner> FaultInjectingPreconditioner<P> {
     /// Inject the given faults at the given apply counts.
+    // detlint::allow(unreferenced-pub): the ddm-gnn fault-injection suites schedule their faults through it
     pub fn scheduled(inner: P, schedule: impl IntoIterator<Item = (u64, InjectedFault)>) -> Self {
         let name = format!("inject({})", inner.name());
         FaultInjectingPreconditioner {

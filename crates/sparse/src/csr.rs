@@ -323,65 +323,6 @@ impl CsrMatrix {
         CsrMatrix { nrows: n, ncols: n, row_ptr, col_idx, values }
     }
 
-    /// Galerkin triple product `R A Rᵀ` with a sparse `k × n` restriction
-    /// matrix, returning a dense row-major `k × k` array.
-    ///
-    /// Row `i` of the result is computed with a sparse row-merge accumulator:
-    /// the rows of `A` selected by the nonzeros of `R_i` are merged into a
-    /// dense accumulator `w = R_i A` (tracking the touched columns so the
-    /// accumulator can be cleared in `O(touched)`), and each entry
-    /// `out[i, j] = w · R_j` is then a sparse dot against row `j` of `R`.
-    /// Peak extra memory is one `n`-vector regardless of `k`, and every
-    /// summation order is fixed, so the result is deterministic.
-    ///
-    /// **Explicit zeros:** entries of `R` stored with value exactly `0.0` are
-    /// skipped, both in the merge and in the dots, so this method computes
-    /// the same floating-point operation sequence whether `R` carries
-    /// explicitly-stored zeros or not.
-    pub fn galerkin_product_csr(&self, r: &CsrMatrix) -> Vec<f64> {
-        assert_eq!(r.ncols(), self.nrows, "galerkin_product: R column count mismatch");
-        assert_eq!(self.nrows, self.ncols, "galerkin_product: A must be square");
-        let k = r.nrows();
-        let mut out = vec![0.0; k * k];
-        let mut acc = vec![0.0; self.ncols];
-        let mut marked = vec![false; self.ncols];
-        let mut touched: Vec<usize> = Vec::new();
-        for i in 0..k {
-            // w = R_i A  (row-merge of the A-rows selected by R_i's nonzeros).
-            let (rcols, rvals) = r.row(i);
-            for (&g, &w) in rcols.iter().zip(rvals.iter()) {
-                if w == 0.0 {
-                    continue;
-                }
-                let (acols, avals) = self.row(g);
-                for (&c, &a) in acols.iter().zip(avals.iter()) {
-                    if !marked[c] {
-                        marked[c] = true;
-                        touched.push(c);
-                        acc[c] = 0.0;
-                    }
-                    acc[c] += w * a;
-                }
-            }
-            // out[i, j] = w · R_j, iterating row j's nonzeros in column order.
-            for j in 0..k {
-                let (jcols, jvals) = r.row(j);
-                let mut s = 0.0;
-                for (&c, &v) in jcols.iter().zip(jvals.iter()) {
-                    if v != 0.0 && marked[c] {
-                        s += acc[c] * v;
-                    }
-                }
-                out[i * k + j] = s;
-            }
-            for &c in &touched {
-                marked[c] = false;
-            }
-            touched.clear();
-        }
-        out
-    }
-
     /// Sparse matrix–matrix product `C = A B` (row-merge SpGEMM).
     ///
     /// Every output row is accumulated into a dense scratch row with a
@@ -429,12 +370,15 @@ impl CsrMatrix {
     }
 
     /// Galerkin triple product `R A Rᵀ` returning a **sparse** `k × k` CSR
-    /// matrix — the per-level coarse-operator kernel of the multi-level
-    /// hierarchy, where the dense `k × k` output of
-    /// [`CsrMatrix::galerkin_product_csr`] would be quadratic in memory.
+    /// matrix — the coarse-operator kernel of the multi-level hierarchy and
+    /// of the Nicolaides coarse space.
     ///
     /// Computed as two row-merge SpGEMMs, `(R · A) · Rᵀ`; both products keep
-    /// a fixed summation order, so the result is deterministic.
+    /// a fixed summation order, so the result is deterministic.  Entry
+    /// `(i, j)` sums its products in ascending column order from `+0.0`;
+    /// products that are exact zeros (explicitly stored zeros of `R`,
+    /// cancellations in `R A`) only add signed zeros to that sum, so they
+    /// never change its bits.
     pub fn galerkin_rap(&self, r: &CsrMatrix) -> CsrMatrix {
         assert_eq!(r.ncols(), self.nrows, "galerkin_rap: R column count mismatch");
         assert_eq!(self.nrows, self.ncols, "galerkin_rap: A must be square");
@@ -608,56 +552,9 @@ mod tests {
         let a = sample_matrix();
         // R = [1 1 0; 0 0 1]
         let r = vec![vec![1.0, 1.0, 0.0], vec![0.0, 0.0, 1.0]];
-        let g = a.galerkin_product_csr(&sparse_rows(&r, 3));
+        let g = a.galerkin_rap(&sparse_rows(&r, 3)).to_dense();
         // R A Rᵀ = [[6, -1], [-1, 4]]
         assert_eq!(g, vec![6.0, -1.0, -1.0, 4.0]);
-    }
-
-    #[test]
-    fn galerkin_product_csr_matches_dense_reference() {
-        // A larger pseudo-random SPD-ish matrix and overlapping R rows; the
-        // sparse row-merge accumulator must agree with the naive dense
-        // computation R (A Rᵀ) to rounding.
-        let n = 40;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 4.0 + (i % 3) as f64).unwrap();
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0).unwrap();
-                coo.push(i + 1, i, -1.0).unwrap();
-            }
-            if i + 7 < n {
-                coo.push(i, i + 7, 0.5).unwrap();
-                coo.push(i + 7, i, 0.5).unwrap();
-            }
-        }
-        let a = coo.to_csr();
-        let k = 5;
-        let r_rows: Vec<Vec<f64>> = (0..k)
-            .map(|j| {
-                (0..n)
-                    .map(|c| {
-                        if c % k == j || c % (k + 1) == j {
-                            (c + j + 1) as f64 * 0.1
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let fast = a.galerkin_product_csr(&sparse_rows(&r_rows, n));
-        // Naive reference.
-        let mut slow = vec![0.0; k * k];
-        for i in 0..k {
-            for j in 0..k {
-                let arj = a.spmv(&r_rows[j]);
-                slow[i * k + j] = crate::vector::dot(&r_rows[i], &arj);
-            }
-        }
-        for (f, s) in fast.iter().zip(slow.iter()) {
-            assert!((f - s).abs() < 1e-10 * s.abs().max(1.0), "{f} vs {s}");
-        }
     }
 
     #[test]
@@ -712,37 +609,73 @@ mod tests {
 
     #[test]
     fn galerkin_rap_matches_dense_galerkin() {
-        let a = {
-            let n = 30;
-            let mut coo = CooMatrix::new(n, n);
-            for i in 0..n {
-                coo.push(i, i, 4.0).unwrap();
-                if i + 1 < n {
-                    coo.push(i, i + 1, -1.0).unwrap();
-                    coo.push(i + 1, i, -1.0).unwrap();
-                }
+        // Two fixtures against the naive dense computation R (A Rᵀ), to
+        // rounding: a pseudo-random SPD-ish 40×40 matrix under 5 overlapping
+        // irregular rows, and a 30×30 tridiagonal one under overlapping
+        // aggregates of 3 at stride 2 (R is 14×30).
+        let n = 40;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0 + (i % 3) as f64).unwrap();
+            if i + 1 < n {
+                coo.push(i, i + 1, -1.0).unwrap();
+                coo.push(i + 1, i, -1.0).unwrap();
             }
-            coo.to_csr()
-        };
-        // Overlapping aggregates of 3, stride 2: R is 14×30.
-        let k = 14;
-        let mut coo = CooMatrix::new(k, 30);
-        for i in 0..k {
-            for d in 0..3 {
-                coo.push(i, 2 * i + d, 1.0 + d as f64 * 0.5).unwrap();
+            if i + 7 < n {
+                coo.push(i, i + 7, 0.5).unwrap();
+                coo.push(i + 7, i, 0.5).unwrap();
             }
         }
-        let r = coo.to_csr();
-        let sparse = a.galerkin_rap(&r);
-        let dense = a.galerkin_product_csr(&r);
-        assert_eq!(sparse.nrows(), k);
-        assert_eq!(sparse.ncols(), k);
-        let sd = sparse.to_dense();
-        for (i, (s, d)) in sd.iter().zip(dense.iter()).enumerate() {
-            assert!((s - d).abs() < 1e-12 * d.abs().max(1.0), "entry {i}: {s} vs {d}");
+        let k = 5;
+        let irregular: Vec<Vec<f64>> = (0..k)
+            .map(|j| {
+                (0..n)
+                    .map(|c| {
+                        if c % k == j || c % (k + 1) == j {
+                            (c + j + 1) as f64 * 0.1
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let n = 30;
+        let mut tri = CooMatrix::new(n, n);
+        for i in 0..n {
+            tri.push(i, i, 4.0).unwrap();
+            if i + 1 < n {
+                tri.push(i, i + 1, -1.0).unwrap();
+                tri.push(i + 1, i, -1.0).unwrap();
+            }
         }
-        // RAP of a symmetric matrix is symmetric.
-        assert!(sparse.is_symmetric(1e-12));
+        let aggregates: Vec<Vec<f64>> = (0..14)
+            .map(|i| {
+                (0..n)
+                    .map(|c| {
+                        if (2 * i..2 * i + 3).contains(&c) {
+                            1.0 + (c - 2 * i) as f64 * 0.5
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for (a, r_rows) in [(coo.to_csr(), irregular), (tri.to_csr(), aggregates)] {
+            let k = r_rows.len();
+            let rap = a.galerkin_rap(&sparse_rows(&r_rows, a.nrows()));
+            assert_eq!((rap.nrows(), rap.ncols()), (k, k));
+            // Naive reference: R (A Rᵀ), row-major.
+            let arj: Vec<Vec<f64>> = r_rows.iter().map(|rj| a.spmv(rj)).collect();
+            let dense =
+                r_rows.iter().flat_map(|ri| arj.iter().map(|arj| crate::vector::dot(ri, arj)));
+            for (i, (s, d)) in rap.to_dense().into_iter().zip(dense).enumerate() {
+                assert!((s - d).abs() < 1e-10 * d.abs().max(1.0), "entry {i}: {s} vs {d}");
+            }
+            // RAP of a symmetric matrix is symmetric.
+            assert!(rap.is_symmetric(1e-12));
+        }
     }
 
     #[test]

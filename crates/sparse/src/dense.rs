@@ -31,7 +31,7 @@ impl DenseMatrix {
     }
 
     /// Build from a row-major vector.
-    pub fn from_row_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
+    pub(crate) fn from_row_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != nrows * ncols {
             return Err(SparseError::InvalidArgument(format!(
                 "dense data length {} != {nrows}x{ncols}",

@@ -21,7 +21,7 @@ pub struct LuFactor {
 
 impl LuFactor {
     /// Factor a dense matrix.  Fails on (numerically) singular input.
-    pub fn factor_dense(a: &DenseMatrix) -> Result<Self> {
+    pub(crate) fn factor_dense(a: &DenseMatrix) -> Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare { rows: a.nrows(), cols: a.ncols() });
         }

@@ -5,15 +5,16 @@
 //! Because the pool size is fixed per process, this test re-executes the test
 //! binary as a child process per thread count: each child computes a
 //! signature over the parallel hot paths — `spmv_into`, the Additive Schwarz
-//! `apply`, the DDM-GNN `apply` and a full PCG residual history — writes it
-//! to a file, and the parent asserts all signatures are byte-identical.
+//! `apply` at two levels and multi-level, the DDM-GNN `apply` at every
+//! inference precision and a full PCG residual history — writes it to a
+//! file, and the parent asserts all signatures are byte-identical.
 
 use std::fmt::Write as _;
 use std::process::Command;
 use std::sync::Arc;
 
-use ddm_gnn_suite::ddm::{AdditiveSchwarz, AsmLevel};
-use ddm_gnn_suite::ddm_gnn::{generate_problem, DdmGnnPreconditioner};
+use ddm_gnn_suite::ddm::{AdditiveSchwarz, AsmLevel, MultilevelConfig};
+use ddm_gnn_suite::ddm_gnn::{generate_problem, DdmGnnPreconditioner, Precision};
 use ddm_gnn_suite::gnn::{DssConfig, DssModel};
 use ddm_gnn_suite::krylov::{preconditioned_conjugate_gradient, Preconditioner, SolverOptions};
 use ddm_gnn_suite::partition::partition_mesh_with_overlap;
@@ -52,14 +53,28 @@ fn compute_signature() -> String {
     let mut z = vec![0.0; n];
     asm.apply(&problem.rhs, &mut z);
     push_bits(&mut sig, "asm_apply", &z);
+    let multilevel = AsmLevel::Multilevel(MultilevelConfig::default());
+    AdditiveSchwarz::new(&problem.matrix, subdomains.clone(), multilevel)
+        .expect("multi-level ASM setup")
+        .apply(&problem.rhs, &mut z);
+    push_bits(&mut sig, "asm_multilevel_apply", &z);
 
-    // DDM-GNN preconditioner application (parallel batched inference).  A
-    // small untrained model keeps the debug-profile runtime low; determinism
-    // does not depend on model quality.
+    // DDM-GNN preconditioner application (parallel batched inference) at
+    // every precision tier.  A small untrained model keeps the debug-profile
+    // runtime low; determinism does not depend on model quality.
     let model = Arc::new(DssModel::new(DssConfig { num_blocks: 3, latent_dim: 6, alpha: 1e-2 }, 7));
-    let gnn = DdmGnnPreconditioner::new(&problem, subdomains, model, true).expect("GNN setup");
-    gnn.apply(&problem.rhs, &mut z);
-    push_bits(&mut sig, "gnn_apply", &z);
+    for precision in [Precision::F64, Precision::F32, Precision::Int8] {
+        let gnn = DdmGnnPreconditioner::with_precision(
+            &problem,
+            subdomains.clone(),
+            Arc::clone(&model),
+            true,
+            precision,
+        )
+        .expect("GNN setup");
+        gnn.apply(&problem.rhs, &mut z);
+        push_bits(&mut sig, &format!("gnn_apply_{precision}"), &z);
+    }
 
     // Full PCG residual history with the ASM preconditioner.
     let opts = SolverOptions::with_tolerance(1e-8).max_iterations(300);
