@@ -607,12 +607,27 @@ mod tests {
         assert_eq!(c.row(1).0.len(), 0);
     }
 
+    /// Asserts `A.galerkin_rap(R)` matches the naive dense computation
+    /// `R (A Rᵀ)` to rounding and is symmetric (`A` is symmetric).
+    fn assert_rap_matches_dense(a: &CsrMatrix, r_rows: &[Vec<f64>]) {
+        let k = r_rows.len();
+        let rap = a.galerkin_rap(&sparse_rows(r_rows, a.nrows()));
+        assert_eq!((rap.nrows(), rap.ncols()), (k, k));
+        // Naive reference: R (A Rᵀ), row-major.
+        let arj: Vec<Vec<f64>> = r_rows.iter().map(|rj| a.spmv(rj)).collect();
+        let dense = r_rows.iter().flat_map(|ri| arj.iter().map(|arj| crate::vector::dot(ri, arj)));
+        for (i, (s, d)) in rap.to_dense().into_iter().zip(dense).enumerate() {
+            assert!((s - d).abs() < 1e-10 * d.abs().max(1.0), "entry {i}: {s} vs {d}");
+        }
+        // RAP of a symmetric matrix is symmetric.
+        assert!(rap.is_symmetric(1e-12));
+    }
+
     #[test]
-    fn galerkin_rap_matches_dense_galerkin() {
-        // Two fixtures against the naive dense computation R (A Rᵀ), to
-        // rounding: a pseudo-random SPD-ish 40×40 matrix under 5 overlapping
-        // irregular rows, and a 30×30 tridiagonal one under overlapping
-        // aggregates of 3 at stride 2 (R is 14×30).
+    fn galerkin_product_csr_matches_dense_reference() {
+        // The Galerkin product of a CSR matrix under a sparse restriction:
+        // a pseudo-random SPD-ish 40×40 matrix and 5 overlapping irregular
+        // rows of R.
         let n = 40;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -627,7 +642,7 @@ mod tests {
             }
         }
         let k = 5;
-        let irregular: Vec<Vec<f64>> = (0..k)
+        let r_rows: Vec<Vec<f64>> = (0..k)
             .map(|j| {
                 (0..n)
                     .map(|c| {
@@ -640,13 +655,20 @@ mod tests {
                     .collect()
             })
             .collect();
+        assert_rap_matches_dense(&coo.to_csr(), &r_rows);
+    }
+
+    #[test]
+    fn galerkin_rap_matches_dense_galerkin() {
+        // A 30×30 tridiagonal matrix under overlapping aggregates of 3 at
+        // stride 2 (R is 14×30).
         let n = 30;
-        let mut tri = CooMatrix::new(n, n);
+        let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
-            tri.push(i, i, 4.0).unwrap();
+            coo.push(i, i, 4.0).unwrap();
             if i + 1 < n {
-                tri.push(i, i + 1, -1.0).unwrap();
-                tri.push(i + 1, i, -1.0).unwrap();
+                coo.push(i, i + 1, -1.0).unwrap();
+                coo.push(i + 1, i, -1.0).unwrap();
             }
         }
         let aggregates: Vec<Vec<f64>> = (0..14)
@@ -662,20 +684,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        for (a, r_rows) in [(coo.to_csr(), irregular), (tri.to_csr(), aggregates)] {
-            let k = r_rows.len();
-            let rap = a.galerkin_rap(&sparse_rows(&r_rows, a.nrows()));
-            assert_eq!((rap.nrows(), rap.ncols()), (k, k));
-            // Naive reference: R (A Rᵀ), row-major.
-            let arj: Vec<Vec<f64>> = r_rows.iter().map(|rj| a.spmv(rj)).collect();
-            let dense =
-                r_rows.iter().flat_map(|ri| arj.iter().map(|arj| crate::vector::dot(ri, arj)));
-            for (i, (s, d)) in rap.to_dense().into_iter().zip(dense).enumerate() {
-                assert!((s - d).abs() < 1e-10 * d.abs().max(1.0), "entry {i}: {s} vs {d}");
-            }
-            // RAP of a symmetric matrix is symmetric.
-            assert!(rap.is_symmetric(1e-12));
-        }
+        assert_rap_matches_dense(&coo.to_csr(), &aggregates);
     }
 
     #[test]
