@@ -37,7 +37,7 @@ pub mod pipeline;
 pub mod preconditioner;
 pub mod solver;
 
-pub use ddm::{AsmLevel, MultilevelConfig, SmootherPrecision};
+pub use ddm::{AsmLevel, MultilevelConfig};
 pub use gnn::Precision;
 pub use krylov::{
     DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,

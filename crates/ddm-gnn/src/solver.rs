@@ -219,8 +219,7 @@ pub struct HybridSolverConfig {
     /// Overlap layers.
     pub overlap: usize,
     /// The coarse component: none, the Nicolaides correction, or a
-    /// smoothed-aggregation multi-level V-cycle (whose smoother precision
-    /// follows `precision`).
+    /// smoothed-aggregation multi-level V-cycle.
     pub level: AsmLevel,
     /// Relative residual tolerance.
     pub tolerance: f64,
@@ -443,10 +442,7 @@ mod tests {
             subdomain_size: 250,
             overlap: 2,
             tolerance: 1e-6,
-            level: AsmLevel::Multilevel(MultilevelConfig {
-                coarsest_max_size: 60,
-                ..Default::default()
-            }),
+            level: AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 }),
             ..Default::default()
         };
         let solver = HybridSolver::new(fx.model.clone(), config.clone());

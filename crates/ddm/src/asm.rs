@@ -384,7 +384,7 @@ mod tests {
         let ml = AdditiveSchwarz::with_multilevel(
             &fx.problem.matrix,
             fx.subdomains.clone(),
-            &MultilevelConfig { coarsest_max_size: 100, ..Default::default() },
+            &MultilevelConfig { coarsest_max_size: 100 },
         )
         .unwrap();
         let levels = ml.coarse.as_ref().unwrap().num_levels();

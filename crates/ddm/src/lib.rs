@@ -41,7 +41,7 @@ pub mod restriction;
 
 pub use asm::{AsmLevel, LocalSolve, Schwarz};
 pub use local::{AdditiveSchwarz, CholeskyLocalSolver};
-pub use multilevel::{Hierarchy, MultilevelConfig, SmootherPrecision};
+pub use multilevel::{Hierarchy, MultilevelConfig};
 pub use restriction::Restriction;
 
 use sparse::CsrMatrix;

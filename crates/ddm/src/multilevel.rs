@@ -63,49 +63,27 @@ const JACOBI_WEIGHT: f64 = 2.0 / 3.0;
 /// Hard cap on the number of levels (including fine and coarsest).
 const MAX_LEVELS: usize = 12;
 
-/// Scalar precision of the smoother sweeps (the V-cycle glue — restriction,
-/// prolongation, coarse solve — always stays f64).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmootherPrecision {
-    /// Full double-precision sweeps.
-    F64,
-    /// The per-row residual of each Jacobi sweep is accumulated in f32 over
-    /// f32 copies of the matrix values and inverse diagonal; the iterate
-    /// stays f64.  Halves the smoother's memory traffic at a ~1e-7 relative
-    /// perturbation the flexible outer Krylov method absorbs.
-    F32,
-}
-
 /// Configuration of [`Hierarchy::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultilevelConfig {
-    /// Smoother sweep precision.
-    pub smoother_precision: SmootherPrecision,
     /// Coarsening stops once the operator has at most this many rows.
     pub coarsest_max_size: usize,
 }
 
 impl Default for MultilevelConfig {
     fn default() -> Self {
-        MultilevelConfig { smoother_precision: SmootherPrecision::F64, coarsest_max_size: 400 }
+        MultilevelConfig { coarsest_max_size: 400 }
     }
 }
 
-/// Per-level weighted-Jacobi smoother data.  The matrix structure is shared
-/// with the level's operator; only value copies at reduced precision are
-/// stored here.
-enum LevelSmoother {
-    Jacobi { inv_diag: Vec<f64> },
-    JacobiF32 { values: Vec<f32>, inv_diag: Vec<f32> },
-}
-
 /// One non-coarsest level: its operator, the restriction to the next level
-/// and the smoother.
+/// and the inverse diagonal its weighted-Jacobi smoother scales by.
 struct Level {
     a: CsrMatrix,
     /// Restriction `R = Pᵀ` to the next coarser level (`n_{ℓ+1} × n_ℓ`).
     r: CsrMatrix,
-    smoother: LevelSmoother,
+    /// `1 / a_ii`, or 0 on a zero diagonal entry.
+    inv_diag: Vec<f64>,
 }
 
 /// Direct solver for the coarsest operator.
@@ -157,7 +135,7 @@ pub(crate) struct HierarchyScratch {
     work: Vec<f64>,
 }
 
-/// The assembled coarse component: per-level `(A_ℓ, R_ℓ, smoother_ℓ)` plus
+/// The assembled coarse component: per-level `(A_ℓ, R_ℓ, D_ℓ⁻¹)` plus
 /// the coarsest direct factorisation, or the Nicolaides `R₀` and its LU.
 pub struct Hierarchy {
     /// Smoothed V-cycle levels, fine to coarse (none for Nicolaides).
@@ -200,8 +178,9 @@ impl Hierarchy {
             let r = smoothed_restriction(&a, &agg, num_agg);
             let a_coarse = a.galerkin_rap(&r);
             total_nnz += a_coarse.nnz();
-            let smoother = build_smoother(&a, config.smoother_precision);
-            levels.push(Level { a, r, smoother });
+            let inv_diag =
+                a.diagonal().iter().map(|&d| if d != 0.0 { 1.0 / d } else { 0.0 }).collect();
+            levels.push(Level { a, r, inv_diag });
             level_dims.push(a_coarse.nrows());
             a = a_coarse;
         }
@@ -328,7 +307,7 @@ impl Hierarchy {
         // Downward sweep: pre-smooth from zero, restrict the residual.
         for l in 0..num {
             let lvl = &self.levels[l];
-            smooth_from_zero(&lvl.smoother, &bs[l], &mut xs[l]);
+            smooth_from_zero(&lvl.inv_diag, &bs[l], &mut xs[l]);
             lvl.a.residual_into(&bs[l], &xs[l], &mut tmps[l]);
             let (_, bs_coarser) = bs.split_at_mut(l + 1);
             lvl.r.spmv_into(&tmps[l], &mut bs_coarser[0]);
@@ -340,7 +319,7 @@ impl Hierarchy {
             let lvl = &self.levels[l];
             let (xs_fine, xs_coarser) = xs.split_at_mut(l + 1);
             lvl.r.spmv_transpose_add_into(&xs_coarser[0], &mut xs_fine[l]);
-            smooth(&lvl.a, &lvl.smoother, &bs[l], &mut xs_fine[l], &mut tmps[l]);
+            smooth(&lvl.a, &lvl.inv_diag, &bs[l], &mut xs_fine[l], &mut tmps[l]);
         }
         for (o, &x) in out.iter_mut().zip(xs[0].iter()) {
             *o += x;
@@ -348,14 +327,12 @@ impl Hierarchy {
     }
 }
 
-/// One weighted-Jacobi sweep (the same before and after coarsening, so the
-/// whole V-cycle is a symmetric operator).
-fn smooth(a: &CsrMatrix, s: &LevelSmoother, b: &[f64], x: &mut [f64], tmp: &mut [f64]) {
-    match s {
-        LevelSmoother::Jacobi { inv_diag } => jacobi_sweep(a, inv_diag, JACOBI_WEIGHT, b, x, tmp),
-        LevelSmoother::JacobiF32 { values, inv_diag } => {
-            jacobi_sweep_f32(a, values, inv_diag, JACOBI_WEIGHT as f32, b, x, tmp)
-        }
+/// One weighted-Jacobi sweep `x ← x + w D⁻¹ (b − A x)` (the same before and
+/// after coarsening, so the whole V-cycle is a symmetric operator).
+fn smooth(a: &CsrMatrix, inv_diag: &[f64], b: &[f64], x: &mut [f64], tmp: &mut [f64]) {
+    a.residual_into(b, x, tmp);
+    for i in 0..x.len() {
+        x[i] += JACOBI_WEIGHT * inv_diag[i] * tmp[i];
     }
 }
 
@@ -364,74 +341,9 @@ fn smooth(a: &CsrMatrix, s: &LevelSmoother, b: &[f64], x: &mut [f64], tmp: &mut 
 /// finite `A`, so the result has the bits of `x.fill(0.0)` plus [`smooth`]
 /// at one SpMV less.  The `0.0 +` is the sweep's `x += …` onto the zero
 /// iterate, and it is not a no-op: it turns a −0 update into +0.
-fn smooth_from_zero(s: &LevelSmoother, b: &[f64], x: &mut [f64]) {
-    match s {
-        LevelSmoother::Jacobi { inv_diag } => {
-            for i in 0..x.len() {
-                x[i] = 0.0 + JACOBI_WEIGHT * inv_diag[i] * b[i];
-            }
-        }
-        LevelSmoother::JacobiF32 { inv_diag, .. } => {
-            let weight = JACOBI_WEIGHT as f32;
-            for i in 0..x.len() {
-                x[i] = 0.0 + (weight * inv_diag[i] * (b[i] as f32)) as f64;
-            }
-        }
-    }
-}
-
-/// `x ← x + w D⁻¹ (b − A x)`.
-fn jacobi_sweep(
-    a: &CsrMatrix,
-    inv_diag: &[f64],
-    weight: f64,
-    b: &[f64],
-    x: &mut [f64],
-    tmp: &mut [f64],
-) {
-    a.residual_into(b, x, tmp);
+fn smooth_from_zero(inv_diag: &[f64], b: &[f64], x: &mut [f64]) {
     for i in 0..x.len() {
-        x[i] += weight * inv_diag[i] * tmp[i];
-    }
-}
-
-/// The f32 Jacobi sweep: the per-row residual is accumulated in f32 over the
-/// f32 value copy, the update is buffered in the caller's f64 scratch so the
-/// sweep stays a true (simultaneous-update, hence symmetric) Jacobi step.
-fn jacobi_sweep_f32(
-    a: &CsrMatrix,
-    values: &[f32],
-    inv_diag: &[f32],
-    weight: f32,
-    b: &[f64],
-    x: &mut [f64],
-    tmp: &mut [f64],
-) {
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    for i in 0..x.len() {
-        let mut acc = 0.0f32;
-        for k in row_ptr[i]..row_ptr[i + 1] {
-            acc += values[k] * (x[col_idx[k]] as f32);
-        }
-        let r = (b[i] as f32) - acc;
-        tmp[i] = (weight * inv_diag[i] * r) as f64;
-    }
-    for (xi, &d) in x.iter_mut().zip(tmp.iter()) {
-        *xi += d;
-    }
-}
-
-fn build_smoother(a: &CsrMatrix, precision: SmootherPrecision) -> LevelSmoother {
-    let diag = a.diagonal();
-    match precision {
-        SmootherPrecision::F64 => LevelSmoother::Jacobi {
-            inv_diag: diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 0.0 }).collect(),
-        },
-        SmootherPrecision::F32 => LevelSmoother::JacobiF32 {
-            values: a.values().iter().map(|&v| v as f32).collect(),
-            inv_diag: diag.iter().map(|&d| if d != 0.0 { (1.0 / d) as f32 } else { 0.0 }).collect(),
-        },
+        x[i] = 0.0 + JACOBI_WEIGHT * inv_diag[i] * b[i];
     }
 }
 
@@ -679,7 +591,7 @@ mod tests {
         // levels with the default config, the V-cycle is SPD-compatible and
         // PCG with it converges quickly.
         let a = laplacian_2d(40, 40);
-        let config = MultilevelConfig { coarsest_max_size: 120, ..MultilevelConfig::default() };
+        let config = MultilevelConfig { coarsest_max_size: 120 };
         let h = Hierarchy::build(&a, &config).unwrap();
         assert!(h.num_levels() >= 3, "expected 3+ levels, got dims {:?}", h.level_dims());
         assert_eq!(h.dim(), a.nrows());
@@ -730,29 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_smoothing_stays_close_to_f64() {
-        let a = laplacian_2d(24, 24);
-        let base = MultilevelConfig { coarsest_max_size: 60, ..MultilevelConfig::default() };
-        let h64 = Hierarchy::build(&a, &base).unwrap();
-        let h32 = Hierarchy::build(
-            &a,
-            &MultilevelConfig { smoother_precision: SmootherPrecision::F32, ..base },
-        )
-        .unwrap();
-        let n = a.nrows();
-        let r: Vec<f64> = (0..n).map(|i| ((i * 3 % 23) as f64) * 0.5 - 5.0).collect();
-        let z64 = apply(&h64, &r);
-        let z32 = apply(&h32, &r);
-        let scale = sparse::vector::norm2(&z64).max(1.0);
-        let mut diff = 0.0f64;
-        for (x, y) in z32.iter().zip(z64.iter()) {
-            diff = diff.max((x - y).abs());
-        }
-        assert!(diff / scale < 1e-4, "f32 smoothing deviates too much: {}", diff / scale);
-        assert!(sparse::vector::dot(&z32, &r) > 0.0);
-    }
-
-    #[test]
     fn sweep_from_zero_has_the_bits_of_a_full_sweep_on_a_zero_iterate() {
         let a = laplacian_2d(9, 7);
         let n = a.nrows();
@@ -765,26 +654,20 @@ mod tests {
                 _ => ((i * 7 % 19) as f64 - 9.0) * 0.37,
             })
             .collect();
-        for precision in [SmootherPrecision::F64, SmootherPrecision::F32] {
-            let s = build_smoother(&a, precision);
-            let (mut full, mut tmp) = (vec![0.0; n], vec![0.0; n]);
-            smooth(&a, &s, &b, &mut full, &mut tmp);
-            let mut short = vec![f64::NAN; n];
-            smooth_from_zero(&s, &b, &mut short);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&short), bits(&full), "{precision:?}");
-            assert!(short.iter().all(|x| x.to_bits() != (-0.0f64).to_bits()));
-        }
+        let inv_diag: Vec<f64> = a.diagonal().iter().map(|&d| 1.0 / d).collect();
+        let (mut full, mut tmp) = (vec![0.0; n], vec![0.0; n]);
+        smooth(&a, &inv_diag, &b, &mut full, &mut tmp);
+        let mut short = vec![f64::NAN; n];
+        smooth_from_zero(&inv_diag, &b, &mut short);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&short), bits(&full));
+        assert!(short.iter().all(|x| x.to_bits() != (-0.0f64).to_bits()));
     }
 
     #[test]
     fn apply_survives_poisoned_scratch_mutex() {
         let a = laplacian_2d(16, 16);
-        let h = Hierarchy::build(
-            &a,
-            &MultilevelConfig { coarsest_max_size: 40, ..MultilevelConfig::default() },
-        )
-        .unwrap();
+        let h = Hierarchy::build(&a, &MultilevelConfig { coarsest_max_size: 40 }).unwrap();
         let n = a.nrows();
         let r: Vec<f64> = (0..n).map(|i| ((i * 7 % 29) as f64) - 14.0).collect();
         let before = apply(&h, &r);

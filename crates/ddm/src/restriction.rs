@@ -136,8 +136,8 @@ mod tests {
 
     #[test]
     fn restriction_matches_csr_submatrix_semantics() {
-        // R A Rᵀ of the restriction must equal principal_submatrix on the CSR side:
-        // verified through the action on vectors.
+        // R A Rᵀ of the restriction must equal principal_submatrices on the CSR
+        // side: verified through the action on vectors.
         use sparse::CooMatrix;
         let mut coo = CooMatrix::new(4, 4);
         for i in 0..4 {
@@ -150,7 +150,7 @@ mod tests {
         let a = coo.to_csr();
         let idx = vec![1, 2];
         let r = Restriction::new(idx.clone(), 4);
-        let a_local = a.principal_submatrix(&idx);
+        let a_local = a.principal_submatrices(&[idx]).remove(0);
         // For any local x: a_local x == R A Rᵀ x
         let x_local = vec![1.0, -2.0];
         let mut x_global = vec![0.0; 4];

@@ -16,22 +16,20 @@ use crate::element::{local_load, local_stiffness};
 
 /// The assembled linear system and the data needed to interpret it.
 #[derive(Debug, Clone)]
-pub struct AssembledSystem {
+pub(crate) struct AssembledSystem {
     /// System matrix (SPD after Dirichlet elimination).
     pub matrix: CsrMatrix,
     /// Right-hand side.
     pub rhs: Vec<f64>,
     /// Dirichlet flag per node.
     pub dirichlet: Vec<bool>,
-    /// Dirichlet value per node (0 for interior nodes).
-    pub dirichlet_values: Vec<f64>,
 }
 
 /// Assemble the P1 Poisson system `-Δu = f`, `u = g` on the boundary.
 ///
 /// `f` and `g` are nodal samples of the source and boundary functions
 /// (only the boundary entries of `g` are read).
-pub fn assemble_poisson(mesh: &Mesh, f: &[f64], g: &[f64]) -> AssembledSystem {
+pub(crate) fn assemble_poisson(mesh: &Mesh, f: &[f64], g: &[f64]) -> AssembledSystem {
     let n = mesh.num_nodes();
     assert_eq!(f.len(), n, "source vector length mismatch");
     assert_eq!(g.len(), n, "boundary vector length mismatch");
@@ -103,7 +101,7 @@ pub fn assemble_poisson(mesh: &Mesh, f: &[f64], g: &[f64]) -> AssembledSystem {
     }
     let matrix = coo.to_csr();
 
-    AssembledSystem { matrix, rhs, dirichlet, dirichlet_values }
+    AssembledSystem { matrix, rhs, dirichlet }
 }
 
 #[cfg(test)]

@@ -6,15 +6,14 @@
 //! linear system `A u = b` from a [`meshgen::Mesh`]:
 //!
 //! * `element` — per-triangle stiffness matrices and load vectors,
-//! * [`assembly`] — parallel global assembly and symmetric elimination of the
+//! * `assembly` — parallel global assembly and symmetric elimination of the
 //!   Dirichlet boundary conditions (so `A` stays SPD and CG applies),
 //! * [`problem`] — the [`PoissonProblem`] bundle (mesh + matrix + rhs) and the
 //!   random quadratic forcing/boundary functions of the paper's dataset
 //!   (Eq. 24–25), plus manufactured solutions for verification.
 
-pub mod assembly;
+mod assembly;
 mod element;
 pub mod problem;
 
-pub use assembly::{assemble_poisson, AssembledSystem};
 pub use problem::{PoissonProblem, SourceTerm};

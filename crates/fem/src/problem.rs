@@ -97,7 +97,7 @@ pub struct PoissonProblem {
 impl PoissonProblem {
     /// Assemble a problem from a mesh and nodal source/boundary samples.
     pub fn from_samples(mesh: Mesh, f: &[f64], g: &[f64]) -> Self {
-        let AssembledSystem { matrix, rhs, dirichlet, .. } = assemble_poisson(&mesh, f, g);
+        let AssembledSystem { matrix, rhs, dirichlet } = assemble_poisson(&mesh, f, g);
         PoissonProblem { mesh, matrix, rhs, dirichlet }
     }
 

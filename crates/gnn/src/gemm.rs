@@ -1,33 +1,46 @@
-//! Cache- and register-blocked batch GEMM micro-kernels.
+//! The register-blocked dense GEMM of the DSS model: one fused kernel,
+//! `gemm_t`, over transposed weights, generic over the [`Scalar`] type.
 //!
-//! All dense layers in this crate compute `Y = X Wᵀ (+ bias)` on row-major
-//! batches: `X` is `n × in_dim`, `W` is `out_dim × in_dim` (one weight row per
-//! output), `Y` is `n × out_dim`.  The batch dimension `n` is large (one row
-//! per edge or per node of a sub-domain graph) while `in_dim`/`out_dim` are
-//! small (the latent dimension `d ≈ 10`), so the kernels panel over the batch:
-//! a register tile of 4 × 4 accumulators walks the shared `in_dim` axis once,
-//! giving 16 multiply-adds per 8 loads and 16 independent dependency chains
-//! for the CPU to overlap (the naive row-by-row GEMV has a single serial add
-//! chain per output).  The weight panel stays resident in cache across the
-//! whole batch sweep.
+//! Every dense layer computes `Y = X Wᵀ (+ bias)` on a row-major batch: `X`
+//! is `n × in_dim`, `Y` is `n × out_dim`, and the weight comes in transposed
+//! (`in_dim × out_dim`, one contiguous row of output weights per input
+//! feature).  The batch dimension `n` is large (one row per edge or per node
+//! of a sub-domain graph) while `in_dim`/`out_dim` are small (the latent
+//! dimension `d ≈ 10`), so the kernel panels over the batch: for every
+//! shared-axis step `i` a column tile of outputs is one contiguous load and
+//! the inner loop is a pure axpy `acc[k] += x_i · wt[i][k]` over whole SIMD
+//! vectors, with 4 batch rows per register tile for independent add chains.
+//! The f64 instantiation serves the inference engine and every `Linear`
+//! layer (training, evaluation, the reference forward pass); the f32
+//! instantiation runs twice the lanes.
 //!
-//! **Determinism contract:** every output element accumulates its dot product
-//! strictly in ascending `i` order starting from its initial value (bias,
-//! zero, or the prior `Y` entry).  Blocking only regroups *independent*
-//! output elements, so the results are bit-identical to the scalar triple
-//! loop these kernels replaced — at every tile shape and every batch size.
+//! **Determinism contract:** every output element starts from its initial
+//! value (bias, zero, or the prior `Y` entry) and adds its products strictly
+//! in ascending `i` order, one multiply and one add per term (Rust never
+//! contracts them into an FMA).  Blocking only regroups *independent* output
+//! elements, so the f64 results are bit-identical to the scalar triple loop
+//! — at every tile shape and every batch size — and the f32 results differ
+//! from them by rounding only.
 //!
-//! The row-major kernel serves every `Linear` layer (training, evaluation,
-//! the reference forward pass).  The inference engine uses one fused
-//! transposed-weight (`in_dim × out_dim`) kernel further down, generic over
-//! the [`Scalar`] type: its f64 instantiation is bit-identical to the
-//! row-major kernel, its f32 instantiation runs twice the lanes.  A batch
-//! of right-hand sides is just more rows of that kernel.
+//! A call takes a *list* of operands accumulated one after the other into the
+//! same register tile — `bias + X₀ W₀ᵀ + X₁ W₁ᵀ + …`, each term added in turn
+//! — and an `Epilogue` applied to the finished tile, so a sum of products,
+//! its ReLU and a scaled update each cost one pass over the output instead of
+//! one pass per step.
+//!
+//! Rows never mix: a row's outputs are the same sequence of operations
+//! whether it sits in a 4-row register tile or in the single-row remainder.
+//! The batched forward pass relies on that — it lays the `b` columns of a
+//! batch out as `b` consecutive rows per node and calls this same kernel on
+//! `n · b` rows, so every column has the bits of its own unbatched run.
+//!
+//! The kernel is `#[inline(always)]`: the forward pass is compiled once per
+//! scalar type and target (baseline, AVX2, and AVX-512F for f64; see
+//! `plan::run_widest`) and the kernel must be instantiated inside each copy to
+//! pick up its target features.
 
 /// Batch rows per register tile.
 const MR: usize = 4;
-/// Output columns per register tile.
-const NR: usize = 4;
 
 /// First `N` elements of a kernel subslice as an array reference.
 ///
@@ -42,159 +55,6 @@ fn head<T, const N: usize>(s: &[T]) -> &[T; N] {
         None => unreachable!("kernel subslice shorter than its tile width"),
     }
 }
-
-/// `Y = X Wᵀ + bias` (each output element starts from its bias).
-pub(crate) fn gemm_bias_into(
-    x: &[f64],
-    n: usize,
-    in_dim: usize,
-    out_dim: usize,
-    weight: &[f64],
-    bias: &[f64],
-    y: &mut [f64],
-) {
-    debug_assert_eq!(x.len(), n * in_dim);
-    debug_assert_eq!(weight.len(), out_dim * in_dim);
-    debug_assert_eq!(bias.len(), out_dim);
-    debug_assert_eq!(y.len(), n * out_dim);
-    let mr_end = n - n % MR;
-    let nr_end = out_dim - out_dim % NR;
-    let mut r = 0;
-    while r < mr_end {
-        // Row slices of exactly `in_dim` elements let the bounds checks hoist
-        // out of the inner loop.
-        let x0 = &x[r * in_dim..][..in_dim];
-        let x1 = &x[(r + 1) * in_dim..][..in_dim];
-        let x2 = &x[(r + 2) * in_dim..][..in_dim];
-        let x3 = &x[(r + 3) * in_dim..][..in_dim];
-        let mut o = 0;
-        while o < nr_end {
-            let w0 = &weight[o * in_dim..][..in_dim];
-            let w1 = &weight[(o + 1) * in_dim..][..in_dim];
-            let w2 = &weight[(o + 2) * in_dim..][..in_dim];
-            let w3 = &weight[(o + 3) * in_dim..][..in_dim];
-            let mut a00 = bias[o];
-            let mut a01 = bias[o + 1];
-            let mut a02 = bias[o + 2];
-            let mut a03 = bias[o + 3];
-            let mut a10 = bias[o];
-            let mut a11 = bias[o + 1];
-            let mut a12 = bias[o + 2];
-            let mut a13 = bias[o + 3];
-            let mut a20 = bias[o];
-            let mut a21 = bias[o + 1];
-            let mut a22 = bias[o + 2];
-            let mut a23 = bias[o + 3];
-            let mut a30 = bias[o];
-            let mut a31 = bias[o + 1];
-            let mut a32 = bias[o + 2];
-            let mut a33 = bias[o + 3];
-            for i in 0..in_dim {
-                let (p0, p1, p2, p3) = (x0[i], x1[i], x2[i], x3[i]);
-                let (q0, q1, q2, q3) = (w0[i], w1[i], w2[i], w3[i]);
-                a00 += q0 * p0;
-                a01 += q1 * p0;
-                a02 += q2 * p0;
-                a03 += q3 * p0;
-                a10 += q0 * p1;
-                a11 += q1 * p1;
-                a12 += q2 * p1;
-                a13 += q3 * p1;
-                a20 += q0 * p2;
-                a21 += q1 * p2;
-                a22 += q2 * p2;
-                a23 += q3 * p2;
-                a30 += q0 * p3;
-                a31 += q1 * p3;
-                a32 += q2 * p3;
-                a33 += q3 * p3;
-            }
-            y[r * out_dim + o] = a00;
-            y[r * out_dim + o + 1] = a01;
-            y[r * out_dim + o + 2] = a02;
-            y[r * out_dim + o + 3] = a03;
-            y[(r + 1) * out_dim + o] = a10;
-            y[(r + 1) * out_dim + o + 1] = a11;
-            y[(r + 1) * out_dim + o + 2] = a12;
-            y[(r + 1) * out_dim + o + 3] = a13;
-            y[(r + 2) * out_dim + o] = a20;
-            y[(r + 2) * out_dim + o + 1] = a21;
-            y[(r + 2) * out_dim + o + 2] = a22;
-            y[(r + 2) * out_dim + o + 3] = a23;
-            y[(r + 3) * out_dim + o] = a30;
-            y[(r + 3) * out_dim + o + 1] = a31;
-            y[(r + 3) * out_dim + o + 2] = a32;
-            y[(r + 3) * out_dim + o + 3] = a33;
-            o += NR;
-        }
-        // Remainder outputs: one column across the MR-row panel.
-        while o < out_dim {
-            let w = &weight[o * in_dim..][..in_dim];
-            let mut a0 = bias[o];
-            let mut a1 = bias[o];
-            let mut a2 = bias[o];
-            let mut a3 = bias[o];
-            for i in 0..in_dim {
-                let q = w[i];
-                a0 += q * x0[i];
-                a1 += q * x1[i];
-                a2 += q * x2[i];
-                a3 += q * x3[i];
-            }
-            y[r * out_dim + o] = a0;
-            y[(r + 1) * out_dim + o] = a1;
-            y[(r + 2) * out_dim + o] = a2;
-            y[(r + 3) * out_dim + o] = a3;
-            o += 1;
-        }
-        r += MR;
-    }
-    // Remainder rows: plain per-row sweep (same accumulation order).
-    while r < n {
-        let xr = &x[r * in_dim..][..in_dim];
-        for o in 0..out_dim {
-            let w = &weight[o * in_dim..][..in_dim];
-            let mut acc = bias[o];
-            for i in 0..in_dim {
-                acc += w[i] * xr[i];
-            }
-            y[r * out_dim + o] = acc;
-        }
-        r += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transposed-weight kernel (the inference engine, f64 and f32)
-// ---------------------------------------------------------------------------
-//
-// Same arithmetic as [`gemm_bias_into`], different traversal: the weight comes in
-// transposed (`in_dim × out_dim`, one contiguous row of output weights per
-// input feature), so for every shared-axis step `i` a column tile of outputs
-// is one contiguous load and the inner loop is a pure axpy
-// `acc[k] += x_i · wt[i][k]` over whole SIMD vectors — no horizontal dot
-// product per output.  Each output element still starts from its initial
-// value and adds its products strictly in ascending `i` order, one multiply
-// and one add per term (Rust never contracts them into an FMA), so the f64
-// results are bit-identical to the row-major kernel's, and the
-// f32 results differ from them by rounding only.
-//
-// A call takes a *list* of operands accumulated one after the other into the
-// same register tile — `bias + X₀ W₀ᵀ + X₁ W₁ᵀ + …`, each term added in
-// turn — and an [`Epilogue`] applied to the finished tile, so a sum of products, its
-// ReLU and a scaled update each cost one pass over the output instead of one
-// pass per step.
-//
-// Rows never mix: a row's outputs are the same sequence of operations
-// whether it sits in a 4-row register tile or in the single-row remainder.
-// The batched forward pass relies on that — it lays the `b` columns of a
-// batch out as `b` consecutive rows per node and calls this same kernel on
-// `n · b` rows, so every column has the bits of its own unbatched run.
-//
-// The kernel is `#[inline(always)]`: the forward pass is compiled once per
-// scalar type and target (baseline, AVX2, and AVX-512F for f64; see
-// `plan::run_widest`) and the kernel must be instantiated inside each copy to
-// pick up its target features.
 
 /// Scalar type of the inference engine: `f64`, the bit-reproducible anchor,
 /// or `f32`.  Sealed — the engine is compiled for exactly these two.
@@ -405,6 +265,7 @@ fn gemm_t_tile<T: Scalar, const R: usize, const W: usize, const S: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::transpose as transposed;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -439,27 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_bit_for_bit_across_shapes() {
-        let mut rng = StdRng::seed_from_u64(42);
-        // Cover every tile-remainder combination: n and out_dim spanning 0..2
-        // full tiles plus partials, in_dim from empty to odd sizes.
-        for &n in &[0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 23] {
-            for &out_dim in &[1usize, 2, 3, 4, 5, 8, 10, 13] {
-                for &in_dim in &[0usize, 1, 3, 10, 23, 31] {
-                    let x: Vec<f64> = (0..n * in_dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                    let w: Vec<f64> =
-                        (0..out_dim * in_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                    let b: Vec<f64> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-
-                    let mut y = vec![0.0; n * out_dim];
-                    gemm_bias_into(&x, n, in_dim, out_dim, &w, &b, &mut y);
-                    assert_eq!(y, naive(&x, n, in_dim, out_dim, &w, &b, &[], false));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn accumulate_composes_with_bias_init() {
         // The fused two-operand sum the plan path relies on (Ψ pre-activation
         // = c-term + Σ GEMM terms) equals bias-init followed by accumulation.
@@ -481,27 +321,20 @@ mod tests {
         assert_eq!(y, both);
     }
 
-    /// Transpose a row-major `out × in` weight into the `in × out` layout.
-    fn transposed(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
-        let mut wt = vec![0.0; w.len()];
-        for o in 0..out_dim {
-            for i in 0..in_dim {
-                wt[i * out_dim + o] = w[o * in_dim + i];
-            }
-        }
-        wt
-    }
-
     #[test]
     fn transposed_f64_matches_row_major_chain_bit_for_bit_across_shapes() {
         // `bias + X₀W₀ᵀ + X₁W₁ᵀ` through the fused transposed kernel must
         // have the bits of the row-major scalar loop, bias-initialised then
         // accumulating, over every row/column tile remainder; the epilogues
-        // must equal the separate passes they replace.
+        // must equal the separate passes they replace.  `in_b = 0` makes the
+        // chain a single operand: 23 and 31 are the Φ and Ψ first layers at
+        // d = 10.
         let mut rng = StdRng::seed_from_u64(43);
-        for &n in &[0usize, 1, 3, 4, 5, 8, 9, 23] {
+        for &n in &[0usize, 1, 3, 4, 5, 8, 9, 16, 23] {
             for &out_dim in &[1usize, 2, 3, 4, 5, 8, 10, 13, 15, 16, 20, 23, 24, 40] {
-                for &(in_a, in_b) in &[(0usize, 1usize), (2, 10), (10, 20), (7, 3)] {
+                for &(in_a, in_b) in
+                    &[(0usize, 1usize), (2, 10), (10, 20), (7, 3), (23, 0), (31, 0)]
+                {
                     let xa: Vec<f64> = (0..n * in_a).map(|_| rng.gen_range(-2.0..2.0)).collect();
                     let xb: Vec<f64> = (0..n * in_b).map(|_| rng.gen_range(-2.0..2.0)).collect();
                     let wa: Vec<f64> =
@@ -533,9 +366,13 @@ mod tests {
                         y0.iter().zip(&expected).map(|(h, u)| h + 1e-3 * u).collect();
                     assert_eq!(y, stepped);
 
+                    // One operand, bias-initialised (a `Linear` layer's forward).
+                    let mut y = vec![f64::NAN; n * out_dim];
+                    gemm_t([ops[0]], n, out_dim, &bias, Epilogue::Store, &mut y);
+                    assert_eq!(y, first);
+
                     // No bias: outputs start from zero.
                     let expected = naive(&xa, n, in_a, out_dim, &wa, &[], &[], false);
-                    let mut y = vec![f64::NAN; n * out_dim];
                     gemm_t([ops[0]], n, out_dim, &[], Epilogue::Store, &mut y);
                     assert_eq!(y, expected);
                 }

@@ -61,11 +61,6 @@ impl LocalGraph {
         let n = matrix.nrows();
         assert_eq!(matrix.ncols(), n, "local operator must be square");
         assert_eq!(positions.len(), n, "positions length mismatch");
-        assert_eq!(rhs.len(), n, "rhs length mismatch");
-
-        let rhs_norm = sparse::vector::norm2(rhs);
-        let input: Vec<f64> =
-            if rhs_norm > 0.0 { rhs.iter().map(|v| v / rhs_norm).collect() } else { vec![0.0; n] };
 
         // Directed edges from the sparsity pattern of the operator (both
         // directions of every coupling), grouped by destination.
@@ -86,7 +81,9 @@ impl LocalGraph {
             edge_ptr.push(edges.len());
         }
 
-        LocalGraph { positions, edges, edge_ptr, input, matrix }
+        let mut graph = LocalGraph { positions, edges, edge_ptr, input: vec![0.0; n], matrix };
+        graph.set_rhs(rhs);
+        graph
     }
 
     /// Number of nodes.
@@ -119,7 +116,7 @@ impl LocalGraph {
     /// Replace the right-hand side (renormalising), keeping the structure:
     /// how dataset extraction turns one graph template into many samples.
     pub(crate) fn set_rhs(&mut self, rhs: &[f64]) {
-        assert_eq!(rhs.len(), self.num_nodes());
+        assert_eq!(rhs.len(), self.num_nodes(), "rhs length mismatch");
         let rhs_norm = sparse::vector::norm2(rhs);
         if rhs_norm > 0.0 {
             for (c, &r) in self.input.iter_mut().zip(rhs.iter()) {

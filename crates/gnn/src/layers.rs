@@ -10,6 +10,9 @@
 
 use rand::prelude::*;
 
+use crate::gemm::{gemm_t, Epilogue, Operand};
+use crate::plan::transpose;
+
 /// A dense affine layer `y = W x + b`.
 #[derive(Debug, Clone)]
 pub(crate) struct Linear {
@@ -43,21 +46,17 @@ impl Linear {
     }
 
     /// Forward pass on a batch of `n` rows.
-    pub(crate) fn forward(&self, x: &[f64], n: usize) -> Vec<f64> {
-        let mut y = vec![0.0; n * self.out_dim];
-        self.forward_into(x, n, &mut y);
-        y
-    }
-
-    /// Forward pass writing into a preallocated output of `n * out_dim`.
     ///
-    /// Runs as a register-blocked batch GEMM (see [`crate::gemm`]); the
-    /// per-element accumulation order is unchanged, so the results are
-    /// bit-identical to the scalar triple loop this replaced.
-    pub(crate) fn forward_into(&self, x: &[f64], n: usize, y: &mut [f64]) {
+    /// Runs the inference engine's f64 GEMM on the weight transposed per
+    /// call: each output starts from its bias and adds `w·x` in ascending
+    /// input order, the bits of the scalar triple loop.
+    pub(crate) fn forward(&self, x: &[f64], n: usize) -> Vec<f64> {
         debug_assert_eq!(x.len(), n * self.in_dim);
-        debug_assert_eq!(y.len(), n * self.out_dim);
-        crate::gemm::gemm_bias_into(x, n, self.in_dim, self.out_dim, &self.weight, &self.bias, y);
+        let wt = transpose(&self.weight, self.out_dim, self.in_dim);
+        let mut y = vec![0.0; n * self.out_dim];
+        let op = Operand { x, in_dim: self.in_dim, wt: &wt };
+        gemm_t([op], n, self.out_dim, &self.bias, Epilogue::Store, &mut y);
+        y
     }
 
     /// Backward pass: given the forward input `x` and `dL/dy`, accumulate
@@ -311,20 +310,6 @@ mod tests {
             y.iter().enumerate().map(|(i, v)| (i as f64 + 1.0) * v * v).sum::<f64>()
         };
         finite_difference_check(&loss_for_x, &x, &dx, 1e-6, 1e-4);
-    }
-
-    #[test]
-    fn forward_into_matches_forward_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let layer = Linear::xavier(5, 3, &mut rng);
-        let mut out = [f64::NAN; 3 * 3];
-        // Reuse the same output buffer across calls with different batch sizes.
-        for n in [3usize, 1, 2] {
-            let x: Vec<f64> = (0..n * 5).map(|i| ((i * 3 % 11) as f64) * 0.2 - 1.0).collect();
-            let expected = layer.forward(&x, n);
-            layer.forward_into(&x, n, &mut out[..n * 3]);
-            assert_eq!(&out[..n * 3], expected.as_slice());
-        }
     }
 
     #[test]

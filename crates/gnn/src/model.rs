@@ -202,12 +202,8 @@ impl DssModel {
         }
     }
 
-    /// One block forward step: returns the next latent state.
-    fn block_forward(&self, block: &Block, graph: &LocalGraph, h: &[f64]) -> Vec<f64> {
-        self.block_forward_with_input(block, graph, h, &graph.input)
-    }
-
-    /// One block forward step using an explicit node input `c`.
+    /// One block forward step using an explicit node input `c`: returns the
+    /// next latent state.
     fn block_forward_with_input(
         &self,
         block: &Block,
@@ -381,7 +377,7 @@ impl DssModel {
         let mut h = vec![0.0; n * d];
         let mut total = 0.0;
         for block in &self.blocks {
-            h = self.block_forward(block, graph, &h);
+            h = self.block_forward_with_input(block, graph, &h, &graph.input);
             let decoded = block.decoder.forward(&h, n);
             total += crate::loss::residual_loss(&graph.matrix, &graph.input, &decoded);
         }
@@ -403,7 +399,8 @@ impl DssModel {
         let mut states: Vec<Vec<f64>> = Vec::with_capacity(kbar + 1);
         states.push(vec![0.0; n * d]);
         for block in &self.blocks {
-            let next = self.block_forward(block, graph, states.last().unwrap());
+            let next =
+                self.block_forward_with_input(block, graph, states.last().unwrap(), &graph.input);
             states.push(next);
         }
 
@@ -513,26 +510,9 @@ fn gather_messages(graph: &LocalGraph, m: &[f64], d: usize, msg: &mut [f64]) {
 
 /// Build the per-edge input batches for the two message MLPs.
 fn build_edge_inputs(graph: &LocalGraph, h: &[f64], d: usize) -> (Vec<f64>, Vec<f64>) {
-    let e = graph.num_edges();
     let cols = 2 * d + 3;
-    let mut x_fwd = vec![0.0; e * cols];
-    let mut x_bwd = vec![0.0; e * cols];
-    build_edge_inputs_into(graph, h, d, &mut x_fwd, &mut x_bwd);
-    (x_fwd, x_bwd)
-}
-
-/// Write the per-edge input batches into preallocated buffers (every slot is
-/// overwritten, so the buffers need no clearing).
-fn build_edge_inputs_into(
-    graph: &LocalGraph,
-    h: &[f64],
-    d: usize,
-    x_fwd: &mut [f64],
-    x_bwd: &mut [f64],
-) {
-    let cols = 2 * d + 3;
-    debug_assert_eq!(x_fwd.len(), graph.num_edges() * cols);
-    debug_assert_eq!(x_bwd.len(), graph.num_edges() * cols);
+    let mut x_fwd = vec![0.0; graph.num_edges() * cols];
+    let mut x_bwd = vec![0.0; graph.num_edges() * cols];
     for (ei, edge) in graph.edges.iter().enumerate() {
         let row_f = &mut x_fwd[ei * cols..(ei + 1) * cols];
         for k in 0..d {
@@ -551,6 +531,7 @@ fn build_edge_inputs_into(
         row_b[2 * d + 1] = -edge.delta[1];
         row_b[2 * d + 2] = edge.dist;
     }
+    (x_fwd, x_bwd)
 }
 
 /// Build the per-node input batch for the Ψ update MLP.
@@ -564,22 +545,6 @@ fn build_psi_input(
     let n = input.len();
     let cols = 3 * d + 1;
     let mut x = vec![0.0; n * cols];
-    build_psi_input_into(input, h, msg_fwd, msg_bwd, d, &mut x);
-    x
-}
-
-/// Write the Ψ input batch into a preallocated buffer (fully overwritten).
-fn build_psi_input_into(
-    input: &[f64],
-    h: &[f64],
-    msg_fwd: &[f64],
-    msg_bwd: &[f64],
-    d: usize,
-    x: &mut [f64],
-) {
-    let n = input.len();
-    let cols = 3 * d + 1;
-    debug_assert_eq!(x.len(), n * cols);
     for j in 0..n {
         let row = &mut x[j * cols..(j + 1) * cols];
         for k in 0..d {
@@ -589,6 +554,7 @@ fn build_psi_input_into(
         }
         row[d] = input[j];
     }
+    x
 }
 
 #[cfg(test)]

@@ -196,7 +196,7 @@ impl PlanBlock {
 
 /// Transpose a row-major `out × in` f64 matrix into the kernels' `in × out`
 /// layout (one contiguous row of output weights per input feature).
-fn transpose(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
+pub(crate) fn transpose(w: &[f64], out_dim: usize, in_dim: usize) -> Vec<f64> {
     debug_assert_eq!(w.len(), out_dim * in_dim);
     let mut wt = vec![0.0f64; in_dim * out_dim];
     for o in 0..out_dim {

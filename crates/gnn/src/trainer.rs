@@ -284,6 +284,33 @@ mod tests {
         assert_eq!(m1.flatten(), m2.flatten());
     }
 
+    /// FNV-1a over the bit patterns of a float sequence.
+    fn hash_f64s(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h: u64 = 0xcbf29ce484222325;
+        for v in values {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+        h
+    }
+
+    /// Pins training's bits across commits: the trained weights and the last
+    /// epoch's loss of `training_is_deterministic_for_fixed_seeds`' run.  Any
+    /// change to the forward pass, the gradients or the optimiser that moves
+    /// one bit moves these hashes.
+    #[test]
+    fn training_bits_are_pinned() {
+        let samples = tiny_samples();
+        let config = TrainingConfig { epochs: 3, batch_size: 6, seed: 4, ..Default::default() };
+        let mut model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 3, alpha: 1e-2 }, 2);
+        let report = train(&mut model, &samples, &config);
+        let weights = hash_f64s(model.flatten());
+        let last_loss = report.train_losses.last().unwrap().to_bits();
+        assert_eq!((weights, last_loss), (0x7909790cc3748b23, 0x3f8f48eec994ce86));
+    }
+
     #[test]
     fn mean_std_helper() {
         let (m, s) = mean_std(&[2.0, 4.0]);

@@ -2,7 +2,7 @@
 //!
 //! The tokenizer never drops a byte: concatenating the `text` slices of the
 //! produced tokens reproduces the input source exactly (the round-trip
-//! property pinned by `tests/lexer_roundtrip.rs`).  It understands every
+//! property pinned by this module's property tests).  It understands every
 //! construct the rules must *not* look inside — line and nested block
 //! comments, string / raw-string / byte-string / char literals and
 //! lifetimes — so a `.lock().unwrap()` inside a string or a `panic!` in a
@@ -17,7 +17,7 @@
 
 /// Kind of one lexed token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// A run of whitespace (may span lines).
     Whitespace,
     /// `// …` up to but excluding the newline.
@@ -65,10 +65,10 @@ impl TokKind {
 
 /// One token: kind, exact source slice and 1-based starting line.
 #[derive(Clone, Copy, Debug)]
-pub struct Token<'a> {
-    pub kind: TokKind,
-    pub text: &'a str,
-    pub line: u32,
+pub(crate) struct Token<'a> {
+    pub(crate) kind: TokKind,
+    pub(crate) text: &'a str,
+    pub(crate) line: u32,
 }
 
 struct Cursor<'a> {
@@ -126,8 +126,7 @@ fn is_ident_continue(c: char) -> bool {
 }
 
 /// Tokenize `src` losslessly.
-// detlint::allow(unreferenced-pub): the entry point tests/lexer_roundtrip.rs holds to losslessness
-pub fn lex(src: &str) -> Vec<Token<'_>> {
+pub(crate) fn lex(src: &str) -> Vec<Token<'_>> {
     let mut cur = Cursor { src, pos: 0, line: 1 };
     let mut out = Vec::new();
     while cur.pos < src.len() {
@@ -350,6 +349,7 @@ fn lex_number(cur: &mut Cursor<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(src: &str) -> Vec<Token<'_>> {
         let toks = lex(src);
@@ -470,5 +470,88 @@ mod tests {
     #[test]
     fn unicode_survives() {
         let _ = kinds("// Σ ≈ π\nlet α = \"β\";");
+    }
+
+    // Property tests: lexing then reassembling the token texts reproduces the
+    // input byte-for-byte.  The lexer is *lossless* by contract — every rule
+    // in the engine depends on the token stream covering the whole file, so a
+    // dropped or duplicated byte would silently blind the analysis.
+
+    /// Source fragments chosen to collide in interesting ways when concatenated
+    /// without separators: comment openers next to string openers, raw-string
+    /// hashes next to punctuation, lifetimes next to char literals, numbers
+    /// next to range operators, and deliberately unterminated openers.
+    const FRAGMENTS: &[&str] = &[
+        "fn f() { m.lock().unwrap(); }\n",
+        "let x = 1.5e-3;",
+        "// line comment with .lock().unwrap()\n",
+        "/* block /* nested */ still comment */",
+        "/* unterminated",
+        "r#\"raw string with unwrap() and panic!\"#",
+        "r##\"contains \"# inside\"##",
+        "\"plain string with \\\" escape and .lock()\"",
+        "b\"byte string\"",
+        "br#\"raw byte\"#",
+        "'a",
+        "'x'",
+        "'\\n'",
+        "'_'",
+        "r#match",
+        "0..n",
+        "1.max(2)",
+        "0x1F_u32",
+        "1_000_000",
+        "::<f64>()",
+        "#[cfg(test)]",
+        "#![allow(dead_code)]",
+        "mod tests { #[test] fn t() {} }",
+        "Instant::now()",
+        "λ_unicode_ident",
+        "// trailing comment no newline",
+        "\n\n\t  ",
+        "=> |a, b| a + b",
+        "r\"",
+        "\"unterminated string",
+        "b'",
+        "#",
+        "'",
+        "\"",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn fragment_concatenations_roundtrip(
+            idxs in collection::vec(0usize..FRAGMENTS.len(), 0..48),
+        ) {
+            let src: String = idxs.iter().map(|&i| FRAGMENTS[i]).collect();
+            let rebuilt: String = lex(&src).iter().map(|t| t.text).collect();
+            prop_assert_eq!(rebuilt, src);
+        }
+
+        #[test]
+        fn arbitrary_char_soup_roundtrips(
+            codes in collection::vec(0u32..0xFFFF, 0..200),
+        ) {
+            // Raw char soup (surrogates filtered): the lexer must never panic
+            // or lose bytes even on garbage that is nowhere near valid Rust.
+            let src: String = codes.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let rebuilt: String = lex(&src).iter().map(|t| t.text).collect();
+            prop_assert_eq!(rebuilt, src);
+        }
+
+        #[test]
+        fn token_lines_are_monotonic(
+            idxs in collection::vec(0usize..FRAGMENTS.len(), 0..32),
+        ) {
+            let src: String = idxs.iter().map(|&i| FRAGMENTS[i]).collect();
+            let toks = lex(&src);
+            let mut prev = 1u32;
+            for t in &toks {
+                prop_assert!(t.line >= prev, "token lines must never decrease");
+                prev = t.line;
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@
 
 pub mod config;
 mod context;
-pub mod lexer;
+mod lexer;
 pub mod report;
 pub mod rules;
 mod surface;

@@ -12,8 +12,8 @@ pub struct Graph {
 impl Graph {
     /// Build from explicit adjacency lists (they are sorted/deduplicated
     /// internally; self-loops are dropped).
-    // detlint::allow(unreferenced-pub): builds the graphs no mesh produces that tests/partition_pins.rs pins
-    pub fn from_adjacency(adjacency: &[Vec<usize>]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_adjacency(adjacency: &[Vec<usize>]) -> Self {
         let mut offsets = vec![0];
         for list in adjacency {
             offsets.push(offsets[offsets.len() - 1] + list.len());

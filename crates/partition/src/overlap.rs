@@ -14,8 +14,7 @@ use crate::Partition;
 /// exactly the parts themselves.  The cost is `O(n + Σ|sub-domain|·degree)`:
 /// one BFS level array serves every part and is reset only where a part
 /// touched it.
-// detlint::allow(unreferenced-pub): the stage tests/partition_pins.rs pins on graphs no mesh produces
-pub fn grow_overlap(
+pub(crate) fn grow_overlap(
     graph: &Graph,
     partition: &Partition,
     num_parts: usize,

@@ -22,9 +22,9 @@
 //!
 //! # Tie-breaks
 //!
-//! The output is a pure function of the graph and [`PartitionOptions`] and
+//! The output is a pure function of the graph and `PartitionOptions` and
 //! every downstream hash depends on it, so the rules that settle ties are
-//! contract (`tests/partition_pins.rs` pins them):
+//! contract (the crate's tests pin them):
 //!
 //! * **seeds** — a vertex no seed reaches is farther than any finite distance
 //!   (`usize::MAX`, clamped to `usize::MAX − 1`), and among equally far
@@ -46,7 +46,7 @@ use crate::Partition;
 
 /// Options for [`partition_graph`].
 #[derive(Debug, Clone)]
-pub struct PartitionOptions {
+pub(crate) struct PartitionOptions {
     /// Number of parts to create.
     pub num_parts: usize,
     /// RNG seed used for seed-vertex selection tie breaking.
@@ -87,8 +87,7 @@ impl Default for PartitionOptions {
 /// (Note: [`crate::partition_mesh_with_overlap`] always requests
 /// `k = ceil(n / target_size) ≤ n` parts, so the empty-part shape only
 /// arises when calling this function directly.)
-// detlint::allow(unreferenced-pub): the stage tests/partition_pins.rs pins on graphs no mesh produces
-pub fn partition_graph(graph: &Graph, opts: &PartitionOptions) -> Partition {
+pub(crate) fn partition_graph(graph: &Graph, opts: &PartitionOptions) -> Partition {
     let n = graph.num_vertices();
     let k = opts.num_parts.max(1);
     if n == 0 {

@@ -268,17 +268,12 @@ impl CsrMatrix {
         true
     }
 
-    /// Extract the principal sub-matrix `A[idx, idx]`.
+    /// The principal sub-matrix `A[idx, idx]` of every index set, in order.
     ///
-    /// `idx` lists global indices (need not be sorted, must be unique).  The
-    /// result is a `idx.len() × idx.len()` CSR matrix whose local ordering
-    /// follows `idx`.  This is exactly the `Rᵢ A Rᵢᵀ` operator of the Schwarz
-    /// method when `idx` enumerates the nodes of sub-domain `i`.
-    pub fn principal_submatrix(&self, idx: &[usize]) -> CsrMatrix {
-        self.extract_principal(idx, &mut vec![usize::MAX; self.ncols])
-    }
-
-    /// [`CsrMatrix::principal_submatrix`] of every index set, in order.
+    /// Each `idx` lists global indices (need not be sorted, must be unique).
+    /// Its result is a `idx.len() × idx.len()` CSR matrix whose local
+    /// ordering follows `idx`.  This is exactly the `Rᵢ A Rᵢᵀ` operator of the
+    /// Schwarz method when `idx` enumerates the nodes of sub-domain `i`.
     ///
     /// All extractions share one global → local map that is reset only where
     /// a set touched it, so the cost is the size of what is extracted plus
@@ -293,7 +288,7 @@ impl CsrMatrix {
     fn extract_principal(&self, idx: &[usize], glob_to_loc: &mut [usize]) -> CsrMatrix {
         let n = idx.len();
         for (loc, &g) in idx.iter().enumerate() {
-            debug_assert!(g < self.nrows, "principal_submatrix: index out of bounds");
+            debug_assert!(g < self.nrows, "principal_submatrices: index out of bounds");
             glob_to_loc[g] = loc;
         }
         let mut row_ptr = Vec::with_capacity(n + 1);
@@ -321,6 +316,13 @@ impl CsrMatrix {
             glob_to_loc[g] = usize::MAX;
         }
         CsrMatrix { nrows: n, ncols: n, row_ptr, col_idx, values }
+    }
+
+    /// `A[idx, idx]` through a map of its own: the one-set reference
+    /// [`CsrMatrix::principal_submatrices`] is checked against.
+    #[cfg(test)]
+    fn principal_submatrix(&self, idx: &[usize]) -> CsrMatrix {
+        self.extract_principal(idx, &mut vec![usize::MAX; self.ncols])
     }
 
     /// Sparse matrix–matrix product `C = A B` (row-merge SpGEMM).
