@@ -16,11 +16,11 @@
 //!
 //! **Determinism contract:** every output element starts from its initial
 //! value (bias, zero, or the prior `Y` entry) and adds its products strictly
-//! in ascending `i` order, one multiply and one add per term (Rust never
-//! contracts them into an FMA).  Blocking only regroups *independent* output
-//! elements, so the f64 results are bit-identical to the scalar triple loop
-//! — at every tile shape and every batch size — and the f32 results differ
-//! from them by rounding only.
+//! in ascending `i` order, one term per [`Scalar::mul_acc`]: in f64 a
+//! multiply and a separate add (Rust never contracts them into an FMA), in
+//! f32 one fused multiply-add.  Blocking only regroups *independent* output
+//! elements, so the results are bit-identical to the scalar triple loop of
+//! the same per-term operation — at every tile shape and every batch size.
 //!
 //! A call takes a *list* of operands accumulated one after the other into the
 //! same register tile — `bias + X₀ W₀ᵀ + X₁ W₁ᵀ + …`, each term added in turn
@@ -35,7 +35,7 @@
 //! `n · b` rows, so every column has the bits of its own unbatched run.
 //!
 //! The kernel is `#[inline(always)]`: the forward pass is compiled once per
-//! scalar type and target (baseline, AVX2, and AVX-512F for f64; see
+//! scalar type and target (baseline, AVX2 with FMA, and AVX-512F for f64; see
 //! `plan::run_widest`) and the kernel must be instantiated inside each copy to
 //! pick up its target features.
 
@@ -77,8 +77,10 @@ pub trait Scalar:
     /// while at least 16 outputs remain (narrower rests are one exact tile).
     const TILE: usize;
     /// Whether the forward pass runs its AVX-512F copy on a CPU that has
-    /// it: f64 only, as the batched f32 edge sweep measured slower there
-    /// than on AVX2.
+    /// it: f64 only.  The fused f32 body measured slower there than on
+    /// AVX2 + FMA, with the same bits: `gnn-2l-f32-batch4-3k` took 0.40 s
+    /// to solution against 0.34 s (medians of 6 alternating pairs, 2-vCPU
+    /// AVX-512F host, 1 thread).
     const AVX512: bool;
     /// Round a double to this type (the identity for `f64`).
     fn from_f64(v: f64) -> Self;
@@ -86,6 +88,10 @@ pub trait Scalar:
     fn to_f64(self) -> f64;
     /// `max(self, 0)`.
     fn relu(self) -> Self;
+    /// `self + a · b`, the one multiply-add of the engine: a multiply and a
+    /// separate add in `f64`, whose bits are pinned, and one fused
+    /// multiply-add (a single rounding) in `f32`.
+    fn mul_acc(self, a: Self, b: Self) -> Self;
 }
 
 impl Scalar for f64 {
@@ -104,6 +110,10 @@ impl Scalar for f64 {
     fn relu(self) -> Self {
         self.max(0.0)
     }
+    #[inline(always)]
+    fn mul_acc(self, a: Self, b: Self) -> Self {
+        self + a * b
+    }
 }
 
 impl Scalar for f32 {
@@ -121,6 +131,10 @@ impl Scalar for f32 {
     #[inline(always)]
     fn relu(self) -> Self {
         self.max(0.0)
+    }
+    #[inline(always)]
+    fn mul_acc(self, a: Self, b: Self) -> Self {
+        a.mul_add(b, self)
     }
 }
 
@@ -156,7 +170,7 @@ impl<T: Scalar> Epilogue<T> {
             }
             Epilogue::AddScaled(s) => {
                 for (y, a) in y.iter_mut().zip(acc) {
-                    *y += s * *a;
+                    *y = y.mul_acc(s, *a);
                 }
             }
         }
@@ -252,7 +266,7 @@ fn gemm_t_tile<T: Scalar, const R: usize, const W: usize, const S: usize>(
             for q in 0..R {
                 let s = xs[q][i];
                 for k in 0..W {
-                    acc[q][k] += s * w[k];
+                    acc[q][k] = acc[q][k].mul_acc(s, w[k]);
                 }
             }
         }
@@ -380,7 +394,8 @@ mod tests {
         }
     }
 
-    /// Scalar reference of the transposed kernel in single precision.
+    /// Scalar reference of the transposed kernel in single precision: one
+    /// fused multiply-add per term when `fused`, else a multiply and an add.
     fn naive_f32(
         x: &[f32],
         n: usize,
@@ -388,13 +403,15 @@ mod tests {
         out_dim: usize,
         wt: &[f32],
         bias: &[f32],
+        fused: bool,
     ) -> Vec<f32> {
         let mut y = vec![0.0f32; n * out_dim];
         for r in 0..n {
             for o in 0..out_dim {
                 let mut a = if bias.is_empty() { 0.0 } else { bias[o] };
                 for i in 0..in_dim {
-                    a += wt[i * out_dim + o] * x[r * in_dim + i];
+                    let (w, x) = (wt[i * out_dim + o], x[r * in_dim + i]);
+                    a = if fused { w.mul_add(x, a) } else { a + w * x };
                 }
                 y[r * out_dim + o] = a;
             }
@@ -404,6 +421,10 @@ mod tests {
 
     #[test]
     fn f32_panel_matches_naive_bit_for_bit_across_shapes() {
+        // The reference fuses every multiply-add, and some shape must round
+        // differently from the unfused chain, so a kernel that stopped fusing
+        // fails here.
+        let mut fusion_shows = false;
         let mut rng = StdRng::seed_from_u64(17);
         // Span full/partial 4-row panels and every column tile of the f32
         // instantiation (16, 8, 4, 2, 1).
@@ -418,13 +439,14 @@ mod tests {
                         (0..out_dim).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
                     let ops = [Operand { x: &x[..], in_dim, wt: &wt[..] }];
 
-                    let with_bias = naive_f32(&x, n, in_dim, out_dim, &wt, &b);
+                    let with_bias = naive_f32(&x, n, in_dim, out_dim, &wt, &b, true);
                     let mut y = vec![f32::NAN; n * out_dim];
                     gemm_t(ops, n, out_dim, &b, Epilogue::Store, &mut y);
                     assert_eq!(y, with_bias, "n={n} out={out_dim} in={in_dim}");
+                    fusion_shows |= y != naive_f32(&x, n, in_dim, out_dim, &wt, &b, false);
 
                     gemm_t(ops, n, out_dim, &[], Epilogue::Relu, &mut y);
-                    let relu: Vec<f32> = naive_f32(&x, n, in_dim, out_dim, &wt, &[])
+                    let relu: Vec<f32> = naive_f32(&x, n, in_dim, out_dim, &wt, &[], true)
                         .iter()
                         .map(|v| v.max(0.0))
                         .collect();
@@ -433,13 +455,14 @@ mod tests {
                     let y0: Vec<f32> =
                         (0..n * out_dim).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
                     let mut y = y0.clone();
-                    gemm_t(ops, n, out_dim, &b, Epilogue::AddScaled(0.25), &mut y);
+                    gemm_t(ops, n, out_dim, &b, Epilogue::AddScaled(0.3), &mut y);
                     let stepped: Vec<f32> =
-                        y0.iter().zip(&with_bias).map(|(h, u)| h + 0.25 * u).collect();
+                        y0.iter().zip(&with_bias).map(|(h, u)| 0.3f32.mul_add(*u, *h)).collect();
                     assert_eq!(y, stepped);
                 }
             }
         }
+        assert!(fusion_shows, "the f32 kernel rounds like an unfused multiply-add chain");
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! The paper trains its DSS model with PyTorch-Geometric on GPUs; no such
 //! stack exists for Rust, so this crate implements the full pipeline natively:
 //!
-//! * [`gemm`] — register-blocked batch GEMM micro-kernels with a strict
-//!   per-element accumulation-order (bit-identity) contract: the row-major
-//!   f64 kernel behind every linear layer, and one fused
-//!   transposed-weight kernel for the inference engine, generic over the
-//!   sealed [`Scalar`] trait (`f64`, `f32`),
+//! * [`gemm`] — the one register-blocked transposed-weight GEMM behind
+//!   every linear layer and the inference engine, with a strict
+//!   per-element accumulation-order (bit-identity) contract, generic over
+//!   the sealed [`Scalar`] trait (`f64` unfused, `f32` with fused
+//!   multiply-adds),
 //! * `layers` — linear layers and two-layer MLPs with exact reverse-mode
 //!   gradients (validated against finite differences in the test-suite),
 //! * [`plan`] — the inference engine: an `O(e)` per-graph plan (structure
 //!   and block 1's edge sums) next to one shared weight pack, and one forward
 //!   pass over them, generic over the scalar type, compiled for the baseline
-//!   target, for AVX2 and, in f64, for AVX-512F; the three [`Precision`]
+//!   target, for AVX2 + FMA and, in f64, for AVX-512F; the three [`Precision`]
 //!   tiers are its f64 and f32 instantiations and an int8 weight format of
 //!   the latter,
 //! * [`graph`] — the [`graph::LocalGraph`] representation of one sub-domain

@@ -39,10 +39,10 @@
 //!   reads, direction-fused and transposed.  It is built once per model and
 //!   weight format and shared by `Arc` between all plans.
 //! * `forward` is the apply half, written once as safe code and compiled for
-//!   `f64` and `f32`, each for the baseline target and with AVX2 enabled,
-//!   and for `f64` once more with AVX-512F.  A batch of `b` right-hand sides
-//!   is `b` consecutive rows per node of the same kernels; `b = 1` is the
-//!   unbatched layout.
+//!   `f64` and `f32`, each for the baseline target and with AVX2 and FMA
+//!   enabled, and for `f64` once more with AVX-512F.  A batch of `b`
+//!   right-hand sides is `b` consecutive rows per node of the same kernels;
+//!   `b = 1` is the unbatched layout.
 //!
 //! The three [`Precision`] tiers are two instantiations and a weight format:
 //! `F64` is `forward::<f64>` (the bit-reproducible anchor), `F32` is
@@ -71,18 +71,19 @@ use crate::model::{Block, DssModel};
 ///
 /// All three tiers run the same forward body on the same `O(e)` plan layout.
 /// `F64` is the default and the correctness anchor: its results are pinned
-/// bit for bit.  `F32` runs that body in single precision — half the plan
-/// bytes, twice the SIMD lanes, ~1e-6 relative output error; it is the
-/// fastest tier, alone or batched.  `Int8` is a *weight-storage format* of
-/// the f32 engine: the latent-state GEMM weight matrices of every block are
-/// rounded to int8 with one scale per output and stored dequantised.  It runs
-/// at exactly the speed and plan size of `F32` and perturbs the output far
-/// more: its relative forward error stays within 1e-2 only on random shallow
-/// models (~1e-3 there) and grows with trained depth: ≈ 2e-2 through the 8
-/// blocks the shipped model runs by default, ≈ 6e-2 through all 16 (about
-/// 5e-3 of a whole preconditioner application there), which flexible PCG
-/// absorbs within a few iterations; it exists to answer whether the model
-/// survives int8 weights.
+/// bit for bit.  `F32` runs that body in single precision with every
+/// multiply-add fused — half the plan bytes, twice the SIMD lanes, ~1e-6
+/// relative output error; it is the fastest tier, alone or batched.  `Int8`
+/// is a *weight-storage format* of the f32 engine: the latent-state GEMM
+/// weight matrices of every block are rounded to int8 with one scale per
+/// output and stored dequantised.  It runs at exactly the speed and plan
+/// size of `F32` and perturbs the output far more: its relative forward
+/// error stays within 1e-2 only on random shallow models (~1e-3 there) and
+/// grows with trained depth: ≈ 2e-2 through the 8 blocks the shipped model
+/// runs by default, ≈ 6e-2 through all 16 (about 5e-3 of a whole
+/// preconditioner application there), which flexible PCG absorbs within a
+/// few iterations; it exists to answer whether the model survives int8
+/// weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double-precision inference (bit-reproducible engine, the default).
@@ -367,11 +368,16 @@ struct GeoRows<'a, T> {
 
 impl<T: Scalar> GeoRows<'_, T> {
     /// Lane `k` of `W_geo g_e + b₁`, evaluated as
-    /// `((b + w₀·dx) + w₁·dy) + w₂·dist` — in f64 the expression order, and
-    /// hence the bits, of the per-edge terms the first plans stored.
+    /// `((b + w₀·dx) + w₁·dy) + w₂·dist` with one [`Scalar::mul_acc`] per
+    /// term — in f64 the expression order, and hence the bits, of the
+    /// per-edge terms the first plans stored; in f32 three fused
+    /// multiply-adds in that order.
     #[inline(always)]
     fn term(&self, k: usize, [dx, dy, dist]: [T; 3]) -> T {
-        self.bias[k] + self.w_dx[k] * dx + self.w_dy[k] * dy + self.w_dist[k] * dist
+        self.bias[k]
+            .mul_acc(self.w_dx[k], dx)
+            .mul_acc(self.w_dy[k], dy)
+            .mul_acc(self.w_dist[k], dist)
     }
 
     /// The same rows cut to `w` lanes, so loops over them carry no bounds
@@ -448,7 +454,9 @@ impl<T: Scalar> WeightPack<T> {
 /// writes every element of a buffer before reading it, so one scratch may
 /// serve any plan next — the preconditioner keeps one per running worker,
 /// not one per sub-domain.
-/// Every buffer has `n · b` rows; the direction-fused `hsum` is `2d` wide.
+///
+/// A forward pass on `n` nodes and `b` right-hand sides gives every buffer
+/// but `geo_buf` `n · b` rows; the direction-fused `hsum` is `2d` wide.
 #[derive(Debug, Default)]
 pub struct InferScratch<T = f64> {
     /// Per-row Ψ input `[deg(j), c_j]` (2 wide).
@@ -605,9 +613,10 @@ impl<T: Scalar> InferencePlan<T> {
 
 /// Run `pass`, an `#[inline(always)]` closure over the engine, in the widest
 /// copy the running CPU supports: AVX-512F for the scalar types
-/// [`Scalar::AVX512`] selects, else AVX2, else the baseline target.  Each
-/// copy inlines the closure under its own target features; none contracts
-/// or reassociates, so all produce the same bits.
+/// [`Scalar::AVX512`] selects, else AVX2 with FMA, else the baseline target.
+/// Each copy inlines the closure under its own target features; none
+/// contracts or reassociates, and every fused multiply-add is an explicit,
+/// correctly rounded [`Scalar::mul_acc`], so all produce the same bits.
 #[inline(always)]
 fn run_widest<T: Scalar>(pass: impl FnOnce()) {
     #[cfg(target_arch = "x86_64")]
@@ -619,8 +628,9 @@ fn run_widest<T: Scalar>(pass: impl FnOnce()) {
             // provides.
             return unsafe { on_avx512(pass) };
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above, for `on_avx2` and AVX2.
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: as above, for `on_avx2` and AVX2 with FMA.
             return unsafe { on_avx2(pass) };
         }
     }
@@ -628,17 +638,21 @@ fn run_widest<T: Scalar>(pass: impl FnOnce()) {
 }
 
 /// `pass` compiled with AVX-512F enabled.  The feature implies FMA, but the
-/// code has no explicit one and Rust never contracts a multiply and an add.
+/// f64 code has no fused operation and Rust never contracts a multiply and
+/// an add.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn on_avx512(pass: impl FnOnce()) {
     pass();
 }
 
-/// `pass` compiled with AVX2 enabled (no `fma`: the arithmetic must stay a
-/// separate multiply and add per term).
+/// `pass` compiled with AVX2 and FMA enabled.  The f32 instantiation's
+/// [`Scalar::mul_acc`] becomes one `vfmadd` instruction here, where the
+/// baseline copy calls libm's correctly rounded `fmaf`, with the same bits.
+/// The f64 instantiation has no fused operation to lower, and Rust never
+/// contracts its multiply and add, so it keeps the baseline's bits too.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn on_avx2(pass: impl FnOnce()) {
     pass();
 }
@@ -1036,9 +1050,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// The compiled copies of `forward::<T>` — baseline, AVX2 and, with
+    /// The compiled copies of `forward::<T>` — baseline, AVX2 + FMA and, with
     /// `avx512`, AVX-512F — on the fixed-width and the run-time-width model,
-    /// unbatched and batched.
+    /// unbatched and batched.  In f32 the baseline copy computes every
+    /// [`Scalar::mul_acc`] with libm's `fmaf` and the AVX2 copy with
+    /// `vfmadd`: both round once, so the bits must agree.
     #[cfg(target_arch = "x86_64")]
     fn compiled_bodies_agree<T: Scalar>(avx512: bool) {
         let (models, graph) = shipped_and_d6_models();
@@ -1054,8 +1070,8 @@ pub(crate) mod tests {
                     let (plan, input, scratch) = (&plan, &input[..], &mut scratch);
                     match body {
                         0 => forward(plan, input, b, scratch, out),
-                        // SAFETY: the caller detected AVX2 before calling
-                        // this helper.
+                        // SAFETY: the caller detected AVX2 and FMA before
+                        // calling this helper.
                         1 => unsafe {
                             on_avx2(
                                 #[inline(always)]
@@ -1086,8 +1102,10 @@ pub(crate) mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn compiled_bodies_agree_bit_for_bit() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            println!("skipped: this CPU has no AVX2, only the baseline body can run");
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        if !avx2 || !std::arch::is_x86_feature_detected!("fma") {
+            let missing = if avx2 { "fma" } else { "avx2" };
+            println!("skipped: this CPU has no {missing}, only the baseline body can run");
             return;
         }
         let avx512 = std::arch::is_x86_feature_detected!("avx512f");
@@ -1096,6 +1114,32 @@ pub(crate) mod tests {
         }
         compiled_bodies_agree::<f64>(avx512);
         compiled_bodies_agree::<f32>(false);
+    }
+
+    /// Pins the f32 engine's bits across commits: the f32 and int8 outputs
+    /// of the shipped and the `d = 6` model at `b ∈ {1, 3}`, in the copy
+    /// `run_widest` picks (all copies have the same bits).  Any change to the
+    /// f32 arithmetic that moves one bit — fusing or unfusing a multiply-add,
+    /// reordering a sum — moves this hash.
+    #[test]
+    fn f32_forward_bits_are_pinned() {
+        let (models, graph) = shipped_and_d6_models();
+        let n = graph.num_nodes();
+        let mut outputs = Vec::new();
+        for model in &models {
+            for int8 in [false, true] {
+                let plan = model.build_plan_f32(&graph, int8);
+                let mut scratch = InferScratch::new();
+                for b in [1usize, 3] {
+                    let input: Vec<f64> =
+                        (0..n * b).map(|i| ((i * 7 + b) % 13) as f64 * 0.1 - 0.6).collect();
+                    let mut out = vec![0.0; n * b];
+                    plan.infer(&input, b, &mut scratch, &mut out);
+                    outputs.extend(out);
+                }
+            }
+        }
+        assert_eq!(crate::trainer::tests::hash_f64s(outputs), 0xdc787896554824a4);
     }
 
     #[test]
@@ -1136,7 +1180,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn precision_parses_and_displays() {
+    fn precision_displays_and_defaults() {
         assert_eq!(Precision::F32.to_string(), "f32");
         assert_eq!(Precision::Int8.to_string(), "int8");
         assert_eq!(Precision::default(), Precision::F64);

@@ -211,7 +211,7 @@ fn mean_std(values: &[f64]) -> (f64, f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dataset::{extract_local_problems, DatasetConfig};
     use crate::model::DssConfig;
@@ -285,7 +285,7 @@ mod tests {
     }
 
     /// FNV-1a over the bit patterns of a float sequence.
-    fn hash_f64s(values: impl IntoIterator<Item = f64>) -> u64 {
+    pub(crate) fn hash_f64s(values: impl IntoIterator<Item = f64>) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for v in values {
             for b in v.to_bits().to_le_bytes() {
