@@ -60,6 +60,7 @@ mod detsan {
     use std::process::Command;
     use std::sync::Arc;
 
+    use bench::{env_list, env_usize};
     use ddm::{AdditiveSchwarz, AsmLevel};
     use ddm_gnn::{generate_problem, DdmGnnPreconditioner, Precision};
     use krylov::{preconditioned_conjugate_gradient, Preconditioner, SolverOptions};
@@ -78,18 +79,6 @@ mod detsan {
 
     /// Golden-ratio stride: consecutive indices give unrelated seeds.
     const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    fn env_usize(name: &str, default: usize) -> usize {
-        std::env::var(name).ok().and_then(|s| s.trim().parse().ok()).unwrap_or(default)
-    }
-
-    fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
-        std::env::var(name)
-            .ok()
-            .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-            .filter(|v: &Vec<usize>| !v.is_empty())
-            .unwrap_or_else(|| default.to_vec())
-    }
 
     /// FNV-1a over the bit patterns of a float sequence — the determinism
     /// witness the pins above were recorded with.

@@ -1,45 +1,78 @@
-//! Shared plumbing for the paper's table and figure binaries.
+//! Shared plumbing of the `reproduce` binary and the `detsan_suite`.
 //!
-//! Five binaries in `src/bin/` regenerate one table or figure each of the
-//! paper's evaluation section: `table1_numerical_behavior`,
-//! `table2_dss_metrics`, `table3_legacy_benchmark`, `fig5_f1_convergence` and
-//! `fig6_hyperparam_perf`.  They print the same row/series structure as the
-//! paper and additionally write a CSV under `target/experiments/` for
-//! post-processing.  The sixth, `detsan_suite`, is the concurrency
-//! sanitizer's schedule-fuzz acceptance run.
+//! `reproduce <section>…` regenerates the paper's evaluation, one section
+//! per artifact: `table1`, `table3`, `fig5`, `depth` (the sweep that picked
+//! `ddm_gnn::PRETRAINED_DEPTH`) and `grid` (Table II and Fig. 6 from one
+//! training run per architecture).  Each section prints the same row/series
+//! structure as the paper and writes a CSV under `target/experiments/`.
+//! `detsan_suite` is the concurrency sanitizer's schedule-fuzz acceptance
+//! run.
 //!
 //! The default problem sizes are scaled down from the paper so a full run
-//! finishes in minutes on a laptop CPU; every binary documents the
-//! environment variables that scale it back up towards the paper's sizes.
+//! finishes in minutes on a laptop CPU; the `reproduce` docs list the
+//! environment variables that scale each section back up.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ddm_gnn::{build_tiers, solve, HybridSolverConfig, Method, SolveOutcome};
+use ddm_gnn::{build_preconditioner, solve, HybridSolverConfig, Method, SolveOutcome};
 use fem::PoissonProblem;
 use gnn::DssModel;
 use krylov::SolverOptions;
+use meshgen::{generate_mesh, FormulaOneDomain, MeshingOptions};
 
-/// One column of the paper's tables: build `method`'s preconditioner (the
-/// two-level, double-precision default) on the given decomposition and drive
-/// it over the problem's own right-hand side.
-pub fn run_method(
+/// Build `method`'s preconditioner at `config` on the given decomposition
+/// and drive it over the problem's own right-hand side.
+pub fn solve_problem(
     problem: &PoissonProblem,
     subdomains: &[Vec<usize>],
     method: Method,
     model: &Arc<DssModel>,
+    config: &HybridSolverConfig,
     opts: &SolverOptions,
 ) -> SolveOutcome {
-    let config = HybridSolverConfig::default();
-    let tiers = build_tiers(problem, subdomains, method, Some(model), &config)
+    let precond = build_preconditioner(problem, subdomains, method, Some(model), config)
         .unwrap_or_else(|e| panic!("{} setup failed: {e}", method.name()));
-    solve(&problem.matrix, &[&problem.rhs], tiers.first().map(|t| t.as_ref()), opts)
+    solve(&problem.matrix, &[&problem.rhs], precond.as_deref(), opts)
+}
+
+/// The out-of-distribution "Formula-1" problem of Fig. 5: the F1 silhouette
+/// with holes meshed at about `target_nodes` nodes (mesh seed 1) with random
+/// data (seed 5).
+pub fn formula_one_problem(target_nodes: usize) -> PoissonProblem {
+    let domain = FormulaOneDomain::new(1.0);
+    let h = meshgen::generator::element_size_for_target_nodes(&domain, target_nodes);
+    let mesh = generate_mesh(&domain, &MeshingOptions::with_element_size(h).seed(1));
+    PoissonProblem::with_random_data(mesh, 5)
+}
+
+/// The model every section that does not train its own solves with: the
+/// shipped one of [`ddm_gnn::load_pretrained`].
+pub fn shipped_model() -> Arc<DssModel> {
+    let model = ddm_gnn::load_pretrained().expect("the shipped model in assets/");
+    println!(
+        "using pre-trained DSS model: k̄ = {}, d = {}, {} weights",
+        model.config().num_blocks,
+        model.config().latent_dim,
+        model.num_params()
+    );
+    Arc::new(model)
 }
 
 /// Read an integer environment variable with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
+}
+
+/// Read a comma-separated list of integers from the environment, with a
+/// default when it is unset or holds no integer.
+pub fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
+    std::env::var(name)
+        .ok()
+        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
+        .filter(|v: &Vec<usize>| !v.is_empty())
+        .unwrap_or_else(|| default.to_vec())
 }
 
 /// Write a CSV file into `target/experiments/`, where the harness drops its
@@ -58,27 +91,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     fs::write(&path, content).expect("writing experiment CSV");
     println!("\n[csv] {}", path.display());
     path
-}
-
-/// Load the shipped pre-trained DSS model, or train a small one on the fly.
-pub fn load_or_train_model() -> DssModel {
-    match ddm_gnn::load_pretrained() {
-        Some(model) => {
-            println!(
-                "using pre-trained DSS model: k̄ = {}, d = {}, {} weights",
-                model.config().num_blocks,
-                model.config().latent_dim,
-                model.num_params()
-            );
-            model
-        }
-        None => {
-            println!(
-                "no pre-trained model found — training a small model first (see train_dss example)"
-            );
-            ddm_gnn::train_model(&ddm_gnn::PipelineConfig::default()).model
-        }
-    }
 }
 
 /// Mean and standard deviation of a sample.
@@ -103,6 +115,7 @@ mod tests {
     #[test]
     fn env_helpers_fall_back_to_defaults() {
         assert_eq!(env_usize("DDM_GNN_BENCH_UNSET_VAR", 7), 7);
+        assert_eq!(env_list("DDM_GNN_BENCH_UNSET_VAR", &[1, 2]), vec![1, 2]);
     }
 
     #[test]

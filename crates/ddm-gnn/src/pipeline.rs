@@ -42,30 +42,6 @@ pub struct PipelineConfig {
     pub model_seed: u64,
 }
 
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        // CPU-sized defaults: small enough to train in tens of seconds, large
-        // enough for the preconditioner to be useful.  The paper-scale
-        // configuration (k̄ = 30, d = 10, 117k samples, 400 epochs) is obtained
-        // by overriding these fields.
-        PipelineConfig {
-            dss: DssConfig { num_blocks: 8, latent_dim: 8, alpha: 1e-2 },
-            dataset: DatasetConfig {
-                num_global_problems: 3,
-                target_nodes: 900,
-                subdomain_size: 300,
-                overlap: 2,
-                max_iterations_per_problem: 12,
-                max_samples: Some(120),
-                seed: 1,
-                ..Default::default()
-            },
-            training: TrainingConfig { epochs: 40, batch_size: 16, seed: 2, ..Default::default() },
-            model_seed: 3,
-        }
-    }
-}
-
 /// A trained model together with its training and evaluation records.
 #[derive(Debug, Clone)]
 pub struct TrainedModel {
@@ -82,7 +58,8 @@ pub struct TrainedModel {
 /// Number of blocks of the shipped `k̄ = 16` model that [`load_pretrained`]
 /// keeps: the smallest depth whose PCG iteration count is no higher than the
 /// full model's on every multi-level problem of the Fig. 6 depth sweep and
-/// within 10 % of it on every two-level one (`fig6_hyperparam_perf`).
+/// within 10 % of it on every two-level one (the `depth` section of the
+/// `reproduce` binary).
 /// Inference cost is linear in depth, so this halves the apply.
 pub const PRETRAINED_DEPTH: usize = 8;
 
@@ -100,8 +77,8 @@ const PRETRAINED_FILE: &str = "assets/pretrained_k16_d10.dss";
 /// full 16-block anchor.  Otherwise the workspace-level
 /// `assets/pretrained_k16_d10.dss` is used (produced by
 /// `cargo run --release --example train_dss` with `DSS_MODEL_OUT` set).
-/// Returns `None` when no model file can be found or parsed, in which case
-/// callers typically fall back to training a small model on the fly.
+/// Returns `None` when no model file can be found or parsed; callers report
+/// that rather than run a different model.
 pub fn load_pretrained() -> Option<DssModel> {
     let explicit = std::env::var_os("DDM_GNN_MODEL").filter(|p| !p.is_empty());
     load_pretrained_from(explicit.as_deref().map(Path::new))
@@ -123,12 +100,6 @@ fn load_pretrained_from(explicit: Option<&Path>) -> Option<DssModel> {
     Some(model)
 }
 
-/// Run the full pipeline: extract a dataset, train a DSS model, evaluate it.
-pub fn train_model(config: &PipelineConfig) -> TrainedModel {
-    let samples = extract_local_problems(&config.dataset);
-    train_model_on_samples(config, samples)
-}
-
 /// Run the pipeline on a multi-size dataset: one extraction pass per
 /// sub-domain size in `subdomain_sizes` (each with a distinct seed), then a
 /// single training run over the merged samples.
@@ -136,7 +107,8 @@ pub fn train_model(config: &PipelineConfig) -> TrainedModel {
 /// The preconditioner is routinely applied to sub-domains whose size differs
 /// from the training distribution (Table I varies 120–2000 nodes); mixing
 /// sizes in the dataset is the paper's recipe for making one model serve all
-/// of them.
+/// of them.  One size whose `config.dataset.target_nodes` covers at least
+/// three sub-domains trains on `config.dataset` exactly as given.
 pub fn train_model_multi_size(config: &PipelineConfig, subdomain_sizes: &[usize]) -> TrainedModel {
     assert!(!subdomain_sizes.is_empty(), "need at least one sub-domain size");
     let per_size: Vec<Vec<gnn::TrainingSample>> = subdomain_sizes
@@ -269,7 +241,7 @@ mod tests {
             training: TrainingConfig { epochs: 15, batch_size: 10, seed: 12, ..Default::default() },
             model_seed: 13,
         };
-        let trained = train_model(&config);
+        let trained = train_model_multi_size(&config, &[150]);
         assert!(trained.num_samples > 10);
         assert_eq!(trained.report.train_losses.len(), 15);
         assert!(

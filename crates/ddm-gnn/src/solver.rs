@@ -1,15 +1,13 @@
-//! The hybrid solver public API and the one driver of the evaluation.
+//! The one driver of the evaluation.
 //!
-//! [`HybridSolver`] is the interface a downstream user would adopt: configure
-//! sub-domain size, overlap, coarse level and tolerance once, hand it a
-//! trained DSS model, and call [`HybridSolver::solve`] on assembled Poisson
-//! problems.  Underneath sit the two functions every example, paper-table
-//! binary and test drives directly: [`build_tiers`] builds the
-//! preconditioner of one [`Method`] (the four columns of the paper's Tables I
-//! and III) at one [`AsmLevel`] and [`Precision`], and [`solve`] runs *any*
-//! preconditioner — or none, for plain CG — through the same timed Krylov
-//! call, reporting total time and time spent inside the preconditioner (the
-//! `T`, `T_lu`, `T_gnn` columns of Table III).
+//! Every example, paper-table section and test goes through two functions:
+//! [`build_preconditioner`] builds the preconditioner of one [`Method`] (the
+//! four columns of the paper's Tables I and III) at one [`AsmLevel`] and
+//! [`Precision`], under the degradation ladder when resilience is
+//! configured, and [`solve`] runs *any* preconditioner — or none, for plain
+//! CG — through the same timed Krylov call, reporting total time and time
+//! spent inside the preconditioner (the `T`, `T_lu`, `T_gnn` columns of
+//! Table III).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,8 +20,7 @@ use krylov::{
     conjugate_gradient, solve_batch, DegradationLadder, FaultLog, Ic0Preconditioner,
     JacobiPreconditioner, Preconditioner, ResiliencePolicy, SolveResult, SolveStats, SolverOptions,
 };
-use partition::partition_mesh_with_overlap;
-use sparse::CsrMatrix;
+use sparse::{CsrMatrix, SparseError};
 
 use crate::preconditioner::DdmGnnPreconditioner;
 
@@ -54,7 +51,7 @@ impl Method {
 
 /// Result of one [`solve`], with the timing breakdown of Table III.  Setup is
 /// not part of it: the driver is handed a built preconditioner, so callers
-/// that report time-to-solution time [`build_tiers`] themselves.
+/// that report time-to-solution time [`build_preconditioner`] themselves.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
     /// Solution, iteration counts, residuals and convergence history of every
@@ -126,56 +123,60 @@ impl Preconditioner for TimedPreconditioner<'_> {
     }
 }
 
-/// Build the preconditioner of `method` over the given sub-domains: nothing
+/// Build the preconditioner of `method` over the given sub-domains: `None`
 /// for CG, IC(0), or the Schwarz preconditioner with exact (`DdmLu`) or DSS
 /// (`DdmGnn`, which needs `model`) local solves at `config.level` and
 /// `config.precision`.
 ///
-/// With `config.resilience` set, `DdmGnn` yields the whole ordered tier stack
-/// of a fault-tolerant solve instead of its one tier: the GNN preconditioner
-/// at the configured precision, then every *higher*-precision GNN engine it
-/// can fall back to (int8 → f32 → f64), then the exact Schwarz method at the
-/// same level, then diagonal Jacobi as the most conservative tier.  The tiers
-/// are returned unassembled so tests and harnesses can wrap individual ones
-/// (e.g. in a [`krylov::FaultInjectingPreconditioner`]) before handing them
-/// to [`DegradationLadder::new`].
-pub fn build_tiers(
+/// With `config.resilience` set, `DdmGnn` yields the [`DegradationLadder`]
+/// of a fault-tolerant solve instead of its one tier.  Its tiers, in order:
+/// the GNN preconditioner at the configured precision, then every *higher*
+/// precision GNN engine it can fall back to (int8 → f32 → f64), then the
+/// exact Schwarz method at the same level, then diagonal Jacobi as the most
+/// conservative tier.
+pub fn build_preconditioner(
     problem: &PoissonProblem,
     subdomains: &[Vec<usize>],
     method: Method,
     model: Option<&Arc<DssModel>>,
     config: &HybridSolverConfig,
-) -> sparse::Result<Vec<Box<dyn Preconditioner>>> {
+) -> sparse::Result<Option<Box<dyn Preconditioner>>> {
     let asm = || AdditiveSchwarz::new(&problem.matrix, subdomains.to_vec(), config.level);
-    let mut tiers: Vec<Box<dyn Preconditioner>> = Vec::new();
-    match method {
-        Method::Cg => {}
-        Method::Ic0 => tiers.push(Box::new(Ic0Preconditioner::new(&problem.matrix)?)),
-        Method::DdmLu => tiers.push(Box::new(asm()?)),
+    let precond: Box<dyn Preconditioner> = match method {
+        Method::Cg => return Ok(None),
+        Method::Ic0 => Box::new(Ic0Preconditioner::new(&problem.matrix)?),
+        Method::DdmLu => Box::new(asm()?),
         Method::DdmGnn => {
-            let model = model.expect("Method::DdmGnn needs a trained model");
-            let ladder = config.resilience.is_some();
-            let fallbacks: &[Precision] = match config.precision {
-                Precision::Int8 if ladder => &[Precision::F32, Precision::F64],
-                Precision::F32 if ladder => &[Precision::F64],
-                _ => &[],
-            };
-            for &precision in std::iter::once(&config.precision).chain(fallbacks) {
-                tiers.push(Box::new(DdmGnnPreconditioner::build(
+            let model = model.ok_or_else(|| {
+                SparseError::InvalidArgument("Method::DdmGnn needs a trained model".into())
+            })?;
+            let gnn = |precision| -> sparse::Result<Box<dyn Preconditioner>> {
+                Ok(Box::new(DdmGnnPreconditioner::build(
                     problem,
                     subdomains.to_vec(),
                     Arc::clone(model),
                     config.level,
                     precision,
-                )?));
-            }
-            if ladder {
-                tiers.push(Box::new(asm()?));
-                tiers.push(Box::new(JacobiPreconditioner::new(&problem.matrix)));
-            }
+                )?))
+            };
+            let Some(policy) = &config.resilience else {
+                return gnn(config.precision).map(Some);
+            };
+            let fallbacks: &[Precision] = match config.precision {
+                Precision::Int8 => &[Precision::F32, Precision::F64],
+                Precision::F32 => &[Precision::F64],
+                Precision::F64 => &[],
+            };
+            let mut tiers = std::iter::once(&config.precision)
+                .chain(fallbacks)
+                .map(|&precision| gnn(precision))
+                .collect::<sparse::Result<Vec<_>>>()?;
+            tiers.push(Box::new(asm()?));
+            tiers.push(Box::new(JacobiPreconditioner::new(&problem.matrix)));
+            Box::new(DegradationLadder::new(tiers, policy.clone()))
         }
-    }
-    Ok(tiers)
+    };
+    Ok(Some(precond))
 }
 
 /// The one timed Krylov driver: solve `a x = b` for every `b` in `bs` with
@@ -211,106 +212,34 @@ pub fn solve(
     }
 }
 
-/// Configuration of the high-level [`HybridSolver`].
+/// What [`build_preconditioner`] builds besides the method: the coarse
+/// level, the inference precision and the fault-tolerant supervisor.
 #[derive(Debug, Clone)]
 pub struct HybridSolverConfig {
-    /// Target sub-domain size in nodes (the paper trains on ~1000).
-    pub subdomain_size: usize,
-    /// Overlap layers.
-    pub overlap: usize,
     /// The coarse component: none, the Nicolaides correction, or a
     /// smoothed-aggregation multi-level V-cycle.
     pub level: AsmLevel,
-    /// Relative residual tolerance.
-    pub tolerance: f64,
-    /// Iteration cap.
-    pub max_iterations: usize,
-    /// Seed for the partitioner.
-    pub partition_seed: u64,
     /// Scalar precision of the DSS inference inside the preconditioner
     /// (`Precision::F32` opts into the engine's single-precision
     /// instantiation, `Precision::Int8` into the same on weights quantised
     /// once at setup from the f64 model; the flexible outer PCG keeps its
     /// convergence guarantee in every mode).
     pub precision: Precision,
-    /// When set, run the solve under the fault-tolerant supervisor: the
-    /// preconditioner becomes a [`DegradationLadder`] over the tier stack of
-    /// [`build_tiers`] that contains panics, scans for non-finite output, and
-    /// downgrades in place on a classified fault without restarting the outer
-    /// PCG.  Faults and downgrades are reported on `stats.faults`.
+    /// When set, DDM-GNN runs under the fault-tolerant supervisor: the
+    /// preconditioner becomes a [`DegradationLadder`] that contains panics,
+    /// scans for non-finite output, and downgrades in place on a classified
+    /// fault without restarting the outer PCG.  Faults and downgrades are
+    /// reported on `stats.faults`.
     pub resilience: Option<ResiliencePolicy>,
 }
 
 impl Default for HybridSolverConfig {
     fn default() -> Self {
         HybridSolverConfig {
-            subdomain_size: 1000,
-            overlap: 2,
             level: AsmLevel::TwoLevel,
-            tolerance: 1e-6,
-            max_iterations: 5000,
-            partition_seed: 0,
             precision: Precision::F64,
             resilience: None,
         }
-    }
-}
-
-/// The hybrid Krylov + GNN solver: the public API of the paper's contribution.
-pub struct HybridSolver {
-    config: HybridSolverConfig,
-    model: Arc<DssModel>,
-}
-
-impl HybridSolver {
-    /// Create a solver from a trained model and a configuration.
-    pub fn new(model: DssModel, config: HybridSolverConfig) -> Self {
-        HybridSolver { config, model: Arc::new(model) }
-    }
-
-    /// The solver configuration.
-    pub fn config(&self) -> &HybridSolverConfig {
-        &self.config
-    }
-
-    /// The trained model backing the preconditioner.
-    pub fn model(&self) -> &DssModel {
-        &self.model
-    }
-
-    /// Solve an assembled Poisson problem with the DDM-GNN preconditioned CG.
-    pub fn solve(&self, problem: &PoissonProblem) -> sparse::Result<SolveOutcome> {
-        self.run(problem, Method::DdmGnn)
-    }
-
-    /// Solve the same problem with the exact (DDM-LU) preconditioner — handy
-    /// for side-by-side comparisons like Table I.
-    pub fn solve_with_exact_local_solver(
-        &self,
-        problem: &PoissonProblem,
-    ) -> sparse::Result<SolveOutcome> {
-        self.run(problem, Method::DdmLu)
-    }
-
-    fn run(&self, problem: &PoissonProblem, method: Method) -> sparse::Result<SolveOutcome> {
-        let config = &self.config;
-        let subdomains = partition_mesh_with_overlap(
-            &problem.mesh,
-            config.subdomain_size,
-            config.overlap,
-            config.partition_seed,
-        );
-        let opts =
-            SolverOptions::with_tolerance(config.tolerance).max_iterations(config.max_iterations);
-        let mut tiers = build_tiers(problem, &subdomains, method, Some(&self.model), config)?;
-        // Only the DDM-GNN stack has tiers to fall back through.
-        let precond: Box<dyn Preconditioner> = match (&config.resilience, method) {
-            (Some(policy), Method::DdmGnn) => {
-                Box::new(DegradationLadder::new(tiers, policy.clone()))
-            }
-            _ => tiers.remove(0),
-        };
-        Ok(solve(&problem.matrix, &[&problem.rhs], Some(&*precond), &opts))
     }
 }
 
@@ -329,8 +258,10 @@ mod tests {
     ) -> SolveOutcome {
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(3000);
         let model = Arc::new(fx.model.clone());
-        let tiers = build_tiers(&fx.problem, &fx.subdomains, method, Some(&model), config).unwrap();
-        solve(&fx.problem.matrix, bs, tiers.first().map(|t| t.as_ref()), &opts)
+        let precond =
+            build_preconditioner(&fx.problem, &fx.subdomains, method, Some(&model), config)
+                .unwrap();
+        solve(&fx.problem.matrix, bs, precond.as_deref(), &opts)
     }
 
     #[test]
@@ -358,45 +289,21 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_solver_api_end_to_end() {
+    fn ddm_gnn_without_a_model_is_an_invalid_argument() {
         let fx = fixture();
-        let solver = HybridSolver::new(
-            fx.model.clone(),
-            HybridSolverConfig {
-                subdomain_size: 250,
-                overlap: 2,
-                tolerance: 1e-6,
-                ..Default::default()
-            },
-        );
-        assert_eq!(solver.config().overlap, 2);
-        assert_eq!(solver.model().config().latent_dim, fx.model.config().latent_dim);
-        let outcome = solver.solve(&fx.problem).unwrap();
-        assert!(outcome.stats().converged());
-        let exact = solver.solve_with_exact_local_solver(&fx.problem).unwrap();
-        assert!(exact.stats().converged());
-        assert!(exact.stats().iterations <= outcome.stats().iterations);
-        assert!(
-            krylov::true_relative_residual(&fx.problem.matrix, outcome.x(), &fx.problem.rhs) < 1e-5
-        );
+        let config = HybridSolverConfig::default();
+        let built =
+            build_preconditioner(&fx.problem, &fx.subdomains, Method::DdmGnn, None, &config);
+        assert!(matches!(built, Err(SparseError::InvalidArgument(_))));
     }
 
     #[test]
     fn hybrid_solver_f32_precision_converges() {
         let fx = fixture();
-        let base = HybridSolverConfig {
-            subdomain_size: 250,
-            overlap: 2,
-            tolerance: 1e-6,
-            ..Default::default()
-        };
-        let f64_solver = HybridSolver::new(fx.model.clone(), base.clone());
-        let f32_solver = HybridSolver::new(
-            fx.model.clone(),
-            HybridSolverConfig { precision: Precision::F32, ..base },
-        );
-        let o64 = f64_solver.solve(&fx.problem).unwrap();
-        let o32 = f32_solver.solve(&fx.problem).unwrap();
+        let [o64, o32] = [Precision::F64, Precision::F32].map(|precision| {
+            let config = HybridSolverConfig { precision, ..Default::default() };
+            run(fx, Method::DdmGnn, &config, &[&fx.problem.rhs])
+        });
         assert!(o64.stats().converged() && o32.stats().converged());
         assert!(sparse::vector::relative_error(o32.x(), o64.x()) < 1e-4);
         let cap = o64.stats().iterations + o64.stats().iterations.div_ceil(10);
@@ -411,19 +318,10 @@ mod tests {
     #[test]
     fn hybrid_solver_int8_precision_converges() {
         let fx = fixture();
-        let base = HybridSolverConfig {
-            subdomain_size: 250,
-            overlap: 2,
-            tolerance: 1e-6,
-            ..Default::default()
-        };
-        let f64_solver = HybridSolver::new(fx.model.clone(), base.clone());
-        let q_solver = HybridSolver::new(
-            fx.model.clone(),
-            HybridSolverConfig { precision: Precision::Int8, ..base },
-        );
-        let o64 = f64_solver.solve(&fx.problem).unwrap();
-        let oq = q_solver.solve(&fx.problem).unwrap();
+        let [o64, oq] = [Precision::F64, Precision::Int8].map(|precision| {
+            let config = HybridSolverConfig { precision, ..Default::default() };
+            run(fx, Method::DdmGnn, &config, &[&fx.problem.rhs])
+        });
         assert!(o64.stats().converged() && oq.stats().converged());
         assert!(sparse::vector::relative_error(oq.x(), o64.x()) < 1e-4);
         let cap = o64.stats().iterations + (15 * o64.stats().iterations).div_ceil(100);
@@ -439,44 +337,28 @@ mod tests {
     fn hybrid_solver_multilevel_config_end_to_end() {
         let fx = fixture();
         let config = HybridSolverConfig {
-            subdomain_size: 250,
-            overlap: 2,
-            tolerance: 1e-6,
             level: AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 }),
             ..Default::default()
         };
-        let solver = HybridSolver::new(fx.model.clone(), config.clone());
-        let outcome = solver.solve(&fx.problem).unwrap();
-        assert!(outcome.stats().converged());
+        let gnn = run(fx, Method::DdmGnn, &config, &[&fx.problem.rhs]);
+        assert!(gnn.stats().converged());
         assert!(
-            krylov::true_relative_residual(&fx.problem.matrix, outcome.x(), &fx.problem.rhs) < 1e-5
+            krylov::true_relative_residual(&fx.problem.matrix, gnn.x(), &fx.problem.rhs) < 1e-5
         );
-        let exact = solver.solve_with_exact_local_solver(&fx.problem).unwrap();
+        let exact = run(fx, Method::DdmLu, &config, &[&fx.problem.rhs]);
         assert!(exact.stats().converged());
-        assert!(sparse::vector::relative_error(exact.x(), outcome.x()) < 1e-4);
-        // The two functions underneath drive the same multilevel paths.
-        let lu_ml = run(fx, Method::DdmLu, &config, &[&fx.problem.rhs]);
-        let gnn_ml = run(fx, Method::DdmGnn, &config, &[&fx.problem.rhs]);
-        assert!(lu_ml.stats().converged() && gnn_ml.stats().converged());
-        assert!(lu_ml.stats().iterations <= gnn_ml.stats().iterations);
+        assert!(sparse::vector::relative_error(exact.x(), gnn.x()) < 1e-4);
+        assert!(exact.stats().iterations <= gnn.stats().iterations);
     }
 
     #[test]
     fn resilient_config_is_transparent_when_fault_free() {
         let fx = fixture();
-        let base = HybridSolverConfig {
-            subdomain_size: 250,
-            overlap: 2,
-            tolerance: 1e-6,
-            ..Default::default()
-        };
-        let plain = HybridSolver::new(fx.model.clone(), base.clone());
-        let resilient = HybridSolver::new(
-            fx.model.clone(),
-            HybridSolverConfig { resilience: Some(ResiliencePolicy::default()), ..base },
-        );
-        let p = plain.solve(&fx.problem).unwrap();
-        let r = resilient.solve(&fx.problem).unwrap();
+        let base = HybridSolverConfig::default();
+        let resilient =
+            HybridSolverConfig { resilience: Some(ResiliencePolicy::default()), ..base.clone() };
+        let p = run(fx, Method::DdmGnn, &base, &[&fx.problem.rhs]);
+        let r = run(fx, Method::DdmGnn, &resilient, &[&fx.problem.rhs]);
         assert!(p.stats().converged() && r.stats().converged());
         // The guards only read r/z, so a fault-free supervised solve is
         // bit-identical to the unsupervised one.

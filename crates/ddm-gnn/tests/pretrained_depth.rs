@@ -1,19 +1,18 @@
 //! The depth of the default model as an executable contract.
 //!
 //! `load_pretrained()` runs the first `PRETRAINED_DEPTH` blocks of the
-//! shipped 16-block file.  The rule that picked that depth (the
-//! `fig6_hyperparam_perf` depth sweep): the smallest depth whose PCG
-//! iteration count is ≤ the 16-block count on every multi-level problem and
-//! ≤ 1.1× it on every two-level one.  Iteration counts are deterministic, so
-//! the rule is asserted here on the sweep's 3k and 12k problems — counted,
-//! not timed.
+//! shipped 16-block file.  The rule that picked that depth (the depth sweep,
+//! `reproduce depth`): the smallest depth whose PCG iteration count is ≤ the
+//! 16-block count on every multi-level problem and ≤ 1.1× it on every
+//! two-level one.  Iteration counts are deterministic, so the rule is
+//! asserted here on the sweep's 3k and 12k problems — counted, not timed.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use ddm_gnn::{
-    build_tiers, generate_problem, load_pretrained, solve, AsmLevel, HybridSolverConfig, Method,
-    MultilevelConfig, PRETRAINED_DEPTH,
+    build_preconditioner, generate_problem, load_pretrained, solve, AsmLevel, HybridSolverConfig,
+    Method, MultilevelConfig, PRETRAINED_DEPTH,
 };
 use gnn::DssModel;
 use krylov::SolverOptions;
@@ -38,10 +37,11 @@ fn iterations(model: DssModel) -> Vec<usize> {
                 AsmLevel::TwoLevel
             };
             let config = HybridSolverConfig { level, ..Default::default() };
-            let tiers = build_tiers(&problem, &subdomains, Method::DdmGnn, Some(&model), &config)
-                .expect("DDM-GNN setup");
+            let precond =
+                build_preconditioner(&problem, &subdomains, Method::DdmGnn, Some(&model), &config)
+                    .expect("DDM-GNN setup");
             let opts = SolverOptions::with_tolerance(1e-6).max_iterations(4000);
-            let outcome = solve(&problem.matrix, &[&problem.rhs], Some(&*tiers[0]), &opts);
+            let outcome = solve(&problem.matrix, &[&problem.rhs], precond.as_deref(), &opts);
             assert!(outcome.stats().converged(), "problem ({seed}, {target}) did not converge");
             outcome.stats().iterations
         })

@@ -17,13 +17,16 @@ use std::time::Duration;
 
 use ddm::{AdditiveSchwarz, AsmLevel};
 use ddm_gnn::{
-    build_tiers, generate_problem, load_pretrained, solve, DdmGnnPreconditioner, DegradationLadder,
-    FaultInjectingPreconditioner, FaultKind, HybridSolverConfig, InjectedFault, Method, Precision,
-    ResiliencePolicy,
+    build_preconditioner, generate_problem, load_pretrained, solve, DdmGnnPreconditioner,
+    DegradationLadder, FaultInjectingPreconditioner, FaultKind, HybridSolverConfig, InjectedFault,
+    Method, Precision, ResiliencePolicy,
 };
 use fem::PoissonProblem;
 use gnn::DssModel;
-use krylov::{preconditioned_conjugate_gradient, Preconditioner, SolveResult, SolverOptions};
+use krylov::{
+    preconditioned_conjugate_gradient, JacobiPreconditioner, Preconditioner, SolveResult,
+    SolverOptions,
+};
 use partition::partition_mesh_with_overlap;
 
 /// FNV-1a over the bit patterns of a float sequence — the determinism
@@ -64,17 +67,37 @@ fn opts() -> SolverOptions {
     SolverOptions::with_tolerance(1e-6).max_iterations(4000)
 }
 
-/// The full degradation-ladder tier stack of the default (two-level, f64)
-/// DDM-GNN solve.
+/// The default DDM-GNN preconditioner (two-level, f64).
+fn gnn_tier(
+    problem: &PoissonProblem,
+    subdomains: &[Vec<usize>],
+    model: &Arc<DssModel>,
+) -> DdmGnnPreconditioner {
+    DdmGnnPreconditioner::with_precision(
+        problem,
+        subdomains.to_vec(),
+        Arc::clone(model),
+        true,
+        Precision::F64,
+    )
+    .expect("DDM-GNN setup failed")
+}
+
+/// The tier stack `build_preconditioner` assembles into the ladder of the
+/// default (two-level, f64) DDM-GNN solve, built here so a test can wrap its
+/// GNN tier.
 fn ladder_tiers(
     problem: &PoissonProblem,
     subdomains: &[Vec<usize>],
     model: &Arc<DssModel>,
 ) -> Vec<Box<dyn Preconditioner>> {
-    let config =
-        HybridSolverConfig { resilience: Some(ResiliencePolicy::default()), ..Default::default() };
-    build_tiers(problem, subdomains, Method::DdmGnn, Some(model), &config)
-        .expect("tier setup failed")
+    let asm = AdditiveSchwarz::new(&problem.matrix, subdomains.to_vec(), AsmLevel::TwoLevel)
+        .expect("ASM setup failed");
+    vec![
+        Box::new(gnn_tier(problem, subdomains, model)),
+        Box::new(asm),
+        Box::new(JacobiPreconditioner::new(&problem.matrix)),
+    ]
 }
 
 /// Fault-free reference: plain (unsupervised) DDM-GNN PCG, f64 inference.
@@ -83,14 +106,7 @@ fn fault_free(
     subdomains: &[Vec<usize>],
     model: &Arc<DssModel>,
 ) -> SolveResult {
-    let precond = DdmGnnPreconditioner::with_precision(
-        problem,
-        subdomains.to_vec(),
-        Arc::clone(model),
-        true,
-        Precision::F64,
-    )
-    .expect("DDM-GNN setup failed");
+    let precond = gnn_tier(problem, subdomains, model);
     preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &precond, &opts())
 }
 
@@ -222,9 +238,14 @@ fn fault_free_hash_matches_committed_baseline() {
             "DDM-LU hash drifted from the committed baseline (idx {idx})"
         );
 
-        let tiers = ladder_tiers(&problem, &subdomains, &model);
-        let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
-        let supervised = solve(&problem.matrix, &[&problem.rhs], Some(&ladder), &opts());
+        let config = HybridSolverConfig {
+            resilience: Some(ResiliencePolicy::default()),
+            ..Default::default()
+        };
+        let ladder =
+            build_preconditioner(&problem, &subdomains, Method::DdmGnn, Some(&model), &config)
+                .expect("ladder setup failed");
+        let supervised = solve(&problem.matrix, &[&problem.rhs], ladder.as_deref(), &opts());
         assert!(supervised.stats().converged());
         assert!(supervised.stats().faults.is_empty(), "fault-free supervised solve logged faults");
         assert_eq!(
@@ -235,9 +256,9 @@ fn fault_free_hash_matches_committed_baseline() {
     }
 }
 
-/// The default model — what `HybridSolver`, the examples and the benchmark
-/// run — has its own pins on the same problems.  CI runs this at 1 and 4
-/// rayon threads too.
+/// The default model — what the examples, the paper sections and the
+/// benchmark run — has its own pins on the same problems.  CI runs this at 1
+/// and 4 rayon threads too.
 #[test]
 #[ignore = "heavy e2e (full PCG solves): run in release via --include-ignored"]
 fn default_model_hash_matches_its_pins() {

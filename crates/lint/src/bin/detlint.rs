@@ -2,14 +2,12 @@
 //! determinism & resilience contracts.
 //!
 //! ```text
-//! detlint [--json] [--self-check] [--exclude-shims] [PATH …]
+//! detlint [--json] [--self-check] [PATH …]
 //! ```
 //!
 //! * no paths: discover the workspace root (walk up to the `Cargo.toml`
 //!   containing `[workspace]`) and scan every `.rs` file outside the
-//!   excluded directories (build output; the vendored shims ARE scanned —
-//!   `--include-shims` is the default, `--exclude-shims` restores the
-//!   pre-PR-10 scope),
+//!   excluded directories (build output; the vendored shims ARE scanned),
 //! * `--json`: machine-readable report on stdout,
 //! * `--self-check`: additionally fail on any live finding — so also on
 //!   any `pub` item that `unreferenced-pub` finds dead or too wide — and
@@ -34,22 +32,13 @@ use lint::{
 fn main() -> ExitCode {
     let mut json = false;
     let mut self_check = false;
-    let mut include_shims = true;
     let mut paths: Vec<PathBuf> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--self-check" => self_check = true,
-            // Default-on: the pool shim is the most determinism-critical
-            // code in the tree.  The explicit flag documents intent in CI
-            // invocations; --exclude-shims restores the pre-PR-10 scope.
-            "--include-shims" => include_shims = true,
-            "--exclude-shims" => include_shims = false,
             "--help" | "-h" => {
-                println!(
-                    "usage: detlint [--json] [--self-check] [--include-shims|--exclude-shims] \
-                     [PATH ...]"
-                );
+                println!("usage: detlint [--json] [--self-check] [PATH ...]");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
@@ -60,10 +49,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut cfg = Config::default();
-    if !include_shims {
-        cfg.exclude_shims();
-    }
+    let cfg = Config::default();
     let root = match std::env::current_dir().ok().and_then(|d| workspace_root(&d)) {
         Some(r) => r,
         None => {

@@ -22,8 +22,7 @@ pub struct Config {
     /// residual-history contract.
     pub deterministic_modules: Vec<String>,
     /// Directory fragments excluded from the walk entirely (build output;
-    /// the vendored shims are scanned by default since PR 10 — see
-    /// [`Config::exclude_shims`]).
+    /// the vendored shims are scanned).
     pub excluded_dirs: Vec<String>,
 }
 
@@ -122,13 +121,6 @@ impl Config {
     /// Whether the walk should skip this path entirely.
     pub(crate) fn is_excluded(&self, rel_path: &str) -> bool {
         Self::matches(&self.excluded_dirs, rel_path)
-    }
-
-    /// Restore the pre-PR-10 scan scope: vendored shims excluded.  The CLI
-    /// exposes this as `--exclude-shims` (`--include-shims` is the
-    /// default).
-    pub fn exclude_shims(&mut self) {
-        self.excluded_dirs.push("shims/".to_string());
     }
 }
 

@@ -221,10 +221,7 @@ mod tests {
         assert_eq!(classify_path("crates/gnn/tests/parity.rs"), FileClass::Test);
         assert_eq!(classify_path("tests/determinism.rs"), FileClass::Test);
         assert_eq!(classify_path("examples/quickstart.rs"), FileClass::Test);
-        assert_eq!(
-            classify_path("crates/bench/src/bin/table3_legacy_benchmark.rs"),
-            FileClass::Library
-        );
+        assert_eq!(classify_path("crates/bench/src/bin/reproduce.rs"), FileClass::Library);
     }
 
     #[test]

@@ -731,7 +731,7 @@ mod tests {
         let sys = "fn f() { let t = SystemTime::now(); }";
         assert_eq!(live_rules(&lint_at(PLAIN, sys)), vec!["nondet-clock"]);
         // Allowed in the bench harness and the resilience budget module.
-        assert!(lint_at("crates/bench/src/bin/table3_legacy_benchmark.rs", src).is_empty());
+        assert!(lint_at("crates/bench/src/bin/reproduce.rs", src).is_empty());
         assert!(lint_at("crates/krylov/src/resilience.rs", src).is_empty());
         // And in tests anywhere.
         let t = "#[cfg(test)]\nmod tests { fn f() { let t = Instant::now(); } }";

@@ -9,27 +9,13 @@ use crate::{Result, SparseError};
 
 /// A dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix {
+pub(crate) struct DenseMatrix {
     nrows: usize,
     ncols: usize,
     data: Vec<f64>,
 }
 
 impl DenseMatrix {
-    /// Zero matrix of the given shape.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        DenseMatrix { nrows, ncols, data: vec![0.0; nrows * ncols] }
-    }
-
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Build from a row-major vector.
     pub(crate) fn from_row_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != nrows * ncols {
@@ -43,44 +29,62 @@ impl DenseMatrix {
 
     /// Number of rows.
     #[inline]
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.nrows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
     }
 
     /// Immutable access to the row-major data.
     #[inline]
-    pub fn data(&self) -> &[f64] {
+    pub(crate) fn data(&self) -> &[f64] {
         &self.data
+    }
+}
+
+/// Constructors and accessors only the tests use.
+#[cfg(test)]
+impl DenseMatrix {
+    /// Zero matrix of the given shape.
+    pub(crate) fn zeros(nrows: usize, ncols: usize) -> Self {
+        DenseMatrix { nrows, ncols, data: vec![0.0; nrows * ncols] }
+    }
+
+    /// Identity matrix of size `n`.
+    pub(crate) fn identity(n: usize) -> Self {
+        let mut m = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            m.data[i * n + i] = 1.0;
+        }
+        m
     }
 
     /// Element accessor.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> f64 {
         debug_assert!(r < self.nrows && c < self.ncols);
         self.data[r * self.ncols + c]
     }
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         debug_assert!(r < self.nrows && c < self.ncols);
         self.data[r * self.ncols + c] = v;
     }
 
     /// Immutable view of row `r`.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.ncols..(r + 1) * self.ncols]
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> DenseMatrix {
+    pub(crate) fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.ncols, self.nrows);
         for r in 0..self.nrows {
             for c in 0..self.ncols {
@@ -91,7 +95,7 @@ impl DenseMatrix {
     }
 
     /// Fill with a constant.
-    pub fn fill(&mut self, value: f64) {
+    pub(crate) fn fill(&mut self, value: f64) {
         for v in &mut self.data {
             *v = value;
         }

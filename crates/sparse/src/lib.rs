@@ -6,8 +6,8 @@
 //! * [`CooMatrix`] — triplet builder used during finite-element assembly,
 //! * [`CsrMatrix`] — compressed sparse row storage with parallel
 //!   matrix–vector products and sub-matrix extraction,
-//! * [`DenseMatrix`] / [`LuFactor`] — dense kernels and LU with partial
-//!   pivoting used for the coarse problem of the two-level Schwarz method,
+//! * [`LuFactor`] — dense LU with partial pivoting, used for the coarse
+//!   problem of the two-level Schwarz method,
 //! * [`SkylineCholesky`] — envelope (skyline) Cholesky factorisation
 //!   combined with reverse Cuthill–McKee reordering, used as the exact sub-domain solver of
 //!   the DDM-LU baseline,
@@ -23,7 +23,7 @@
 pub mod cholesky;
 pub mod coo;
 pub mod csr;
-pub mod dense;
+mod dense;
 pub mod error;
 pub mod ic0;
 pub mod lu;
@@ -33,7 +33,6 @@ pub mod vector;
 pub use cholesky::SkylineCholesky;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use ic0::IncompleteCholesky;
 pub use lu::LuFactor;

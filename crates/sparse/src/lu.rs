@@ -7,7 +7,8 @@
 //! The same factorisation doubles as the reference "exact" solver in tests
 //! and in the relative-error metric of Table II.
 
-use crate::{CsrMatrix, DenseMatrix, Result, SparseError};
+use crate::dense::DenseMatrix;
+use crate::{CsrMatrix, Result, SparseError};
 
 /// A dense LU factorisation `P A = L U` with partial pivoting.
 #[derive(Debug, Clone)]

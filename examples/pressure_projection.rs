@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use ddm_gnn::{load_pretrained, DdmGnnPreconditioner, PipelineConfig};
+use ddm_gnn::{load_pretrained, DdmGnnPreconditioner};
 use fem::{PoissonProblem, SourceTerm};
 use krylov::{preconditioned_conjugate_gradient, SolverOptions};
 use meshgen::{generate_mesh, MeshingOptions, RandomBlobDomain};
@@ -33,10 +33,7 @@ fn main() {
     let n = mesh.num_nodes();
     let base = PoissonProblem::from_samples(mesh.clone(), &vec![0.0; n], &vec![0.0; n]);
 
-    let model = load_pretrained().unwrap_or_else(|| {
-        println!("no pre-trained model found — training a small one...");
-        ddm_gnn::train_model(&PipelineConfig::default()).model
-    });
+    let model = load_pretrained().expect("the shipped model in assets/");
     let subdomains = partition_mesh_with_overlap(&base.mesh, 200, 2, 0);
     println!("decomposition: {} sub-domains of ~200 nodes", subdomains.len());
 

@@ -6,19 +6,21 @@
 //!
 //! The example walks through the whole public API:
 //! 1. generate a random 2D domain, mesh it and assemble the Poisson system,
-//! 2. load the pre-trained Deep Statistical Solver (or train a small one if
-//!    the shipped model is missing),
+//! 2. load the pre-trained Deep Statistical Solver shipped in `assets/`,
 //! 3. solve with the GNN-preconditioned Conjugate Gradient and compare with
 //!    the exact-local-solver baseline (DDM-LU) and plain CG.
 
+use std::sync::Arc;
+
 use ddm_gnn::{
-    generate_problem, load_pretrained, solve, HybridSolver, HybridSolverConfig, Method,
-    PipelineConfig,
+    build_preconditioner, generate_problem, load_pretrained, solve, HybridSolverConfig, Method,
 };
 use krylov::SolverOptions;
+use partition::partition_mesh_with_overlap;
 
 fn main() {
-    // 1. A random global Poisson problem with ~2000 unknowns.
+    // 1. A random global Poisson problem with ~2000 unknowns, cut into
+    //    overlapping sub-domains of ~200 nodes.
     let problem = generate_problem(42, 2000);
     println!(
         "Problem: {} nodes, {} triangles, {} nonzeros",
@@ -26,13 +28,10 @@ fn main() {
         problem.mesh.num_triangles(),
         problem.matrix.nnz()
     );
+    let subdomains = partition_mesh_with_overlap(&problem.mesh, 200, 2, 0);
 
-    // 2. A trained DSS model: prefer the shipped weights, otherwise train a
-    //    small model from scratch (takes a minute or two on a laptop).
-    let model = load_pretrained().unwrap_or_else(|| {
-        println!("no pre-trained model found — training a small one (this takes a while)...");
-        ddm_gnn::train_model(&PipelineConfig::default()).model
-    });
+    // 2. The trained DSS model.
+    let model = Arc::new(load_pretrained().expect("the shipped model in assets/"));
     println!(
         "DSS model: k̄ = {}, d = {}, {} weights",
         model.config().num_blocks,
@@ -40,31 +39,25 @@ fn main() {
         model.num_params()
     );
 
-    // 3. The hybrid solver: two-level DDM-GNN preconditioned CG.
-    let solver = HybridSolver::new(
-        model,
-        HybridSolverConfig {
-            subdomain_size: 200,
-            overlap: 2,
-            tolerance: 1e-6,
-            ..Default::default()
-        },
+    // 3. Two-level DDM-GNN preconditioned CG against DDM-LU and plain CG.
+    let opts = SolverOptions::with_tolerance(1e-6).max_iterations(10_000);
+    let config = HybridSolverConfig::default();
+    println!(
+        "\n{:<10} {:>12} {:>12} {:>14} {:>14}",
+        "method", "iterations", "time [s]", "precond [s]", "rel. residual"
     );
-    let gnn = solver.solve(&problem).expect("DDM-GNN solve");
-    let lu = solver.solve_with_exact_local_solver(&problem).expect("DDM-LU solve");
-    let cg_opts = SolverOptions::with_tolerance(1e-6).max_iterations(10_000);
-    let cg = solve(&problem.matrix, &[&problem.rhs], None, &cg_opts);
-
-    println!("\n{:<10} {:>12} {:>12} {:>14}", "method", "iterations", "time [s]", "rel. residual");
-    for (method, outcome) in [(Method::DdmGnn, &gnn), (Method::DdmLu, &lu), (Method::Cg, &cg)] {
+    for method in [Method::DdmGnn, Method::DdmLu, Method::Cg] {
+        let precond = build_preconditioner(&problem, &subdomains, method, Some(&model), &config)
+            .expect("preconditioner setup");
+        let outcome = solve(&problem.matrix, &[&problem.rhs], precond.as_deref(), &opts);
         let rel = krylov::true_relative_residual(&problem.matrix, outcome.x(), &problem.rhs);
         println!(
-            "{:<10} {:>12} {:>12.4} {:>14.3e}",
+            "{:<10} {:>12} {:>12.4} {:>14.4} {:>14.3e}",
             method.name(),
             outcome.stats().iterations,
             outcome.total_seconds,
+            outcome.preconditioner_seconds,
             rel
         );
     }
-    println!("\nDDM-GNN spent {:.4}s inside the preconditioner.", gnn.preconditioner_seconds);
 }

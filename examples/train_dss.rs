@@ -17,7 +17,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ddm_gnn::{build_tiers, generate_problem, solve, HybridSolverConfig, Method, PipelineConfig};
+use ddm_gnn::{
+    build_preconditioner, generate_problem, solve, HybridSolverConfig, Method, PipelineConfig,
+};
 use gnn::{AdamConfig, DatasetConfig, DssConfig, TrainingConfig};
 use krylov::SolverOptions;
 use partition::partition_mesh_with_overlap;
@@ -104,9 +106,9 @@ fn main() {
     let model = Arc::new(trained.model.clone());
     let config = HybridSolverConfig::default();
     let run = |method| {
-        let tiers = build_tiers(&problem, &subdomains, method, Some(&model), &config)
+        let precond = build_preconditioner(&problem, &subdomains, method, Some(&model), &config)
             .expect("preconditioner setup");
-        solve(&problem.matrix, &[&problem.rhs], tiers.first().map(|t| t.as_ref()), &opts)
+        solve(&problem.matrix, &[&problem.rhs], precond.as_deref(), &opts)
     };
     let [cg, lu, gnn] = [Method::Cg, Method::DdmLu, Method::DdmGnn].map(run);
     println!("  CG      : {:>4} iterations, {:.3}s", cg.stats().iterations, cg.total_seconds);

@@ -68,12 +68,6 @@ impl ChaCha8Rng {
         self.idx += 1;
         w
     }
-
-    /// The current 64-bit block counter (for API parity with upstream).
-    pub fn get_word_pos(&self) -> u128 {
-        let counter = self.state[12] as u128 | ((self.state[13] as u128) << 32);
-        counter * 16 + self.idx as u128
-    }
 }
 
 impl RngCore for ChaCha8Rng {

@@ -23,7 +23,7 @@
 //! Supported API: the `prelude` entry-point traits for slices, `Vec<T>` and
 //! `Range<usize>`, the adapter chains used in this workspace (`map`, `zip`,
 //! `enumerate`, `filter_map`, `for_each`, `sum`, `collect`, `count`,
-//! `reduce`), plus [`join`], [`scope`] and [`current_num_threads`].
+//! `reduce`), plus [`join`] and [`current_num_threads`].
 //! Swapping in the registry rayon is still a one-line `[workspace.dependencies]`
 //! change; no source edits are needed.
 
@@ -59,49 +59,6 @@ where
     (ra.expect("join: first closure did not run"), rb.expect("join: second closure did not run"))
 }
 
-/// A scope in which borrowed tasks can be spawned (mirrors `rayon::scope`).
-///
-/// Spawned tasks are queued and executed on the pool when the scope closure
-/// returns; tasks may spawn further tasks, which are drained in waves until
-/// none remain.  `scope` only returns once every spawned task has finished.
-pub struct Scope<'env> {
-    #[allow(clippy::type_complexity)]
-    tasks: std::sync::Mutex<Vec<Box<dyn for<'a> FnOnce(&'a Scope<'env>) + Send + 'env>>>,
-}
-
-impl<'env> Scope<'env> {
-    /// Queue a task to run within the scope.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: for<'a> FnOnce(&'a Scope<'env>) + Send + 'env,
-    {
-        self.tasks.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(Box::new(f));
-    }
-}
-
-/// Create a scope for spawning borrowed tasks; blocks until all complete.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'env>) -> R,
-{
-    let s = Scope { tasks: std::sync::Mutex::new(Vec::new()) };
-    let result = f(&s);
-    loop {
-        let pending =
-            std::mem::take(&mut *s.tasks.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-        if pending.is_empty() {
-            break;
-        }
-        let scope_ref = &s;
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = pending
-            .into_iter()
-            .map(|task| Box::new(move || task(scope_ref)) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        pool::global().run_batch(jobs);
-    }
-    result
-}
-
 /// Number of threads the global pool executes parallel sections on.
 pub fn current_num_threads() -> usize {
     pool::global().num_threads()
@@ -110,7 +67,6 @@ pub fn current_num_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_iter_matches_iter() {
@@ -149,22 +105,6 @@ mod tests {
         );
         assert!(left.iter().all(|&x| x == 1.0));
         assert!(right.iter().all(|&x| x == 2.0));
-    }
-
-    #[test]
-    fn scope_runs_spawned_and_nested_tasks() {
-        let counter = AtomicUsize::new(0);
-        super::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|inner| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    inner.spawn(|_| {
-                        counter.fetch_add(10, Ordering::SeqCst);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 8 + 80);
     }
 
     #[test]

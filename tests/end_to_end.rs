@@ -25,9 +25,9 @@ fn run(
     bs: &[&[f64]],
     opts: &SolverOptions,
 ) -> SolveOutcome {
-    let tiers = ddm_gnn::build_tiers(problem, subdomains, method, model, config)
+    let precond = ddm_gnn::build_preconditioner(problem, subdomains, method, model, config)
         .expect("preconditioner setup");
-    ddm_gnn::solve(&problem.matrix, bs, tiers.first().map(|t| t.as_ref()), opts)
+    ddm_gnn::solve(&problem.matrix, bs, precond.as_deref(), opts)
 }
 
 /// The full numerical pipeline without any learned component: mesh a random
@@ -59,8 +59,8 @@ fn full_pipeline_with_exact_local_solvers() {
     assert!(sparse::vector::relative_error(&result.x, &exact) < 1e-5);
 }
 
-/// The hybrid solver with the shipped (or fallback) GNN model converges on a
-/// freshly generated problem it has never seen, and the solution matches the
+/// The hybrid solver with the shipped GNN model converges on a freshly
+/// generated problem it has never seen, and the solution matches the
 /// exact-preconditioner run.
 #[test]
 #[cfg_attr(
@@ -69,19 +69,13 @@ fn full_pipeline_with_exact_local_solvers() {
 )]
 fn hybrid_solver_end_to_end_on_unseen_problem() {
     let problem = ddm_gnn::generate_problem(12345, 1800);
-    let model = ddm_gnn::load_pretrained()
-        .unwrap_or_else(|| ddm_gnn::train_model(&ddm_gnn::PipelineConfig::default()).model);
-    let solver = ddm_gnn::HybridSolver::new(
-        model,
-        ddm_gnn::HybridSolverConfig {
-            subdomain_size: 200,
-            overlap: 2,
-            tolerance: 1e-6,
-            ..Default::default()
-        },
-    );
-    let gnn = solver.solve(&problem).expect("DDM-GNN solve");
-    let lu = solver.solve_with_exact_local_solver(&problem).expect("DDM-LU solve");
+    let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
+    let subdomains = partition_mesh_with_overlap(&problem.mesh, 200, 2, 0);
+    let opts = SolverOptions::with_tolerance(1e-6).max_iterations(5000);
+    let config = HybridSolverConfig::default();
+    let [gnn, lu] = [Method::DdmGnn, Method::DdmLu].map(|method| {
+        run(&problem, &subdomains, method, Some(&model), &config, &[&problem.rhs], &opts)
+    });
     assert!(gnn.stats().converged(), "hybrid solver must converge on unseen problems");
     assert!(lu.stats().converged());
     assert!(sparse::vector::relative_error(gnn.x(), lu.x()) < 1e-3);
@@ -123,10 +117,7 @@ fn formula_one_domain_with_holes_is_solvable() {
     ignore = "heavy end-to-end test: opt in with `cargo test --release -- --include-ignored`"
 )]
 fn gnn_preconditioner_generalises_across_subdomain_sizes() {
-    let model = Arc::new(
-        ddm_gnn::load_pretrained()
-            .unwrap_or_else(|| ddm_gnn::train_model(&ddm_gnn::PipelineConfig::default()).model),
-    );
+    let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
     let problem = ddm_gnn::generate_problem(777, 1500);
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(20_000);
     let config = HybridSolverConfig::default();
@@ -192,7 +183,7 @@ fn small_training_pipeline_produces_working_preconditioner() {
         },
         model_seed: 23,
     };
-    let trained = ddm_gnn::train_model(&config);
+    let trained = ddm_gnn::train_model_multi_size(&config, &[150]);
     let problem = ddm_gnn::generate_problem(404, 700);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
     let outcome = run(
@@ -270,16 +261,11 @@ fn singleton_partition_flows_through_decomposition_and_coarse_space() {
     assert!(krylov::true_relative_residual(&problem.matrix, &result.x, &problem.rhs) < 1e-7);
 }
 
-/// The hybrid GNN-preconditioned solve at smoke-test size, exercised with the
-/// shipped pre-trained model when present (skipped-by-fallback otherwise: an
-/// untrained fallback would make this test slow, which is the heavy tests'
-/// job).
+/// The hybrid GNN-preconditioned solve at smoke-test size, with the shipped
+/// pre-trained model.
 #[test]
 fn small_gnn_smoke_with_pretrained_model() {
-    let Some(model) = ddm_gnn::load_pretrained() else {
-        eprintln!("no pretrained model shipped; covered by the release-only heavy tests");
-        return;
-    };
+    let model = ddm_gnn::load_pretrained().expect("the shipped model in assets/");
     let problem = ddm_gnn::generate_problem(42, 500);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
     let outcome = run(
@@ -306,10 +292,7 @@ fn small_gnn_smoke_with_pretrained_model() {
     ignore = "heavy end-to-end test: opt in with `cargo test --release -- --include-ignored`"
 )]
 fn f32_preconditioner_iteration_count_within_ten_percent_of_f64() {
-    let model = Arc::new(
-        ddm_gnn::load_pretrained()
-            .unwrap_or_else(|| ddm_gnn::train_model(&ddm_gnn::PipelineConfig::default()).model),
-    );
+    let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
     let problem = ddm_gnn::generate_problem(991, 1800);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 200, 2, 0);
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(20_000);
@@ -343,10 +326,7 @@ fn f32_preconditioner_iteration_count_within_ten_percent_of_f64() {
     ignore = "heavy end-to-end test: opt in with `cargo test --release -- --include-ignored`"
 )]
 fn int8_preconditioner_iteration_count_within_fifteen_percent_of_f64() {
-    let model = Arc::new(
-        ddm_gnn::load_pretrained()
-            .unwrap_or_else(|| ddm_gnn::train_model(&ddm_gnn::PipelineConfig::default()).model),
-    );
+    let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
     let problem = ddm_gnn::generate_problem(991, 1800);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 200, 2, 0);
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(20_000);
@@ -388,10 +368,7 @@ fn batched_solve_matches_independent_solves_at_1_and_4_threads() {
     // RAYON_NUM_THREADS and write a signature of the per-column histories.
     if std::env::var(CHILD_ENV).is_ok() {
         let out = std::env::var(OUT_ENV).expect("child needs the output path");
-        let model =
-            Arc::new(ddm_gnn::load_pretrained().unwrap_or_else(|| {
-                ddm_gnn::train_model(&ddm_gnn::PipelineConfig::default()).model
-            }));
+        let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
         let problem = ddm_gnn::generate_problem(2024, 9000);
         let n = problem.num_unknowns();
         assert!(n > 8000, "problem must be ~9k unknowns, got {n}");

@@ -18,9 +18,6 @@ use krylov::Preconditioner;
 
 /// Shared fixture for the batched-apply properties: one small decomposed
 /// problem and the DDM-GNN preconditioner at every precision, built once.
-/// `None` when the pre-trained model asset is absent (the release-only heavy
-/// suite covers that configuration; training here would dwarf the property
-/// run).
 struct BatchedApplyFixture {
     problem: fem::PoissonProblem,
     f64_precond: ddm_gnn::DdmGnnPreconditioner,
@@ -28,29 +25,27 @@ struct BatchedApplyFixture {
     int8_precond: ddm_gnn::DdmGnnPreconditioner,
 }
 
-fn batched_apply_fixture() -> Option<&'static BatchedApplyFixture> {
-    static FIXTURE: OnceLock<Option<BatchedApplyFixture>> = OnceLock::new();
-    FIXTURE
-        .get_or_init(|| {
-            let model = Arc::new(ddm_gnn::load_pretrained()?);
-            let problem = ddm_gnn::generate_problem(816, 600);
-            let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
-            let build = |precision| {
-                ddm_gnn::DdmGnnPreconditioner::with_precision(
-                    &problem,
-                    subdomains.clone(),
-                    Arc::clone(&model),
-                    true,
-                    precision,
-                )
-                .expect("preconditioner setup")
-            };
-            let f64_precond = build(ddm_gnn::Precision::F64);
-            let f32_precond = build(ddm_gnn::Precision::F32);
-            let int8_precond = build(ddm_gnn::Precision::Int8);
-            Some(BatchedApplyFixture { problem, f64_precond, f32_precond, int8_precond })
-        })
-        .as_ref()
+fn batched_apply_fixture() -> &'static BatchedApplyFixture {
+    static FIXTURE: OnceLock<BatchedApplyFixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
+        let problem = ddm_gnn::generate_problem(816, 600);
+        let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
+        let build = |precision| {
+            ddm_gnn::DdmGnnPreconditioner::with_precision(
+                &problem,
+                subdomains.clone(),
+                Arc::clone(&model),
+                true,
+                precision,
+            )
+            .expect("preconditioner setup")
+        };
+        let f64_precond = build(ddm_gnn::Precision::F64);
+        let f32_precond = build(ddm_gnn::Precision::F32);
+        let int8_precond = build(ddm_gnn::Precision::Int8);
+        BatchedApplyFixture { problem, f64_precond, f32_precond, int8_precond }
+    })
 }
 
 /// `b` deterministic pseudo-random residual vectors derived from a seed.
@@ -226,7 +221,7 @@ proptest! {
         b in 1usize..9,
         seed in 0u64..200,
     ) {
-        let Some(fx) = batched_apply_fixture() else { return Ok(()); };
+        let fx = batched_apply_fixture();
         let n = fx.problem.num_unknowns();
         let residuals = batch_residuals(n, b, seed);
         let rs: Vec<&[f64]> = residuals.iter().map(|r| r.as_slice()).collect();
@@ -255,7 +250,7 @@ proptest! {
         b in 1usize..9,
         seed in 0u64..200,
     ) {
-        let Some(fx) = batched_apply_fixture() else { return Ok(()); };
+        let fx = batched_apply_fixture();
         let n = fx.problem.num_unknowns();
         let residuals = batch_residuals(n, b, seed);
         let rs: Vec<&[f64]> = residuals.iter().map(|r| r.as_slice()).collect();
