@@ -23,19 +23,25 @@
 //!   histories of DDM-GNN, DDM-LU and CG down to 1e-9.
 //!   `F5_TARGET_NODES`, default 12 000 (233 246); `F5_SUBSIZE`, default
 //!   200 (~1000).
-//! * `depth` — the sweep that picked `ddm_gnn::PRETRAINED_DEPTH`, no
-//!   training: every prefix `k̄ = 2 … 16` of the shipped model (each block
-//!   is trained on its own decoded residual) solves eleven problems, each
-//!   with sub-domains of 300, overlap 2, partition seed 0, tolerance 1e-6:
-//!   multi-level f64 on `generate_problem` (1, 3k), (2, 3k), (4, 12k),
-//!   (3, 24k), (7, 24k) and (6, 48k); two-level f64 and f32 on (1, 3k) and
-//!   (4, 12k); multi-level f64 on the Formula-1 problem of `fig5` at 12k
-//!   (sub-domains of 200, tolerance 1e-9).  The rule, fixed before
-//!   measuring: the default depth is the smallest whose iteration count is
-//!   ≤ the 16-block count on every multi-level problem and ≤ 1.1× it on
-//!   every two-level one.  Timings are at the process's thread count
-//!   (`RAYON_NUM_THREADS=1` for single-thread figures); the iteration counts
-//!   do not depend on it.
+//! * `depth` — the sweep that picked `ddm_gnn::PRETRAINED_DEPTH` and
+//!   `ddm_gnn::MULTILEVEL_DEPTH`, no training: every prefix `k̄ = 1 … 16` of
+//!   the shipped model (each block is trained on its own decoded residual,
+//!   and every prefix runs all its blocks under every coarse kind) solves
+//!   eleven problems, each with sub-domains of 300, overlap 2, partition
+//!   seed 0, tolerance 1e-6: multi-level f64 on `generate_problem` (1, 3k),
+//!   (2, 3k), (4, 12k), (3, 24k), (7, 24k) and (6, 48k); two-level f64 and
+//!   f32 on (1, 3k) and (4, 12k); multi-level f64 on the Formula-1 problem
+//!   of `fig5` at 12k (sub-domains of 200, tolerance 1e-9).  Two rules,
+//!   fixed before measuring, each print their pick.  `PRETRAINED_DEPTH`, the
+//!   depth one- and two-level preconditioners run: the smallest depth whose
+//!   iteration count is ≤ the 16-block count on every multi-level problem
+//!   and ≤ 1.1× it on every two-level one.  `MULTILEVEL_DEPTH`, the depth
+//!   the V-cycle's local solves run: among the depths whose iteration count
+//!   is ≤ 1.3× the 16-block count on every multi-level problem, the one with
+//!   the lowest setup + solve seconds summed over those problems.  Timings
+//!   are at the process's thread count (`RAYON_NUM_THREADS=1` for the
+//!   single-thread figures the second rule is stated for); the iteration
+//!   counts do not depend on it.
 //! * `grid` — Table II and Fig. 6 over the (k̄, d) grid, each architecture
 //!   trained once: its Table II row is the test residual, the relative
 //!   error against exact local solves and the weight count; its Fig. 6 row
@@ -56,7 +62,7 @@ use bench::{
 };
 use ddm_gnn::{
     generate_problem, train_model_multi_size, AsmLevel, HybridSolverConfig, Method,
-    MultilevelConfig, PipelineConfig, Precision, PRETRAINED_DEPTH,
+    MultilevelConfig, PipelineConfig, Precision, MULTILEVEL_DEPTH, PRETRAINED_DEPTH,
 };
 use fem::PoissonProblem;
 use gnn::{AdamConfig, DatasetConfig, DssConfig, DssModel, TrainingConfig};
@@ -329,43 +335,48 @@ fn sweep_problems() -> Vec<SweepProblem> {
     problems
 }
 
-/// The depth sweep of the shipped model, and the depth its rule picks.
+/// The depth sweep of the shipped model, and the depths its two rules pick.
 fn depth() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets/pretrained_k16_d10.dss");
     let anchor = gnn::io::load_model(Path::new(path)).expect("the shipped model in assets/");
     let full_depth = anchor.config().num_blocks;
     let problems = sweep_problems();
+    let is_multilevel = |p: &SweepProblem| matches!(p.config.level, AsmLevel::Multilevel(_));
     println!(
         "FIG. 6 (depth) — the shipped k̄ = {full_depth} model cut to its first k̄ blocks, \
-         {} thread(s); iterations per problem, Σ total seconds",
+         {} thread(s); iterations per problem, Σ total seconds (all problems, multi-level ones)",
         rayon::current_num_threads()
     );
     print!("{:>4} |", "k̄");
     for p in &problems {
         print!(" {:>15}", p.name);
     }
-    println!(" | {:>8}", "Σ T [s]");
+    println!(" | {:>8} {:>8}", "Σ T [s]", "Σ T_ml");
 
     let mut csv_rows = Vec::new();
-    let mut counts: Vec<(usize, Vec<usize>)> = Vec::new();
-    for depth in (2..=full_depth).rev() {
+    // (depth, iterations per problem, Σ seconds over the multi-level problems)
+    let mut rows: Vec<(usize, Vec<usize>, f64)> = Vec::new();
+    for depth in (1..=full_depth).rev() {
         let mut model = anchor.clone();
         model.truncate(depth);
         let model = Arc::new(model);
         let mut iterations = Vec::with_capacity(problems.len());
-        let mut total = 0.0;
+        let (mut total, mut multilevel_total) = (0.0, 0.0);
         for p in &problems {
             let (its, apply_s, total_s) = p.run(&model);
             csv_rows.push(format!("{depth},{},{its},{apply_s:.4},{total_s:.4}", p.name));
             iterations.push(its);
             total += total_s;
+            if is_multilevel(p) {
+                multilevel_total += total_s;
+            }
         }
         print!("{depth:>4} |");
         for its in &iterations {
             print!(" {its:>15}");
         }
-        println!(" | {total:>8.2}");
-        counts.push((depth, iterations));
+        println!(" | {total:>8.2} {multilevel_total:>8.2}");
+        rows.push((depth, iterations, multilevel_total));
     }
     write_csv(
         "fig6_depth_sweep.csv",
@@ -373,21 +384,31 @@ fn depth() {
         &csv_rows,
     );
 
-    let full = &counts[0].1;
-    let meets = |its: &[usize]| {
+    // Whether every count is within the given tenths of the 16-block count
+    // on its problem: `multilevel` on the multi-level problems,
+    // `two_level` (if any) on the others.
+    let full = &rows[0].1;
+    let keeps = |its: &[usize], multilevel: usize, two_level: Option<usize>| {
         problems.iter().zip(its).zip(full).all(|((p, &its), &full)| {
-            if matches!(p.config.level, AsmLevel::Multilevel(_)) {
-                its <= full
-            } else {
-                10 * its <= 11 * full
-            }
+            let tenths = if is_multilevel(p) { Some(multilevel) } else { two_level };
+            tenths.is_none_or(|tenths| 10 * its <= tenths * full)
         })
     };
-    let picked = counts.iter().filter(|(_, its)| meets(its)).map(|(d, _)| *d).min();
+    let pretrained = rows.iter().filter(|(_, its, _)| keeps(its, 10, Some(11))).map(|r| r.0).min();
     println!(
         "smallest depth with iterations ≤ k̄ = {full_depth} on every multi-level problem and \
-         ≤ 1.1× on every two-level one: {} (PRETRAINED_DEPTH = {PRETRAINED_DEPTH})\n",
-        picked.unwrap_or(full_depth)
+         ≤ 1.1× on every two-level one: {} (PRETRAINED_DEPTH = {PRETRAINED_DEPTH})",
+        pretrained.unwrap_or(full_depth)
+    );
+    let multilevel = rows
+        .iter()
+        .filter(|(_, its, _)| keeps(its, 13, None))
+        .min_by(|a, b| a.2.total_cmp(&b.2))
+        .map(|r| r.0);
+    println!(
+        "fastest multi-level setup + solve among the depths with iterations ≤ 1.3× k̄ = \
+         {full_depth} on every multi-level problem: {} (MULTILEVEL_DEPTH = {MULTILEVEL_DEPTH})\n",
+        multilevel.unwrap_or(full_depth)
     );
 }
 

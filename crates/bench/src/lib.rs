@@ -2,9 +2,10 @@
 //!
 //! `reproduce <section>…` regenerates the paper's evaluation, one section
 //! per artifact: `table1`, `table3`, `fig5`, `depth` (the sweep that picked
-//! `ddm_gnn::PRETRAINED_DEPTH`) and `grid` (Table II and Fig. 6 from one
-//! training run per architecture).  Each section prints the same row/series
-//! structure as the paper and writes a CSV under `target/experiments/`.
+//! `ddm_gnn::PRETRAINED_DEPTH` and `ddm_gnn::MULTILEVEL_DEPTH`) and `grid`
+//! (Table II and Fig. 6 from one training run per architecture).  Each
+//! section prints the same row/series structure as the paper and writes a
+//! CSV under `target/experiments/`.
 //! `detsan_suite` is the concurrency sanitizer's schedule-fuzz acceptance
 //! run.
 //!
@@ -52,10 +53,12 @@ pub fn formula_one_problem(target_nodes: usize) -> PoissonProblem {
 pub fn shipped_model() -> Arc<DssModel> {
     let model = ddm_gnn::load_pretrained().expect("the shipped model in assets/");
     println!(
-        "using pre-trained DSS model: k̄ = {}, d = {}, {} weights",
-        model.config().num_blocks,
+        "using pre-trained DSS model: d = {}, {} weights; k̄ = {} under one- and two-level \
+         coarse components, {} under the multi-level V-cycle",
         model.config().latent_dim,
-        model.num_params()
+        model.num_params(),
+        model.config().num_blocks,
+        model.multilevel_depth()
     );
     Arc::new(model)
 }

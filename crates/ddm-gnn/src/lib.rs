@@ -26,7 +26,8 @@
 //!   preconditioner through one timed Krylov call,
 //! * [`pipeline`] — end-to-end helpers: problem generation, model training
 //!   and evaluation with one call each, and [`load_pretrained`]: the shipped
-//!   16-block model run at its first [`PRETRAINED_DEPTH`] blocks, the one
+//!   16-block model run at its first [`PRETRAINED_DEPTH`] blocks — its first
+//!   [`MULTILEVEL_DEPTH`] under a multi-level coarse component — the one
 //!   model every example, paper section and test loads.
 
 // Library code must not panic via unwrap — the apply path runs under
@@ -46,7 +47,7 @@ pub use krylov::{
 };
 pub use pipeline::{
     generate_problem, load_pretrained, train_model_multi_size, PipelineConfig, TrainedModel,
-    PRETRAINED_DEPTH,
+    MULTILEVEL_DEPTH, PRETRAINED_DEPTH,
 };
 pub use preconditioner::DdmGnnPreconditioner;
 pub use solver::{build_preconditioner, solve, HybridSolverConfig, Method, SolveOutcome};

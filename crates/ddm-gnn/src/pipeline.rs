@@ -60,21 +60,40 @@ pub struct TrainedModel {
 /// full model's on every multi-level problem of the Fig. 6 depth sweep and
 /// within 10 % of it on every two-level one (the `depth` section of the
 /// `reproduce` binary).
-/// Inference cost is linear in depth, so this halves the apply.
+/// Inference cost is linear in depth, so this halves the apply.  One- and
+/// two-level preconditioners run all of them; under a multi-level coarse
+/// component the model runs [`MULTILEVEL_DEPTH`].
 pub const PRETRAINED_DEPTH: usize = 8;
+
+/// Number of leading blocks the model of [`load_pretrained`] runs under a
+/// multi-level coarse component ([`DssModel::multilevel_depth`]): among the
+/// depths `1 ..= 16` whose PCG iteration count is ≤ 1.3× the 16-block count
+/// on every multi-level problem of the Fig. 6 depth sweep, the one with the
+/// lowest summed setup + solve time on one thread (the `depth` section of
+/// the `reproduce` binary).
+///
+/// The V-cycle carries convergence there, so the pick is a single block:
+/// the apply-time network then sees no neighbour's residual — each node's
+/// correction is a function of its own normalised residual and its edges'
+/// geometry — which makes it a learned node-wise smoother under the
+/// V-cycle.
+pub const MULTILEVEL_DEPTH: usize = 1;
 
 /// The shipped model file: 16 trained blocks, `d = 10`, `α = 1/16`.  Loaded
 /// whole it is the bit-pinned anchor of the f64 solver hashes.
 const PRETRAINED_FILE: &str = "assets/pretrained_k16_d10.dss";
 
 /// Locate and load the pre-trained DSS model shipped with the repository,
-/// cut to its first [`PRETRAINED_DEPTH`] blocks ([`DssModel::truncate`]).
+/// cut to its first [`PRETRAINED_DEPTH`] blocks ([`DssModel::truncate`]),
+/// of which it runs the first [`MULTILEVEL_DEPTH`] under a multi-level
+/// coarse component ([`DssModel::set_multilevel_depth`]).
 ///
 /// When the `DDM_GNN_MODEL` environment variable is set (and not empty),
-/// that file is loaded instead, at the depth it was saved with, and nothing
-/// else is tried: an unreadable path gives `None` rather than a different
-/// model.  `DDM_GNN_MODEL=assets/pretrained_k16_d10.dss` therefore runs the
-/// full 16-block anchor.  Otherwise the workspace-level
+/// that file is loaded instead, at the depth it was saved with and running
+/// every block under every coarse component, and nothing else is tried: an
+/// unreadable path gives `None` rather than a different model.
+/// `DDM_GNN_MODEL=assets/pretrained_k16_d10.dss` therefore runs the full
+/// 16-block anchor.  Otherwise the workspace-level
 /// `assets/pretrained_k16_d10.dss` is used (produced by
 /// `cargo run --release --example train_dss` with `DSS_MODEL_OUT` set).
 /// Returns `None` when no model file can be found or parsed; callers report
@@ -97,6 +116,7 @@ fn load_pretrained_from(explicit: Option<&Path>) -> Option<DssModel> {
         return None;
     }
     model.truncate(PRETRAINED_DEPTH);
+    model.set_multilevel_depth(MULTILEVEL_DEPTH);
     Some(model)
 }
 
@@ -190,12 +210,15 @@ mod tests {
         let per_block = anchor.num_params() / 16;
         assert_eq!(per_block, 1251);
         assert_eq!(model.flatten()[..], anchor.flatten()[..PRETRAINED_DEPTH * per_block]);
+        assert_eq!(model.multilevel_depth(), MULTILEVEL_DEPTH);
+        assert_eq!(anchor.multilevel_depth(), 16);
     }
 
     #[test]
     fn explicit_model_path_loads_that_file_at_its_depth_or_nothing() {
         let anchor = load_pretrained_from(Some(&anchor_path())).expect("checked-in model");
         assert_eq!(anchor.config().num_blocks, 16, "an explicit file keeps its saved depth");
+        assert_eq!(anchor.multilevel_depth(), 16, "…under every coarse component");
         // The bug this pins: a set but unreadable path silently loaded the
         // shipped model instead.
         let missing = std::env::temp_dir().join("ddm-gnn-no-such-model.dss");

@@ -167,6 +167,14 @@ impl DdmGnnPreconditioner {
 
     /// [`AsmLevel::Multilevel`] preconditioner: a smoothed-aggregation
     /// V-cycle instead of the single-shot Nicolaides solve.
+    ///
+    /// The V-cycle carries the global convergence here, so the local solves
+    /// run only the model's first [`DssModel::multilevel_depth`] blocks (all
+    /// of them unless set; one on the shipped model, see
+    /// [`crate::MULTILEVEL_DEPTH`]), at every precision.  At one block the
+    /// network sees no neighbour's residual: each node's correction depends
+    /// on its own normalised residual and its edges' geometry, a learned
+    /// node-wise smoother under the V-cycle.
     pub fn with_multilevel_coarse(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -200,7 +208,10 @@ impl DdmGnnPreconditioner {
     ///
     /// At every precision a plan holds graph structure and block 1's edge
     /// sums (`28 e + (4 + 16 d) n` bytes in f64, `16 e + (4 + 8 d) n` in
-    /// f32) next to one shared weight pack.
+    /// f32) next to one shared weight pack.  Under [`AsmLevel::Multilevel`]
+    /// the plans are built from the model cut to its
+    /// [`DssModel::multilevel_depth`]; one- and two-level ones run every
+    /// block.
     pub(crate) fn build(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -208,6 +219,15 @@ impl DdmGnnPreconditioner {
         level: AsmLevel,
         precision: Precision,
     ) -> sparse::Result<Self> {
+        let depth = model.multilevel_depth();
+        let model = match level {
+            AsmLevel::Multilevel(_) if depth < model.config().num_blocks => {
+                let mut cut = DssModel::clone(&model);
+                cut.truncate(depth);
+                Arc::new(cut)
+            }
+            _ => model,
+        };
         let decomposition = Decomposition::new(&problem.matrix, subdomains);
         let graphs = build_local_graphs(problem, &decomposition);
         let suffix = match precision {
@@ -225,7 +245,8 @@ impl DdmGnnPreconditioner {
         Ok(DdmGnnPreconditioner { shell, graphs, model, precision })
     }
 
-    /// The underlying DSS model.
+    /// The DSS model the local solves run: the one passed in, cut to its
+    /// [`DssModel::multilevel_depth`] under a multi-level coarse component.
     pub fn model(&self) -> &DssModel {
         &self.model
     }
@@ -602,6 +623,59 @@ mod tests {
         assert!(
             krylov::true_relative_residual(&fx.problem.matrix, &result.x, &fx.problem.rhs) < 1e-5
         );
+    }
+
+    #[test]
+    fn multilevel_depth_sets_the_blocks_only_the_v_cycle_runs() {
+        // A random 3-block model on the fixture: which blocks every local
+        // solve runs, and the bits of one apply, per coarse kind and
+        // precision.
+        let fx = fixture();
+        let ml = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
+        let levels = [AsmLevel::OneLevel, AsmLevel::TwoLevel, ml];
+        let run = |model: &DssModel, level, precision| {
+            let p = DdmGnnPreconditioner::build(
+                &fx.problem,
+                fx.subdomains.clone(),
+                Arc::new(model.clone()),
+                level,
+                precision,
+            )
+            .unwrap();
+            let blocks = p.model().config().num_blocks;
+            for solve in p.shell.local_solves() {
+                assert_eq!(solve.model.config().num_blocks, blocks);
+            }
+            let mut z = vec![0.0; p.dim()];
+            p.apply(&fx.problem.rhs, &mut z);
+            (blocks, z.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let full = DssModel::new(gnn::DssConfig { num_blocks: 3, latent_dim: 4, alpha: 0.1 }, 9);
+        let mut set = full.clone();
+        set.set_multilevel_depth(2);
+        let mut cut = full.clone();
+        cut.truncate(2);
+        for level in levels {
+            for precision in [Precision::F64, Precision::F32, Precision::Int8] {
+                // Without the setting every coarse kind runs all blocks.
+                let (blocks, all) = run(&full, level, precision);
+                assert_eq!(blocks, 3, "{level:?} {precision}");
+                // With it only the V-cycle's local solves are cut, to the
+                // bits of the cut model.
+                let (blocks, z) = run(&set, level, precision);
+                if level == ml {
+                    assert_eq!((blocks, &z), (2, &run(&cut, level, precision).1), "{precision}");
+                    assert_ne!(z, all, "{precision}");
+                } else {
+                    assert_eq!((blocks, &z), (3, &all), "{level:?} {precision}");
+                }
+            }
+        }
+        // A cut below the setting clamps it.
+        let mut shallow = set.clone();
+        shallow.truncate(1);
+        assert_eq!(shallow.multilevel_depth(), 1);
+        assert_eq!(run(&shallow, ml, Precision::F64).0, 1);
     }
 
     /// What a [`Masked`] local solve does on its sub-domain.

@@ -22,7 +22,10 @@
 //! model is a trained solver too, and depth is the inference cost: the apply
 //! is linear in `k̄`.  [`DssModel::truncate`] cuts a model to its first blocks
 //! — how the shipped `k̄ = 16` model runs at the depth time-to-solution picks
-//! (`ddm_gnn::PRETRAINED_DEPTH`).
+//! (`ddm_gnn::PRETRAINED_DEPTH`).  A model also carries how many of its
+//! leading blocks a preconditioner runs under a multi-level coarse component
+//! ([`DssModel::multilevel_depth`], `ddm_gnn::MULTILEVEL_DEPTH` on the
+//! shipped one), where the V-cycle carries convergence.
 
 use std::sync::{Arc, OnceLock};
 
@@ -146,6 +149,9 @@ pub(crate) mod sealed {
 pub struct DssModel {
     config: DssConfig,
     blocks: Vec<Block>,
+    /// Leading blocks run under a multi-level coarse component, in
+    /// `1..=num_blocks`; all of them unless set.  Not saved with the model.
+    multilevel_depth: usize,
     /// The engine's weight packs; reset whenever the parameters change.
     packs: PackCache,
 }
@@ -156,7 +162,8 @@ impl DssModel {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let blocks =
             (0..config.num_blocks).map(|_| Block::xavier(config.latent_dim, &mut rng)).collect();
-        DssModel { config, blocks, packs: PackCache::default() }
+        let multilevel_depth = config.num_blocks;
+        DssModel { config, blocks, multilevel_depth, packs: PackCache::default() }
     }
 
     /// The model hyper-parameters.
@@ -174,6 +181,7 @@ impl DssModel {
         DssModel {
             config: self.config,
             blocks: self.blocks.iter().map(Block::zeros_like).collect(),
+            multilevel_depth: self.multilevel_depth,
             packs: PackCache::default(),
         }
     }
@@ -258,18 +266,46 @@ impl DssModel {
     /// block `num_blocks`' decoder.  The step `α` the blocks were trained
     /// with is kept — a model rebuilt through [`DssConfig::new`] at the new
     /// depth would not have it.  Weight packs built before the cut are
-    /// dropped, so plans built afterwards run the cut model.
+    /// dropped, so plans built afterwards run the cut model.  A
+    /// [`DssModel::multilevel_depth`] above the cut is clamped to it.
     ///
     /// Panics unless `1 ≤ num_blocks ≤` the current depth.
     pub fn truncate(&mut self, num_blocks: usize) {
-        assert!(
-            (1..=self.blocks.len()).contains(&num_blocks),
-            "truncate: depth {num_blocks} is outside 1..={}",
-            self.blocks.len()
-        );
+        self.check_depth("truncate", num_blocks);
         self.packs = PackCache::default();
         self.blocks.truncate(num_blocks);
         self.config.num_blocks = num_blocks;
+        self.multilevel_depth = self.multilevel_depth.min(num_blocks);
+    }
+
+    /// How many leading blocks a preconditioner runs when a multi-level
+    /// coarse component (a V-cycle) carries the global convergence: it
+    /// builds its plans from the model cut to this depth, while one- and
+    /// two-level preconditioners run every block.  All blocks unless
+    /// [`DssModel::set_multilevel_depth`] chose fewer; it is a run-time
+    /// setting, not written by [`crate::io::save_model`].
+    pub fn multilevel_depth(&self) -> usize {
+        self.multilevel_depth
+    }
+
+    /// Run only the first `depth` blocks under a multi-level coarse
+    /// component (see [`DssModel::multilevel_depth`]).  At `depth = 1` no
+    /// block sees a neighbour's latent state: each node's output depends on
+    /// its own input and its edges' geometry alone, a learned node-wise
+    /// smoother.
+    ///
+    /// Panics unless `1 ≤ depth ≤` the model's depth.
+    pub fn set_multilevel_depth(&mut self, depth: usize) {
+        self.check_depth("set_multilevel_depth", depth);
+        self.multilevel_depth = depth;
+    }
+
+    fn check_depth(&self, what: &str, depth: usize) {
+        assert!(
+            (1..=self.blocks.len()).contains(&depth),
+            "{what}: depth {depth} is outside 1..={}",
+            self.blocks.len()
+        );
     }
 
     /// Mutable access to the parameters — the only one besides
@@ -971,6 +1007,32 @@ mod tests {
         let (plan32, rebuilt32) =
             (model.build_plan_f32(&graph, false), rebuilt.build_plan_f32(&graph, false));
         assert_eq!(run(&model, &plan32, &graph.input), run(&rebuilt, &rebuilt32, &graph.input));
+    }
+
+    #[test]
+    fn multilevel_depth_defaults_to_all_blocks_and_truncate_clamps_it() {
+        let mut model = DssModel::new(DssConfig::new(5, 3), 2);
+        assert_eq!(model.multilevel_depth(), 5);
+        model.set_multilevel_depth(3);
+        assert_eq!(model.multilevel_depth(), 3);
+        model.truncate(4);
+        assert_eq!(model.multilevel_depth(), 3, "a cut above the depth keeps it");
+        model.truncate(2);
+        assert_eq!(model.multilevel_depth(), 2, "a cut below the depth clamps it");
+        // A run-time setting: the file holds the blocks, not the depth.
+        model.set_multilevel_depth(1);
+        let path = std::env::temp_dir().join(format!("dss_ml_depth_{}", std::process::id()));
+        crate::io::save_model(&path, &model).unwrap();
+        let loaded = crate::io::load_model(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.flatten(), model.flatten());
+        assert_eq!(loaded.multilevel_depth(), 2, "a loaded model runs all its blocks");
+    }
+
+    #[test]
+    #[should_panic(expected = "set_multilevel_depth: depth 4 is outside 1..=3")]
+    fn multilevel_depth_cannot_exceed_the_model() {
+        DssModel::new(DssConfig::new(3, 4), 1).set_multilevel_depth(4);
     }
 
     #[test]

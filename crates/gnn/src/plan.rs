@@ -26,7 +26,9 @@
 //! The one exception is block 1.  The latent state enters it as `H⁰ = 0`,
 //! so its node GEMM is exactly `+0` and its edge sums `Σ relu(W_geo g_e +
 //! b₁)` depend on the plan only: the plan computes them once, with the same
-//! sweep, and every apply copies them instead of sweeping.
+//! sweep, and every apply reads them instead of sweeping — in place as the
+//! Ψ operand of a one-column apply, one copy per column in a batch.  A
+//! one-block model therefore runs no edge sweep at apply time at all.
 //!
 //! There is one engine, generic over the [`Scalar`] type `T`:
 //!
@@ -80,10 +82,10 @@ use crate::model::{Block, DssModel};
 /// size of `F32` and perturbs the output far more: its relative forward
 /// error stays within 1e-2 only on random shallow models (~1e-3 there) and
 /// grows with trained depth: ≈ 2e-2 through the 8 blocks the shipped model
-/// runs by default, ≈ 6e-2 through all 16 (about 5e-3 of a whole
-/// preconditioner application there), which flexible PCG absorbs within a
-/// few iterations; it exists to answer whether the model survives int8
-/// weights.
+/// runs under one- and two-level coarse components, ≈ 6e-2 through all 16
+/// (about 5e-3 of a whole preconditioner application there), which
+/// flexible PCG absorbs within a few iterations; it exists to answer
+/// whether the model survives int8 weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double-precision inference (bit-reproducible engine, the default).
@@ -507,7 +509,7 @@ pub struct InferencePlan<T = f64> {
     /// Largest in-degree: the rows of the batched sweep's `geo_buf`.
     max_degree: usize,
     /// Block 1's per-node edge sums `[fwd | bwd]` (`n × 2d`), which every
-    /// forward pass copies instead of sweeping.  Empty only where a test
+    /// forward pass reads instead of sweeping.  Empty only where a test
     /// runs block 1 live against them.
     block1_hsum: Vec<T>,
     weights: Arc<WeightPack<T>>,
@@ -839,14 +841,16 @@ fn forward<T: Scalar>(
     geo_buf.resize(plan.max_degree.max(1) * d2, T::ZERO);
 
     for (k, pb) in w.blocks.iter().enumerate() {
-        if k == 0 && !plan.block1_hsum.is_empty() {
+        let cached = k == 0 && !plan.block1_hsum.is_empty();
+        if cached && b > 1 {
             // `H⁰ = 0`: block 1's node terms are `+0` and its edge sums are
-            // the plan's, the same for each of a node's `b` rows.
+            // the plan's, the same for each of a node's `b` rows.  With
+            // `b = 1` the plan's rows are the Ψ operand as they stand.
             let sums = plan.block1_hsum.chunks_exact(d2).flat_map(|s| std::iter::repeat_n(s, b));
             for (row, sum) in hsum.chunks_exact_mut(d2).zip(sums) {
                 row.copy_from_slice(sum);
             }
-        } else {
+        } else if !cached {
             // Node-level GEMM: the h-dependent halves of the split first
             // layer, both message directions and both roles of a node at
             // once (`4d` wide).
@@ -866,10 +870,11 @@ fn forward<T: Scalar>(
         // backward) — one pass, ReLU on the way out; the second layer steps
         // `H` in place.  Block 1's `c` term comes before its message sums, so
         // the sums cannot fold into a static term.
+        let sums = if cached && b == 1 { &plan.block1_hsum[..] } else { &hsum[..] };
         let psi_in = [
             Operand { x: &node_in[..], in_dim: 2, wt: &pb.psi_node_t[..] },
             Operand { x: &h[..], in_dim: d, wt: &pb.psi_w_h_t[..] },
-            Operand { x: &hsum[..], in_dim: d2, wt: &pb.psi_m_t[..] },
+            Operand { x: sums, in_dim: d2, wt: &pb.psi_m_t[..] },
         ];
         gemm_t(psi_in, rows, d, &pb.psi_bias, Epilogue::Relu, psi_hidden);
         let psi_out = [Operand { x: &psi_hidden[..], in_dim: d, wt: &pb.psi_l2_wt[..] }];
@@ -939,8 +944,9 @@ pub(crate) mod tests {
         out
     }
 
-    /// A forward pass that copies block 1's sums from the plan has the bits
-    /// of the same forward pass running block 1 live, at `b ∈ {1, 3}`.
+    /// A forward pass that reads block 1's sums from the plan (in place at
+    /// `b = 1`, copied per column at `b = 3`) has the bits of the same
+    /// forward pass running block 1 live.
     fn block1_cache_matches_live<T: Scalar>(model: &DssModel, graph: &LocalGraph) {
         let cached = InferencePlan::<T>::new(model, graph);
         let mut live = InferencePlan::<T>::new(model, graph);
@@ -1044,7 +1050,10 @@ pub(crate) mod tests {
     #[test]
     fn block1_sums_from_the_plan_have_the_bits_of_the_live_sweep() {
         let (models, graph) = shipped_and_d6_models();
-        for model in &models {
+        // The first block alone: a forward pass without any edge sweep.
+        let mut one_block = models[0].clone();
+        one_block.truncate(1);
+        for model in models.iter().chain([&one_block]) {
             block1_cache_matches_live::<f64>(model, &graph);
             block1_cache_matches_live::<f32>(model, &graph);
         }
