@@ -469,16 +469,11 @@ fn grid() {
                     max_iterations_per_problem: 15,
                     max_samples: Some(samples_cap),
                     seed: 1,
-                    ..Default::default()
                 },
                 training: TrainingConfig {
                     epochs,
                     batch_size: 16,
-                    adam: AdamConfig {
-                        learning_rate: 5e-3,
-                        clip_norm: Some(1.0),
-                        ..Default::default()
-                    },
+                    adam: AdamConfig { learning_rate: 5e-3, clip_norm: Some(1.0) },
                     validation_fraction: 0.15,
                     lr_patience: 8,
                     lr_factor: 0.3,

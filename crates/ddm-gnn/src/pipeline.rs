@@ -237,7 +237,6 @@ mod tests {
                 max_iterations_per_problem: 4,
                 max_samples: Some(10),
                 seed: 31,
-                ..Default::default()
             },
             training: TrainingConfig { epochs: 2, batch_size: 8, seed: 32, ..Default::default() },
             model_seed: 33,
@@ -259,7 +258,6 @@ mod tests {
                 max_iterations_per_problem: 8,
                 max_samples: Some(40),
                 seed: 11,
-                ..Default::default()
             },
             training: TrainingConfig { epochs: 15, batch_size: 10, seed: 12, ..Default::default() },
             model_seed: 13,

@@ -23,23 +23,16 @@ use gnn::{
     dataset::build_local_graphs, DssModel, InferScratch, InferencePlan, LocalGraph, Precision,
 };
 use krylov::{FaultLog, Preconditioner};
-use rayon::prelude::*;
 
-/// The inference plan of one sub-domain, in the engine the configured
-/// precision runs on (`Int8` is a weight format of the f32 engine).
-enum Plan {
+/// The DSS local solve of one sub-domain (Eq. 14–15): its inference plan,
+/// built once at construction (the setup phase), in the engine the
+/// configured precision runs on (`Int8` is a weight format of the f32
+/// engine).  The plan holds the destination-grouped graph structure and
+/// block 1's edge sums, and shares one weight pack with the plans of the
+/// other sub-domains.
+pub(crate) enum DssLocalSolver {
     F64(InferencePlan<f64>),
     F32(InferencePlan<f32>),
-}
-
-/// The DSS local solve of one sub-domain (Eq. 14–15).
-pub(crate) struct DssLocalSolver {
-    model: Arc<DssModel>,
-    /// Built once at construction (the setup phase).  It holds the
-    /// destination-grouped graph structure and block 1's edge sums, and
-    /// shares one weight pack of the model with the plans of the other
-    /// sub-domains.
-    plan: Plan,
 }
 
 /// Work buffers of a [`DssLocalSolver`], sized on first use per batch width.
@@ -60,21 +53,24 @@ pub(crate) struct DssScratch {
 }
 
 impl DssLocalSolver {
-    fn new(model: &Arc<DssModel>, graph: &LocalGraph, precision: Precision) -> Self {
-        let plan = match precision {
-            Precision::F64 => Plan::F64(model.build_plan(graph)),
-            Precision::F32 => Plan::F32(model.build_plan_f32(graph, false)),
-            Precision::Int8 => Plan::F32(model.build_plan_f32(graph, true)),
-        };
-        DssLocalSolver { model: Arc::clone(model), plan }
+    /// The local solves of `graphs`, one per sub-domain in order, on one
+    /// weight pack of `model` in the format `precision` names.
+    fn build_all(model: &DssModel, graphs: &[LocalGraph], precision: Precision) -> Vec<Self> {
+        let int8 = precision == Precision::Int8;
+        match precision {
+            Precision::F64 => model.build_plans(graphs, false).into_iter().map(Self::F64).collect(),
+            Precision::F32 | Precision::Int8 => {
+                model.build_plans(graphs, int8).into_iter().map(Self::F32).collect()
+            }
+        }
     }
 
     /// Heap bytes of the plan's own structure and of the weight pack it
     /// shares.
     fn plan_bytes(&self) -> (usize, usize) {
-        match &self.plan {
-            Plan::F64(plan) => (plan.memory_bytes(), plan.shared_weight_bytes()),
-            Plan::F32(plan) => (plan.memory_bytes(), plan.shared_weight_bytes()),
+        match self {
+            Self::F64(plan) => (plan.memory_bytes(), plan.shared_weight_bytes()),
+            Self::F32(plan) => (plan.memory_bytes(), plan.shared_weight_bytes()),
         }
     }
 }
@@ -115,9 +111,9 @@ impl LocalSolve for DssLocalSolver {
             panel.fill(0.0);
             return Ok(());
         }
-        match &self.plan {
-            Plan::F64(plan) => self.model.infer_with_plan(plan, input, b, engine_f64, panel),
-            Plan::F32(plan) => self.model.infer_with_plan(plan, input, b, engine_f32, panel),
+        match self {
+            Self::F64(plan) => plan.infer(input, b, engine_f64, panel),
+            Self::F32(plan) => plan.infer(input, b, engine_f32, panel),
         }
         for row in panel.chunks_exact_mut(b) {
             for (v, &norm) in row.iter_mut().zip(norms.iter()) {
@@ -208,8 +204,9 @@ impl DdmGnnPreconditioner {
     ///
     /// At every precision a plan holds graph structure and block 1's edge
     /// sums (`28 e + (4 + 16 d) n` bytes in f64, `16 e + (4 + 8 d) n` in
-    /// f32) next to one shared weight pack.  Under [`AsmLevel::Multilevel`]
-    /// the plans are built from the model cut to its
+    /// f32); the plans of all sub-domains are built by one
+    /// [`DssModel::build_plans`] call and share its one weight pack.  Under
+    /// [`AsmLevel::Multilevel`] the plans are built from the model cut to its
     /// [`DssModel::multilevel_depth`]; one- and two-level ones run every
     /// block.
     pub(crate) fn build(
@@ -239,7 +236,7 @@ impl DdmGnnPreconditioner {
             &problem.matrix,
             decomposition.restrictions,
             level,
-            || Ok(graphs.par_iter().map(|g| DssLocalSolver::new(&model, g, precision)).collect()),
+            || Ok(DssLocalSolver::build_all(&model, &graphs, precision)),
             |tag| format!("ddm-gnn-{tag}{suffix}"),
         )?;
         Ok(DdmGnnPreconditioner { shell, graphs, model, precision })
@@ -364,27 +361,6 @@ mod tests {
         assert_eq!(p64.precision(), gnn::Precision::F64);
         assert_eq!(p32.precision(), gnn::Precision::F32);
         assert_eq!(p32.name(), "ddm-gnn-2level-f32");
-        // f64 plans hold graph structure (28 B per edge, 4 B per node) and
-        // block 1's `2d` edge sums (16d B per node) next to one weight pack
-        // counted once: their size does not depend on the model's depth.  A
-        // graph's directed edges are its operator's off-diagonal entries.
-        let d = fx.model.config().latent_dim;
-        let edges = |g: &gnn::LocalGraph| g.matrix.nnz() - g.num_nodes();
-        let structure: usize =
-            p64.graphs().iter().map(|g| 28 * edges(g) + (4 + 16 * d) * g.num_nodes()).sum();
-        let pack = p64.plan_memory_bytes() - structure;
-        assert!(pack > 0 && pack < 1 << 20, "one shared weight pack: {pack} bytes");
-        let shallow = gnn::DssModel::new(gnn::DssConfig::new(2, fx.model.config().latent_dim), 0);
-        let p64_shallow =
-            DdmGnnPreconditioner::new(&fx.problem, fx.subdomains.clone(), Arc::new(shallow), true)
-                .unwrap();
-        assert!(p64_shallow.plan_memory_bytes() > structure);
-        assert!(p64_shallow.plan_memory_bytes() - structure < pack);
-        // The f32 plans: the same in single precision (16 B per edge, 8d B
-        // of sums per node) next to the same pack at half the width.
-        let structure32: usize =
-            p32.graphs().iter().map(|g| 16 * edges(g) + (4 + 8 * d) * g.num_nodes()).sum();
-        assert_eq!(p32.plan_memory_bytes() - structure32, pack / 2);
         let r = fx.problem.rhs.clone();
         let mut z64 = vec![0.0; r.len()];
         let mut z32 = vec![0.0; r.len()];
@@ -398,6 +374,56 @@ mod tests {
         }
         assert!(diff / scale < 1e-4, "f32 apply deviates too much: {}", diff / scale);
         assert!(sparse::vector::dot(&z32, &r) > 0.0, "f32 preconditioner must stay positive");
+    }
+
+    #[test]
+    fn plan_memory_is_every_plan_plus_one_pack() {
+        // Each plan's own bytes — graph structure (28 B per edge, 4 B per
+        // node) and block 1's `2d` edge sums (16d B per node) in f64, half
+        // the widths in f32 for either weight format, whatever the depth —
+        // plus the one pack of the set, counted once: at every precision,
+        // two-level and on the V-cycle's cut to the shipped model's
+        // `MULTILEVEL_DEPTH`.  A graph's directed edges are its operator's
+        // off-diagonal entries.
+        let fx = fixture();
+        let d = fx.model.config().latent_dim;
+        let ml = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
+        assert!(fx.model.multilevel_depth() < fx.model.config().num_blocks, "a real cut");
+        let mut packs = Vec::new();
+        for precision in [Precision::F64, Precision::F32, Precision::Int8] {
+            let width = if precision == Precision::F64 { 8 } else { 4 };
+            for level in [AsmLevel::TwoLevel, ml] {
+                let model = Arc::new(fx.model.clone());
+                let p = DdmGnnPreconditioner::build(
+                    &fx.problem,
+                    fx.subdomains.clone(),
+                    model,
+                    level,
+                    precision,
+                )
+                .unwrap();
+                let solves = p.shell.local_solves();
+                let pack = solves[0].plan_bytes().1;
+                let mut own = 0;
+                for (solve, g) in solves.iter().zip(p.graphs()) {
+                    let (bytes, shared) = solve.plan_bytes();
+                    let edges = g.matrix.nnz() - g.num_nodes();
+                    assert_eq!(
+                        bytes,
+                        (4 + 3 * width) * edges + (4 + 2 * d * width) * g.num_nodes()
+                    );
+                    assert_eq!(shared, pack, "{precision} {level:?}: one pack size per set");
+                    own += bytes;
+                }
+                assert_eq!(p.plan_memory_bytes(), own + pack, "{precision} {level:?}");
+                packs.push(pack);
+            }
+        }
+        // A few KB per block, so the cut's pack is the smaller one; f32's is
+        // half of f64's, and int8 is a weight format of f32.
+        assert!(packs[0] < 1 << 20 && packs[1] < packs[0], "{packs:?}");
+        assert_eq!(packs[2..4], [packs[0] / 2, packs[1] / 2]);
+        assert_eq!(packs[4..], packs[2..4]);
     }
 
     #[test]
@@ -423,13 +449,13 @@ mod tests {
         )
         .unwrap();
         for (int8, tolerance) in [(false, 1e-4), (true, 2.5e-2)] {
-            let mut scratch = gnn::InferScratch::new();
+            let mut scratch = gnn::InferScratch::<f32>::new();
             let mut worst = 0.0f64;
             for graph in precond.graphs() {
                 let reference = fx.model.infer_reference(graph, &graph.input);
-                let plan = fx.model.build_plan_f32(graph, int8);
+                let plan = fx.model.build_plans(std::slice::from_ref(graph), int8).remove(0);
                 let mut out = vec![0.0; graph.num_nodes()];
-                fx.model.infer_with_plan(&plan, &graph.input, 1, &mut scratch, &mut out);
+                plan.infer(&graph.input, 1, &mut scratch, &mut out);
                 let error: Vec<f64> = out.iter().zip(&reference).map(|(a, b)| a - b).collect();
                 let relative = sparse::vector::norm2(&error) / sparse::vector::norm2(&reference);
                 worst = worst.max(relative);
@@ -643,9 +669,6 @@ mod tests {
             )
             .unwrap();
             let blocks = p.model().config().num_blocks;
-            for solve in p.shell.local_solves() {
-                assert_eq!(solve.model.config().num_blocks, blocks);
-            }
             let mut z = vec![0.0; p.dim()];
             p.apply(&fx.problem.rhs, &mut z);
             (blocks, z.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
@@ -746,9 +769,9 @@ mod tests {
         assert_eq!(apply(r), baseline, "{name}: a reused scratch changed the correction");
 
         // A too-short output handed to an unguarded apply panics in the
-        // glue, while the caller holds a panel and the apply guard: both end
-        // up poisoned, as after a worker panic.  Every panel is overwritten
-        // per apply, so recovery must be bit-identical.
+        // glue, while the caller holds the panels' lock: it ends up
+        // poisoned, as after a worker panic.  Every panel is overwritten per
+        // apply, so recovery must be bit-identical.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shell.apply(r, &mut vec![0.0; n - 7]);
         }));
@@ -851,7 +874,7 @@ mod tests {
                 .unwrap();
                 check_shell(&gnn, level, &columns);
                 check_fault_path(matrix, &decomposition.restrictions, level, &columns, || {
-                    graphs.iter().map(|g| DssLocalSolver::new(&model, g, precision)).collect()
+                    DssLocalSolver::build_all(&model, &graphs, precision)
                 });
             }
         }

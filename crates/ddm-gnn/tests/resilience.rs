@@ -9,7 +9,7 @@
 //! `load_pretrained()` (its first 8 blocks) has pins of its own.
 //!
 //! The heavy tests are `#[ignore]`d: CI runs them in release via
-//! `cargo test --release -- --include-ignored` (the `resilience` job).
+//! `cargo test --workspace --release -- --include-ignored` (the `test` job).
 
 use std::path::Path;
 use std::sync::Arc;

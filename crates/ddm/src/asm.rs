@@ -14,13 +14,13 @@
 //! inference (Eq. 14–16).  Everything but the local solve lives here, once.
 //!
 //! The local solves are independent and run in parallel with rayon — the CPU
-//! analogue of the paper's batched GPU inference.  Every sub-domain owns its
-//! correction panel behind an uncontended `Mutex`; the local solve's work
-//! buffers live in a small pool instead, one per job running at once, since
-//! a scratch carries no history.  Both are sized once per batch width, so the
-//! per-Krylov-iteration path performs no heap allocation.  The glue
-//! (`Σ Rᵢᵀ vᵢ`) accumulates sequentially in sub-domain order so the result is
-//! bit-identical at every thread count.
+//! analogue of the paper's batched GPU inference.  The correction panels,
+//! one per sub-domain, sit behind one lock held for the whole apply; the
+//! local solve's work buffers live in a small pool instead, one per job
+//! running at once, since a scratch carries no history.  Both are sized once
+//! per batch width, so the per-Krylov-iteration path performs no heap
+//! allocation.  The glue (`Σ Rᵢᵀ vᵢ`) accumulates sequentially in sub-domain
+//! order so the result is bit-identical at every thread count.
 
 use sanitizer::TrackedMutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,17 +99,16 @@ pub struct Schwarz<L: LocalSolve> {
     restrictions: Vec<Restriction>,
     local_solves: Vec<L>,
     /// The `nᵢ × b` correction panel of every sub-domain: the ordered glue
-    /// reads them all.
-    panels: Vec<TrackedMutex<Vec<f64>>>,
+    /// reads them all.  The lock is held for a whole apply, which serialises
+    /// applies: the panels span the parallel local phase and the sequential
+    /// glue, so two concurrent applies on the same preconditioner would
+    /// otherwise interleave and corrupt each other.
+    panels: TrackedMutex<Vec<Vec<f64>>>,
     /// Local-solve scratches not in use.  A local-phase job takes one (or
     /// makes one), solves and returns it, so there are never more than the
     /// jobs that ran at once: at most the pool threads, plus one.
     scratch_pool: TrackedMutex<Vec<L::Scratch>>,
     coarse: Option<Hierarchy>,
-    /// Serialises whole applies: the panels span the parallel local phase
-    /// and the sequential glue, so two concurrent applies on the same
-    /// preconditioner would otherwise interleave and corrupt each other.
-    apply_guard: TrackedMutex<()>,
     num_global: usize,
     /// Reported by `Preconditioner::name`, e.g. `ddm-lu-2level` or
     /// `ddm-gnn-ml3-f32`.
@@ -135,12 +134,11 @@ impl<L: LocalSolve> Schwarz<L> {
         let (coarse, tag) = level.build_coarse(matrix, &restrictions)?;
         let local_solves = local_solves()?;
         assert_eq!(local_solves.len(), restrictions.len(), "one local solve per sub-domain");
-        let panels =
-            local_solves.iter().map(|_| TrackedMutex::new(Vec::new(), "ddm::asm::panel")).collect();
+        let panels = vec![Vec::new(); local_solves.len()];
         Ok(Schwarz {
             restrictions,
             local_solves,
-            panels,
+            panels: TrackedMutex::new(panels, "ddm::asm::Schwarz::panels"),
             // Commutative: which pooled scratch a job takes depends on the
             // schedule, but a scratch carries no history.
             scratch_pool: TrackedMutex::new_commutative(
@@ -149,7 +147,6 @@ impl<L: LocalSolve> Schwarz<L> {
                 "a scratch carries no history: every solve writes each buffer before reading it",
             ),
             coarse,
-            apply_guard: TrackedMutex::new((), "ddm::asm::Schwarz::apply_guard"),
             num_global: matrix.nrows(),
             name: name(&tag),
             applies: AtomicU64::new(0),
@@ -184,21 +181,19 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
         let b = rs.len();
-        let _exclusive = self.apply_guard.lock();
+        let mut panels = self.panels.lock();
         let apply_index = self.applies.fetch_add(1, Ordering::SeqCst);
 
         // Local corrections, computed in parallel into the per-sub-domain
-        // panels (never contended: each index is touched by exactly one
-        // chunk, the Mutex only satisfies `&self`) with a pooled scratch.  A
-        // failed local solve glues as zeros and is recorded as a classified
-        // fault instead of panicking the worker — the remaining sub-domains
-        // (and the coarse correction) still produce a usable preconditioner.
-        (0..self.panels.len()).into_par_iter().for_each(|i| {
+        // panels with a pooled scratch.  A failed local solve glues as zeros
+        // and is recorded as a classified fault instead of panicking the
+        // worker — the remaining sub-domains (and the coarse correction)
+        // still produce a usable preconditioner.
+        panels.par_iter_mut().enumerate().for_each(|(i, panel)| {
             let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
-            let mut panel = self.panels[i].lock();
             let restriction = &self.restrictions[i];
             panel.resize(restriction.num_local() * b, 0.0);
-            if let Err(e) = self.local_solves[i].solve(restriction, rs, &mut scratch, &mut panel) {
+            if let Err(e) = self.local_solves[i].solve(restriction, rs, &mut scratch, panel) {
                 panel.fill(0.0);
                 self.faults.lock().record(FaultEvent::new(
                     FaultKind::NumericalError,
@@ -216,10 +211,9 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
         for z in zs.iter_mut() {
             z.fill(0.0);
         }
-        for (restriction, panel) in self.restrictions.iter().zip(&self.panels) {
-            let panel = panel.lock();
+        for (restriction, panel) in self.restrictions.iter().zip(panels.iter()) {
             for (c, z) in zs.iter_mut().enumerate() {
-                restriction.extend_add_strided(&panel, b, c, z);
+                restriction.extend_add_strided(panel, b, c, z);
             }
         }
         if let Some(coarse) = &self.coarse {

@@ -5,30 +5,26 @@
 //! that multiplies the learning rate by 0.1 when the validation loss stops
 //! improving.
 
-/// Adam hyper-parameters.
+/// Exponential decay of the first moment.
+const BETA1: f64 = 0.9;
+/// Exponential decay of the second moment.
+const BETA2: f64 = 0.999;
+/// Numerical stabiliser of the update's denominator.
+const EPSILON: f64 = 1e-8;
+
+/// Adam hyper-parameters; the moment decays `β₁ = 0.9`, `β₂ = 0.999` and the
+/// stabiliser `ε = 1e-8` are the usual fixed values.
 #[derive(Debug, Clone, Copy)]
 pub struct AdamConfig {
     /// Learning rate.
     pub learning_rate: f64,
-    /// Exponential decay for the first moment.
-    pub beta1: f64,
-    /// Exponential decay for the second moment.
-    pub beta2: f64,
-    /// Numerical stabiliser.
-    pub epsilon: f64,
     /// Global-norm gradient clipping threshold (`None` disables clipping).
     pub clip_norm: Option<f64>,
 }
 
 impl Default for AdamConfig {
     fn default() -> Self {
-        AdamConfig {
-            learning_rate: 1e-2,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            clip_norm: Some(1e-2),
-        }
+        AdamConfig { learning_rate: 1e-2, clip_norm: Some(1e-2) }
     }
 }
 
@@ -74,8 +70,7 @@ impl Adam {
             }
         }
 
-        let b1 = self.config.beta1;
-        let b2 = self.config.beta2;
+        let (b1, b2) = (BETA1, BETA2);
         let bias1 = 1.0 - b1.powi(self.t as i32);
         let bias2 = 1.0 - b2.powi(self.t as i32);
         let lr = self.config.learning_rate;
@@ -85,7 +80,7 @@ impl Adam {
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g;
             let mhat = self.m[i] / bias1;
             let vhat = self.v[i] / bias2;
-            params[i] -= lr * mhat / (vhat.sqrt() + self.config.epsilon);
+            params[i] -= lr * mhat / (vhat.sqrt() + EPSILON);
         }
     }
 }
@@ -136,7 +131,7 @@ mod tests {
         // f(x) = Σ (x_i - target_i)²
         let target = [1.0, -2.0, 0.5, 3.0];
         let mut params = vec![0.0; 4];
-        let config = AdamConfig { learning_rate: 0.05, clip_norm: None, ..Default::default() };
+        let config = AdamConfig { learning_rate: 0.05, clip_norm: None };
         let mut adam = Adam::new(config, 4);
         for _ in 0..500 {
             let grad: Vec<f64> =
@@ -150,7 +145,7 @@ mod tests {
 
     #[test]
     fn gradient_clipping_limits_step_size() {
-        let config = AdamConfig { learning_rate: 1.0, clip_norm: Some(1e-3), ..Default::default() };
+        let config = AdamConfig { learning_rate: 1.0, clip_norm: Some(1e-3) };
         let mut adam = Adam::new(config, 2);
         let mut params = vec![0.0, 0.0];
         // A huge gradient must not blow the parameters up thanks to clipping

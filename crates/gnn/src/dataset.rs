@@ -19,6 +19,9 @@ use crate::graph::LocalGraph;
 /// A training sample: one local Poisson problem presented as a graph.
 pub type TrainingSample = LocalGraph;
 
+/// Relative residual tolerance of the data-generating PCG solve.
+const TOLERANCE: f64 = 1e-6;
+
 /// Configuration for dataset extraction.
 #[derive(Debug, Clone)]
 pub struct DatasetConfig {
@@ -32,8 +35,6 @@ pub struct DatasetConfig {
     pub subdomain_size: usize,
     /// Overlap layers.
     pub overlap: usize,
-    /// Relative residual tolerance of the data-generating PCG solve.
-    pub tolerance: f64,
     /// Hard cap on the number of PCG iterations recorded per global problem.
     pub max_iterations_per_problem: usize,
     /// Optional cap on the total number of samples.
@@ -49,7 +50,6 @@ impl Default for DatasetConfig {
             target_nodes: 1200,
             subdomain_size: 300,
             overlap: 2,
-            tolerance: 1e-6,
             max_iterations_per_problem: 60,
             max_samples: None,
             seed: 0,
@@ -106,7 +106,7 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
         let b = &problem.rhs;
         let n = b.len();
         let bnorm = sparse::vector::norm2(b);
-        let threshold = config.tolerance * bnorm.max(f64::MIN_POSITIVE);
+        let threshold = TOLERANCE * bnorm.max(f64::MIN_POSITIVE);
         let mut x = vec![0.0; n];
         let mut r = b.clone();
         let mut z = vec![0.0; n];
@@ -174,7 +174,6 @@ mod tests {
             target_nodes: 400,
             subdomain_size: 120,
             overlap: 2,
-            tolerance: 1e-6,
             max_iterations_per_problem: 8,
             max_samples: Some(40),
             seed: 3,
@@ -191,7 +190,7 @@ mod tests {
             let norm = sparse::vector::norm2(&s.input);
             assert!((norm - 1.0).abs() < 1e-10, "input norm {norm}");
             assert_eq!(s.matrix.nrows(), s.num_nodes());
-            assert_eq!(s.positions.len(), s.num_nodes());
+            assert_eq!(s.in_degree.len(), s.num_nodes());
             assert!(s.num_edges() > 0);
             // Sub-domain sizes track the requested size.
             assert!(s.num_nodes() > 40 && s.num_nodes() < 400, "size {}", s.num_nodes());

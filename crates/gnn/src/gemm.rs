@@ -56,10 +56,17 @@ fn head<T, const N: usize>(s: &[T]) -> &[T; N] {
     }
 }
 
+mod sealed {
+    /// Seals [`super::Scalar`]: an empty marker only this module implements.
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
+}
+
 /// Scalar type of the inference engine: `f64`, the bit-reproducible anchor,
 /// or `f32`.  Sealed — the engine is compiled for exactly these two.
 pub trait Scalar:
-    crate::model::sealed::PackSlot
+    sealed::Sealed
     + Copy
     + Default
     + PartialEq

@@ -14,37 +14,35 @@
 //! this reproduction the sub-domain operators are the plain principal
 //! sub-matrices `Rᵢ A Rᵢᵀ`, whose interface nodes carry genuine unknowns, so
 //! the symmetric graph is the faithful choice and no boundary mask is kept.
+//!
+//! A [`LocalGraph`] stores its incidence in the one layout both consumers
+//! read: a `u32` in-degree per node, and a `u32` source and the geometry
+//! `[dx, dy, dist]` per destination-grouped edge (28 bytes per edge, 4 per
+//! node).  An [`crate::InferencePlan`]'s graph half is a cast of these arrays
+//! to the engine's scalar type, and training walks the same arrays in the
+//! same order.
 
 use meshgen::Point2;
 use sparse::CsrMatrix;
 
-/// A directed edge of the message-passing graph.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Edge {
-    /// Destination node (the node whose message sum this edge feeds).
-    pub(crate) dst: usize,
-    /// Source node (the neighbour the message comes from).
-    pub(crate) src: usize,
-    /// Relative position `pos[src] - pos[dst]`.
-    pub(crate) delta: [f64; 2],
-    /// Euclidean length of `delta`.
-    pub(crate) dist: f64,
-}
-
 /// One local Poisson problem expressed as a graph.
+///
+/// The incidence is stored in the layout the inference plans run on: the
+/// directed edges (destination `j` receives from source `l`) are grouped by
+/// destination, node `j`'s run following node `j − 1`'s, and each carries
+/// its source index and its geometry `[dx, dy, dist]`, the relative
+/// position `pos[l] − pos[j]` and its Euclidean length.  Within a run the
+/// sources keep the column order of the operator row, so summing a node's
+/// run adds in a fixed order.  The positions themselves are not kept:
+/// nothing after construction reads them.
 #[derive(Debug, Clone)]
 pub struct LocalGraph {
-    /// Node coordinates.
-    pub positions: Vec<Point2>,
-    /// Directed edges (dst receives from src).
-    pub(crate) edges: Vec<Edge>,
-    /// CSR-style destination incidence: node `j` aggregates the messages of
-    /// edges `edges[edge_ptr[j]..edge_ptr[j+1]]`.  [`LocalGraph::new`] emits
-    /// the edges grouped by destination, so summing a node's run is
-    /// bit-identical to a per-edge scatter while being a contiguous per-node
-    /// gather.  Cached state derived from `edges`, which only
-    /// [`LocalGraph::new`] writes.
-    pub(crate) edge_ptr: Vec<usize>,
+    /// In-degree of every node: the length of its run in the edge arrays.
+    pub(crate) in_degree: Vec<u32>,
+    /// Source node of every destination-grouped edge.
+    pub(crate) edge_src: Vec<u32>,
+    /// `[dx, dy, dist]` of every destination-grouped edge.
+    pub(crate) edge_geo: Vec<[f64; 3]>,
     /// Normalised node input `c` (the DSS input).
     pub input: Vec<f64>,
     /// The local operator (used by the training loss).
@@ -61,56 +59,47 @@ impl LocalGraph {
         let n = matrix.nrows();
         assert_eq!(matrix.ncols(), n, "local operator must be square");
         assert_eq!(positions.len(), n, "positions length mismatch");
+        let index = |v: usize| u32::try_from(v).expect("sub-domain graph exceeds u32 indices");
 
         // Directed edges from the sparsity pattern of the operator (both
         // directions of every coupling), grouped by destination.
-        let mut edges = Vec::with_capacity(matrix.nnz());
-        let mut edge_ptr = Vec::with_capacity(n + 1);
-        edge_ptr.push(0);
+        let mut in_degree = Vec::with_capacity(n);
+        let mut edge_src = Vec::with_capacity(matrix.nnz().saturating_sub(n));
+        let mut edge_geo = Vec::with_capacity(edge_src.capacity());
         for dst in 0..n {
             let (cols, _) = matrix.row(dst);
+            let run = edge_src.len();
             for &src in cols {
                 if src == dst {
                     continue;
                 }
-                let delta =
-                    [positions[src].x - positions[dst].x, positions[src].y - positions[dst].y];
-                let dist = (delta[0] * delta[0] + delta[1] * delta[1]).sqrt();
-                edges.push(Edge { dst, src, delta, dist });
+                let dx = positions[src].x - positions[dst].x;
+                let dy = positions[src].y - positions[dst].y;
+                edge_src.push(index(src));
+                edge_geo.push([dx, dy, (dx * dx + dy * dy).sqrt()]);
             }
-            edge_ptr.push(edges.len());
+            in_degree.push(index(edge_src.len() - run));
         }
 
-        let mut graph = LocalGraph { positions, edges, edge_ptr, input: vec![0.0; n], matrix };
+        let mut graph = LocalGraph { in_degree, edge_src, edge_geo, input: vec![0.0; n], matrix };
         graph.set_rhs(rhs);
         graph
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.positions.len()
+        self.input.len()
     }
 
     /// Number of directed edges.
     pub(crate) fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.edge_src.len()
     }
 
-    /// Source node of every edge, as the `u32` the inference plans gather
-    /// through (half the index traffic of `usize`).
-    pub(crate) fn edge_sources(&self) -> Vec<u32> {
-        self.edges
-            .iter()
-            .map(|e| u32::try_from(e.src).expect("sub-domain graph exceeds u32 nodes"))
-            .collect()
-    }
-
-    /// In-degree of every node (the length of its run in the edge list).
-    pub(crate) fn in_degrees(&self) -> Vec<u32> {
-        self.edge_ptr
-            .windows(2)
-            .map(|w| u32::try_from(w[1] - w[0]).expect("sub-domain graph exceeds u32 edges"))
-            .collect()
+    /// Destination node of every edge, in edge order: node `j` repeated
+    /// `in_degree[j]` times.
+    pub(crate) fn edge_dsts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.in_degree.iter().enumerate().flat_map(|(j, &deg)| std::iter::repeat_n(j, deg as usize))
     }
 
     /// Replace the right-hand side (renormalising), keeping the structure:
@@ -158,29 +147,38 @@ mod tests {
         assert!((g.input[4] - 5.0 / rhs_norm).abs() < 1e-12);
     }
 
+    /// Every edge as `(dst, src, geometry)`, in edge order.
+    fn edges(g: &LocalGraph) -> Vec<(usize, usize, [f64; 3])> {
+        let srcs = g.edge_src.iter().map(|&s| s as usize);
+        g.edge_dsts()
+            .zip(srcs)
+            .zip(g.edge_geo.iter().copied())
+            .map(|((d, s), x)| (d, s, x))
+            .collect()
+    }
+
     #[test]
     fn every_coupling_produces_messages_in_both_directions() {
         let g = chain_graph(6);
+        let edges = edges(&g);
         // Interior node 2 receives from 1 and 3.
-        let dsts: Vec<usize> = g.edges.iter().filter(|e| e.dst == 2).map(|e| e.src).collect();
-        assert_eq!(dsts.len(), 2);
-        assert!(dsts.contains(&1) && dsts.contains(&3));
+        let dsts: Vec<usize> = edges.iter().filter(|e| e.0 == 2).map(|e| e.1).collect();
+        assert_eq!(dsts, [1, 3]);
         // The chain ends (boundary nodes) each receive exactly one message.
-        assert_eq!(g.edges.iter().filter(|e| e.dst == 0).count(), 1);
-        assert_eq!(g.edges.iter().filter(|e| e.dst == 5).count(), 1);
+        assert_eq!(g.in_degree, [1, 2, 2, 2, 2, 1]);
         // Symmetry: for every edge (dst, src) the reverse edge exists.
-        for e in &g.edges {
-            assert!(g.edges.iter().any(|f| f.dst == e.src && f.src == e.dst));
+        for e in &edges {
+            assert!(edges.iter().any(|f| f.0 == e.1 && f.1 == e.0));
         }
     }
 
     #[test]
     fn edge_features_are_geometric() {
         let g = chain_graph(4);
-        for e in &g.edges {
-            assert!((e.dist - 1.0).abs() < 1e-12, "chain nodes are 1 apart");
-            assert!((e.delta[0].abs() - 1.0).abs() < 1e-12);
-            assert_eq!(e.delta[1], 0.0);
+        for (dst, src, [dx, dy, dist]) in edges(&g) {
+            assert_eq!(dx, src as f64 - dst as f64, "pos[src] - pos[dst]");
+            assert_eq!(dy, 0.0);
+            assert!((dist - 1.0).abs() < 1e-12, "chain nodes are 1 apart");
         }
     }
 
@@ -216,15 +214,12 @@ mod tests {
     #[test]
     fn incidence_covers_every_edge_grouped_by_destination() {
         let g = chain_graph(6);
-        assert_eq!(g.edge_ptr.len(), g.num_nodes() + 1);
-        assert_eq!(g.edge_ptr[0], 0);
-        assert_eq!(*g.edge_ptr.last().unwrap(), g.num_edges());
-        // Consecutive runs that cover `0..e` list every edge exactly once.
-        assert!(g.edge_ptr.windows(2).all(|w| w[0] <= w[1]));
-        for j in 0..g.num_nodes() {
-            let run = &g.edges[g.edge_ptr[j]..g.edge_ptr[j + 1]];
-            assert!(run.iter().all(|e| e.dst == j), "node {j}'s run holds a foreign edge");
-        }
+        assert_eq!(g.in_degree.len(), g.num_nodes());
+        assert_eq!(g.edge_geo.len(), g.num_edges());
+        // The runs cover the edge arrays exactly once.
+        let runs: u32 = g.in_degree.iter().sum();
+        assert_eq!(runs as usize, g.num_edges());
+        assert_eq!(g.edge_dsts().count(), g.num_edges());
     }
 
     #[test]
@@ -232,27 +227,24 @@ mod tests {
         let mut g = chain_graph(6);
         // Each node's run lists its sources in the operator row's column
         // order (minus the diagonal), so the per-node sum adds in a fixed order.
-        for j in 0..g.num_nodes() {
+        let mut slot = 0;
+        for (j, &deg) in g.in_degree.iter().enumerate() {
             let (cols, _) = g.matrix.row(j);
-            let row: Vec<usize> = cols.iter().copied().filter(|&c| c != j).collect();
-            let run: Vec<usize> =
-                g.edges[g.edge_ptr[j]..g.edge_ptr[j + 1]].iter().map(|e| e.src).collect();
+            let row: Vec<u32> = cols.iter().filter(|&&c| c != j).map(|&c| c as u32).collect();
+            let run = &g.edge_src[slot..slot + deg as usize];
             assert_eq!(run, row, "node {j}'s run is out of row order");
+            slot += deg as usize;
         }
         // A new rhs keeps the structure, and rebuilding from the same
-        // operator reproduces the same incidence.
-        let sources = g.edge_sources();
-        let ptr = g.edge_ptr.clone();
+        // operator and positions reproduces the same incidence.
+        let before = g.clone();
         g.set_rhs(&[1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
-        assert_eq!(g.edge_sources(), sources);
-        assert_eq!(g.edge_ptr, ptr);
-        let rebuilt = LocalGraph::new(g.matrix.clone(), g.positions.clone(), &[1.0; 6]);
-        assert_eq!(rebuilt.edge_sources(), sources);
-        assert_eq!(rebuilt.edge_ptr, ptr);
-        assert!(rebuilt
-            .edges
-            .iter()
-            .zip(&g.edges)
-            .all(|(a, b)| a.dst == b.dst && a.delta == b.delta && a.dist == b.dist));
+        let positions = (0..6).map(|i| Point2::new(i as f64, 0.0)).collect();
+        let rebuilt = LocalGraph::new(g.matrix.clone(), positions, &[1.0; 6]);
+        for other in [&g, &rebuilt] {
+            assert_eq!(other.in_degree, before.in_degree);
+            assert_eq!(other.edge_src, before.edge_src);
+            assert_eq!(other.edge_geo, before.edge_geo);
+        }
     }
 }

@@ -12,14 +12,15 @@
 //! * `layers` — linear layers and two-layer MLPs with exact reverse-mode
 //!   gradients (validated against finite differences in the test-suite),
 //! * [`plan`] — the inference engine: an `O(e)` per-graph plan (structure
-//!   and block 1's edge sums) next to one shared weight pack, and one forward
-//!   pass over them, generic over the scalar type, compiled for the baseline
+//!   and block 1's edge sums) next to one weight pack per plan set, and one
+//!   forward pass over them, generic over the scalar type, compiled for the baseline
 //!   target, for AVX2 + FMA and, in f64, for AVX-512F; the three [`Precision`]
 //!   tiers are its f64 and f32 instantiations and an int8 weight format of
 //!   the latter,
 //! * [`graph`] — the [`graph::LocalGraph`] representation of one sub-domain
-//!   problem: geometric edge features `(d_jl, ‖d_jl‖)`, normalised residual
-//!   input `c`, boundary mask and the local operator used by the loss,
+//!   problem: destination-grouped edges with their geometric features
+//!   `(d_jl, ‖d_jl‖)` in the layout the plans cast, normalised residual
+//!   input `c`, and the local operator used by the loss,
 //! * [`model`] — the DSS architecture: `k̄` distinct message-passing blocks
 //!   (Eq. 18–21), per-iteration decoders (Eq. 22), ResNet-style latent update
 //!   with step `α`; every prefix of a trained model is a trained model

@@ -27,10 +27,11 @@
 //! ([`DssModel::multilevel_depth`], `ddm_gnn::MULTILEVEL_DEPTH` on the
 //! shipped one), where the V-cycle carries convergence.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 
 use crate::gemm::Scalar;
 use crate::graph::LocalGraph;
@@ -101,49 +102,6 @@ impl Block {
     }
 }
 
-/// The weight packs of the inference engine, one per scalar type and weight
-/// format, each built on first use and shared by every plan built from the
-/// model afterwards.
-#[derive(Debug, Clone, Default)]
-struct PackCache {
-    f64: OnceLock<Arc<WeightPack<f64>>>,
-    f32: OnceLock<Arc<WeightPack<f32>>>,
-    /// The f32 engine's pack in the int8 weight format.
-    int8: OnceLock<Arc<WeightPack<f32>>>,
-}
-
-// The supertrait of the public `Scalar` must be `pub`, and it names the
-// crate-private pack type; the module keeps the trait itself unnameable
-// outside the crate, so the pack never leaks.
-#[allow(private_interfaces)]
-pub(crate) mod sealed {
-    use super::*;
-
-    /// Seals [`Scalar`] and names the slot of [`DssModel`]'s pack cache that
-    /// holds the scalar type's weights in the given format.
-    pub trait PackSlot: Sized {
-        #[doc(hidden)]
-        fn pack_slot(model: &DssModel, int8: bool) -> &OnceLock<Arc<WeightPack<Self>>>;
-    }
-
-    impl PackSlot for f64 {
-        fn pack_slot(model: &DssModel, int8: bool) -> &OnceLock<Arc<WeightPack<f64>>> {
-            debug_assert!(!int8, "int8 is a weight format of the f32 engine");
-            &model.packs.f64
-        }
-    }
-
-    impl PackSlot for f32 {
-        fn pack_slot(model: &DssModel, int8: bool) -> &OnceLock<Arc<WeightPack<f32>>> {
-            if int8 {
-                &model.packs.int8
-            } else {
-                &model.packs.f32
-            }
-        }
-    }
-}
-
 /// The Deep Statistical Solver.
 #[derive(Debug, Clone)]
 pub struct DssModel {
@@ -152,8 +110,6 @@ pub struct DssModel {
     /// Leading blocks run under a multi-level coarse component, in
     /// `1..=num_blocks`; all of them unless set.  Not saved with the model.
     multilevel_depth: usize,
-    /// The engine's weight packs; reset whenever the parameters change.
-    packs: PackCache,
 }
 
 impl DssModel {
@@ -163,7 +119,7 @@ impl DssModel {
         let blocks =
             (0..config.num_blocks).map(|_| Block::xavier(config.latent_dim, &mut rng)).collect();
         let multilevel_depth = config.num_blocks;
-        DssModel { config, blocks, multilevel_depth, packs: PackCache::default() }
+        DssModel { config, blocks, multilevel_depth }
     }
 
     /// The model hyper-parameters.
@@ -182,7 +138,6 @@ impl DssModel {
             config: self.config,
             blocks: self.blocks.iter().map(Block::zeros_like).collect(),
             multilevel_depth: self.multilevel_depth,
-            packs: PackCache::default(),
         }
     }
 
@@ -202,7 +157,7 @@ impl DssModel {
     pub(crate) fn load_flat(&mut self, data: &[f64]) {
         assert_eq!(data.len(), self.num_params(), "flat parameter length mismatch");
         let mut offset = 0;
-        for b in self.blocks_mut() {
+        for b in &mut self.blocks {
             b.phi_fwd.read_params(data, &mut offset);
             b.phi_bwd.read_params(data, &mut offset);
             b.psi.read_params(data, &mut offset);
@@ -234,10 +189,8 @@ impl DssModel {
 
     /// Compute the two aggregated message fields for a block.
     ///
-    /// Aggregation walks the graph's destination incidence
-    /// ([`LocalGraph::edge_ptr`]), a contiguous per-node gather over edges
-    /// kept in their original order, so the sums are bit-identical to the
-    /// per-edge scatter this replaced.
+    /// Aggregation adds every node's run of destination-grouped edges in edge
+    /// order.
     fn messages(&self, block: &Block, graph: &LocalGraph, h: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let d = self.config.latent_dim;
         let n = graph.num_nodes();
@@ -265,14 +218,12 @@ impl DssModel {
     /// solver: the cut model decodes block `num_blocks`' latent state with
     /// block `num_blocks`' decoder.  The step `α` the blocks were trained
     /// with is kept — a model rebuilt through [`DssConfig::new`] at the new
-    /// depth would not have it.  Weight packs built before the cut are
-    /// dropped, so plans built afterwards run the cut model.  A
-    /// [`DssModel::multilevel_depth`] above the cut is clamped to it.
+    /// depth would not have it.  A [`DssModel::multilevel_depth`] above the
+    /// cut is clamped to it.
     ///
     /// Panics unless `1 ≤ num_blocks ≤` the current depth.
     pub fn truncate(&mut self, num_blocks: usize) {
         self.check_depth("truncate", num_blocks);
-        self.packs = PackCache::default();
         self.blocks.truncate(num_blocks);
         self.config.num_blocks = num_blocks;
         self.multilevel_depth = self.multilevel_depth.min(num_blocks);
@@ -308,21 +259,6 @@ impl DssModel {
         );
     }
 
-    /// Mutable access to the parameters — the only one besides
-    /// [`DssModel::truncate`] — which drops the cached weight packs: they no
-    /// longer match what the caller writes.
-    fn blocks_mut(&mut self) -> &mut [Block] {
-        self.packs = PackCache::default();
-        &mut self.blocks
-    }
-
-    /// The engine's weight pack for the current parameters, rounded once
-    /// into `T` — through int8 first with `int8` (f32 only) — built on first
-    /// use, then shared.  The one place a pack is looked up.
-    pub(crate) fn weight_pack<T: Scalar>(&self, int8: bool) -> Arc<WeightPack<T>> {
-        Arc::clone(T::pack_slot(self, int8).get_or_init(|| Arc::new(WeightPack::new(self, int8))))
-    }
-
     /// Reference forward pass: the straightforward edge-batch formulation
     /// (build `e × (2d + 3)` inputs, run the full first-layer GEMM per edge).
     ///
@@ -344,25 +280,32 @@ impl DssModel {
         }
     }
 
-    /// Build the f64 inference plan of this model for one graph (the setup
-    /// half of the setup/apply split — see [`InferencePlan`]).
+    /// Build the inference plans of `graphs`, in parallel and in order, in
+    /// the engine's scalar type `T` (the setup half of the setup/apply split
+    /// — see [`InferencePlan`]).  The model's weights are packed once for
+    /// the whole set: split and composed in f64 and rounded once into `T` —
+    /// with `int8_weights` through int8 first (the latent-state GEMM
+    /// matrices of every block, one scale per output, stored dequantised:
+    /// [`crate::Precision::Int8`], a weight format of the f32 engine) — and
+    /// every plan of the set shares that one pack.  The plans snapshot the
+    /// model: changing it afterwards does not reach them.
+    pub fn build_plans<T: Scalar>(
+        &self,
+        graphs: &[LocalGraph],
+        int8_weights: bool,
+    ) -> Vec<InferencePlan<T>> {
+        let weights = Arc::new(WeightPack::new(self, int8_weights));
+        graphs.par_iter().map(|graph| InferencePlan::new(graph, Arc::clone(&weights))).collect()
+    }
+
+    /// Build the f64 inference plan of this model for one graph, on a weight
+    /// pack of its own (a set of graphs shares one: [`DssModel::build_plans`]).
     pub fn build_plan(&self, graph: &LocalGraph) -> InferencePlan {
-        InferencePlan::new(self, graph)
+        InferencePlan::new(graph, Arc::new(WeightPack::new(self, false)))
     }
 
-    /// Build the *single-precision* inference plan of this model for one
-    /// graph.  The weight splits and compositions are computed in f64 and
-    /// rounded once — to f32, or with `int8_weights` through int8 first (the
-    /// latent-state GEMM matrices of every block, one scale per output,
-    /// stored dequantised: [`crate::Precision::Int8`]).  The forward pass
-    /// then runs entirely in f32 with the residual converted on entry and
-    /// the output widened back to f64.
-    pub fn build_plan_f32(&self, graph: &LocalGraph, int8_weights: bool) -> InferencePlan<f32> {
-        InferencePlan::with_weights(graph, self.weight_pack(int8_weights))
-    }
-
-    /// The optimised f64 inference engine on one right-hand side:
-    /// [`DssModel::infer_with_plan`] with `b = 1`.
+    /// The f64 engine on one right-hand side: [`InferencePlan::infer`] with
+    /// `b = 1`.
     pub fn infer_with_plan_into(
         &self,
         plan: &InferencePlan,
@@ -370,40 +313,7 @@ impl DssModel {
         scratch: &mut InferScratch,
         out: &mut [f64],
     ) {
-        self.infer_with_plan(plan, input, 1, scratch, out);
-    }
-
-    /// The inference engine, in the plan's scalar type, on `b` right-hand
-    /// sides at once: direction-fused node-level GEMMs over transposed
-    /// weights, geometric edge terms recomputed in registers, contiguous
-    /// message aggregation.
-    ///
-    /// `input` and `out` are `n × b` row-major (`input[j*b + c]` is column
-    /// `c`'s value at node `j`; with `b = 1` plain vectors).  Weights and
-    /// edge structure are read, and the geometric edge terms computed, once
-    /// per batch instead of once per right-hand side; column `c` of the
-    /// output is **bit-identical** to a `b = 1` call on that column alone,
-    /// for every batch width.
-    ///
-    /// All intermediates live in `scratch` (sized on first use, reused across
-    /// calls), so the steady state performs zero heap allocation.  Only the
-    /// final block's decoder runs — earlier decodes are training-time
-    /// artefacts that do not influence the latent state.
-    pub fn infer_with_plan<T: Scalar>(
-        &self,
-        plan: &InferencePlan<T>,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratch<T>,
-        out: &mut [f64],
-    ) {
-        assert_eq!(
-            plan.latent_dim(),
-            self.config.latent_dim,
-            "plan built for a different latent dimension"
-        );
-        assert_eq!(plan.num_blocks(), self.blocks.len(), "plan built for a different model depth");
-        plan.infer(input, b, scratch, out);
+        plan.infer(input, 1, scratch, out);
     }
 
     /// Total training loss (sum of per-block residual losses, Eq. 23).
@@ -425,7 +335,7 @@ impl DssModel {
     /// training loss of this graph.
     pub(crate) fn backward(&self, graph: &LocalGraph, grad: &mut DssModel) -> f64 {
         assert_eq!(grad.config, self.config, "gradient container shape mismatch");
-        let grad_blocks = grad.blocks_mut();
+        let grad_blocks = &mut grad.blocks;
         let d = self.config.latent_dim;
         let n = graph.num_nodes();
         let e = graph.num_edges();
@@ -498,10 +408,10 @@ impl DssModel {
             // message MLPs.
             let mut d_m_fwd = vec![0.0; e * d];
             let mut d_m_bwd = vec![0.0; e * d];
-            for (ei, edge) in graph.edges.iter().enumerate() {
+            for (ei, dst) in graph.edge_dsts().enumerate() {
                 for kk in 0..d {
-                    d_m_fwd[ei * d + kk] = d_msg_fwd[edge.dst * d + kk];
-                    d_m_bwd[ei * d + kk] = d_msg_bwd[edge.dst * d + kk];
+                    d_m_fwd[ei * d + kk] = d_msg_fwd[dst * d + kk];
+                    d_m_bwd[ei * d + kk] = d_msg_bwd[dst * d + kk];
                 }
             }
             let d_x_fwd =
@@ -509,13 +419,14 @@ impl DssModel {
             let d_x_bwd =
                 block.phi_bwd.backward(&x_bwd, &bwd_cache, &d_m_bwd, e, &mut gblock.phi_bwd);
             let edge_cols = 2 * d + 3;
-            for (ei, edge) in graph.edges.iter().enumerate() {
+            for (ei, (dst, &src)) in graph.edge_dsts().zip(&graph.edge_src).enumerate() {
+                let src = src as usize;
                 for kk in 0..d {
-                    // x = [h_dst, h_src, delta, dist]
-                    grad_h[edge.dst * d + kk] += d_x_fwd[ei * edge_cols + kk];
-                    grad_h[edge.src * d + kk] += d_x_fwd[ei * edge_cols + d + kk];
-                    grad_h[edge.dst * d + kk] += d_x_bwd[ei * edge_cols + kk];
-                    grad_h[edge.src * d + kk] += d_x_bwd[ei * edge_cols + d + kk];
+                    // x = [h_dst, h_src, dx, dy, dist]
+                    grad_h[dst * d + kk] += d_x_fwd[ei * edge_cols + kk];
+                    grad_h[src * d + kk] += d_x_fwd[ei * edge_cols + d + kk];
+                    grad_h[dst * d + kk] += d_x_bwd[ei * edge_cols + kk];
+                    grad_h[src * d + kk] += d_x_bwd[ei * edge_cols + d + kk];
                 }
             }
 
@@ -526,46 +437,36 @@ impl DssModel {
     }
 }
 
-/// Aggregate per-edge messages into per-node sums along the destination
-/// incidence.  Each node's edges are one run in edge order, so the result is
-/// bit-identical to the per-edge scatter while the output is written
-/// node-contiguously.
+/// Aggregate per-edge messages into per-node sums.  The edges are grouped by
+/// destination, so every node adds its run in edge order and the output is
+/// written node after node.
 fn gather_messages(graph: &LocalGraph, m: &[f64], d: usize, msg: &mut [f64]) {
     debug_assert_eq!(m.len(), graph.num_edges() * d);
     debug_assert_eq!(msg.len(), graph.num_nodes() * d);
-    for j in 0..graph.num_nodes() {
-        let dst_row = &mut msg[j * d..(j + 1) * d];
-        for ei in graph.edge_ptr[j]..graph.edge_ptr[j + 1] {
-            let row = &m[ei * d..(ei + 1) * d];
-            for k in 0..d {
-                dst_row[k] += row[k];
-            }
+    for (dst, row) in graph.edge_dsts().zip(m.chunks_exact(d)) {
+        let dst_row = &mut msg[dst * d..(dst + 1) * d];
+        for k in 0..d {
+            dst_row[k] += row[k];
         }
     }
 }
 
-/// Build the per-edge input batches for the two message MLPs.
+/// Build the per-edge input batches `[h_dst, h_src, ±dx, ±dy, dist]` for the
+/// two message MLPs (the backward direction sees `−d_jl`).
 fn build_edge_inputs(graph: &LocalGraph, h: &[f64], d: usize) -> (Vec<f64>, Vec<f64>) {
     let cols = 2 * d + 3;
     let mut x_fwd = vec![0.0; graph.num_edges() * cols];
     let mut x_bwd = vec![0.0; graph.num_edges() * cols];
-    for (ei, edge) in graph.edges.iter().enumerate() {
-        let row_f = &mut x_fwd[ei * cols..(ei + 1) * cols];
-        for k in 0..d {
-            row_f[k] = h[edge.dst * d + k];
-            row_f[d + k] = h[edge.src * d + k];
+    let edges = graph.edge_dsts().zip(&graph.edge_src).zip(&graph.edge_geo);
+    let rows = x_fwd.chunks_exact_mut(cols).zip(x_bwd.chunks_exact_mut(cols));
+    for ((row_f, row_b), ((dst, &src), &[dx, dy, dist])) in rows.zip(edges) {
+        let src = src as usize;
+        for row in [&mut *row_f, &mut *row_b] {
+            row[..d].copy_from_slice(&h[dst * d..(dst + 1) * d]);
+            row[d..2 * d].copy_from_slice(&h[src * d..(src + 1) * d]);
         }
-        row_f[2 * d] = edge.delta[0];
-        row_f[2 * d + 1] = edge.delta[1];
-        row_f[2 * d + 2] = edge.dist;
-        let row_b = &mut x_bwd[ei * cols..(ei + 1) * cols];
-        for k in 0..d {
-            row_b[k] = h[edge.dst * d + k];
-            row_b[d + k] = h[edge.src * d + k];
-        }
-        row_b[2 * d] = -edge.delta[0];
-        row_b[2 * d + 1] = -edge.delta[1];
-        row_b[2 * d + 2] = edge.dist;
+        row_f[2 * d..].copy_from_slice(&[dx, dy, dist]);
+        row_b[2 * d..].copy_from_slice(&[-dx, -dy, dist]);
     }
     (x_fwd, x_bwd)
 }
@@ -596,6 +497,7 @@ fn build_psi_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::plan_for;
     use meshgen::Point2;
     use proptest::prelude::*;
     use sparse::CooMatrix;
@@ -845,10 +747,15 @@ mod tests {
     }
 
     /// Run `plan` on one right-hand side.
-    fn run<T: Scalar>(model: &DssModel, plan: &InferencePlan<T>, input: &[f64]) -> Vec<f64> {
+    fn run<T: Scalar>(plan: &InferencePlan<T>, input: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; plan.num_nodes()];
-        model.infer_with_plan(plan, input, 1, &mut InferScratch::new(), &mut out);
+        plan.infer(input, 1, &mut InferScratch::new(), &mut out);
         out
+    }
+
+    /// The f32-engine plan of one graph, in either weight format.
+    fn plan_f32(model: &DssModel, graph: &LocalGraph, int8: bool) -> InferencePlan<f32> {
+        plan_for(model, graph, int8)
     }
 
     /// `reduced` (an f32-engine plan) tracks the f64 plan to `tol` relative
@@ -864,9 +771,9 @@ mod tests {
         assert_eq!(reduced.num_edges(), graph.num_edges());
         for scale in [1.0, -0.4, 0.7] {
             let input: Vec<f64> = graph.input.iter().map(|c| c * scale + 0.05).collect();
-            let out64 = run(model, &plan64, &input);
-            let out = run(model, reduced, &input);
-            assert_eq!(out, run(model, reduced, &input), "inference must be deterministic");
+            let out64 = run(&plan64, &input);
+            let out = run(reduced, &input);
+            assert_eq!(out, run(reduced, &input), "inference must be deterministic");
             let norm = out64.iter().map(|v| v * v).sum::<f64>().sqrt().max(1.0);
             for (a, b) in out.iter().zip(out64.iter()) {
                 assert!((a - b).abs() <= tol * norm, "scale {scale}: reduced {a} vs f64 {b}");
@@ -878,10 +785,10 @@ mod tests {
     fn f32_plan_tracks_f64_plan_closely_and_is_deterministic() {
         let graph = tiny_graph();
         let model = DssModel::new(DssConfig { num_blocks: 4, latent_dim: 6, alpha: 1e-2 }, 17);
-        let plan32 = model.build_plan_f32(&graph, false);
+        let plan32 = plan_f32(&model, &graph, false);
         // Neither plan stores per-block terms: depth is not in their size.
         let shallow = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 6, alpha: 1e-2 }, 17);
-        assert_eq!(shallow.build_plan_f32(&graph, false).memory_bytes(), plan32.memory_bytes());
+        assert_eq!(plan_f32(&shallow, &graph, false).memory_bytes(), plan32.memory_bytes());
         assert!(plan32.memory_bytes() < model.build_plan(&graph).memory_bytes());
         assert_tracks_f64(&model, &graph, &plan32, 1e-4);
     }
@@ -890,13 +797,12 @@ mod tests {
     fn quantised_plan_tracks_f64_plan_closely_and_is_deterministic() {
         let graph = tiny_graph();
         let model = DssModel::new(DssConfig { num_blocks: 4, latent_dim: 6, alpha: 1e-2 }, 17);
-        let (plan32, planq) =
-            (model.build_plan_f32(&graph, false), model.build_plan_f32(&graph, true));
+        let (plan32, planq) = (plan_f32(&model, &graph, false), plan_f32(&model, &graph, true));
         assert_eq!(planq.memory_bytes(), plan32.memory_bytes(), "int8 is a weight format of f32");
         assert_eq!(planq.shared_weight_bytes(), plan32.shared_weight_bytes());
         assert_ne!(
-            run(&model, &planq, &graph.input),
-            run(&model, &plan32, &graph.input),
+            run(&planq, &graph.input),
+            run(&plan32, &graph.input),
             "the int8 pack really is rounded"
         );
         assert_tracks_f64(&model, &graph, &planq, 1e-2);
@@ -918,17 +824,13 @@ mod tests {
             (0..n).map(|i| Point2::new((i as f64 * 0.9).cos(), i as f64 * 0.4)).collect();
         let rhs: Vec<f64> = (0..n).map(|i| 0.5 - 0.3 * i as f64).collect();
         let graph = LocalGraph::new(coo.to_csr(), positions, &rhs);
-        assert_eq!(graph.in_degrees()[6], 0);
+        assert_eq!(graph.in_degree[6], 0);
         graph
     }
 
     /// Column `c` of an `n × b` batched run has the bits of the `b = 1` run
     /// on that column alone.
-    fn assert_columns_match_unbatched<T: Scalar>(
-        model: &DssModel,
-        plan: &InferencePlan<T>,
-        what: &str,
-    ) {
+    fn assert_columns_match_unbatched<T: Scalar>(plan: &InferencePlan<T>, what: &str) {
         let n = plan.num_nodes();
         let mut scratch = InferScratch::new();
         for b in [1usize, 2, 3, 4, 5, 8] {
@@ -946,9 +848,9 @@ mod tests {
                 }
             }
             let mut out_panel = vec![0.0; n * b];
-            model.infer_with_plan(plan, &panel, b, &mut scratch, &mut out_panel);
+            plan.infer(&panel, b, &mut scratch, &mut out_panel);
             for (c, col) in columns.iter().enumerate() {
-                let expected = run(model, plan, col);
+                let expected = run(plan, col);
                 assert!(expected.iter().any(|&v| v != 0.0));
                 for j in 0..n {
                     assert_eq!(
@@ -970,9 +872,9 @@ mod tests {
         for graph in [tiny_graph(), graph_with_isolated_node()] {
             for latent_dim in [5, 10] {
                 let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim, alpha: 1e-2 }, 41);
-                assert_columns_match_unbatched(&model, &model.build_plan(&graph), "f64");
-                assert_columns_match_unbatched(&model, &model.build_plan_f32(&graph, false), "f32");
-                assert_columns_match_unbatched(&model, &model.build_plan_f32(&graph, true), "int8");
+                assert_columns_match_unbatched(&model.build_plan(&graph), "f64");
+                assert_columns_match_unbatched(&plan_f32(&model, &graph, false), "f32");
+                assert_columns_match_unbatched(&plan_f32(&model, &graph, true), "int8");
             }
         }
     }
@@ -983,9 +885,10 @@ mod tests {
         let config = DssConfig { num_blocks: 5, latent_dim: 4, alpha: 0.2 };
         let mut model = DssModel::new(config, 31);
         let full_flat = model.flatten();
-        // Populate the pack cache, so a stale pack would be picked up below.
+        // Plans built before the cut snapshot the full model.
         let full = infer(&model, &graph);
-        let _ = model.build_plan_f32(&graph, false);
+        let (full64, full32) = (model.build_plan(&graph), plan_f32(&model, &graph, false));
+        let full_f32 = run(&full32, &graph.input);
 
         model.truncate(3);
         assert_eq!(model.config(), DssConfig { num_blocks: 3, ..config });
@@ -1005,8 +908,12 @@ mod tests {
         rebuilt.load_flat(&flat);
         assert_eq!(cut, infer(&rebuilt, &graph));
         let (plan32, rebuilt32) =
-            (model.build_plan_f32(&graph, false), rebuilt.build_plan_f32(&graph, false));
-        assert_eq!(run(&model, &plan32, &graph.input), run(&rebuilt, &rebuilt32, &graph.input));
+            (plan_f32(&model, &graph, false), plan_f32(&rebuilt, &graph, false));
+        assert_eq!(run(&plan32, &graph.input), run(&rebuilt32, &graph.input));
+        // The plans built before the cut still run all five blocks.
+        assert_eq!(run(&full64, &graph.input), full);
+        assert_eq!(run(&full32, &graph.input), full_f32);
+        assert_ne!(run(&plan32, &graph.input), full_f32);
     }
 
     #[test]

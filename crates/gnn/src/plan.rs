@@ -32,14 +32,16 @@
 //!
 //! There is one engine, generic over the [`Scalar`] type `T`:
 //!
-//! * An [`InferencePlan<T>`] is the setup half.  It copies the graph
-//!   structure — `(dx, dy, dist): [T; 3]` and a `u32` source index per
-//!   destination-grouped edge, a `u32` in-degree per node — and stores block
-//!   1's `2d`-wide edge sums per node: `28 e + (4 + 16 d) n` bytes in f64,
-//!   `16 e + (4 + 8 d) n` in f32, whatever the model's depth.
+//! * An [`InferencePlan<T>`] is the setup half.  Its graph half is the
+//!   [`LocalGraph`]'s edge arrays cast to `T` — `(dx, dy, dist): [T; 3]` and
+//!   a `u32` source index per destination-grouped edge, a `u32` in-degree
+//!   per node — and it stores block 1's `2d`-wide edge sums per node:
+//!   `28 e + (4 + 16 d) n` bytes in f64, `16 e + (4 + 8 d) n` in f32,
+//!   whatever the model's depth.
 //! * A `WeightPack<T>` is the model half: every weight the forward pass
-//!   reads, direction-fused and transposed.  It is built once per model and
-//!   weight format and shared by `Arc` between all plans.
+//!   reads, direction-fused and transposed.  It is built once per plan set —
+//!   one [`DssModel::build_plans`] call — and shared by `Arc` between the
+//!   plans of that set.
 //! * `forward` is the apply half, written once as safe code and compiled for
 //!   `f64` and `f32`, each for the baseline target and with AVX2 and FMA
 //!   enabled, and for `f64` once more with AVX-512F.  A batch of `b`
@@ -53,9 +55,11 @@
 //! `W_h` and the two composed message matrices of every block) were rounded
 //! to int8 with one scale per output and stored dequantised.
 //!
-//! A plan is tied to the exact (model, graph) pair it was built from; the
-//! edge structure is copied in the graph's destination-grouped order, so
-//! message aggregation in the forward pass is a contiguous per-node gather.
+//! A plan runs itself ([`InferencePlan::infer`]): it owns its graph half and
+//! shares its pack, a snapshot of the model at build time, so neither the
+//! model nor the graph is needed at apply time.  The edges keep the graph's
+//! destination-grouped order, so message aggregation in the forward pass is
+//! a contiguous per-node gather.
 
 use std::sync::Arc;
 
@@ -407,10 +411,9 @@ struct PackDecoder<T> {
 
 /// The model half of the engine: every weight the forward pass reads, in
 /// kernel layout (direction-fused, transposed to `in × out`) and in the
-/// engine's scalar type.  A few KB per block; built once per model and weight
-/// format and shared by `Arc` between all plans built from it, so a
-/// preconditioner holds one copy, not one per sub-domain.  Opaque: plans
-/// obtain theirs from the model.
+/// engine's scalar type.  A few KB per block; built once per plan set by
+/// [`DssModel::build_plans`] and shared by `Arc` between the plans of the
+/// set, so a preconditioner holds one copy, not one per sub-domain.
 #[derive(Debug)]
 pub(crate) struct WeightPack<T> {
     latent_dim: usize,
@@ -447,8 +450,7 @@ impl<T: Scalar> WeightPack<T> {
     }
 }
 
-/// Reusable buffers of the forward pass ([`DssModel::infer_with_plan`] and
-/// friends).
+/// Reusable buffers of the forward pass ([`InferencePlan::infer`]).
 ///
 /// Create once (cheap, everything starts empty), pass to every inference
 /// call; buffers are sized lazily to the largest `nodes × batch width` seen
@@ -491,13 +493,13 @@ impl<T: Default> InferScratch<T> {
 
 /// A per-graph inference plan: the setup half of the setup/apply split.
 ///
-/// Build once per sub-domain graph (e.g. at preconditioner construction) via
-/// [`DssModel::build_plan`] (f64) or [`DssModel::build_plan_f32`], then run
-/// [`DssModel::infer_with_plan`] any number of times with changing node
-/// inputs.  The plan owns graph structure — three scalars and a `u32` per
-/// edge, a `u32` per node — and block 1's `2d` edge sums per node, and
-/// shares the model's weight pack; it snapshots that pack, so it must be
-/// rebuilt if the model is retrained.
+/// Build the plans of a set of sub-domain graphs once (e.g. at
+/// preconditioner construction) via [`DssModel::build_plans`], or of one
+/// graph via [`DssModel::build_plan`], then run [`InferencePlan::infer`] any
+/// number of times with changing node inputs.  The plan owns graph
+/// structure — three scalars and a `u32` per edge, a `u32` per node — and
+/// block 1's `2d` edge sums per node, and shares the weight pack of its set;
+/// that pack snapshots the model, so a retrained model needs new plans.
 pub struct InferencePlan<T = f64> {
     /// `(dx, dy, dist)` of every destination-grouped edge.
     edge_geo: Vec<[T; 3]>,
@@ -516,26 +518,14 @@ pub struct InferencePlan<T = f64> {
 }
 
 impl<T: Scalar> InferencePlan<T> {
-    /// Build a plan for `model` on `graph` with the model's weights rounded
-    /// once into `T`.
-    pub(crate) fn new(model: &DssModel, graph: &LocalGraph) -> Self {
-        Self::with_weights(graph, model.weight_pack(false))
-    }
-
-    /// Build a plan for `graph` that reads `weights`, and sweep block 1's
-    /// edges once.
-    pub(crate) fn with_weights(graph: &LocalGraph, weights: Arc<WeightPack<T>>) -> Self {
-        assert_eq!(graph.edge_ptr.len(), graph.num_nodes() + 1, "incidence out of sync");
-        let in_degree = graph.in_degrees();
+    /// Build a plan for `graph` that reads `weights`: cast the graph's edge
+    /// arrays to `T` and sweep block 1's edges once.
+    pub(crate) fn new(graph: &LocalGraph, weights: Arc<WeightPack<T>>) -> Self {
         let mut plan = InferencePlan {
-            edge_geo: graph
-                .edges
-                .iter()
-                .map(|edge| [edge.delta[0], edge.delta[1], edge.dist].map(T::from_f64))
-                .collect(),
-            edge_src: graph.edge_sources(),
-            max_degree: in_degree.iter().copied().max().unwrap_or(0) as usize,
-            in_degree,
+            edge_geo: graph.edge_geo.iter().map(|g| g.map(T::from_f64)).collect(),
+            edge_src: graph.edge_src.clone(),
+            in_degree: graph.in_degree.clone(),
+            max_degree: graph.in_degree.iter().copied().max().unwrap_or(0) as usize,
             block1_hsum: Vec::new(),
             weights,
         };
@@ -569,13 +559,8 @@ impl<T: Scalar> InferencePlan<T> {
     }
 
     /// Latent dimension of the model this plan was built from.
-    pub(crate) fn latent_dim(&self) -> usize {
+    fn latent_dim(&self) -> usize {
         self.weights.latent_dim
-    }
-
-    /// Depth of the model this plan was built from.
-    pub(crate) fn num_blocks(&self) -> usize {
-        self.weights.blocks.len()
     }
 
     /// Heap footprint in bytes of what this plan owns: `28 e + (4 + 16 d) n`
@@ -588,24 +573,30 @@ impl<T: Scalar> InferencePlan<T> {
             + std::mem::size_of::<T>() * self.block1_hsum.len()
     }
 
-    /// Heap footprint in bytes of the weight pack this plan shares with every
-    /// other plan built from the same model and weight format (count it once
-    /// per model, not once per plan).
+    /// Heap footprint in bytes of the weight pack this plan shares with the
+    /// other plans of its set (count it once per set, not once per plan).
     pub fn shared_weight_bytes(&self) -> usize {
         self.weights.memory_bytes()
     }
 
-    /// Run the engine on `b` right-hand sides: `input` and `out` are
-    /// `n × b` row-major (`input[j*b + c]` is column `c`'s value at node `j`;
-    /// `b = 1`: plain vectors), in the widest compiled copy of [`forward`]
-    /// the CPU supports (see [`run_widest`]).
-    pub(crate) fn infer(
-        &self,
-        input: &[f64],
-        b: usize,
-        scratch: &mut InferScratch<T>,
-        out: &mut [f64],
-    ) {
+    /// The inference engine, in the plan's scalar type, on `b` right-hand
+    /// sides at once: direction-fused node-level GEMMs over transposed
+    /// weights, geometric edge terms recomputed in registers, contiguous
+    /// message aggregation, in the widest compiled copy of the forward pass
+    /// the CPU supports.
+    ///
+    /// `input` and `out` are `n × b` row-major (`input[j*b + c]` is column
+    /// `c`'s value at node `j`; with `b = 1` plain vectors).  Weights and
+    /// edge structure are read, and the geometric edge terms computed, once
+    /// per batch instead of once per right-hand side; column `c` of the
+    /// output is **bit-identical** to a `b = 1` call on that column alone,
+    /// for every batch width.
+    ///
+    /// All intermediates live in `scratch` (sized on first use, reused across
+    /// calls), so the steady state performs zero heap allocation.  Only the
+    /// final block's decoder runs — earlier decodes are training-time
+    /// artefacts that do not influence the latent state.
+    pub fn infer(&self, input: &[f64], b: usize, scratch: &mut InferScratch<T>, out: &mut [f64]) {
         run_widest::<T>(
             #[inline(always)]
             || forward(self, input, b, scratch, out),
@@ -922,6 +913,15 @@ pub(crate) mod tests {
         LocalGraph::new(coo.to_csr(), positions, &rhs)
     }
 
+    /// The plan of one graph in the scalar type `T`, on a pack of its own.
+    pub(crate) fn plan_for<T: Scalar>(
+        model: &DssModel,
+        graph: &LocalGraph,
+        int8: bool,
+    ) -> InferencePlan<T> {
+        model.build_plans(std::slice::from_ref(graph), int8).remove(0)
+    }
+
     /// Reference for the recomputed geometric term: `W_geo g_e + b₁` for
     /// every destination-grouped edge, the way the first plans precomputed
     /// and stored it.  `sign` flips the relative position for the backward
@@ -930,15 +930,10 @@ pub(crate) mod tests {
         let cols = layer.in_dim;
         assert_eq!(cols, 2 * d + 3);
         let mut out = Vec::with_capacity(graph.num_edges() * d);
-        for edge in &graph.edges {
+        for &[dx, dy, dist] in &graph.edge_geo {
             for o in 0..d {
                 let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
-                out.push(
-                    layer.bias[o]
-                        + w[0] * (sign * edge.delta[0])
-                        + w[1] * (sign * edge.delta[1])
-                        + w[2] * edge.dist,
-                );
+                out.push(layer.bias[o] + w[0] * (sign * dx) + w[1] * (sign * dy) + w[2] * dist);
             }
         }
         out
@@ -948,8 +943,8 @@ pub(crate) mod tests {
     /// `b = 1`, copied per column at `b = 3`) has the bits of the same
     /// forward pass running block 1 live.
     fn block1_cache_matches_live<T: Scalar>(model: &DssModel, graph: &LocalGraph) {
-        let cached = InferencePlan::<T>::new(model, graph);
-        let mut live = InferencePlan::<T>::new(model, graph);
+        let cached = plan_for::<T>(model, graph, false);
+        let mut live = plan_for::<T>(model, graph, false);
         live.block1_hsum.clear();
         let n = graph.num_nodes();
         let mut scratch = InferScratch::new();
@@ -994,8 +989,8 @@ pub(crate) mod tests {
             let mut graph = graph_on(positions, &extra);
             for &pick in &negate_zero {
                 let e = graph.num_edges();
-                let edge = &mut graph.edges[pick % e];
-                for delta in edge.delta.iter_mut().filter(|v| **v == 0.0) {
+                let geo = &mut graph.edge_geo[pick % e];
+                for delta in geo[..2].iter_mut().filter(|v| **v == 0.0) {
                     *delta = -0.0;
                 }
             }
@@ -1069,7 +1064,7 @@ pub(crate) mod tests {
         let (models, graph) = shipped_and_d6_models();
         let n = graph.num_nodes();
         for model in &models {
-            let plan = InferencePlan::<T>::new(model, &graph);
+            let plan = plan_for::<T>(model, &graph, false);
             let mut scratch = InferScratch::new();
             for b in [1usize, 3] {
                 let input: Vec<f64> =
@@ -1137,7 +1132,7 @@ pub(crate) mod tests {
         let mut outputs = Vec::new();
         for model in &models {
             for int8 in [false, true] {
-                let plan = model.build_plan_f32(&graph, int8);
+                let plan = plan_for::<f32>(model, &graph, int8);
                 let mut scratch = InferScratch::new();
                 for b in [1usize, 3] {
                     let input: Vec<f64> =
@@ -1159,7 +1154,7 @@ pub(crate) mod tests {
         let model = |num_blocks, latent_dim| {
             DssModel::new(DssConfig { num_blocks, latent_dim, alpha: 1e-2 }, 1)
         };
-        let (shallow, deep) = (model(2, 12), model(9, 12));
+        let (shallow, mut deep) = (model(2, 12), model(9, 12));
         let (p_shallow, p_deep) = (shallow.build_plan(&graph), deep.build_plan(&graph));
         // Graph structure, then block 1's `2d` edge sums per node.
         assert_eq!(p_shallow.memory_bytes(), 28 * e + (4 + 16 * 12) * n);
@@ -1169,23 +1164,44 @@ pub(crate) mod tests {
         // The f32 engine: the same in single precision, for either weight
         // format.
         let (f_shallow, f_deep) =
-            (shallow.build_plan_f32(&graph, false), deep.build_plan_f32(&graph, false));
-        let q_deep = deep.build_plan_f32(&graph, true);
+            (plan_for::<f32>(&shallow, &graph, false), plan_for::<f32>(&deep, &graph, false));
+        let q_deep = plan_for::<f32>(&deep, &graph, true);
         assert_eq!(f_shallow.memory_bytes(), 16 * e + (4 + 8 * 12) * n);
         assert_eq!(f_deep.memory_bytes(), f_shallow.memory_bytes());
         assert_eq!(2 * f_deep.shared_weight_bytes(), p_deep.shared_weight_bytes());
         assert_eq!(q_deep.memory_bytes(), f_deep.memory_bytes(), "int8 == f32: a weight format");
         assert_eq!(q_deep.shared_weight_bytes(), f_deep.shared_weight_bytes());
         assert!(!Arc::ptr_eq(&q_deep.weights, &f_deep.weights));
-        // One pack per model and weight format, shared by all of its plans;
-        // retraining drops them.
-        assert!(Arc::ptr_eq(&p_deep.weights, &deep.build_plan(&graph).weights));
-        assert!(Arc::ptr_eq(&f_deep.weights, &deep.build_plan_f32(&graph, false).weights));
-        assert!(Arc::ptr_eq(&q_deep.weights, &deep.build_plan_f32(&graph, true).weights));
-        let mut retrained = deep.clone();
-        retrained.load_flat(&deep.flatten());
-        assert!(!Arc::ptr_eq(&p_deep.weights, &retrained.build_plan(&graph).weights));
-        assert!(!Arc::ptr_eq(&q_deep.weights, &retrained.build_plan_f32(&graph, true).weights));
+        // A plan built on its own packs its own weights, a snapshot of the
+        // model: retraining the model afterwards does not reach the plan.
+        assert!(!Arc::ptr_eq(&p_deep.weights, &deep.build_plan(&graph).weights));
+        let run = |plan: &InferencePlan| {
+            let mut out = vec![0.0; n];
+            plan.infer(&graph.input, 1, &mut InferScratch::new(), &mut out);
+            out
+        };
+        let before = run(&p_deep);
+        deep.load_flat(&deep.flatten().iter().map(|w| w * 0.5).collect::<Vec<_>>());
+        assert_eq!(run(&p_deep), before);
+        assert_ne!(run(&deep.build_plan(&graph)), before);
+    }
+
+    #[test]
+    fn plans_of_one_call_share_one_pack() {
+        let graphs: Vec<LocalGraph> = (3..7)
+            .map(|n| graph_on((0..n).map(|i| Point2::new(i as f64, 0.1 * n as f64)).collect(), &[]))
+            .collect();
+        let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-2 }, 2);
+        let (first, second) =
+            (model.build_plans::<f64>(&graphs, false), model.build_plans(&graphs, false));
+        // One pack per call, shared by its plans, which come in graph order.
+        assert_eq!(second.len(), graphs.len());
+        for ((graph, a), b) in graphs.iter().zip(&first).zip(&second) {
+            assert_eq!(a.num_nodes(), graph.num_nodes());
+            assert!(Arc::ptr_eq(&a.weights, &first[0].weights));
+            assert!(Arc::ptr_eq(&b.weights, &second[0].weights));
+            assert!(!Arc::ptr_eq(&a.weights, &b.weights));
+        }
     }
 
     #[test]

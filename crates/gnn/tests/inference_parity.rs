@@ -1,8 +1,8 @@
 //! Parity of the optimised inference engine against the retained naive
 //! reference, plus gradient-stability checks.
 //!
-//! The fast path (`DssModel::infer_with_plan_into` and everything routed
-//! through it) reassociates the first-layer sums — split node-level GEMMs
+//! The fast path (`InferencePlan::infer` and everything routed through it)
+//! reassociates the first-layer sums — split node-level GEMMs
 //! plus precomputed static edge terms instead of one edge-level GEMM — so it
 //! is *not* bit-identical to the reference formulation.  These tests pin the
 //! agreement to ≤ 1e-12 relative error on random graphs and random weights.
@@ -66,32 +66,36 @@ fn infer(model: &DssModel, graph: &LocalGraph, input: &[f64]) -> Vec<f64> {
     out
 }
 
+/// The f32-engine plan of one graph, in either weight format.
+fn plan_f32(model: &DssModel, graph: &LocalGraph, int8: bool) -> InferencePlan<f32> {
+    model.build_plans(std::slice::from_ref(graph), int8).remove(0)
+}
+
 /// One right-hand side through the f32 engine, reusing `scratch`.
 fn infer_f32(
-    model: &DssModel,
     plan: &InferencePlan<f32>,
     input: &[f64],
     scratch: &mut InferScratch<f32>,
 ) -> Vec<f64> {
     let mut out = vec![0.0; plan.num_nodes()];
-    model.infer_with_plan(plan, input, 1, scratch, &mut out);
+    plan.infer(input, 1, scratch, &mut out);
     out
 }
 
 /// An f32-engine plan reused across inputs and scratch states is bit-stable:
 /// results depend only on (plan, input), never on buffer history.
-fn assert_reuse_is_bit_stable(model: &DssModel, graph: &LocalGraph, plan: &InferencePlan<f32>) {
+fn assert_reuse_is_bit_stable(graph: &LocalGraph, plan: &InferencePlan<f32>) {
     let inputs: Vec<Vec<f64>> = [1.0, -0.4]
         .iter()
         .map(|scale| graph.input.iter().map(|c| c * scale + 0.01).collect())
         .collect();
     let mut scratch = InferScratch::new();
     let baseline: Vec<Vec<f64>> =
-        inputs.iter().map(|input| infer_f32(model, plan, input, &mut scratch)).collect();
+        inputs.iter().map(|input| infer_f32(plan, input, &mut scratch)).collect();
     // Re-run in reverse order with a fresh scratch: identical bits.
     let mut fresh = InferScratch::new();
     for (input, expected) in inputs.iter().zip(&baseline).rev() {
-        assert_eq!(&infer_f32(model, plan, input, &mut fresh), expected);
+        assert_eq!(&infer_f32(plan, input, &mut fresh), expected);
     }
 }
 
@@ -171,9 +175,9 @@ proptest! {
         let norm = graph.input.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
         let input: Vec<f64> = graph.input.iter().map(|v| v / norm).collect();
 
-        let plan32 = model.build_plan_f32(&graph, false);
+        let plan32 = plan_f32(&model, &graph, false);
         let out64 = infer(&model, &graph, &input);
-        let out32 = infer_f32(&model, &plan32, &input, &mut InferScratch::new());
+        let out32 = infer_f32(&plan32, &input, &mut InferScratch::new());
         let dev = max_relative_deviation(&out32, &out64);
         prop_assert!(dev <= 1e-4, "f32 deviation {} exceeds 1e-4", dev);
     }
@@ -189,7 +193,7 @@ proptest! {
     ) {
         let graph = random_graph(n, &extra, geo_seed, rhs_seed);
         let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 6, alpha: 1e-2 }, model_seed);
-        assert_reuse_is_bit_stable(&model, &graph, &model.build_plan_f32(&graph, false));
+        assert_reuse_is_bit_stable(&graph, &plan_f32(&model, &graph, false));
     }
 
     /// The f32 engine on int8-rounded weights tracks the f64 plan path to
@@ -216,12 +220,12 @@ proptest! {
         let norm = graph.input.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-30);
         let input: Vec<f64> = graph.input.iter().map(|v| v / norm).collect();
 
-        let planq = model.build_plan_f32(&graph, true);
-        let plan32 = model.build_plan_f32(&graph, false);
+        let planq = plan_f32(&model, &graph, true);
+        let plan32 = plan_f32(&model, &graph, false);
         prop_assert_eq!(planq.memory_bytes(), plan32.memory_bytes());
         prop_assert_eq!(planq.shared_weight_bytes(), plan32.shared_weight_bytes());
         let out64 = infer(&model, &graph, &input);
-        let outq = infer_f32(&model, &planq, &input, &mut InferScratch::new());
+        let outq = infer_f32(&planq, &input, &mut InferScratch::new());
         let dev = max_relative_deviation(&outq, &out64);
         prop_assert!(dev <= 1e-2, "quantised deviation {} exceeds 1e-2", dev);
     }
@@ -237,6 +241,6 @@ proptest! {
     ) {
         let graph = random_graph(n, &extra, geo_seed, rhs_seed);
         let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 6, alpha: 1e-2 }, model_seed);
-        assert_reuse_is_bit_stable(&model, &graph, &model.build_plan_f32(&graph, true));
+        assert_reuse_is_bit_stable(&graph, &plan_f32(&model, &graph, true));
     }
 }

@@ -34,21 +34,23 @@ pub use resilience::{
 use history::relative_residual_norm;
 use sparse::CsrMatrix;
 
+/// Absolute residual tolerance of both drivers: the convergence threshold
+/// when `‖b‖` is zero, and its floor otherwise.
+const ABS_TOLERANCE: f64 = 1e-14;
+
 /// Options shared by both Krylov drivers in this crate.  Both record the
 /// residual norm of every iteration in the returned history.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
     /// Relative residual tolerance `‖rₖ‖ / ‖b‖` at which to declare convergence.
     pub rel_tolerance: f64,
-    /// Absolute residual tolerance (used when `‖b‖` is zero, and as a floor).
-    pub abs_tolerance: f64,
     /// Hard cap on the number of iterations.
     pub max_iterations: usize,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        SolverOptions { rel_tolerance: 1e-6, abs_tolerance: 1e-14, max_iterations: 10_000 }
+        SolverOptions { rel_tolerance: 1e-6, max_iterations: 10_000 }
     }
 }
 
@@ -64,9 +66,10 @@ impl SolverOptions {
         self
     }
 
-    /// The residual threshold for a right-hand side of norm `bnorm`.
+    /// The residual threshold for a right-hand side of norm `bnorm`: the
+    /// relative tolerance, floored at an absolute `1e-14`.
     pub fn threshold(&self, bnorm: f64) -> f64 {
-        (self.rel_tolerance * bnorm).max(self.abs_tolerance)
+        (self.rel_tolerance * bnorm).max(ABS_TOLERANCE)
     }
 }
 
@@ -128,7 +131,7 @@ mod tests {
     fn options_threshold_uses_relative_and_absolute_floors() {
         let opts = SolverOptions::with_tolerance(1e-6);
         assert!((opts.threshold(100.0) - 1e-4).abs() < 1e-18);
-        assert_eq!(opts.threshold(0.0), opts.abs_tolerance);
+        assert_eq!(opts.threshold(0.0), ABS_TOLERANCE);
         let opts = opts.max_iterations(3);
         assert_eq!(opts.max_iterations, 3);
     }

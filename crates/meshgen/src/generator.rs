@@ -22,22 +22,23 @@ use crate::domain::Domain;
 use crate::geometry::{resample_closed_polyline, triangle_area, Point2};
 use crate::mesh::Mesh;
 
+/// Relative jitter applied to interior lattice points (fraction of `h`).
+const JITTER: f64 = 0.25;
+/// Minimum distance from interior points to the boundary, in units of `h`.
+const BOUNDARY_CLEARANCE: f64 = 0.6;
+
 /// Options controlling mesh generation.
 #[derive(Debug, Clone)]
 pub struct MeshingOptions {
     /// Target element size (edge length).
     pub element_size: f64,
-    /// Relative jitter applied to interior lattice points (fraction of `h`).
-    pub jitter: f64,
-    /// Minimum distance from interior points to the boundary, in units of `h`.
-    pub boundary_clearance: f64,
     /// RNG seed for the jitter.
     pub seed: u64,
 }
 
 impl Default for MeshingOptions {
     fn default() -> Self {
-        MeshingOptions { element_size: 0.05, jitter: 0.25, boundary_clearance: 0.6, seed: 0 }
+        MeshingOptions { element_size: 0.05, seed: 0 }
     }
 }
 
@@ -72,15 +73,15 @@ pub fn generate_mesh(domain: &dyn Domain, options: &MeshingOptions) -> Mesh {
     // 2. Interior points on a jittered hexagonal lattice.
     let (min, max) = domain.bounding_box();
     let dy = h * 3.0_f64.sqrt() / 2.0;
-    let clearance = options.boundary_clearance * h;
+    let clearance = BOUNDARY_CLEARANCE * h;
     let mut row = 0usize;
     let mut y = min.y + 0.5 * h;
     while y < max.y {
         let offset = if row.is_multiple_of(2) { 0.0 } else { 0.5 * h };
         let mut x = min.x + 0.5 * h + offset;
         while x < max.x {
-            let jx = rng.gen_range(-options.jitter..options.jitter) * h;
-            let jy = rng.gen_range(-options.jitter..options.jitter) * h;
+            let jx = rng.gen_range(-JITTER..JITTER) * h;
+            let jy = rng.gen_range(-JITTER..JITTER) * h;
             let p = Point2::new(x + jx, y + jy);
             if domain.contains(&p) && domain.distance_to_boundary(&p) > clearance {
                 points.push(p);

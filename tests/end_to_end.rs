@@ -173,7 +173,6 @@ fn small_training_pipeline_produces_working_preconditioner() {
             max_iterations_per_problem: 8,
             max_samples: Some(40),
             seed: 21,
-            ..Default::default()
         },
         training: gnn::TrainingConfig {
             epochs: 10,
