@@ -27,9 +27,9 @@ use krylov::{FaultLog, Preconditioner};
 /// The DSS local solve of one sub-domain (Eq. 14–15): its inference plan,
 /// built once at construction (the setup phase), in the engine the
 /// configured precision runs on (`Int8` is a weight format of the f32
-/// engine).  The plan holds the destination-grouped graph structure and
-/// block 1's edge sums, and shares one weight pack with the plans of the
-/// other sub-domains.
+/// engine).  The plan shares its graph's destination-grouped structure,
+/// holds block 1's edge sums, and shares one weight pack with the plans of
+/// the other sub-domains.
 pub(crate) enum DssLocalSolver {
     F64(InferencePlan<f64>),
     F32(InferencePlan<f32>),
@@ -125,15 +125,14 @@ impl LocalSolve for DssLocalSolver {
 }
 
 /// The multi-level GNN preconditioner: the Schwarz shell over DSS local
-/// solves, together with the local graphs their plans were built from.
+/// solves, together with the local graphs whose structure their plans
+/// share.
 ///
 /// A named type rather than an alias so it can carry the constructors (the
 /// shell is foreign to this crate).
 pub struct DdmGnnPreconditioner {
     shell: Schwarz<DssLocalSolver>,
     graphs: Vec<LocalGraph>,
-    model: Arc<DssModel>,
-    precision: Precision,
 }
 
 impl DdmGnnPreconditioner {
@@ -202,9 +201,11 @@ impl DdmGnnPreconditioner {
     /// memory and perturbs a whole application by ~5e-3 relative on the
     /// shipped model.
     ///
-    /// At every precision a plan holds graph structure and block 1's edge
-    /// sums (`28 e + (4 + 16 d) n` bytes in f64, `16 e + (4 + 8 d) n` in
-    /// f32); the plans of all sub-domains are built by one
+    /// The decomposition's local operators move into the sub-domain graphs,
+    /// and each plan shares its graph's structure rather than copying it.
+    /// At every precision a plan holds that f64 structure and block 1's
+    /// edge sums: `28 e + (4 + 16 d) n` bytes in f64, `28 e + (4 + 8 d) n`
+    /// in f32 and int8.  The plans of all sub-domains are built by one
     /// [`DssModel::build_plans`] call and share its one weight pack.  Under
     /// [`AsmLevel::Multilevel`] the plans are built from the model cut to its
     /// [`DssModel::multilevel_depth`]; one- and two-level ones run every
@@ -225,8 +226,9 @@ impl DdmGnnPreconditioner {
             }
             _ => model,
         };
-        let decomposition = Decomposition::new(&problem.matrix, subdomains);
-        let graphs = build_local_graphs(problem, &decomposition);
+        let Decomposition { subdomains, restrictions, local_matrices } =
+            Decomposition::new(&problem.matrix, subdomains);
+        let graphs = build_local_graphs(problem, &subdomains, local_matrices);
         let suffix = match precision {
             Precision::F64 => "",
             Precision::F32 => "-f32",
@@ -234,18 +236,12 @@ impl DdmGnnPreconditioner {
         };
         let shell = Schwarz::build(
             &problem.matrix,
-            decomposition.restrictions,
+            restrictions,
             level,
             || Ok(DssLocalSolver::build_all(&model, &graphs, precision)),
             |tag| format!("ddm-gnn-{tag}{suffix}"),
         )?;
-        Ok(DdmGnnPreconditioner { shell, graphs, model, precision })
-    }
-
-    /// The DSS model the local solves run: the one passed in, cut to its
-    /// [`DssModel::multilevel_depth`] under a multi-level coarse component.
-    pub fn model(&self) -> &DssModel {
-        &self.model
+        Ok(DdmGnnPreconditioner { shell, graphs })
     }
 
     /// The per-sub-domain local graphs.
@@ -253,13 +249,9 @@ impl DdmGnnPreconditioner {
         &self.graphs
     }
 
-    /// The inference precision the plans were built at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Total heap footprint of the cached inference plans in bytes.  The
-    /// plans share one weight pack, which is counted once.
+    /// Total heap footprint of the cached inference plans in bytes, the
+    /// graph structure they share included.  The plans share one weight
+    /// pack, which is counted once.
     pub fn plan_memory_bytes(&self) -> usize {
         let solves = self.shell.local_solves();
         solves.iter().map(|s| s.plan_bytes().0).sum::<usize>()
@@ -295,6 +287,14 @@ mod tests {
     use crate::test_support::fixture;
     use krylov::{preconditioned_conjugate_gradient, SolverOptions};
 
+    /// The fixture's one- or two-level preconditioner at `precision`.
+    fn fixture_preconditioner(two_level: bool, precision: Precision) -> DdmGnnPreconditioner {
+        let fx = fixture();
+        let (subdomains, model) = (fx.subdomains.clone(), Arc::new(fx.model.clone()));
+        DdmGnnPreconditioner::with_precision(&fx.problem, subdomains, model, two_level, precision)
+            .unwrap()
+    }
+
     #[test]
     fn construction_and_metadata() {
         let fx = fixture();
@@ -307,10 +307,12 @@ mod tests {
         .unwrap();
         assert_eq!(precond.shell.local_solves().len(), fx.subdomains.len());
         assert_eq!(precond.graphs().len(), fx.subdomains.len());
+        for (graph, subdomain) in precond.graphs().iter().zip(&fx.subdomains) {
+            assert_eq!(graph.num_nodes(), subdomain.len());
+        }
         assert!(precond.plan_memory_bytes() > 0);
         assert_eq!(precond.dim(), fx.problem.num_unknowns());
         assert_eq!(precond.name(), "ddm-gnn-2level");
-        assert_eq!(precond.model().config().latent_dim, fx.model.config().latent_dim);
         let one_level = DdmGnnPreconditioner::new(
             &fx.problem,
             fx.subdomains.clone(),
@@ -326,13 +328,7 @@ mod tests {
         // zᵀ r > 0 is required for PCG to accept the preconditioned residual
         // as a descent direction; a trained DSS model must provide that.
         let fx = fixture();
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
+        let precond = fixture_preconditioner(true, Precision::F64);
         let r = fx.problem.rhs.clone();
         let mut z = vec![0.0; r.len()];
         precond.apply(&r, &mut z);
@@ -343,23 +339,9 @@ mod tests {
     #[test]
     fn f32_precision_metadata_and_closeness_to_f64() {
         let fx = fixture();
-        let p64 = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
-        let p32 = DdmGnnPreconditioner::with_precision(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-            gnn::Precision::F32,
-        )
-        .unwrap();
-        assert_eq!(p64.precision(), gnn::Precision::F64);
-        assert_eq!(p32.precision(), gnn::Precision::F32);
+        let p64 = fixture_preconditioner(true, Precision::F64);
+        let p32 = fixture_preconditioner(true, Precision::F32);
+        assert_eq!(p64.name(), "ddm-gnn-2level");
         assert_eq!(p32.name(), "ddm-gnn-2level-f32");
         let r = fx.problem.rhs.clone();
         let mut z64 = vec![0.0; r.len()];
@@ -378,10 +360,10 @@ mod tests {
 
     #[test]
     fn plan_memory_is_every_plan_plus_one_pack() {
-        // Each plan's own bytes — graph structure (28 B per edge, 4 B per
-        // node) and block 1's `2d` edge sums (16d B per node) in f64, half
-        // the widths in f32 for either weight format, whatever the depth —
-        // plus the one pack of the set, counted once: at every precision,
+        // Each plan's bytes — its graph's shared f64 structure (28 B per
+        // edge, 4 B per node) and block 1's `2d` edge sums (16d B per node
+        // in f64, 8d B in f32 for either weight format), whatever the depth
+        // — plus the one pack of the set, counted once: at every precision,
         // two-level and on the V-cycle's cut to the shipped model's
         // `MULTILEVEL_DEPTH`.  A graph's directed edges are its operator's
         // off-diagonal entries.
@@ -408,10 +390,7 @@ mod tests {
                 for (solve, g) in solves.iter().zip(p.graphs()) {
                     let (bytes, shared) = solve.plan_bytes();
                     let edges = g.matrix.nnz() - g.num_nodes();
-                    assert_eq!(
-                        bytes,
-                        (4 + 3 * width) * edges + (4 + 2 * d * width) * g.num_nodes()
-                    );
+                    assert_eq!(bytes, 28 * edges + (4 + 2 * d * width) * g.num_nodes());
                     assert_eq!(shared, pack, "{precision} {level:?}: one pack size per set");
                     own += bytes;
                 }
@@ -441,13 +420,7 @@ mod tests {
         // matrices acting on the all-positive hidden sums.  Flexible PCG
         // absorbs it (`pcg_with_int8_ddm_gnn_converges_like_f64`).
         let fx = fixture();
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            false,
-        )
-        .unwrap();
+        let precond = fixture_preconditioner(false, Precision::F64);
         for (int8, tolerance) in [(false, 1e-4), (true, 2.5e-2)] {
             let mut scratch = gnn::InferScratch::<f32>::new();
             let mut worst = 0.0f64;
@@ -471,14 +444,7 @@ mod tests {
     #[test]
     fn f32_one_level_name_and_zero_residual() {
         let fx = fixture();
-        let p32 = DdmGnnPreconditioner::with_precision(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            false,
-            gnn::Precision::F32,
-        )
-        .unwrap();
+        let p32 = fixture_preconditioner(false, Precision::F32);
         assert_eq!(p32.name(), "ddm-gnn-1level-f32");
         let r = vec![0.0; fx.problem.num_unknowns()];
         let mut z = vec![1.0; r.len()];
@@ -489,30 +455,9 @@ mod tests {
     #[test]
     fn int8_precision_metadata_and_closeness_to_f64() {
         let fx = fixture();
-        let p64 = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
-        let p32 = DdmGnnPreconditioner::with_precision(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-            gnn::Precision::F32,
-        )
-        .unwrap();
-        let pq = DdmGnnPreconditioner::with_precision(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-            gnn::Precision::Int8,
-        )
-        .unwrap();
-        assert_eq!(pq.precision(), gnn::Precision::Int8);
+        let p64 = fixture_preconditioner(true, Precision::F64);
+        let p32 = fixture_preconditioner(true, Precision::F32);
+        let pq = fixture_preconditioner(true, Precision::Int8);
         assert_eq!(pq.name(), "ddm-gnn-2level-int8");
         assert_eq!(
             pq.plan_memory_bytes(),
@@ -537,14 +482,7 @@ mod tests {
     #[test]
     fn int8_one_level_name_and_zero_residual() {
         let fx = fixture();
-        let pq = DdmGnnPreconditioner::with_precision(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            false,
-            gnn::Precision::Int8,
-        )
-        .unwrap();
+        let pq = fixture_preconditioner(false, Precision::Int8);
         assert_eq!(pq.name(), "ddm-gnn-1level-int8");
         let r = vec![0.0; fx.problem.num_unknowns()];
         let mut z = vec![1.0; r.len()];
@@ -557,14 +495,7 @@ mod tests {
         let fx = fixture();
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(500);
         let solve = |precision| {
-            let precond = DdmGnnPreconditioner::with_precision(
-                &fx.problem,
-                fx.subdomains.clone(),
-                Arc::new(fx.model.clone()),
-                true,
-                precision,
-            )
-            .unwrap();
+            let precond = fixture_preconditioner(true, precision);
             preconditioned_conjugate_gradient(
                 &fx.problem.matrix,
                 &fx.problem.rhs,
@@ -593,14 +524,7 @@ mod tests {
         let fx = fixture();
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(500);
         let solve = |precision| {
-            let precond = DdmGnnPreconditioner::with_precision(
-                &fx.problem,
-                fx.subdomains.clone(),
-                Arc::new(fx.model.clone()),
-                true,
-                precision,
-            )
-            .unwrap();
+            let precond = fixture_preconditioner(true, precision);
             preconditioned_conjugate_gradient(
                 &fx.problem.matrix,
                 &fx.problem.rhs,
@@ -654,7 +578,7 @@ mod tests {
     #[test]
     fn multilevel_depth_sets_the_blocks_only_the_v_cycle_runs() {
         // A random 3-block model on the fixture: which blocks every local
-        // solve runs, and the bits of one apply, per coarse kind and
+        // solve runs, told by the bits of one apply, per coarse kind and
         // precision.
         let fx = fixture();
         let ml = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
@@ -668,37 +592,37 @@ mod tests {
                 precision,
             )
             .unwrap();
-            let blocks = p.model().config().num_blocks;
             let mut z = vec![0.0; p.dim()];
             p.apply(&fx.problem.rhs, &mut z);
-            (blocks, z.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            z.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         let full = DssModel::new(gnn::DssConfig { num_blocks: 3, latent_dim: 4, alpha: 0.1 }, 9);
         let mut set = full.clone();
         set.set_multilevel_depth(2);
         let mut cut = full.clone();
         cut.truncate(2);
+        let mut one = full.clone();
+        one.truncate(1);
         for level in levels {
             for precision in [Precision::F64, Precision::F32, Precision::Int8] {
-                // Without the setting every coarse kind runs all blocks.
-                let (blocks, all) = run(&full, level, precision);
-                assert_eq!(blocks, 3, "{level:?} {precision}");
+                // Without the setting every coarse kind runs all blocks: the
+                // bits of neither shorter cut.
+                let all = run(&full, level, precision);
+                let two = run(&cut, level, precision);
+                assert_ne!(all, two, "{level:?} {precision}");
+                assert_ne!(all, run(&one, level, precision), "{level:?} {precision}");
                 // With it only the V-cycle's local solves are cut, to the
                 // bits of the cut model.
-                let (blocks, z) = run(&set, level, precision);
-                if level == ml {
-                    assert_eq!((blocks, &z), (2, &run(&cut, level, precision).1), "{precision}");
-                    assert_ne!(z, all, "{precision}");
-                } else {
-                    assert_eq!((blocks, &z), (3, &all), "{level:?} {precision}");
-                }
+                let expected = if level == ml { two } else { all };
+                assert_eq!(run(&set, level, precision), expected, "{level:?} {precision}");
             }
         }
-        // A cut below the setting clamps it.
+        // A cut below the setting clamps it: the V-cycle runs the one block
+        // left.
         let mut shallow = set.clone();
         shallow.truncate(1);
         assert_eq!(shallow.multilevel_depth(), 1);
-        assert_eq!(run(&shallow, ml, Precision::F64).0, 1);
+        assert_eq!(run(&shallow, ml, Precision::F64), run(&one, ml, Precision::F64));
     }
 
     /// What a [`Masked`] local solve does on its sub-domain.
@@ -844,7 +768,11 @@ mod tests {
         let matrix = &fx.problem.matrix;
         let model = Arc::new(fx.model.clone());
         let decomposition = Decomposition::new(matrix, fx.subdomains.clone());
-        let graphs = build_local_graphs(&fx.problem, &decomposition);
+        let graphs = build_local_graphs(
+            &fx.problem,
+            &decomposition.subdomains,
+            decomposition.local_matrices.clone(),
+        );
         let columns: Vec<Vec<f64>> = (0..4)
             .map(|c| {
                 fx.problem
@@ -977,13 +905,7 @@ mod tests {
         // The headline property of the paper: the hybrid solver converges to
         // the requested tolerance even though the preconditioner is learned.
         let fx = fixture();
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
+        let precond = fixture_preconditioner(true, Precision::F64);
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(500);
         let result = preconditioned_conjugate_gradient(
             &fx.problem.matrix,
@@ -1007,13 +929,7 @@ mod tests {
         let fx = fixture();
         let opts = SolverOptions::with_tolerance(1e-6).max_iterations(2000);
         let plain = krylov::conjugate_gradient(&fx.problem.matrix, &fx.problem.rhs, None, &opts);
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
+        let precond = fixture_preconditioner(true, Precision::F64);
         let hybrid = preconditioned_conjugate_gradient(
             &fx.problem.matrix,
             &fx.problem.rhs,

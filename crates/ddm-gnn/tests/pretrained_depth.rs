@@ -26,7 +26,7 @@ use ddm_gnn::{
     HybridSolverConfig, Method, MultilevelConfig, Precision, MULTILEVEL_DEPTH, PRETRAINED_DEPTH,
 };
 use gnn::DssModel;
-use krylov::SolverOptions;
+use krylov::{Preconditioner, SolverOptions};
 use partition::partition_mesh_with_overlap;
 
 /// `(problem seed, target nodes, multi-level)` — the sweep's problems of at
@@ -124,15 +124,24 @@ fn default_model_runs_the_multilevel_depth_within_1_3x_of_the_anchor() {
     assert_eq!(default.multilevel_depth(), MULTILEVEL_DEPTH);
     let problem = generate_problem(1, 3_000);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 300, 2, 0);
-    let v_cycle = DdmGnnPreconditioner::with_multilevel_coarse(
-        &problem,
-        subdomains,
-        Arc::new(default.clone()),
-        &MultilevelConfig::default(),
-        Precision::F64,
-    )
-    .expect("DDM-GNN setup");
-    assert_eq!(v_cycle.model().config().num_blocks, MULTILEVEL_DEPTH);
+    let v_cycle_bits = |model: DssModel| {
+        let v_cycle = DdmGnnPreconditioner::with_multilevel_coarse(
+            &problem,
+            subdomains.clone(),
+            Arc::new(model),
+            &MultilevelConfig::default(),
+            Precision::F64,
+        )
+        .expect("DDM-GNN setup");
+        let mut z = vec![0.0; v_cycle.dim()];
+        v_cycle.apply(&problem.rhs, &mut z);
+        z.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    // Under the V-cycle the default model has the bits of the plain anchor
+    // cut to its first `MULTILEVEL_DEPTH` blocks.
+    let mut plain = anchor();
+    plain.truncate(MULTILEVEL_DEPTH);
+    assert_eq!(v_cycle_bits(default.clone()), v_cycle_bits(plain));
 
     let counts = iterations(default, |multilevel| multilevel);
     let full: Vec<usize> =

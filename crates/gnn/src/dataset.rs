@@ -8,15 +8,18 @@
 //! reproduces that pipeline: the produced [`LocalGraph`]s are exactly the
 //! inputs the DSS model later sees inside the DDM-GNN preconditioner.
 
-use ddm::{AdditiveSchwarz, AsmLevel, Decomposition};
+use ddm::{AdditiveSchwarz, AsmLevel, Decomposition, Restriction};
 use fem::PoissonProblem;
 use krylov::Preconditioner;
 use meshgen::{generate_mesh, MeshingOptions, RandomBlobDomain};
 use partition::partition_mesh_with_overlap;
+use sparse::CsrMatrix;
 
 use crate::graph::LocalGraph;
 
-/// A training sample: one local Poisson problem presented as a graph.
+/// A training sample: one local Poisson problem presented as a graph.  The
+/// samples of one sub-domain share its graph's structure and operator; each
+/// owns only its input.
 pub type TrainingSample = LocalGraph;
 
 /// Relative residual tolerance of the data-generating PCG solve.
@@ -58,20 +61,21 @@ impl Default for DatasetConfig {
 }
 
 /// Build the per-sub-domain graph templates (geometry and operator) of
-/// a decomposed problem.  The right-hand sides start at zero; dataset
-/// extraction fills them in.
+/// a decomposed problem from its sub-domains and their local operators
+/// `Rᵢ A Rᵢᵀ`, which move into the graphs.  The right-hand sides start at
+/// zero; dataset extraction fills them in.
 pub fn build_local_graphs(
     problem: &PoissonProblem,
-    decomposition: &Decomposition,
+    subdomains: &[Vec<usize>],
+    local_matrices: Vec<CsrMatrix>,
 ) -> Vec<LocalGraph> {
-    decomposition
-        .subdomains
+    subdomains
         .iter()
-        .zip(decomposition.local_matrices.iter())
+        .zip(local_matrices)
         .map(|(subdomain, local_matrix)| {
             let positions = subdomain.iter().map(|&g| problem.mesh.points[g]).collect();
             let zero_rhs = vec![0.0; subdomain.len()];
-            LocalGraph::new(local_matrix.clone(), positions, &zero_rhs)
+            LocalGraph::new(local_matrix, positions, &zero_rhs)
         })
         .collect()
 }
@@ -89,13 +93,10 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
         let subdomains =
             partition_mesh_with_overlap(&mesh, config.subdomain_size, config.overlap, problem_seed);
         let problem = PoissonProblem::with_random_data(mesh, problem_seed.wrapping_add(7));
-        let decomposition = Decomposition::new(&problem.matrix, subdomains);
-        let templates = build_local_graphs(&problem, &decomposition);
-        let asm = match AdditiveSchwarz::new(
-            &problem.matrix,
-            decomposition.subdomains.clone(),
-            AsmLevel::TwoLevel,
-        ) {
+        let Decomposition { subdomains, restrictions, local_matrices } =
+            Decomposition::new(&problem.matrix, subdomains);
+        let templates = build_local_graphs(&problem, &subdomains, local_matrices);
+        let asm = match AdditiveSchwarz::new(&problem.matrix, subdomains, AsmLevel::TwoLevel) {
             Ok(asm) => asm,
             Err(_) => continue,
         };
@@ -112,7 +113,7 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
         let mut z = vec![0.0; n];
         let mut q = vec![0.0; n];
         asm.apply(&r, &mut z);
-        record_samples(&decomposition, &templates, &r, &mut samples, config.max_samples);
+        record_samples(&restrictions, &templates, &r, &mut samples, config.max_samples);
         let mut pvec = z.clone();
         let mut rho = sparse::vector::dot(&r, &z);
         for _iter in 0..config.max_iterations_per_problem {
@@ -123,7 +124,7 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
             if sparse::vector::norm2(&r) <= threshold {
                 break;
             }
-            record_samples(&decomposition, &templates, &r, &mut samples, config.max_samples);
+            record_samples(&restrictions, &templates, &r, &mut samples, config.max_samples);
             if let Some(cap) = config.max_samples {
                 if samples.len() >= cap {
                     break 'problems;
@@ -139,15 +140,17 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
     samples
 }
 
-/// Record one sample per sub-domain for the current global residual.
+/// Record one sample per sub-domain for the current global residual: a
+/// clone of the sub-domain's template, which shares its structure, with the
+/// restricted residual as input.
 fn record_samples(
-    decomposition: &Decomposition,
+    restrictions: &[Restriction],
     templates: &[LocalGraph],
     residual: &[f64],
     out: &mut Vec<TrainingSample>,
     cap: Option<usize>,
 ) {
-    for (restriction, template) in decomposition.restrictions.iter().zip(templates.iter()) {
+    for (restriction, template) in restrictions.iter().zip(templates.iter()) {
         if let Some(c) = cap {
             if out.len() >= c {
                 return;

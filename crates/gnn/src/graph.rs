@@ -15,12 +15,18 @@
 //! sub-matrices `Rᵢ A Rᵢᵀ`, whose interface nodes carry genuine unknowns, so
 //! the symmetric graph is the faithful choice and no boundary mask is kept.
 //!
-//! A [`LocalGraph`] stores its incidence in the one layout both consumers
-//! read: a `u32` in-degree per node, and a `u32` source and the geometry
+//! A [`LocalGraph`] is one shared sub-domain structure plus its own input.
+//! The structure is the incidence in the one layout every consumer reads — a
+//! `u32` in-degree per node, and a `u32` source and the f64 geometry
 //! `[dx, dy, dist]` per destination-grouped edge (28 bytes per edge, 4 per
-//! node).  An [`crate::InferencePlan`]'s graph half is a cast of these arrays
-//! to the engine's scalar type, and training walks the same arrays in the
-//! same order.
+//! node) — and the operator, each behind an [`Arc`].  Only the input `c`
+//! changes between applies and between training samples, so a clone copies
+//! the input alone: the training samples of one sub-domain and the
+//! [`crate::InferencePlan`]s built from its graph all hold the graph's one
+//! copy of the structure, and training walks the same arrays in the same
+//! order.
+
+use std::sync::Arc;
 
 use meshgen::Point2;
 use sparse::CsrMatrix;
@@ -35,18 +41,21 @@ use sparse::CsrMatrix;
 /// sources keep the column order of the operator row, so summing a node's
 /// run adds in a fixed order.  The positions themselves are not kept:
 /// nothing after construction reads them.
+///
+/// Everything but `input` is shared structure: a clone shares it and copies
+/// only the input.
 #[derive(Debug, Clone)]
 pub struct LocalGraph {
     /// In-degree of every node: the length of its run in the edge arrays.
-    pub(crate) in_degree: Vec<u32>,
+    pub(crate) in_degree: Arc<[u32]>,
     /// Source node of every destination-grouped edge.
-    pub(crate) edge_src: Vec<u32>,
+    pub(crate) edge_src: Arc<[u32]>,
     /// `[dx, dy, dist]` of every destination-grouped edge.
-    pub(crate) edge_geo: Vec<[f64; 3]>,
+    pub(crate) edge_geo: Arc<[[f64; 3]]>,
     /// Normalised node input `c` (the DSS input).
     pub input: Vec<f64>,
     /// The local operator (used by the training loss).
-    pub matrix: CsrMatrix,
+    pub matrix: Arc<CsrMatrix>,
 }
 
 impl LocalGraph {
@@ -81,7 +90,13 @@ impl LocalGraph {
             in_degree.push(index(edge_src.len() - run));
         }
 
-        let mut graph = LocalGraph { in_degree, edge_src, edge_geo, input: vec![0.0; n], matrix };
+        let mut graph = LocalGraph {
+            in_degree: in_degree.into(),
+            edge_src: edge_src.into(),
+            edge_geo: edge_geo.into(),
+            input: vec![0.0; n],
+            matrix: Arc::new(matrix),
+        };
         graph.set_rhs(rhs);
         graph
     }
@@ -165,7 +180,7 @@ mod tests {
         let dsts: Vec<usize> = edges.iter().filter(|e| e.0 == 2).map(|e| e.1).collect();
         assert_eq!(dsts, [1, 3]);
         // The chain ends (boundary nodes) each receive exactly one message.
-        assert_eq!(g.in_degree, [1, 2, 2, 2, 2, 1]);
+        assert_eq!(*g.in_degree, [1, 2, 2, 2, 2, 1]);
         // Symmetry: for every edge (dst, src) the reverse edge exists.
         for e in &edges {
             assert!(edges.iter().any(|f| f.0 == e.1 && f.1 == e.0));
@@ -224,7 +239,7 @@ mod tests {
 
     #[test]
     fn incidence_is_stable_and_rebuildable() {
-        let mut g = chain_graph(6);
+        let g = chain_graph(6);
         // Each node's run lists its sources in the operator row's column
         // order (minus the diagonal), so the per-node sum adds in a fixed order.
         let mut slot = 0;
@@ -235,16 +250,22 @@ mod tests {
             assert_eq!(run, row, "node {j}'s run is out of row order");
             slot += deg as usize;
         }
-        // A new rhs keeps the structure, and rebuilding from the same
-        // operator and positions reproduces the same incidence.
-        let before = g.clone();
-        g.set_rhs(&[1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
+        // A clone — a training sample — shares the structure and owns its
+        // input: a new rhs on the clone leaves the original's input alone.
+        let mut sample = g.clone();
+        assert!(Arc::ptr_eq(&sample.in_degree, &g.in_degree));
+        assert!(Arc::ptr_eq(&sample.edge_src, &g.edge_src));
+        assert!(Arc::ptr_eq(&sample.edge_geo, &g.edge_geo));
+        assert!(Arc::ptr_eq(&sample.matrix, &g.matrix));
+        sample.set_rhs(&[1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
+        assert_ne!(sample.input, g.input);
+        assert_eq!(g.input, chain_graph(6).input);
+        // Rebuilding from the same operator and positions reproduces the
+        // same incidence.
         let positions = (0..6).map(|i| Point2::new(i as f64, 0.0)).collect();
-        let rebuilt = LocalGraph::new(g.matrix.clone(), positions, &[1.0; 6]);
-        for other in [&g, &rebuilt] {
-            assert_eq!(other.in_degree, before.in_degree);
-            assert_eq!(other.edge_src, before.edge_src);
-            assert_eq!(other.edge_geo, before.edge_geo);
-        }
+        let rebuilt = LocalGraph::new(CsrMatrix::clone(&g.matrix), positions, &[1.0; 6]);
+        assert_eq!(rebuilt.in_degree, g.in_degree);
+        assert_eq!(rebuilt.edge_src, g.edge_src);
+        assert_eq!(rebuilt.edge_geo, g.edge_geo);
     }
 }

@@ -33,11 +33,14 @@
 //! There is one engine, generic over the [`Scalar`] type `T`:
 //!
 //! * An [`InferencePlan<T>`] is the setup half.  Its graph half is the
-//!   [`LocalGraph`]'s edge arrays cast to `T` — `(dx, dy, dist): [T; 3]` and
-//!   a `u32` source index per destination-grouped edge, a `u32` in-degree
-//!   per node — and it stores block 1's `2d`-wide edge sums per node:
-//!   `28 e + (4 + 16 d) n` bytes in f64, `16 e + (4 + 8 d) n` in f32,
-//!   whatever the model's depth.
+//!   [`LocalGraph`]'s own edge arrays, shared by `Arc`, not copied — the f64
+//!   `(dx, dy, dist)` and a `u32` source index per destination-grouped edge,
+//!   a `u32` in-degree per node — and it stores block 1's `2d`-wide edge sums
+//!   per node: `28 e + (4 + 2d·size_of::<T>()) n` bytes, `28 e + (4 + 16 d)
+//!   n` in f64 and `28 e + (4 + 8 d) n` in f32, whatever the model's depth.
+//!   The f32 engine rounds each geometry triple to `T` in registers where a
+//!   sweep reads it, the rounding a stored cast would have made; in f64 the
+//!   rounding is the identity.
 //! * A `WeightPack<T>` is the model half: every weight the forward pass
 //!   reads, direction-fused and transposed.  It is built once per plan set —
 //!   one [`DssModel::build_plans`] call — and shared by `Arc` between the
@@ -55,9 +58,9 @@
 //! `W_h` and the two composed message matrices of every block) were rounded
 //! to int8 with one scale per output and stored dequantised.
 //!
-//! A plan runs itself ([`InferencePlan::infer`]): it owns its graph half and
-//! shares its pack, a snapshot of the model at build time, so neither the
-//! model nor the graph is needed at apply time.  The edges keep the graph's
+//! A plan runs itself ([`InferencePlan::infer`]): it shares its graph half
+//! and its pack, a snapshot of the model at build time, so neither the model
+//! nor the graph is needed at apply time.  The edges keep the graph's
 //! destination-grouped order, so message aggregation in the forward pass is
 //! a contiguous per-node gather.
 
@@ -496,18 +499,18 @@ impl<T: Default> InferScratch<T> {
 /// Build the plans of a set of sub-domain graphs once (e.g. at
 /// preconditioner construction) via [`DssModel::build_plans`], or of one
 /// graph via [`DssModel::build_plan`], then run [`InferencePlan::infer`] any
-/// number of times with changing node inputs.  The plan owns graph
-/// structure — three scalars and a `u32` per edge, a `u32` per node — and
-/// block 1's `2d` edge sums per node, and shares the weight pack of its set;
-/// that pack snapshots the model, so a retrained model needs new plans.
+/// number of times with changing node inputs.  The plan shares its graph's
+/// structure — three f64 and a `u32` per edge, a `u32` per node — and the
+/// weight pack of its set, and owns block 1's `2d` edge sums per node; the
+/// pack snapshots the model, so a retrained model needs new plans.
 pub struct InferencePlan<T = f64> {
-    /// `(dx, dy, dist)` of every destination-grouped edge.
-    edge_geo: Vec<[T; 3]>,
-    /// Source node of every destination-grouped edge.
-    edge_src: Vec<u32>,
-    /// In-degree of every node: node `j`'s edges follow those of `j − 1` in
-    /// the edge list.
-    in_degree: Vec<u32>,
+    /// The graph's `(dx, dy, dist)` of every destination-grouped edge.
+    edge_geo: Arc<[[f64; 3]]>,
+    /// The graph's source node of every destination-grouped edge.
+    edge_src: Arc<[u32]>,
+    /// The graph's in-degree of every node: node `j`'s edges follow those of
+    /// `j − 1` in the edge list.
+    in_degree: Arc<[u32]>,
     /// Largest in-degree: the rows of the batched sweep's `geo_buf`.
     max_degree: usize,
     /// Block 1's per-node edge sums `[fwd | bwd]` (`n × 2d`), which every
@@ -518,13 +521,13 @@ pub struct InferencePlan<T = f64> {
 }
 
 impl<T: Scalar> InferencePlan<T> {
-    /// Build a plan for `graph` that reads `weights`: cast the graph's edge
-    /// arrays to `T` and sweep block 1's edges once.
+    /// Build a plan for `graph` that reads `weights`: share the graph's edge
+    /// arrays and sweep block 1's edges once.
     pub(crate) fn new(graph: &LocalGraph, weights: Arc<WeightPack<T>>) -> Self {
         let mut plan = InferencePlan {
-            edge_geo: graph.edge_geo.iter().map(|g| g.map(T::from_f64)).collect(),
-            edge_src: graph.edge_src.clone(),
-            in_degree: graph.in_degree.clone(),
+            edge_geo: Arc::clone(&graph.edge_geo),
+            edge_src: Arc::clone(&graph.edge_src),
+            in_degree: Arc::clone(&graph.in_degree),
             max_degree: graph.in_degree.iter().copied().max().unwrap_or(0) as usize,
             block1_hsum: Vec::new(),
             weights,
@@ -552,23 +555,18 @@ impl<T: Scalar> InferencePlan<T> {
         self.in_degree.len()
     }
 
-    /// Number of directed edges of the graph this plan was built for.
-    #[cfg(test)]
-    pub(crate) fn num_edges(&self) -> usize {
-        self.edge_src.len()
-    }
-
     /// Latent dimension of the model this plan was built from.
     fn latent_dim(&self) -> usize {
         self.weights.latent_dim
     }
 
-    /// Heap footprint in bytes of what this plan owns: `28 e + (4 + 16 d) n`
-    /// in f64, `16 e + (4 + 8 d) n` in f32, whatever the model's depth.  The
-    /// shared weights are counted separately, see
-    /// [`InferencePlan::shared_weight_bytes`].
+    /// Heap footprint in bytes of what this plan holds, its graph's shared
+    /// structure included: `28 e + (4 + 2d·size_of::<T>()) n`, that is
+    /// `28 e + (4 + 16 d) n` in f64 and `28 e + (4 + 8 d) n` in f32,
+    /// whatever the model's depth.  The shared weights are counted
+    /// separately, see [`InferencePlan::shared_weight_bytes`].
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<[T; 3]>() * self.edge_geo.len()
+        std::mem::size_of::<[f64; 3]>() * self.edge_geo.len()
             + std::mem::size_of::<u32>() * (self.edge_src.len() + self.in_degree.len())
             + std::mem::size_of::<T>() * self.block1_hsum.len()
     }
@@ -687,7 +685,8 @@ fn edge_sweep_fixed<T: Scalar, const D2: usize>(
             let adj = as_dst(j);
             let mut acc = [T::ZERO; D2];
             for s in slot..slot + deg as usize {
-                let (g, asj) = (plan.edge_geo[s], as_src(plan.edge_src[s] as usize));
+                let g = plan.edge_geo[s].map(T::from_f64);
+                let asj = as_src(plan.edge_src[s] as usize);
                 for k in 0..D2 {
                     acc[k] += (geo.term(k, g) + adj[k] + asj[k]).relu();
                 }
@@ -701,6 +700,7 @@ fn edge_sweep_fixed<T: Scalar, const D2: usize>(
         let edges = slot..slot + deg as usize;
         slot = edges.end;
         for (g, &xyz) in geo_buf.chunks_exact_mut(D2).zip(&plan.edge_geo[edges.clone()]) {
+            let xyz = xyz.map(T::from_f64);
             // Through a local row: a store into `geo_buf` could alias the
             // weight rows for all the optimiser knows, which keeps the lanes
             // from being evaluated as vectors.
@@ -745,8 +745,9 @@ fn edge_sweep_dyn<T: Scalar>(
         hsum[j * b * d2..][..b * d2].fill(T::ZERO);
         for s in slot..slot + deg as usize {
             let src = plan.edge_src[s] as usize;
+            let xyz = plan.edge_geo[s].map(T::from_f64);
             for (k, g) in geo_row.iter_mut().enumerate() {
-                *g = geo.term(k, plan.edge_geo[s]);
+                *g = geo.term(k, xyz);
             }
             for c in 0..b {
                 let (row, src_row) = (j * b + c, src * b + c);
@@ -930,7 +931,7 @@ pub(crate) mod tests {
         let cols = layer.in_dim;
         assert_eq!(cols, 2 * d + 3);
         let mut out = Vec::with_capacity(graph.num_edges() * d);
-        for &[dx, dy, dist] in &graph.edge_geo {
+        for &[dx, dy, dist] in graph.edge_geo.iter() {
             for o in 0..d {
                 let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
                 out.push(layer.bias[o] + w[0] * (sign * dx) + w[1] * (sign * dy) + w[2] * dist);
@@ -989,7 +990,7 @@ pub(crate) mod tests {
             let mut graph = graph_on(positions, &extra);
             for &pick in &negate_zero {
                 let e = graph.num_edges();
-                let geo = &mut graph.edge_geo[pick % e];
+                let geo = &mut Arc::make_mut(&mut graph.edge_geo)[pick % e];
                 for delta in geo[..2].iter_mut().filter(|v| **v == 0.0) {
                     *delta = -0.0;
                 }
@@ -1156,17 +1157,18 @@ pub(crate) mod tests {
         };
         let (shallow, mut deep) = (model(2, 12), model(9, 12));
         let (p_shallow, p_deep) = (shallow.build_plan(&graph), deep.build_plan(&graph));
-        // Graph structure, then block 1's `2d` edge sums per node.
+        // The graph's shared structure, then block 1's `2d` edge sums per
+        // node.
         assert_eq!(p_shallow.memory_bytes(), 28 * e + (4 + 16 * 12) * n);
         assert_eq!(p_deep.memory_bytes(), p_shallow.memory_bytes(), "depth is not in the plan");
         assert_eq!(model(9, 4).build_plan(&graph).memory_bytes(), 28 * e + (4 + 16 * 4) * n);
         assert!(p_deep.shared_weight_bytes() > p_shallow.shared_weight_bytes());
-        // The f32 engine: the same in single precision, for either weight
-        // format.
+        // The f32 engine: the same f64 structure, the sums in single
+        // precision, for either weight format.
         let (f_shallow, f_deep) =
             (plan_for::<f32>(&shallow, &graph, false), plan_for::<f32>(&deep, &graph, false));
         let q_deep = plan_for::<f32>(&deep, &graph, true);
-        assert_eq!(f_shallow.memory_bytes(), 16 * e + (4 + 8 * 12) * n);
+        assert_eq!(f_shallow.memory_bytes(), 28 * e + (4 + 8 * 12) * n);
         assert_eq!(f_deep.memory_bytes(), f_shallow.memory_bytes());
         assert_eq!(2 * f_deep.shared_weight_bytes(), p_deep.shared_weight_bytes());
         assert_eq!(q_deep.memory_bytes(), f_deep.memory_bytes(), "int8 == f32: a weight format");
@@ -1194,13 +1196,21 @@ pub(crate) mod tests {
         let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-2 }, 2);
         let (first, second) =
             (model.build_plans::<f64>(&graphs, false), model.build_plans(&graphs, false));
-        // One pack per call, shared by its plans, which come in graph order.
+        let single = model.build_plans::<f32>(&graphs, false);
+        fn shares_graph<T>(plan: &InferencePlan<T>, graph: &LocalGraph) -> bool {
+            Arc::ptr_eq(&plan.edge_geo, &graph.edge_geo)
+                && Arc::ptr_eq(&plan.edge_src, &graph.edge_src)
+                && Arc::ptr_eq(&plan.in_degree, &graph.in_degree)
+        }
+        // One pack per call, shared by its plans, which come in graph order;
+        // every plan, at either precision, shares its graph's arrays.
         assert_eq!(second.len(), graphs.len());
-        for ((graph, a), b) in graphs.iter().zip(&first).zip(&second) {
+        for (((graph, a), b), c) in graphs.iter().zip(&first).zip(&second).zip(&single) {
             assert_eq!(a.num_nodes(), graph.num_nodes());
             assert!(Arc::ptr_eq(&a.weights, &first[0].weights));
             assert!(Arc::ptr_eq(&b.weights, &second[0].weights));
             assert!(!Arc::ptr_eq(&a.weights, &b.weights));
+            assert!(shares_graph(a, graph) && shares_graph(b, graph) && shares_graph(c, graph));
         }
     }
 

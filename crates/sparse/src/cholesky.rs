@@ -136,12 +136,6 @@ impl SkylineCholesky {
         Ok(out)
     }
 
-    /// Solve into a preallocated output buffer.
-    pub fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<()> {
-        let mut work = Vec::new();
-        self.solve_scratch(b, &mut work, out)
-    }
-
     /// Allocation-free solve: the permuted intermediate lives in `work`
     /// (resized on first use, reused afterwards) and the result is written to
     /// `out`.  This is the form the Schwarz preconditioner calls once per
@@ -322,17 +316,6 @@ mod tests {
         let chol = SkylineCholesky::factor(&a).unwrap();
         let n = a.nrows();
         assert!(chol.data.len() < n * (n + 1) / 2, "envelope should beat dense storage");
-    }
-
-    #[test]
-    fn solve_into_matches_solve() {
-        let a = laplacian_2d(5, 5);
-        let chol = SkylineCholesky::factor(&a).unwrap();
-        let b: Vec<f64> = (0..25).map(|i| i as f64).collect();
-        let x = chol.solve(&b).unwrap();
-        let mut out = vec![0.0; 25];
-        chol.solve_into(&b, &mut out).unwrap();
-        assert_eq!(x, out);
     }
 
     #[test]

@@ -394,7 +394,8 @@ impl CsrMatrix {
         }
     }
 
-    /// Convert to a dense row-major vector (for small matrices / testing).
+    /// Convert to a dense row-major vector: what [`crate::LuFactor`]
+    /// eliminates on (small matrices only).
     pub(crate) fn to_dense(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.nrows * self.ncols];
         for r in 0..self.nrows {

@@ -115,31 +115,40 @@ impl IncompleteCholesky {
 
     /// Apply the preconditioner: solve `L Lᵀ z = r`.
     pub fn apply(&self, r: &[f64]) -> Result<Vec<f64>> {
-        if r.len() != self.n {
-            return Err(SparseError::DimensionMismatch {
-                op: "ic0_apply",
-                expected: (self.n, 1),
-                found: (r.len(), 1),
-            });
+        let mut z = vec![0.0; self.n];
+        self.apply_into(r, &mut z)?;
+        Ok(z)
+    }
+
+    /// Solve `L Lᵀ z = r` into a preallocated `z` of the factor's
+    /// dimension, without allocating.
+    pub fn apply_into(&self, r: &[f64], z: &mut [f64]) -> Result<()> {
+        for len in [r.len(), z.len()] {
+            if len != self.n {
+                return Err(SparseError::DimensionMismatch {
+                    op: "ic0_apply",
+                    expected: (self.n, 1),
+                    found: (len, 1),
+                });
+            }
         }
         let n = self.n;
-        let mut y = r.to_vec();
-        // Forward solve L y = r
+        z.copy_from_slice(r);
+        // Forward solve L y = r, y overwriting z
         for i in 0..n {
             let (cols, vals) = self.l.row(i);
-            let mut acc = y[i];
+            let mut acc = z[i];
             let mut diag = 1.0;
             for (&c, &v) in cols.iter().zip(vals.iter()) {
                 if c < i {
-                    acc -= v * y[c];
+                    acc -= v * z[c];
                 } else {
                     diag = v;
                 }
             }
-            y[i] = acc / diag;
+            z[i] = acc / diag;
         }
-        // Backward solve Lᵀ z = y
-        let mut z = y;
+        // Backward solve Lᵀ z = y in place
         for i in (0..n).rev() {
             let (cols, vals) = self.l.row(i);
             let diag = *vals.last().expect("row must contain its diagonal");
@@ -151,13 +160,6 @@ impl IncompleteCholesky {
                 }
             }
         }
-        Ok(z)
-    }
-
-    /// Apply into a preallocated output buffer.
-    pub fn apply_into(&self, r: &[f64], out: &mut [f64]) -> Result<()> {
-        let z = self.apply(r)?;
-        out.copy_from_slice(&z);
         Ok(())
     }
 }
@@ -247,6 +249,16 @@ mod tests {
         let mut out = vec![0.0; 12];
         ic.apply_into(&b, &mut out).unwrap();
         assert_eq!(z, out);
+    }
+
+    #[test]
+    fn apply_into_rejects_a_wrong_length_output() {
+        let ic = IncompleteCholesky::factor(&laplacian_1d(4)).unwrap();
+        for len in [3, 5] {
+            let found = (len, 1);
+            let err = SparseError::DimensionMismatch { op: "ic0_apply", expected: (4, 1), found };
+            assert_eq!(ic.apply_into(&[1.0; 4], &mut vec![0.0; len]), Err(err));
+        }
     }
 
     #[test]

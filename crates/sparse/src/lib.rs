@@ -23,7 +23,6 @@
 pub mod cholesky;
 pub mod coo;
 pub mod csr;
-mod dense;
 pub mod error;
 pub mod ic0;
 pub mod lu;

@@ -7,7 +7,6 @@
 //! The same factorisation doubles as the reference "exact" solver in tests
 //! and in the relative-error metric of Table II.
 
-use crate::dense::DenseMatrix;
 use crate::{CsrMatrix, Result, SparseError};
 
 /// A dense LU factorisation `P A = L U` with partial pivoting.
@@ -21,13 +20,15 @@ pub struct LuFactor {
 }
 
 impl LuFactor {
-    /// Factor a dense matrix.  Fails on (numerically) singular input.
-    pub(crate) fn factor_dense(a: &DenseMatrix) -> Result<Self> {
+    /// Factor a square sparse matrix by eliminating on its dense row-major
+    /// copy in place.  Intended for small systems (coarse problems,
+    /// reference solves in tests).  Fails on (numerically) singular input.
+    pub fn factor_csr(a: &CsrMatrix) -> Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare { rows: a.nrows(), cols: a.ncols() });
         }
         let n = a.nrows();
-        let mut lu = a.data().to_vec();
+        let mut lu = a.to_dense();
         let mut perm: Vec<usize> = (0..n).collect();
 
         for k in 0..n {
@@ -64,16 +65,6 @@ impl LuFactor {
         Ok(LuFactor { n, lu, perm })
     }
 
-    /// Factor a square sparse matrix by densifying it first.  Intended for
-    /// small systems (coarse problems, reference solves in tests).
-    pub fn factor_csr(a: &CsrMatrix) -> Result<Self> {
-        if a.nrows() != a.ncols() {
-            return Err(SparseError::NotSquare { rows: a.nrows(), cols: a.ncols() });
-        }
-        let dense = DenseMatrix::from_row_major(a.nrows(), a.ncols(), a.to_dense())?;
-        Self::factor_dense(&dense)
-    }
-
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.n
@@ -81,16 +72,28 @@ impl LuFactor {
 
     /// Solve `A x = b`, returning `x`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.n {
-            return Err(SparseError::DimensionMismatch {
-                op: "lu_solve",
-                expected: (self.n, 1),
-                found: (b.len(), 1),
-            });
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solve `A x = b` into a preallocated `x` of the factor's dimension,
+    /// without allocating.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
+        for len in [b.len(), x.len()] {
+            if len != self.n {
+                return Err(SparseError::DimensionMismatch {
+                    op: "lu_solve",
+                    expected: (self.n, 1),
+                    found: (len, 1),
+                });
+            }
         }
         let n = self.n;
         // Apply permutation: y = P b
-        let mut x: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
+        for (i, xi) in x.iter_mut().enumerate() {
+            *xi = b[self.perm[i]];
+        }
         // Forward substitution with unit lower triangular L.
         for i in 0..n {
             let mut acc = x[i];
@@ -107,13 +110,6 @@ impl LuFactor {
             }
             x[i] = acc / self.lu[i * n + i];
         }
-        Ok(x)
-    }
-
-    /// Solve in place into a preallocated output buffer.
-    pub fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<()> {
-        let x = self.solve(b)?;
-        out.copy_from_slice(&x);
         Ok(())
     }
 }
@@ -125,10 +121,18 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
+    /// The row-major `nrows × ncols` `data` as a sparse matrix.
+    fn from_rows(nrows: usize, ncols: usize, data: &[f64]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(nrows, ncols);
+        for (k, &v) in data.iter().enumerate() {
+            coo.push(k / ncols, k % ncols, v).unwrap();
+        }
+        coo.to_csr()
+    }
+
     #[test]
     fn solve_identity() {
-        let id = DenseMatrix::identity(4);
-        let lu = LuFactor::factor_dense(&id).unwrap();
+        let lu = LuFactor::factor_csr(&CsrMatrix::identity(4)).unwrap();
         let b = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(lu.solve(&b).unwrap(), b);
         assert_eq!(lu.dim(), 4);
@@ -137,8 +141,7 @@ mod tests {
     #[test]
     fn solve_small_known_system() {
         // A = [[2, 1], [1, 3]], b = [3, 5] -> x = [0.8, 1.4]
-        let a = DenseMatrix::from_row_major(2, 2, vec![2.0, 1.0, 1.0, 3.0]).unwrap();
-        let lu = LuFactor::factor_dense(&a).unwrap();
+        let lu = LuFactor::factor_csr(&from_rows(2, 2, &[2.0, 1.0, 1.0, 3.0])).unwrap();
         let x = lu.solve(&[3.0, 5.0]).unwrap();
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
@@ -147,8 +150,7 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         // Without pivoting this matrix breaks immediately.
-        let a = DenseMatrix::from_row_major(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        let lu = LuFactor::factor_dense(&a).unwrap();
+        let lu = LuFactor::factor_csr(&from_rows(2, 2, &[0.0, 1.0, 1.0, 0.0])).unwrap();
         let x = lu.solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -156,10 +158,10 @@ mod tests {
 
     #[test]
     fn singular_matrix_is_rejected() {
-        let a = DenseMatrix::from_row_major(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
-        assert!(matches!(LuFactor::factor_dense(&a), Err(SparseError::SingularMatrix { .. })));
-        let rect = DenseMatrix::zeros(2, 3);
-        assert!(matches!(LuFactor::factor_dense(&rect), Err(SparseError::NotSquare { .. })));
+        let a = from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]);
+        assert!(matches!(LuFactor::factor_csr(&a), Err(SparseError::SingularMatrix { .. })));
+        let rect = CooMatrix::new(2, 3).to_csr();
+        assert!(matches!(LuFactor::factor_csr(&rect), Err(SparseError::NotSquare { .. })));
     }
 
     #[test]
@@ -176,8 +178,7 @@ mod tests {
         }
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let b: Vec<f64> = data.chunks(n).map(|row| crate::vector::dot(row, &x_true)).collect();
-        let a = DenseMatrix::from_row_major(n, n, data).unwrap();
-        let lu = LuFactor::factor_dense(&a).unwrap();
+        let lu = LuFactor::factor_csr(&from_rows(n, n, &data)).unwrap();
         let x = lu.solve(&b).unwrap();
         let err = crate::vector::relative_error(&x, &x_true);
         assert!(err < 1e-10, "relative error {err}");
@@ -203,5 +204,15 @@ mod tests {
         lu.solve_into(&b, &mut out).unwrap();
         assert_eq!(out, x);
         assert!(lu.solve(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn solve_into_rejects_a_wrong_length_output() {
+        let lu = LuFactor::factor_csr(&CsrMatrix::identity(2)).unwrap();
+        for len in [1, 3] {
+            let found = (len, 1);
+            let err = SparseError::DimensionMismatch { op: "lu_solve", expected: (2, 1), found };
+            assert_eq!(lu.solve_into(&[3.0, 5.0], &mut vec![0.0; len]), Err(err));
+        }
     }
 }
