@@ -27,18 +27,22 @@
 //!   `ddm_gnn::MULTILEVEL_DEPTH`, no training: every prefix `k̄ = 1 … 16` of
 //!   the shipped model (each block is trained on its own decoded residual,
 //!   and every prefix runs all its blocks under every coarse kind) solves
-//!   eleven problems, each with sub-domains of 300, overlap 2, partition
+//!   eighteen problems, each with sub-domains of 300, overlap 2, partition
 //!   seed 0, tolerance 1e-6: multi-level f64 on `generate_problem` (1, 3k),
 //!   (2, 3k), (4, 12k), (3, 24k), (7, 24k) and (6, 48k); two-level f64 and
 //!   f32 on (1, 3k) and (4, 12k); multi-level f64 on the Formula-1 problem
-//!   of `fig5` at 12k (sub-domains of 200, tolerance 1e-9).  Two rules,
-//!   fixed before measuring, each print their pick.  `PRETRAINED_DEPTH`, the
-//!   depth one- and two-level preconditioners run: the smallest depth whose
-//!   iteration count is ≤ the 16-block count on every multi-level problem
-//!   and ≤ 1.1× it on every two-level one.  `MULTILEVEL_DEPTH`, the depth
-//!   the V-cycle's local solves run: among the depths whose iteration count
-//!   is ≤ 1.3× the 16-block count on every multi-level problem, the one with
-//!   the lowest setup + solve seconds summed over those problems.  Timings
+//!   of `fig5` at 12k (sub-domains of 200, tolerance 1e-9).  Every
+//!   multi-level problem runs under both compositions: the shipped
+//!   multiplicative V-cycle (`ml-…`) and the paper's additive sum
+//!   (`ml-add-…`).  Two rules, fixed before measuring, each print their
+//!   pick.  `PRETRAINED_DEPTH`, the depth one- and two-level
+//!   preconditioners run: the smallest depth whose iteration count is ≤ the
+//!   16-block count on every additive multi-level problem (the composition
+//!   the rule was fixed on) and ≤ 1.1× it on every two-level one.
+//!   `MULTILEVEL_DEPTH`, the depth the V-cycle's local solves run: among
+//!   the depths whose iteration count is ≤ 1.3× the 16-block count on every
+//!   multiplicative multi-level problem, the one with the lowest setup +
+//!   solve seconds summed over those problems.  Timings
 //!   are at the process's thread count (`RAYON_NUM_THREADS=1` for the
 //!   single-thread figures the second rule is stated for); the iteration
 //!   counts do not depend on it.
@@ -301,14 +305,18 @@ impl SweepProblem {
 }
 
 fn sweep_problems() -> Vec<SweepProblem> {
-    let multilevel = AsmLevel::Multilevel(MultilevelConfig::default());
+    let config = MultilevelConfig::default();
+    let compositions =
+        [("ml", AsmLevel::Multilevel(config)), ("ml-add", AsmLevel::AdditiveMultilevel(config))];
     let mut problems = Vec::new();
-    for (seed, target) in
-        [(1u64, 3_000usize), (2, 3_000), (4, 12_000), (3, 24_000), (7, 24_000), (6, 48_000)]
-    {
-        let name = format!("ml-{}k-s{seed}", target / 1000);
-        let problem = generate_problem(seed, target);
-        problems.push(SweepProblem::new(name, problem, 300, multilevel, Precision::F64, 1e-6));
+    for (tag, level) in compositions {
+        for (seed, target) in
+            [(1u64, 3_000usize), (2, 3_000), (4, 12_000), (3, 24_000), (7, 24_000), (6, 48_000)]
+        {
+            let name = format!("{tag}-{}k-s{seed}", target / 1000);
+            let problem = generate_problem(seed, target);
+            problems.push(SweepProblem::new(name, problem, 300, level, Precision::F64, 1e-6));
+        }
     }
     for precision in [Precision::F64, Precision::F32] {
         for (seed, target) in [(1u64, 3_000usize), (4, 12_000)] {
@@ -324,14 +332,16 @@ fn sweep_problems() -> Vec<SweepProblem> {
             ));
         }
     }
-    problems.push(SweepProblem::new(
-        "ml-f1-12k".into(),
-        formula_one_problem(12_000),
-        200,
-        multilevel,
-        Precision::F64,
-        1e-9,
-    ));
+    for (tag, level) in compositions {
+        problems.push(SweepProblem::new(
+            format!("{tag}-f1-12k"),
+            formula_one_problem(12_000),
+            200,
+            level,
+            Precision::F64,
+            1e-9,
+        ));
+    }
     problems
 }
 
@@ -341,10 +351,12 @@ fn depth() {
     let anchor = gnn::io::load_model(Path::new(path)).expect("the shipped model in assets/");
     let full_depth = anchor.config().num_blocks;
     let problems = sweep_problems();
-    let is_multilevel = |p: &SweepProblem| matches!(p.config.level, AsmLevel::Multilevel(_));
+    let is_shipped_multilevel =
+        |p: &SweepProblem| matches!(p.config.level, AsmLevel::Multilevel(_));
     println!(
         "FIG. 6 (depth) — the shipped k̄ = {full_depth} model cut to its first k̄ blocks, \
-         {} thread(s); iterations per problem, Σ total seconds (all problems, multi-level ones)",
+         {} thread(s); iterations per problem, Σ total seconds (all problems, multiplicative \
+         multi-level ones)",
         rayon::current_num_threads()
     );
     print!("{:>4} |", "k̄");
@@ -354,7 +366,8 @@ fn depth() {
     println!(" | {:>8} {:>8}", "Σ T [s]", "Σ T_ml");
 
     let mut csv_rows = Vec::new();
-    // (depth, iterations per problem, Σ seconds over the multi-level problems)
+    // (depth, iterations per problem, Σ seconds over the multiplicative
+    // multi-level problems)
     let mut rows: Vec<(usize, Vec<usize>, f64)> = Vec::new();
     for depth in (1..=full_depth).rev() {
         let mut model = anchor.clone();
@@ -367,7 +380,7 @@ fn depth() {
             csv_rows.push(format!("{depth},{},{its},{apply_s:.4},{total_s:.4}", p.name));
             iterations.push(its);
             total += total_s;
-            if is_multilevel(p) {
+            if is_shipped_multilevel(p) {
                 multilevel_total += total_s;
             }
         }
@@ -384,30 +397,36 @@ fn depth() {
         &csv_rows,
     );
 
-    // Whether every count is within the given tenths of the 16-block count
-    // on its problem: `multilevel` on the multi-level problems,
-    // `two_level` (if any) on the others.
+    // Whether every count is within `tenths(level)` tenths of the 16-block
+    // count on its problem (unbounded where it gives `None`).
     let full = &rows[0].1;
-    let keeps = |its: &[usize], multilevel: usize, two_level: Option<usize>| {
+    let keeps = |its: &[usize], tenths: fn(AsmLevel) -> Option<usize>| {
         problems.iter().zip(its).zip(full).all(|((p, &its), &full)| {
-            let tenths = if is_multilevel(p) { Some(multilevel) } else { two_level };
-            tenths.is_none_or(|tenths| 10 * its <= tenths * full)
+            tenths(p.config.level).is_none_or(|tenths| 10 * its <= tenths * full)
         })
     };
-    let pretrained = rows.iter().filter(|(_, its, _)| keeps(its, 10, Some(11))).map(|r| r.0).min();
+    let pretrained_tenths = |level| match level {
+        AsmLevel::AdditiveMultilevel(_) => Some(10),
+        AsmLevel::Multilevel(_) => None,
+        _ => Some(11),
+    };
+    let pretrained =
+        rows.iter().filter(|(_, its, _)| keeps(its, pretrained_tenths)).map(|r| r.0).min();
     println!(
-        "smallest depth with iterations ≤ k̄ = {full_depth} on every multi-level problem and \
-         ≤ 1.1× on every two-level one: {} (PRETRAINED_DEPTH = {PRETRAINED_DEPTH})",
+        "smallest depth with iterations ≤ k̄ = {full_depth} on every additive multi-level \
+         problem and ≤ 1.1× on every two-level one: {} (PRETRAINED_DEPTH = {PRETRAINED_DEPTH})",
         pretrained.unwrap_or(full_depth)
     );
+    let multilevel_tenths = |level| matches!(level, AsmLevel::Multilevel(_)).then_some(13);
     let multilevel = rows
         .iter()
-        .filter(|(_, its, _)| keeps(its, 13, None))
+        .filter(|(_, its, _)| keeps(its, multilevel_tenths))
         .min_by(|a, b| a.2.total_cmp(&b.2))
         .map(|r| r.0);
     println!(
-        "fastest multi-level setup + solve among the depths with iterations ≤ 1.3× k̄ = \
-         {full_depth} on every multi-level problem: {} (MULTILEVEL_DEPTH = {MULTILEVEL_DEPTH})\n",
+        "fastest multiplicative multi-level setup + solve among the depths with iterations \
+         ≤ 1.3× k̄ = {full_depth} on every multiplicative multi-level problem: {} \
+         (MULTILEVEL_DEPTH = {MULTILEVEL_DEPTH})\n",
         multilevel.unwrap_or(full_depth)
     );
 }

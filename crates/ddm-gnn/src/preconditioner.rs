@@ -1,7 +1,8 @@
 //! The DDM-GNN preconditioner (Section III-A of the paper): the Schwarz shell
 //! of the `ddm` crate over the DSS local solve.
 //!
-//! One application proceeds in the three steps of the paper:
+//! With the Nicolaides coarse space (or none, or the additive V-cycle) one
+//! application proceeds in the three steps of the paper:
 //!
 //! 1. **Coarse problem** — `r_c = R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r` by dense LU on the
 //!    Nicolaides coarse space (Eq. 13), or one V-cycle of a
@@ -14,6 +15,10 @@
 //!    iteration: the network always sees unit-norm inputs,
 //! 3. **Gluing** — `z = r_c + Σᵢ Rᵢᵀ ‖Rᵢ r‖ r̃ᵢ` (Eq. 16), the shell's
 //!    sub-domain-ordered sum of the pre-scaled local panels.
+//!
+//! Under the multi-level V-cycle ([`AsmLevel::Multilevel`]) the steps run
+//! in sequence instead, each on the residual the previous one left: a
+//! V-cycle, the local problems glued onto it, a second V-cycle.
 
 use std::sync::Arc;
 
@@ -85,21 +90,21 @@ impl LocalSolve for DssLocalSolver {
     /// or zeros for a vanishing column.  With the per-column bit-identity of
     /// the inference engine, column `c` is bit-identical to a one-column
     /// solve of `rs[c]`.
-    fn solve(
+    fn solve<R: AsRef<[f64]>>(
         &self,
         restriction: &Restriction,
-        rs: &[&[f64]],
+        rs: &[R],
         scratch: &mut DssScratch,
         panel: &mut [f64],
     ) -> sparse::Result<()> {
-        let DssScratch { local_r, input, norms, engine_f64, engine_f32 } = scratch;
+        let DssScratch { local_r, input, norms, .. } = scratch;
         let b = rs.len();
         let nl = restriction.num_local();
         local_r.resize(nl, 0.0);
         input.resize(nl * b, 0.0);
         norms.clear();
         for (c, r) in rs.iter().enumerate() {
-            restriction.restrict_into(r, local_r);
+            restriction.restrict_into(r.as_ref(), local_r);
             let norm = sparse::vector::norm2(local_r);
             let norm = if norm > f64::MIN_POSITIVE { norm } else { 0.0 };
             for (j, &v) in local_r.iter().enumerate() {
@@ -107,9 +112,22 @@ impl LocalSolve for DssLocalSolver {
             }
             norms.push(norm);
         }
+        self.infer_scaled(scratch, b, panel);
+        Ok(())
+    }
+}
+
+impl DssLocalSolver {
+    /// The part of a solve that no longer reads the residuals: one inference
+    /// on the normalised `nₗ × b` input of `scratch`, each column scaled
+    /// back by its norm.  Kept out of line so the engine bodies it inlines
+    /// are compiled once, whatever container the residual columns come in.
+    #[inline(never)]
+    fn infer_scaled(&self, scratch: &mut DssScratch, b: usize, panel: &mut [f64]) {
+        let DssScratch { input, norms, engine_f64, engine_f32, .. } = scratch;
         if norms.iter().all(|&norm| norm == 0.0) {
             panel.fill(0.0);
-            return Ok(());
+            return;
         }
         match self {
             Self::F64(plan) => plan.infer(input, b, engine_f64, panel),
@@ -120,7 +138,6 @@ impl LocalSolve for DssLocalSolver {
                 *v = if norm > 0.0 { norm * *v } else { 0.0 };
             }
         }
-        Ok(())
     }
 }
 
@@ -161,7 +178,10 @@ impl DdmGnnPreconditioner {
     }
 
     /// [`AsmLevel::Multilevel`] preconditioner: a smoothed-aggregation
-    /// V-cycle instead of the single-shot Nicolaides solve.
+    /// V-cycle instead of the single-shot Nicolaides solve, run before and
+    /// after the local solves, which correct the residual the first V-cycle
+    /// leaves (the symmetric multiplicative composition of
+    /// [`ddm::asm`]).
     ///
     /// The V-cycle carries the global convergence here, so the local solves
     /// run only the model's first [`DssModel::multilevel_depth`] blocks (all
@@ -183,8 +203,9 @@ impl DdmGnnPreconditioner {
     /// The one general constructor: `subdomains` are the overlapping node
     /// sets (e.g. from [`partition::partition_mesh_with_overlap`]), `level`
     /// selects the coarse component and `precision` the inference engine.
-    /// The name is `ddm-gnn-{1,2}level[-f32|-int8]` or
-    /// `ddm-gnn-ml<levels>[-f32|-int8]`.
+    /// The name is `ddm-gnn-{1,2}level[-f32|-int8]`,
+    /// `ddm-gnn-ml<levels>[-f32|-int8]` or
+    /// `ddm-gnn-ml<levels>-additive[-f32|-int8]`.
     ///
     /// `Precision::F32` runs every sub-domain DSS inference through the
     /// single-precision instantiation of the engine: the restricted residual
@@ -207,9 +228,10 @@ impl DdmGnnPreconditioner {
     /// edge sums: `28 e + (4 + 16 d) n` bytes in f64, `28 e + (4 + 8 d) n`
     /// in f32 and int8.  The plans of all sub-domains are built by one
     /// [`DssModel::build_plans`] call and share its one weight pack.  Under
-    /// [`AsmLevel::Multilevel`] the plans are built from the model cut to its
-    /// [`DssModel::multilevel_depth`]; one- and two-level ones run every
-    /// block.
+    /// either V-cycle composition ([`AsmLevel::Multilevel`],
+    /// [`AsmLevel::AdditiveMultilevel`]) the plans are built from the model
+    /// cut to its [`DssModel::multilevel_depth`]; one- and two-level ones run
+    /// every block.
     pub(crate) fn build(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -219,7 +241,9 @@ impl DdmGnnPreconditioner {
     ) -> sparse::Result<Self> {
         let depth = model.multilevel_depth();
         let model = match level {
-            AsmLevel::Multilevel(_) if depth < model.config().num_blocks => {
+            AsmLevel::Multilevel(_) | AsmLevel::AdditiveMultilevel(_)
+                if depth < model.config().num_blocks =>
+            {
                 let mut cut = DssModel::clone(&model);
                 cut.truncate(depth);
                 Arc::new(cut)
@@ -581,8 +605,10 @@ mod tests {
         // solve runs, told by the bits of one apply, per coarse kind and
         // precision.
         let fx = fixture();
-        let ml = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
-        let levels = [AsmLevel::OneLevel, AsmLevel::TwoLevel, ml];
+        let config = MultilevelConfig { coarsest_max_size: 60 };
+        let ml = AsmLevel::Multilevel(config);
+        let additive = AsmLevel::AdditiveMultilevel(config);
+        let levels = [AsmLevel::OneLevel, AsmLevel::TwoLevel, ml, additive];
         let run = |model: &DssModel, level, precision| {
             let p = DdmGnnPreconditioner::build(
                 &fx.problem,
@@ -611,9 +637,9 @@ mod tests {
                 let two = run(&cut, level, precision);
                 assert_ne!(all, two, "{level:?} {precision}");
                 assert_ne!(all, run(&one, level, precision), "{level:?} {precision}");
-                // With it only the V-cycle's local solves are cut, to the
-                // bits of the cut model.
-                let expected = if level == ml { two } else { all };
+                // With it only the V-cycle's local solves are cut, under
+                // either composition, to the bits of the cut model.
+                let expected = if level == ml || level == additive { two } else { all };
                 assert_eq!(run(&set, level, precision), expected, "{level:?} {precision}");
             }
         }
@@ -645,10 +671,10 @@ mod tests {
     impl<L: LocalSolve> LocalSolve for Masked<L> {
         type Scratch = L::Scratch;
 
-        fn solve(
+        fn solve<R: AsRef<[f64]>>(
             &self,
             restriction: &Restriction,
-            rs: &[&[f64]],
+            rs: &[R],
             scratch: &mut L::Scratch,
             panel: &mut [f64],
         ) -> sparse::Result<()> {
@@ -763,7 +789,7 @@ mod tests {
     #[test]
     fn schwarz_contract_holds_for_every_local_solve_and_level() {
         // One table over both local solves (Cholesky; DSS at every
-        // precision) and every coarse kind.
+        // precision) and every coarse kind and composition.
         let fx = fixture();
         let matrix = &fx.problem.matrix;
         let model = Arc::new(fx.model.clone());
@@ -784,7 +810,13 @@ mod tests {
             })
             .collect();
         let ml = MultilevelConfig { coarsest_max_size: 60 };
-        for level in [AsmLevel::OneLevel, AsmLevel::TwoLevel, AsmLevel::Multilevel(ml)] {
+        let levels = [
+            AsmLevel::OneLevel,
+            AsmLevel::TwoLevel,
+            AsmLevel::Multilevel(ml),
+            AsmLevel::AdditiveMultilevel(ml),
+        ];
+        for level in levels {
             let lu = ddm::AdditiveSchwarz::new(matrix, fx.subdomains.clone(), level).unwrap();
             check_shell(&lu, level, &columns);
             check_fault_path(matrix, &decomposition.restrictions, level, &columns, || {

@@ -1,26 +1,41 @@
-//! The Additive Schwarz shell: one preconditioner, generic over its local
-//! solve.
+//! The Schwarz shell: one preconditioner, generic over its local solve.
 //!
-//! `apply` implements Eq. (6) / (7) of the paper:
+//! Without a coarse component or with the Nicolaides one, `apply` implements
+//! Eq. (6) / (7) of the paper, the additive sum:
 //!
 //! ```text
 //! z = [R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r]   (the coarse term [`AsmLevel`] selects:
-//!                                none, this Nicolaides solve, or a V-cycle)
+//!                                none or this Nicolaides solve)
 //!   + Σᵢ Rᵢᵀ vᵢ,   vᵢ the local solve of Rᵢ r
 //! ```
 //!
-//! With the exact local solve `vᵢ = (Rᵢ A Rᵢᵀ)⁻¹ Rᵢ r` this is DDM-LU
+//! Under a smoothed-aggregation V-cycle `H` ([`AsmLevel::Multilevel`]) the
+//! local phase is the smoother *around* the coarse correction instead, the
+//! symmetric multiplicative composition (Trilinos/ML applies its smoothers
+//! the same way):
+//!
+//! ```text
+//! z  = H r
+//! z += Σᵢ Rᵢᵀ vᵢ,   vᵢ the local solve of Rᵢ (r − A z)
+//! z += H (r − A z)
+//! ```
+//!
+//! With symmetric local solves both forms are symmetric positive definite.
+//! [`AsmLevel::AdditiveMultilevel`] keeps the paper's sum over the V-cycle.
+//!
+//! With the exact local solve `vᵢ = (Rᵢ A Rᵢᵀ)⁻¹ Rᵢ r` the shell is DDM-LU
 //! ([`crate::AdditiveSchwarz`]); the `ddm-gnn` crate plugs in normalised DSS
 //! inference (Eq. 14–16).  Everything but the local solve lives here, once.
 //!
 //! The local solves are independent and run in parallel with rayon — the CPU
 //! analogue of the paper's batched GPU inference.  The correction panels,
-//! one per sub-domain, sit behind one lock held for the whole apply; the
-//! local solve's work buffers live in a small pool instead, one per job
-//! running at once, since a scratch carries no history.  Both are sized once
-//! per batch width, so the per-Krylov-iteration path performs no heap
-//! allocation.  The glue (`Σ Rᵢᵀ vᵢ`) accumulates sequentially in sub-domain
-//! order so the result is bit-identical at every thread count.
+//! one per sub-domain, and the residuals of the multiplicative form sit
+//! behind one lock held for the whole apply; the local solve's work buffers
+//! live in a small pool instead, one per job running at once, since a
+//! scratch carries no history.  All are sized once per batch width, so the
+//! per-Krylov-iteration path performs no heap allocation.  The glue
+//! (`Σ Rᵢᵀ vᵢ`) accumulates sequentially in sub-domain order so the result
+//! is bit-identical at every thread count.
 
 use sanitizer::TrackedMutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,21 +49,27 @@ use crate::multilevel::{Hierarchy, MultilevelConfig};
 use crate::restriction::Restriction;
 
 /// What varies between the Schwarz preconditioners of the paper besides the
-/// local solve: the coarse component added to the sum of local corrections.
+/// local solve: the coarse component, and how it composes with the local
+/// corrections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsmLevel {
     /// One-level method: local solves only.
     OneLevel,
     /// Two-level method: local solves plus the Nicolaides coarse correction.
     TwoLevel,
-    /// Local solves plus a smoothed-aggregation multi-level V-cycle.
+    /// A smoothed-aggregation V-cycle before and after the local solves, each
+    /// step on the residual the previous one left (the symmetric
+    /// multiplicative composition of the module docs).
     Multilevel(MultilevelConfig),
+    /// Local solves plus one smoothed-aggregation V-cycle, added as the
+    /// paper adds its coarse correction (Eq. 6–7).
+    AdditiveMultilevel(MultilevelConfig),
 }
 
 impl AsmLevel {
     /// Build the coarse component this level names over `matrix`, together
-    /// with the tag (`1level`, `2level`, `ml<levels>`) the shell reports in
-    /// its tier name.
+    /// with the tag (`1level`, `2level`, `ml<levels>`, `ml<levels>-additive`)
+    /// the shell reports in its tier name.
     pub(crate) fn build_coarse(
         &self,
         matrix: &CsrMatrix,
@@ -59,9 +80,11 @@ impl AsmLevel {
             AsmLevel::TwoLevel => {
                 (Some(Hierarchy::nicolaides(matrix, restrictions)?), "2level".to_string())
             }
-            AsmLevel::Multilevel(config) => {
+            AsmLevel::Multilevel(config) | AsmLevel::AdditiveMultilevel(config) => {
                 let hierarchy = Hierarchy::build(matrix, config)?;
-                let tag = format!("ml{}", hierarchy.num_levels());
+                let suffix =
+                    if matches!(self, AsmLevel::AdditiveMultilevel(_)) { "-additive" } else { "" };
+                let tag = format!("ml{}{suffix}", hierarchy.num_levels());
                 (Some(hierarchy), tag)
             }
         })
@@ -84,31 +107,47 @@ pub trait LocalSolve: Send + Sync {
     /// The shell glues the panel as it is (`z += Rᵢᵀ panel`), so any scaling
     /// is already applied.  Column `c` must be bit-identical to a one-column
     /// solve of `rs[c]`.  An error zeroes the panel and is recorded as one
-    /// classified fault.
-    fn solve(
+    /// classified fault.  The residuals are the caller's columns, or the
+    /// shell's own under the multiplicative composition.
+    fn solve<R: AsRef<[f64]>>(
         &self,
         restriction: &Restriction,
-        rs: &[&[f64]],
+        rs: &[R],
         scratch: &mut Self::Scratch,
         panel: &mut [f64],
     ) -> sparse::Result<()>;
 }
 
-/// The Additive Schwarz preconditioner over any [`LocalSolve`].
+/// What one apply of the shell writes before it reads: guarded together for
+/// the whole apply.
+#[derive(Default)]
+struct ApplyBuffers {
+    /// The `nᵢ × b` correction panel of every sub-domain: the ordered glue
+    /// reads them all.
+    panels: Vec<Vec<f64>>,
+    /// The residual columns `r − A z` of the multiplicative composition, one
+    /// `n`-vector per batch column (never shrunk, so a narrower batch
+    /// reuses them).
+    residuals: Vec<Vec<f64>>,
+}
+
+/// The Schwarz preconditioner over any [`LocalSolve`].
 pub struct Schwarz<L: LocalSolve> {
     restrictions: Vec<Restriction>,
     local_solves: Vec<L>,
-    /// The `nᵢ × b` correction panel of every sub-domain: the ordered glue
-    /// reads them all.  The lock is held for a whole apply, which serialises
-    /// applies: the panels span the parallel local phase and the sequential
-    /// glue, so two concurrent applies on the same preconditioner would
-    /// otherwise interleave and corrupt each other.
-    panels: TrackedMutex<Vec<Vec<f64>>>,
+    /// The lock is held for a whole apply, which serialises applies: the
+    /// buffers span the parallel local phase and the sequential glue, so two
+    /// concurrent applies on the same preconditioner would otherwise
+    /// interleave and corrupt each other.
+    buffers: TrackedMutex<ApplyBuffers>,
     /// Local-solve scratches not in use.  A local-phase job takes one (or
     /// makes one), solves and returns it, so there are never more than the
     /// jobs that ran at once: at most the pool threads, plus one.
     scratch_pool: TrackedMutex<Vec<L::Scratch>>,
     coarse: Option<Hierarchy>,
+    /// Whether the local phase runs between two V-cycles
+    /// ([`AsmLevel::Multilevel`]) instead of adding to the coarse term.
+    multiplicative: bool,
     num_global: usize,
     /// Reported by `Preconditioner::name`, e.g. `ddm-lu-2level` or
     /// `ddm-gnn-ml3-f32`.
@@ -123,7 +162,8 @@ impl<L: LocalSolve> Schwarz<L> {
     /// Assemble the preconditioner over the restrictions of a decomposition
     /// of `matrix`: build the coarse component `level` selects, then the
     /// local solves (one per restriction, in order), and name it
-    /// `name(tag)`, where the tag is `1level`, `2level` or `ml<levels>`.
+    /// `name(tag)`, where the tag is `1level`, `2level`, `ml<levels>` or
+    /// `ml<levels>-additive`.
     pub fn build(
         matrix: &CsrMatrix,
         restrictions: Vec<Restriction>,
@@ -134,11 +174,12 @@ impl<L: LocalSolve> Schwarz<L> {
         let (coarse, tag) = level.build_coarse(matrix, &restrictions)?;
         let local_solves = local_solves()?;
         assert_eq!(local_solves.len(), restrictions.len(), "one local solve per sub-domain");
-        let panels = vec![Vec::new(); local_solves.len()];
+        let buffers =
+            ApplyBuffers { panels: vec![Vec::new(); local_solves.len()], residuals: Vec::new() };
         Ok(Schwarz {
             restrictions,
             local_solves,
-            panels: TrackedMutex::new(panels, "ddm::asm::Schwarz::panels"),
+            buffers: TrackedMutex::new(buffers, "ddm::asm::Schwarz::buffers"),
             // Commutative: which pooled scratch a job takes depends on the
             // schedule, but a scratch carries no history.
             scratch_pool: TrackedMutex::new_commutative(
@@ -147,6 +188,7 @@ impl<L: LocalSolve> Schwarz<L> {
                 "a scratch carries no history: every solve writes each buffer before reading it",
             ),
             coarse,
+            multiplicative: matches!(level, AsmLevel::Multilevel(_)),
             num_global: matrix.nrows(),
             name: name(&tag),
             applies: AtomicU64::new(0),
@@ -171,24 +213,19 @@ impl<L: LocalSolve> Schwarz<L> {
     pub(crate) fn scratch_count(&self) -> usize {
         self.scratch_pool.lock().len()
     }
-}
 
-impl<L: LocalSolve> Preconditioner for Schwarz<L> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.apply_batch(&[r], &mut [z]);
-    }
-
-    fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
+    /// The local corrections of the residual columns `rs`, computed in
+    /// parallel into the per-sub-domain panels with a pooled scratch.  A
+    /// failed local solve glues as zeros and is recorded as a classified
+    /// fault instead of panicking the worker — the remaining sub-domains
+    /// (and the coarse correction) still produce a usable preconditioner.
+    fn local_phase<R: AsRef<[f64]> + Sync>(
+        &self,
+        rs: &[R],
+        panels: &mut [Vec<f64>],
+        apply_index: u64,
+    ) {
         let b = rs.len();
-        let mut panels = self.panels.lock();
-        let apply_index = self.applies.fetch_add(1, Ordering::SeqCst);
-
-        // Local corrections, computed in parallel into the per-sub-domain
-        // panels with a pooled scratch.  A failed local solve glues as zeros
-        // and is recorded as a classified fault instead of panicking the
-        // worker — the remaining sub-domains (and the coarse correction)
-        // still produce a usable preconditioner.
         panels.par_iter_mut().enumerate().for_each(|(i, panel)| {
             let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
             let restriction = &self.restrictions[i];
@@ -204,22 +241,73 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
             }
             self.scratch_pool.lock().push(scratch);
         });
+    }
 
-        // Glue: z = Σ Rᵢᵀ panelᵢ (+ coarse correction) per column,
-        // sequentially in sub-domain order for thread-count-independent
-        // rounding.
-        for z in zs.iter_mut() {
-            z.fill(0.0);
-        }
+    /// Glue `z += Σ Rᵢᵀ panelᵢ` per column, sequentially in sub-domain
+    /// order for thread-count-independent rounding.
+    fn glue(&self, panels: &[Vec<f64>], zs: &mut [&mut [f64]]) {
+        let b = zs.len();
         for (restriction, panel) in self.restrictions.iter().zip(panels.iter()) {
             for (c, z) in zs.iter_mut().enumerate() {
                 restriction.extend_add_strided(panel, b, c, z);
             }
         }
-        if let Some(coarse) = &self.coarse {
-            for (r, z) in rs.iter().zip(zs.iter_mut()) {
-                coarse.apply_into(r, z);
+    }
+}
+
+impl<L: LocalSolve> Preconditioner for Schwarz<L> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_batch(&[r], &mut [z]);
+    }
+
+    fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
+        let mut buffers = self.buffers.lock();
+        let ApplyBuffers { panels, residuals } = &mut *buffers;
+        let apply_index = self.applies.fetch_add(1, Ordering::SeqCst);
+        let v_cycle = self.coarse.as_ref().filter(|_| self.multiplicative);
+
+        let Some(v_cycle) = v_cycle else {
+            // Additive: z = Σ Rᵢᵀ vᵢ (+ coarse correction).
+            self.local_phase(rs, panels, apply_index);
+            for z in zs.iter_mut() {
+                z.fill(0.0);
             }
+            self.glue(panels, zs);
+            if let Some(coarse) = &self.coarse {
+                for (r, z) in rs.iter().zip(zs.iter_mut()) {
+                    coarse.apply_into(r, z);
+                }
+            }
+            return;
+        };
+
+        // Multiplicative: z = H r.
+        for (r, z) in rs.iter().zip(zs.iter_mut()) {
+            z.fill(0.0);
+            v_cycle.apply_into(r, z);
+        }
+        // A hierarchy that did not coarsen is an exact solve: both residuals
+        // below vanish to rounding, so `H r` is the whole correction.
+        let Some(a) = v_cycle.fine_operator() else {
+            return;
+        };
+        let b = rs.len();
+        if residuals.len() < b {
+            residuals.resize_with(b, Vec::new);
+        }
+        let residuals = &mut residuals[..b];
+        for ((r, z), res) in rs.iter().zip(zs.iter()).zip(residuals.iter_mut()) {
+            res.resize(self.num_global, 0.0);
+            a.residual_into(r, z, res);
+        }
+        // z += Σ Rᵢᵀ vᵢ on r − A z.
+        self.local_phase(residuals, panels, apply_index);
+        self.glue(panels, zs);
+        // z += H (r − A z).
+        for ((r, z), res) in rs.iter().zip(zs.iter_mut()).zip(residuals.iter_mut()) {
+            a.residual_into(r, z, res);
+            v_cycle.apply_into(res, z);
         }
     }
 
@@ -426,6 +514,24 @@ mod tests {
     }
 
     #[test]
+    fn multiplicative_apply_over_a_hierarchy_that_does_not_coarsen_is_its_exact_solve() {
+        // A coarsest size above n leaves one level, a direct solve with no
+        // fine-level operator to form residuals with: the composition is the
+        // exact solve `A⁻¹ r`, to rounding.
+        let fx = fixture(700, 250, 2);
+        let a = &fx.problem.matrix;
+        let config = MultilevelConfig { coarsest_max_size: a.nrows() };
+        let ml = AdditiveSchwarz::with_multilevel(a, fx.subdomains.clone(), &config).unwrap();
+        assert_eq!(ml.coarse.as_ref().unwrap().num_levels(), 1);
+        assert_eq!(ml.name(), "ddm-lu-ml1");
+        let mut z = vec![0.0; a.nrows()];
+        ml.apply(&fx.problem.rhs, &mut z);
+        let exact = sparse::SkylineCholesky::factor(a).unwrap().solve(&fx.problem.rhs).unwrap();
+        let error = sparse::vector::relative_error(&z, &exact);
+        assert!(error < 1e-12, "relative error {error:e}");
+    }
+
+    #[test]
     fn asm_level_multilevel_uses_default_config() {
         let fx = fixture(1200, 300, 2);
         let level = AsmLevel::Multilevel(MultilevelConfig::default());
@@ -454,6 +560,14 @@ mod tests {
                 .unwrap();
         assert_eq!(one.name(), "ddm-lu-1level");
         assert_eq!(two.name(), "ddm-lu-2level");
+        let config = MultilevelConfig { coarsest_max_size: 100 };
+        let [ml, additive] = [AsmLevel::Multilevel(config), AsmLevel::AdditiveMultilevel(config)]
+            .map(|level| {
+                AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), level).unwrap()
+            });
+        let levels = ml.coarse.as_ref().unwrap().num_levels();
+        assert_eq!(ml.name(), format!("ddm-lu-ml{levels}"));
+        assert_eq!(additive.name(), format!("ddm-lu-ml{levels}-additive"));
         assert_eq!(one.dim(), fx.problem.num_unknowns());
         assert!(one.local_solves().len() >= 2);
     }

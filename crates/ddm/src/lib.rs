@@ -9,8 +9,10 @@
 //! where the `Rᵢ` are boolean restrictions onto overlapping sub-domains and
 //! `R₀` spans the Nicolaides coarse space.  Two things vary: the local solve
 //! (a [`LocalSolve`]) and the coarse term, which one enum names:
-//! [`AsmLevel`] is `OneLevel` (no coarse term), `TwoLevel` (Nicolaides) or
-//! `Multilevel(config)` (a V-cycle).  This crate provides:
+//! [`AsmLevel`] is `OneLevel` (no coarse term), `TwoLevel` (Nicolaides),
+//! `Multilevel(config)` (a V-cycle before and after the local solves, the
+//! symmetric multiplicative composition) or `AdditiveMultilevel(config)`
+//! (a V-cycle added to them).  This crate provides:
 //!
 //! * [`restriction::Restriction`] — the `Rᵢ` operators (index lists),
 //! * [`multilevel::Hierarchy`] — the one coarse component: the
@@ -20,7 +22,7 @@
 //!   ([`Hierarchy::build`]),
 //! * [`asm::Schwarz`] — the one Schwarz preconditioner, generic over a
 //!   [`LocalSolve`] and implementing [`krylov::Preconditioner`] so it plugs
-//!   straight into PCG,
+//!   straight into PCG (so does a `Hierarchy` alone),
 //! * [`local::CholeskyLocalSolver`] — the exact local solve (sparse
 //!   Cholesky; this is the "LU" of the paper's DDM-LU baseline), and
 //!   [`AdditiveSchwarz`], the shell over it, built by

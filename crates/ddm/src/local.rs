@@ -14,13 +14,17 @@ use crate::multilevel::MultilevelConfig;
 use crate::restriction::Restriction;
 use crate::Decomposition;
 
-/// The Additive Schwarz preconditioner with exact local solvers.
+/// The Schwarz preconditioner with exact local solvers, the paper's DDM-LU.
+/// It keeps the paper's name, but like every [`Schwarz`] shell it composes
+/// the local solves multiplicatively with a V-cycle under
+/// [`AsmLevel::Multilevel`]; every other level adds them.
 pub type AdditiveSchwarz = Schwarz<CholeskyLocalSolver>;
 
 impl AdditiveSchwarz {
     /// Build the preconditioner from a global matrix, overlapping sub-domain
     /// index sets and the coarse component `level` selects.  Its name is
-    /// `ddm-lu-1level`, `ddm-lu-2level` or `ddm-lu-ml<levels>`.
+    /// `ddm-lu-1level`, `ddm-lu-2level`, `ddm-lu-ml<levels>` or
+    /// `ddm-lu-ml<levels>-additive`.
     pub fn new(
         matrix: &CsrMatrix,
         subdomains: Vec<Vec<usize>>,
@@ -37,7 +41,8 @@ impl AdditiveSchwarz {
         )
     }
 
-    /// [`AdditiveSchwarz::new`] at [`AsmLevel::Multilevel`].
+    /// [`AdditiveSchwarz::new`] at [`AsmLevel::Multilevel`]: the V-cycle
+    /// before and after the exact local solves.
     pub fn with_multilevel(
         matrix: &CsrMatrix,
         subdomains: Vec<Vec<usize>>,
@@ -67,10 +72,10 @@ impl LocalSolve for CholeskyLocalSolver {
     /// Restrict, solve and scatter column by column through the same
     /// contiguous buffers whatever `b` is.  A mismatched right-hand side is
     /// a classified error, not a panic.
-    fn solve(
+    fn solve<R: AsRef<[f64]>>(
         &self,
         restriction: &Restriction,
-        rs: &[&[f64]],
+        rs: &[R],
         [rhs, sol, work]: &mut Self::Scratch,
         panel: &mut [f64],
     ) -> sparse::Result<()> {
@@ -78,7 +83,7 @@ impl LocalSolve for CholeskyLocalSolver {
         rhs.resize(restriction.num_local(), 0.0);
         sol.resize(restriction.num_local(), 0.0);
         for (c, r) in rs.iter().enumerate() {
-            restriction.restrict_into(r, rhs);
+            restriction.restrict_into(r.as_ref(), rhs);
             self.factor.solve_scratch(rhs, work, sol)?;
             for (j, &v) in sol.iter().enumerate() {
                 panel[j * b + c] = v;

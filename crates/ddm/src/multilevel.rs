@@ -35,9 +35,13 @@
 //!
 //! Its [`Hierarchy::apply_into`] V-cycle (one weighted-Jacobi sweep before
 //! and after each level, zero initial guess) is symmetric positive definite,
-//! so either construction slots in additively as the coarse component of
-//! the Schwarz shell ([`crate::Schwarz`]), whatever its local solve, without
-//! breaking PCG theory.
+//! so either construction is a coarse component of the Schwarz shell
+//! ([`crate::Schwarz`]), whatever its local solve, without breaking PCG
+//! theory: the Nicolaides solve is added to the local corrections, and the
+//! V-cycle runs before and after them (or is added, under
+//! [`crate::AsmLevel::AdditiveMultilevel`]).  The shell forms the residuals
+//! between those steps with the hierarchy's own fine-level operator.  On its
+//! own a `Hierarchy` is a [`krylov::Preconditioner`] too.
 //!
 //! **Determinism contract.** Everything here is sequential or runs through
 //! the fixed-chunk SpMV kernels, so results are bit-identical at every thread
@@ -273,6 +277,14 @@ impl Hierarchy {
         self.level_dims[0]
     }
 
+    /// The fine-level operator the V-cycle smooths with, which the
+    /// multiplicative Schwarz composition forms its residuals with: `None`
+    /// for the Nicolaides space and for a hierarchy that did not coarsen
+    /// (an exact direct solve).
+    pub(crate) fn fine_operator(&self) -> Option<&CsrMatrix> {
+        self.levels.first().map(|level| &level.a)
+    }
+
     /// The coarse correction for `r` — one V-cycle on `A x = r` from a zero
     /// initial guess, or the Nicolaides solve — **accumulated** into `out`
     /// (`out += M⁻¹ r`), the additive-Schwarz coarse component contract.
@@ -323,6 +335,27 @@ impl Hierarchy {
         }
         for (o, &x) in out.iter_mut().zip(xs[0].iter()) {
             *o += x;
+        }
+    }
+}
+
+/// The coarse component on its own: `z = M⁻¹ r`, one V-cycle (or the
+/// Nicolaides solve) from a zero initial guess.
+impl krylov::Preconditioner for Hierarchy {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        z.fill(0.0);
+        self.apply_into(r, z);
+    }
+
+    fn dim(&self) -> usize {
+        self.dim()
+    }
+
+    fn name(&self) -> &str {
+        if self.r0.is_some() {
+            "nicolaides"
+        } else {
+            "sa-vcycle"
         }
     }
 }
@@ -618,20 +651,7 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) * 0.25 - 2.0).collect();
         let opts = krylov::SolverOptions::with_tolerance(1e-8);
         let plain = krylov::conjugate_gradient(&a, &b, None, &opts);
-        struct H<'a>(&'a Hierarchy);
-        impl krylov::Preconditioner for H<'_> {
-            fn apply(&self, r: &[f64], z: &mut [f64]) {
-                z.fill(0.0);
-                self.0.apply_into(r, z);
-            }
-            fn dim(&self) -> usize {
-                self.0.dim()
-            }
-            fn name(&self) -> &str {
-                "sa-vcycle"
-            }
-        }
-        let pcg = krylov::preconditioned_conjugate_gradient(&a, &b, None, &H(&h), &opts);
+        let pcg = krylov::preconditioned_conjugate_gradient(&a, &b, None, &h, &opts);
         assert!(plain.stats.converged() && pcg.stats.converged());
         assert!(
             pcg.stats.iterations * 2 < plain.stats.iterations,

@@ -4,9 +4,10 @@
 //! setting (chunk boundaries and reduction order depend only on data length).
 //! Because the pool size is fixed per process, this test re-executes the test
 //! binary as a child process per thread count: each child computes a
-//! signature over the parallel hot paths — `spmv_into`, the Additive Schwarz
-//! `apply` at two levels and multi-level, the DDM-GNN `apply` at every
-//! inference precision and a full PCG residual history — writes it to a
+//! signature over the parallel hot paths — `spmv_into`, the DDM-LU Schwarz
+//! `apply` at two levels and under both multi-level compositions, the
+//! DDM-GNN `apply` at every inference precision and under the multi-level
+//! V-cycle, and a full PCG residual history — writes it to a
 //! file, and the parent asserts all signatures are byte-identical.
 
 use std::fmt::Write as _;
@@ -58,6 +59,11 @@ fn compute_signature() -> String {
         .expect("multi-level ASM setup")
         .apply(&problem.rhs, &mut z);
     push_bits(&mut sig, "asm_multilevel_apply", &z);
+    let additive = AsmLevel::AdditiveMultilevel(MultilevelConfig::default());
+    AdditiveSchwarz::new(&problem.matrix, subdomains.clone(), additive)
+        .expect("additive multi-level ASM setup")
+        .apply(&problem.rhs, &mut z);
+    push_bits(&mut sig, "asm_additive_multilevel_apply", &z);
 
     // DDM-GNN preconditioner application (parallel batched inference) at
     // every precision tier.  A small untrained model keeps the debug-profile
@@ -75,6 +81,16 @@ fn compute_signature() -> String {
         gnn.apply(&problem.rhs, &mut z);
         push_bits(&mut sig, &format!("gnn_apply_{precision}"), &z);
     }
+    DdmGnnPreconditioner::with_multilevel_coarse(
+        &problem,
+        subdomains.clone(),
+        Arc::clone(&model),
+        &MultilevelConfig::default(),
+        Precision::F64,
+    )
+    .expect("multi-level GNN setup")
+    .apply(&problem.rhs, &mut z);
+    push_bits(&mut sig, "gnn_multilevel_apply", &z);
 
     // Full PCG residual history with the ASM preconditioner.
     let opts = SolverOptions::with_tolerance(1e-8).max_iterations(300);

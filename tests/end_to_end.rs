@@ -503,8 +503,9 @@ fn multilevel_hierarchy_at_scale() {
 /// Multi-level iteration counts stay flat as the problem doubles past
 /// n ≈ 24k, and stay below the two-level Nicolaides counts at both sizes:
 /// 300-node sub-domains, overlap 2, exact (LU) local solves, tolerance 1e-6.
-/// At 24k → 48k two-level takes 49 → 51 iterations and multi-level 20 → 22,
-/// so the +2 bound holds with no slack.
+/// At 24k → 48k two-level takes 49 → 51 iterations and the multiplicative
+/// multi-level 7 → 9 (the additive sum 20 → 22), so the +2 bound holds with
+/// no slack.
 #[test]
 #[cfg_attr(
     debug_assertions,

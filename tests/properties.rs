@@ -2,7 +2,8 @@
 //!
 //! The suite is deterministic and CI-bounded by construction: every test runs
 //! a fixed small number of cases (`with_cases(24)` below) on sub-50-unknown
-//! systems, and the vendored proptest shim derives each test's RNG stream
+//! systems or on preconditioners of at most ~1500 unknowns built once per
+//! binary, and the vendored proptest shim derives each test's RNG stream
 //! from a fixed workspace seed plus the test name, so runs are reproducible
 //! machine to machine (no `proptest-regressions/` churn).  Set
 //! `PROPTEST_SEED=<u64>` to explore a different deterministic stream.
@@ -46,6 +47,65 @@ fn batched_apply_fixture() -> &'static BatchedApplyFixture {
         let int8_precond = build(ddm_gnn::Precision::Int8);
         BatchedApplyFixture { problem, f64_precond, f32_precond, int8_precond }
     })
+}
+
+/// The multiplicative multi-level DDM-LU shell on two problem sizes, built
+/// once: n ≈ 600 and n ≈ 1500.
+fn multiplicative_shells() -> &'static [ddm::AdditiveSchwarz; 2] {
+    static SHELLS: OnceLock<[ddm::AdditiveSchwarz; 2]> = OnceLock::new();
+    SHELLS.get_or_init(|| {
+        [(817, 600), (818, 1500)].map(|(seed, target)| {
+            let problem = ddm_gnn::generate_problem(seed, target);
+            let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
+            let config = ddm::MultilevelConfig { coarsest_max_size: 60 };
+            let shell = ddm::AdditiveSchwarz::with_multilevel(&problem.matrix, subdomains, &config)
+                .expect("multi-level DDM-LU setup");
+            assert!(shell.name().starts_with("ddm-lu-ml"), "{}", shell.name());
+            assert_ne!(shell.name(), "ddm-lu-ml1", "the hierarchy must coarsen");
+            shell
+        })
+    })
+}
+
+/// `⟨Mx, y⟩` and `⟨x, My⟩` for a preconditioner `M`.
+fn both_pairings(m: &dyn Preconditioner, x: &[f64], y: &[f64]) -> (f64, f64) {
+    let (mut mx, mut my) = (vec![0.0; x.len()], vec![0.0; y.len()]);
+    m.apply(x, &mut mx);
+    m.apply(y, &mut my);
+    (sparse::vector::dot(&mx, y), sparse::vector::dot(x, &my))
+}
+
+/// Print how far the DSS tier of the shipped model is from symmetric under
+/// both multi-level compositions: `|⟨Mx,y⟩ − ⟨x,My⟩| / |⟨Mx,y⟩|` over a few
+/// vector pairs.  The distance is why PCG must be flexible; it is printed
+/// (run with `--nocapture`), not asserted.
+#[test]
+fn dss_tier_asymmetry_under_both_multilevel_compositions() {
+    let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
+    let problem = ddm_gnn::generate_problem(817, 600);
+    let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
+    let config = ddm::MultilevelConfig { coarsest_max_size: 60 };
+    let n = problem.num_unknowns();
+    for level in [ddm::AsmLevel::Multilevel(config), ddm::AsmLevel::AdditiveMultilevel(config)] {
+        let hybrid = ddm_gnn::HybridSolverConfig { level, ..Default::default() };
+        let dss = ddm_gnn::build_preconditioner(
+            &problem,
+            &subdomains,
+            ddm_gnn::Method::DdmGnn,
+            Some(&model),
+            &hybrid,
+        )
+        .expect("DDM-GNN setup")
+        .expect("a preconditioner");
+        let asymmetry: Vec<String> = (0..4u64)
+            .map(|seed| {
+                let v = batch_residuals(n, 2, seed);
+                let (mxy, xmy) = both_pairings(&*dss, &v[0], &v[1]);
+                format!("{:.2e}", (mxy - xmy).abs() / mxy.abs())
+            })
+            .collect();
+        println!("{}: relative asymmetry {}", dss.name(), asymmetry.join(" "));
+    }
 }
 
 /// `b` deterministic pseudo-random residual vectors derived from a seed.
@@ -277,6 +337,28 @@ proptest! {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
                 }
             }
+        }
+    }
+
+    /// With exact (Cholesky) local solves the multiplicative multi-level
+    /// shell — V-cycle, local phase, V-cycle — is a symmetric positive
+    /// definite operator, on both fixture sizes.
+    #[test]
+    fn multiplicative_multilevel_shell_is_symmetric_positive(
+        seed in 0u64..1000,
+        shift in -1.0f64..1.0,
+    ) {
+        for shell in multiplicative_shells() {
+            let n = shell.dim();
+            let v = batch_residuals(n, 2, seed);
+            let x: Vec<f64> = v[0].iter().map(|x| x + shift).collect();
+            let (mxy, xmy) = both_pairings(shell, &x, &v[1]);
+            prop_assert!(
+                (mxy - xmy).abs() <= 1e-8 * mxy.abs(),
+                "n={}: <Mx,y> = {} vs <x,My> = {}", n, mxy, xmy
+            );
+            let (mxx, _) = both_pairings(shell, &x, &x);
+            prop_assert!(mxx > 0.0, "n={}: <Mx,x> = {}", n, mxx);
         }
     }
 
