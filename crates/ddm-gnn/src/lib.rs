@@ -22,7 +22,7 @@
 //! * [`solver`] — the two functions the whole evaluation runs through:
 //!   [`build_preconditioner`] builds the preconditioner of a [`Method`]
 //!   (plain CG, IC(0), DDM-LU, DDM-GNN), under the degradation ladder when
-//!   [`HybridSolverConfig::resilience`] is set, and [`solve`] drives any
+//!   [`HybridSolverConfig::resilient`] is set, and [`solve`] drives any
 //!   preconditioner through one timed Krylov call,
 //! * [`pipeline`] — end-to-end helpers: problem generation, model training
 //!   and evaluation with one call each, and [`load_pretrained`]: the shipped
@@ -42,8 +42,7 @@ pub mod solver;
 pub use ddm::{AsmLevel, MultilevelConfig};
 pub use gnn::Precision;
 pub use krylov::{
-    DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,
-    InjectedFault, ResiliencePolicy,
+    DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog, InjectedFault,
 };
 pub use pipeline::{
     generate_problem, load_pretrained, train_model_multi_size, PipelineConfig, TrainedModel,

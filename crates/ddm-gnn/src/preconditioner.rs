@@ -869,7 +869,7 @@ mod tests {
                 ),
             ];
             for shell in shells {
-                let guarded = krylov::DegradationLadder::new(vec![shell], Default::default());
+                let guarded = krylov::DegradationLadder::new(vec![shell]);
                 for len in [n - 7, n + 7] {
                     let r = vec![1.0; len];
                     let mut z = vec![0.0; len];

@@ -3,11 +3,11 @@
 //! Every example, paper-table section and test goes through two functions:
 //! [`build_preconditioner`] builds the preconditioner of one [`Method`] (the
 //! four columns of the paper's Tables I and III) at one [`AsmLevel`] and
-//! [`Precision`], under the degradation ladder when resilience is
-//! configured, and [`solve`] runs *any* preconditioner — or none, for plain
-//! CG — through the same timed Krylov call, reporting total time and time
-//! spent inside the preconditioner (the `T`, `T_lu`, `T_gnn` columns of
-//! Table III).
+//! [`Precision`], under the degradation ladder when
+//! [`HybridSolverConfig::resilient`] is set, and [`solve`] runs *any*
+//! preconditioner — or none, for plain CG — through the same timed Krylov
+//! call, reporting total time and time spent inside the preconditioner (the
+//! `T`, `T_lu`, `T_gnn` columns of Table III).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use fem::PoissonProblem;
 use gnn::{DssModel, Precision};
 use krylov::{
     conjugate_gradient, solve_batch, DegradationLadder, FaultLog, Ic0Preconditioner,
-    JacobiPreconditioner, Preconditioner, ResiliencePolicy, SolveResult, SolveStats, SolverOptions,
+    JacobiPreconditioner, Preconditioner, SolveResult, SolveStats, SolverOptions,
 };
 use sparse::{CsrMatrix, SparseError};
 
@@ -128,7 +128,7 @@ impl Preconditioner for TimedPreconditioner<'_> {
 /// (`DdmGnn`, which needs `model`) local solves at `config.level` and
 /// `config.precision`.
 ///
-/// With `config.resilience` set, `DdmGnn` yields the [`DegradationLadder`]
+/// With `config.resilient` set, `DdmGnn` yields the [`DegradationLadder`]
 /// of a fault-tolerant solve instead of its one tier.  Its tiers, in order:
 /// the GNN preconditioner at the configured precision, then every *higher*
 /// precision GNN engine it can fall back to (int8 → f32 → f64), then the
@@ -159,9 +159,9 @@ pub fn build_preconditioner(
                     precision,
                 )?))
             };
-            let Some(policy) = &config.resilience else {
+            if !config.resilient {
                 return gnn(config.precision).map(Some);
-            };
+            }
             let fallbacks: &[Precision] = match config.precision {
                 Precision::Int8 => &[Precision::F32, Precision::F64],
                 Precision::F32 => &[Precision::F64],
@@ -173,7 +173,7 @@ pub fn build_preconditioner(
                 .collect::<sparse::Result<Vec<_>>>()?;
             tiers.push(Box::new(asm()?));
             tiers.push(Box::new(JacobiPreconditioner::new(&problem.matrix)));
-            Box::new(DegradationLadder::new(tiers, policy.clone()))
+            Box::new(DegradationLadder::new(tiers))
         }
     };
     Ok(Some(precond))
@@ -225,12 +225,12 @@ pub struct HybridSolverConfig {
     /// once at setup from the f64 model; the flexible outer PCG keeps its
     /// convergence guarantee in every mode).
     pub precision: Precision,
-    /// When set, DDM-GNN runs under the fault-tolerant supervisor: the
+    /// When `true`, DDM-GNN runs under the fault-tolerant supervisor: the
     /// preconditioner becomes a [`DegradationLadder`] that contains panics,
-    /// scans for non-finite output, and downgrades in place on a classified
-    /// fault without restarting the outer PCG.  Faults and downgrades are
-    /// reported on `stats.faults`.
-    pub resilience: Option<ResiliencePolicy>,
+    /// scans for non-finite output and stagnation, and downgrades in place on
+    /// a classified fault without restarting the outer PCG.  Faults and
+    /// downgrades are reported on `stats.faults`.
+    pub resilient: bool,
 }
 
 impl Default for HybridSolverConfig {
@@ -238,7 +238,7 @@ impl Default for HybridSolverConfig {
         HybridSolverConfig {
             level: AsmLevel::TwoLevel,
             precision: Precision::F64,
-            resilience: None,
+            resilient: false,
         }
     }
 }
@@ -351,25 +351,37 @@ mod tests {
         assert!(exact.stats().iterations <= gnn.stats().iterations);
     }
 
+    /// Over the shipped two-level f64 tier, the multiplicative multi-level
+    /// shell, and an f32 tier whose ladder has an f64 rung above the exact
+    /// method.
     #[test]
     fn resilient_config_is_transparent_when_fault_free() {
         let fx = fixture();
-        let base = HybridSolverConfig::default();
-        let resilient =
-            HybridSolverConfig { resilience: Some(ResiliencePolicy::default()), ..base.clone() };
-        let p = run(fx, Method::DdmGnn, &base, &[&fx.problem.rhs]);
-        let r = run(fx, Method::DdmGnn, &resilient, &[&fx.problem.rhs]);
-        assert!(p.stats().converged() && r.stats().converged());
-        // The guards only read r/z, so a fault-free supervised solve is
-        // bit-identical to the unsupervised one.
-        assert_eq!(p.x(), r.x());
-        assert_eq!(p.stats().iterations, r.stats().iterations);
-        assert!(
-            r.stats().faults.is_empty(),
-            "fault-free solve reported faults: {:?}",
-            r.stats().faults
-        );
-        assert_eq!(r.stats().faults.final_tier(), Some("ddm-gnn-2level"));
+        let multilevel = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
+        let cases = [
+            (HybridSolverConfig::default(), "ddm-gnn-2level"),
+            (HybridSolverConfig { level: multilevel, ..Default::default() }, "ddm-gnn-ml3"),
+            (
+                HybridSolverConfig { precision: Precision::F32, ..Default::default() },
+                "ddm-gnn-2level-f32",
+            ),
+        ];
+        for (base, tier) in cases {
+            let resilient = HybridSolverConfig { resilient: true, ..base.clone() };
+            let p = run(fx, Method::DdmGnn, &base, &[&fx.problem.rhs]);
+            let r = run(fx, Method::DdmGnn, &resilient, &[&fx.problem.rhs]);
+            assert!(p.stats().converged() && r.stats().converged(), "{tier}");
+            // The guards only read r/z, so a fault-free supervised solve is
+            // bit-identical to the unsupervised one.
+            assert_eq!(p.x(), r.x(), "{tier}");
+            assert_eq!(p.stats().iterations, r.stats().iterations, "{tier}");
+            assert!(
+                r.stats().faults.is_empty(),
+                "fault-free {tier} solve reported faults: {:?}",
+                r.stats().faults
+            );
+            assert_eq!(r.stats().faults.final_tier(), Some(tier));
+        }
     }
 
     #[test]

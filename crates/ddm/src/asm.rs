@@ -330,7 +330,7 @@ mod tests {
     use crate::{AdditiveSchwarz, AsmLevel, MultilevelConfig};
     use krylov::{
         conjugate_gradient, preconditioned_conjugate_gradient, DegradationLadder, FaultKind,
-        FaultLog, Preconditioner, ResiliencePolicy, SolverOptions,
+        FaultLog, Preconditioner, SolverOptions,
     };
 
     #[test]
@@ -600,7 +600,7 @@ mod tests {
         let asm =
             AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), AsmLevel::TwoLevel)
                 .unwrap();
-        let ladder = DegradationLadder::new(vec![Box::new(asm)], ResiliencePolicy::default());
+        let ladder = DegradationLadder::new(vec![Box::new(asm)]);
         let (good, short) = (vec![1.0; n], vec![1.0; n - 7]);
         let (mut z0, mut z1) = (vec![0.0; n], vec![0.0; n - 7]);
         ladder.apply_batch(

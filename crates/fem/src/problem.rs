@@ -4,9 +4,8 @@
 //! function `f(x, y) = r1 (x-1)² + r2 y² + r3` and a boundary function
 //! `g(x, y) = r4 x² + r5 y² + r6 x y + r7 x + r8 y + r9` with coefficients
 //! drawn uniformly from `[-10, 10]`.  [`SourceTerm`] reproduces exactly that
-//! distribution; [`PoissonProblem`] couples a mesh with assembled operators
-//! and exposes the residual/rescaling helpers used by the rest of the
-//! pipeline.
+//! distribution; [`PoissonProblem`] couples a mesh with its assembled
+//! operator and right-hand side.
 
 use meshgen::{Mesh, Point2};
 use rand::prelude::*;
@@ -114,17 +113,11 @@ impl PoissonProblem {
         self.matrix.nrows()
     }
 
-    /// Residual `b - A x`.
-    pub fn residual(&self, x: &[f64]) -> Vec<f64> {
-        let mut r = vec![0.0; self.rhs.len()];
-        self.matrix.residual_into(&self.rhs, x, &mut r);
-        r
-    }
-
     /// Relative residual norm `‖b - A x‖ / ‖b‖`.
     #[cfg(test)]
     fn relative_residual(&self, x: &[f64]) -> f64 {
-        let r = self.residual(x);
+        let mut r = vec![0.0; self.rhs.len()];
+        self.matrix.residual_into(&self.rhs, x, &mut r);
         let bnorm = sparse::vector::norm2(&self.rhs);
         let rnorm = sparse::vector::norm2(&r);
         if bnorm <= f64::EPSILON {
@@ -132,13 +125,6 @@ impl PoissonProblem {
         } else {
             rnorm / bnorm
         }
-    }
-
-    /// The mean-squared residual loss of the paper's Eq. (11) for a state `u`:
-    /// `1/N Σ_i (b_i - Σ_j a_ij u_j)²`.
-    pub fn residual_loss(&self, u: &[f64]) -> f64 {
-        let r = self.residual(u);
-        r.iter().map(|v| v * v).sum::<f64>() / r.len() as f64
     }
 }
 
@@ -192,11 +178,10 @@ mod tests {
         let problem = PoissonProblem::with_random_data(mesh, 11);
         let n = problem.num_unknowns();
         assert!(n > 30);
-        // The exact solution has zero residual and zero loss.
+        // The exact solution has zero residual.
         let lu = sparse::LuFactor::factor_csr(&problem.matrix).unwrap();
         let u = lu.solve(&problem.rhs).unwrap();
         assert!(problem.relative_residual(&u) < 1e-12);
-        assert!(problem.residual_loss(&u) < 1e-20);
         // The zero vector has a nonzero residual for random data.
         assert!(problem.relative_residual(&vec![0.0; n]) > 1e-3);
     }
@@ -212,17 +197,5 @@ mod tests {
         assert!(chol.is_ok(), "assembled Poisson matrix must be SPD");
         let u = chol.unwrap().solve(&problem.rhs).unwrap();
         assert!(problem.relative_residual(&u) < 1e-10);
-    }
-
-    #[test]
-    fn residual_loss_matches_definition() {
-        let d = RectangleDomain::new(0.0, 0.0, 1.0, 1.0);
-        let mesh = generate_mesh(&d, &MeshingOptions::with_element_size(0.25));
-        let problem = PoissonProblem::with_random_data(mesh, 1);
-        let n = problem.num_unknowns();
-        let u = vec![0.1; n];
-        let r = problem.residual(&u);
-        let manual: f64 = r.iter().map(|v| v * v).sum::<f64>() / n as f64;
-        assert!((problem.residual_loss(&u) - manual).abs() < 1e-15);
     }
 }

@@ -25,7 +25,7 @@
 //!   (Eq. 18–21), per-iteration decoders (Eq. 22), ResNet-style latent update
 //!   with step `α`; every prefix of a trained model is a trained model
 //!   ([`DssModel::truncate`]),
-//! * [`loss`] — the physics-informed mean-squared residual loss (Eq. 11) and
+//! * `loss` — the physics-informed mean-squared residual loss (Eq. 11) and
 //!   its gradient,
 //! * [`adam`] — Adam with gradient clipping and a reduce-on-plateau schedule,
 //! * [`dataset`] — extraction of local training problems from two-level
@@ -44,7 +44,7 @@ pub mod gemm;
 pub mod graph;
 pub mod io;
 mod layers;
-pub mod loss;
+mod loss;
 pub mod model;
 pub mod plan;
 pub mod trainer;

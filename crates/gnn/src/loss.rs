@@ -15,8 +15,7 @@
 use sparse::CsrMatrix;
 
 /// Loss value.
-// detlint::allow(unreferenced-pub): Eq. 11, which the cross-crate property suite checks at exact solves
-pub fn residual_loss(a: &CsrMatrix, b: &[f64], u: &[f64]) -> f64 {
+pub(crate) fn residual_loss(a: &CsrMatrix, b: &[f64], u: &[f64]) -> f64 {
     let n = a.nrows();
     assert_eq!(b.len(), n);
     assert_eq!(u.len(), n);
@@ -54,6 +53,7 @@ pub(crate) fn residual_loss_and_grad(a: &CsrMatrix, b: &[f64], u: &[f64]) -> (f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sparse::CooMatrix;
 
     fn small_system() -> (CsrMatrix, Vec<f64>) {
@@ -112,5 +112,48 @@ mod tests {
         let u2: Vec<f64> = u.iter().chain(u.iter()).copied().collect();
         let loss_big = residual_loss(&a2, &b2, &u2);
         assert!((loss_small - loss_big).abs() < 1e-14);
+    }
+
+    /// A diagonally dominant SPD matrix with the given off-diagonal entries
+    /// (indices taken mod `n`, values made negative).
+    fn random_spd(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        let mut diag = vec![1.0; n];
+        for &(i, j, v) in entries {
+            let (i, j) = (i % n, j % n);
+            if i == j {
+                continue;
+            }
+            coo.push(i, j, -v.abs()).unwrap();
+            coo.push(j, i, -v.abs()).unwrap();
+            diag[i] += v.abs();
+            diag[j] += v.abs();
+        }
+        for (i, &d) in diag.iter().enumerate() {
+            coo.push(i, i, d).unwrap();
+        }
+        coo.to_csr()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The physics-informed loss is zero exactly at the solution and
+        /// positive elsewhere, for every random SPD local system.
+        #[test]
+        fn residual_loss_separates_solutions(
+            entries in proptest::collection::vec((0usize..15, 0usize..15, 0.1f64..2.0), 5..30),
+            perturbation in 0.05f64..5.0,
+        ) {
+            let n = 15;
+            let a = random_spd(n, &entries);
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 5) as f64) - 2.0).collect();
+            let lu = sparse::LuFactor::factor_csr(&a).unwrap();
+            let exact = lu.solve(&b).unwrap();
+            prop_assert!(residual_loss(&a, &b, &exact) < 1e-18);
+            let mut off = exact.clone();
+            off[0] += perturbation;
+            prop_assert!(residual_loss(&a, &b, &off) > 1e-12);
+        }
     }
 }

@@ -27,8 +27,7 @@ pub use history::{ConvergenceHistory, SolveStats, StopReason};
 pub use pcg::{preconditioned_conjugate_gradient, solve_batch};
 pub use preconditioner::{Ic0Preconditioner, JacobiPreconditioner, Preconditioner};
 pub use resilience::{
-    DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog,
-    InjectedFault, ResiliencePolicy,
+    DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog, InjectedFault,
 };
 
 use history::relative_residual_norm;

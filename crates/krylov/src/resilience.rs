@@ -4,13 +4,13 @@
 //! The flexible-PCG safeguard in [`crate::pcg`] already tolerates a
 //! *numerically wrong* preconditioner; this module extends the guarantee to a
 //! preconditioner that panics, emits NaN/inf, returns identically zero
-//! corrections, stalls, or stops making progress.  Two pieces:
+//! corrections, or stops making progress.  Two pieces:
 //!
 //! * [`DegradationLadder`] — a stack of tiers (e.g. GNN-int8 → GNN-f32 →
 //!   GNN-f64 → ASM → Jacobi) that runs every apply under guards — it rejects
 //!   wrong-length vectors, contains panics (`catch_unwind`), scans outputs
-//!   for non-finite and identically-zero values, tracks stagnation and
-//!   per-apply wall-clock budgets, and classifies every event into a
+//!   for non-finite and identically-zero values, tracks stagnation over a
+//!   fixed window of applies, and classifies every event into a
 //!   [`FaultKind`] recorded on a [`FaultLog`] — and downgrades *in place* on
 //!   a classified fault, without restarting the outer solve (the flexible
 //!   PCG update tolerates a preconditioner that changes between
@@ -23,7 +23,9 @@
 //!
 //! Guards never perturb a healthy apply: they only *read* the output vector,
 //! so a fault-free solve is bit-identical to an unguarded one (hash-pinned by
-//! the end-to-end resilience suite).
+//! the end-to-end resilience suite).  Every decision is made on data alone —
+//! the apply's output and the residual norms it is given, never a clock — so
+//! a faulted solve's bits do not depend on machine load either.
 
 use sanitizer::TrackedMutex;
 use std::any::Any;
@@ -31,7 +33,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -50,10 +51,8 @@ pub enum FaultKind {
     NonFinite,
     /// The output vector was identically zero for a nonzero residual.
     ZeroOutput,
-    /// No residual reduction over the configured stagnation window.
+    /// No residual reduction over the stagnation window of applies.
     Stagnation,
-    /// A single apply exceeded the configured wall-clock budget.
-    TimeBudget,
     /// A Krylov recurrence denominator vanished or left the real line.
     Breakdown,
     /// A fallible operation reported a classified numerical error
@@ -68,7 +67,6 @@ impl fmt::Display for FaultKind {
             FaultKind::NonFinite => "non-finite-output",
             FaultKind::ZeroOutput => "zero-output",
             FaultKind::Stagnation => "stagnation",
-            FaultKind::TimeBudget => "time-budget",
             FaultKind::Breakdown => "breakdown",
             FaultKind::NumericalError => "numerical-error",
         };
@@ -150,29 +148,9 @@ impl FaultLog {
     }
 }
 
-/// Knobs for the guards in [`DegradationLadder`].  The non-finite and
-/// zero-output scans always run.
-///
-/// Every guard only *reads* the residual and output vectors, so no setting
-/// here can perturb healthy-path numerics — the hash-pin test in the
-/// end-to-end resilience suite holds for any policy.
-#[derive(Debug, Clone)]
-pub struct ResiliencePolicy {
-    /// Number of consecutive applies without residual-norm improvement
-    /// before a [`FaultKind::Stagnation`] fires.  `0` disables the check.
-    pub stagnation_window: usize,
-    /// Per-apply wall-clock budget; an overrun keeps the (valid) output but
-    /// downgrades the ladder for subsequent applies.  `None` disables the
-    /// check — the default, so machine load cannot trigger spurious
-    /// downgrades in reproducible benchmark runs.
-    pub apply_time_budget: Option<Duration>,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        ResiliencePolicy { stagnation_window: 64, apply_time_budget: None }
-    }
-}
+/// Number of consecutive applies without residual-norm improvement before a
+/// [`FaultKind::Stagnation`] fires.
+const STAGNATION_WINDOW: usize = 64;
 
 /// Renders a contained panic payload for the fault log.
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -206,16 +184,16 @@ fn classify_output(r: &[f64], z: &[f64]) -> Option<(FaultKind, String)> {
 ///
 /// The columns are one guarded unit: a column whose `r` or `z` is not `dim`
 /// long, a panic anywhere, or a classified output in any column fails the
-/// whole apply.  Returns the wall-clock time of a healthy apply, or the
-/// classified fault.  `AssertUnwindSafe` is sound here: the scratch buffers
-/// the wrapped preconditioners share across threads sit behind mutexes that
-/// already recover from poisoning, and `zs` is overwritten by any fallback.
+/// whole apply.  Returns the classified fault, if any.  `AssertUnwindSafe`
+/// is sound here: the scratch buffers the wrapped preconditioners share
+/// across threads sit behind mutexes that already recover from poisoning,
+/// and `zs` is overwritten by any fallback.
 fn run_guarded(
     p: &dyn Preconditioner,
     dim: usize,
     rs: &[&[f64]],
     zs: &mut [&mut [f64]],
-) -> Result<Duration, (FaultKind, String)> {
+) -> Result<(), (FaultKind, String)> {
     for (c, (r, z)) in rs.iter().zip(zs.iter()).enumerate() {
         if r.len() != dim || z.len() != dim {
             let e = SparseError::DimensionMismatch {
@@ -226,7 +204,6 @@ fn run_guarded(
             return Err((FaultKind::NumericalError, format!("column {c}: {e}")));
         }
     }
-    let start = Instant::now();
     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| p.apply_batch(rs, zs))) {
         return Err((FaultKind::Panic, panic_message(payload.as_ref())));
     }
@@ -235,7 +212,7 @@ fn run_guarded(
             return Err((kind, format!("column {c}: {detail}")));
         }
     }
-    Ok(start.elapsed())
+    Ok(())
 }
 
 /// `sqrt(Σ_c r_c·r_c)`, the residual norm fed to the stagnation tracker: at
@@ -259,14 +236,14 @@ impl StagnationTracker {
     /// Observe the residual norm of the incoming apply; `true` when the
     /// window elapsed without improvement (the counter then restarts so the
     /// check can fire again one window later).
-    fn observe(&mut self, rnorm: f64, window: usize) -> bool {
+    fn observe(&mut self, rnorm: f64) -> bool {
         if rnorm < self.best {
             self.best = rnorm;
             self.since_best = 0;
             return false;
         }
         self.since_best += 1;
-        if self.since_best >= window {
+        if self.since_best >= STAGNATION_WINDOW {
             self.since_best = 0;
             return true;
         }
@@ -289,7 +266,6 @@ impl StagnationTracker {
 /// identity fallback covers every column.
 pub struct DegradationLadder {
     tiers: Vec<Box<dyn Preconditioner>>,
-    policy: ResiliencePolicy,
     active: AtomicUsize,
     applies: AtomicU64,
     log: TrackedMutex<FaultLog>,
@@ -301,7 +277,7 @@ pub struct DegradationLadder {
 impl DegradationLadder {
     /// Build a ladder from an ordered, non-empty stack of tiers sharing one
     /// dimension.
-    pub fn new(tiers: Vec<Box<dyn Preconditioner>>, policy: ResiliencePolicy) -> Self {
+    pub fn new(tiers: Vec<Box<dyn Preconditioner>>) -> Self {
         assert!(!tiers.is_empty(), "degradation ladder needs at least one tier");
         let dim = tiers[0].dim();
         for t in &tiers {
@@ -313,7 +289,6 @@ impl DegradationLadder {
         );
         DegradationLadder {
             tiers,
-            policy,
             active: AtomicUsize::new(0),
             applies: AtomicU64::new(0),
             log: TrackedMutex::new(FaultLog::new(), "krylov::resilience::DegradationLadder::log"),
@@ -373,17 +348,16 @@ impl Preconditioner for DegradationLadder {
         assert_eq!(rs.len(), zs.len(), "batched apply: rs/zs column count mismatch");
         let idx = self.applies.fetch_add(1, Ordering::SeqCst);
         let mut tier = self.active_tier();
-        if self.policy.stagnation_window > 0 && tier + 1 < self.tiers.len() {
+        if tier + 1 < self.tiers.len() {
             let rnorm = panel_norm(rs);
-            let fired = self.stagnation.lock().observe(rnorm, self.policy.stagnation_window);
+            let fired = self.stagnation.lock().observe(rnorm);
             if fired {
                 if let Some(next) = self.downgrade(
                     tier,
                     FaultKind::Stagnation,
                     idx,
                     format!(
-                        "no residual reduction over {} applies (‖r‖ = {rnorm:.3e})",
-                        self.policy.stagnation_window
+                        "no residual reduction over {STAGNATION_WINDOW} applies (‖r‖ = {rnorm:.3e})"
                     ),
                 ) {
                     tier = next;
@@ -392,21 +366,7 @@ impl Preconditioner for DegradationLadder {
         }
         loop {
             match run_guarded(self.tiers[tier].as_ref(), self.dim, rs, zs) {
-                Ok(elapsed) => {
-                    if let Some(budget) = self.policy.apply_time_budget {
-                        if elapsed > budget && tier + 1 < self.tiers.len() {
-                            // The output is numerically valid — keep it, and
-                            // downgrade only the *subsequent* applies.
-                            self.downgrade(
-                                tier,
-                                FaultKind::TimeBudget,
-                                idx,
-                                format!("apply took {elapsed:?} against a budget of {budget:?}"),
-                            );
-                        }
-                    }
-                    return;
-                }
+                Ok(()) => return,
                 Err((kind, detail)) => match self.downgrade(tier, kind, idx, detail) {
                     Some(next) => tier = next,
                     None => {
@@ -449,8 +409,6 @@ pub enum InjectedFault {
     InfOutput,
     /// Overwrite the output with zeros.
     ZeroOutput,
-    /// Run the inner apply, then sleep for the given duration.
-    Stall(Duration),
 }
 
 /// Deterministic fault-injection wrapper for resilience tests.
@@ -515,9 +473,9 @@ impl<P: Preconditioner> Preconditioner for FaultInjectingPreconditioner<P> {
         self.apply_batch(&[r], &mut [z]);
     }
 
-    /// One scheduled apply per call, whatever the batch width: `Panic`,
-    /// `ZeroOutput` and `Stall` hit the whole batch, `NanOutput` and
-    /// `InfOutput` corrupt column 0.
+    /// One scheduled apply per call, whatever the batch width: `Panic` and
+    /// `ZeroOutput` hit the whole batch, `NanOutput` and `InfOutput` corrupt
+    /// column 0.
     fn apply_batch(&self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         let idx = self.applies.fetch_add(1, Ordering::SeqCst);
         let corrupt = |zs: &mut [&mut [f64]], value: f64| {
@@ -540,10 +498,6 @@ impl<P: Preconditioner> Preconditioner for FaultInjectingPreconditioner<P> {
                 for z in zs.iter_mut() {
                     z.fill(0.0);
                 }
-            }
-            Some(InjectedFault::Stall(d)) => {
-                self.inner.apply_batch(rs, zs);
-                std::thread::sleep(*d);
             }
             None => self.inner.apply_batch(rs, zs),
         }
@@ -605,7 +559,7 @@ mod tests {
 
     /// A one-tier ladder: a plain guard with the identity fallback.
     fn guard(tier: impl Preconditioner + 'static) -> DegradationLadder {
-        DegradationLadder::new(vec![Box::new(tier)], ResiliencePolicy::default())
+        DegradationLadder::new(vec![Box::new(tier)])
     }
 
     #[test]
@@ -649,51 +603,13 @@ mod tests {
     }
 
     #[test]
-    fn guard_reports_time_budget_overruns_without_discarding_output() {
-        struct Slow(usize);
-        impl Preconditioner for Slow {
-            fn apply(&self, r: &[f64], z: &mut [f64]) {
-                std::thread::sleep(Duration::from_millis(20));
-                for (z, r) in z.iter_mut().zip(r) {
-                    *z = 2.0 * r;
-                }
-            }
-            fn dim(&self) -> usize {
-                self.0
-            }
-            fn name(&self) -> &str {
-                "slow"
-            }
-        }
-        let policy = ResiliencePolicy {
-            apply_time_budget: Some(Duration::from_millis(1)),
-            ..Default::default()
-        };
-        let tiers: Vec<Box<dyn Preconditioner>> =
-            vec![Box::new(Slow(2)), Box::new(IdentityPreconditioner::new(2))];
-        let ladder = DegradationLadder::new(tiers, policy);
-        let r = [1.0, 2.0];
-        let mut z = [0.0; 2];
-        ladder.apply(&r, &mut z);
-        assert_eq!(z, [2.0, 4.0], "a slow but valid output must be kept");
-        let log = ladder.fault_log();
-        assert!(has_kind(&log, FaultKind::TimeBudget));
-        assert_eq!(log.events().len(), 1);
-        assert_eq!(ladder.active_tier(), 1);
-        // The next apply runs on the identity tier and downgrades no further.
-        ladder.apply(&r, &mut z);
-        assert_eq!(z, r);
-        assert_eq!(ladder.fault_log().events().len(), 1);
-    }
-
-    #[test]
     fn ladder_downgrades_in_order_and_reports_final_tier() {
         let tiers: Vec<Box<dyn Preconditioner>> = vec![
             Box::new(AlwaysPanics(4)),
             Box::new(AlwaysNan(4)),
             Box::new(IdentityPreconditioner::new(4)),
         ];
-        let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
+        let ladder = DegradationLadder::new(tiers);
         let r = [1.0, 2.0, 3.0, 4.0];
         let mut z = [0.0; 4];
         ladder.apply(&r, &mut z);
@@ -718,7 +634,7 @@ mod tests {
     fn ladder_identity_fallback_when_every_tier_faults() {
         let tiers: Vec<Box<dyn Preconditioner>> =
             vec![Box::new(AlwaysPanics(3)), Box::new(AlwaysNan(3))];
-        let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
+        let ladder = DegradationLadder::new(tiers);
         let r = [1.0, -1.0, 2.0];
         let mut z = [0.0; 3];
         ladder.apply(&r, &mut z);
@@ -732,15 +648,17 @@ mod tests {
             Box::new(IdentityPreconditioner::new(2)),
             Box::new(IdentityPreconditioner::new(2)),
         ];
-        let policy = ResiliencePolicy { stagnation_window: 5, ..Default::default() };
-        let ladder = DegradationLadder::new(tiers, policy);
+        let ladder = DegradationLadder::new(tiers);
         let r = [1.0, 1.0]; // constant residual: no improvement after the first
         let mut z = [0.0; 2];
-        for _ in 0..6 {
+        for _ in 0..STAGNATION_WINDOW {
             ladder.apply(&r, &mut z);
         }
+        assert!(ladder.fault_log().is_empty(), "the window has not elapsed yet");
+        ladder.apply(&r, &mut z);
         let log = ladder.fault_log();
         assert!(has_kind(&log, FaultKind::Stagnation));
+        assert_eq!(log.events()[0].apply_index, STAGNATION_WINDOW as u64);
         assert_eq!(ladder.active_tier(), 1);
     }
 
@@ -803,7 +721,7 @@ mod tests {
             )),
             Box::new(JacobiPreconditioner::new(&a)),
         ];
-        let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
+        let ladder = DegradationLadder::new(tiers);
         let faulted = preconditioned_conjugate_gradient(&a, &b, None, &ladder, &opts);
         assert!(faulted.stats.converged());
         assert!(
@@ -833,7 +751,7 @@ mod tests {
             )),
             Box::new(JacobiPreconditioner::new(&a)),
         ];
-        let ladder = DegradationLadder::new(tiers, ResiliencePolicy::default());
+        let ladder = DegradationLadder::new(tiers);
         let opts = SolverOptions::with_tolerance(1e-8);
         for result in crate::solve_batch(&a, &bs, None, &ladder, &opts) {
             assert!(result.stats.converged());

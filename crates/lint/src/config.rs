@@ -13,9 +13,9 @@ pub struct Config {
     /// a `DegradationLadder` supervises.
     pub guarded_modules: Vec<String>,
     /// R3 `nondet-clock`: modules allowed to read wall clocks — the bench
-    /// binaries, the benchmark crate, the resilience time-budget layer and
-    /// the solver-driver modules whose job is reporting setup/solve wall
-    /// times.
+    /// binaries, the benchmark crate, and the solver driver whose job is
+    /// reporting solve wall times (`ddm_gnn::solve`, the library's only clock
+    /// read; no reading feeds back into solver math).
     pub clock_allowed: Vec<String>,
     /// R4 `nondet-iteration` + R5 `float-reduce`: the deterministic solver
     /// pipeline — everything whose results feed the bit-reproducible
@@ -46,8 +46,10 @@ pub struct Config {
 /// `FaultInjectingPreconditioner::scheduled`) took its place; 15 when the
 /// graph pins moved into the `partition` crate's tests and the lexer
 /// round-trip properties into the lexer's, so `Graph::from_adjacency`,
-/// `partition_graph`, `grow_overlap` and `lex` narrowed to the crate.
-pub const EXPECTED_WORKSPACE_ALLOWS: usize = 15;
+/// `partition_graph`, `grow_overlap` and `lex` narrowed to the crate; 14 when
+/// the residual-loss property moved into `gnn::loss`'s tests, so
+/// `residual_loss` and its module narrowed to the crate.
+pub const EXPECTED_WORKSPACE_ALLOWS: usize = 14;
 
 impl Default for Config {
     fn default() -> Self {
@@ -76,7 +78,6 @@ impl Default for Config {
                 // The stand-alone benchmark crate times the library from
                 // outside, like `crates/bench/`.
                 "benchmark/",
-                "crates/krylov/src/resilience.rs",
                 "crates/ddm-gnn/src/solver.rs",
             ]),
             deterministic_modules: s(&[

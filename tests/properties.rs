@@ -49,20 +49,28 @@ fn batched_apply_fixture() -> &'static BatchedApplyFixture {
     })
 }
 
-/// The multiplicative multi-level DDM-LU shell on two problem sizes, built
-/// once: n ≈ 600 and n ≈ 1500.
-fn multiplicative_shells() -> &'static [ddm::AdditiveSchwarz; 2] {
-    static SHELLS: OnceLock<[ddm::AdditiveSchwarz; 2]> = OnceLock::new();
+/// The multi-level DDM-LU shell under both compositions — multiplicative,
+/// then additive — on two problem sizes, built once: n ≈ 600 and n ≈ 1500.
+fn multilevel_shells() -> &'static [[ddm::AdditiveSchwarz; 2]; 2] {
+    static SHELLS: OnceLock<[[ddm::AdditiveSchwarz; 2]; 2]> = OnceLock::new();
     SHELLS.get_or_init(|| {
         [(817, 600), (818, 1500)].map(|(seed, target)| {
             let problem = ddm_gnn::generate_problem(seed, target);
             let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
             let config = ddm::MultilevelConfig { coarsest_max_size: 60 };
-            let shell = ddm::AdditiveSchwarz::with_multilevel(&problem.matrix, subdomains, &config)
-                .expect("multi-level DDM-LU setup");
-            assert!(shell.name().starts_with("ddm-lu-ml"), "{}", shell.name());
-            assert_ne!(shell.name(), "ddm-lu-ml1", "the hierarchy must coarsen");
-            shell
+            let multiplicative =
+                ddm::AdditiveSchwarz::with_multilevel(&problem.matrix, subdomains.clone(), &config)
+                    .expect("multi-level DDM-LU setup");
+            assert!(multiplicative.name().starts_with("ddm-lu-ml"), "{}", multiplicative.name());
+            assert_ne!(multiplicative.name(), "ddm-lu-ml1", "the hierarchy must coarsen");
+            let additive = ddm::AdditiveSchwarz::new(
+                &problem.matrix,
+                subdomains,
+                ddm::AsmLevel::AdditiveMultilevel(config),
+            )
+            .expect("additive multi-level DDM-LU setup");
+            assert!(additive.name().ends_with("-additive"), "{}", additive.name());
+            [multiplicative, additive]
         })
     })
 }
@@ -190,23 +198,6 @@ proptest! {
         }
         let back = r.restrict(&global);
         prop_assert_eq!(back, local);
-    }
-
-    /// The physics-informed loss is zero exactly at the solution and positive
-    /// elsewhere, for every random SPD local system.
-    #[test]
-    fn residual_loss_separates_solutions(
-        entries in proptest::collection::vec((0usize..15, 0usize..15, 0.1f64..2.0), 5..30),
-        perturbation in 0.05f64..5.0,
-    ) {
-        let n = 15;
-        let a = random_spd(n, &entries);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 5) as f64) - 2.0).collect();
-        let lu = sparse::LuFactor::factor_csr(&a).unwrap();
-        let exact = lu.solve(&b).unwrap();
-        prop_assert!(gnn::loss::residual_loss(&a, &b, &exact) < 1e-18);
-        let off: Vec<f64> = exact.iter().enumerate().map(|(i, v)| v + if i == 0 { perturbation } else { 0.0 }).collect();
-        prop_assert!(gnn::loss::residual_loss(&a, &b, &off) > 1e-12);
     }
 
     /// Partitions always cover every node, use every part index at most once
@@ -340,25 +331,26 @@ proptest! {
         }
     }
 
-    /// With exact (Cholesky) local solves the multiplicative multi-level
-    /// shell — V-cycle, local phase, V-cycle — is a symmetric positive
-    /// definite operator, on both fixture sizes.
+    /// With exact (Cholesky) local solves the multi-level shell is a
+    /// symmetric positive definite operator under both compositions — the
+    /// multiplicative one (V-cycle, local phase, V-cycle) and the additive
+    /// one (local phase plus V-cycle) — on both fixture sizes.
     #[test]
-    fn multiplicative_multilevel_shell_is_symmetric_positive(
+    fn multilevel_shells_are_symmetric_positive(
         seed in 0u64..1000,
         shift in -1.0f64..1.0,
     ) {
-        for shell in multiplicative_shells() {
+        for shell in multilevel_shells().iter().flatten() {
             let n = shell.dim();
             let v = batch_residuals(n, 2, seed);
             let x: Vec<f64> = v[0].iter().map(|x| x + shift).collect();
             let (mxy, xmy) = both_pairings(shell, &x, &v[1]);
             prop_assert!(
                 (mxy - xmy).abs() <= 1e-8 * mxy.abs(),
-                "n={}: <Mx,y> = {} vs <x,My> = {}", n, mxy, xmy
+                "{} at n={}: <Mx,y> = {} vs <x,My> = {}", shell.name(), n, mxy, xmy
             );
             let (mxx, _) = both_pairings(shell, &x, &x);
-            prop_assert!(mxx > 0.0, "n={}: <Mx,x> = {}", n, mxx);
+            prop_assert!(mxx > 0.0, "{} at n={}: <Mx,x> = {}", shell.name(), n, mxx);
         }
     }
 
