@@ -36,9 +36,9 @@
 //!   multiplicative V-cycle (`ml-…`) and the paper's additive sum
 //!   (`ml-add-…`).  Two rules, fixed before measuring, each print their
 //!   pick.  `PRETRAINED_DEPTH`, the depth one- and two-level
-//!   preconditioners run: the smallest depth whose iteration count is ≤ the
-//!   16-block count on every additive multi-level problem (the composition
-//!   the rule was fixed on) and ≤ 1.1× it on every two-level one.
+//!   preconditioners run: the smallest depth whose iteration count is ≤
+//!   1.1× the 16-block count on every two-level problem (no other coarse
+//!   kind runs that many blocks).
 //!   `MULTILEVEL_DEPTH`, the depth the V-cycle's local solves run: among
 //!   the depths whose iteration count is ≤ 1.3× the 16-block count on every
 //!   multiplicative multi-level problem, the one with the lowest setup +
@@ -405,16 +405,12 @@ fn depth() {
             tenths(p.config.level).is_none_or(|tenths| 10 * its <= tenths * full)
         })
     };
-    let pretrained_tenths = |level| match level {
-        AsmLevel::AdditiveMultilevel(_) => Some(10),
-        AsmLevel::Multilevel(_) => None,
-        _ => Some(11),
-    };
+    let pretrained_tenths = |level: AsmLevel| (level == AsmLevel::TwoLevel).then_some(11);
     let pretrained =
         rows.iter().filter(|(_, its, _)| keeps(its, pretrained_tenths)).map(|r| r.0).min();
     println!(
-        "smallest depth with iterations ≤ k̄ = {full_depth} on every additive multi-level \
-         problem and ≤ 1.1× on every two-level one: {} (PRETRAINED_DEPTH = {PRETRAINED_DEPTH})",
+        "smallest depth with iterations ≤ 1.1× k̄ = {full_depth} on every two-level problem: {} \
+         (PRETRAINED_DEPTH = {PRETRAINED_DEPTH})",
         pretrained.unwrap_or(full_depth)
     );
     let multilevel_tenths = |level| matches!(level, AsmLevel::Multilevel(_)).then_some(13);

@@ -56,14 +56,14 @@ pub struct TrainedModel {
 }
 
 /// Number of blocks of the shipped `k̄ = 16` model that [`load_pretrained`]
-/// keeps: the smallest depth whose PCG iteration count is no higher than the
-/// full model's on every multi-level problem of the Fig. 6 depth sweep and
-/// within 10 % of it on every two-level one (the `depth` section of the
-/// `reproduce` binary).
-/// Inference cost is linear in depth, so this halves the apply.  One- and
-/// two-level preconditioners run all of them; under a multi-level coarse
-/// component the model runs [`MULTILEVEL_DEPTH`].
-pub const PRETRAINED_DEPTH: usize = 8;
+/// keeps: the smallest depth whose PCG iteration count is within 10 % of
+/// the full model's on every two-level problem of the Fig. 6 depth sweep
+/// (the `depth` section of the `reproduce` binary).  Only the one- and
+/// two-level preconditioners run all of them, so only two-level problems
+/// judge it; under a multi-level coarse component the model runs
+/// [`MULTILEVEL_DEPTH`].  Inference cost is linear in depth, so this cuts
+/// the apply to 7/16.
+pub const PRETRAINED_DEPTH: usize = 7;
 
 /// Number of leading blocks the model of [`load_pretrained`] runs under a
 /// multi-level coarse component ([`DssModel::multilevel_depth`]): among the

@@ -432,9 +432,9 @@ mod tests {
     #[test]
     fn reduced_tiers_meet_their_forward_error_contract() {
         // Tier accuracy as a contract: on the pretrained model at its default
-        // depth (`PRETRAINED_DEPTH` = 8 blocks) and every sub-domain graph of
+        // depth (`PRETRAINED_DEPTH` = 7 blocks) and every sub-domain graph of
         // the fixture, the f32 engine stays within 1e-4 relative forward
-        // error of the naive reference formulation (it is at 4.6e-6).  Its
+        // error of the naive reference formulation (it is at 3.5e-6).  Its
         // int8 weight format measures 1.9e-2 and is pinned just above, at
         // 2.5e-2, so a regression of the format shows: trained blocks
         // amplify the 2⁻⁸ weight rounding beyond the 1e-2 that random

@@ -7,17 +7,16 @@
 //! measuring:
 //!
 //! * `PRETRAINED_DEPTH`: the smallest depth whose PCG iteration count is ≤
-//!   the 16-block count on every multi-level problem and ≤ 1.1× it on every
-//!   two-level one.  The rule was fixed on the paper's additive sum of the
-//!   V-cycle and the local corrections, so its multi-level problems run
-//!   [`AsmLevel::AdditiveMultilevel`].  Asserted on the anchor cut to that
-//!   depth and one block less, which run every block under every coarse
-//!   kind.
+//!   1.1× the 16-block count on every two-level problem — the only coarse
+//!   kind that runs that many blocks.  Asserted on the anchor cut to that
+//!   depth and to every shallower one (the sweep is not monotone in depth,
+//!   so "smallest" needs them all), which run every block under every
+//!   coarse kind.
 //! * `MULTILEVEL_DEPTH`: among the depths whose iteration count is ≤ 1.3×
 //!   the 16-block count on every multi-level problem, the one with the
-//!   lowest summed setup + solve time on one thread, under the shipped
-//!   multiplicative [`AsmLevel::Multilevel`].  The timing half is the
-//!   sweep's; the counted half is asserted here for `load_pretrained()`.
+//!   lowest summed setup + solve time on one thread, under the V-cycle of
+//!   [`AsmLevel::Multilevel`].  The timing half is the sweep's; the counted
+//!   half is asserted here for `load_pretrained()`.
 //!
 //! Iteration counts are deterministic, so both are asserted on the sweep's
 //! problems of at most 12k nodes — counted, not timed.
@@ -33,10 +32,12 @@ use gnn::DssModel;
 use krylov::{Preconditioner, SolverOptions};
 use partition::partition_mesh_with_overlap;
 
-/// `(problem seed, target nodes, multi-level)` — the sweep's problems of at
+/// `(problem seed, target nodes)` of the sweep's multi-level problems of at
 /// most 12k nodes.
-const PROBLEMS: [(u64, usize, bool); 5] =
-    [(1, 3_000, true), (2, 3_000, true), (4, 12_000, true), (1, 3_000, false), (4, 12_000, false)];
+const MULTILEVEL_PROBLEMS: [(u64, usize); 3] = [(1, 3_000), (2, 3_000), (4, 12_000)];
+
+/// `(problem seed, target nodes)` of the sweep's two-level problems.
+const TWO_LEVEL_PROBLEMS: [(u64, usize); 2] = [(1, 3_000), (4, 12_000)];
 
 /// The shipped 16-block file, loaded whole.
 fn anchor() -> DssModel {
@@ -44,26 +45,21 @@ fn anchor() -> DssModel {
     gnn::io::load_model(Path::new(path)).expect("the shipped model in assets/")
 }
 
-/// DDM-GNN PCG iterations of `model` on every problem of [`PROBLEMS`]
-/// whose coarse kind `keep` accepts, the multi-level ones composed as
-/// `multilevel` makes of the default V-cycle.
-fn iterations(
-    model: DssModel,
-    multilevel: fn(MultilevelConfig) -> AsmLevel,
-    keep: fn(bool) -> bool,
-) -> Vec<usize> {
+/// The anchor cut to its first `depth` blocks.
+fn cut(depth: usize) -> DssModel {
+    let mut model = anchor();
+    model.truncate(depth);
+    model
+}
+
+/// DDM-GNN PCG iterations of `model` at `level` on every one of `problems`.
+fn iterations(model: DssModel, level: AsmLevel, problems: &[(u64, usize)]) -> Vec<usize> {
     let model = Arc::new(model);
-    PROBLEMS
+    problems
         .iter()
-        .filter(|&&(_, _, is_multilevel)| keep(is_multilevel))
-        .map(|&(seed, target, is_multilevel)| {
+        .map(|&(seed, target)| {
             let problem = generate_problem(seed, target);
             let subdomains = partition_mesh_with_overlap(&problem.mesh, 300, 2, 0);
-            let level = if is_multilevel {
-                multilevel(MultilevelConfig::default())
-            } else {
-                AsmLevel::TwoLevel
-            };
             let config = HybridSolverConfig { level, ..Default::default() };
             let precond =
                 build_preconditioner(&problem, &subdomains, Method::DdmGnn, Some(&model), &config)
@@ -76,18 +72,6 @@ fn iterations(
         .collect()
 }
 
-/// Whether `counts` keeps the `PRETRAINED_DEPTH` rule against the 16-block
-/// `full` counts.
-fn meets_rule(counts: &[usize], full: &[usize]) -> bool {
-    PROBLEMS.iter().zip(counts).zip(full).all(|((&(_, _, multilevel), &its), &full)| {
-        if multilevel {
-            its <= full
-        } else {
-            10 * its <= 11 * full
-        }
-    })
-}
-
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -97,26 +81,25 @@ fn pretrained_depth_is_the_smallest_that_keeps_the_iteration_counts() {
     let default = load_pretrained().expect("the shipped model in assets/");
     assert_eq!(default.config().num_blocks, PRETRAINED_DEPTH);
 
-    let full = &iterations(anchor(), AsmLevel::AdditiveMultilevel, |_| true);
-    let cut = |depth| {
-        let mut model = anchor();
-        model.truncate(depth);
-        iterations(model, AsmLevel::AdditiveMultilevel, |_| true)
-    };
-    let chosen = cut(PRETRAINED_DEPTH);
-    assert!(meets_rule(&chosen, full), "depth {PRETRAINED_DEPTH}: {chosen:?} vs 16: {full:?}");
-    let shallower = cut(PRETRAINED_DEPTH - 1);
-    assert!(
-        !meets_rule(&shallower, full),
-        "depth {} keeps the rule too: {shallower:?} vs 16: {full:?}",
-        PRETRAINED_DEPTH - 1
-    );
+    let two_level = |model| iterations(model, AsmLevel::TwoLevel, &TWO_LEVEL_PROBLEMS);
+    let full = two_level(anchor());
+    let meets_rule =
+        |counts: &[usize]| counts.iter().zip(&full).all(|(&its, &f)| 10 * its <= 11 * f);
+    let chosen = two_level(cut(PRETRAINED_DEPTH));
+    assert!(meets_rule(&chosen), "depth {PRETRAINED_DEPTH}: {chosen:?} vs 16: {full:?}");
+    for depth in 1..PRETRAINED_DEPTH {
+        let shallower = two_level(cut(depth));
+        assert!(
+            !meets_rule(&shallower),
+            "depth {depth} keeps the rule too: {shallower:?} vs 16: {full:?}"
+        );
+    }
 }
 
 /// The counted half of the `MULTILEVEL_DEPTH` rule for the default model:
-/// under the multiplicative V-cycle it runs `MULTILEVEL_DEPTH` blocks, and
-/// its iterations stay ≤ 1.3× the anchor's on every multi-level problem.
-/// One block takes 7 / 7 / 7 iterations against the anchor's 8 / 7 / 8.
+/// under the V-cycle it runs `MULTILEVEL_DEPTH` blocks, and its iterations
+/// stay ≤ 1.3× the anchor's on every multi-level problem.  One block takes
+/// 7 / 7 / 7 iterations against the anchor's 8 / 7 / 8.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -142,12 +125,11 @@ fn default_model_runs_the_multilevel_depth_within_1_3x_of_the_anchor() {
     };
     // Under the V-cycle the default model has the bits of the plain anchor
     // cut to its first `MULTILEVEL_DEPTH` blocks.
-    let mut plain = anchor();
-    plain.truncate(MULTILEVEL_DEPTH);
-    assert_eq!(v_cycle_bits(default.clone()), v_cycle_bits(plain));
+    assert_eq!(v_cycle_bits(default.clone()), v_cycle_bits(cut(MULTILEVEL_DEPTH)));
 
-    let counts = iterations(default, AsmLevel::Multilevel, |multilevel| multilevel);
-    let full = iterations(anchor(), AsmLevel::Multilevel, |multilevel| multilevel);
+    let multilevel = AsmLevel::Multilevel(MultilevelConfig::default());
+    let counts = iterations(default, multilevel, &MULTILEVEL_PROBLEMS);
+    let full = iterations(anchor(), multilevel, &MULTILEVEL_PROBLEMS);
     assert!(
         counts.iter().zip(&full).all(|(&its, &full)| 10 * its <= 13 * full),
         "depth {MULTILEVEL_DEPTH}: {counts:?} vs 16: {full:?}"

@@ -6,7 +6,7 @@
 //! recorded when the determinism pins were first taken — the proof that the
 //! resilience layer is bit-transparent when nothing goes wrong.  Those pins, and the fault
 //! tests, run the 16-block anchor model file; the default model of
-//! `load_pretrained()` (its first 8 blocks) has pins of its own.
+//! `load_pretrained()` (its first 7 blocks) has pins of its own.
 //!
 //! The heavy tests are `#[ignore]`d: CI runs them in release via
 //! `cargo test --workspace --release -- --include-ignored` (the `test` job).
@@ -189,8 +189,8 @@ const PINNED_HASHES: &[(&str, [&str; 2])] = &[
 ];
 
 /// `pcg-ddm-gnn-2level` on the default model of `load_pretrained()` — the
-/// anchor's first 8 blocks — on the same problems: `(hash, iterations)`.
-const DEFAULT_MODEL_PINS: [(&str, usize); 2] = [("91a7520bf2efe49f", 51), ("e69b48a6a0d8d236", 86)];
+/// anchor's first 7 blocks — on the same problems: `(hash, iterations)`.
+const DEFAULT_MODEL_PINS: [(&str, usize); 2] = [("405cc26fef905ab4", 50), ("cf7df0a87a0b4c07", 88)];
 
 fn pinned_hash(solver: &str, idx: usize) -> &'static str {
     let (_, hashes) = PINNED_HASHES.iter().find(|(s, _)| *s == solver).expect("pinned solver");

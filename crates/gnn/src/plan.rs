@@ -88,7 +88,7 @@ use crate::model::{Block, DssModel};
 /// output and stored dequantised.  It runs at exactly the speed and plan
 /// size of `F32` and perturbs the output far more: its relative forward
 /// error stays within 1e-2 only on random shallow models (~1e-3 there) and
-/// grows with trained depth: ≈ 2e-2 through the 8 blocks the shipped model
+/// grows with trained depth: ≈ 2e-2 through the 7 blocks the shipped model
 /// runs under one- and two-level coarse components, ≈ 6e-2 through all 16
 /// (about 5e-3 of a whole preconditioner application there), which
 /// flexible PCG absorbs within a few iterations; it exists to answer
