@@ -16,9 +16,9 @@
 //!
 //! * [`preconditioner::DdmGnnPreconditioner`] — the operator above: the
 //!   `ddm` crate's one Schwarz shell ([`ddm::Schwarz`]) over the DSS local
-//!   solve, its coarse term selected by
-//!   [`AsmLevel`] (none, Nicolaides, or a multi-level V-cycle) in one general
-//!   constructor,
+//!   solve, its coarse term selected by [`AsmLevel`] in one general
+//!   constructor: none or Nicolaides, added to the local corrections, or a
+//!   multi-level V-cycle run before and after them,
 //! * [`solver`] — the two functions the whole evaluation runs through:
 //!   [`build_preconditioner`] builds the preconditioner of a [`Method`]
 //!   (plain CG, IC(0), DDM-LU, DDM-GNN), under the degradation ladder when

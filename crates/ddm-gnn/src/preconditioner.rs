@@ -1,12 +1,11 @@
 //! The DDM-GNN preconditioner (Section III-A of the paper): the Schwarz shell
 //! of the `ddm` crate over the DSS local solve.
 //!
-//! With the Nicolaides coarse space (or none, or the additive V-cycle) one
-//! application proceeds in the three steps of the paper:
+//! With the Nicolaides coarse space (or none) one application proceeds in
+//! the three steps of the paper:
 //!
 //! 1. **Coarse problem** — `r_c = R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r` by dense LU on the
-//!    Nicolaides coarse space (Eq. 13), or one V-cycle of a
-//!    smoothed-aggregation hierarchy, as [`AsmLevel`] selects,
+//!    Nicolaides coarse space (Eq. 13), as [`AsmLevel`] selects,
 //! 2. **Local problems** — the DSS local solve: every sub-domain residual is
 //!    restricted, normalised to unit norm and solved by one DSS inference,
 //!    and the output is scaled back by the norm; the shell processes all
@@ -203,9 +202,8 @@ impl DdmGnnPreconditioner {
     /// The one general constructor: `subdomains` are the overlapping node
     /// sets (e.g. from [`partition::partition_mesh_with_overlap`]), `level`
     /// selects the coarse component and `precision` the inference engine.
-    /// The name is `ddm-gnn-{1,2}level[-f32|-int8]`,
-    /// `ddm-gnn-ml<levels>[-f32|-int8]` or
-    /// `ddm-gnn-ml<levels>-additive[-f32|-int8]`.
+    /// The name is `ddm-gnn-{1,2}level[-f32|-int8]` or
+    /// `ddm-gnn-ml<levels>[-f32|-int8]`.
     ///
     /// `Precision::F32` runs every sub-domain DSS inference through the
     /// single-precision instantiation of the engine: the restricted residual
@@ -228,10 +226,9 @@ impl DdmGnnPreconditioner {
     /// edge sums: `28 e + (4 + 16 d) n` bytes in f64, `28 e + (4 + 8 d) n`
     /// in f32 and int8.  The plans of all sub-domains are built by one
     /// [`DssModel::build_plans`] call and share its one weight pack.  Under
-    /// either V-cycle composition ([`AsmLevel::Multilevel`],
-    /// [`AsmLevel::AdditiveMultilevel`]) the plans are built from the model
-    /// cut to its [`DssModel::multilevel_depth`]; one- and two-level ones run
-    /// every block.
+    /// the V-cycle ([`AsmLevel::Multilevel`]) the plans are built from the
+    /// model cut to its [`DssModel::multilevel_depth`]; one- and two-level
+    /// ones run every block.
     pub(crate) fn build(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -241,9 +238,7 @@ impl DdmGnnPreconditioner {
     ) -> sparse::Result<Self> {
         let depth = model.multilevel_depth();
         let model = match level {
-            AsmLevel::Multilevel(_) | AsmLevel::AdditiveMultilevel(_)
-                if depth < model.config().num_blocks =>
-            {
+            AsmLevel::Multilevel(_) if depth < model.config().num_blocks => {
                 let mut cut = DssModel::clone(&model);
                 cut.truncate(depth);
                 Arc::new(cut)
@@ -605,10 +600,8 @@ mod tests {
         // solve runs, told by the bits of one apply, per coarse kind and
         // precision.
         let fx = fixture();
-        let config = MultilevelConfig { coarsest_max_size: 60 };
-        let ml = AsmLevel::Multilevel(config);
-        let additive = AsmLevel::AdditiveMultilevel(config);
-        let levels = [AsmLevel::OneLevel, AsmLevel::TwoLevel, ml, additive];
+        let ml = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
+        let levels = [AsmLevel::OneLevel, AsmLevel::TwoLevel, ml];
         let run = |model: &DssModel, level, precision| {
             let p = DdmGnnPreconditioner::build(
                 &fx.problem,
@@ -637,9 +630,9 @@ mod tests {
                 let two = run(&cut, level, precision);
                 assert_ne!(all, two, "{level:?} {precision}");
                 assert_ne!(all, run(&one, level, precision), "{level:?} {precision}");
-                // With it only the V-cycle's local solves are cut, under
-                // either composition, to the bits of the cut model.
-                let expected = if level == ml || level == additive { two } else { all };
+                // With it only the V-cycle's local solves are cut, to the
+                // bits of the cut model.
+                let expected = if level == ml { two } else { all };
                 assert_eq!(run(&set, level, precision), expected, "{level:?} {precision}");
             }
         }
@@ -789,7 +782,7 @@ mod tests {
     #[test]
     fn schwarz_contract_holds_for_every_local_solve_and_level() {
         // One table over both local solves (Cholesky; DSS at every
-        // precision) and every coarse kind and composition.
+        // precision) and every coarse kind.
         let fx = fixture();
         let matrix = &fx.problem.matrix;
         let model = Arc::new(fx.model.clone());
@@ -810,12 +803,7 @@ mod tests {
             })
             .collect();
         let ml = MultilevelConfig { coarsest_max_size: 60 };
-        let levels = [
-            AsmLevel::OneLevel,
-            AsmLevel::TwoLevel,
-            AsmLevel::Multilevel(ml),
-            AsmLevel::AdditiveMultilevel(ml),
-        ];
+        let levels = [AsmLevel::OneLevel, AsmLevel::TwoLevel, AsmLevel::Multilevel(ml)];
         for level in levels {
             let lu = ddm::AdditiveSchwarz::new(matrix, fx.subdomains.clone(), level).unwrap();
             check_shell(&lu, level, &columns);

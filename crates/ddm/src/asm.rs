@@ -21,7 +21,6 @@
 //! ```
 //!
 //! With symmetric local solves both forms are symmetric positive definite.
-//! [`AsmLevel::AdditiveMultilevel`] keeps the paper's sum over the V-cycle.
 //!
 //! With the exact local solve `vᵢ = (Rᵢ A Rᵢᵀ)⁻¹ Rᵢ r` the shell is DDM-LU
 //! ([`crate::AdditiveSchwarz`]); the `ddm-gnn` crate plugs in normalised DSS
@@ -61,15 +60,12 @@ pub enum AsmLevel {
     /// step on the residual the previous one left (the symmetric
     /// multiplicative composition of the module docs).
     Multilevel(MultilevelConfig),
-    /// Local solves plus one smoothed-aggregation V-cycle, added as the
-    /// paper adds its coarse correction (Eq. 6–7).
-    AdditiveMultilevel(MultilevelConfig),
 }
 
 impl AsmLevel {
     /// Build the coarse component this level names over `matrix`, together
-    /// with the tag (`1level`, `2level`, `ml<levels>`, `ml<levels>-additive`)
-    /// the shell reports in its tier name.
+    /// with the tag (`1level`, `2level`, `ml<levels>`) the shell reports in
+    /// its tier name.
     pub(crate) fn build_coarse(
         &self,
         matrix: &CsrMatrix,
@@ -80,11 +76,9 @@ impl AsmLevel {
             AsmLevel::TwoLevel => {
                 (Some(Hierarchy::nicolaides(matrix, restrictions)?), "2level".to_string())
             }
-            AsmLevel::Multilevel(config) | AsmLevel::AdditiveMultilevel(config) => {
+            AsmLevel::Multilevel(config) => {
                 let hierarchy = Hierarchy::build(matrix, config)?;
-                let suffix =
-                    if matches!(self, AsmLevel::AdditiveMultilevel(_)) { "-additive" } else { "" };
-                let tag = format!("ml{}{suffix}", hierarchy.num_levels());
+                let tag = format!("ml{}", hierarchy.num_levels());
                 (Some(hierarchy), tag)
             }
         })
@@ -144,10 +138,9 @@ pub struct Schwarz<L: LocalSolve> {
     /// makes one), solves and returns it, so there are never more than the
     /// jobs that ran at once: at most the pool threads, plus one.
     scratch_pool: TrackedMutex<Vec<L::Scratch>>,
+    /// The coarse component: the Nicolaides solve is added to the local
+    /// corrections, a V-cycle runs before and after them.
     coarse: Option<Hierarchy>,
-    /// Whether the local phase runs between two V-cycles
-    /// ([`AsmLevel::Multilevel`]) instead of adding to the coarse term.
-    multiplicative: bool,
     num_global: usize,
     /// Reported by `Preconditioner::name`, e.g. `ddm-lu-2level` or
     /// `ddm-gnn-ml3-f32`.
@@ -162,8 +155,7 @@ impl<L: LocalSolve> Schwarz<L> {
     /// Assemble the preconditioner over the restrictions of a decomposition
     /// of `matrix`: build the coarse component `level` selects, then the
     /// local solves (one per restriction, in order), and name it
-    /// `name(tag)`, where the tag is `1level`, `2level`, `ml<levels>` or
-    /// `ml<levels>-additive`.
+    /// `name(tag)`, where the tag is `1level`, `2level` or `ml<levels>`.
     pub fn build(
         matrix: &CsrMatrix,
         restrictions: Vec<Restriction>,
@@ -188,7 +180,6 @@ impl<L: LocalSolve> Schwarz<L> {
                 "a scratch carries no history: every solve writes each buffer before reading it",
             ),
             coarse,
-            multiplicative: matches!(level, AsmLevel::Multilevel(_)),
             num_global: matrix.nrows(),
             name: name(&tag),
             applies: AtomicU64::new(0),
@@ -265,10 +256,11 @@ impl<L: LocalSolve> Preconditioner for Schwarz<L> {
         let mut buffers = self.buffers.lock();
         let ApplyBuffers { panels, residuals } = &mut *buffers;
         let apply_index = self.applies.fetch_add(1, Ordering::SeqCst);
-        let v_cycle = self.coarse.as_ref().filter(|_| self.multiplicative);
+        // Every hierarchy but the Nicolaides space (its `R₀`) is a V-cycle.
+        let v_cycle = self.coarse.as_ref().filter(|coarse| coarse.r0.is_none());
 
         let Some(v_cycle) = v_cycle else {
-            // Additive: z = Σ Rᵢᵀ vᵢ (+ coarse correction).
+            // Additive: z = Σ Rᵢᵀ vᵢ (+ Nicolaides correction).
             self.local_phase(rs, panels, apply_index);
             for z in zs.iter_mut() {
                 z.fill(0.0);
@@ -560,14 +552,10 @@ mod tests {
                 .unwrap();
         assert_eq!(one.name(), "ddm-lu-1level");
         assert_eq!(two.name(), "ddm-lu-2level");
-        let config = MultilevelConfig { coarsest_max_size: 100 };
-        let [ml, additive] = [AsmLevel::Multilevel(config), AsmLevel::AdditiveMultilevel(config)]
-            .map(|level| {
-                AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), level).unwrap()
-            });
+        let level = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 100 });
+        let ml = AdditiveSchwarz::new(&fx.problem.matrix, fx.subdomains.clone(), level).unwrap();
         let levels = ml.coarse.as_ref().unwrap().num_levels();
         assert_eq!(ml.name(), format!("ddm-lu-ml{levels}"));
-        assert_eq!(additive.name(), format!("ddm-lu-ml{levels}-additive"));
         assert_eq!(one.dim(), fx.problem.num_unknowns());
         assert!(one.local_solves().len() >= 2);
     }

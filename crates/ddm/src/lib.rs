@@ -9,10 +9,10 @@
 //! where the `Rᵢ` are boolean restrictions onto overlapping sub-domains and
 //! `R₀` spans the Nicolaides coarse space.  Two things vary: the local solve
 //! (a [`LocalSolve`]) and the coarse term, which one enum names:
-//! [`AsmLevel`] is `OneLevel` (no coarse term), `TwoLevel` (Nicolaides),
-//! `Multilevel(config)` (a V-cycle before and after the local solves, the
-//! symmetric multiplicative composition) or `AdditiveMultilevel(config)`
-//! (a V-cycle added to them).  This crate provides:
+//! [`AsmLevel`] is `OneLevel` (no coarse term), `TwoLevel` (Nicolaides,
+//! added to the local solves) or `Multilevel(config)` (a V-cycle before and
+//! after the local solves, the symmetric multiplicative composition).  This
+//! crate provides:
 //!
 //! * [`restriction::Restriction`] — the `Rᵢ` operators (index lists),
 //! * [`multilevel::Hierarchy`] — the one coarse component: the

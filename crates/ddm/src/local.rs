@@ -23,8 +23,7 @@ pub type AdditiveSchwarz = Schwarz<CholeskyLocalSolver>;
 impl AdditiveSchwarz {
     /// Build the preconditioner from a global matrix, overlapping sub-domain
     /// index sets and the coarse component `level` selects.  Its name is
-    /// `ddm-lu-1level`, `ddm-lu-2level`, `ddm-lu-ml<levels>` or
-    /// `ddm-lu-ml<levels>-additive`.
+    /// `ddm-lu-1level`, `ddm-lu-2level` or `ddm-lu-ml<levels>`.
     pub fn new(
         matrix: &CsrMatrix,
         subdomains: Vec<Vec<usize>>,

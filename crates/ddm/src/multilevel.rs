@@ -38,8 +38,7 @@
 //! so either construction is a coarse component of the Schwarz shell
 //! ([`crate::Schwarz`]), whatever its local solve, without breaking PCG
 //! theory: the Nicolaides solve is added to the local corrections, and the
-//! V-cycle runs before and after them (or is added, under
-//! [`crate::AsmLevel::AdditiveMultilevel`]).  The shell forms the residuals
+//! V-cycle runs before and after them.  The shell forms the residuals
 //! between those steps with the hierarchy's own fine-level operator.  On its
 //! own a `Hierarchy` is a [`krylov::Preconditioner`] too.
 //!

@@ -5,10 +5,10 @@
 //! Because the pool size is fixed per process, this test re-executes the test
 //! binary as a child process per thread count: each child computes a
 //! signature over the parallel hot paths — `spmv_into`, the DDM-LU Schwarz
-//! `apply` at two levels and under both multi-level compositions, the
-//! DDM-GNN `apply` at every inference precision and under the multi-level
-//! V-cycle, and a full PCG residual history — writes it to a
-//! file, and the parent asserts all signatures are byte-identical.
+//! `apply` at two levels and under the multi-level V-cycle, the DDM-GNN
+//! `apply` at every inference precision and under the V-cycle, and a full
+//! PCG residual history — writes it to a file, and the parent asserts all
+//! signatures are byte-identical.
 
 use std::fmt::Write as _;
 use std::process::Command;
@@ -59,11 +59,6 @@ fn compute_signature() -> String {
         .expect("multi-level ASM setup")
         .apply(&problem.rhs, &mut z);
     push_bits(&mut sig, "asm_multilevel_apply", &z);
-    let additive = AsmLevel::AdditiveMultilevel(MultilevelConfig::default());
-    AdditiveSchwarz::new(&problem.matrix, subdomains.clone(), additive)
-        .expect("additive multi-level ASM setup")
-        .apply(&problem.rhs, &mut z);
-    push_bits(&mut sig, "asm_additive_multilevel_apply", &z);
 
     // DDM-GNN preconditioner application (parallel batched inference) at
     // every precision tier.  A small untrained model keeps the debug-profile

@@ -49,28 +49,20 @@ fn batched_apply_fixture() -> &'static BatchedApplyFixture {
     })
 }
 
-/// The multi-level DDM-LU shell under both compositions — multiplicative,
-/// then additive — on two problem sizes, built once: n ≈ 600 and n ≈ 1500.
-fn multilevel_shells() -> &'static [[ddm::AdditiveSchwarz; 2]; 2] {
-    static SHELLS: OnceLock<[[ddm::AdditiveSchwarz; 2]; 2]> = OnceLock::new();
+/// The multi-level DDM-LU shell (V-cycle, local phase, V-cycle) on two
+/// problem sizes, built once: n ≈ 600 and n ≈ 1500.
+fn multilevel_shells() -> &'static [ddm::AdditiveSchwarz; 2] {
+    static SHELLS: OnceLock<[ddm::AdditiveSchwarz; 2]> = OnceLock::new();
     SHELLS.get_or_init(|| {
         [(817, 600), (818, 1500)].map(|(seed, target)| {
             let problem = ddm_gnn::generate_problem(seed, target);
             let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
             let config = ddm::MultilevelConfig { coarsest_max_size: 60 };
-            let multiplicative =
-                ddm::AdditiveSchwarz::with_multilevel(&problem.matrix, subdomains.clone(), &config)
-                    .expect("multi-level DDM-LU setup");
-            assert!(multiplicative.name().starts_with("ddm-lu-ml"), "{}", multiplicative.name());
-            assert_ne!(multiplicative.name(), "ddm-lu-ml1", "the hierarchy must coarsen");
-            let additive = ddm::AdditiveSchwarz::new(
-                &problem.matrix,
-                subdomains,
-                ddm::AsmLevel::AdditiveMultilevel(config),
-            )
-            .expect("additive multi-level DDM-LU setup");
-            assert!(additive.name().ends_with("-additive"), "{}", additive.name());
-            [multiplicative, additive]
+            let shell = ddm::AdditiveSchwarz::with_multilevel(&problem.matrix, subdomains, &config)
+                .expect("multi-level DDM-LU setup");
+            assert!(shell.name().starts_with("ddm-lu-ml"), "{}", shell.name());
+            assert_ne!(shell.name(), "ddm-lu-ml1", "the hierarchy must coarsen");
+            shell
         })
     })
 }
@@ -83,37 +75,53 @@ fn both_pairings(m: &dyn Preconditioner, x: &[f64], y: &[f64]) -> (f64, f64) {
     (sparse::vector::dot(&mx, y), sparse::vector::dot(x, &my))
 }
 
-/// Print how far the DSS tier of the shipped model is from symmetric under
-/// both multi-level compositions: `|⟨Mx,y⟩ − ⟨x,My⟩| / |⟨Mx,y⟩|` over a few
-/// vector pairs.  The distance is why PCG must be flexible; it is printed
-/// (run with `--nocapture`), not asserted.
+/// `M(x)` and `M(−x)` for a preconditioner `M`.
+fn apply_both_signs(m: &dyn Preconditioner, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let minus_x: Vec<f64> = x.iter().map(|v| -v).collect();
+    let (mut mx, mut m_minus_x) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+    m.apply(x, &mut mx);
+    m.apply(&minus_x, &mut m_minus_x);
+    (mx, m_minus_x)
+}
+
+/// Print how far the DSS tier of the shipped model under the multi-level
+/// V-cycle is from symmetric, `|⟨Mx,y⟩ − ⟨x,My⟩| / |⟨Mx,y⟩|`, and from odd,
+/// `‖M(−x) + M(x)‖ / ‖M(x)‖`, over a few vectors.  A linear operator has
+/// neither defect; the network's is why PCG must be flexible.  They are
+/// printed (run with `--nocapture`), not asserted.
 #[test]
-fn dss_tier_asymmetry_under_both_multilevel_compositions() {
+fn dss_tier_asymmetry_and_oddness_under_the_v_cycle() {
     let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
     let problem = ddm_gnn::generate_problem(817, 600);
     let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
-    let config = ddm::MultilevelConfig { coarsest_max_size: 60 };
+    let level = ddm::AsmLevel::Multilevel(ddm::MultilevelConfig { coarsest_max_size: 60 });
     let n = problem.num_unknowns();
-    for level in [ddm::AsmLevel::Multilevel(config), ddm::AsmLevel::AdditiveMultilevel(config)] {
-        let hybrid = ddm_gnn::HybridSolverConfig { level, ..Default::default() };
-        let dss = ddm_gnn::build_preconditioner(
-            &problem,
-            &subdomains,
-            ddm_gnn::Method::DdmGnn,
-            Some(&model),
-            &hybrid,
-        )
-        .expect("DDM-GNN setup")
-        .expect("a preconditioner");
-        let asymmetry: Vec<String> = (0..4u64)
-            .map(|seed| {
-                let v = batch_residuals(n, 2, seed);
-                let (mxy, xmy) = both_pairings(&*dss, &v[0], &v[1]);
-                format!("{:.2e}", (mxy - xmy).abs() / mxy.abs())
-            })
-            .collect();
-        println!("{}: relative asymmetry {}", dss.name(), asymmetry.join(" "));
-    }
+    let hybrid = ddm_gnn::HybridSolverConfig { level, ..Default::default() };
+    let dss = ddm_gnn::build_preconditioner(
+        &problem,
+        &subdomains,
+        ddm_gnn::Method::DdmGnn,
+        Some(&model),
+        &hybrid,
+    )
+    .expect("DDM-GNN setup")
+    .expect("a preconditioner");
+    let (asymmetry, oddness): (Vec<String>, Vec<String>) = (0..4u64)
+        .map(|seed| {
+            let v = batch_residuals(n, 2, seed);
+            let (mxy, xmy) = both_pairings(&*dss, &v[0], &v[1]);
+            let (mx, m_minus_x) = apply_both_signs(&*dss, &v[0]);
+            let sum: Vec<f64> = mx.iter().zip(&m_minus_x).map(|(a, b)| a + b).collect();
+            let odd = sparse::vector::norm2(&sum) / sparse::vector::norm2(&mx);
+            (format!("{:.2e}", (mxy - xmy).abs() / mxy.abs()), format!("{odd:.2e}"))
+        })
+        .unzip();
+    println!(
+        "{}: relative asymmetry {}, oddness defect {}",
+        dss.name(),
+        asymmetry.join(" "),
+        oddness.join(" ")
+    );
 }
 
 /// `b` deterministic pseudo-random residual vectors derived from a seed.
@@ -331,16 +339,16 @@ proptest! {
         }
     }
 
-    /// With exact (Cholesky) local solves the multi-level shell is a
-    /// symmetric positive definite operator under both compositions — the
-    /// multiplicative one (V-cycle, local phase, V-cycle) and the additive
-    /// one (local phase plus V-cycle) — on both fixture sizes.
+    /// With exact (Cholesky) local solves the multi-level shell (V-cycle,
+    /// local phase, V-cycle) is a symmetric positive definite operator on
+    /// both fixture sizes — and exactly odd, `M(−x) == −M(x)` entry by
+    /// entry: every step is linear, and IEEE rounding is symmetric in sign.
     #[test]
     fn multilevel_shells_are_symmetric_positive(
         seed in 0u64..1000,
         shift in -1.0f64..1.0,
     ) {
-        for shell in multilevel_shells().iter().flatten() {
+        for shell in multilevel_shells() {
             let n = shell.dim();
             let v = batch_residuals(n, 2, seed);
             let x: Vec<f64> = v[0].iter().map(|x| x + shift).collect();
@@ -351,6 +359,9 @@ proptest! {
             );
             let (mxx, _) = both_pairings(shell, &x, &x);
             prop_assert!(mxx > 0.0, "{} at n={}: <Mx,x> = {}", shell.name(), n, mxx);
+            let (mx, m_minus_x) = apply_both_signs(shell, &x);
+            let odd = mx.iter().zip(&m_minus_x).all(|(a, b)| -a == *b);
+            prop_assert!(odd, "{} at n={}: M(-x) != -M(x)", shell.name(), n);
         }
     }
 
