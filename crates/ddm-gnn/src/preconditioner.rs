@@ -246,7 +246,7 @@ impl DdmGnnPreconditioner {
             _ => model,
         };
         let Decomposition { subdomains, restrictions, local_matrices } =
-            Decomposition::new(&problem.matrix, subdomains);
+            Decomposition::new(&problem.matrix, subdomains)?;
         let graphs = build_local_graphs(problem, &subdomains, local_matrices);
         let suffix = match precision {
             Precision::F64 => "",
@@ -786,7 +786,7 @@ mod tests {
         let fx = fixture();
         let matrix = &fx.problem.matrix;
         let model = Arc::new(fx.model.clone());
-        let decomposition = Decomposition::new(matrix, fx.subdomains.clone());
+        let decomposition = Decomposition::new(matrix, fx.subdomains.clone()).unwrap();
         let graphs = build_local_graphs(
             &fx.problem,
             &decomposition.subdomains,

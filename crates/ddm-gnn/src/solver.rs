@@ -298,6 +298,49 @@ mod tests {
     }
 
     #[test]
+    fn malformed_subdomains_are_an_invalid_argument_for_both_methods_at_both_levels() {
+        // Each was accepted, or panicked, somewhere below the shell: a
+        // duplicate or a reversed list built a preconditioner under the
+        // V-cycle, and an index out of range panicked in the submatrix
+        // extraction.
+        let fx = fixture();
+        let model = Arc::new(fx.model.clone());
+        let n = fx.problem.num_unknowns();
+        let first = &fx.subdomains[0];
+        let duplicated = [&first[..1], first].concat();
+        let reversed: Vec<usize> = first.iter().rev().copied().collect();
+        let out_of_range = [first.as_slice(), &[n]].concat();
+        let multilevel = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
+        for (case, bad) in [
+            ("duplicated", duplicated),
+            ("reversed", reversed),
+            ("out of range", out_of_range),
+            ("empty", Vec::new()),
+        ] {
+            let mut subdomains = fx.subdomains.clone();
+            subdomains[0] = bad;
+            for method in [Method::DdmLu, Method::DdmGnn] {
+                for level in [AsmLevel::TwoLevel, multilevel] {
+                    let config = HybridSolverConfig { level, ..Default::default() };
+                    let built = build_preconditioner(
+                        &fx.problem,
+                        &subdomains,
+                        method,
+                        Some(&model),
+                        &config,
+                    );
+                    assert!(
+                        matches!(&built, Err(SparseError::InvalidArgument(m)) if m.starts_with("sub-domain 0:")),
+                        "{case} sub-domain, {} at {level:?}: {:?}",
+                        method.name(),
+                        built.as_ref().map(|p| p.as_ref().map(|p| p.name().to_string()))
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hybrid_solver_f32_precision_converges() {
         let fx = fixture();
         let [o64, o32] = [Precision::F64, Precision::F32].map(|precision| {

@@ -46,7 +46,7 @@ pub use local::{AdditiveSchwarz, CholeskyLocalSolver};
 pub use multilevel::{Hierarchy, MultilevelConfig};
 pub use restriction::Restriction;
 
-use sparse::CsrMatrix;
+use sparse::{CsrMatrix, SparseError};
 
 /// The decomposition of a global problem: overlapping sub-domain index sets
 /// plus the restriction operators and local matrices derived from them.
@@ -64,12 +64,27 @@ impl Decomposition {
     /// Build a decomposition from the global matrix and overlapping
     /// sub-domain node sets (as produced by
     /// `partition::partition_mesh_with_overlap`).
-    pub fn new(matrix: &CsrMatrix, subdomains: Vec<Vec<usize>>) -> Self {
+    ///
+    /// Every set must be non-empty, strictly increasing (sorted, no
+    /// duplicates) and within the matrix; otherwise the result is
+    /// [`SparseError::InvalidArgument`] naming the first offending set.
+    pub fn new(matrix: &CsrMatrix, subdomains: Vec<Vec<usize>>) -> sparse::Result<Self> {
         let n = matrix.nrows();
+        for (i, sd) in subdomains.iter().enumerate() {
+            let fault = match (sd.windows(2).find(|w| w[0] >= w[1]), sd.last()) {
+                (Some(w), _) => {
+                    format!("node {} follows node {}: not strictly increasing", w[1], w[0])
+                }
+                (None, None) => "no nodes".to_string(),
+                (None, Some(&last)) if last >= n => format!("node {last} out of range (n = {n})"),
+                (None, Some(_)) => continue,
+            };
+            return Err(SparseError::InvalidArgument(format!("sub-domain {i}: {fault}")));
+        }
         let restrictions: Vec<Restriction> =
             subdomains.iter().map(|sd| Restriction::new(sd.clone(), n)).collect();
         let local_matrices = matrix.principal_submatrices(&subdomains);
-        Decomposition { subdomains, restrictions, local_matrices }
+        Ok(Decomposition { subdomains, restrictions, local_matrices })
     }
 
     /// Global problem size.
@@ -115,7 +130,7 @@ mod coarse {
         /// The Nicolaides hierarchy of a fixture and its problem size.
         fn nicolaides(target_nodes: usize, target_sub: usize) -> (Hierarchy, sparse::CsrMatrix) {
             let fx = fixture(target_nodes, target_sub, 2);
-            let decomp = Decomposition::new(&fx.problem.matrix, fx.subdomains);
+            let decomp = Decomposition::new(&fx.problem.matrix, fx.subdomains).unwrap();
             let coarse = Hierarchy::nicolaides(&fx.problem.matrix, &decomp.restrictions).unwrap();
             assert_eq!(
                 coarse.level_dims(),
@@ -228,7 +243,7 @@ mod tests {
     #[test]
     fn decomposition_shapes_are_consistent() {
         let fx = fixture(900, 250, 2);
-        let decomp = Decomposition::new(&fx.problem.matrix, fx.subdomains.clone());
+        let decomp = Decomposition::new(&fx.problem.matrix, fx.subdomains.clone()).unwrap();
         assert_eq!(decomp.restrictions.len(), fx.subdomains.len());
         assert_eq!(decomp.num_global(), fx.problem.num_unknowns());
         for (i, sd) in fx.subdomains.iter().enumerate() {

@@ -30,7 +30,7 @@ impl AdditiveSchwarz {
         level: AsmLevel,
     ) -> sparse::Result<Self> {
         let Decomposition { restrictions, local_matrices, .. } =
-            Decomposition::new(matrix, subdomains);
+            Decomposition::new(matrix, subdomains)?;
         Schwarz::build(
             matrix,
             restrictions,

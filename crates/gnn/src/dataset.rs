@@ -93,12 +93,15 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
         let subdomains =
             partition_mesh_with_overlap(&mesh, config.subdomain_size, config.overlap, problem_seed);
         let problem = PoissonProblem::with_random_data(mesh, problem_seed.wrapping_add(7));
-        let Decomposition { subdomains, restrictions, local_matrices } =
-            Decomposition::new(&problem.matrix, subdomains);
+        // A problem whose set-up fails contributes no samples.
+        let Ok(Decomposition { subdomains, restrictions, local_matrices }) =
+            Decomposition::new(&problem.matrix, subdomains)
+        else {
+            continue;
+        };
         let templates = build_local_graphs(&problem, &subdomains, local_matrices);
-        let asm = match AdditiveSchwarz::new(&problem.matrix, subdomains, AsmLevel::TwoLevel) {
-            Ok(asm) => asm,
-            Err(_) => continue,
+        let Ok(asm) = AdditiveSchwarz::new(&problem.matrix, subdomains, AsmLevel::TwoLevel) else {
+            continue;
         };
 
         // PCG loop (Algorithm 1), recording the residual before each
