@@ -299,43 +299,30 @@ mod tests {
 
     #[test]
     fn malformed_subdomains_are_an_invalid_argument_for_both_methods_at_both_levels() {
-        // Each was accepted, or panicked, somewhere below the shell: a
-        // duplicate or a reversed list built a preconditioner under the
-        // V-cycle, and an index out of range panicked in the submatrix
-        // extraction.
+        // A duplicated index or a reversed list used to build a V-cycle
+        // preconditioner, and an index out of range to panic in the
+        // submatrix extraction.
         let fx = fixture();
         let model = Arc::new(fx.model.clone());
-        let n = fx.problem.num_unknowns();
-        let first = &fx.subdomains[0];
+        let (first, n) = (&fx.subdomains[0], fx.problem.num_unknowns());
         let duplicated = [&first[..1], first].concat();
-        let reversed: Vec<usize> = first.iter().rev().copied().collect();
+        let reversed = first.iter().rev().copied().collect();
         let out_of_range = [first.as_slice(), &[n]].concat();
         let multilevel = AsmLevel::Multilevel(MultilevelConfig { coarsest_max_size: 60 });
-        for (case, bad) in [
-            ("duplicated", duplicated),
-            ("reversed", reversed),
-            ("out of range", out_of_range),
-            ("empty", Vec::new()),
-        ] {
-            let mut subdomains = fx.subdomains.clone();
-            subdomains[0] = bad;
-            for method in [Method::DdmLu, Method::DdmGnn] {
-                for level in [AsmLevel::TwoLevel, multilevel] {
-                    let config = HybridSolverConfig { level, ..Default::default() };
-                    let built = build_preconditioner(
-                        &fx.problem,
-                        &subdomains,
-                        method,
-                        Some(&model),
-                        &config,
-                    );
-                    assert!(
-                        matches!(&built, Err(SparseError::InvalidArgument(m)) if m.starts_with("sub-domain 0:")),
-                        "{case} sub-domain, {} at {level:?}: {:?}",
-                        method.name(),
-                        built.as_ref().map(|p| p.as_ref().map(|p| p.name().to_string()))
-                    );
-                }
+        for (case, bad) in [duplicated, reversed, out_of_range, Vec::new()].into_iter().enumerate()
+        {
+            let subdomains = [vec![bad], fx.subdomains[1..].to_vec()].concat();
+            for (method, level) in [Method::DdmLu, Method::DdmGnn]
+                .into_iter()
+                .flat_map(|method| [(method, AsmLevel::TwoLevel), (method, multilevel)])
+            {
+                let config = HybridSolverConfig { level, ..Default::default() };
+                let built =
+                    build_preconditioner(&fx.problem, &subdomains, method, Some(&model), &config);
+                let Err(SparseError::InvalidArgument(message)) = built else {
+                    panic!("case {case}: {} at {level:?} accepted it", method.name());
+                };
+                assert!(message.starts_with("sub-domain 0:"), "case {case}: {message}");
             }
         }
     }

@@ -67,26 +67,26 @@ fn multilevel_shells() -> &'static [ddm::AdditiveSchwarz; 2] {
     })
 }
 
-/// `⟨Mx, y⟩` and `⟨x, My⟩` for a preconditioner `M`.
-fn both_pairings(m: &dyn Preconditioner, x: &[f64], y: &[f64]) -> (f64, f64) {
-    let (mut mx, mut my) = (vec![0.0; x.len()], vec![0.0; y.len()]);
+/// `Mx` for a preconditioner `M`.
+fn apply(m: &dyn Preconditioner, x: &[f64]) -> Vec<f64> {
+    let mut mx = vec![0.0; x.len()];
     m.apply(x, &mut mx);
-    m.apply(y, &mut my);
-    (sparse::vector::dot(&mx, y), sparse::vector::dot(x, &my))
+    mx
 }
 
-/// `M(x)` and `M(−x)` for a preconditioner `M`.
-fn apply_both_signs(m: &dyn Preconditioner, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let minus_x: Vec<f64> = x.iter().map(|v| -v).collect();
-    let (mut mx, mut m_minus_x) = (vec![0.0; x.len()], vec![0.0; x.len()]);
-    m.apply(x, &mut mx);
-    m.apply(&minus_x, &mut m_minus_x);
-    (mx, m_minus_x)
+/// `⟨Mx, y⟩` and `⟨x, My⟩` for a preconditioner `M`.
+fn both_pairings(m: &dyn Preconditioner, x: &[f64], y: &[f64]) -> (f64, f64) {
+    (sparse::vector::dot(&apply(m, x), y), sparse::vector::dot(x, &apply(m, y)))
+}
+
+/// `Mx` and `M(−x)` for a preconditioner `M`.
+fn both_signs(m: &dyn Preconditioner, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    (apply(m, x), apply(m, &x.iter().map(|v| -v).collect::<Vec<_>>()))
 }
 
 /// Print how far the DSS tier of the shipped model under the multi-level
 /// V-cycle is from symmetric, `|⟨Mx,y⟩ − ⟨x,My⟩| / |⟨Mx,y⟩|`, and from odd,
-/// `‖M(−x) + M(x)‖ / ‖M(x)‖`, over a few vectors.  A linear operator has
+/// `‖M(−x) + Mx‖ / ‖Mx‖`, over a few vectors.  A linear operator has
 /// neither defect; the network's is why PCG must be flexible.  They are
 /// printed (run with `--nocapture`), not asserted.
 #[test]
@@ -94,34 +94,24 @@ fn dss_tier_asymmetry_and_oddness_under_the_v_cycle() {
     let model = Arc::new(ddm_gnn::load_pretrained().expect("the shipped model in assets/"));
     let problem = ddm_gnn::generate_problem(817, 600);
     let subdomains = partition::partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
-    let level = ddm::AsmLevel::Multilevel(ddm::MultilevelConfig { coarsest_max_size: 60 });
-    let n = problem.num_unknowns();
-    let hybrid = ddm_gnn::HybridSolverConfig { level, ..Default::default() };
-    let dss = ddm_gnn::build_preconditioner(
-        &problem,
-        &subdomains,
-        ddm_gnn::Method::DdmGnn,
-        Some(&model),
-        &hybrid,
+    let config = ddm::MultilevelConfig { coarsest_max_size: 60 };
+    let precision = ddm_gnn::Precision::F64;
+    let dss = ddm_gnn::DdmGnnPreconditioner::with_multilevel_coarse(
+        &problem, subdomains, model, &config, precision,
     )
-    .expect("DDM-GNN setup")
-    .expect("a preconditioner");
+    .expect("DDM-GNN setup");
     let (asymmetry, oddness): (Vec<String>, Vec<String>) = (0..4u64)
         .map(|seed| {
-            let v = batch_residuals(n, 2, seed);
-            let (mxy, xmy) = both_pairings(&*dss, &v[0], &v[1]);
-            let (mx, m_minus_x) = apply_both_signs(&*dss, &v[0]);
+            let v = batch_residuals(problem.num_unknowns(), 2, seed);
+            let (mxy, xmy) = both_pairings(&dss, &v[0], &v[1]);
+            let (mx, m_minus_x) = both_signs(&dss, &v[0]);
             let sum: Vec<f64> = mx.iter().zip(&m_minus_x).map(|(a, b)| a + b).collect();
             let odd = sparse::vector::norm2(&sum) / sparse::vector::norm2(&mx);
             (format!("{:.2e}", (mxy - xmy).abs() / mxy.abs()), format!("{odd:.2e}"))
         })
         .unzip();
-    println!(
-        "{}: relative asymmetry {}, oddness defect {}",
-        dss.name(),
-        asymmetry.join(" "),
-        oddness.join(" ")
-    );
+    let (asymmetry, oddness) = (asymmetry.join(" "), oddness.join(" "));
+    println!("{}: relative asymmetry {asymmetry}, oddness defect {oddness}", dss.name());
 }
 
 /// `b` deterministic pseudo-random residual vectors derived from a seed.
@@ -359,7 +349,7 @@ proptest! {
             );
             let (mxx, _) = both_pairings(shell, &x, &x);
             prop_assert!(mxx > 0.0, "{} at n={}: <Mx,x> = {}", shell.name(), n, mxx);
-            let (mx, m_minus_x) = apply_both_signs(shell, &x);
+            let (mx, m_minus_x) = both_signs(shell, &x);
             let odd = mx.iter().zip(&m_minus_x).all(|(a, b)| -a == *b);
             prop_assert!(odd, "{} at n={}: M(-x) != -M(x)", shell.name(), n);
         }
