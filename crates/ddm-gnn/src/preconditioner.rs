@@ -5,7 +5,7 @@
 //! the three steps of the paper:
 //!
 //! 1. **Coarse problem** — `r_c = R₀ᵀ (R₀ A R₀ᵀ)⁻¹ R₀ r` by dense LU on the
-//!    Nicolaides coarse space (Eq. 13), as [`AsmLevel`] selects,
+//!    Nicolaides coarse space (Eq. 13; none under [`AsmLevel::OneLevel`]),
 //! 2. **Local problems** — the DSS local solve: every sub-domain residual is
 //!    restricted, normalised to unit norm and solved by one DSS inference,
 //!    and the output is scaled back by the norm; the shell processes all

@@ -299,9 +299,8 @@ mod tests {
 
     #[test]
     fn malformed_subdomains_are_an_invalid_argument_for_both_methods_at_both_levels() {
-        // A duplicated index or a reversed list used to build a V-cycle
-        // preconditioner, and an index out of range to panic in the
-        // submatrix extraction.
+        // A duplicated, reversed, out-of-range or empty sub-domain list is
+        // rejected before any coarse component or local solve sees it.
         let fx = fixture();
         let model = Arc::new(fx.model.clone());
         let (first, n) = (&fx.subdomains[0], fx.problem.num_unknowns());
