@@ -1055,6 +1055,43 @@ pub(crate) mod tests {
         }
     }
 
+    /// Block 1 reads `H⁰ = 0` and the geometry only, so a one-block model's
+    /// output at a node is a function of that node's input alone: changing
+    /// one input of the shipped model's one-block cut leaves every other
+    /// output's bits unchanged, in f64 and f32, unbatched and batched.  A
+    /// cross-node term in block 1 fails this.
+    #[test]
+    fn one_block_output_at_a_node_reads_only_its_own_input() {
+        fn check<T: Scalar>(model: &DssModel, graph: &LocalGraph) {
+            let plan = plan_for::<T>(model, graph, false);
+            let n = graph.num_nodes();
+            let mut scratch = InferScratch::new();
+            for b in [1usize, 3] {
+                let input: Vec<f64> =
+                    (0..n * b).map(|i| ((i * 7 + b) % 13) as f64 * 0.1 - 0.6).collect();
+                let mut base = vec![0.0; n * b];
+                plan.infer(&input, b, &mut scratch, &mut base);
+                for changed in [0, n * b / 2 + 1, n * b - 1] {
+                    let mut perturbed = input.clone();
+                    perturbed[changed] += 0.37;
+                    let mut out = vec![0.0; n * b];
+                    plan.infer(&perturbed, b, &mut scratch, &mut out);
+                    assert_ne!(out[changed], base[changed], "b={b} row {changed}");
+                    for (row, (x, y)) in base.iter().zip(&out).enumerate() {
+                        if row != changed {
+                            assert_eq!(x.to_bits(), y.to_bits(), "b={b} {changed} moved {row}");
+                        }
+                    }
+                }
+            }
+        }
+        let (models, graph) = shipped_and_d6_models();
+        let mut one_block = models[0].clone();
+        one_block.truncate(1);
+        check::<f64>(&one_block, &graph);
+        check::<f32>(&one_block, &graph);
+    }
+
     /// The compiled copies of `forward::<T>` — baseline, AVX2 + FMA and, with
     /// `avx512`, AVX-512F — on the fixed-width and the run-time-width model,
     /// unbatched and batched.  In f32 the baseline copy computes every
