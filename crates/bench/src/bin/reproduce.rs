@@ -63,10 +63,10 @@ use bench::{
 };
 use ddm_gnn::{
     generate_problem, train_model_multi_size, AsmLevel, HybridSolverConfig, Method,
-    MultilevelConfig, PipelineConfig, Precision, MULTILEVEL_DEPTH, PRETRAINED_DEPTH,
+    MultilevelConfig, Precision, MULTILEVEL_DEPTH, PRETRAINED_DEPTH,
 };
 use fem::PoissonProblem;
-use gnn::{AdamConfig, DatasetConfig, DssConfig, DssModel, TrainingConfig};
+use gnn::DssModel;
 use krylov::SolverOptions;
 use partition::partition_mesh_with_overlap;
 
@@ -462,32 +462,7 @@ fn grid() {
     let mut fig6_rows = Vec::new();
     for &(kbar, d) in grid {
         let start = Instant::now();
-        let trained = train_model_multi_size(
-            &PipelineConfig {
-                dss: DssConfig { num_blocks: kbar, latent_dim: d, alpha: 1.0 / kbar as f64 },
-                dataset: DatasetConfig {
-                    num_global_problems: 4,
-                    target_nodes: subsize * 4,
-                    subdomain_size: subsize,
-                    overlap: 2,
-                    max_iterations_per_problem: 15,
-                    max_samples: Some(samples_cap),
-                    seed: 1,
-                },
-                training: TrainingConfig {
-                    epochs,
-                    batch_size: 16,
-                    adam: AdamConfig { learning_rate: 5e-3, clip_norm: Some(1.0) },
-                    validation_fraction: 0.15,
-                    lr_patience: 8,
-                    lr_factor: 0.3,
-                    seed: 2,
-                    log_every: 0,
-                },
-                model_seed: 3,
-            },
-            &[subsize],
-        );
+        let trained = train_model_multi_size(kbar, d, &[subsize], samples_cap, epochs);
         let (metrics, weights) = (&trained.metrics, trained.model.num_params());
         println!(
             "{:>4} {:>4} | {:>8.2} ± {:<7.2} {:>8.2} ± {:<7.2} {:>12}   ({:.0}s)",

@@ -45,8 +45,8 @@ pub use krylov::{
     DegradationLadder, FaultEvent, FaultInjectingPreconditioner, FaultKind, FaultLog, InjectedFault,
 };
 pub use pipeline::{
-    generate_problem, load_pretrained, train_model_multi_size, PipelineConfig, TrainedModel,
-    MULTILEVEL_DEPTH, PRETRAINED_DEPTH,
+    generate_problem, load_pretrained, train_model_multi_size, TrainedModel, MULTILEVEL_DEPTH,
+    PRETRAINED_DEPTH,
 };
 pub use preconditioner::DdmGnnPreconditioner;
 pub use solver::{build_preconditioner, solve, HybridSolverConfig, Method, SolveOutcome};

@@ -8,10 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use fem::PoissonProblem;
-use gnn::{
-    extract_local_problems, train, DatasetConfig, DssConfig, DssModel, EvalMetrics, TrainingConfig,
-    TrainingReport,
-};
+use gnn::{extract_local_problems, train, DssConfig, DssModel, EvalMetrics, TrainingReport};
 use meshgen::{generate_mesh, Domain, MeshingOptions, RandomBlobDomain};
 
 /// Generate one random global Poisson problem of roughly `target_nodes` nodes,
@@ -29,18 +26,8 @@ fn generate_problem_on(domain: &dyn Domain, seed: u64, target_nodes: usize) -> P
     PoissonProblem::with_random_data(mesh, seed.wrapping_mul(31).wrapping_add(7))
 }
 
-/// Configuration of the full training pipeline.
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// DSS architecture.
-    pub dss: DssConfig,
-    /// Dataset extraction parameters.
-    pub dataset: DatasetConfig,
-    /// Training parameters.
-    pub training: TrainingConfig,
-    /// Model initialisation seed.
-    pub model_seed: u64,
-}
+/// Initialisation seed of every model [`train_model_multi_size`] trains.
+const MODEL_SEED: u64 = 3;
 
 /// A trained model together with its training and evaluation records.
 #[derive(Debug, Clone)]
@@ -120,53 +107,27 @@ fn load_pretrained_from(explicit: Option<&Path>) -> Option<DssModel> {
     Some(model)
 }
 
-/// Run the pipeline on a multi-size dataset: one extraction pass per
-/// sub-domain size in `subdomain_sizes` (each with a distinct seed), then a
-/// single training run over the merged samples.
+/// Train a DSS model of `num_blocks` blocks `k̄` and latent dimension `d`
+/// from scratch: extract up to `max_samples` local problems per sub-domain
+/// size in `subdomain_sizes` ([`gnn::extract_local_problems`]), hold the
+/// last ~20 % of them back for evaluation, and train on the rest for
+/// `epochs` epochs ([`gnn::train`]).  The model starts at `α = 1/k̄` from a
+/// fixed seed; every other setting of the recipe is a constant of the
+/// module it governs.
 ///
 /// The preconditioner is routinely applied to sub-domains whose size differs
 /// from the training distribution (Table I varies 120–2000 nodes); mixing
 /// sizes in the dataset is the paper's recipe for making one model serve all
-/// of them.  One size whose `config.dataset.target_nodes` covers at least
-/// three sub-domains trains on `config.dataset` exactly as given.
-pub fn train_model_multi_size(config: &PipelineConfig, subdomain_sizes: &[usize]) -> TrainedModel {
-    assert!(!subdomain_sizes.is_empty(), "need at least one sub-domain size");
-    let per_size: Vec<Vec<gnn::TrainingSample>> = subdomain_sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &size)| {
-            let dataset = gnn::DatasetConfig {
-                subdomain_size: size,
-                target_nodes: config.dataset.target_nodes.max(size * 3),
-                seed: config.dataset.seed.wrapping_add(1000 * i as u64),
-                ..config.dataset.clone()
-            };
-            extract_local_problems(&dataset)
-        })
-        .collect();
-    // Round-robin interleave across sizes so the evaluation tail held back by
-    // [`train_model_on_samples`] (and any truncation) spans every size rather
-    // than only the last one.
-    let total: usize = per_size.iter().map(Vec::len).sum();
-    let mut queues: Vec<std::vec::IntoIter<gnn::TrainingSample>> =
-        per_size.into_iter().map(Vec::into_iter).collect();
-    let mut samples = Vec::with_capacity(total);
-    while samples.len() < total {
-        for queue in &mut queues {
-            if let Some(sample) = queue.next() {
-                samples.push(sample);
-            }
-        }
-    }
-    train_model_on_samples(config, samples)
-}
-
-/// Train and evaluate on an already-extracted dataset (~20% held back for
-/// evaluation).
-fn train_model_on_samples(
-    config: &PipelineConfig,
-    samples: Vec<gnn::TrainingSample>,
+/// of them.
+pub fn train_model_multi_size(
+    num_blocks: usize,
+    latent_dim: usize,
+    subdomain_sizes: &[usize],
+    max_samples: usize,
+    epochs: usize,
 ) -> TrainedModel {
+    assert!(!subdomain_sizes.is_empty(), "need at least one sub-domain size");
+    let samples = extract_local_problems(subdomain_sizes, max_samples);
     assert!(!samples.is_empty(), "dataset extraction produced no samples");
     // Hold back ~20% of the samples for evaluation.
     let split = (samples.len() * 4) / 5;
@@ -174,8 +135,9 @@ fn train_model_on_samples(
     let (train_samples, eval_samples) = samples.split_at(split);
     let eval_samples = if eval_samples.is_empty() { train_samples } else { eval_samples };
 
-    let mut model = DssModel::new(config.dss, config.model_seed);
-    let report = train(&mut model, train_samples, &config.training);
+    let alpha = 1.0 / num_blocks as f64;
+    let mut model = DssModel::new(DssConfig { num_blocks, latent_dim, alpha }, MODEL_SEED);
+    let report = train(&mut model, train_samples, epochs);
     let metrics = gnn::evaluate(&model, eval_samples);
     TrainedModel { model, report, metrics, num_samples: samples.len() }
 }
@@ -227,42 +189,14 @@ mod tests {
 
     #[test]
     fn multi_size_dataset_interleaves_sizes() {
-        let config = PipelineConfig {
-            dss: DssConfig { num_blocks: 2, latent_dim: 4, alpha: 0.1 },
-            dataset: DatasetConfig {
-                num_global_problems: 1,
-                target_nodes: 400,
-                subdomain_size: 100,
-                overlap: 1,
-                max_iterations_per_problem: 4,
-                max_samples: Some(10),
-                seed: 31,
-            },
-            training: TrainingConfig { epochs: 2, batch_size: 8, seed: 32, ..Default::default() },
-            model_seed: 33,
-        };
-        let trained = train_model_multi_size(&config, &[100, 180]);
+        let trained = train_model_multi_size(2, 4, &[100, 180], 10, 2);
         assert!(trained.num_samples > 10, "both sizes must contribute samples");
         assert!(trained.metrics.residual_mean.is_finite());
     }
 
     #[test]
     fn pipeline_trains_a_useful_model() {
-        let config = PipelineConfig {
-            dss: DssConfig { num_blocks: 4, latent_dim: 6, alpha: 1e-2 },
-            dataset: DatasetConfig {
-                num_global_problems: 1,
-                target_nodes: 500,
-                subdomain_size: 150,
-                overlap: 2,
-                max_iterations_per_problem: 8,
-                max_samples: Some(40),
-                seed: 11,
-            },
-            training: TrainingConfig { epochs: 15, batch_size: 10, seed: 12, ..Default::default() },
-            model_seed: 13,
-        };
-        let trained = train_model_multi_size(&config, &[150]);
+        let trained = train_model_multi_size(4, 6, &[150], 40, 15);
         assert!(trained.num_samples > 10);
         assert_eq!(trained.report.train_losses.len(), 15);
         assert!(

@@ -24,41 +24,18 @@ pub type TrainingSample = LocalGraph;
 
 /// Relative residual tolerance of the data-generating PCG solve.
 const TOLERANCE: f64 = 1e-6;
-
-/// Configuration for dataset extraction.
-#[derive(Debug, Clone)]
-pub struct DatasetConfig {
-    /// Number of global Poisson problems to solve.
-    pub num_global_problems: usize,
-    /// Approximate node count of each global problem (the paper uses
-    /// 6000–8000; the CPU-sized default is smaller).
-    pub target_nodes: usize,
-    /// Approximate sub-domain size (the paper trains on ~1000-node
-    /// sub-domains).
-    pub subdomain_size: usize,
-    /// Overlap layers.
-    pub overlap: usize,
-    /// Hard cap on the number of PCG iterations recorded per global problem.
-    pub max_iterations_per_problem: usize,
-    /// Optional cap on the total number of samples.
-    pub max_samples: Option<usize>,
-    /// Base RNG seed (domains, data and partitions derive from it).
-    pub seed: u64,
-}
-
-impl Default for DatasetConfig {
-    fn default() -> Self {
-        DatasetConfig {
-            num_global_problems: 4,
-            target_nodes: 1200,
-            subdomain_size: 300,
-            overlap: 2,
-            max_iterations_per_problem: 60,
-            max_samples: None,
-            seed: 0,
-        }
-    }
-}
+/// Global problems solved per sub-domain size.
+const PROBLEMS_PER_SIZE: usize = 4;
+/// Every global problem has this many times the largest sub-domain size in
+/// nodes.
+const NODES_PER_LARGEST_SUBDOMAIN: usize = 4;
+/// Overlap layers of the data-generating decomposition.
+const OVERLAP: usize = 2;
+/// PCG iterations recorded per global problem after its initial residual.
+const PCG_ITERATIONS: usize = 15;
+/// Seed of the first size's problems; size `i` of the list seeds from
+/// `SEED + 1000 i` and its problem `p` from that plus `1013 p`.
+const SEED: u64 = 1;
 
 /// Build the per-sub-domain graph templates (geometry and operator) of
 /// a decomposed problem from its sub-domains and their local operators
@@ -80,18 +57,51 @@ pub fn build_local_graphs(
         .collect()
 }
 
-/// Extract local training problems by running two-level ASM-preconditioned
-/// PCG on random global problems and recording every sub-domain right-hand
-/// side at every iteration.
-pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
+/// Extract local training problems: for each sub-domain size, run
+/// two-level ASM-preconditioned PCG on random global problems and record
+/// every sub-domain right-hand side at every iteration, up to `max_samples`
+/// samples per size.
+///
+/// The sizes' samples are interleaved round-robin, so that a held-back tail
+/// of the set (and any truncation of it) spans every size rather than only
+/// the last one.
+pub fn extract_local_problems(
+    subdomain_sizes: &[usize],
+    max_samples: usize,
+) -> Vec<TrainingSample> {
+    let target_nodes = NODES_PER_LARGEST_SUBDOMAIN * subdomain_sizes.iter().max().unwrap_or(&0);
+    let mut queues: Vec<std::vec::IntoIter<TrainingSample>> = subdomain_sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &size)| {
+            let seed = SEED.wrapping_add(1000 * i as u64);
+            extract_one_size(size, target_nodes, max_samples, seed).into_iter()
+        })
+        .collect();
+    let total: usize = queues.iter().map(|q| q.len()).sum();
+    let mut samples = Vec::with_capacity(total);
+    while samples.len() < total {
+        for queue in &mut queues {
+            samples.extend(queue.next());
+        }
+    }
+    samples
+}
+
+/// The samples of one sub-domain size.
+fn extract_one_size(
+    subdomain_size: usize,
+    target_nodes: usize,
+    max_samples: usize,
+    seed: u64,
+) -> Vec<TrainingSample> {
     let mut samples = Vec::new();
-    'problems: for p in 0..config.num_global_problems {
-        let problem_seed = config.seed.wrapping_add(p as u64 * 1013);
+    'problems: for p in 0..PROBLEMS_PER_SIZE {
+        let problem_seed = seed.wrapping_add(p as u64 * 1013);
         let domain = RandomBlobDomain::generate(problem_seed, 20, 1.0);
-        let h = meshgen::generator::element_size_for_target_nodes(&domain, config.target_nodes);
+        let h = meshgen::generator::element_size_for_target_nodes(&domain, target_nodes);
         let mesh = generate_mesh(&domain, &MeshingOptions::with_element_size(h).seed(problem_seed));
-        let subdomains =
-            partition_mesh_with_overlap(&mesh, config.subdomain_size, config.overlap, problem_seed);
+        let subdomains = partition_mesh_with_overlap(&mesh, subdomain_size, OVERLAP, problem_seed);
         let problem = PoissonProblem::with_random_data(mesh, problem_seed.wrapping_add(7));
         // A problem whose set-up fails contributes no samples.
         let Ok(Decomposition { subdomains, restrictions, local_matrices }) =
@@ -116,10 +126,10 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
         let mut z = vec![0.0; n];
         let mut q = vec![0.0; n];
         asm.apply(&r, &mut z);
-        record_samples(&restrictions, &templates, &r, &mut samples, config.max_samples);
+        record_samples(&restrictions, &templates, &r, &mut samples, max_samples);
         let mut pvec = z.clone();
         let mut rho = sparse::vector::dot(&r, &z);
-        for _iter in 0..config.max_iterations_per_problem {
+        for _iter in 0..PCG_ITERATIONS {
             a.spmv_into(&pvec, &mut q);
             let alpha = rho / sparse::vector::dot(&pvec, &q);
             sparse::vector::axpy(alpha, &pvec, &mut x);
@@ -127,11 +137,9 @@ pub fn extract_local_problems(config: &DatasetConfig) -> Vec<TrainingSample> {
             if sparse::vector::norm2(&r) <= threshold {
                 break;
             }
-            record_samples(&restrictions, &templates, &r, &mut samples, config.max_samples);
-            if let Some(cap) = config.max_samples {
-                if samples.len() >= cap {
-                    break 'problems;
-                }
+            record_samples(&restrictions, &templates, &r, &mut samples, max_samples);
+            if samples.len() >= max_samples {
+                break 'problems;
             }
             asm.apply(&r, &mut z);
             let rho_new = sparse::vector::dot(&r, &z);
@@ -151,13 +159,11 @@ fn record_samples(
     templates: &[LocalGraph],
     residual: &[f64],
     out: &mut Vec<TrainingSample>,
-    cap: Option<usize>,
+    cap: usize,
 ) {
     for (restriction, template) in restrictions.iter().zip(templates.iter()) {
-        if let Some(c) = cap {
-            if out.len() >= c {
-                return;
-            }
+        if out.len() >= cap {
+            return;
         }
         let local_rhs = restriction.restrict(residual);
         // Skip (numerically) zero local residuals — they carry no signal.
@@ -174,21 +180,13 @@ fn record_samples(
 mod tests {
     use super::*;
 
-    fn tiny_config() -> DatasetConfig {
-        DatasetConfig {
-            num_global_problems: 1,
-            target_nodes: 400,
-            subdomain_size: 120,
-            overlap: 2,
-            max_iterations_per_problem: 8,
-            max_samples: Some(40),
-            seed: 3,
-        }
+    fn tiny_samples() -> Vec<TrainingSample> {
+        extract_local_problems(&[120], 40)
     }
 
     #[test]
     fn extraction_produces_normalised_samples() {
-        let samples = extract_local_problems(&tiny_config());
+        let samples = tiny_samples();
         assert!(!samples.is_empty(), "dataset must not be empty");
         assert!(samples.len() <= 40);
         for s in &samples {
@@ -207,20 +205,18 @@ mod tests {
     fn samples_come_from_multiple_iterations() {
         // More samples than sub-domains means at least two PCG iterations were
         // recorded, matching the paper's construction.
-        let config = tiny_config();
-        let samples = extract_local_problems(&config);
-        let k_estimate = config.target_nodes.div_ceil(config.subdomain_size);
+        let samples = tiny_samples();
         assert!(
-            samples.len() > k_estimate,
-            "expected more than {k_estimate} samples, got {}",
+            samples.len() > NODES_PER_LARGEST_SUBDOMAIN,
+            "expected more than {NODES_PER_LARGEST_SUBDOMAIN} samples, got {}",
             samples.len()
         );
     }
 
     #[test]
     fn extraction_is_deterministic() {
-        let s1 = extract_local_problems(&tiny_config());
-        let s2 = extract_local_problems(&tiny_config());
+        let s1 = tiny_samples();
+        let s2 = tiny_samples();
         assert_eq!(s1.len(), s2.len());
         for (a, b) in s1.iter().zip(s2.iter()) {
             assert_eq!(a.num_nodes(), b.num_nodes());

@@ -27,7 +27,8 @@
 //!   ([`DssModel::truncate`]),
 //! * `loss` — the physics-informed mean-squared residual loss (Eq. 11) and
 //!   its gradient,
-//! * [`adam`] — Adam with gradient clipping and a reduce-on-plateau schedule,
+//! * `adam` — Adam with gradient clipping and a reduce-on-plateau schedule,
+//!   at the one setting every training runs,
 //! * [`dataset`] — extraction of local training problems from two-level
 //!   ASM-preconditioned PCG runs, exactly like the paper's dataset,
 //! * [`trainer`] — mini-batch training loop with rayon data-parallel gradient
@@ -38,7 +39,7 @@
 //! The architecture hyper-parameters reproduce the paper's weight counts
 //! exactly (e.g. `k̄ = 30, d = 10` → 37 530 weights, Table II).
 
-pub mod adam;
+mod adam;
 pub mod dataset;
 pub mod gemm;
 pub mod graph;
@@ -49,10 +50,9 @@ pub mod model;
 pub mod plan;
 pub mod trainer;
 
-pub use adam::{Adam, AdamConfig};
-pub use dataset::{extract_local_problems, DatasetConfig, TrainingSample};
+pub use dataset::{extract_local_problems, TrainingSample};
 pub use gemm::Scalar;
 pub use graph::LocalGraph;
 pub use model::{DssConfig, DssModel};
 pub use plan::{InferScratch, InferencePlan, Precision};
-pub use trainer::{evaluate, train, EvalMetrics, TrainingConfig, TrainingReport};
+pub use trainer::{evaluate, train, EvalMetrics, TrainingReport};

@@ -17,10 +17,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ddm_gnn::{
-    build_preconditioner, generate_problem, solve, HybridSolverConfig, Method, PipelineConfig,
-};
-use gnn::{AdamConfig, DatasetConfig, DssConfig, TrainingConfig};
+use ddm_gnn::{build_preconditioner, generate_problem, solve, HybridSolverConfig, Method};
 use krylov::SolverOptions;
 use partition::partition_mesh_with_overlap;
 
@@ -53,37 +50,17 @@ fn main() {
     println!("=== DDM-GNN: training a Deep Statistical Solver ===");
     println!("architecture: k̄ = {blocks}, d = {latent}; sub-domain sizes {subdomain_sizes:?}");
 
-    let config = PipelineConfig {
-        dss: DssConfig { num_blocks: blocks, latent_dim: latent, alpha: 1.0 / blocks as f64 },
-        dataset: DatasetConfig {
-            num_global_problems: 4,
-            target_nodes: subdomain * 4,
-            subdomain_size: subdomain,
-            overlap: 2,
-            max_iterations_per_problem: 15,
-            max_samples: Some(samples),
-            seed: 1,
-        },
-        training: TrainingConfig {
-            epochs,
-            batch_size: 16,
-            adam: AdamConfig { learning_rate: 5e-3, clip_norm: Some(1.0) },
-            validation_fraction: 0.15,
-            lr_patience: 8,
-            lr_factor: 0.3,
-            seed: 2,
-            log_every: 10,
-        },
-        model_seed: 3,
-    };
-
     let start = std::time::Instant::now();
-    let trained = ddm_gnn::train_model_multi_size(&config, &subdomain_sizes);
+    let trained =
+        ddm_gnn::train_model_multi_size(blocks, latent, &subdomain_sizes, samples, epochs);
+    let losses = &trained.report.train_losses;
     println!(
-        "trained on {} samples in {:.1}s — {} weights",
+        "trained on {} samples in {:.1}s — {} weights; training loss {:.3e} → {:.3e}",
         trained.num_samples,
         start.elapsed().as_secs_f64(),
-        trained.model.num_params()
+        trained.model.num_params(),
+        losses.first().copied().unwrap_or(f64::NAN),
+        losses.last().copied().unwrap_or(f64::NAN),
     );
     println!(
         "evaluation: residual = {:.4} ± {:.4}, relative error = {:.3} ± {:.3}",

@@ -163,26 +163,7 @@ fn larger_overlap_does_not_degrade_ddm_lu() {
     ignore = "heavy end-to-end test: opt in with `cargo test --release -- --include-ignored`"
 )]
 fn small_training_pipeline_produces_working_preconditioner() {
-    let config = ddm_gnn::PipelineConfig {
-        dss: gnn::DssConfig { num_blocks: 4, latent_dim: 6, alpha: 0.25 },
-        dataset: gnn::DatasetConfig {
-            num_global_problems: 1,
-            target_nodes: 500,
-            subdomain_size: 150,
-            overlap: 2,
-            max_iterations_per_problem: 8,
-            max_samples: Some(40),
-            seed: 21,
-        },
-        training: gnn::TrainingConfig {
-            epochs: 10,
-            batch_size: 10,
-            seed: 22,
-            ..Default::default()
-        },
-        model_seed: 23,
-    };
-    let trained = ddm_gnn::train_model_multi_size(&config, &[150]);
+    let trained = ddm_gnn::train_model_multi_size(4, 6, &[150], 40, 10);
     let problem = ddm_gnn::generate_problem(404, 700);
     let subdomains = partition_mesh_with_overlap(&problem.mesh, 150, 2, 0);
     let outcome = run(
