@@ -6,13 +6,17 @@
 //! preconditioner had to solve: the sub-domain operator together with the
 //! restricted (and normalised) residual as right-hand side.  This module
 //! reproduces that pipeline: the produced [`LocalGraph`]s are exactly the
-//! inputs the DSS model later sees inside the DDM-GNN preconditioner.
+//! inputs the DSS model later sees inside the DDM-GNN preconditioner.  The
+//! solve is the workspace's one PCG driver,
+//! [`krylov::preconditioned_conjugate_gradient`], and the recording is a
+//! preconditioner wrapped around the one that generates the data.
 
 use ddm::{AdditiveSchwarz, AsmLevel, Decomposition, Restriction};
 use fem::PoissonProblem;
-use krylov::Preconditioner;
+use krylov::{preconditioned_conjugate_gradient, Preconditioner, SolverOptions};
 use meshgen::{generate_mesh, MeshingOptions, RandomBlobDomain};
 use partition::partition_mesh_with_overlap;
+use sanitizer::TrackedMutex;
 use sparse::CsrMatrix;
 
 use crate::graph::LocalGraph;
@@ -31,7 +35,8 @@ const PROBLEMS_PER_SIZE: usize = 4;
 const NODES_PER_LARGEST_SUBDOMAIN: usize = 4;
 /// Overlap layers of the data-generating decomposition.
 const OVERLAP: usize = 2;
-/// PCG iterations recorded per global problem after its initial residual.
+/// Iteration cap of the data-generating PCG solve: it applies the
+/// preconditioner, and so records, at most once more than this.
 const PCG_ITERATIONS: usize = 15;
 /// Seed of the first size's problems; size `i` of the list seeds from
 /// `SEED + 1000 i` and its problem `p` from that plus `1013 p`.
@@ -88,15 +93,19 @@ pub fn extract_local_problems(
     samples
 }
 
-/// The samples of one sub-domain size.
+/// The samples of one sub-domain size, at most `max_samples` of them.
 fn extract_one_size(
     subdomain_size: usize,
     target_nodes: usize,
     max_samples: usize,
     seed: u64,
 ) -> Vec<TrainingSample> {
+    let opts = SolverOptions::with_tolerance(TOLERANCE).max_iterations(PCG_ITERATIONS);
     let mut samples = Vec::new();
-    'problems: for p in 0..PROBLEMS_PER_SIZE {
+    for p in 0..PROBLEMS_PER_SIZE {
+        if samples.len() >= max_samples {
+            break;
+        }
         let problem_seed = seed.wrapping_add(p as u64 * 1013);
         let domain = RandomBlobDomain::generate(problem_seed, 20, 1.0);
         let h = meshgen::generator::element_size_for_target_nodes(&domain, target_nodes);
@@ -113,66 +122,54 @@ fn extract_one_size(
         let Ok(asm) = AdditiveSchwarz::new(&problem.matrix, subdomains, AsmLevel::TwoLevel) else {
             continue;
         };
-
-        // PCG loop (Algorithm 1), recording the residual before each
-        // preconditioner application.
-        let a = &problem.matrix;
-        let b = &problem.rhs;
-        let n = b.len();
-        let bnorm = sparse::vector::norm2(b);
-        let threshold = TOLERANCE * bnorm.max(f64::MIN_POSITIVE);
-        let mut x = vec![0.0; n];
-        let mut r = b.clone();
-        let mut z = vec![0.0; n];
-        let mut q = vec![0.0; n];
-        asm.apply(&r, &mut z);
-        record_samples(&restrictions, &templates, &r, &mut samples, max_samples);
-        let mut pvec = z.clone();
-        let mut rho = sparse::vector::dot(&r, &z);
-        for _iter in 0..PCG_ITERATIONS {
-            a.spmv_into(&pvec, &mut q);
-            let alpha = rho / sparse::vector::dot(&pvec, &q);
-            sparse::vector::axpy(alpha, &pvec, &mut x);
-            sparse::vector::axpy(-alpha, &q, &mut r);
-            if sparse::vector::norm2(&r) <= threshold {
-                break;
-            }
-            record_samples(&restrictions, &templates, &r, &mut samples, max_samples);
-            if samples.len() >= max_samples {
-                break 'problems;
-            }
-            asm.apply(&r, &mut z);
-            let rho_new = sparse::vector::dot(&r, &z);
-            let beta = rho_new / rho;
-            rho = rho_new;
-            sparse::vector::axpby(1.0, &z, beta, &mut pvec);
-        }
+        let recorder = Recorder {
+            inner: &asm,
+            restrictions: &restrictions,
+            templates: &templates,
+            cap: max_samples - samples.len(),
+            samples: TrackedMutex::new(Vec::new(), "gnn::dataset::Recorder::samples"),
+        };
+        preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &recorder, &opts);
+        samples.append(&mut recorder.samples.lock());
     }
     samples
 }
 
-/// Record one sample per sub-domain for the current global residual: a
-/// clone of the sub-domain's template, which shares its structure, with the
-/// restricted residual as input.
-fn record_samples(
-    restrictions: &[Restriction],
-    templates: &[LocalGraph],
-    residual: &[f64],
-    out: &mut Vec<TrainingSample>,
+/// The data-generating preconditioner `inner`, recording before each of
+/// its applies one sample per sub-domain of the residual it is applied to
+/// (the red step of Algorithm 1), up to `cap` samples.
+struct Recorder<'a> {
+    inner: &'a dyn Preconditioner,
+    restrictions: &'a [Restriction],
+    templates: &'a [LocalGraph],
     cap: usize,
-) {
-    for (restriction, template) in restrictions.iter().zip(templates.iter()) {
-        if out.len() >= cap {
-            return;
+    samples: TrackedMutex<Vec<TrainingSample>>,
+}
+
+impl Preconditioner for Recorder<'_> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        let mut samples = self.samples.lock();
+        for (restriction, template) in self.restrictions.iter().zip(self.templates) {
+            if samples.len() >= self.cap {
+                break;
+            }
+            let local_rhs = restriction.restrict(r);
+            // Skip (numerically) zero local residuals — they carry no signal.
+            if sparse::vector::norm2(&local_rhs) <= 1e-14 {
+                continue;
+            }
+            // A clone of the template shares its structure; the restricted
+            // residual becomes its input.
+            let mut graph = template.clone();
+            graph.set_rhs(&local_rhs);
+            samples.push(graph);
         }
-        let local_rhs = restriction.restrict(residual);
-        // Skip (numerically) zero local residuals — they carry no signal.
-        if sparse::vector::norm2(&local_rhs) <= 1e-14 {
-            continue;
-        }
-        let mut graph = template.clone();
-        graph.set_rhs(&local_rhs);
-        out.push(graph);
+        drop(samples);
+        self.inner.apply(r, z);
+    }
+
+    fn dim(&self) -> usize {
+        self.inner.dim()
     }
 }
 
