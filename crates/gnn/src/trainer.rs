@@ -128,16 +128,17 @@ pub fn train(model: &mut DssModel, samples: &[LocalGraph], epochs: usize) -> Tra
 /// Evaluate the model: residual norms and relative errors against exact local
 /// solutions (the metrics of Table II).
 ///
-/// Inference goes through the planned fast path, one plan per sample.
+/// Inference goes through the f64 engine, one plan per sample, all sharing
+/// one weight pack ([`DssModel::build_plans`]).
 pub fn evaluate(model: &DssModel, samples: &[LocalGraph]) -> EvalMetrics {
     assert!(!samples.is_empty(), "cannot evaluate on an empty dataset");
+    let plans = model.build_plans::<f64>(samples, false);
     let per_sample: Vec<(f64, f64)> = samples
         .par_iter()
-        .map(|graph| {
-            let plan = model.build_plan(graph);
+        .zip(plans.par_iter())
+        .map(|(graph, plan)| {
             let mut prediction = vec![0.0; graph.num_nodes()];
-            let mut scratch = InferScratch::new();
-            model.infer_with_plan_into(&plan, &graph.input, &mut scratch, &mut prediction);
+            plan.infer(&graph.input, 1, &mut InferScratch::new(), &mut prediction);
             // Residual norm of the normalised system.
             let au = graph.matrix.spmv(&prediction);
             let res: Vec<f64> = au.iter().zip(graph.input.iter()).map(|(a, c)| c - a).collect();
