@@ -103,18 +103,6 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// Row pointer array (length `nrows + 1`).
-    #[inline]
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
-    /// Column index array.
-    #[inline]
-    pub fn col_idx(&self) -> &[usize] {
-        &self.col_idx
-    }
-
     /// Value array.
     #[inline]
     pub fn values(&self) -> &[f64] {
