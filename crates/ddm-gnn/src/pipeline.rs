@@ -81,8 +81,9 @@ const PRETRAINED_FILE: &str = "assets/pretrained_k16_d10.dss";
 /// unreadable path gives `None` rather than a different model.
 /// `DDM_GNN_MODEL=assets/pretrained_k16_d10.dss` therefore runs the full
 /// 16-block anchor.  Otherwise the workspace-level
-/// `assets/pretrained_k16_d10.dss` is used (produced by
-/// `cargo run --release --example train_dss` with `DSS_MODEL_OUT` set).
+/// `assets/pretrained_k16_d10.dss` is used (saved by the `train_dss`
+/// example through `DSS_MODEL_OUT`; the sub-domain sizes, sample cap and
+/// epochs it was trained with are not recorded).
 /// Returns `None` when no model file can be found or parsed; callers report
 /// that rather than run a different model.
 pub fn load_pretrained() -> Option<DssModel> {

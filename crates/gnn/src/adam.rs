@@ -139,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn gradient_clipping_limits_the_norm_the_moments_see() {
+    fn gradient_clipping_limits_step_size() {
         // Adam's first moment after one step is `(1 − β₁)` times the gradient
         // it was fed: the clipped one above the threshold, the raw one below.
         let fed_norm =
