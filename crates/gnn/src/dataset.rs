@@ -126,45 +126,40 @@ fn extract_one_size(
             inner: &asm,
             restrictions: &restrictions,
             templates: &templates,
-            cap: max_samples - samples.len(),
             samples: TrackedMutex::new(Vec::new(), "gnn::dataset::Recorder::samples"),
         };
         preconditioned_conjugate_gradient(&problem.matrix, &problem.rhs, None, &recorder, &opts);
         samples.append(&mut recorder.samples.lock());
+        samples.truncate(max_samples);
     }
     samples
 }
 
 /// The data-generating preconditioner `inner`, recording before each of
 /// its applies one sample per sub-domain of the residual it is applied to
-/// (the red step of Algorithm 1), up to `cap` samples.
+/// (the red step of Algorithm 1).
 struct Recorder<'a> {
     inner: &'a dyn Preconditioner,
     restrictions: &'a [Restriction],
     templates: &'a [LocalGraph],
-    cap: usize,
     samples: TrackedMutex<Vec<TrainingSample>>,
 }
 
 impl Preconditioner for Recorder<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut samples = self.samples.lock();
-        for (restriction, template) in self.restrictions.iter().zip(self.templates) {
-            if samples.len() >= self.cap {
-                break;
-            }
-            let local_rhs = restriction.restrict(r);
-            // Skip (numerically) zero local residuals — they carry no signal.
-            if sparse::vector::norm2(&local_rhs) <= 1e-14 {
-                continue;
-            }
-            // A clone of the template shares its structure; the restricted
-            // residual becomes its input.
-            let mut graph = template.clone();
-            graph.set_rhs(&local_rhs);
-            samples.push(graph);
-        }
-        drop(samples);
+        let recorded =
+            self.restrictions.iter().zip(self.templates).filter_map(|(restriction, template)| {
+                let local_rhs = restriction.restrict(r);
+                // Skip (numerically) zero local residuals — they carry no signal.
+                // A clone of the template shares its structure; the restricted
+                // residual becomes its input.
+                (sparse::vector::norm2(&local_rhs) > 1e-14).then(|| {
+                    let mut graph = template.clone();
+                    graph.set_rhs(&local_rhs);
+                    graph
+                })
+            });
+        self.samples.lock().extend(recorded);
         self.inner.apply(r, z);
     }
 
