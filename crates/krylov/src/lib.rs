@@ -67,7 +67,7 @@ impl SolverOptions {
 
     /// The residual threshold for a right-hand side of norm `bnorm`: the
     /// relative tolerance, floored at an absolute `1e-14`.
-    pub fn threshold(&self, bnorm: f64) -> f64 {
+    pub(crate) fn threshold(&self, bnorm: f64) -> f64 {
         (self.rel_tolerance * bnorm).max(ABS_TOLERANCE)
     }
 }
