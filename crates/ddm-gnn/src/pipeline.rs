@@ -170,11 +170,13 @@ mod tests {
             model.config(),
             DssConfig { num_blocks: PRETRAINED_DEPTH, latent_dim: 10, alpha: 0.0625 }
         );
-        let per_block = anchor.num_params() / 16;
-        assert_eq!(per_block, 1251);
-        assert_eq!(model.flatten()[..], anchor.flatten()[..PRETRAINED_DEPTH * per_block]);
+        assert_eq!(anchor.num_params(), 16 * 1251);
         assert_eq!(model.multilevel_depth(), MULTILEVEL_DEPTH);
         assert_eq!(anchor.multilevel_depth(), 16);
+        let mut cut = anchor;
+        cut.truncate(PRETRAINED_DEPTH);
+        cut.set_multilevel_depth(MULTILEVEL_DEPTH);
+        assert_eq!(model, cut);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fs;
 use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 
-use crate::model::{DssConfig, DssModel};
+use crate::model::{Block, DssConfig, DssModel};
 
 /// Magic tag identifying the format.
 const MAGIC: &str = "dss-model-v1";
@@ -31,19 +31,6 @@ const MAX_PARAMS: u128 = 1 << 26;
 /// parameter (at most 24 bytes).  A longer line is not part of a model file.
 const MAX_LINE: u64 = 128;
 
-/// Number of parameters of a DSS model with `num_blocks` blocks of latent
-/// dimension `d`, computed in `u128` so hostile headers cannot overflow.
-/// Mirrors the four two-layer MLPs of [`crate::model::DssModel`]:
-/// `Φ→`/`Φ←` (`(2d+3) → d → d`), `Ψ` (`(3d+1) → d → d`), `D` (`d → d → 1`).
-fn expected_params(num_blocks: usize, d: usize) -> u128 {
-    let d = d as u128;
-    let mlp = |in_dim: u128, hidden: u128, out_dim: u128| {
-        in_dim * hidden + hidden + hidden * out_dim + out_dim
-    };
-    let per_block = 2 * mlp(2 * d + 3, d, d) + mlp(3 * d + 1, d, d) + mlp(d, d, 1);
-    num_blocks as u128 * per_block
-}
-
 /// Shared header validation of save and load, keeping the roundtrip
 /// symmetric: anything `save_model` writes, `load_model` accepts, and a
 /// config the loader would reject is refused at save time instead of
@@ -55,7 +42,9 @@ fn validate_config(num_blocks: usize, latent_dim: usize, alpha: f64) -> Result<u
              (1..={MAX_DIM} each)"
         ));
     }
-    let expected = expected_params(num_blocks, latent_dim);
+    // The block's size at a `latent_dim` bounded above is a few `d²`; the
+    // product with `num_blocks` is taken in `u128` so it cannot overflow.
+    let expected = num_blocks as u128 * Block::new(latent_dim).len() as u128;
     if expected > MAX_PARAMS {
         return Err(format!("header implies {expected} parameters (limit {MAX_PARAMS})"));
     }
@@ -74,13 +63,13 @@ pub fn save_model(path: &Path, model: &DssModel) -> io::Result<()> {
     let config = model.config();
     validate_config(config.num_blocks, config.latent_dim, config.alpha)
         .map_err(|what| io::Error::new(io::ErrorKind::InvalidInput, what))?;
-    let params = model.flatten();
+    let params = model.params();
     let mut out = String::with_capacity(params.len() * 24 + 64);
     out.push_str(&format!(
         "{MAGIC} {} {} {:e}\n",
         config.num_blocks, config.latent_dim, config.alpha
     ));
-    for p in &params {
+    for p in params {
         out.push_str(&format!("{:e}\n", p));
     }
     if let Some(parent) = path.parent() {
@@ -168,10 +157,7 @@ pub fn load_model(path: &Path) -> io::Result<DssModel> {
     if params.len() != expected {
         return Err(parse_err(format!("expected {expected} parameters, found {}", params.len())));
     }
-    let mut model = DssModel::new(DssConfig { num_blocks, latent_dim, alpha }, 0);
-    debug_assert_eq!(model.num_params(), expected, "expected_params must mirror the model");
-    model.load_flat(&params);
-    Ok(model)
+    Ok(DssModel::from_params(DssConfig { num_blocks, latent_dim, alpha }, params))
 }
 
 #[cfg(test)]
@@ -201,7 +187,7 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip_preserves_outputs() {
-        let model = DssModel::new(DssConfig::new(3, 5), 12);
+        let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 5, alpha: 1e-3 }, 12);
         let path = tmp_path("roundtrip.txt");
         save_model(&path, &model).unwrap();
         let loaded = load_model(&path).unwrap();
@@ -219,6 +205,16 @@ mod tests {
     }
 
     #[test]
+    fn the_shipped_model_saves_back_to_its_own_bytes() {
+        let asset =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets/pretrained_k16_d10.dss");
+        let path = tmp_path("resaved.dss");
+        save_model(&path, &load_model(&asset).unwrap()).unwrap();
+        assert!(fs::read(&path).unwrap() == fs::read(&asset).unwrap(), "re-saved bytes differ");
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn corrupted_files_are_rejected() {
         let path = tmp_path("corrupt.txt");
         std::fs::write(&path, "not-a-model 1 2 3\n").unwrap();
@@ -232,9 +228,9 @@ mod tests {
     /// Write a syntactically valid model file for config (2, 3) and then
     /// corrupt one aspect of it per case.
     fn valid_file_text() -> String {
-        let model = DssModel::new(DssConfig::new(2, 3), 7);
+        let model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 3, alpha: 1e-3 }, 7);
         let mut s = String::from("dss-model-v1 2 3 1e-3\n");
-        for p in model.flatten() {
+        for p in model.params() {
             s.push_str(&format!("{p:e}\n"));
         }
         s
@@ -342,17 +338,5 @@ mod tests {
         let err = save_model(&path, &bad).expect_err("absurd alpha must be rejected at save time");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(!path.exists(), "no file must be written for a rejected config");
-    }
-
-    #[test]
-    fn expected_params_mirrors_the_model() {
-        for (kbar, d) in [(1usize, 1usize), (2, 3), (5, 10), (30, 10), (20, 20)] {
-            let model = DssModel::new(DssConfig::new(kbar, d), 0);
-            assert_eq!(
-                expected_params(kbar, d),
-                model.num_params() as u128,
-                "formula mismatch for k̄={kbar}, d={d}"
-            );
-        }
     }
 }

@@ -9,8 +9,10 @@
 //!   per-element accumulation-order (bit-identity) contract, generic over
 //!   the sealed [`Scalar`] trait (`f64` unfused, `f32` with fused
 //!   multiply-adds),
-//! * `layers` — linear layers and two-layer MLPs with exact reverse-mode
-//!   gradients (validated against finite differences in the test-suite),
+//! * `layers` — linear layers and two-layer MLPs as positions in a
+//!   parameter vector, with exact reverse-mode gradients into a vector of
+//!   the same layout (validated against finite differences in the
+//!   test-suite),
 //! * [`plan`] — the inference engine: an `O(e)` per-graph plan (structure
 //!   and block 1's edge sums) next to one weight pack per plan set, and one
 //!   forward pass over them, generic over the scalar type, compiled for the baseline
@@ -23,8 +25,9 @@
 //!   input `c`, and the local operator used by the loss,
 //! * [`model`] — the DSS architecture: `k̄` distinct message-passing blocks
 //!   (Eq. 18–21), per-iteration decoders (Eq. 22), ResNet-style latent update
-//!   with step `α`; every prefix of a trained model is a trained model
-//!   ([`DssModel::truncate`]),
+//!   with step `α`, held as its config and one parameter vector whose block
+//!   layout is written once; every prefix of a trained model is a trained
+//!   model ([`DssModel::truncate`]),
 //! * `loss` — the physics-informed mean-squared residual loss (Eq. 11) and
 //!   its gradient,
 //! * `adam` — Adam with gradient clipping and a reduce-on-plateau schedule,

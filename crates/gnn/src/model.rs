@@ -18,6 +18,15 @@
 //! per-block activation recomputation so the memory footprint stays at one
 //! latent state per block.
 //!
+//! A model is its [`DssConfig`] and one parameter vector, block after block.
+//! The block's shape is written once, in `Block::new`, which turns `d` into
+//! positions: a block, each of its four MLPs and each of their linear layers
+//! is a position in that vector, not a container of weights.  The reference
+//! forward pass, the backward pass (into a gradient vector of the same
+//! layout), the inference engine's weight pack, the Xavier initialisation
+//! and [`crate::io`] all read or write through those positions, and the
+//! optimiser steps the model's own vector in place.
+//!
 //! Because every block's decoded state is trained, every prefix of a trained
 //! model is a trained solver too, and depth is the inference cost: the apply
 //! is linear in `k̄`.  [`DssModel::truncate`] cuts a model to its first blocks
@@ -35,7 +44,7 @@ use rayon::prelude::*;
 
 use crate::gemm::Scalar;
 use crate::graph::LocalGraph;
-use crate::layers::Mlp;
+use crate::layers::{Linear, Mlp};
 use crate::loss::residual_loss_and_grad;
 use crate::plan::{InferScratch, InferencePlan, WeightPack};
 
@@ -50,22 +59,11 @@ pub struct DssConfig {
     pub alpha: f64,
 }
 
-impl Default for DssConfig {
-    fn default() -> Self {
-        // The paper's training configuration: k̄ = 30, d = 10, α = 1e-3.
-        DssConfig { num_blocks: 30, latent_dim: 10, alpha: 1e-3 }
-    }
-}
-
-impl DssConfig {
-    /// Convenience constructor.
-    pub fn new(num_blocks: usize, latent_dim: usize) -> Self {
-        DssConfig { num_blocks, latent_dim, alpha: 1e-3 }
-    }
-}
-
-/// One message-passing block with its four MLPs.
-#[derive(Debug, Clone)]
+/// Where the four MLPs of one message-passing block sit in the block's
+/// slice of the parameter vector — the one place the block's shape is
+/// written: `Φ→` and `Φ←` `(2d+3) → d → d`, then `Ψ` `(3d+1) → d → d`,
+/// then `D` `d → d → 1`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Block {
     pub phi_fwd: Mlp,
     pub phi_bwd: Mlp,
@@ -74,52 +72,64 @@ pub(crate) struct Block {
 }
 
 impl Block {
-    fn xavier(d: usize, rng: &mut impl Rng) -> Self {
-        let edge_in = 2 * d + 3;
-        let psi_in = 3 * d + 1;
-        Block {
-            phi_fwd: Mlp::xavier(edge_in, d, d, rng),
-            phi_bwd: Mlp::xavier(edge_in, d, d, rng),
-            psi: Mlp::xavier(psi_in, d, d, rng),
-            decoder: Mlp::xavier(d, d, 1, rng),
-        }
+    /// The layout of a block of latent dimension `d`.  Computes positions
+    /// only, so a hostile `d` allocates nothing.
+    pub(crate) fn new(d: usize) -> Self {
+        let phi_fwd = Mlp::at(0, 2 * d + 3, d, d);
+        let phi_bwd = Mlp::at(phi_fwd.end(), 2 * d + 3, d, d);
+        let psi = Mlp::at(phi_bwd.end(), 3 * d + 1, d, d);
+        let decoder = Mlp::at(psi.end(), d, d, 1);
+        Block { phi_fwd, phi_bwd, psi, decoder }
     }
 
-    fn zeros_like(other: &Block) -> Self {
-        Block {
-            phi_fwd: Mlp::zeros_like(&other.phi_fwd),
-            phi_bwd: Mlp::zeros_like(&other.phi_bwd),
-            psi: Mlp::zeros_like(&other.psi),
-            decoder: Mlp::zeros_like(&other.decoder),
-        }
+    /// Number of parameters of one block.
+    pub(crate) fn len(&self) -> usize {
+        self.decoder.end()
     }
 
-    fn num_params(&self) -> usize {
-        self.phi_fwd.num_params()
-            + self.phi_bwd.num_params()
-            + self.psi.num_params()
-            + self.decoder.num_params()
+    /// The block's eight layers, in parameter order.
+    fn layers(&self) -> [Linear; 8] {
+        let Block { phi_fwd, phi_bwd, psi, decoder } = *self;
+        [phi_fwd.l1, phi_fwd.l2, phi_bwd.l1, phi_bwd.l2, psi.l1, psi.l2, decoder.l1, decoder.l2]
     }
 }
 
 /// The Deep Statistical Solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DssModel {
     config: DssConfig,
-    blocks: Vec<Block>,
+    /// Every trainable weight, block after block, each in `Block`'s layout.
+    params: Vec<f64>,
     /// Leading blocks run under a multi-level coarse component, in
     /// `1..=num_blocks`; all of them unless set.  Not saved with the model.
     multilevel_depth: usize,
 }
 
 impl DssModel {
-    /// Create a Xavier-initialised model.
+    /// Create a Xavier/Glorot-uniform initialised model (the paper's
+    /// initialisation): block after block, layer after layer, every weight
+    /// drawn from `±sqrt(6 / (in + out))`; every bias is zero.
     pub fn new(config: DssConfig, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let blocks =
-            (0..config.num_blocks).map(|_| Block::xavier(config.latent_dim, &mut rng)).collect();
-        let multilevel_depth = config.num_blocks;
-        DssModel { config, blocks, multilevel_depth }
+        let block = Block::new(config.latent_dim);
+        let mut params = vec![0.0; config.num_blocks * block.len()];
+        for p in params.chunks_exact_mut(block.len()) {
+            for layer in block.layers() {
+                let limit = (6.0 / (layer.in_dim + layer.out_dim) as f64).sqrt();
+                for w in layer.weight_mut(p) {
+                    *w = rng.gen_range(-limit..limit);
+                }
+            }
+        }
+        Self::from_params(config, params)
+    }
+
+    /// The model of `config` with these parameters, in the layout of
+    /// [`DssModel::params`].
+    pub(crate) fn from_params(config: DssConfig, params: Vec<f64>) -> Self {
+        let block_len = Block::new(config.latent_dim).len();
+        assert_eq!(params.len(), config.num_blocks * block_len, "parameter count mismatch");
+        DssModel { config, params, multilevel_depth: config.num_blocks }
     }
 
     /// The model hyper-parameters.
@@ -129,57 +139,41 @@ impl DssModel {
 
     /// Total number of trainable weights (matches Table II of the paper).
     pub fn num_params(&self) -> usize {
-        self.blocks.iter().map(|b| b.num_params()).sum()
+        self.params.len()
     }
 
-    /// A zeroed clone used as a gradient accumulator.
-    pub(crate) fn zeros_like(&self) -> DssModel {
-        DssModel {
-            config: self.config,
-            blocks: self.blocks.iter().map(Block::zeros_like).collect(),
-            multilevel_depth: self.multilevel_depth,
-        }
+    /// Every parameter, block after block in [`Block`]'s layout; a gradient
+    /// has this layout too.
+    pub(crate) fn params(&self) -> &[f64] {
+        &self.params
     }
 
-    /// Flatten all parameters into a single vector.
-    pub fn flatten(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.num_params());
-        for b in &self.blocks {
-            b.phi_fwd.append_params(&mut out);
-            b.phi_bwd.append_params(&mut out);
-            b.psi.append_params(&mut out);
-            b.decoder.append_params(&mut out);
-        }
-        out
+    /// The parameters, writable (the optimiser steps them in place).
+    pub(crate) fn params_mut(&mut self) -> &mut [f64] {
+        &mut self.params
     }
 
-    /// Load parameters from a flat vector produced by [`DssModel::flatten`].
-    pub(crate) fn load_flat(&mut self, data: &[f64]) {
-        assert_eq!(data.len(), self.num_params(), "flat parameter length mismatch");
-        let mut offset = 0;
-        for b in &mut self.blocks {
-            b.phi_fwd.read_params(data, &mut offset);
-            b.phi_bwd.read_params(data, &mut offset);
-            b.psi.read_params(data, &mut offset);
-            b.decoder.read_params(data, &mut offset);
-        }
+    /// Every block's layout with its slice of the parameters, in order.
+    pub(crate) fn blocks(&self) -> impl DoubleEndedIterator<Item = (Block, &[f64])> {
+        let block = Block::new(self.config.latent_dim);
+        self.params.chunks_exact(block.len()).map(move |p| (block, p))
     }
 
     /// One block forward step using an explicit node input `c`: returns the
     /// next latent state.
     fn block_forward_with_input(
         &self,
-        block: &Block,
+        (block, p): (Block, &[f64]),
         graph: &LocalGraph,
         h: &[f64],
         input: &[f64],
     ) -> Vec<f64> {
         let d = self.config.latent_dim;
         let n = graph.num_nodes();
-        let (msg_fwd, msg_bwd) = self.messages(block, graph, h);
+        let (msg_fwd, msg_bwd) = self.messages((block, p), graph, h);
         // Ψ update.
         let psi_in = build_psi_input(input, h, &msg_fwd, &msg_bwd, d);
-        let update = block.psi.forward(&psi_in, n);
+        let update = block.psi.forward(p, &psi_in, n);
         let mut h_next = h.to_vec();
         for i in 0..n * d {
             h_next[i] += self.config.alpha * update[i];
@@ -191,23 +185,23 @@ impl DssModel {
     ///
     /// Aggregation adds every node's run of destination-grouped edges in edge
     /// order.
-    fn messages(&self, block: &Block, graph: &LocalGraph, h: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    fn messages(
+        &self,
+        (block, p): (Block, &[f64]),
+        graph: &LocalGraph,
+        h: &[f64],
+    ) -> (Vec<f64>, Vec<f64>) {
         let d = self.config.latent_dim;
         let n = graph.num_nodes();
         let e = graph.num_edges();
         let (x_fwd, x_bwd) = build_edge_inputs(graph, h, d);
-        let m_fwd = block.phi_fwd.forward(&x_fwd, e);
-        let m_bwd = block.phi_bwd.forward(&x_bwd, e);
+        let m_fwd = block.phi_fwd.forward(p, &x_fwd, e);
+        let m_bwd = block.phi_bwd.forward(p, &x_bwd, e);
         let mut msg_fwd = vec![0.0; n * d];
         let mut msg_bwd = vec![0.0; n * d];
         gather_messages(graph, &m_fwd, d, &mut msg_fwd);
         gather_messages(graph, &m_bwd, d, &mut msg_bwd);
         (msg_fwd, msg_bwd)
-    }
-
-    /// The model's message-passing blocks (for [`InferencePlan`] builders).
-    pub(crate) fn blocks(&self) -> &[Block] {
-        &self.blocks
     }
 
     /// Keep the first `num_blocks` blocks, each with its own decoder, and
@@ -217,14 +211,14 @@ impl DssModel {
     /// block (Eq. 23), so every prefix of a trained model is itself a trained
     /// solver: the cut model decodes block `num_blocks`' latent state with
     /// block `num_blocks`' decoder.  The step `α` the blocks were trained
-    /// with is kept — a model rebuilt through [`DssConfig::new`] at the new
-    /// depth would not have it.  A [`DssModel::multilevel_depth`] above the
-    /// cut is clamped to it.
+    /// with is kept — a new [`DssConfig`] at the cut depth would have to
+    /// repeat it.  A [`DssModel::multilevel_depth`] above the cut is clamped
+    /// to it.
     ///
     /// Panics unless `1 ≤ num_blocks ≤` the current depth.
     pub fn truncate(&mut self, num_blocks: usize) {
         self.check_depth("truncate", num_blocks);
-        self.blocks.truncate(num_blocks);
+        self.params.truncate(num_blocks * Block::new(self.config.latent_dim).len());
         self.config.num_blocks = num_blocks;
         self.multilevel_depth = self.multilevel_depth.min(num_blocks);
     }
@@ -253,9 +247,9 @@ impl DssModel {
 
     fn check_depth(&self, what: &str, depth: usize) {
         assert!(
-            (1..=self.blocks.len()).contains(&depth),
+            (1..=self.config.num_blocks).contains(&depth),
             "{what}: depth {depth} is outside 1..={}",
-            self.blocks.len()
+            self.config.num_blocks
         );
     }
 
@@ -271,11 +265,11 @@ impl DssModel {
     pub fn infer_reference(&self, graph: &LocalGraph, input: &[f64]) -> Vec<f64> {
         let n = graph.num_nodes();
         let mut h = vec![0.0; n * self.config.latent_dim];
-        for block in &self.blocks {
+        for block in self.blocks() {
             h = self.block_forward_with_input(block, graph, &h, input);
         }
-        match self.blocks.last() {
-            Some(block) => block.decoder.forward(&h, n),
+        match self.blocks().last() {
+            Some((block, p)) => block.decoder.forward(p, &h, n),
             None => vec![0.0; n],
         }
     }
@@ -322,20 +316,19 @@ impl DssModel {
         let d = self.config.latent_dim;
         let mut h = vec![0.0; n * d];
         let mut total = 0.0;
-        for block in &self.blocks {
-            h = self.block_forward_with_input(block, graph, &h, &graph.input);
-            let decoded = block.decoder.forward(&h, n);
+        for (block, p) in self.blocks() {
+            h = self.block_forward_with_input((block, p), graph, &h, &graph.input);
+            let decoded = block.decoder.forward(p, &h, n);
             total += crate::loss::residual_loss(&graph.matrix, &graph.input, &decoded);
         }
         total
     }
 
     /// Forward + backward pass on one graph.  Accumulates parameter gradients
-    /// into `grad` (which must have the same shape) and returns the total
-    /// training loss of this graph.
-    pub(crate) fn backward(&self, graph: &LocalGraph, grad: &mut DssModel) -> f64 {
-        assert_eq!(grad.config, self.config, "gradient container shape mismatch");
-        let grad_blocks = &mut grad.blocks;
+    /// into `grad` (in the layout of [`DssModel::params`]) and returns the
+    /// total training loss of this graph.
+    pub(crate) fn backward(&self, graph: &LocalGraph, grad: &mut [f64]) -> f64 {
+        assert_eq!(grad.len(), self.params.len(), "gradient length mismatch");
         let d = self.config.latent_dim;
         let n = graph.num_nodes();
         let e = graph.num_edges();
@@ -344,11 +337,13 @@ impl DssModel {
         // Forward pass, storing every latent state (h^0 .. h^kbar).
         let mut states: Vec<Vec<f64>> = Vec::with_capacity(kbar + 1);
         states.push(vec![0.0; n * d]);
-        for block in &self.blocks {
+        for block in self.blocks() {
             let next =
                 self.block_forward_with_input(block, graph, states.last().unwrap(), &graph.input);
             states.push(next);
         }
+        let block = Block::new(d);
+        let block_len = block.len();
 
         // Total loss (recomputed per block during the backward sweep).
         let mut total_loss = 0.0;
@@ -356,35 +351,34 @@ impl DssModel {
         // Backward sweep.
         let mut grad_h_next = vec![0.0; n * d]; // dL/dh^{k+1}
         for k in (0..kbar).rev() {
-            let block = &self.blocks[k];
-            let gblock = &mut grad_blocks[k];
+            let p = &self.params[k * block_len..][..block_len];
+            let gblock = &mut grad[k * block_len..][..block_len];
             let h = &states[k];
             let h_next = &states[k + 1];
 
             // Decoder path of this block: loss on the decoded state of h^{k+1}.
-            let (decoded, dec_cache) = block.decoder.forward_cached(h_next, n);
+            let (decoded, dec_cache) = block.decoder.forward_cached(p, h_next, n);
             let (lk, dldr) = residual_loss_and_grad(&graph.matrix, &graph.input, &decoded);
             total_loss += lk;
-            let d_dec_in =
-                block.decoder.backward(h_next, &dec_cache, &dldr, n, &mut gblock.decoder);
+            let d_dec_in = block.decoder.backward(p, h_next, &dec_cache, &dldr, n, gblock);
             for i in 0..n * d {
                 grad_h_next[i] += d_dec_in[i];
             }
 
             // Recompute the block's internals for backprop.
             let (x_fwd, x_bwd) = build_edge_inputs(graph, h, d);
-            let (m_fwd, fwd_cache) = block.phi_fwd.forward_cached(&x_fwd, e);
-            let (m_bwd, bwd_cache) = block.phi_bwd.forward_cached(&x_bwd, e);
+            let (m_fwd, fwd_cache) = block.phi_fwd.forward_cached(p, &x_fwd, e);
+            let (m_bwd, bwd_cache) = block.phi_bwd.forward_cached(p, &x_bwd, e);
             let mut msg_fwd = vec![0.0; n * d];
             let mut msg_bwd = vec![0.0; n * d];
             gather_messages(graph, &m_fwd, d, &mut msg_fwd);
             gather_messages(graph, &m_bwd, d, &mut msg_bwd);
             let psi_in = build_psi_input(&graph.input, h, &msg_fwd, &msg_bwd, d);
-            let (_update, psi_cache) = block.psi.forward_cached(&psi_in, n);
+            let (_update, psi_cache) = block.psi.forward_cached(p, &psi_in, n);
 
             // h^{k+1} = h^k + α Ψ(psi_in): gradient through Ψ.
             let d_psi_out: Vec<f64> = grad_h_next.iter().map(|&g| g * self.config.alpha).collect();
-            let d_psi_in = block.psi.backward(&psi_in, &psi_cache, &d_psi_out, n, &mut gblock.psi);
+            let d_psi_in = block.psi.backward(p, &psi_in, &psi_cache, &d_psi_out, n, gblock);
 
             // Gradient with respect to h^k: identity path + Ψ's h input.
             let psi_cols = 3 * d + 1;
@@ -414,10 +408,8 @@ impl DssModel {
                     d_m_bwd[ei * d + kk] = d_msg_bwd[dst * d + kk];
                 }
             }
-            let d_x_fwd =
-                block.phi_fwd.backward(&x_fwd, &fwd_cache, &d_m_fwd, e, &mut gblock.phi_fwd);
-            let d_x_bwd =
-                block.phi_bwd.backward(&x_bwd, &bwd_cache, &d_m_bwd, e, &mut gblock.phi_bwd);
+            let d_x_fwd = block.phi_fwd.backward(p, &x_fwd, &fwd_cache, &d_m_fwd, e, gblock);
+            let d_x_bwd = block.phi_bwd.backward(p, &x_bwd, &bwd_cache, &d_m_bwd, e, gblock);
             let edge_cols = 2 * d + 3;
             for (ei, (dst, &src)) in graph.edge_dsts().zip(graph.edge_src.iter()).enumerate() {
                 let src = src as usize;
@@ -547,7 +539,8 @@ mod tests {
             (30, 10, 37530),
         ];
         for (kbar, d, weights) in expected {
-            let model = DssModel::new(DssConfig::new(kbar, d), 0);
+            let model =
+                DssModel::new(DssConfig { num_blocks: kbar, latent_dim: d, alpha: 1e-3 }, 0);
             assert_eq!(model.num_params(), weights, "weight count mismatch for k̄={kbar}, d={d}");
         }
     }
@@ -555,52 +548,49 @@ mod tests {
     #[test]
     fn inference_shape_and_determinism() {
         let graph = tiny_graph();
-        let model = DssModel::new(DssConfig::new(3, 4), 7);
+        let model = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-3 }, 7);
         let out1 = infer(&model, &graph);
         let out2 = infer(&model, &graph);
         assert_eq!(out1.len(), graph.num_nodes());
         assert_eq!(out1, out2);
         // Different seeds give different outputs.
-        let other = DssModel::new(DssConfig::new(3, 4), 8);
+        let other = DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-3 }, 8);
         assert_ne!(out1, infer(&other, &graph));
     }
 
     #[test]
-    fn flatten_roundtrip_preserves_behaviour() {
-        let graph = tiny_graph();
-        let model = DssModel::new(DssConfig::new(2, 3), 3);
-        let flat = model.flatten();
-        assert_eq!(flat.len(), model.num_params());
-        let mut copy = DssModel::new(DssConfig::new(2, 3), 99);
-        copy.load_flat(&flat);
-        assert_eq!(infer(&model, &graph), infer(&copy, &graph));
+    fn xavier_initialization_is_bounded_and_nonzero() {
+        let model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 10, alpha: 1e-3 }, 5);
+        assert_eq!(model.blocks().count(), 2);
+        for (block, p) in model.blocks() {
+            for layer in block.layers() {
+                let limit = (6.0 / (layer.in_dim + layer.out_dim) as f64).sqrt();
+                let weight = layer.weight(p);
+                assert!(weight.iter().all(|w| w.abs() <= limit));
+                assert!(weight.iter().any(|&w| w != 0.0));
+                assert!(layer.bias(p).iter().all(|&b| b == 0.0));
+            }
+        }
     }
 
     #[test]
     fn backward_gradient_matches_finite_differences() {
         let graph = tiny_graph();
         let model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 3, alpha: 0.05 }, 11);
-        let mut grad = model.zeros_like();
-        let loss = model.backward(&graph, &mut grad);
+        let mut analytic = vec![0.0; model.num_params()];
+        let loss = model.backward(&graph, &mut analytic);
         assert!(loss > 0.0);
         // Loss from backward matches loss() exactly.
         assert!((loss - model.loss(&graph)).abs() < 1e-12);
 
-        let params = model.flatten();
-        let analytic = grad.flatten();
         let eps = 1e-6;
         // Spot-check a spread of parameters (checking all ~600 would be slow).
-        let num = params.len();
+        let num = model.num_params();
         let indices: Vec<usize> = (0..24).map(|i| i * num / 24).collect();
         for &i in &indices {
-            let mut plus = params.clone();
-            plus[i] += eps;
-            let mut minus = params.clone();
-            minus[i] -= eps;
-            let mut mp = model.clone();
-            mp.load_flat(&plus);
-            let mut mm = model.clone();
-            mm.load_flat(&minus);
+            let (mut mp, mut mm) = (model.clone(), model.clone());
+            mp.params[i] += eps;
+            mm.params[i] -= eps;
             let numeric = (mp.loss(&graph) - mm.loss(&graph)) / (2.0 * eps);
             let diff = (numeric - analytic[i]).abs();
             let scale = numeric.abs().max(analytic[i].abs()).max(1e-3);
@@ -631,23 +621,16 @@ mod tests {
                 .collect();
             let graph = crate::plan::tests::graph_on(positions, &extra);
             let model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 3, alpha: 0.05 }, model_seed);
-            let mut grad = model.zeros_like();
-            let loss = model.backward(&graph, &mut grad);
+            let mut analytic = vec![0.0; model.num_params()];
+            let loss = model.backward(&graph, &mut analytic);
             prop_assert!((loss - model.loss(&graph)).abs() <= 1e-12 * loss.abs().max(1.0));
-            let params = model.flatten();
-            let analytic = grad.flatten();
             let eps = 1e-6;
             // Spot-check a spread of parameters per case.
             for t in 0..8 {
-                let i = t * params.len() / 8;
-                let mut plus = params.clone();
-                plus[i] += eps;
-                let mut minus = params.clone();
-                minus[i] -= eps;
-                let mut mp = model.clone();
-                mp.load_flat(&plus);
-                let mut mm = model.clone();
-                mm.load_flat(&minus);
+                let i = t * model.num_params() / 8;
+                let (mut mp, mut mm) = (model.clone(), model.clone());
+                mp.params[i] += eps;
+                mm.params[i] -= eps;
                 let numeric = (mp.loss(&graph) - mm.loss(&graph)) / (2.0 * eps);
                 let diff = (numeric - analytic[i]).abs();
                 let scale = numeric.abs().max(analytic[i].abs()).max(1e-3);
@@ -662,15 +645,14 @@ mod tests {
         // training loss — an end-to-end sanity check of the backward pass.
         let graph = tiny_graph();
         let model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 4, alpha: 0.05 }, 21);
-        let mut grad = model.zeros_like();
-        let loss0 = model.backward(&graph, &mut grad);
-        let params = model.flatten();
-        let g = grad.flatten();
+        let mut g = vec![0.0; model.num_params()];
+        let loss0 = model.backward(&graph, &mut g);
         let gnorm: f64 = g.iter().map(|v| v * v).sum::<f64>().sqrt();
         let step = 1e-2 / gnorm.max(1e-12);
-        let updated: Vec<f64> = params.iter().zip(g.iter()).map(|(p, gi)| p - step * gi).collect();
         let mut better = model.clone();
-        better.load_flat(&updated);
+        for (p, gi) in better.params.iter_mut().zip(&g) {
+            *p -= step * gi;
+        }
         let loss1 = better.loss(&graph);
         assert!(loss1 < loss0, "loss did not decrease: {loss0} -> {loss1}");
     }
@@ -882,7 +864,7 @@ mod tests {
         let graph = tiny_graph();
         let config = DssConfig { num_blocks: 5, latent_dim: 4, alpha: 0.2 };
         let mut model = DssModel::new(config, 31);
-        let full_flat = model.flatten();
+        let full_params = model.params.clone();
         // Plans built before the cut snapshot the full model.
         let full = infer(&model, &graph);
         let (full64, full32) = (model.build_plan(&graph), plan_f32(&model, &graph, false));
@@ -890,8 +872,6 @@ mod tests {
 
         model.truncate(3);
         assert_eq!(model.config(), DssConfig { num_blocks: 3, ..config });
-        let flat = model.flatten();
-        assert_eq!(flat[..], full_flat[..3 * full_flat.len() / 5]);
         // A plan built after the cut runs the cut model: the reference
         // forward pass of three blocks decoded by the third decoder.
         let cut = infer(&model, &graph);
@@ -902,8 +882,9 @@ mod tests {
             assert!((a - b).abs() <= 1e-12 * norm, "plan {a} vs reference {b}");
         }
         // …and has the bits of a model built at that depth from the prefix.
-        let mut rebuilt = DssModel::new(DssConfig { num_blocks: 3, ..config }, 0);
-        rebuilt.load_flat(&flat);
+        let prefix = full_params[..3 * full_params.len() / 5].to_vec();
+        let rebuilt = DssModel::from_params(DssConfig { num_blocks: 3, ..config }, prefix);
+        assert_eq!(model, rebuilt, "the cut keeps the first three blocks' parameters");
         assert_eq!(cut, infer(&rebuilt, &graph));
         let (plan32, rebuilt32) =
             (plan_f32(&model, &graph, false), plan_f32(&rebuilt, &graph, false));
@@ -916,7 +897,7 @@ mod tests {
 
     #[test]
     fn multilevel_depth_defaults_to_all_blocks_and_truncate_clamps_it() {
-        let mut model = DssModel::new(DssConfig::new(5, 3), 2);
+        let mut model = DssModel::new(DssConfig { num_blocks: 5, latent_dim: 3, alpha: 1e-3 }, 2);
         assert_eq!(model.multilevel_depth(), 5);
         model.set_multilevel_depth(3);
         assert_eq!(model.multilevel_depth(), 3);
@@ -930,25 +911,26 @@ mod tests {
         crate::io::save_model(&path, &model).unwrap();
         let loaded = crate::io::load_model(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.flatten(), model.flatten());
+        assert_eq!(loaded.params, model.params);
         assert_eq!(loaded.multilevel_depth(), 2, "a loaded model runs all its blocks");
     }
 
     #[test]
     #[should_panic(expected = "set_multilevel_depth: depth 4 is outside 1..=3")]
     fn multilevel_depth_cannot_exceed_the_model() {
-        DssModel::new(DssConfig::new(3, 4), 1).set_multilevel_depth(4);
+        DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-3 }, 1)
+            .set_multilevel_depth(4);
     }
 
     #[test]
     #[should_panic(expected = "depth 0 is outside 1..=3")]
     fn truncate_rejects_zero_blocks() {
-        DssModel::new(DssConfig::new(3, 4), 1).truncate(0);
+        DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-3 }, 1).truncate(0);
     }
 
     #[test]
     #[should_panic(expected = "depth 4 is outside 1..=3")]
     fn truncate_rejects_more_blocks_than_the_model_has() {
-        DssModel::new(DssConfig::new(3, 4), 1).truncate(4);
+        DssModel::new(DssConfig { num_blocks: 3, latent_dim: 4, alpha: 1e-3 }, 1).truncate(4);
     }
 }

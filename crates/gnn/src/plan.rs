@@ -148,11 +148,11 @@ struct PlanBlock {
 }
 
 /// Extract the column block `[col0, col0 + cols)` of a row-major layer weight
-/// as its own row-major `out_dim × cols` matrix.
-fn column_block(layer: &Linear, col0: usize, cols: usize) -> Vec<f64> {
+/// in `p` as its own row-major `out_dim × cols` matrix.
+fn column_block(layer: &Linear, p: &[f64], col0: usize, cols: usize) -> Vec<f64> {
+    let weight = layer.weight(p);
     let mut out = Vec::with_capacity(layer.out_dim * cols);
-    for o in 0..layer.out_dim {
-        let row = &layer.weight[o * layer.in_dim..(o + 1) * layer.in_dim];
+    for row in weight.chunks_exact(layer.in_dim) {
         out.extend_from_slice(&row[col0..col0 + cols]);
     }
     out
@@ -183,22 +183,21 @@ fn matvec_dd(a: &[f64], v: &[f64], d: usize) -> Vec<f64> {
 }
 
 impl PlanBlock {
-    fn new(block: &Block, d: usize) -> Self {
+    fn new((block, p): (Block, &[f64]), d: usize) -> Self {
         let psi = &block.psi.l1;
-        debug_assert_eq!(psi.in_dim, 3 * d + 1);
-        let psi_w_fwd = column_block(psi, d + 1, d);
-        let psi_w_bwd = column_block(psi, 2 * d + 1, d);
-        let q_fwd = matvec_dd(&psi_w_fwd, &block.phi_fwd.l2.bias, d);
-        let q_bwd = matvec_dd(&psi_w_bwd, &block.phi_bwd.l2.bias, d);
+        let psi_w_fwd = column_block(psi, p, d + 1, d);
+        let psi_w_bwd = column_block(psi, p, 2 * d + 1, d);
+        let q_fwd = matvec_dd(&psi_w_fwd, block.phi_fwd.l2.bias(p), d);
+        let q_bwd = matvec_dd(&psi_w_bwd, block.phi_bwd.l2.bias(p), d);
         PlanBlock {
-            w_dst_fwd: column_block(&block.phi_fwd.l1, 0, d),
-            w_src_fwd: column_block(&block.phi_fwd.l1, d, d),
-            w_dst_bwd: column_block(&block.phi_bwd.l1, 0, d),
-            w_src_bwd: column_block(&block.phi_bwd.l1, d, d),
-            psi_w_h: column_block(psi, 0, d),
-            psi_w_c: column_block(psi, d, 1),
-            psi_m_fwd: matmul_dd(&psi_w_fwd, &block.phi_fwd.l2.weight, d),
-            psi_m_bwd: matmul_dd(&psi_w_bwd, &block.phi_bwd.l2.weight, d),
+            w_dst_fwd: column_block(&block.phi_fwd.l1, p, 0, d),
+            w_src_fwd: column_block(&block.phi_fwd.l1, p, d, d),
+            w_dst_bwd: column_block(&block.phi_bwd.l1, p, 0, d),
+            w_src_bwd: column_block(&block.phi_bwd.l1, p, d, d),
+            psi_w_h: column_block(psi, p, 0, d),
+            psi_w_c: column_block(psi, p, d, 1),
+            psi_m_fwd: matmul_dd(&psi_w_fwd, block.phi_fwd.l2.weight(p), d),
+            psi_m_bwd: matmul_dd(&psi_w_bwd, block.phi_bwd.l2.weight(p), d),
             psi_q: q_fwd.iter().zip(&q_bwd).map(|(f, b)| f + b).collect(),
         }
     }
@@ -304,18 +303,17 @@ struct PackBlock<T> {
 }
 
 impl<T: Scalar> PackBlock<T> {
-    fn new(block: &Block, d: usize, int8: bool) -> Self {
-        let pb = PlanBlock::new(block, d);
+    fn new((block, p): (Block, &[f64]), d: usize, int8: bool) -> Self {
+        let pb = PlanBlock::new((block, p), d);
         let (fwd, bwd) = (&block.phi_fwd.l1, &block.phi_bwd.l1);
         let cols = fwd.in_dim;
-        debug_assert_eq!(cols, 2 * d + 3);
         let d2 = 2 * d;
         let mut geo = vec![0.0; 4 * d2];
         for o in 0..d {
-            let wf = &fwd.weight[o * cols + d2..][..3];
-            let wb = &bwd.weight[o * cols + d2..][..3];
-            geo[o] = fwd.bias[o];
-            geo[d + o] = bwd.bias[o];
+            let wf = &fwd.weight(p)[o * cols + d2..][..3];
+            let wb = &bwd.weight(p)[o * cols + d2..][..3];
+            geo[o] = fwd.bias(p)[o];
+            geo[d + o] = bwd.bias(p)[o];
             geo[d2 + o] = wf[0];
             geo[d2 + d + o] = -wb[0];
             geo[2 * d2 + o] = wf[1];
@@ -331,7 +329,7 @@ impl<T: Scalar> PackBlock<T> {
                 int8,
             ),
             geo: cast(&geo),
-            psi_bias: cast(&block.psi.l1.bias),
+            psi_bias: cast(block.psi.l1.bias(p)),
             psi_node_t: cast(&[pb.psi_q, pb.psi_w_c].concat()),
             psi_w_h_t: gemm_weight(&transpose(&pb.psi_w_h, d, d), d, d, int8),
             // Each direction's composed matrix is a weight matrix of its own
@@ -341,8 +339,8 @@ impl<T: Scalar> PackBlock<T> {
                 .iter()
                 .flat_map(|m| gemm_weight::<T>(&transpose(m, d, d), d, d, int8))
                 .collect(),
-            psi_l2_wt: cast(&transpose(&block.psi.l2.weight, d, d)),
-            psi_l2_b: cast(&block.psi.l2.bias),
+            psi_l2_wt: cast(&transpose(block.psi.l2.weight(p), d, d)),
+            psi_l2_b: cast(block.psi.l2.bias(p)),
         }
     }
 
@@ -434,12 +432,12 @@ impl<T: Scalar> WeightPack<T> {
         WeightPack {
             latent_dim: d,
             alpha: T::from_f64(config.alpha),
-            blocks: model.blocks().iter().map(|b| PackBlock::new(b, d, int8)).collect(),
-            decoder: model.blocks().last().map(|b| PackDecoder {
-                l1_wt: cast(&transpose(&b.decoder.l1.weight, d, d)),
-                l1_b: cast(&b.decoder.l1.bias),
-                l2_w: cast(&b.decoder.l2.weight),
-                l2_b: cast(&b.decoder.l2.bias),
+            blocks: model.blocks().map(|b| PackBlock::new(b, d, int8)).collect(),
+            decoder: model.blocks().last().map(|(b, p)| PackDecoder {
+                l1_wt: cast(&transpose(b.decoder.l1.weight(p), d, d)),
+                l1_b: cast(b.decoder.l1.bias(p)),
+                l2_w: cast(b.decoder.l2.weight(p)),
+                l2_b: cast(b.decoder.l2.bias(p)),
             }),
         }
     }
@@ -927,14 +925,15 @@ pub(crate) mod tests {
     /// every destination-grouped edge, the way the first plans precomputed
     /// and stored it.  `sign` flips the relative position for the backward
     /// message direction.
-    fn geo_terms(layer: &Linear, graph: &LocalGraph, d: usize, sign: f64) -> Vec<f64> {
+    fn geo_terms(layer: &Linear, p: &[f64], graph: &LocalGraph, d: usize, sign: f64) -> Vec<f64> {
         let cols = layer.in_dim;
         assert_eq!(cols, 2 * d + 3);
+        let (weight, bias) = (layer.weight(p), layer.bias(p));
         let mut out = Vec::with_capacity(graph.num_edges() * d);
         for &[dx, dy, dist] in graph.edge_geo.iter() {
             for o in 0..d {
-                let w = &layer.weight[o * cols + 2 * d..o * cols + 2 * d + 3];
-                out.push(layer.bias[o] + w[0] * (sign * dx) + w[1] * (sign * dy) + w[2] * dist);
+                let w = &weight[o * cols + 2 * d..o * cols + 2 * d + 3];
+                out.push(bias[o] + w[0] * (sign * dx) + w[1] * (sign * dy) + w[2] * dist);
             }
         }
         out
@@ -999,15 +998,13 @@ pub(crate) mod tests {
             let mut model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: d, alpha: 1e-2 }, model_seed);
             // Xavier initialisation leaves every bias at zero; perturb all
             // parameters so the `b₁` rows take part.
-            let mut params = model.flatten();
-            for (i, p) in params.iter_mut().enumerate() {
+            for (i, p) in model.params_mut().iter_mut().enumerate() {
                 *p += ((i * 37 % 101) as f64 - 50.0) * 1e-3;
             }
-            model.load_flat(&params);
             let plan = model.build_plan(&graph);
-            for (block, pb) in model.blocks().iter().zip(&plan.weights.blocks) {
-                let stored_fwd = geo_terms(&block.phi_fwd.l1, &graph, d, 1.0);
-                let stored_bwd = geo_terms(&block.phi_bwd.l1, &graph, d, -1.0);
+            for ((block, p), pb) in model.blocks().zip(&plan.weights.blocks) {
+                let stored_fwd = geo_terms(&block.phi_fwd.l1, p, &graph, d, 1.0);
+                let stored_bwd = geo_terms(&block.phi_bwd.l1, p, &graph, d, -1.0);
                 let rows = pb.geo_rows();
                 for (slot, &g) in plan.edge_geo.iter().enumerate() {
                     for k in 0..d {
@@ -1220,7 +1217,7 @@ pub(crate) mod tests {
             out
         };
         let before = run(&p_deep);
-        deep.load_flat(&deep.flatten().iter().map(|w| w * 0.5).collect::<Vec<_>>());
+        deep.params_mut().iter_mut().for_each(|w| *w *= 0.5);
         assert_eq!(run(&p_deep), before);
         assert_ne!(run(&deep.build_plan(&graph)), before);
     }

@@ -29,10 +29,6 @@ const SHUFFLE_SEED: u64 = 2;
 pub struct TrainingReport {
     /// Mean training loss per epoch.
     pub train_losses: Vec<f64>,
-    /// Mean validation loss per epoch (empty when no validation split).
-    pub validation_losses: Vec<f64>,
-    /// Learning rate at the end of training.
-    pub final_learning_rate: f64,
 }
 
 /// Evaluation metrics in the format of the paper's Table II.
@@ -70,7 +66,6 @@ pub fn train(model: &mut DssModel, samples: &[LocalGraph], epochs: usize) -> Tra
     let mut scheduler = PlateauScheduler::new();
 
     let mut train_losses = Vec::with_capacity(epochs);
-    let mut validation_losses = Vec::with_capacity(epochs);
 
     let mut order = train_idx.clone();
     for _ in 0..epochs {
@@ -78,30 +73,29 @@ pub fn train(model: &mut DssModel, samples: &[LocalGraph], epochs: usize) -> Tra
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(BATCH_SIZE) {
-            // Data-parallel gradient computation; the per-sample results are
-            // collected in order and summed sequentially so training stays
-            // bit-for-bit deterministic regardless of thread scheduling.
+            // Data-parallel gradient computation, one gradient vector (in
+            // the layout of the model's parameters) per sample; the results
+            // are collected in order and summed sequentially so training
+            // stays bit-for-bit deterministic regardless of thread scheduling.
             let per_sample: Vec<(f64, Vec<f64>)> = chunk
                 .par_iter()
                 .map(|&idx| {
-                    let mut grad = model.zeros_like();
+                    let mut grad = vec![0.0; num_params];
                     let loss = model.backward(&samples[idx], &mut grad);
-                    (loss, grad.flatten())
+                    (loss, grad)
                 })
                 .collect();
             let mut batch_loss = 0.0;
-            let mut grad_flat = vec![0.0; num_params];
+            let mut grad_mean = vec![0.0; num_params];
             for (loss, grad) in &per_sample {
                 batch_loss += loss;
-                for (a, b) in grad_flat.iter_mut().zip(grad.iter()) {
+                for (a, b) in grad_mean.iter_mut().zip(grad.iter()) {
                     *a += b;
                 }
             }
             let scale = 1.0 / chunk.len() as f64;
-            let grad_mean: Vec<f64> = grad_flat.iter().map(|g| g * scale).collect();
-            let mut params = model.flatten();
-            adam.step(&mut params, &grad_mean);
-            model.load_flat(&params);
+            grad_mean.iter_mut().for_each(|g| *g *= scale);
+            adam.step(model.params_mut(), &grad_mean);
             epoch_loss += batch_loss * scale;
             batches += 1;
         }
@@ -115,14 +109,12 @@ pub fn train(model: &mut DssModel, samples: &[LocalGraph], epochs: usize) -> Tra
         } else {
             let losses: Vec<f64> =
                 val_idx.par_iter().map(|&idx| model.loss(&samples[idx])).collect();
-            let val_loss: f64 = losses.iter().sum::<f64>() / val_idx.len() as f64;
-            validation_losses.push(val_loss);
-            val_loss
+            losses.iter().sum::<f64>() / val_idx.len() as f64
         };
         scheduler.observe(monitored, &mut adam);
     }
 
-    TrainingReport { train_losses, validation_losses, final_learning_rate: adam.learning_rate() }
+    TrainingReport { train_losses }
 }
 
 /// Evaluate the model: residual norms and relative errors against exact local
@@ -224,7 +216,7 @@ pub(crate) mod tests {
         for (a, b) in r1.train_losses.iter().zip(r2.train_losses.iter()) {
             assert!((a - b).abs() < 1e-10);
         }
-        assert_eq!(m1.flatten(), m2.flatten());
+        assert_eq!(m1, m2);
     }
 
     /// FNV-1a over the bit patterns of a float sequence.
@@ -248,7 +240,7 @@ pub(crate) mod tests {
         let samples = tiny_samples();
         let mut model = DssModel::new(DssConfig { num_blocks: 2, latent_dim: 3, alpha: 1e-2 }, 2);
         let report = train(&mut model, &samples, 3);
-        let weights = hash_f64s(model.flatten());
+        let weights = hash_f64s(model.params().iter().copied());
         let last_loss = report.train_losses.last().unwrap().to_bits();
         assert_eq!((weights, last_loss), (0xb747830912f841a6, 0x3f8e4bddc34d2b6e));
     }
