@@ -28,7 +28,7 @@ mod quality;
 
 pub use graph::Graph;
 use overlap::grow_overlap;
-use partitioner::{partition_graph, PartitionOptions};
+use partitioner::partition_graph;
 
 /// A partition assignment: `part[v]` is the sub-domain index of node `v`.
 pub(crate) type Partition = Vec<usize>;
@@ -48,8 +48,7 @@ pub fn partition_mesh_with_overlap(
 ) -> Vec<Vec<usize>> {
     let graph = Graph::from_mesh(mesh);
     let k = mesh.num_nodes().div_ceil(target_size.max(1));
-    let opts = PartitionOptions { num_parts: k, seed, ..Default::default() };
-    let parts = partition_graph(&graph, &opts);
+    let parts = partition_graph(&graph, k, seed);
     grow_overlap(&graph, &parts, k, overlap)
 }
 
@@ -171,8 +170,7 @@ mod tests {
     fn check_graph(name: &str, adjacency: &Adjacency, pins: &[(usize, u64, usize, u64, u64)]) {
         let graph = Graph::from_adjacency(adjacency);
         for &(num_parts, seed, overlap, assignment_hash, subdomains_hash) in pins {
-            let opts = PartitionOptions { num_parts, seed, ..Default::default() };
-            let assignment = partition_graph(&graph, &opts);
+            let assignment = partition_graph(&graph, num_parts, seed);
             let subdomains = grow_overlap(&graph, &assignment, num_parts, overlap);
             let (a, s) = (hash_lists(&[assignment]), hash_lists(&subdomains));
             assert_eq!(

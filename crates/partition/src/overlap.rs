@@ -62,7 +62,7 @@ pub(crate) fn grow_overlap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::{partition_graph, PartitionOptions};
+    use crate::partitioner::partition_graph;
 
     fn grid_graph(nx: usize, ny: usize) -> Graph {
         let idx = |i: usize, j: usize| i * ny + j;
@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn zero_overlap_returns_parts() {
         let g = grid_graph(10, 10);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 4, ..Default::default() });
+        let parts = partition_graph(&g, 4, 0);
         let sds = grow_overlap(&g, &parts, 4, 0);
         let total: usize = sds.iter().map(|s| s.len()).sum();
         assert_eq!(total, 100);
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn overlap_grows_subdomains_monotonically() {
         let g = grid_graph(16, 16);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 4, ..Default::default() });
+        let parts = partition_graph(&g, 4, 0);
         let sd0 = grow_overlap(&g, &parts, 4, 0);
         let sd2 = grow_overlap(&g, &parts, 4, 2);
         let sd4 = grow_overlap(&g, &parts, 4, 4);
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn overlap_nodes_are_within_graph_distance() {
         let g = grid_graph(12, 12);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 3, ..Default::default() });
+        let parts = partition_graph(&g, 3, 0);
         let overlap = 2;
         let sds = grow_overlap(&g, &parts, 3, overlap);
         for (p, sd) in sds.iter().enumerate() {
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn sorted_and_unique_members() {
         let g = grid_graph(8, 8);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 2, ..Default::default() });
+        let parts = partition_graph(&g, 2, 0);
         let sds = grow_overlap(&g, &parts, 2, 3);
         for sd in &sds {
             let mut sorted = sd.clone();
@@ -174,7 +174,7 @@ mod tests {
         // instead of panicking or fabricating members.
         let g = grid_graph(2, 2);
         let k = 9;
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: k, ..Default::default() });
+        let parts = partition_graph(&g, k, 0);
         let sds = grow_overlap(&g, &parts, k, 1);
         assert_eq!(sds.len(), k);
         for (p, sd) in sds.iter().enumerate().take(4) {

@@ -22,7 +22,7 @@
 //!
 //! # Tie-breaks
 //!
-//! The output is a pure function of the graph and `PartitionOptions` and
+//! The output is a pure function of the graph, the part count and the seed, and
 //! every downstream hash depends on it, so the rules that settle ties are
 //! contract (the crate's tests pin them):
 //!
@@ -44,30 +44,11 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::graph::Graph;
 use crate::Partition;
 
-/// Options for [`partition_graph`].
-#[derive(Debug, Clone)]
-pub(crate) struct PartitionOptions {
-    /// Number of parts to create.
-    pub num_parts: usize,
-    /// RNG seed used for seed-vertex selection tie breaking.
-    pub seed: u64,
-    /// Number of boundary refinement sweeps.
-    pub refinement_sweeps: usize,
-    /// Maximum tolerated imbalance (max part size / ideal size) targeted by
-    /// the refinement pass.
-    pub balance_tolerance: f64,
-}
-
-impl Default for PartitionOptions {
-    fn default() -> Self {
-        PartitionOptions { num_parts: 2, seed: 0, refinement_sweeps: 4, balance_tolerance: 1.10 }
-    }
-}
-
-/// Partition the graph into `opts.num_parts` parts of roughly equal size.
+/// Partition the graph into `num_parts` parts of roughly equal size; `seed`
+/// seeds the choice of the first seed vertex.
 ///
 /// Returns the part index of every vertex (`result[v] ∈ 0..num_parts`), a
-/// pure function of the graph and `opts` computed in `O((n + e)·log n)`; the
+/// pure function of the graph, `num_parts` and `seed` computed in `O((n + e)·log n)`; the
 /// [module docs](self) give the exact cost and the tie-break rules that make
 /// the result reproducible index for index.
 /// This function **never panics**; the degenerate shapes are defined as:
@@ -87,9 +68,9 @@ impl Default for PartitionOptions {
 /// (Note: [`crate::partition_mesh_with_overlap`] always requests
 /// `k = ceil(n / target_size) ≤ n` parts, so the empty-part shape only
 /// arises when calling this function directly.)
-pub(crate) fn partition_graph(graph: &Graph, opts: &PartitionOptions) -> Partition {
+pub(crate) fn partition_graph(graph: &Graph, num_parts: usize, seed: u64) -> Partition {
     let n = graph.num_vertices();
-    let k = opts.num_parts.max(1);
+    let k = num_parts.max(1);
     if n == 0 {
         return Vec::new();
     }
@@ -101,7 +82,7 @@ pub(crate) fn partition_graph(graph: &Graph, opts: &PartitionOptions) -> Partiti
         return (0..n).collect();
     }
 
-    let (seeds, _) = select_seeds(graph, k, opts.seed);
+    let (seeds, _) = select_seeds(graph, k, seed);
     let (mut assignment, mut sizes, _) = grow_parts(graph, &seeds);
 
     // Stragglers: nodes in components not reached by any seed.  Attach each to
@@ -120,7 +101,7 @@ pub(crate) fn partition_graph(graph: &Graph, opts: &PartitionOptions) -> Partiti
         }
     }
 
-    refine_balance(graph, &mut assignment, &mut sizes, opts);
+    refine_balance(graph, &mut assignment, &mut sizes);
     assignment
 }
 
@@ -223,23 +204,24 @@ fn grow_parts(graph: &Graph, seeds: &[usize]) -> (Partition, Vec<usize>, usize) 
     (assignment, sizes, pushes)
 }
 
-/// Boundary refinement: move nodes from oversized parts to adjacent
-/// undersized parts.
-fn refine_balance(
-    graph: &Graph,
-    assignment: &mut [usize],
-    sizes: &mut [usize],
-    opts: &PartitionOptions,
-) {
+/// Number of boundary refinement sweeps of [`refine_balance`].
+const REFINEMENT_SWEEPS: usize = 4;
+/// Largest part size over the ideal size [`refine_balance`] leaves alone.
+const BALANCE_TOLERANCE: f64 = 1.10;
+
+/// Boundary refinement: move nodes from parts more than
+/// [`BALANCE_TOLERANCE`] times the ideal size to adjacent smaller parts, in
+/// at most [`REFINEMENT_SWEEPS`] sweeps.
+fn refine_balance(graph: &Graph, assignment: &mut [usize], sizes: &mut [usize]) {
     let n = graph.num_vertices();
     let k = sizes.len();
     if k < 2 {
         return;
     }
     let ideal = n as f64 / k as f64;
-    let max_allowed = (ideal * opts.balance_tolerance).ceil() as usize;
+    let max_allowed = (ideal * BALANCE_TOLERANCE).ceil() as usize;
 
-    for _ in 0..opts.refinement_sweeps {
+    for _ in 0..REFINEMENT_SWEEPS {
         let mut moved = 0usize;
         for v in 0..n {
             let p = assignment[v];
@@ -305,17 +287,16 @@ mod tests {
     #[test]
     fn trivial_cases() {
         let g = grid_graph(4, 4);
-        let p1 = partition_graph(&g, &PartitionOptions { num_parts: 1, ..Default::default() });
+        let p1 = partition_graph(&g, 1, 0);
         assert!(p1.iter().all(|&p| p == 0));
         let empty = Graph::from_adjacency(&[]);
-        assert!(partition_graph(&empty, &PartitionOptions::default()).is_empty());
+        assert!(partition_graph(&empty, 2, 0).is_empty());
     }
 
     #[test]
     fn all_parts_are_nonempty_and_cover() {
         let g = grid_graph(20, 20);
-        let opts = PartitionOptions { num_parts: 8, ..Default::default() };
-        let parts = partition_graph(&g, &opts);
+        let parts = partition_graph(&g, 8, 0);
         assert_eq!(parts.len(), 400);
         let mut counts = vec![0usize; 8];
         for &p in &parts {
@@ -328,8 +309,7 @@ mod tests {
     #[test]
     fn partition_is_reasonably_balanced() {
         let g = grid_graph(30, 30);
-        let opts = PartitionOptions { num_parts: 9, ..Default::default() };
-        let parts = partition_graph(&g, &opts);
+        let parts = partition_graph(&g, 9, 0);
         let bf = balance_factor(&parts, 9);
         assert!(bf < 1.35, "balance factor {bf}");
     }
@@ -337,8 +317,7 @@ mod tests {
     #[test]
     fn edge_cut_is_much_smaller_than_total_edges() {
         let g = grid_graph(30, 30);
-        let opts = PartitionOptions { num_parts: 4, ..Default::default() };
-        let parts = partition_graph(&g, &opts);
+        let parts = partition_graph(&g, 4, 0);
         let cut = edge_cut(&g, &parts);
         // A 30x30 grid has 1740 edges; a sane 4-way partition cuts a small fraction.
         assert!(cut < 300, "edge cut {cut}");
@@ -348,35 +327,32 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let g = grid_graph(15, 15);
-        let opts = PartitionOptions { num_parts: 5, seed: 3, ..Default::default() };
-        let p1 = partition_graph(&g, &opts);
-        let p2 = partition_graph(&g, &opts);
+        let p1 = partition_graph(&g, 5, 3);
+        let p2 = partition_graph(&g, 5, 3);
         assert_eq!(p1, p2);
     }
 
     #[test]
     fn more_parts_than_vertices_degenerates_gracefully() {
         let g = grid_graph(2, 2);
-        let opts = PartitionOptions { num_parts: 10, ..Default::default() };
-        let parts = partition_graph(&g, &opts);
+        let parts = partition_graph(&g, 10, 0);
         assert_eq!(parts, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn zero_parts_is_treated_as_one() {
         let g = grid_graph(3, 3);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 0, ..Default::default() });
+        let parts = partition_graph(&g, 0, 0);
         assert!(parts.iter().all(|&p| p == 0));
         // Empty graph + zero parts: still just an empty assignment.
         let empty = Graph::from_adjacency(&[]);
-        assert!(partition_graph(&empty, &PartitionOptions { num_parts: 0, ..Default::default() })
-            .is_empty());
+        assert!(partition_graph(&empty, 0, 0).is_empty());
     }
 
     #[test]
     fn exactly_one_part_per_vertex_when_k_equals_n() {
         let g = grid_graph(3, 2);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 6, ..Default::default() });
+        let parts = partition_graph(&g, 6, 0);
         assert_eq!(parts, vec![0, 1, 2, 3, 4, 5], "k == n assigns vertex v to part v");
     }
 
@@ -386,7 +362,7 @@ mod tests {
         // degenerate one-vertex-per-part shape with empty tail parts.
         let g = grid_graph(2, 3);
         let k = 17;
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: k, ..Default::default() });
+        let parts = partition_graph(&g, k, 0);
         assert_eq!(parts.len(), 6);
         assert!(parts.iter().all(|&p| p < k), "part index out of range: {parts:?}");
         let mut counts = vec![0usize; k];
@@ -402,8 +378,7 @@ mod tests {
         // Two disjoint paths.
         let adjacency = vec![vec![1], vec![0, 2], vec![1], vec![4], vec![3, 5], vec![4]];
         let g = Graph::from_adjacency(&adjacency);
-        let opts = PartitionOptions { num_parts: 2, ..Default::default() };
-        let parts = partition_graph(&g, &opts);
+        let parts = partition_graph(&g, 2, 0);
         assert!(parts.iter().all(|&p| p < 2));
     }
 
@@ -524,7 +499,7 @@ mod tests {
         let mesh = generate_mesh(&domain, &MeshingOptions::with_element_size(h));
         let g = Graph::from_mesh(&mesh);
         let k = mesh.num_nodes().div_ceil(500);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: k, ..Default::default() });
+        let parts = partition_graph(&g, k, 0);
         let mut counts = vec![0usize; k];
         for &p in &parts {
             counts[p] += 1;
@@ -543,7 +518,7 @@ mod tests {
         let d = RectangleDomain::new(0.0, 0.0, 4.0, 1.0);
         let mesh = generate_mesh(&d, &MeshingOptions::with_element_size(0.07));
         let g = Graph::from_mesh(&mesh);
-        let parts = partition_graph(&g, &PartitionOptions { num_parts: 4, ..Default::default() });
+        let parts = partition_graph(&g, 4, 0);
         let bf = balance_factor(&parts, 4);
         assert!(bf < 1.3, "balance {bf}");
         let cut = edge_cut(&g, &parts);
