@@ -152,19 +152,10 @@ pub struct DdmGnnPreconditioner {
 }
 
 impl DdmGnnPreconditioner {
-    /// Build the double-precision preconditioner for an assembled Poisson
-    /// problem; `two_level` toggles the Nicolaides coarse correction.
-    pub fn new(
-        problem: &PoissonProblem,
-        subdomains: Vec<Vec<usize>>,
-        model: Arc<DssModel>,
-        two_level: bool,
-    ) -> sparse::Result<Self> {
-        Self::with_precision(problem, subdomains, model, two_level, Precision::F64)
-    }
-
     /// One- or two-level ([`AsmLevel::TwoLevel`], Nicolaides) preconditioner
-    /// at an explicit inference precision.
+    /// for an assembled Poisson problem at an inference precision
+    /// ([`Precision::F64`] is the bit-reproducible one); `two_level` toggles
+    /// the Nicolaides coarse correction.
     pub fn with_precision(
         problem: &PoissonProblem,
         subdomains: Vec<Vec<usize>>,
@@ -317,13 +308,7 @@ mod tests {
     #[test]
     fn construction_and_metadata() {
         let fx = fixture();
-        let precond = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            true,
-        )
-        .unwrap();
+        let precond = fixture_preconditioner(true, Precision::F64);
         assert_eq!(precond.shell.local_solves().len(), fx.subdomains.len());
         assert_eq!(precond.graphs().len(), fx.subdomains.len());
         for (graph, subdomain) in precond.graphs().iter().zip(&fx.subdomains) {
@@ -332,14 +317,7 @@ mod tests {
         assert!(precond.plan_memory_bytes() > 0);
         assert_eq!(precond.dim(), fx.problem.num_unknowns());
         assert_eq!(precond.name(), "ddm-gnn-2level");
-        let one_level = DdmGnnPreconditioner::new(
-            &fx.problem,
-            fx.subdomains.clone(),
-            Arc::new(fx.model.clone()),
-            false,
-        )
-        .unwrap();
-        assert_eq!(one_level.name(), "ddm-gnn-1level");
+        assert_eq!(fixture_preconditioner(false, Precision::F64).name(), "ddm-gnn-1level");
     }
 
     #[test]

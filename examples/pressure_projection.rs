@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use ddm_gnn::{load_pretrained, DdmGnnPreconditioner};
+use ddm_gnn::{load_pretrained, DdmGnnPreconditioner, Precision};
 use fem::{PoissonProblem, SourceTerm};
 use krylov::{preconditioned_conjugate_gradient, SolverOptions};
 use meshgen::{generate_mesh, MeshingOptions, RandomBlobDomain};
@@ -38,8 +38,14 @@ fn main() {
     println!("decomposition: {} sub-domains of ~200 nodes", subdomains.len());
 
     // The preconditioner is set up once and reused for every time step.
-    let precond =
-        DdmGnnPreconditioner::new(&base, subdomains, Arc::new(model), true).expect("setup");
+    let precond = DdmGnnPreconditioner::with_precision(
+        &base,
+        subdomains,
+        Arc::new(model),
+        true,
+        Precision::F64,
+    )
+    .expect("setup");
     let opts = SolverOptions::with_tolerance(1e-6).max_iterations(2000);
 
     let num_steps = 8;
